@@ -69,6 +69,7 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     files_scanned: int = 0
+    lines_scanned: int = 0
     baselined: int = 0
 
     @property
@@ -200,6 +201,7 @@ class LintEngine:
                 report.findings.extend(kept)
                 report.suppressed.extend(suppressed)
                 report.files_scanned += 1
+                report.lines_scanned += len(module.lines)
         report.findings.sort()
         report.suppressed.sort()
         return report

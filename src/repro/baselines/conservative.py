@@ -3,14 +3,16 @@
 The baseline the paper compares against conceptually: transactions are only
 handed to the transaction manager once their definitive total order is known,
 so execution starts *after* the ordering phase instead of overlapping with
-it.  The baseline reuses the whole OTP stack — the only difference is the
-broadcast protocol, which delivers messages tentatively and definitively at
-the same instant (see :class:`repro.broadcast.sequencer.SequencerAtomicBroadcast`).
+it.  The baseline reuses the whole OTP stack, ordering protocol included —
+the only difference is that the broadcast delivers messages tentatively and
+definitively at the same instant (``opt_deliver_on_receipt=False``, see
+:mod:`repro.broadcast.optimistic`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Any, Dict, Optional
 
 from ..core.cluster import ReplicatedDatabase
 from ..core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC, ClusterConfig
@@ -19,30 +21,14 @@ from ..database.procedures import ProcedureRegistry
 from ..types import ObjectKey, ObjectValue
 
 
-def conservative_config(base: Optional[ClusterConfig] = None, **overrides) -> ClusterConfig:
+def conservative_config(base: Optional[ClusterConfig] = None, **overrides: Any) -> ClusterConfig:
     """Return a copy of ``base`` configured for conservative processing."""
-    base = base or ClusterConfig()
-    return ClusterConfig(
-        site_count=overrides.get("site_count", base.site_count),
-        seed=overrides.get("seed", base.seed),
-        broadcast=BROADCAST_CONSERVATIVE,
-        ordering_mode=overrides.get("ordering_mode", base.ordering_mode),
-        latency_model=overrides.get("latency_model", base.latency_model),
-        loss_probability=overrides.get("loss_probability", base.loss_probability),
-        cpu_count=overrides.get("cpu_count", base.cpu_count),
-        duration_scale=overrides.get("duration_scale", base.duration_scale),
-        voting_timeout=overrides.get("voting_timeout", base.voting_timeout),
-        echo_on_first_receipt=overrides.get("echo_on_first_receipt", base.echo_on_first_receipt),
-        record_deliveries=overrides.get("record_deliveries", base.record_deliveries),
-    )
+    return replace(base or ClusterConfig(), broadcast=BROADCAST_CONSERVATIVE, **overrides)
 
 
-def optimistic_config(base: Optional[ClusterConfig] = None, **overrides) -> ClusterConfig:
+def optimistic_config(base: Optional[ClusterConfig] = None, **overrides: Any) -> ClusterConfig:
     """Return a copy of ``base`` configured for optimistic (OTP) processing."""
-    base = base or ClusterConfig()
-    config = conservative_config(base, **overrides)
-    config.broadcast = BROADCAST_OPTIMISTIC
-    return config
+    return replace(base or ClusterConfig(), broadcast=BROADCAST_OPTIMISTIC, **overrides)
 
 
 def build_conservative_cluster(

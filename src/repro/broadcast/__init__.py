@@ -1,5 +1,6 @@
-"""Group-communication substrate: reliable, FIFO, conservative and optimistic
-atomic broadcast, plus consensus and the spontaneous-order measurement."""
+"""Group-communication substrate: reliable and FIFO broadcast, the atomic
+broadcast with optimistic (or, as a delivery policy, conservative) delivery,
+plus consensus and the spontaneous-order measurement."""
 
 from .batching import (
     Batch,
@@ -24,11 +25,6 @@ from .optimistic import (
     OptimisticAtomicBroadcast,
 )
 from .reliable import RELIABLE_KIND, ReliableBroadcast
-from .sequencer import (
-    SEQUENCER_DATA_KIND,
-    SEQUENCER_ORDER_KIND,
-    SequencerAtomicBroadcast,
-)
 from .spontaneous import (
     PROBE_KIND,
     OrderAgreementReport,
@@ -61,9 +57,6 @@ __all__ = [
     "OPTIMISTIC_ANNOUNCE_KIND",
     "ReliableBroadcast",
     "RELIABLE_KIND",
-    "SequencerAtomicBroadcast",
-    "SEQUENCER_DATA_KIND",
-    "SEQUENCER_ORDER_KIND",
     "PeriodicMulticastSource",
     "ProbeMessage",
     "PROBE_KIND",

@@ -5,8 +5,8 @@ data multicast plus one order/confirmation multicast per transaction, each
 occupying the shared medium for a frame time — dominates the run.  The
 paper's own outlook (Section 6) and the classical group-communication
 literature both point at the remedy: *batching*.  A
-:class:`BatchingEndpoint` wraps any :class:`AtomicBroadcastEndpoint`
-(optimistic or sequencer) and coalesces the payloads submitted within a
+:class:`BatchingEndpoint` wraps the ordering endpoint (in optimistic or
+conservative delivery mode) and coalesces the payloads submitted within a
 configurable time/size window into one inner *batch* message, amortising the
 ordering cost over all batch members.
 
@@ -61,6 +61,7 @@ from .interfaces import (
     next_broadcast_id,
     noop_fill_id,
 )
+from .optimistic import OptimisticAtomicBroadcast
 
 
 @dataclass(frozen=True)
@@ -115,9 +116,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
     kernel:
         The simulation kernel (used for the flush timer and timestamps).
     inner:
-        The wrapped endpoint establishing the definitive *batch* order: an
-        :class:`~repro.broadcast.optimistic.OptimisticAtomicBroadcast` or a
-        :class:`~repro.broadcast.sequencer.SequencerAtomicBroadcast`.
+        The wrapped endpoint establishing the definitive *batch* order.
     config:
         Time/size window of the coalescing buffer.
     """
@@ -125,7 +124,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
     def __init__(
         self,
         kernel: SimulationKernel,
-        inner: AtomicBroadcastEndpoint,
+        inner: OptimisticAtomicBroadcast,
         config: BatchingConfig,
     ) -> None:
         super().__init__(inner.site_id)
@@ -134,9 +133,6 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         self.config = config
         self._pending: List[BatchMember] = []
         self._flush_event: Optional[Event] = None
-        #: Member-level records (the ``_messages`` protocol shared with the
-        #: raw endpoints; crash_reset's strike helper reads it).
-        self._messages: Dict[MessageId, BroadcastMessage] = {}
         #: Inner definitive position -> (outer base position, member count).
         #: Records how every TO-delivered batch (and inner no-op) expanded;
         #: drives the inner/outer position translation during recovery.
@@ -190,41 +186,24 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         """Number of payloads currently buffered, awaiting the next flush."""
         return len(self._pending)
 
-    def message(self, message_id: MessageId) -> Optional[BroadcastMessage]:
-        """Return this site's member-level record of ``message_id``."""
-        return self._messages.get(message_id)
-
     # ------------------------------------------------- coordinator delegation
     @property
-    def coordinator_site(self) -> Optional[SiteId]:
-        """The inner endpoint's current coordinator/sequencer site."""
-        return getattr(
-            self.inner, "coordinator_site", getattr(self.inner, "sequencer_site", None)
-        )
-
-    @property
-    def is_coordinator(self) -> bool:
-        """Whether the inner endpoint currently establishes the order."""
-        return bool(
-            getattr(self.inner, "is_coordinator", getattr(self.inner, "is_sequencer", False))
-        )
+    def coordinator_site(self) -> SiteId:
+        """The inner endpoint's current coordinator site."""
+        return self.inner.coordinator_site
 
     def set_coordinator(self, coordinator_site: SiteId) -> None:
         """Forward a coordinator promotion to the inner endpoint."""
-        self.inner.set_coordinator(coordinator_site)  # type: ignore[attr-defined]
-
-    def set_sequencer(self, sequencer_site: SiteId) -> None:
-        """Forward a sequencer promotion to the inner endpoint."""
-        self.inner.set_sequencer(sequencer_site)  # type: ignore[attr-defined]
+        self.inner.set_coordinator(coordinator_site)
 
     @property
     def next_position_to_assign(self) -> int:
         """The inner endpoint's next definitive (batch) position."""
-        return self.inner.next_position_to_assign  # type: ignore[attr-defined]
+        return self.inner.next_position_to_assign
 
     def ensure_assign_floor(self, floor: int) -> None:
         """Forward a view-change position floor to the inner endpoint."""
-        self.inner.ensure_assign_floor(floor)  # type: ignore[attr-defined]
+        self.inner.ensure_assign_floor(floor)
 
     @property
     def fill_safe(self) -> Optional[Callable[[int], bool]]:
@@ -234,10 +213,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
     @fill_safe.setter
     def fill_safe(self, hook: Optional[Callable[[int], bool]]) -> None:
         self._outer_fill_safe = hook
-        if hook is None:
-            self.inner.fill_safe = None  # type: ignore[attr-defined]
-        else:
-            self.inner.fill_safe = self._inner_fill_safe  # type: ignore[attr-defined]
+        self.inner.fill_safe = None if hook is None else self._inner_fill_safe
 
     def _inner_fill_safe(self, inner_position: int) -> bool:
         """Whether no durable redo log anywhere covers the stuck batch.
@@ -257,8 +233,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         """
         if self._outer_fill_safe is None:
             return True
-        next_inner = getattr(self.inner, "_next_position_to_deliver", None)
-        if next_inner is not None and inner_position != next_inner:
+        if inner_position != self.inner._next_position_to_deliver:
             return False
         return self._outer_fill_safe(self._next_outer_position)
 
@@ -388,7 +363,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         self._messages.clear()
         self._expansions.clear()
         self._next_outer_position = 0
-        self.inner.crash_reset(committed_through=inner_committed)  # type: ignore[attr-defined]
+        self.inner.crash_reset(committed_through=inner_committed)
 
     def rejoin(
         self, donor: Optional["BatchingEndpoint"], *, committed_through: int
@@ -420,7 +395,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
                     self._expansions.setdefault(inner_position, expansion)
         self._next_outer_position = max(self._next_outer_position, resume_outer)
         self._resume_floor = (inner_committed, resume_outer)
-        self.inner.rejoin(  # type: ignore[attr-defined]
+        self.inner.rejoin(
             donor.inner if donor is not None else None,
             committed_through=inner_committed,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, TypeVar
 
 from ..types import MessageId, SiteId
 
@@ -22,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..observability.trace import TransactionTracer
 
 _BROADCAST_COUNTER = itertools.count(1)
+
+_Endpoint = TypeVar("_Endpoint", bound="AtomicBroadcastEndpoint")
 
 #: Prefix of synthetic message ids used to fill dead positions (gap fills).
 NOOP_FILL_PREFIX = "noop:"
@@ -122,7 +124,15 @@ class AtomicBroadcastEndpoint(abc.ABC):
 
     Subclasses implement :meth:`broadcast` and call :meth:`_emit_opt_deliver`
     and :meth:`_emit_to_deliver` when the corresponding event happens locally.
+    The coordinator role and the crash/recovery protocol are part of the
+    interface, so the cluster facade, the replica manager and the batching
+    wrapper drive any endpoint without knowing its class.
     """
+
+    #: Optional hook installed by the cluster facade: returns False when a
+    #: definitive position is recorded in *some* site's durable redo log (that
+    #: site will push the commit when it recovers), making a no-op fill unsafe.
+    fill_safe: Optional[Callable[[int], bool]]
 
     def __init__(self, site_id: SiteId) -> None:
         self.site_id = site_id
@@ -132,6 +142,8 @@ class AtomicBroadcastEndpoint(abc.ABC):
         self.tracer: Optional[TransactionTracer] = None
         self._opt_listeners: List[DeliveryListener] = []
         self._to_listeners: List[DeliveryListener] = []
+        #: This site's record of every message it currently knows (volatile).
+        self._messages: Dict[MessageId, BroadcastMessage] = {}
         #: Per-site log of delivered messages, in delivery order.  Used by the
         #: property checker (Global/Local Order, Agreement).
         self.opt_delivery_log: List[MessageId] = []
@@ -161,10 +173,9 @@ class AtomicBroadcastEndpoint(abc.ABC):
         ordered, so the undurable suffix is contiguous).  Those entries are
         struck from the log (the new incarnation re-delivers them) and the
         whole set is recorded as crash-voided for the property checker.
-        Requires the subclass's ``_messages`` record map; call *before*
-        clearing it.
+        Call *before* clearing ``_messages``.
         """
-        messages: Dict[MessageId, BroadcastMessage] = getattr(self, "_messages", {})
+        messages = self._messages
         voided = {
             message_id
             for message_id, record in messages.items()
@@ -182,49 +193,14 @@ class AtomicBroadcastEndpoint(abc.ABC):
         self.crash_voided.update(voided)
         return voided
 
-    def _copy_donor_order(
-        self, donor: "AtomicBroadcastEndpoint", committed_through: int
-    ) -> List[BroadcastMessage]:
-        """Copy a donor endpoint's ordering knowledge (shared rejoin core).
-
-        Adopts the donor's position map, marks every message at or below the
-        post-transfer frontier ``committed_through`` as transfer-covered
-        (its transaction arrived via the redo log), and returns fresh local
-        records for the donor's messages beyond the frontier that this
-        incarnation does not know yet — the subclass decides how to deliver
-        them.  Requires the ``_positions``/``_messages`` protocol shared by
-        the ordered-broadcast endpoints.
-        """
-        fresh: List[BroadcastMessage] = []
-        donor_position_of: Dict[MessageId, int] = {}
-        for position, message_id in donor._positions.items():
-            donor_position_of[message_id] = position
-            self._positions.setdefault(position, message_id)
-            if position <= committed_through:
-                self.transfer_covered.add(message_id)
-        for message_id, donor_record in donor._messages.items():
-            position = donor_position_of.get(message_id)
-            if position is None and donor_record.definitive_position is not None:
-                position = donor_record.definitive_position
-            if position is not None and position <= committed_through:
-                self.transfer_covered.add(message_id)
-                continue
-            if message_id in self._messages or message_id in self.transfer_covered:
-                continue
-            record = BroadcastMessage(
-                message_id=message_id,
-                origin=donor_record.origin,
-                payload=donor_record.payload,
-                broadcast_at=donor_record.broadcast_at,
-            )
-            self._messages[message_id] = record
-            fresh.append(record)
-        return fresh
-
     # ------------------------------------------------------------------- api
     @abc.abstractmethod
     def broadcast(self, payload: Any) -> MessageId:
         """TO-broadcast ``payload`` to all sites; returns the message id."""
+
+    def message(self, message_id: MessageId) -> Optional[BroadcastMessage]:
+        """Return this site's record of ``message_id`` (or ``None``)."""
+        return self._messages.get(message_id)
 
     def add_opt_listener(self, listener: DeliveryListener) -> None:
         """Register a callback for Opt-deliver events at this site."""
@@ -233,6 +209,41 @@ class AtomicBroadcastEndpoint(abc.ABC):
     def add_to_listener(self, listener: DeliveryListener) -> None:
         """Register a callback for TO-deliver events at this site."""
         self._to_listeners.append(listener)
+
+    # ---------------------------------------------------- coordinator role
+    @property
+    @abc.abstractmethod
+    def coordinator_site(self) -> SiteId:
+        """The site currently establishing the definitive order."""
+
+    @property
+    def is_coordinator(self) -> bool:
+        """Whether this endpoint currently establishes the definitive order."""
+        return self.site_id == self.coordinator_site
+
+    @abc.abstractmethod
+    def set_coordinator(self, coordinator_site: SiteId) -> None:
+        """Promote a new coordinator (after the previous one crashed)."""
+
+    @property
+    @abc.abstractmethod
+    def next_position_to_assign(self) -> int:
+        """The next definitive position this endpoint would assign."""
+
+    @abc.abstractmethod
+    def ensure_assign_floor(self, floor: int) -> None:
+        """Raise the position counter to at least ``floor`` (view change)."""
+
+    # ------------------------------------------------------- crash recovery
+    @abc.abstractmethod
+    def crash_reset(self, *, committed_through: int) -> None:
+        """Destroy this endpoint's volatile state (the site crashed)."""
+
+    @abc.abstractmethod
+    def rejoin(
+        self: _Endpoint, donor: Optional[_Endpoint], *, committed_through: int
+    ) -> None:
+        """Re-register with the broadcast group at the current sequence point."""
 
     # -------------------------------------------------------------- emitters
     def _emit_opt_deliver(self, message: BroadcastMessage) -> None:

@@ -8,6 +8,15 @@ Implements the three primitives of the paper:
 * ``TO-deliver(m)``     — emitted once the definitive total order of the
   message is known (identical at all sites).
 
+A *conservative* atomic broadcast — the baseline the paper argues against —
+is the degenerate case in which ``Opt-deliver(m)`` and ``TO-deliver(m)``
+coincide.  It is this same protocol constructed with
+``opt_deliver_on_receipt=False``: a received message is then Opt-delivered
+immediately before its TO-delivery, so the tentative order always equals the
+definitive one and the application pays the full ordering latency before it
+can start any work.  Ordering, failover and gap repair are shared, so the two
+differ in delivery time only.
+
 The definitive order is established by a coordinator site.  Two ordering
 modes are provided:
 
@@ -147,6 +156,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         voting_timeout: float = 0.010,
         echo_on_first_receipt: bool = False,
         group: Optional[Sequence[SiteId]] = None,
+        opt_deliver_on_receipt: bool = True,
     ) -> None:
         super().__init__(site_id)
         if ordering_mode not in ORDERING_MODES:
@@ -157,8 +167,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             raise BroadcastError("voting timeout must be positive")
         self.kernel = kernel
         self.transport = transport
-        self.coordinator_site = coordinator_site
+        self._coordinator_site = coordinator_site
         self.ordering_mode = ordering_mode
+        #: ``False`` selects conservative delivery (see the module docstring).
+        self.opt_deliver_on_receipt = opt_deliver_on_receipt
         self.voting_timeout = voting_timeout
         self.group = list(group) if group is not None else None
         self._data_channel = ReliableBroadcast(
@@ -183,7 +195,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         dispatcher.register_kind(OPTIMISTIC_SOLICIT_KIND, self._on_solicit_envelope)
         self._data_channel.add_listener(self._on_data)
         self._order_channel.add_listener(self._on_order)
-        self._messages: Dict[MessageId, BroadcastMessage] = {}
+        #: Local receive position of every received, not transfer-covered
+        #: message — the tentative order, in receipt order.
         self._local_positions: Dict[MessageId, int] = {}
         self._next_local_position = 0
         self._positions: Dict[int, MessageId] = {}
@@ -194,10 +207,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         #: Positions declared dead by a coordinator gap fill.
         self._noop_positions: Set[int] = set()
         self._gap_probe_position: Optional[int] = None
-        #: Optional hook installed by the cluster facade: returns False when a
-        #: position is recorded in *some* site's durable redo log (that site
-        #: will push the commit when it recovers), making a no-op fill unsafe.
-        self.fill_safe: Optional[Any] = None
+        self.fill_safe = None
         #: Voting-mode statistics: confirmations released because every site
         #: announced the same spontaneous position (fast path) vs. released on
         #: disagreement or timeout (conservative path).
@@ -234,19 +244,22 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         self._data_channel.broadcast(data)
         return message_id
 
+    @property
+    def coordinator_site(self) -> SiteId:
+        """The site currently establishing the definitive order."""
+        return self._coordinator_site
+
     def set_coordinator(self, coordinator_site: SiteId) -> None:
         """Promote a new coordinator (after the previous one crashed)."""
-        self.coordinator_site = coordinator_site
+        self._coordinator_site = coordinator_site
+        self._order_unconfirmed()
+
+    def _order_unconfirmed(self) -> None:
+        """As coordinator, order everything received but never seen confirmed."""
         if self.is_coordinator:
-            # Confirm everything we opt-delivered but never saw confirmed.
             for message_id in list(self._local_positions):
                 if message_id not in self._ordered_messages:
                     self._coordinator_handle(message_id)
-
-    @property
-    def is_coordinator(self) -> bool:
-        """Whether this endpoint currently establishes the definitive order."""
-        return self.site_id == self.coordinator_site
 
     @property
     def next_position_to_assign(self) -> int:
@@ -264,10 +277,6 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if floor > self._next_position_to_assign:
             self._next_position_to_assign = floor
 
-    def message(self, message_id: MessageId) -> Optional[BroadcastMessage]:
-        """Return this site's record of ``message_id`` (or ``None``)."""
-        return self._messages.get(message_id)
-
     # ------------------------------------------------------- crash recovery
     def crash_reset(self, *, committed_through: int) -> None:
         """Destroy this endpoint's volatile state (the site crashed).
@@ -281,6 +290,12 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         them) and recorded as crash-voided for the property checker.
         """
         self._strike_undurable_deliveries(committed_through)
+        if not self.opt_deliver_on_receipt:
+            # Opt- and TO-delivery coincide, so the opt log mirrors the TO log.
+            delivered = set(self.to_delivery_log)
+            self.opt_delivery_log = [
+                message_id for message_id in self.opt_delivery_log if message_id in delivered
+            ]
         self._messages.clear()
         self._local_positions.clear()
         self._next_local_position = 0
@@ -302,9 +317,9 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         ``donor`` endpoint is given, its view of the definitive order and its
         undelivered message records are copied: positions at or below the
         frontier are marked transfer-covered (their transactions arrived via
-        the redo log), everything beyond is opt-delivered into the fresh
-        incarnation so the scheduler can execute it while the definitive
-        confirmations stream in.
+        the redo log), everything beyond is received into the fresh
+        incarnation — and, when delivering on receipt, opt-delivered so the
+        scheduler can execute it while the definitive confirmations stream in.
         """
         self._next_position_to_deliver = max(
             self._next_position_to_deliver, committed_through + 1
@@ -318,15 +333,49 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             )
             self._noop_positions.update(donor._noop_positions)
             for record in self._copy_donor_order(donor, committed_through):
-                self._opt_deliver_locally(record)
+                self._receive_locally(record)
             self._ordered_messages.update(self._positions.values())
-        if self.is_coordinator:
-            # A recovered site promoted straight back into the coordinator
-            # role (whole-group outage) must order whatever it just copied.
-            for message_id in list(self._local_positions):
-                if message_id not in self._ordered_messages:
-                    self._coordinator_handle(message_id)
+        # A recovered site promoted straight back into the coordinator role
+        # (whole-group outage) must order whatever it just copied.
+        self._order_unconfirmed()
         self._try_to_deliver()
+
+    def _copy_donor_order(
+        self, donor: "OptimisticAtomicBroadcast", committed_through: int
+    ) -> List[BroadcastMessage]:
+        """Copy a donor endpoint's ordering knowledge (rejoin core).
+
+        Adopts the donor's position map, marks every message at or below the
+        post-transfer frontier ``committed_through`` as transfer-covered
+        (its transaction arrived via the redo log), and returns fresh local
+        records for the donor's messages beyond the frontier that this
+        incarnation does not know yet.
+        """
+        fresh: List[BroadcastMessage] = []
+        donor_position_of: Dict[MessageId, int] = {}
+        for position, message_id in donor._positions.items():
+            donor_position_of[message_id] = position
+            self._positions.setdefault(position, message_id)
+            if position <= committed_through:
+                self.transfer_covered.add(message_id)
+        for message_id, donor_record in donor._messages.items():
+            position = donor_position_of.get(message_id)
+            if position is None and donor_record.definitive_position is not None:
+                position = donor_record.definitive_position
+            if position is not None and position <= committed_through:
+                self.transfer_covered.add(message_id)
+                continue
+            if message_id in self._messages or message_id in self.transfer_covered:
+                continue
+            record = BroadcastMessage(
+                message_id=message_id,
+                origin=donor_record.origin,
+                payload=donor_record.payload,
+                broadcast_at=donor_record.broadcast_at,
+            )
+            self._messages[message_id] = record
+            fresh.append(record)
+        return fresh
 
     def tentative_order(self) -> List[MessageId]:
         """The local tentative (Opt-delivery) order observed so far."""
@@ -360,19 +409,20 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             # never deliver it again.
             self._try_to_deliver()
             return
-        if not record.opt_delivered:
-            self._opt_deliver_locally(record)
+        if message_id not in self._local_positions:
+            self._receive_locally(record)
         if self.is_coordinator:
             self._coordinator_handle(message_id)
         self._try_to_deliver()
 
-    def _opt_deliver_locally(self, record: BroadcastMessage) -> None:
-        """Assign the next tentative position to ``record`` and Opt-deliver it."""
+    def _receive_locally(self, record: BroadcastMessage) -> None:
+        """Assign ``record`` the next tentative position; Opt-deliver on receipt."""
         local_position = self._next_local_position
         self._next_local_position += 1
         self._local_positions[record.message_id] = local_position
-        record.opt_delivered_at = self.kernel.now()
-        self._emit_opt_deliver(record)
+        if self.opt_deliver_on_receipt:
+            record.opt_delivered_at = self.kernel.now()
+            self._emit_opt_deliver(record)
         if self.ordering_mode == "voting":
             self._announce(record.message_id, local_position)
 
@@ -493,12 +543,16 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 continue
             record = self._messages.get(message_id)
             if record is None or not record.opt_delivered:
-                # Local Order property: a site must Opt-deliver a message
-                # before TO-delivering it.  Wait until the data arrives — and
-                # probe the group if it never does (a crashed incarnation of
-                # this site may have consumed the only copy).
-                self._schedule_gap_probe(position, message_id)
-                return
+                if record is None or self.opt_deliver_on_receipt:
+                    # Local Order property: a site must Opt-deliver a message
+                    # before TO-delivering it.  Wait until the data arrives —
+                    # and probe the group if it never does (a crashed
+                    # incarnation of this site may have consumed the only copy).
+                    self._schedule_gap_probe(position, message_id)
+                    return
+                # Conservative delivery: Opt-deliver immediately before TO.
+                record.opt_delivered_at = self.kernel.now()
+                self._emit_opt_deliver(record)
             if record.to_delivered:
                 self._next_position_to_deliver += 1
                 continue
@@ -542,8 +596,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._gap_probe_position = None
         if self._next_position_to_deliver != position:
             return  # delivery progressed past the suspected gap
-        record = self._messages.get(message_id)
-        if record is not None and record.opt_delivered:
+        if message_id in self._local_positions:
             return  # the data arrived; the normal path delivers it
         if not self.transport.is_site_up(self.site_id):
             # The site is down; if the stall persists after recovery, the

@@ -18,7 +18,6 @@ from .config import (
     ShardingConfig,
 )
 from .execution import ExecutionEngine, QueryEngine, QueryExecution
-from .lockscheduler import LockBasedOTPScheduler, ObjectQueue
 from .replica import ReplicaManager, SubmittedRequest
 from .scheduler import OTPScheduler
 
@@ -35,6 +34,4 @@ __all__ = [
     "ReplicaManager",
     "SubmittedRequest",
     "OTPScheduler",
-    "LockBasedOTPScheduler",
-    "ObjectQueue",
 ]

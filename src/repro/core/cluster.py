@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..broadcast.batching import BatchingEndpoint, unwrap_endpoint
+from ..broadcast.batching import BatchingEndpoint
+from ..broadcast.interfaces import AtomicBroadcastEndpoint
 from ..broadcast.optimistic import OptimisticAtomicBroadcast
-from ..broadcast.sequencer import SequencerAtomicBroadcast
 from ..database.conflict import ConflictClassMap
 from ..database.history import SiteHistory
 from ..database.procedures import ProcedureRegistry
@@ -90,7 +90,7 @@ class ReplicatedDatabase:
         self.crash_manager.tracer = config.tracer
         self.replicas: Dict[SiteId, ReplicaManager] = {}
         self._dispatchers: Dict[SiteId, SiteDispatcher] = {}
-        self._broadcasts: Dict[SiteId, Any] = {}
+        self._broadcasts: Dict[SiteId, AtomicBroadcastEndpoint] = {}
 
         site_ids = config.site_ids()
         coordinator = site_ids[0]
@@ -116,32 +116,32 @@ class ReplicatedDatabase:
         for site_id in site_ids:
             dispatcher = SiteDispatcher(self.transport, site_id)
             self._dispatchers[site_id] = dispatcher
-            if config.broadcast == BROADCAST_OPTIMISTIC:
-                endpoint = OptimisticAtomicBroadcast(
-                    self.kernel,
-                    self.transport,
-                    dispatcher,
-                    site_id,
-                    coordinator_site=coordinator,
-                    ordering_mode=config.ordering_mode,
-                    voting_timeout=config.voting_timeout,
-                    echo_on_first_receipt=config.echo_on_first_receipt,
-                    group=site_ids,
-                )
-            else:
-                endpoint = SequencerAtomicBroadcast(
-                    self.kernel,
-                    self.transport,
-                    dispatcher,
-                    site_id,
-                    sequencer_site=coordinator,
-                    echo_on_first_receipt=config.echo_on_first_receipt,
-                    group=site_ids,
-                )
-            endpoint.tracer = config.tracer
+            # One ordering protocol serves both modes: conservative processing
+            # only defers Opt-delivery to the instant of TO-delivery.
+            ordering = OptimisticAtomicBroadcast(
+                self.kernel,
+                self.transport,
+                dispatcher,
+                site_id,
+                coordinator_site=coordinator,
+                ordering_mode=config.ordering_mode,
+                voting_timeout=config.voting_timeout,
+                echo_on_first_receipt=config.echo_on_first_receipt,
+                group=site_ids,
+                opt_deliver_on_receipt=config.broadcast == BROADCAST_OPTIMISTIC,
+            )
+            ordering.tracer = config.tracer
+            endpoint: AtomicBroadcastEndpoint = ordering
             if config.batching is not None:
-                endpoint = BatchingEndpoint(self.kernel, endpoint, config.batching)
+                endpoint = BatchingEndpoint(self.kernel, ordering, config.batching)
                 endpoint.tracer = config.tracer
+            # A no-op gap fill is only safe when no site — up or down — holds
+            # the position in its durable redo log (a down committer will push
+            # the commit via state transfer when it recovers).  A batching
+            # wrapper translates batch positions to the member positions the
+            # redo logs record (its fill_safe setter installs the translated
+            # hook).
+            endpoint.fill_safe = self._position_uncommitted_everywhere
             self._broadcasts[site_id] = endpoint
             self.replicas[site_id] = ReplicaManager(
                 self.kernel,
@@ -154,15 +154,6 @@ class ReplicatedDatabase:
                 initial_data=dict(initial_data or {}),
                 tracer=config.tracer,
             )
-        # A no-op gap fill is only safe when no site — up or down — holds the
-        # position in its durable redo log (a down committer will push the
-        # commit via state transfer when it recovers).  A batching wrapper
-        # translates batch positions to the member positions the redo logs
-        # record (its fill_safe setter installs the translated hook).
-        for endpoint in self._broadcasts.values():
-            if isinstance(unwrap_endpoint(endpoint), OptimisticAtomicBroadcast):
-                endpoint.fill_safe = self._position_uncommitted_everywhere
-
         # Admission control: one watermark valve per site, consulted by the
         # offer_* client paths (open-loop traffic).  submit()/submit_query()
         # bypass admission on purpose — closed-loop workloads self-regulate.
@@ -219,12 +210,12 @@ class ReplicatedDatabase:
         except KeyError:
             raise ReplicationError(f"unknown site {site_id!r}") from None
 
-    def broadcast_endpoint(self, site_id: SiteId) -> Any:
+    def broadcast_endpoint(self, site_id: SiteId) -> AtomicBroadcastEndpoint:
         """Return the atomic broadcast endpoint of ``site_id``."""
         return self._broadcasts[site_id]
 
     def coordinator_site(self) -> SiteId:
-        """Return the site currently acting as sequencer/coordinator."""
+        """Return the site currently acting as coordinator."""
         return self._current_coordinator
 
     def _on_liveness_change(self, site_id: SiteId, up: bool) -> None:
@@ -248,7 +239,7 @@ class ReplicatedDatabase:
             elif site_id == self._current_coordinator and up_sites:
                 self._current_coordinator = up_sites[0]
                 for endpoint in self._broadcasts.values():
-                    self._point_endpoint_at_coordinator(endpoint)
+                    endpoint.set_coordinator(self._current_coordinator)
             return
         if self._governor is not None:
             # The recovered site adopts whatever the governor last decided,
@@ -256,7 +247,7 @@ class ReplicatedDatabase:
             # notifies lifted suspicions) before the governor re-evaluates —
             # under the Ω rule a recovered lowest-ranked site reclaims the
             # role once it is live and no quorum suspects it.
-            self._point_endpoint_at_coordinator(self._broadcasts[site_id])
+            self._broadcasts[site_id].set_coordinator(self._current_coordinator)
             self.replicas[site_id].on_recover(
                 [self.replicas[peer] for peer in up_sites]
             )
@@ -270,9 +261,9 @@ class ReplicatedDatabase:
             # down (a whole-group outage): promote the lowest-id up site.
             self._current_coordinator = up_sites[0]
             for endpoint in self._broadcasts.values():
-                self._point_endpoint_at_coordinator(endpoint)
+                endpoint.set_coordinator(self._current_coordinator)
         else:
-            self._point_endpoint_at_coordinator(self._broadcasts[site_id])
+            self._broadcasts[site_id].set_coordinator(self._current_coordinator)
         self.replicas[site_id].on_recover(
             [self.replicas[peer] for peer in up_sites]
         )
@@ -295,7 +286,7 @@ class ReplicatedDatabase:
         )
         self._broadcasts[new_coordinator].ensure_assign_floor(floor)
         for endpoint in self._broadcasts.values():
-            self._point_endpoint_at_coordinator(endpoint)
+            endpoint.set_coordinator(self._current_coordinator)
         if self.config.tracer is not None:
             self.config.tracer.record(
                 self.kernel.now(), "coordinator_elected", new_coordinator
@@ -310,13 +301,6 @@ class ReplicatedDatabase:
         """
         for detector in self.failure_detectors.values():
             detector.stop()
-
-    def _point_endpoint_at_coordinator(self, endpoint: Any) -> None:
-        # A batching wrapper forwards either promotion to its inner endpoint.
-        if isinstance(unwrap_endpoint(endpoint), OptimisticAtomicBroadcast):
-            endpoint.set_coordinator(self._current_coordinator)
-        else:
-            endpoint.set_sequencer(self._current_coordinator)
 
     # --------------------------------------------------------------- clients
     def submit(

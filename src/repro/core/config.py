@@ -18,6 +18,18 @@ BROADCAST_CONSERVATIVE = "conservative"
 BROADCAST_CHOICES = (BROADCAST_OPTIMISTIC, BROADCAST_CONSERVATIVE)
 
 
+def _check_broadcast_choice(broadcast: str, ordering_mode: str) -> None:
+    if broadcast not in BROADCAST_CHOICES:
+        raise ReplicationError(
+            f"unknown broadcast {broadcast!r}; expected one of {BROADCAST_CHOICES}"
+        )
+    if broadcast == BROADCAST_CONSERVATIVE and ordering_mode == "voting":
+        raise ReplicationError(
+            "ordering_mode='voting' checks the optimistic order and cannot be "
+            "combined with broadcast='conservative'"
+        )
+
+
 @dataclass
 class ClusterConfig:
     """Static configuration of a simulated replicated database cluster.
@@ -31,11 +43,13 @@ class ClusterConfig:
         workload sampling when the workload shares the kernel).
     broadcast:
         ``"optimistic"`` for the paper's atomic broadcast with optimistic
-        delivery, ``"conservative"`` for the sequencer baseline that only
-        delivers in definitive order.
+        delivery, ``"conservative"`` for the baseline: the same protocol
+        delivering each message only once its definitive order is known.
     ordering_mode:
-        Definitive-order engine of the optimistic broadcast: ``"sequencer"``
-        or ``"voting"`` (see :mod:`repro.broadcast.optimistic`).
+        Definitive-order engine of the broadcast: ``"sequencer"`` or
+        ``"voting"`` (see :mod:`repro.broadcast.optimistic`).  Voting
+        measures agreement of the *optimistic* order, so it is rejected in
+        combination with ``broadcast="conservative"``.
     latency_model:
         Network latency model; defaults to the LAN multicast model used for
         the Figure 1 reproduction.
@@ -89,7 +103,7 @@ class ClusterConfig:
         When given
         (:class:`~repro.failure.suspicion.FailureDetectionConfig`), the
         cluster attaches one heartbeat failure detector per site and drives
-        sequencer/coordinator promotion from the detectors' suspicions
+        coordinator promotion from the detectors' suspicions
         (quorum condemnation + Ω election) instead of the crash manager's
         ground truth.  ``None`` (default) keeps the legacy oracle-driven
         failover.
@@ -125,10 +139,7 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.site_count < 1:
             raise ReplicationError("a cluster needs at least one site")
-        if self.broadcast not in BROADCAST_CHOICES:
-            raise ReplicationError(
-                f"unknown broadcast {self.broadcast!r}; expected one of {BROADCAST_CHOICES}"
-            )
+        _check_broadcast_choice(self.broadcast, self.ordering_mode)
         if self.medium_frame_time < 0.0:
             raise ReplicationError("medium frame time cannot be negative")
         if self.latency_model is None:
@@ -189,10 +200,7 @@ class ShardingConfig:
             raise ReplicationError("a sharded cluster needs at least one shard")
         if self.sites_per_shard < 1:
             raise ReplicationError("every shard needs at least one replica site")
-        if self.broadcast not in BROADCAST_CHOICES:
-            raise ReplicationError(
-                f"unknown broadcast {self.broadcast!r}; expected one of {BROADCAST_CHOICES}"
-            )
+        _check_broadcast_choice(self.broadcast, self.ordering_mode)
         if self.medium_frame_time < 0.0:
             raise ReplicationError("medium frame time cannot be negative")
         if self.latency_model is None:

@@ -1,5 +1,5 @@
 """Replicated-database substrate: versioned storage, stored procedures,
-transactions, conflict classes, locks, snapshots, recovery and histories."""
+transactions, conflict classes, snapshots, recovery and histories."""
 
 from .conflict import ClassQueue, ConflictClass, ConflictClassMap
 from .history import (
@@ -9,7 +9,6 @@ from .history import (
     history_is_serializable,
     transactions_conflict,
 )
-from .locks import DeadlockDetected, LockMode, LockRequest, LockTable
 from .objects import ObjectVersion, VersionChain
 from .procedures import (
     ProcedureRegistry,
@@ -37,10 +36,6 @@ __all__ = [
     "SiteHistory",
     "history_is_serializable",
     "transactions_conflict",
-    "DeadlockDetected",
-    "LockMode",
-    "LockRequest",
-    "LockTable",
     "ObjectVersion",
     "VersionChain",
     "ProcedureRegistry",

@@ -149,7 +149,7 @@ def check_broadcast_properties(
                     "Opt-delivering it"
                 )
                 continue
-            record = endpoint.__dict__.get("_messages", {}).get(message_id)
+            record = endpoint.message(message_id)
             if record is not None and record.opt_delivered_at is not None:
                 if (
                     record.to_delivered_at is not None

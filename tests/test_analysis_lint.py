@@ -468,6 +468,8 @@ class TestLintCli:
             (run,) = store.runs("lint_debt_tests")
             assert run.metrics["findings_total"] == 1.0
             assert run.metrics["findings_no_wallclock"] == 1.0
+            assert run.metrics["files_scanned"] == 1.0
+            assert run.metrics["lines_scanned"] == len(DIRTY_FILE.splitlines())
         finally:
             store.close()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro import BatchingConfig, ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.baselines import (
     GLOBAL_CLASS,
     LazyReplicatedDatabase,
@@ -12,6 +12,7 @@ from repro.baselines import (
     optimistic_config,
     single_class_registry,
 )
+from repro.core.admission import AdmissionConfig
 from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
 from repro.errors import ReplicationError
 from repro.network import ConstantLatency, LanMulticastLatency
@@ -43,6 +44,15 @@ class TestConservativeHelpers:
         assert config.broadcast == BROADCAST_CONSERVATIVE
         assert config.site_count == 6
         assert config.seed == 3
+        batching = BatchingConfig(window=0.001, max_batch_size=4)
+        admission = AdmissionConfig(high_watermark=8, low_watermark=4)
+        tuned = ClusterConfig(batching=batching, medium_frame_time=2e-4, admission=admission)
+        config = conservative_config(tuned, seed=9)
+        assert (config.batching, config.medium_frame_time) == (batching, 2e-4)
+        assert config.admission == admission
+        assert (config.broadcast, config.seed) == (BROADCAST_CONSERVATIVE, 9)
+        with pytest.raises(TypeError):
+            conservative_config(tuned, site_cuont=5)
 
     def test_optimistic_config_roundtrip(self):
         base = ClusterConfig(broadcast=BROADCAST_CONSERVATIVE)

@@ -1,43 +1,52 @@
-"""Tests for the sequencer (conservative) and optimistic atomic broadcasts.
+"""Tests for the atomic broadcast in optimistic and conservative delivery mode.
 
 Includes checks of the five properties of Section 2.1 of the paper via the
-verification layer and property-based tests over random traffic patterns.
+verification layer, property-based tests over random traffic patterns, and
+the equivalence of the two delivery modes' definitive orders.
 """
+
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import BatchingConfig, ClusterConfig, ReplicatedDatabase
 from repro.broadcast import (
     OptimisticAtomicBroadcast,
-    SequencerAtomicBroadcast,
-    order_agreement,
     tentative_vs_definitive_mismatch,
 )
 from repro.errors import BroadcastError
+from repro.metrics.stats import mean
 from repro.network import LanMulticastLatency, NetworkTransport, UniformLatency
 from repro.network.dispatcher import SiteDispatcher
 from repro.simulation import SimulationKernel
 from repro.verification import check_broadcast_properties
+from repro.workloads import WorkloadGenerator, WorkloadSpec
+from repro.workloads.procedures import (
+    build_conflict_map,
+    build_initial_data,
+    build_partitioned_registry,
+)
 
 
 def build_group(protocol, site_count=4, seed=0, latency=None, **kwargs):
-    """Build a group of atomic broadcast endpoints of the given protocol."""
+    """Build a group of endpoints in ``"optimistic"``/``"conservative"`` mode."""
     kernel = SimulationKernel(seed=seed)
     transport = NetworkTransport(kernel, latency or LanMulticastLatency())
     sites = [f"N{index + 1}" for index in range(site_count)]
     endpoints = {}
     for site in sites:
         dispatcher = SiteDispatcher(transport, site)
-        if protocol == "optimistic":
-            endpoint = OptimisticAtomicBroadcast(
-                kernel, transport, dispatcher, site, coordinator_site=sites[0], **kwargs
-            )
-        else:
-            endpoint = SequencerAtomicBroadcast(
-                kernel, transport, dispatcher, site, sequencer_site=sites[0], **kwargs
-            )
-        endpoints[site] = endpoint
+        endpoints[site] = OptimisticAtomicBroadcast(
+            kernel,
+            transport,
+            dispatcher,
+            site,
+            coordinator_site=sites[0],
+            opt_deliver_on_receipt=protocol == "optimistic",
+            **kwargs,
+        )
     return kernel, transport, endpoints
 
 
@@ -54,16 +63,16 @@ def broadcast_burst(kernel, endpoints, per_site=10, spacing=0.001):
     return expected
 
 
-class TestSequencerAtomicBroadcast:
+class TestConservativeDelivery:
     def test_all_sites_to_deliver_everything_in_same_order(self):
-        kernel, transport, endpoints = build_group("sequencer")
+        kernel, transport, endpoints = build_group("conservative")
         expected = broadcast_burst(kernel, endpoints, per_site=8)
         orders = [tuple(endpoint.to_delivery_log) for endpoint in endpoints.values()]
         assert all(order == orders[0] for order in orders)
         assert set(orders[0]) == set(expected)
 
     def test_opt_and_to_delivery_are_simultaneous(self):
-        kernel, transport, endpoints = build_group("sequencer")
+        kernel, transport, endpoints = build_group("conservative")
         broadcast_burst(kernel, endpoints, per_site=5)
         for endpoint in endpoints.values():
             for message_id in endpoint.to_delivery_log:
@@ -71,21 +80,21 @@ class TestSequencerAtomicBroadcast:
                 assert record.ordering_delay == pytest.approx(0.0)
 
     def test_tentative_order_equals_definitive_order(self):
-        kernel, transport, endpoints = build_group("sequencer")
+        kernel, transport, endpoints = build_group("conservative")
         broadcast_burst(kernel, endpoints, per_site=5)
         for endpoint in endpoints.values():
             assert endpoint.opt_delivery_log == endpoint.to_delivery_log
 
     def test_properties_hold(self):
-        kernel, transport, endpoints = build_group("sequencer")
+        kernel, transport, endpoints = build_group("conservative")
         expected = broadcast_burst(kernel, endpoints, per_site=6)
         report = check_broadcast_properties(endpoints, expected_broadcasts=expected)
         report.raise_if_violated()
 
-    def test_is_sequencer_flag(self):
-        kernel, transport, endpoints = build_group("sequencer")
-        assert endpoints["N1"].is_sequencer
-        assert not endpoints["N2"].is_sequencer
+    def test_is_coordinator_flag(self):
+        kernel, transport, endpoints = build_group("conservative")
+        assert endpoints["N1"].is_coordinator
+        assert not endpoints["N2"].is_coordinator
 
 
 class TestOptimisticAtomicBroadcast:
@@ -234,3 +243,66 @@ class TestPropertyBased:
         )
         report = check_broadcast_properties(endpoints, expected_broadcasts=expected)
         assert report.ok, report.violations
+
+
+def origin_ranks(message_ids):
+    """Rewrite ``m:<origin>:<n>`` ids as ``(origin, rank among the origin's ids)``.
+
+    Message ids are drawn from a process-global counter, so two runs in one
+    process never share ids; the per-origin rank is what identifies a message.
+    """
+    parsed = [
+        (origin, int(counter))
+        for _, origin, counter in (message_id.split(":") for message_id in message_ids)
+    ]
+    seen, rank = defaultdict(int), {}
+    for origin, counter in sorted(set(parsed)):
+        rank[origin, counter] = seen[origin]
+        seen[origin] += 1
+    return [(origin, rank[origin, counter]) for origin, counter in parsed]
+
+
+class TestDeliveryModesOrderIdentically:
+    """Conservative delivery is the optimistic protocol delivering later: on
+    the same seed and pre-planned workload both reach the same definitive
+    order and contents, and differ in delivery time only."""
+
+    SPEC = WorkloadSpec(class_count=6, updates_per_site=60, update_interval=0.002)
+
+    def run(self, broadcast, **config):
+        cluster = ReplicatedDatabase(
+            ClusterConfig(site_count=4, seed=21, broadcast=broadcast, **config),
+            build_partitioned_registry(self.SPEC),
+            conflict_map=build_conflict_map(self.SPEC),
+            initial_data=build_initial_data(self.SPEC),
+        )
+        WorkloadGenerator(self.SPEC).apply(cluster)
+        cluster.run_until_idle()
+        return cluster
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},
+            {"loss_probability": 0.02},
+            {"batching": BatchingConfig(window=0.002), "medium_frame_time": 2e-4},
+        ],
+        ids=["plain", "lossy", "batched"],
+    )
+    def test_same_definitive_order_and_contents(self, config):
+        optimistic = self.run("optimistic", **config)
+        conservative = self.run("conservative", **config)
+        for site in optimistic.site_ids():
+            fast = optimistic.broadcast_endpoint(site)
+            slow = conservative.broadcast_endpoint(site)
+            assert len(fast.to_delivery_log) == 4 * self.SPEC.updates_per_site
+            assert origin_ranks(fast.to_delivery_log) == origin_ranks(slow.to_delivery_log)
+            assert slow.opt_delivery_log == slow.to_delivery_log
+            assert (
+                optimistic.replica(site).database_contents()
+                == conservative.replica(site).database_contents()
+            )
+        assert optimistic.database_divergence() == conservative.database_divergence() == {}
+        assert mean(optimistic.all_client_latencies()) < mean(
+            conservative.all_client_latencies()
+        )

@@ -8,6 +8,7 @@ from repro import (
     ClusterConfig,
     ProcedureRegistry,
     ReplicatedDatabase,
+    ShardingConfig,
 )
 from repro.errors import ReplicationError
 from repro.network import LanMulticastLatency
@@ -254,6 +255,12 @@ class TestConfigValidation:
     def test_invalid_broadcast_rejected(self):
         with pytest.raises(ReplicationError):
             ClusterConfig(broadcast="carrier-pigeon")
+
+    def test_conservative_voting_rejected(self):
+        with pytest.raises(ReplicationError):
+            ClusterConfig(broadcast="conservative", ordering_mode="voting")
+        with pytest.raises(ReplicationError):
+            ShardingConfig(broadcast="conservative", ordering_mode="voting")
 
     def test_site_ids_naming(self):
         assert ClusterConfig(site_count=3).site_ids() == ["N1", "N2", "N3"]

@@ -18,7 +18,7 @@ import math
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
-from repro.core.config import BROADCAST_OPTIMISTIC
+from repro.core.config import BROADCAST_CHOICES, BROADCAST_OPTIMISTIC
 from repro.core.replica import SiteCrashedError
 from repro.database import MultiVersionStore, RedoLog, UndoLog
 from repro.errors import DatabaseError
@@ -52,12 +52,12 @@ def build_registry(duration=0.005):
     return registry
 
 
-def build_cluster(seed=5, site_count=3, duration=0.005):
+def build_cluster(seed=5, site_count=3, duration=0.005, broadcast=BROADCAST_OPTIMISTIC):
     return ReplicatedDatabase(
         ClusterConfig(
             site_count=site_count,
             seed=seed,
-            broadcast=BROADCAST_OPTIMISTIC,
+            broadcast=broadcast,
             echo_on_first_receipt=True,
         ),
         build_registry(duration=duration),
@@ -164,12 +164,16 @@ class TestRecoveryProtocol:
         check_one_copy_serializability(cluster.histories()).raise_if_violated()
         check_recovery_completeness(cluster).raise_if_violated()
 
-    def test_whole_group_crash_commits_exactly_once_after_recovery(self):
-        cluster = build_cluster(seed=13)
+    @pytest.mark.parametrize("broadcast", BROADCAST_CHOICES)
+    @pytest.mark.parametrize("crash_at_us", range(200, 6000, 200))
+    def test_whole_group_crash_commits_exactly_once_after_recovery(
+        self, broadcast, crash_at_us
+    ):
+        cluster = build_cluster(seed=13, broadcast=broadcast)
         tid = cluster.submit("N1", "add", {"slot": 0})
         schedule = CrashSchedule()
         for site in cluster.site_ids():
-            schedule.crash_for(site, at=0.002, duration=0.060)
+            schedule.crash_for(site, at=crash_at_us / 1e6, duration=0.060)
         cluster.crash_manager.apply_schedule(schedule)
         cluster.run_until_idle()
         counts = set(cluster.committed_counts().values())
@@ -194,10 +198,15 @@ class TestRecoveryProtocol:
         )
         assert not check_recovery_completeness(cluster).ok
 
-    def test_recovery_under_load_preserves_one_copy_serializability(self):
-        cluster = build_cluster(seed=17, duration=0.002)
+    @pytest.mark.parametrize("broadcast", BROADCAST_CHOICES)
+    @pytest.mark.parametrize("victim", ["N3", "N1"], ids=["follower", "coordinator"])
+    def test_recovery_under_load_preserves_one_copy_serializability(
+        self, broadcast, victim
+    ):
+        cluster = build_cluster(seed=17, duration=0.002, broadcast=broadcast)
+        survivors = [site for site in cluster.site_ids() if site != victim]
         for index in range(24):
-            site = ["N1", "N2"][index % 2]
+            site = survivors[index % 2]
             cluster.kernel.schedule(
                 index * 0.002,
                 lambda site=site, index=index: cluster.submit(
@@ -205,13 +214,13 @@ class TestRecoveryProtocol:
                 ),
             )
         cluster.crash_manager.apply_schedule(
-            CrashSchedule().crash_for("N3", at=0.010, duration=0.030)
+            CrashSchedule().crash_for(victim, at=0.010, duration=0.030)
         )
         cluster.run_until_idle()
         assert set(cluster.committed_counts().values()) == {24}
         check_one_copy_serializability(cluster.histories()).raise_if_violated()
         check_recovery_completeness(cluster).raise_if_violated()
-        assert cluster.replica("N3").metrics.count("state_transfer_commits") > 0
+        assert cluster.replica(victim).metrics.count("state_transfer_commits") > 0
 
 
 class TestChaosRecoveryScenario:

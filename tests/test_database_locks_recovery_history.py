@@ -1,4 +1,4 @@
-"""Tests for the lock table, undo/redo recovery and history/conflict graphs."""
+"""Tests for undo/redo recovery and history/conflict graphs."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 from repro.database import (
     CommittedTransaction,
     ConflictGraph,
-    DeadlockDetected,
-    LockMode,
-    LockTable,
     MultiVersionStore,
     RedoLog,
     SiteHistory,
@@ -18,116 +15,6 @@ from repro.database import (
     transactions_conflict,
 )
 from repro.errors import VerificationError
-
-
-class TestLockTable:
-    def test_exclusive_lock_granted_then_blocks_others(self):
-        table = LockTable()
-        assert table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        assert not table.acquire("T2", "x", LockMode.EXCLUSIVE)
-        assert table.holders_of("x") == ["T1"]
-        assert table.waiting_on("x") == ["T2"]
-
-    def test_shared_locks_are_compatible(self):
-        table = LockTable()
-        assert table.acquire("T1", "x", LockMode.SHARED)
-        assert table.acquire("T2", "x", LockMode.SHARED)
-        assert set(table.holders_of("x")) == {"T1", "T2"}
-
-    def test_shared_then_exclusive_waits(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.SHARED)
-        assert not table.acquire("T2", "x", LockMode.EXCLUSIVE)
-
-    def test_release_grants_next_waiter(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        table.acquire("T2", "x", LockMode.EXCLUSIVE)
-        unblocked = table.release("T1", "x")
-        assert unblocked == ["T2"]
-        assert table.holders_of("x") == ["T2"]
-
-    def test_fifo_fairness_shared_behind_exclusive_waits(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        table.acquire("T2", "x", LockMode.EXCLUSIVE)
-        assert not table.acquire("T3", "x", LockMode.SHARED)
-
-    def test_reentrant_acquire_is_granted(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.SHARED)
-        assert table.acquire("T1", "x", LockMode.SHARED)
-
-    def test_upgrade_from_shared_to_exclusive_when_sole_holder(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.SHARED)
-        assert table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        assert table.holds("T1", "x", LockMode.EXCLUSIVE)
-
-    def test_upgrade_blocked_when_other_holders(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.SHARED)
-        table.acquire("T2", "x", LockMode.SHARED)
-        assert not table.acquire("T1", "x", LockMode.EXCLUSIVE)
-
-    def test_release_all_cleans_up_and_unblocks(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        table.acquire("T1", "y", LockMode.EXCLUSIVE)
-        table.acquire("T2", "x", LockMode.EXCLUSIVE)
-        unblocked = table.release_all("T1")
-        assert "T2" in unblocked
-        assert table.locks_held_by("T1") == set()
-
-    def test_deadlock_detection(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        table.acquire("T2", "y", LockMode.EXCLUSIVE)
-        assert not table.acquire("T1", "y", LockMode.EXCLUSIVE)
-        with pytest.raises(DeadlockDetected):
-            table.acquire("T2", "x", LockMode.EXCLUSIVE)
-        assert table.deadlocks_detected == 1
-
-    def test_no_deadlock_detection_when_disabled(self):
-        table = LockTable(detect_deadlocks=False)
-        table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        table.acquire("T2", "y", LockMode.EXCLUSIVE)
-        table.acquire("T1", "y", LockMode.EXCLUSIVE)
-        assert not table.acquire("T2", "x", LockMode.EXCLUSIVE)
-
-    def test_wait_for_graph(self):
-        table = LockTable()
-        table.acquire("T1", "x", LockMode.EXCLUSIVE)
-        table.acquire("T2", "x", LockMode.EXCLUSIVE)
-        graph = table.wait_for_graph()
-        assert graph == {"T2": {"T1"}}
-
-    @given(
-        operations=st.lists(
-            st.tuples(
-                st.sampled_from(["T1", "T2", "T3"]),
-                st.sampled_from(["x", "y"]),
-                st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE]),
-            ),
-            max_size=25,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_exclusive_holders_are_always_sole_holders(self, operations):
-        """Property: no object ever has an exclusive holder together with another holder."""
-        table = LockTable()
-        for transaction_id, key, mode in operations:
-            try:
-                table.acquire(transaction_id, key, mode)
-            except DeadlockDetected:
-                table.release_all(transaction_id)
-        for key in ("x", "y"):
-            holders = table.holders_of(key)
-            exclusive = [
-                holder for holder in holders if table.holds(holder, key, LockMode.EXCLUSIVE)
-            ]
-            if exclusive:
-                assert len(holders) == 1
 
 
 class TestUndoRedo:

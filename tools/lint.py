@@ -76,6 +76,7 @@ def record_report(report: LintReport, *, db_path: str, name: str, paths: List[st
     for rule, count in report.counts_by_rule().items():
         metrics[f"findings_{rule.replace('-', '_')}"] = float(count)
     metrics["files_scanned"] = float(report.files_scanned)
+    metrics["lines_scanned"] = float(report.lines_scanned)
     metrics["suppressed"] = float(len(report.suppressed))
     store = ResultsStore(db_path)
     try:
