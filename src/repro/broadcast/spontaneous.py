@@ -181,10 +181,12 @@ def tentative_vs_definitive_mismatch(
     TO-delivery order — the event that may force the OTP scheduler to abort
     and reorder conflicting transactions.
     """
-    common = [mid for mid in definitive if mid in set(tentative)]
+    tentative_members = set(tentative)
+    common = [mid for mid in definitive if mid in tentative_members]
     if not common:
         return 0.0
-    tentative_restricted = [mid for mid in tentative if mid in set(common)]
+    common_members = set(common)
+    tentative_restricted = [mid for mid in tentative if mid in common_members]
     tentative_position = {mid: index for index, mid in enumerate(tentative_restricted)}
     definitive_position = {mid: index for index, mid in enumerate(common)}
     mismatched = sum(

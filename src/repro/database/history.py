@@ -9,6 +9,7 @@ check 1-copy-serializability across sites (Theorem 4.2).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -61,17 +62,20 @@ class SiteHistory:
         """Return committed transaction ids in local commit order."""
         return [commit.transaction_id for commit in self._commits]
 
+    def commit_orders_by_class(self) -> Dict[ConflictClassId, List[TransactionId]]:
+        """Return every class's commit order, from one pass over the history."""
+        orders: Dict[ConflictClassId, List[TransactionId]] = {}
+        for commit in self._commits:
+            orders.setdefault(commit.conflict_class, []).append(commit.transaction_id)
+        return orders
+
     def commit_order_of_class(self, conflict_class: ConflictClassId) -> List[TransactionId]:
         """Return the commit order restricted to one conflict class."""
-        return [
-            commit.transaction_id
-            for commit in self._commits
-            if commit.conflict_class == conflict_class
-        ]
+        return self.commit_orders_by_class().get(conflict_class, [])
 
     def classes(self) -> List[ConflictClassId]:
         """Return the conflict classes appearing in the history."""
-        return sorted({commit.conflict_class for commit in self._commits})
+        return sorted(self.commit_orders_by_class())
 
     def get(self, transaction_id: TransactionId) -> Optional[CommittedTransaction]:
         """Return the record of ``transaction_id`` (or ``None``)."""
@@ -127,7 +131,13 @@ def transactions_conflict(first: CommittedTransaction, second: CommittedTransact
 
 class ConflictGraph:
     """Directed graph with an edge ``T_i -> T_j`` when ``T_i`` is ordered
-    before ``T_j`` and the two transactions conflict."""
+    before ``T_j`` and the two transactions conflict.
+
+    :meth:`add_history` adds only the edges to a transaction's *nearest*
+    conflicting predecessors, so the graph holds a reduction of the
+    conflicting-pair relation: every ordered conflicting pair is a path, and
+    reachability and cycles are those of the all-pairs graph.
+    """
 
     def __init__(self) -> None:
         self._edges: Dict[TransactionId, Set[TransactionId]] = {}
@@ -147,12 +157,38 @@ class ConflictGraph:
         self._edges.setdefault(before, set()).add(after)
 
     def add_history(self, commits: Sequence[CommittedTransaction]) -> None:
-        """Add edges for every ordered pair of conflicting transactions."""
-        for earlier_position, earlier in enumerate(commits):
-            self.add_node(earlier.transaction_id)
-            for later in commits[earlier_position + 1:]:
-                if transactions_conflict(earlier, later):
-                    self.add_edge(earlier.transaction_id, later.transaction_id)
+        """Order every conflicting pair of ``commits`` (one site, commit order).
+
+        One pass: each transaction gets an edge from its predecessor in its
+        conflict class, from the last writer of every key it reads or
+        writes, and from every reader of a key it writes since that writer.
+        An earlier conflicting transaction reaches it through the class
+        chain or the key's writer chain, so at most one edge per commit, one
+        per written key and two per read key stand in for the quadratic set
+        of pairs.
+        """
+        last_of_class: Dict[ConflictClassId, TransactionId] = {}
+        last_writer: Dict[ObjectKey, TransactionId] = {}
+        readers_since_write: Dict[ObjectKey, List[TransactionId]] = {}
+        for commit in commits:
+            current = commit.transaction_id
+            self.add_node(current)
+            previous = last_of_class.get(commit.conflict_class)
+            if previous is not None:
+                self.add_edge(previous, current)
+            last_of_class[commit.conflict_class] = current
+            for key in commit.read_keys:
+                if key in last_writer:
+                    self.add_edge(last_writer[key], current)
+                readers_since_write.setdefault(key, []).append(current)
+            for key in commit.write_keys:
+                if key in last_writer:
+                    self.add_edge(last_writer[key], current)
+                # A transaction that also read ``key`` pops itself here;
+                # ``add_edge`` drops the self-loop.
+                for reader in readers_since_write.pop(key, ()):
+                    self.add_edge(reader, current)
+                last_writer[key] = current
 
     # ---------------------------------------------------------------- queries
     def nodes(self) -> Set[TransactionId]:
@@ -166,6 +202,10 @@ class ConflictGraph:
             for before, afters in sorted(self._edges.items())
             for after in sorted(afters)
         ]
+
+    def edge_count(self) -> int:
+        """Return the number of distinct edges."""
+        return sum(len(afters) for afters in self._edges.values())
 
     def successors(self, transaction_id: TransactionId) -> Set[TransactionId]:
         """Return the direct successors of ``transaction_id``."""
@@ -227,16 +267,17 @@ class ConflictGraph:
         for _, afters in self._edges.items():
             for after in afters:
                 in_degree[after] = in_degree.get(after, 0) + 1
-        ready = sorted(node for node, degree in in_degree.items() if degree == 0)
+        ready = [node for node, degree in in_degree.items() if degree == 0]
+        heapq.heapify(ready)
         order: List[TransactionId] = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            for successor in sorted(self._edges.get(node, set())):
+            # Push order is immaterial: the heap pops the smallest id.
+            for successor in self._edges.get(node, ()):
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
-                    ready.append(successor)
-            ready.sort()
+                    heapq.heappush(ready, successor)
         return order
 
 

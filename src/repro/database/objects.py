@@ -12,6 +12,7 @@ with index ``<= i``.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -40,6 +41,12 @@ class VersionChain:
 
     key: ObjectKey
     versions: List[ObjectVersion] = field(default_factory=list)
+    #: ``created_index`` of each entry of ``versions``, kept in step by the
+    #: mutators below so ``visible_at`` can bisect (``bisect(key=)`` is 3.10+).
+    _created_indices: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._created_indices = [version.created_index for version in self.versions]
 
     def latest(self) -> Optional[ObjectVersion]:
         """Return the most recent committed version, or ``None`` if none."""
@@ -51,13 +58,8 @@ class VersionChain:
         The visible version is the one with the greatest ``created_index``
         not exceeding ``max_index`` (the paper's ``j = max(k), k <= i``).
         """
-        visible: Optional[ObjectVersion] = None
-        for version in self.versions:
-            if version.created_index <= max_index:
-                visible = version
-            else:
-                break
-        return visible
+        position = bisect_right(self._created_indices, max_index)
+        return self.versions[position - 1] if position else None
 
     def append(self, version: ObjectVersion) -> None:
         """Append a new committed version (indices must be non-decreasing)."""
@@ -71,6 +73,7 @@ class VersionChain:
                 f"{version.created_index} < {self.versions[-1].created_index}"
             )
         self.versions.append(version)
+        self._created_indices.append(version.created_index)
 
     def remove_version(self, created_index: int, created_by: TransactionId) -> bool:
         """Remove the version created by ``created_by`` at ``created_index``.
@@ -81,6 +84,7 @@ class VersionChain:
         for position, version in enumerate(self.versions):
             if version.created_index == created_index and version.created_by == created_by:
                 del self.versions[position]
+                del self._created_indices[position]
                 return True
         return False
 
@@ -101,6 +105,7 @@ class VersionChain:
             return 0
         remove_set = {id(version) for version in removable}
         self.versions = [v for v in self.versions if id(v) not in remove_set]
+        self._created_indices = [version.created_index for version in self.versions]
         return len(removable)
 
     def __len__(self) -> int:

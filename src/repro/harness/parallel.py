@@ -24,6 +24,7 @@ from __future__ import annotations
 import importlib
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -172,18 +173,37 @@ class SweepExecutor:
         """Fan specs over a process pool; collect outcomes in spec order.
 
         A worker that dies outright (hard crash, not an exception) breaks
-        the pool: every not-yet-finished future raises ``BrokenProcessPool``.
-        Those specs become per-run failures — the completed rows survive and
-        the sweep still returns a full report.
+        the pool: every not-yet-finished future raises ``BrokenProcessPool``,
+        whichever spec the dead worker was running.  Each such spec is run
+        again alone, in spec order, in a pool of its own; only one that
+        breaks that private pool is reported as having killed its worker,
+        so the healthy cells of a sweep survive a crashing neighbour.
         """
-        outcomes: List[Tuple[str, object]] = []
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(specs))) as pool:
-            futures = [pool.submit(execute_spec, runner, spec) for spec in specs]
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    outcomes.append(
-                        ("error", f"worker died before returning: {exc!r}")
-                    )
-        return outcomes
+        settled: List[Tuple[str, object]] = []
+        for spec, outcome in zip(
+            specs, _pool_outcomes(runner, specs, min(self.jobs, len(specs)))
+        ):
+            if outcome is None:
+                outcome = _pool_outcomes(runner, [spec], 1)[0]
+            settled.append(outcome or ("error", "worker died before returning"))
+        return settled
+
+
+def _pool_outcomes(
+    runner: str, specs: List[RunSpec], workers: int
+) -> List[Optional[Tuple[str, object]]]:
+    """Outcomes of ``specs`` from one fresh pool, in spec order.
+
+    ``None`` marks a spec that was pending or running when the pool broke.
+    """
+    outcomes: List[Optional[Tuple[str, object]]] = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(execute_spec, runner, spec) for spec in specs]
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                outcomes.append(None)
+            except Exception as exc:
+                outcomes.append(("error", f"worker returned no row: {exc!r}"))
+    return outcomes

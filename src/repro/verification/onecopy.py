@@ -38,6 +38,8 @@ class OneCopyReport:
     sites_checked: int = 0
     transactions_checked: int = 0
     classes_checked: int = 0
+    #: Edges of the union conflict graph the serializability check walked.
+    conflict_edges: int = 0
 
     def raise_if_violated(self) -> None:
         """Raise :class:`VerificationError` when the check failed."""
@@ -87,16 +89,21 @@ def check_one_copy_serializability(
             )
 
     # 2. Identical per-class commit order at every site.
+    class_orders = {
+        site_id: history.commit_orders_by_class() for site_id, history in histories.items()
+    }
     classes = set()
-    for history in histories.values():
-        classes.update(history.classes())
+    for orders in class_orders.values():
+        classes.update(orders)
     report.classes_checked = len(classes)
     for conflict_class in sorted(classes):
-        reference_order = reference.commit_order_of_class(conflict_class)
+        reference_order = class_orders[reference_site].get(conflict_class, [])
+        reference_members = set(reference_order)
         for site_id in site_ids[1:]:
-            other_order = histories[site_id].commit_order_of_class(conflict_class)
-            common = [t for t in reference_order if t in set(other_order)]
-            other_common = [t for t in other_order if t in set(reference_order)]
+            other_order = class_orders[site_id].get(conflict_class, [])
+            other_members = set(other_order)
+            common = [t for t in reference_order if t in other_members]
+            other_common = [t for t in other_order if t in reference_members]
             if common != other_common:
                 report.ok = False
                 report.violations.append(
@@ -108,6 +115,7 @@ def check_one_copy_serializability(
     union_graph = ConflictGraph()
     for history in histories.values():
         union_graph.add_history(history.committed_transactions())
+    report.conflict_edges = union_graph.edge_count()
     cycle = union_graph.find_cycle()
     if cycle is not None:
         report.ok = False
@@ -118,9 +126,8 @@ def check_one_copy_serializability(
         definitive_positions = {
             transaction_id: position for position, transaction_id in enumerate(definitive_order)
         }
-        for site_id, history in histories.items():
-            for conflict_class in history.classes():
-                order = history.commit_order_of_class(conflict_class)
+        for site_id, orders in class_orders.items():
+            for conflict_class, order in sorted(orders.items()):
                 known = [t for t in order if t in definitive_positions]
                 positions = [definitive_positions[t] for t in known]
                 if positions != sorted(positions):
@@ -152,24 +159,3 @@ def serial_history_from_definitive_order(
         if committed is not None:
             serial.append(committed)
     return serial
-
-
-def histories_conflict_equivalent(
-    first: Sequence[CommittedTransaction], second: Sequence[CommittedTransaction]
-) -> bool:
-    """Return whether two histories over the same transactions are conflict
-    equivalent (they order every conflicting pair identically)."""
-    first_ids = [commit.transaction_id for commit in first]
-    second_ids = [commit.transaction_id for commit in second]
-    if set(first_ids) != set(second_ids):
-        return False
-    second_positions = {transaction_id: i for i, transaction_id in enumerate(second_ids)}
-    from ..database.history import transactions_conflict
-
-    for i, earlier in enumerate(first):
-        for later in first[i + 1:]:
-            if not transactions_conflict(earlier, later):
-                continue
-            if second_positions[earlier.transaction_id] > second_positions[later.transaction_id]:
-                return False
-    return True

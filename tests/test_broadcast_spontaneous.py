@@ -13,7 +13,7 @@ from repro.broadcast.spontaneous import (
 )
 from repro.errors import BroadcastError
 from repro.network import ConstantLatency, LanMulticastLatency, NetworkTransport
-from repro.simulation import SimulationKernel
+from repro.simulation import RandomSource, SimulationKernel
 
 
 def run_probe(interval, site_count=4, per_site=30, seed=0, latency=None, frame_time=0.0):
@@ -127,3 +127,23 @@ class TestTentativeVsDefinitiveMismatch:
     def test_only_common_messages_count(self):
         value = tentative_vs_definitive_mismatch(["a", "x", "b"], ["a", "b", "y"])
         assert value == 0.0
+
+    def test_long_permuted_orders_match_a_dict_based_reference(self):
+        # Long enough that a per-element rescan of either sequence would
+        # show up as seconds; some ids appear on one side only.
+        shuffler = RandomSource(7).stream("permutation")
+        tentative = [f"m{index}" for index in range(5000)] + ["only-tentative"]
+        definitive = [f"m{index}" for index in range(5000)] + ["only-definitive"]
+        shuffler.shuffle(tentative)
+        shuffler.shuffle(definitive)
+
+        tentative_rank = {mid: rank for rank, mid in enumerate(tentative)}
+        common = [mid for mid in definitive if mid in tentative_rank]
+        definitive_rank = {mid: rank for rank, mid in enumerate(common)}
+        restricted = [mid for mid in tentative if mid in definitive_rank]
+        expected = sum(
+            1 for rank, mid in enumerate(restricted) if definitive_rank[mid] != rank
+        ) / len(common)
+
+        assert len(common) == 5000
+        assert tentative_vs_definitive_mismatch(tentative, definitive) == expected

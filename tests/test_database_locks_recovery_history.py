@@ -15,6 +15,9 @@ from repro.database import (
     transactions_conflict,
 )
 from repro.errors import VerificationError
+from repro.verification import check_one_copy_serializability
+
+from oracles import all_pairs_conflict_graph, one_copy_serializable, transitive_closure
 
 
 class TestUndoRedo:
@@ -88,6 +91,8 @@ class TestHistoryAndConflictGraph:
         history.record_commit(committed("T3", "Cx", 2))
         assert history.transaction_ids() == ["T1", "T2", "T3"]
         assert history.commit_order_of_class("Cx") == ["T1", "T3"]
+        assert history.commit_order_of_class("Cz") == []
+        assert history.commit_orders_by_class() == {"Cx": ["T1", "T3"], "Cy": ["T2"]}
         assert history.classes() == ["Cx", "Cy"]
         assert "T2" in history
         assert history.get("T2").global_index == 1
@@ -169,3 +174,102 @@ class TestHistoryAndConflictGraph:
             for index, class_index in enumerate(class_of)
         ]
         assert history_is_serializable(commits)
+
+
+KEYS = ("a", "b", "c", "d")
+key_sets = st.lists(st.sampled_from(KEYS), max_size=2, unique=True)
+
+
+@st.composite
+def multi_site_histories(draw):
+    """One to three sites' commit orders over the same few transactions.
+
+    Every site starts from the same order; a few random swaps and the odd
+    dropped commit per site make a good share of the draws non-serializable.
+    """
+    count = draw(st.integers(min_value=1, max_value=8))
+    base = [
+        committed(
+            f"T{index}",
+            f"C{draw(st.integers(min_value=0, max_value=3))}",
+            index,
+            writes=draw(key_sets),
+            reads=draw(key_sets),
+        )
+        for index in range(count)
+    ]
+    position = st.integers(min_value=0, max_value=count - 1)
+    sites = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        commits = list(base)
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            first, second = draw(position), draw(position)
+            commits[first], commits[second] = commits[second], commits[first]
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            del commits[draw(position)]
+        sites.append(commits)
+    return sites
+
+
+class TestReducedConflictGraph:
+    """``add_history`` keeps a reduction of the all-pairs graph, not the graph."""
+
+    @given(sites=multi_site_histories())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_reachability_and_verdict_as_the_all_pairs_oracle(self, sites):
+        reduced = ConflictGraph()
+        for commits in sites:
+            reduced.add_history(commits)
+        oracle = all_pairs_conflict_graph(*sites)
+
+        assert reduced.nodes() == oracle.nodes()
+        assert set(reduced.edges()) <= set(oracle.edges())
+        assert transitive_closure(reduced) == transitive_closure(oracle)
+        assert reduced.is_acyclic() == oracle.is_acyclic()
+
+        histories = {}
+        for number, commits in enumerate(sites):
+            histories[f"N{number}"] = history = SiteHistory(f"N{number}")
+            for commit in commits:
+                history.record_commit(commit)
+        report = check_one_copy_serializability(histories)
+        assert report.ok == one_copy_serializable(*sites)
+        assert report.conflict_edges == reduced.edge_count()
+
+    def test_edges_grow_with_commits_and_key_accesses_not_with_pairs(self):
+        count = 4000
+        commits = [
+            committed(
+                f"T{index:04d}",
+                f"C{index % 8}",
+                index,
+                writes=[f"k{index * 7 % 50}", f"k{(index * 13 + 1) % 50}"],
+            )
+            for index in range(count)
+        ]
+        graph = ConflictGraph()
+        graph.add_history(commits)
+        assert graph.nodes() == {commit.transaction_id for commit in commits}
+        # At most one class predecessor and one last writer per written key.
+        assert graph.edge_count() <= 3 * count
+        assert graph.topological_order() == [commit.transaction_id for commit in commits]
+
+    def test_keyless_history_is_one_chain_per_class(self):
+        count, classes = 200, 5
+        graph = ConflictGraph()
+        graph.add_history(
+            [committed(f"T{index}", f"C{index % classes}", index) for index in range(count)]
+        )
+        assert graph.edge_count() == count - classes
+        assert graph.successors("T0") == {f"T{classes}"}
+
+    def test_read_and_write_of_one_key_orders_before_the_next_writer(self):
+        graph = ConflictGraph()
+        graph.add_history(
+            [
+                committed("T1", "Cx", 0, writes=["k"], reads=["k"]),
+                committed("T2", "Cy", 1, writes=["k"]),
+                committed("T3", "Cz", 2, reads=["k"]),
+            ]
+        )
+        assert graph.edges() == [("T1", "T2"), ("T2", "T3")]

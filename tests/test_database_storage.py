@@ -60,6 +60,32 @@ class TestVersionChain:
         with pytest.raises(DatabaseError):
             VersionChain(key="x").prune_before(1, keep_at_least=0)
 
+    def test_visible_at_matches_a_linear_scan_through_every_mutator(self):
+        def scan(chain, max_index):
+            visible = None
+            for version in chain.versions:
+                if version.created_index <= max_index:
+                    visible = version
+            return visible
+
+        def check(chain):
+            for doubled in range(-3, 20):
+                assert chain.visible_at(doubled / 2) is scan(chain, doubled / 2)
+
+        initial = [ObjectVersion("x", "loaded", created_index=-1, created_by="__initial__")]
+        chain = VersionChain(key="x", versions=initial)
+        check(chain)
+        # Equal indices: the later-installed version is the visible one.
+        for index in (0, 2, 2, 3, 5, 5, 5, 8):
+            chain.append(ObjectVersion("x", len(chain), created_index=index, created_by=f"T{len(chain)}"))
+            check(chain)
+        assert chain.visible_at(5).created_by == "T7"
+        assert chain.remove_version(5, "T6")
+        check(chain)
+        assert chain.prune_before(3, keep_at_least=2) == 4
+        check(chain)
+        assert chain.visible_at(2.5) is None
+
 
 class TestMultiVersionStore:
     def build_store(self):

@@ -185,6 +185,25 @@ class TestSweepExecutor:
         with pytest.raises(SweepError):
             report.require_rows()
 
+    def test_one_crashing_cell_does_not_take_its_neighbours_down(self):
+        # The dead worker breaks the whole pool, so every spec still pending
+        # or running raises BrokenProcessPool; only the specs that crash
+        # when run on their own may be reported as failures.
+        design = Design(
+            name="crashy2",
+            factors={"fail": (True, False), "pad": (0, 1, 2, 3)},
+            seeds=(0,),
+        )
+        runner = "repro.harness.cells:exiting_probe_cell"
+        report = SweepExecutor(jobs=2).run(design, runner)
+        assert [failure.spec for failure in report.failures] == report.specs[:4]
+        assert all(spec.factors["fail"] for spec in report.specs[:4])
+        assert "worker died" in report.failures[0].error
+        healthy = Design(
+            name="crashy2", factors={"fail": (False,), "pad": (0, 1, 2, 3)}, seeds=(0,)
+        )
+        assert report.rows == [None] * 4 + SweepExecutor(jobs=1).run(healthy, runner).rows
+
     def test_elapsed_uses_injected_clock(self):
         ticks = iter([10.0, 17.5])
         executor = SweepExecutor(jobs=1, clock=lambda: next(ticks))

@@ -6,11 +6,12 @@ from repro.database.history import CommittedTransaction, SiteHistory
 from repro.errors import VerificationError
 from repro.verification import (
     check_one_copy_serializability,
-    histories_conflict_equivalent,
     serial_history_from_definitive_order,
 )
 from repro.verification.properties import check_broadcast_properties
 from repro.broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage
+
+from oracles import histories_conflict_equivalent
 
 
 def committed(txn_id, conflict_class, index, writes=()):
@@ -42,6 +43,8 @@ class TestOneCopyChecker:
         report.raise_if_violated()
         assert report.sites_checked == 2
         assert report.transactions_checked == 3
+        # T1 -> T2 in class Cx; T3 is alone in Cy.
+        assert report.conflict_edges == 1
 
     def test_missing_transaction_detected(self):
         histories = {
