@@ -44,10 +44,10 @@ def run_sweep() -> None:
             spec,
         )
         if baseline is None:
-            baseline = summary.aggregate_throughput_tps
+            baseline = summary.throughput_tps
         print(
-            f"{shard_count:>6}  {summary.total_committed:>9}  "
-            f"{summary.aggregate_throughput_tps:>14.1f}  "
+            f"{shard_count:>6}  {summary.committed:>9}  "
+            f"{summary.throughput_tps:>14.1f}  "
             f"{summary.mean_client_latency * 1000.0:>10.2f}  "
             f"{str(summary.one_copy_ok):>9}  {str(summary.queries_consistent):>10}"
         )

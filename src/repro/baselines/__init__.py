@@ -11,11 +11,6 @@ from .lazy import (
     LazyReplicatedDatabase,
     PropagatedUpdate,
 )
-from .pessimistic import (
-    GLOBAL_CLASS,
-    build_pessimistic_cluster,
-    single_class_registry,
-)
 
 __all__ = [
     "build_conservative_cluster",
@@ -25,7 +20,4 @@ __all__ = [
     "LazyReplica",
     "LazyReplicatedDatabase",
     "PropagatedUpdate",
-    "GLOBAL_CLASS",
-    "build_pessimistic_cluster",
-    "single_class_registry",
 ]

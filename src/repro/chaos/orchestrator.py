@@ -8,11 +8,11 @@ transport's latency model — and records every injected fault in a trace.
 The trace is pure data, so two runs with the same seed can be compared
 fault-for-fault to prove the schedule is reproducible.
 
-Both cluster facades are supported: a flat
-:class:`~repro.core.cluster.ReplicatedDatabase` and a
-:class:`~repro.sharding.cluster.ShardedCluster` (where crash/recovery must
-be routed through the owning shard's crash manager so that the shard's own
-coordinator-failover listener fires).
+Both cluster facades are supported through the one shape they share —
+``replica_groups()``, a flat :class:`~repro.core.cluster.ReplicatedDatabase`
+being the one-group case of a :class:`~repro.sharding.cluster.ShardedCluster`
+— and crash/recovery is routed through the owning group's crash manager so
+that the group's own coordinator-failover listener fires.
 """
 
 from __future__ import annotations
@@ -142,78 +142,60 @@ class _WindowTracker:
         return released
 
 
-class _FlatBinding:
-    """Adapter exposing a :class:`ReplicatedDatabase` to the orchestrator."""
+class _Binding:
+    """The cluster as the orchestrator sees it: a dict of replica groups.
+
+    A flat :class:`ReplicatedDatabase` is the one-group case, so shard and
+    role targets resolve by the same lookups on either facade.
+    """
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        try:
+            self.groups = cluster.replica_groups()
+        except AttributeError:
+            raise ChaosError(
+                f"cannot bind a fault plan to {type(cluster).__name__}; expected "
+                "a ReplicatedDatabase or a ShardedCluster"
+            ) from None
         self.kernel = cluster.kernel
         self.transport = cluster.transport
+        self._group_of_site = {
+            site_id: group
+            for group in self.groups.values()
+            for site_id in group.site_ids()
+        }
+
+    def _group(self, shard_id: ShardId):
+        try:
+            return self.groups[shard_id]
+        except KeyError:
+            raise ChaosError(
+                f"target names unknown shard {shard_id!r}; this plan is bound "
+                f"to groups {sorted(self.groups)}"
+            ) from None
 
     def all_sites(self) -> List[SiteId]:
-        return list(self.cluster.site_ids())
+        return list(self._group_of_site)
 
     def shard_sites(self, shard_id: ShardId) -> List[SiteId]:
-        raise ChaosError(
-            f"target shard({shard_id!r}) needs a sharded cluster; this plan is "
-            "bound to a flat ReplicatedDatabase"
-        )
+        return list(self._group(shard_id).site_ids())
 
     def coordinator(self, shard_id: Optional[ShardId]) -> SiteId:
         if shard_id is not None:
+            return self._group(shard_id).coordinator_site()
+        if len(self.groups) != 1:
             raise ChaosError(
-                f"target coordinator({shard_id!r}) names a shard but this plan "
-                "is bound to a flat ReplicatedDatabase"
+                "target coordinator() is ambiguous on a cluster of "
+                f"{len(self.groups)} groups; name a shard, e.g. coordinator('S2')"
             )
-        return self.cluster.coordinator_site()
-
-    def crash_manager_of(self, site_id: SiteId):
-        return self.cluster.crash_manager
-
-
-class _ShardedBinding:
-    """Adapter exposing a :class:`ShardedCluster` to the orchestrator."""
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self.kernel = cluster.kernel
-        self.transport = cluster.transport
-        self._shard_of_site: Dict[SiteId, ShardId] = {}
-        for shard_id in cluster.shard_ids():
-            for site_id in cluster.shard(shard_id).site_ids():
-                self._shard_of_site[site_id] = shard_id
-
-    def all_sites(self) -> List[SiteId]:
-        return list(self.cluster.site_ids())
-
-    def shard_sites(self, shard_id: ShardId) -> List[SiteId]:
-        return list(self.cluster.shard(shard_id).site_ids())
-
-    def coordinator(self, shard_id: Optional[ShardId]) -> SiteId:
-        if shard_id is None:
-            raise ChaosError(
-                "target coordinator() is ambiguous on a sharded cluster; name "
-                "a shard, e.g. coordinator('S2')"
-            )
-        return self.cluster.shard(shard_id).coordinator_site()
+        (group,) = self.groups.values()
+        return group.coordinator_site()
 
     def crash_manager_of(self, site_id: SiteId):
         try:
-            shard_id = self._shard_of_site[site_id]
+            return self._group_of_site[site_id].crash_manager
         except KeyError:
             raise ChaosError(f"site {site_id!r} belongs to no shard") from None
-        return self.cluster.shard(shard_id).crash_manager
-
-
-def _bind(cluster):
-    if hasattr(cluster, "shards"):
-        return _ShardedBinding(cluster)
-    if hasattr(cluster, "crash_manager"):
-        return _FlatBinding(cluster)
-    raise ChaosError(
-        f"cannot bind a fault plan to {type(cluster).__name__}; expected a "
-        "ReplicatedDatabase or a ShardedCluster"
-    )
 
 
 class ChaosOrchestrator:
@@ -232,22 +214,21 @@ class ChaosOrchestrator:
 
     Binding contract
     ----------------
-    ``cluster`` may be a flat :class:`~repro.core.cluster.ReplicatedDatabase`
-    or a :class:`~repro.sharding.cluster.ShardedCluster`; the orchestrator
-    adapts through an internal binding that resolves shard/role targets and
-    — crucially — routes crashes and recoveries through the *owning shard's*
-    crash manager, so the shard's own coordinator-failover and recovery
-    listeners fire exactly as they would for an organic fault.  Faults are
-    applied only through the cluster's public primitives (crash manager,
-    partition controller, latency model); the orchestrator never reaches
-    into protocol state, which is why every subsystem — including the
-    broadcast batching layer — is chaos-transparent by construction.
+    ``cluster`` is any facade with ``replica_groups()``; shard and role
+    targets resolve against those groups and — crucially — crashes and
+    recoveries go through the *owning group's* crash manager, so its own
+    coordinator-failover and recovery listeners fire exactly as they would
+    for an organic fault.  Faults are applied only through the cluster's
+    public primitives (crash manager, partition controller, latency model);
+    the orchestrator never reaches into protocol state, which is why every
+    subsystem — including the broadcast batching layer — is
+    chaos-transparent by construction.
     """
 
     def __init__(self, cluster, plan: FaultPlan) -> None:
         self.cluster = cluster
         self.plan = plan
-        self.binding = _bind(cluster)
+        self.binding = _Binding(cluster)
         self.trace: List[InjectedFault] = []
         self._stream = self.binding.kernel.random.stream("chaos.targets")
         self._armed = False

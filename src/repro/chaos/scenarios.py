@@ -41,7 +41,7 @@ produce identical fault traces and identical commit outcomes (asserted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.admission import AdmissionConfig
@@ -50,13 +50,9 @@ from ..failure.suspicion import FailureDetectionConfig
 from ..network.latency import GeoTopology, LinkProfile
 from ..errors import ChaosError, VerificationError
 from ..sharding.cluster import ShardedCluster
+from ..observability.registry import derive_metrics
+from ..observability.summary import finish_run
 from ..types import SiteId
-from ..verification.liveness import check_sharded_eventual_termination
-from ..verification.recovery import check_recovery_completeness
-from ..verification.sharded import (
-    check_cross_shard_query_consistency,
-    check_sharded_one_copy_serializability,
-)
 from ..workloads.procedures import (
     build_conflict_map,
     build_initial_data,
@@ -200,6 +196,42 @@ def build_chaos_cluster(
     return cluster, spec
 
 
+def _run_plan(
+    cluster: ShardedCluster,
+    plan: FaultPlan,
+    *,
+    scenario: str,
+    seed: int,
+    settle_time: Optional[float],
+) -> ChaosRunResult:
+    """Arm ``plan`` on a loaded cluster, finish the run, fold trace + verdicts.
+
+    ``settle_time`` goes to :func:`~repro.observability.summary.finish_run`:
+    suspicion-driven runs stop their detectors there before the final drain.
+    """
+    orchestrator = ChaosOrchestrator(cluster, plan).arm()
+    summary = finish_run(cluster, settle_time=settle_time)
+    verification = summary.verification
+    return ChaosRunResult(
+        scenario=scenario,
+        seed=seed,
+        # The liveness check visits every transaction any site accepted.
+        submitted_updates=verification.liveness.transactions_checked,
+        committed=summary.committed,
+        faults_injected=orchestrator.faults_injected(),
+        trace=tuple(orchestrator.trace),
+        one_copy_ok=verification.one_copy.ok,
+        queries_consistent=verification.queries.ok,
+        liveness_ok=verification.liveness.ok,
+        violations=verification.violations,
+        faults_cease_at=plan.faults_cease_at(),
+        duration=cluster.now,
+        recovery_ok=verification.recovery.ok,
+        recovered_sites=verification.recovery.recovered_sites_checked,
+        transferred_commits=verification.recovery.transferred_commits,
+    )
+
+
 def execute_chaos_run(
     cluster: ShardedCluster,
     spec: ShardedWorkloadSpec,
@@ -211,44 +243,14 @@ def execute_chaos_run(
 ) -> ChaosRunResult:
     """Apply workload + plan to ``cluster``, run to idle, verify everything.
 
-    ``settle_time`` is required by suspicion-driven runs: periodic heartbeat
-    detectors never let the kernel go idle, so the run first advances to
-    ``settle_time`` (chosen past the last fault plus detector re-trust), then
-    stops the detectors and drains the remaining events to idle.
+    ``submitted_updates`` is what the workload *meant* to submit, so an update
+    the router never managed to place shows up as ``committed < submitted``.
     """
-    generator = ShardedWorkloadGenerator(spec)
-    generator.apply(cluster)
-    orchestrator = ChaosOrchestrator(cluster, plan).arm()
-    if settle_time is not None:
-        cluster.run(until=settle_time)
-        cluster.stop_failure_detectors()
-    cluster.run_until_idle()
-    cluster.check_scheduler_invariants()
-
-    one_copy = check_sharded_one_copy_serializability(cluster)
-    queries = check_cross_shard_query_consistency(cluster)
-    liveness = check_sharded_eventual_termination(cluster)
-    recovery = check_recovery_completeness(cluster)
-    return ChaosRunResult(
-        scenario=scenario,
-        seed=seed,
-        submitted_updates=spec.total_updates(),
-        committed=cluster.total_committed(),
-        faults_injected=orchestrator.faults_injected(),
-        trace=tuple(orchestrator.trace),
-        one_copy_ok=one_copy.ok,
-        queries_consistent=queries.ok,
-        liveness_ok=liveness.ok,
-        violations=one_copy.violations
-        + queries.violations
-        + liveness.violations
-        + recovery.violations,
-        faults_cease_at=plan.faults_cease_at(),
-        duration=cluster.now,
-        recovery_ok=recovery.ok,
-        recovered_sites=recovery.recovered_sites_checked,
-        transferred_commits=recovery.transferred_commits,
+    ShardedWorkloadGenerator(spec).apply(cluster)
+    result = _run_plan(
+        cluster, plan, scenario=scenario, seed=seed, settle_time=settle_time
     )
+    return replace(result, submitted_updates=spec.total_updates())
 
 
 # ---------------------------------------------------------------------------
@@ -502,51 +504,14 @@ def execute_fuzz_run(
     everywhere (``committed == submitted_updates``) under the full
     verification stack.
     """
-    engine = OpenLoopTrafficEngine(spec)
-    open_plan = engine.apply(cluster)
-    orchestrator = ChaosOrchestrator(cluster, plan).arm()
-    if settle_time is not None:
-        cluster.run(until=settle_time)
-        cluster.stop_failure_detectors()
-    cluster.run_until_idle()
-    cluster.check_scheduler_invariants()
-
-    submitted = sum(
-        len(replica.submitted)
-        for shard_group in cluster.shards.values()
-        for replica in shard_group.replicas.values()
+    open_plan = OpenLoopTrafficEngine(spec).apply(cluster)
+    result = _run_plan(
+        cluster, plan, scenario=scenario, seed=seed, settle_time=settle_time
     )
-    shed = sum(
-        shard_group.replicas[site_id].metrics.count(f"admission_shed_{cause}")
-        for shard_group in cluster.shards.values()
-        for site_id in shard_group.site_ids()
-        for cause in ("overload", "site_down", "defer_exhausted")
-    )
-    one_copy = check_sharded_one_copy_serializability(cluster)
-    queries = check_cross_shard_query_consistency(cluster)
-    liveness = check_sharded_eventual_termination(cluster)
-    recovery = check_recovery_completeness(cluster)
-    return ChaosRunResult(
-        scenario=scenario,
-        seed=seed,
-        submitted_updates=submitted,
-        committed=cluster.total_committed(),
-        faults_injected=orchestrator.faults_injected(),
-        trace=tuple(orchestrator.trace),
-        one_copy_ok=one_copy.ok,
-        queries_consistent=queries.ok,
-        liveness_ok=liveness.ok,
-        violations=one_copy.violations
-        + queries.violations
-        + liveness.violations
-        + recovery.violations,
-        faults_cease_at=plan.faults_cease_at(),
-        duration=cluster.now,
-        recovery_ok=recovery.ok,
-        recovered_sites=recovery.recovered_sites_checked,
-        transferred_commits=recovery.transferred_commits,
+    return replace(
+        result,
         offered_updates=open_plan.update_count,
-        shed_updates=shed,
+        shed_updates=sum(derive_metrics(cluster).sheds_by_cause.values()),
     )
 
 

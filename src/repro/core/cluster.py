@@ -21,9 +21,9 @@ from ..errors import ReplicationError
 from ..failure.crash import CrashManager
 from ..failure.detector import HEARTBEAT_KIND, FailureDetector
 from ..failure.suspicion import SuspicionFailoverGovernor
-from ..metrics.collector import MetricsCollector
 from ..network.dispatcher import SiteDispatcher
 from ..network.transport import NetworkTransport
+from ..observability.registry import FLAT_SHARD_LABEL
 from ..simulation.kernel import SimulationKernel
 from ..types import ObjectKey, ObjectValue, SiteId, TransactionId
 from .admission import (
@@ -62,6 +62,10 @@ class ReplicatedDatabase:
         sites to the shared infrastructure instead of creating its own; its
         broadcast traffic is then scoped to this cluster's site group.
     """
+
+    #: A flat cluster routes nothing; :class:`~repro.sharding.ShardedCluster`
+    #: carries its :class:`~repro.sharding.router.TransactionRouter` here.
+    router = None
 
     def __init__(
         self,
@@ -199,6 +203,10 @@ class ReplicatedDatabase:
         )
 
     # ------------------------------------------------------------- accessors
+    def replica_groups(self) -> Dict[str, "ReplicatedDatabase"]:
+        """The cluster as a dict of replica groups — a flat cluster is one."""
+        return {FLAT_SHARD_LABEL: self}
+
     def site_ids(self) -> List[SiteId]:
         """Return the identifiers of all sites."""
         return list(self.replicas.keys())
@@ -322,8 +330,12 @@ class ReplicatedDatabase:
         return self.replica(site_id).submit_query(procedure_name, parameters)
 
     # ------------------------------------------------- open-loop offer paths
-    def _open_site_from(self, start: int) -> Optional[SiteId]:
-        """First open site at or after rotation index ``start`` (failover)."""
+    def open_site_from(self, start: int) -> Optional[SiteId]:
+        """First open site at or after rotation index ``start`` (failover).
+
+        The one site picker — the offer paths and the sharded router each
+        bring their own cursor.  ``None`` means the whole group is dark.
+        """
         site_ids = self.site_ids()
         for offset in range(len(site_ids)):
             candidate = site_ids[(start + offset) % len(site_ids)]
@@ -372,7 +384,7 @@ class ReplicatedDatabase:
         deferrals: int,
     ) -> Optional[TransactionId]:
         preferred = self.site_ids()[start]
-        target = self._open_site_from(start)
+        target = self.open_site_from(start)
         if target is None:
             # Whole replica set dark.  Under the defer policy the submission
             # waits for a recovery (the flat-cluster analogue of the sharded
@@ -443,7 +455,7 @@ class ReplicatedDatabase:
         preferred site) and returns ``None``.
         """
         start = self._next_offer_index(site_index)
-        target = self._open_site_from(start)
+        target = self.open_site_from(start)
         if target is None:
             preferred = self.site_ids()[start]
             self.replicas[preferred].metrics.increment(
@@ -478,10 +490,6 @@ class ReplicatedDatabase:
     def total_reorder_aborts(self) -> int:
         """Total CC8 abort/reschedule events across all sites."""
         return sum(replica.reorder_abort_count() for replica in self.replicas.values())
-
-    def metrics_by_site(self) -> Dict[SiteId, MetricsCollector]:
-        """Return the metrics collector of every replica."""
-        return {site_id: replica.metrics for site_id, replica in self.replicas.items()}
 
     def all_client_latencies(self) -> List[float]:
         """Client-observed commit latencies across every site."""

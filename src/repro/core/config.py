@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..broadcast.batching import BatchingConfig
@@ -18,26 +18,16 @@ BROADCAST_CONSERVATIVE = "conservative"
 BROADCAST_CHOICES = (BROADCAST_OPTIMISTIC, BROADCAST_CONSERVATIVE)
 
 
-def _check_broadcast_choice(broadcast: str, ordering_mode: str) -> None:
-    if broadcast not in BROADCAST_CHOICES:
-        raise ReplicationError(
-            f"unknown broadcast {broadcast!r}; expected one of {BROADCAST_CHOICES}"
-        )
-    if broadcast == BROADCAST_CONSERVATIVE and ordering_mode == "voting":
-        raise ReplicationError(
-            "ordering_mode='voting' checks the optimistic order and cannot be "
-            "combined with broadcast='conservative'"
-        )
-
-
 @dataclass
-class ClusterConfig:
-    """Static configuration of a simulated replicated database cluster.
+class ProtocolConfig:
+    """The protocol and network settings every replica group runs with.
+
+    Declared and validated once; :class:`ClusterConfig` adds the shape of one
+    group and :class:`ShardingConfig` the shape of several, and a sharded
+    deployment hands every shard's group exactly these values.
 
     Attributes
     ----------
-    site_count:
-        Number of replica sites (the paper's experiment uses 4).
     seed:
         Master seed for all randomness (network jitter, execution times,
         workload sampling when the workload shares the kernel).
@@ -70,11 +60,6 @@ class ClusterConfig:
     record_deliveries:
         Whether the transport keeps a full delivery log (needed by the
         spontaneous-order analysis, costs memory in long runs).
-    site_prefix:
-        Prefix prepended to every site identifier.  A sharded deployment
-        gives each shard's replica group a distinct prefix (``"S1:"``,
-        ``"S2:"``, ...) so that all groups can share one network transport
-        without identifier collisions.
     batching:
         When given, every site's broadcast endpoint is wrapped in a
         :class:`~repro.broadcast.batching.BatchingEndpoint` that coalesces
@@ -114,10 +99,11 @@ class ClusterConfig:
         the site's class-queue backlog crosses the high watermark — the
         backpressure valve open-loop traffic needs.  ``None`` (default)
         admits everything, and ``offer_update`` degenerates to ``submit``
-        with client failover.
+        with client failover.  In a sharded deployment a saturated shard
+        sheds or defers while healthy shards keep admitting — per-shard
+        backpressure.
     """
 
-    site_count: int = 4
     seed: int = 0
     broadcast: str = BROADCAST_OPTIMISTIC
     ordering_mode: str = "sequencer"
@@ -128,7 +114,6 @@ class ClusterConfig:
     voting_timeout: float = 0.010
     echo_on_first_receipt: bool = False
     record_deliveries: bool = False
-    site_prefix: str = ""
     batching: Optional[BatchingConfig] = None
     medium_frame_time: float = 0.0
     tracer: Optional[TransactionTracer] = None
@@ -137,9 +122,16 @@ class ClusterConfig:
     admission: Optional[AdmissionConfig] = None
 
     def __post_init__(self) -> None:
-        if self.site_count < 1:
-            raise ReplicationError("a cluster needs at least one site")
-        _check_broadcast_choice(self.broadcast, self.ordering_mode)
+        if self.broadcast not in BROADCAST_CHOICES:
+            raise ReplicationError(
+                f"unknown broadcast {self.broadcast!r}; expected one of "
+                f"{BROADCAST_CHOICES}"
+            )
+        if self.broadcast == BROADCAST_CONSERVATIVE and self.ordering_mode == "voting":
+            raise ReplicationError(
+                "ordering_mode='voting' checks the optimistic order and cannot be "
+                "combined with broadcast='conservative'"
+            )
         if self.medium_frame_time < 0.0:
             raise ReplicationError("medium frame time cannot be negative")
         if self.latency_model is None:
@@ -150,13 +142,39 @@ class ClusterConfig:
             else:
                 self.latency_model = LanMulticastLatency()
 
+
+@dataclass
+class ClusterConfig(ProtocolConfig):
+    """Static configuration of a simulated replicated database cluster.
+
+    Adds the shape of one replica group to :class:`ProtocolConfig`.
+
+    Attributes
+    ----------
+    site_count:
+        Number of replica sites (the paper's experiment uses 4).
+    site_prefix:
+        Prefix prepended to every site identifier.  A sharded deployment
+        gives each shard's replica group a distinct prefix (``"S1:"``,
+        ``"S2:"``, ...) so that all groups can share one network transport
+        without identifier collisions.
+    """
+
+    site_count: int = 4
+    site_prefix: str = ""
+
+    def __post_init__(self) -> None:
+        if self.site_count < 1:
+            raise ReplicationError("a cluster needs at least one site")
+        super().__post_init__()
+
     def site_ids(self) -> list:
         """Return the identifiers of the cluster sites: ``N1 .. Nn``."""
         return [f"{self.site_prefix}N{index + 1}" for index in range(self.site_count)]
 
 
 @dataclass
-class ShardingConfig:
+class ShardingConfig(ProtocolConfig):
     """Static configuration of a sharded replicated database.
 
     A sharded deployment partitions the conflict classes over ``shard_count``
@@ -169,45 +187,19 @@ class ShardingConfig:
     single-class update transactions while removing the global sequencer
     bottleneck.
 
-    Attributes mirror :class:`ClusterConfig`; they apply uniformly to every
-    shard's replica group.
+    The :class:`ProtocolConfig` settings apply uniformly to every shard's
+    replica group.
     """
 
     shard_count: int = 2
     sites_per_shard: int = 3
-    seed: int = 0
-    broadcast: str = BROADCAST_OPTIMISTIC
-    ordering_mode: str = "sequencer"
-    latency_model: Optional[LatencyModel] = None
-    loss_probability: float = 0.0
-    cpu_count: Optional[int] = None
-    duration_scale: float = 1.0
-    voting_timeout: float = 0.010
-    echo_on_first_receipt: bool = False
-    record_deliveries: bool = False
-    batching: Optional[BatchingConfig] = None
-    medium_frame_time: float = 0.0
-    tracer: Optional[TransactionTracer] = None
-    topology: Optional[GeoTopology] = None
-    failure_detection: Optional[FailureDetectionConfig] = None
-    #: Per-shard admission control; forwarded to every shard's replica group
-    #: (see :class:`ClusterConfig`), so a saturated shard sheds or defers
-    #: while healthy shards keep admitting — per-shard backpressure.
-    admission: Optional[AdmissionConfig] = None
 
     def __post_init__(self) -> None:
         if self.shard_count < 1:
             raise ReplicationError("a sharded cluster needs at least one shard")
         if self.sites_per_shard < 1:
             raise ReplicationError("every shard needs at least one replica site")
-        _check_broadcast_choice(self.broadcast, self.ordering_mode)
-        if self.medium_frame_time < 0.0:
-            raise ReplicationError("medium frame time cannot be negative")
-        if self.latency_model is None:
-            if self.topology is not None:
-                self.latency_model = GeoLatency(self.topology)
-            else:
-                self.latency_model = LanMulticastLatency()
+        super().__post_init__()
 
     def shard_ids(self) -> list:
         """Return the identifiers of the shards: ``S1 .. Sn``."""
@@ -223,12 +215,12 @@ class ShardingConfig:
             raise ReplicationError(
                 f"shard index {shard_index} out of range [0, {self.shard_count})"
             )
-        # Forward every field the two configs share by name, so a tuning knob
-        # added to both dataclasses propagates without touching this method.
-        shared = {field_.name for field_ in fields(ClusterConfig)} & {
-            field_.name for field_ in fields(ShardingConfig)
+        shared = {
+            field_.name: getattr(self, field_.name)
+            for field_ in fields(ProtocolConfig)
         }
-        kwargs = {name: getattr(self, name) for name in sorted(shared)}
-        kwargs["site_count"] = self.sites_per_shard
-        kwargs["site_prefix"] = f"{self.shard_ids()[shard_index]}:"
-        return ClusterConfig(**kwargs)
+        return ClusterConfig(
+            **shared,
+            site_count=self.sites_per_shard,
+            site_prefix=f"{self.shard_ids()[shard_index]}:",
+        )

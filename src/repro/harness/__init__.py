@@ -1,8 +1,7 @@
 """Experiment harness: one experiment per paper figure/claim, plus reporting."""
 
+from ..observability.summary import RunSummary, finish_run, summarize_run
 from .experiments import (
-    RunSummary,
-    ShardedRunSummary,
     batching_ablation_experiment,
     chaos_resilience_experiment,
     conflict_experiment,
@@ -51,7 +50,8 @@ __all__ = [
     "SweepReport",
     "record_suite_timings",
     "RunSummary",
-    "ShardedRunSummary",
+    "finish_run",
+    "summarize_run",
     "run_sharded_workload",
     "sharded_scalability_experiment",
     "batching_ablation_experiment",

@@ -20,19 +20,18 @@ crash); they run no simulation.
 from __future__ import annotations
 
 import os
-from typing import Dict, List
+from typing import Dict
 
 from ..broadcast.batching import BatchingConfig
 from ..chaos.scenarios import run_chaos_scenario
 from ..core.admission import AdmissionConfig
 from ..core.cluster import ReplicatedDatabase
 from ..core.config import BROADCAST_OPTIMISTIC, ClusterConfig
-from ..metrics.stats import mean
 from ..network.latency import DEFAULT_INTRA_PROFILE, GeoTopology, LinkProfile
 from ..observability.registry import derive_metrics
+from ..observability.summary import finish_run
 from ..simulation.clock import milliseconds, to_milliseconds
 from ..simulation.randomness import RandomSource
-from ..verification.onecopy import check_one_copy_serializability
 from ..workloads.arrivals import OpenLoopSpec, OpenLoopTrafficEngine, PoissonArrivals
 from ..workloads.generator import WorkloadGenerator
 from ..workloads.procedures import (
@@ -171,17 +170,14 @@ def overload_cell(spec: RunSpec) -> Dict[str, object]:
         initial_data=build_initial_data(base_spec),
     )
     plan = OpenLoopTrafficEngine(open_spec).apply(cluster)
-    cluster.run_until_idle()
-    cluster.check_scheduler_invariants()
+    summary = finish_run(cluster)
     derived = derive_metrics(cluster)
-    one_copy = check_one_copy_serializability(cluster.histories())
 
     committed_in_window = 0
     for replica in cluster.replicas.values():
         for submitted in replica.submitted.values():
             if submitted.committed_at is not None and submitted.committed_at <= horizon:
                 committed_in_window += 1
-    committed_counts = cluster.committed_counts()
     latency = derived.phase_breakdown["client_commit_latency"]
     return dict(
         offered_tps=offered_tps,
@@ -189,13 +185,13 @@ def overload_cell(spec: RunSpec) -> Dict[str, object]:
         offered=plan.update_count,
         admitted=derived.admitted if admission_on else plan.update_count,
         shed=sum(derived.sheds_by_cause.values()),
-        committed=max(committed_counts.values()) if committed_counts else 0,
+        committed=summary.committed,
         goodput_tps=committed_in_window / horizon,
         p50_ms=to_milliseconds(latency.p50),
         p95_ms=to_milliseconds(latency.p95),
         p99_ms=to_milliseconds(latency.p99),
         max_queue_depth=derived.max_class_queue_depth,
-        one_copy_ok=one_copy.ok,
+        one_copy_ok=summary.one_copy_ok,
     )
 
 
@@ -226,20 +222,15 @@ def geo_cell(spec: RunSpec) -> Dict[str, object]:
         initial_data=build_initial_data(workload),
     )
     WorkloadGenerator(workload).apply(cluster)
-    cluster.run_until_idle()
-    cluster.check_scheduler_invariants()
+    summary = finish_run(cluster)
     derived = derive_metrics(cluster)
-    one_copy = check_one_copy_serializability(cluster.histories())
-    ordering_delays: List[float] = []
-    for replica in cluster.replicas.values():
-        ordering_delays.extend(replica.metrics.latency("ordering_delay").samples)
     return dict(
         cross_base_ms=cross_ms,
         rtt_spread_ms=2.0 * to_milliseconds(topology.one_way_spread()),
         opt_to_divergence_pct=100.0 * derived.opt_to_divergence_rate,
-        ordering_delay_ms=to_milliseconds(mean(ordering_delays)),
+        ordering_delay_ms=to_milliseconds(summary.mean_ordering_delay),
         committed=derived.commits,
-        one_copy_ok=one_copy.ok,
+        one_copy_ok=summary.one_copy_ok,
     )
 
 

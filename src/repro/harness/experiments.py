@@ -8,10 +8,9 @@ suite (one bench per table/figure), the examples, and the generation of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Optional, Sequence, Tuple
 
-from ..baselines.conservative import conservative_config
 from ..baselines.lazy import LazyReplicatedDatabase
 from ..broadcast.spontaneous import (
     PeriodicMulticastSource,
@@ -30,16 +29,10 @@ from ..core.config import (
 from ..metrics.stats import mean, summarize
 from ..network.latency import DEFAULT_INTRA_PROFILE, LanMulticastLatency
 from ..network.transport import NetworkTransport
+from ..observability.summary import RunSummary, finish_run
 from ..sharding.cluster import ShardedCluster
-from ..sharding.metrics import ShardedMetricsReport, aggregate_shard_metrics
 from ..simulation.clock import milliseconds, to_milliseconds
 from ..simulation.kernel import SimulationKernel
-from ..verification.onecopy import check_one_copy_serializability
-from ..verification.properties import check_broadcast_properties
-from ..verification.sharded import (
-    check_cross_shard_query_consistency,
-    check_sharded_one_copy_serializability,
-)
 from ..workloads.generator import WorkloadGenerator
 from ..workloads.procedures import (
     build_conflict_map,
@@ -61,88 +54,43 @@ from .results import ExperimentResult
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class RunSummary:
-    """Aggregate outcome of one cluster run under the standard workload."""
-
-    committed: int
-    throughput_tps: float
-    mean_client_latency: float
-    p90_client_latency: float
-    mean_ordering_delay: float
-    reorder_aborts: int
-    mismatch_fraction: float
-    one_copy_ok: bool
-    broadcast_ok: bool
-    mean_query_latency: float
-    queries_completed: int
-    duration: float
-
-
 def run_standard_workload(config: ClusterConfig, spec: WorkloadSpec) -> RunSummary:
     """Build a cluster, apply the standard workload, run to completion and verify."""
-    registry = build_partitioned_registry(spec)
     cluster = ReplicatedDatabase(
         config,
-        registry,
+        build_partitioned_registry(spec),
         conflict_map=build_conflict_map(spec),
         initial_data=build_initial_data(spec),
     )
-    generator = WorkloadGenerator(spec)
-    generator.apply(cluster)
-    cluster.run_until_idle()
-    cluster.check_scheduler_invariants()
+    WorkloadGenerator(spec).apply(cluster)
+    return finish_run(cluster)
 
-    histories = cluster.histories()
-    endpoints = {site: cluster.broadcast_endpoint(site) for site in cluster.site_ids()}
-    coordinator = cluster.coordinator_site()
-    definitive_order_msgs = endpoints[coordinator].to_delivery_log
-    one_copy = check_one_copy_serializability(histories)
-    broadcast_report = check_broadcast_properties(endpoints)
 
-    latencies = cluster.all_client_latencies()
-    latency_summary = summarize(latencies)
-    committed = max(cluster.committed_counts().values()) if cluster.committed_counts() else 0
+def run_sharded_workload(config: ShardingConfig, spec: ShardedWorkloadSpec) -> RunSummary:
+    """Build a sharded cluster, apply the sharded workload, run and verify.
 
-    commit_times: List[float] = []
-    submit_times: List[float] = []
-    for replica in cluster.replicas.values():
-        for submitted in replica.submitted.values():
-            submit_times.append(submitted.submitted_at)
-            if submitted.committed_at is not None:
-                commit_times.append(submitted.committed_at)
-    duration = (max(commit_times) - min(submit_times)) if commit_times else 0.0
-    throughput = committed / duration if duration > 0 else 0.0
-
-    ordering_delays: List[float] = []
-    query_latencies: List[float] = []
-    queries_completed = 0
-    for replica in cluster.replicas.values():
-        ordering_delays.extend(replica.metrics.latency("ordering_delay").samples)
-        query_latencies.extend(replica.metrics.latency("query_latency").samples)
-        queries_completed += replica.metrics.count("queries_completed")
-
-    mismatches: List[float] = []
-    for site_id, endpoint in endpoints.items():
-        mismatches.append(
-            tentative_vs_definitive_mismatch(
-                endpoint.opt_delivery_log, endpoint.to_delivery_log
-            )
-        )
-
-    return RunSummary(
-        committed=committed,
-        throughput_tps=throughput,
-        mean_client_latency=latency_summary.mean,
-        p90_client_latency=latency_summary.p90,
-        mean_ordering_delay=mean(ordering_delays),
-        reorder_aborts=cluster.total_reorder_aborts(),
-        mismatch_fraction=mean(mismatches),
-        one_copy_ok=one_copy.ok,
-        broadcast_ok=broadcast_report.ok,
+    The summary's query figures are the *routed* queries' (fan-out to merge),
+    not the per-replica sub-queries'.
+    """
+    base_spec = spec.base_spec()
+    cluster = ShardedCluster(
+        config,
+        build_partitioned_registry(base_spec),
+        conflict_map=build_conflict_map(base_spec),
+        shard_map=build_shard_map(spec, config.shard_ids()),
+        initial_data=build_initial_data(base_spec),
+    )
+    ShardedWorkloadGenerator(spec).apply(cluster)
+    summary = finish_run(cluster)
+    query_latencies = [
+        query.latency
+        for query in cluster.router.sharded_queries
+        if query.latency is not None
+    ]
+    return replace(
+        summary,
         mean_query_latency=mean(query_latencies),
-        queries_completed=queries_completed,
-        duration=duration,
+        queries_completed=len(query_latencies),
     )
 
 
@@ -760,69 +708,6 @@ def scalability_experiment(
 
 
 # --------------------------------------------------------------------------
-# Sharded scale-out — per-shard broadcast groups remove the global sequencer
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ShardedRunSummary:
-    """Aggregate outcome of one sharded-cluster run under the sharded workload."""
-
-    shard_count: int
-    total_committed: int
-    aggregate_throughput_tps: float
-    mean_client_latency: float
-    mean_query_latency: float
-    queries_completed: int
-    reorder_aborts: int
-    one_copy_ok: bool
-    queries_consistent: bool
-    duration: float
-    metrics: ShardedMetricsReport
-
-
-def run_sharded_workload(
-    config: ShardingConfig, spec: ShardedWorkloadSpec
-) -> ShardedRunSummary:
-    """Build a sharded cluster, apply the sharded workload, run and verify."""
-    base_spec = spec.base_spec()
-    cluster = ShardedCluster(
-        config,
-        build_partitioned_registry(base_spec),
-        conflict_map=build_conflict_map(base_spec),
-        shard_map=build_shard_map(spec, config.shard_ids()),
-        initial_data=build_initial_data(base_spec),
-    )
-    generator = ShardedWorkloadGenerator(spec)
-    generator.apply(cluster)
-    cluster.run_until_idle()
-    cluster.check_scheduler_invariants()
-
-    one_copy = check_sharded_one_copy_serializability(cluster)
-    queries_report = check_cross_shard_query_consistency(cluster)
-    metrics = aggregate_shard_metrics(cluster)
-
-    query_latencies = [
-        query.latency
-        for query in cluster.router.sharded_queries
-        if query.latency is not None
-    ]
-    return ShardedRunSummary(
-        shard_count=config.shard_count,
-        total_committed=metrics.total_committed,
-        aggregate_throughput_tps=metrics.aggregate_throughput_tps,
-        mean_client_latency=metrics.mean_client_latency,
-        mean_query_latency=mean(query_latencies),
-        queries_completed=len(query_latencies),
-        reorder_aborts=metrics.total_reorder_aborts,
-        one_copy_ok=one_copy.ok,
-        queries_consistent=queries_report.ok,
-        duration=metrics.duration,
-        metrics=metrics,
-    )
-
-
-# --------------------------------------------------------------------------
 # Batching ablation — amortising the per-message ordering cost
 # --------------------------------------------------------------------------
 
@@ -1140,12 +1025,12 @@ def sharded_scalability_experiment(
         )
         result.add_row(
             shard_count=shard_count,
-            total_committed=summary.total_committed,
-            aggregate_throughput_tps=summary.aggregate_throughput_tps,
+            total_committed=summary.committed,
+            aggregate_throughput_tps=summary.throughput_tps,
             mean_latency_ms=to_milliseconds(summary.mean_client_latency),
             query_latency_ms=to_milliseconds(summary.mean_query_latency),
             queries_completed=summary.queries_completed,
-            one_copy_ok=summary.one_copy_ok,
+            one_copy_ok=summary.one_copy_ok and summary.broadcast_ok,
             queries_consistent=summary.queries_consistent,
         )
     result.notes.append(

@@ -18,6 +18,7 @@ from .experiments import (
     overload_experiment,
     query_experiment,
     scalability_experiment,
+    sharded_scalability_experiment,
 )
 from .results import ExperimentResult
 
@@ -46,6 +47,7 @@ FAST_EXPERIMENTS: Dict[str, ExperimentRunner] = {
     "scalability": lambda jobs=1: scalability_experiment(
         site_counts=(2, 4, 6), updates_per_site=20
     ),
+    "sharded": lambda jobs=1: sharded_scalability_experiment(shard_counts=(1, 2, 4)),
     "chaos": lambda jobs=1: chaos_resilience_experiment(seeds=(1, 2), jobs=jobs),
     "overload": lambda jobs=1: overload_experiment(
         offered_tps=(800.0, 1600.0, 3200.0), horizon=0.15, jobs=jobs
@@ -70,6 +72,7 @@ FULL_EXPERIMENTS: Dict[str, ExperimentRunner] = {
     "lazy": lambda jobs=1: lazy_comparison_experiment(),
     "queries": lambda jobs=1: query_experiment(),
     "scalability": lambda jobs=1: scalability_experiment(),
+    "sharded": lambda jobs=1: sharded_scalability_experiment(),
     "chaos": lambda jobs=1: chaos_resilience_experiment(jobs=jobs),
     "overload": lambda jobs=1: overload_experiment(jobs=jobs),
     "geo": lambda jobs=1: geo_divergence_experiment(jobs=jobs),

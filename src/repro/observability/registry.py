@@ -72,10 +72,6 @@ class MetricsRegistry:
         """Register one collector under ``labels`` (e.g. ``shard=, site=``)."""
         self._entries.append(_Entry(labels={k: str(v) for k, v in labels.items()}, collector=collector))
 
-    def collectors(self, **labels: str) -> List[MetricsCollector]:
-        """Collectors whose labels match every given ``key=value`` filter."""
-        return [entry.collector for entry in self._matching(labels)]
-
     def label_values(self, key: str) -> List[str]:
         """Distinct values of one label key, sorted (e.g. all shard ids)."""
         return sorted({entry.labels[key] for entry in self._entries if key in entry.labels})
@@ -90,14 +86,6 @@ class MetricsRegistry:
     def counter_total(self, name: str, **labels: str) -> int:
         """Sum of the counter ``name`` across matching collectors."""
         return sum(entry.collector.count(name) for entry in self._matching(labels))
-
-    def counter_totals(self, **labels: str) -> Dict[str, int]:
-        """Every counter name summed across matching collectors."""
-        totals: Dict[str, int] = {}
-        for entry in self._matching(labels):
-            for name, value in entry.collector.counters().items():
-                totals[name] = totals.get(name, 0) + value
-        return dict(sorted(totals.items()))
 
     # ------------------------------------------------------------- latencies
     def latency_samples(self, name: str, **labels: str) -> List[float]:
@@ -172,30 +160,17 @@ FLAT_SHARD_LABEL = "global"
 def build_registry(cluster: Any) -> MetricsRegistry:
     """Build a registry covering every replica of a cluster facade.
 
-    Accepts either a :class:`~repro.core.cluster.ReplicatedDatabase` (sites
-    labelled ``shard=global``) or a
-    :class:`~repro.sharding.cluster.ShardedCluster` (sites labelled with
-    their owning shard).
+    Every facade is a dict of replica groups (``cluster.replica_groups()``):
+    a flat :class:`~repro.core.cluster.ReplicatedDatabase` is the one group
+    labelled ``shard=global``, a
+    :class:`~repro.sharding.cluster.ShardedCluster` labels each site with
+    its owning shard.
     """
     registry = MetricsRegistry()
-    if hasattr(cluster, "shards"):
-        for shard_id, shard in cluster.shards.items():
-            for site_id, replica in shard.replicas.items():
-                registry.register(replica.metrics, shard=shard_id, site=site_id)
-    else:
-        for site_id, replica in cluster.replicas.items():
-            registry.register(replica.metrics, shard=FLAT_SHARD_LABEL, site=site_id)
+    for group_id, group in cluster.replica_groups().items():
+        for site_id, replica in group.replicas.items():
+            registry.register(replica.metrics, shard=group_id, site=site_id)
     return registry
-
-
-def _endpoints_by_site(cluster: Any) -> Dict[SiteId, Any]:
-    if hasattr(cluster, "shards"):
-        endpoints: Dict[SiteId, Any] = {}
-        for shard in cluster.shards.values():
-            for site_id in shard.site_ids():
-                endpoints[site_id] = shard.broadcast_endpoint(site_id)
-        return endpoints
-    return {site_id: cluster.broadcast_endpoint(site_id) for site_id in cluster.site_ids()}
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +221,26 @@ class DerivedMetrics:
         return flat
 
 
+def divergence_by_site(cluster: Any) -> Dict[SiteId, float]:
+    """Opt/TO mismatch fraction of every site, groups in facade order."""
+    divergence: Dict[SiteId, float] = {}
+    for group in cluster.replica_groups().values():
+        for site_id in group.site_ids():
+            endpoint = group.broadcast_endpoint(site_id)
+            divergence[site_id] = tentative_vs_definitive_mismatch(
+                endpoint.opt_delivery_log, endpoint.to_delivery_log
+            )
+    return divergence
+
+
 def derive_metrics(cluster: Any, registry: Optional[MetricsRegistry] = None) -> DerivedMetrics:
     """Compute :class:`DerivedMetrics` for a flat or sharded cluster."""
     if registry is None:
         registry = build_registry(cluster)
-    divergence_by_site = {
-        site_id: tentative_vs_definitive_mismatch(
-            endpoint.opt_delivery_log, endpoint.to_delivery_log
-        )
-        for site_id, endpoint in sorted(_endpoints_by_site(cluster).items())
-    }
+    divergence = dict(sorted(divergence_by_site(cluster).items()))
     return DerivedMetrics(
-        opt_to_divergence_rate=mean(list(divergence_by_site.values())),
-        divergence_by_site=divergence_by_site,
+        opt_to_divergence_rate=mean(list(divergence.values())),
+        divergence_by_site=divergence,
         phase_breakdown={
             name: registry.latency_breakdown(name) for name in PHASE_LATENCIES
         },

@@ -11,7 +11,6 @@ total-order sequencing is no longer a global bottleneck:
   set per shard on a shared simulation kernel and network transport.
 * :class:`TransactionRouter` — routes update transactions to their owning
   shard and fans multi-class queries out with a consistent snapshot merge.
-* :func:`aggregate_shard_metrics` — per-shard metrics aggregation.
 
 Correctness: single-class updates keep 1-copy-serializability *per shard*
 (checked by
@@ -22,12 +21,6 @@ shards (:func:`repro.verification.sharded.check_cross_shard_query_consistency`).
 """
 
 from .cluster import ShardedCluster
-from .metrics import (
-    ShardLoadSummary,
-    ShardedMetricsReport,
-    aggregate_shard_metrics,
-    summarize_shard,
-)
 from .router import (
     RoutedUpdate,
     ShardSubQuery,
@@ -49,8 +42,4 @@ __all__ = [
     "merge_sum",
     "partitioned_query_classes",
     "partitioned_subquery_parameters",
-    "ShardLoadSummary",
-    "ShardedMetricsReport",
-    "aggregate_shard_metrics",
-    "summarize_shard",
 ]

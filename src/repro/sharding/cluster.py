@@ -18,12 +18,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..core.cluster import ReplicatedDatabase
 from ..core.config import ShardingConfig
 from ..database.conflict import ConflictClassMap
-from ..database.history import SiteHistory
 from ..database.procedures import ProcedureRegistry
 from ..errors import ShardingError
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
-from ..types import MessageId, ObjectKey, ObjectValue, ShardId, SiteId, TransactionId
+from ..types import ObjectKey, ObjectValue, ShardId, SiteId, TransactionId
 from .router import (
     QueryClassesFn,
     RoutedUpdate,
@@ -144,6 +143,10 @@ class ShardedCluster:
         return partitioned
 
     # ------------------------------------------------------------- accessors
+    def replica_groups(self) -> Dict[ShardId, ReplicatedDatabase]:
+        """The cluster as a dict of replica groups: one per shard."""
+        return self.shards
+
     def shard_ids(self) -> List[ShardId]:
         """Return the identifiers of all shards."""
         return list(self.shards.keys())
@@ -200,17 +203,7 @@ class ShardedCluster:
         Returns the transaction id when admitted now, ``None`` otherwise.
         """
         parameters = dict(parameters or {})
-        procedure = self.registry.get(procedure_name)
-        if procedure.is_query:
-            raise ShardingError(
-                f"procedure {procedure_name!r} is a query; use submit_query instead"
-            )
-        conflict_class = procedure.resolve_conflict_class(parameters)
-        if conflict_class is None:
-            raise ShardingError(
-                f"update procedure {procedure_name!r} resolved no conflict class"
-            )
-        shard_id = self.shard_map.shard_of_class(conflict_class)
+        _, shard_id = self.router.owner_of_update(procedure_name, parameters)
         return self.shard(shard_id).offer_update(
             procedure_name, parameters, site_index=site_index
         )
@@ -248,46 +241,6 @@ class ShardedCluster:
         return self.kernel.now()
 
     # ------------------------------------------------------------ inspection
-    def histories_by_shard(self) -> Dict[ShardId, Dict[SiteId, SiteHistory]]:
-        """Commit histories of every site, grouped by shard."""
-        return {shard_id: shard.histories() for shard_id, shard in self.shards.items()}
-
-    def definitive_orders(self) -> Dict[ShardId, List[MessageId]]:
-        """Per-shard definitive total order (the shard coordinator's log)."""
-        orders: Dict[ShardId, List[MessageId]] = {}
-        for shard_id, shard in self.shards.items():
-            coordinator = shard.coordinator_site()
-            orders[shard_id] = list(shard.broadcast_endpoint(coordinator).to_delivery_log)
-        return orders
-
-    def committed_counts_by_shard(self) -> Dict[ShardId, Dict[SiteId, int]]:
-        """Committed update transactions per site, grouped by shard."""
-        return {
-            shard_id: shard.committed_counts() for shard_id, shard in self.shards.items()
-        }
-
-    def committed_per_shard(self) -> Dict[ShardId, int]:
-        """Number of distinct update transactions committed by each shard."""
-        return {
-            shard_id: (max(counts.values()) if counts else 0)
-            for shard_id, counts in self.committed_counts_by_shard().items()
-        }
-
-    def total_committed(self) -> int:
-        """Total distinct update transactions committed across all shards."""
-        return sum(self.committed_per_shard().values())
-
-    def all_client_latencies(self) -> List[float]:
-        """Client-observed commit latencies across every shard."""
-        latencies: List[float] = []
-        for shard in self.shards.values():
-            latencies.extend(shard.all_client_latencies())
-        return latencies
-
-    def total_reorder_aborts(self) -> int:
-        """Total CC8 abort/reschedule events across all shards."""
-        return sum(shard.total_reorder_aborts() for shard in self.shards.values())
-
     def check_scheduler_invariants(self) -> None:
         """Check class-queue invariants in every shard (raises on violation)."""
         for shard in self.shards.values():

@@ -19,7 +19,7 @@ violate.  The verification layer re-checks this property explicitly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.execution import QueryExecution
 from ..database.procedures import ProcedureRegistry
@@ -27,6 +27,9 @@ from ..errors import ShardingError
 from ..types import ConflictClassId, ShardId, SiteId, TransactionId
 from ..workloads.specs import partition_class_id
 from .shardmap import ShardMap
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from .cluster import ShardedCluster
 
 #: Maps ``(procedure_name, parameters)`` to the conflict classes the query
 #: reads, and back to per-shard parameters for the fan-out sub-queries.
@@ -158,7 +161,7 @@ class TransactionRouter:
 
     def __init__(
         self,
-        cluster: "ShardedClusterLike",
+        cluster: "ShardedCluster",
         *,
         query_classes: QueryClassesFn = partitioned_query_classes,
         subquery_parameters: SubqueryParametersFn = partitioned_subquery_parameters,
@@ -187,6 +190,22 @@ class TransactionRouter:
     RETRY_LIMIT = 5000
 
     # --------------------------------------------------------------- updates
+    def owner_of_update(
+        self, procedure_name: str, parameters: Dict[str, Any]
+    ) -> Tuple[ConflictClassId, ShardId]:
+        """Resolve an update to its conflict class and the shard owning it."""
+        procedure = self.registry.get(procedure_name)
+        if procedure.is_query:
+            raise ShardingError(
+                f"procedure {procedure_name!r} is a query; use route_query instead"
+            )
+        conflict_class = procedure.resolve_conflict_class(parameters)
+        if conflict_class is None:
+            raise ShardingError(
+                f"update procedure {procedure_name!r} resolved no conflict class"
+            )
+        return conflict_class, self.shard_map.shard_of_class(conflict_class)
+
     def route_update(
         self,
         procedure_name: str,
@@ -205,17 +224,7 @@ class TransactionRouter:
         ``None`` is returned for a deferred submission.
         """
         parameters = dict(parameters or {})
-        procedure = self.registry.get(procedure_name)
-        if procedure.is_query:
-            raise ShardingError(
-                f"procedure {procedure_name!r} is a query; use route_query instead"
-            )
-        conflict_class = procedure.resolve_conflict_class(parameters)
-        if conflict_class is None:
-            raise ShardingError(
-                f"update procedure {procedure_name!r} resolved no conflict class"
-            )
-        shard_id = self.shard_map.shard_of_class(conflict_class)
+        conflict_class, shard_id = self.owner_of_update(procedure_name, parameters)
         site_id = self._pick_site(shard_id, site_index)
         if site_id is None:
             if _attempts >= self.RETRY_LIMIT:
@@ -377,26 +386,9 @@ class TransactionRouter:
         to the next live replica.
         """
         shard = self.cluster.shard(shard_id)
-        sites = shard.site_ids()
         if site_index is not None:
-            start = site_index % len(sites)
+            start = site_index
         else:
-            cursor = self._site_cursor.get(shard_id, 0)
-            self._site_cursor[shard_id] = cursor + 1
-            start = cursor % len(sites)
-        for offset in range(len(sites)):
-            candidate = sites[(start + offset) % len(sites)]
-            if shard.crash_manager.is_up(candidate):
-                return candidate
-        return None
-
-
-class ShardedClusterLike:
-    """Structural interface the router needs (satisfied by ShardedCluster)."""
-
-    kernel: Any
-    shard_map: ShardMap
-    registry: ProcedureRegistry
-
-    def shard(self, shard_id: ShardId):  # pragma: no cover - protocol stub
-        raise NotImplementedError
+            start = self._site_cursor.get(shard_id, 0)
+            self._site_cursor[shard_id] = start + 1
+        return shard.open_site_from(start)

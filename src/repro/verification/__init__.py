@@ -14,9 +14,10 @@ from .onecopy import (
 )
 from .properties import BroadcastPropertyReport, check_broadcast_properties
 from .sharded import (
+    ClusterVerificationReport,
     ShardedVerificationReport,
+    check_cluster,
     check_cross_shard_query_consistency,
-    check_sharded_cluster,
     check_sharded_one_copy_serializability,
 )
 
@@ -31,8 +32,9 @@ __all__ = [
     "serial_history_from_definitive_order",
     "BroadcastPropertyReport",
     "check_broadcast_properties",
+    "ClusterVerificationReport",
     "ShardedVerificationReport",
+    "check_cluster",
     "check_cross_shard_query_consistency",
-    "check_sharded_cluster",
     "check_sharded_one_copy_serializability",
 ]

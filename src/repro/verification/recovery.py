@@ -22,9 +22,9 @@ every injected fault has been reverted:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
-from ..types import SiteId
+from ..errors import VerificationError
 
 
 @dataclass
@@ -44,15 +44,13 @@ class RecoveryReport:
     def raise_if_violated(self) -> None:
         """Raise :class:`VerificationError` when any check failed."""
         if not self.ok:
-            from ..errors import VerificationError
-
             raise VerificationError(
                 "recovery verification failed: " + "; ".join(self.violations)
             )
 
 
 def _check_group(report: RecoveryReport, group, label: str) -> None:
-    """Check one replica group (a flat cluster or one shard)."""
+    """Check one replica group (the flat cluster's, or one shard's)."""
     replicas = group.replicas
     if not replicas:
         return
@@ -119,15 +117,11 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
 def check_recovery_completeness(cluster) -> RecoveryReport:
     """Check that every recovered site fully caught up with its group.
 
-    Accepts either a flat :class:`~repro.core.cluster.ReplicatedDatabase` or
-    a :class:`~repro.sharding.cluster.ShardedCluster`; run it only after
+    Checks every replica group of the facade (``cluster.replica_groups()``:
+    one for a flat cluster, one per shard); run it only after
     ``run_until_idle()`` with every injected fault reverted.
     """
     report = RecoveryReport()
-    shards: Dict[str, object] = getattr(cluster, "shards", None)
-    if shards is not None:
-        for shard_id, shard in shards.items():
-            _check_group(report, shard, label=f"shard {shard_id}")
-    else:
-        _check_group(report, cluster, label="cluster")
+    for group_id, group in cluster.replica_groups().items():
+        _check_group(report, group, label=f"shard {group_id}")
     return report

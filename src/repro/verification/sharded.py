@@ -1,9 +1,11 @@
-"""Verification of sharded executions (per-shard 1SR + cross-shard queries).
+"""Verification of a whole cluster: per-group 1SR, routed queries, everything.
 
-Sharding the conflict classes over independent broadcast groups changes what
-must be verified:
+:func:`check_cluster` runs the whole stack over ``cluster.replica_groups()``
+(a flat cluster is one group, a sharded one a group per shard).  Sharding the
+conflict classes over independent broadcast groups shapes what must be
+verified:
 
-1. **Per-shard one-copy serializability** — every shard is a fully
+1. **Per-group one-copy serializability** — every shard is a fully
    replicated database in its own right, so the seed's
    :func:`~repro.verification.onecopy.check_one_copy_serializability` check
    must hold within each shard (including Lemma 4.1 against the shard's own
@@ -28,13 +30,19 @@ from typing import Any, Callable, Dict, List, Sequence
 from ..database.procedures import TransactionContext
 from ..errors import VerificationError
 from ..types import ShardId
+from .liveness import (
+    LivenessReport,
+    check_eventual_termination,
+    check_sharded_eventual_termination,
+)
 from .onecopy import OneCopyReport, check_one_copy_serializability
 from .properties import BroadcastPropertyReport, check_broadcast_properties
+from .recovery import RecoveryReport, check_recovery_completeness
 
 
 @dataclass
 class ShardedVerificationReport:
-    """Result of verifying a sharded run end to end."""
+    """One layer's verdict over every replica group (1SR + broadcast, or queries)."""
 
     ok: bool
     violations: List[str] = field(default_factory=list)
@@ -43,52 +51,40 @@ class ShardedVerificationReport:
     queries_checked: int = 0
     subqueries_checked: int = 0
 
-    def raise_if_violated(self) -> None:
-        """Raise :class:`VerificationError` when any check failed."""
-        if not self.ok:
-            raise VerificationError(
-                "sharded verification failed: " + "; ".join(self.violations)
-            )
-
 
 def check_sharded_one_copy_serializability(cluster) -> ShardedVerificationReport:
-    """Check 1-copy-serializability independently within every shard.
+    """Check 1-copy-serializability independently within every replica group.
 
-    ``cluster`` is a :class:`~repro.sharding.cluster.ShardedCluster`; the
-    check also validates the five atomic-broadcast properties of each
-    shard's own broadcast group — with shards sharing one transport, this
-    additionally proves that no shard's group delivered another shard's
-    messages (Global Agreement would fail on the foreign message set).
+    Each group of ``cluster.replica_groups()`` is checked against *its own*
+    definitive total order (Lemma 4.1), together with the five
+    atomic-broadcast properties of its own broadcast group — with shards
+    sharing one transport, this additionally proves that no shard's group
+    delivered another shard's messages (Global Agreement would fail on the
+    foreign message set).
     """
     report = ShardedVerificationReport(ok=True)
-    definitive_orders = cluster.definitive_orders()
-    for shard_id, shard in cluster.shards.items():
-        histories = shard.histories()
+    for shard_id, shard in cluster.replica_groups().items():
         endpoints = {site: shard.broadcast_endpoint(site) for site in shard.site_ids()}
-        # The shard's transaction ids follow its own broadcast's total order:
-        # map message ids to transaction ids through the coordinator's log.
+        # The group's definitive total order is its coordinator's TO-delivery
+        # log; map message ids to transaction ids through that endpoint.
+        coordinator_endpoint = endpoints[shard.coordinator_site()]
         order = []
-        coordinator = shard.coordinator_site()
-        coordinator_endpoint = shard.broadcast_endpoint(coordinator)
-        for message_id in definitive_orders[shard_id]:
+        for message_id in coordinator_endpoint.to_delivery_log:
             record = coordinator_endpoint.message(message_id)
             if record is not None and hasattr(record.payload, "transaction_id"):
                 order.append(record.payload.transaction_id)
-        one_copy = check_one_copy_serializability(histories, definitive_order=order)
+        one_copy = check_one_copy_serializability(
+            shard.histories(), definitive_order=order
+        )
+        broadcast = check_broadcast_properties(endpoints)
         report.per_shard_one_copy[shard_id] = one_copy
-        if not one_copy.ok:
-            report.ok = False
-            report.violations.extend(
-                f"shard {shard_id}: {violation}" for violation in one_copy.violations
-            )
-        broadcast_report = check_broadcast_properties(endpoints)
-        report.per_shard_broadcast[shard_id] = broadcast_report
-        if not broadcast_report.ok:
-            report.ok = False
-            report.violations.extend(
-                f"shard {shard_id}: {violation}"
-                for violation in broadcast_report.violations
-            )
+        report.per_shard_broadcast[shard_id] = broadcast
+        for layer in (one_copy, broadcast):
+            if not layer.ok:
+                report.ok = False
+                report.violations.extend(
+                    f"shard {shard_id}: {violation}" for violation in layer.violations
+                )
     return report
 
 
@@ -152,20 +148,63 @@ def check_cross_shard_query_consistency(
     return report
 
 
-def check_sharded_cluster(cluster) -> ShardedVerificationReport:
-    """Full sharded verification: per-shard 1SR + cross-shard queries.
+@dataclass
+class ClusterVerificationReport:
+    """Every check of the stack over one finished run, sub-reports kept."""
 
-    Combines :func:`check_sharded_one_copy_serializability` and
-    :func:`check_cross_shard_query_consistency` into one report.
+    #: Per-group 1SR along the definitive order + broadcast properties.
+    one_copy: ShardedVerificationReport
+    #: Routed-query snapshot consistency (vacuously ok without a router).
+    queries: ShardedVerificationReport
+    liveness: LivenessReport
+    recovery: RecoveryReport
+
+    def _layers(self) -> tuple:
+        return (self.one_copy, self.queries, self.liveness, self.recovery)
+
+    @property
+    def ok(self) -> bool:
+        """Whether every verification layer passed."""
+        return all(layer.ok for layer in self._layers())
+
+    @property
+    def violations(self) -> List[str]:
+        """Every layer's violations, in layer order."""
+        return [v for layer in self._layers() for v in layer.violations]
+
+    def raise_if_violated(self) -> None:
+        """Raise :class:`VerificationError` when any check failed."""
+        if not self.ok:
+            raise VerificationError(
+                "cluster verification failed: " + "; ".join(self.violations)
+            )
+
+
+def check_cluster(cluster) -> ClusterVerificationReport:
+    """The whole verification stack over a flat or sharded cluster.
+
+    Per replica group, 1-copy-serializability against that group's
+    definitive order and the five broadcast properties; then eventual
+    termination, recovery completeness and — when the cluster routes
+    queries — snapshot consistency of every fanned-out query.  Run it after
+    ``run_until_idle()`` with every injected fault reverted.
+
+    The one place that asks whether the cluster has a router: a routed
+    query's replica-level executions are sub-queries, so liveness and query
+    consistency follow the router's bookkeeping instead of the replicas'.
     """
-    one_copy = check_sharded_one_copy_serializability(cluster)
-    queries = check_cross_shard_query_consistency(cluster)
-    combined = ShardedVerificationReport(
-        ok=one_copy.ok and queries.ok,
-        violations=one_copy.violations + queries.violations,
-        per_shard_one_copy=one_copy.per_shard_one_copy,
-        per_shard_broadcast=one_copy.per_shard_broadcast,
-        queries_checked=queries.queries_checked,
-        subqueries_checked=queries.subqueries_checked,
+    routed = cluster.router is not None
+    return ClusterVerificationReport(
+        one_copy=check_sharded_one_copy_serializability(cluster),
+        queries=(
+            check_cross_shard_query_consistency(cluster)
+            if routed
+            else ShardedVerificationReport(ok=True)
+        ),
+        liveness=(
+            check_sharded_eventual_termination(cluster)
+            if routed
+            else check_eventual_termination(cluster)
+        ),
+        recovery=check_recovery_completeness(cluster),
     )
-    return combined

@@ -1,16 +1,13 @@
-"""Tests for the conservative, lazy-replication and pessimistic baselines."""
+"""Tests for the conservative and lazy-replication baselines."""
 
 import pytest
 
 from repro import BatchingConfig, ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.baselines import (
-    GLOBAL_CLASS,
     LazyReplicatedDatabase,
     build_conservative_cluster,
-    build_pessimistic_cluster,
     conservative_config,
     optimistic_config,
-    single_class_registry,
 )
 from repro.core.admission import AdmissionConfig
 from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
@@ -66,24 +63,6 @@ class TestConservativeHelpers:
         cluster.run_until_idle()
         for site in cluster.site_ids():
             assert cluster.replica(site).database_contents()["slot:1"] == 7
-
-
-class TestPessimisticBaseline:
-    def test_single_class_registry_merges_update_classes(self):
-        merged = single_class_registry(counter_registry())
-        assert merged.get("bump").resolve_conflict_class({"slot": 3}) == GLOBAL_CLASS
-        assert merged.get("read_slot").is_query
-
-    def test_pessimistic_cluster_serialises_all_updates(self):
-        cluster = build_pessimistic_cluster(
-            ClusterConfig(site_count=2, seed=1), counter_registry(), initial_data=initial_slots()
-        )
-        for index in range(6):
-            cluster.submit("N1", "bump", {"slot": index % 4})
-        cluster.run_until_idle()
-        queues = cluster.replica("N1").scheduler.queues()
-        assert set(queues) == {GLOBAL_CLASS}
-        assert cluster.replica("N2").database_contents()["slot:0"] == 2
 
 
 class TestLazyReplication:

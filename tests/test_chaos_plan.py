@@ -395,6 +395,56 @@ class TestFlatOrchestration:
             ChaosOrchestrator(object(), FaultPlan())
 
 
+def _bound_cluster(shape):
+    if shape == "flat":
+        return build_flat_cluster()
+    cluster, _ = build_chaos_cluster(seed=2, shard_count={"one-shard": 1, "two-shard": 2}[shape])
+    return cluster
+
+
+class TestOneBinding:
+    """Flat, 1-shard and 2-shard clusters bind through the same group map."""
+
+    @pytest.mark.parametrize("shape", ["flat", "one-shard", "two-shard"])
+    def test_bare_coordinator_resolves_iff_there_is_one_group(self, shape):
+        cluster = _bound_cluster(shape)
+        groups = cluster.replica_groups()
+        orchestrator = ChaosOrchestrator(cluster, FaultPlan().crash(coordinator(), at=0.001))
+        orchestrator.arm()
+        if len(groups) == 1:
+            (group,) = groups.values()
+            expected = group.coordinator_site()
+            cluster.run(until=0.002)
+            assert orchestrator.trace[0].sites == (expected,)
+            assert not group.crash_manager.is_up(expected)
+        else:
+            with pytest.raises(ChaosError):
+                cluster.run(until=0.002)
+
+    @pytest.mark.parametrize("shape", ["flat", "one-shard", "two-shard"])
+    def test_unknown_shard_rejected(self, shape):
+        cluster = _bound_cluster(shape)
+        ChaosOrchestrator(cluster, FaultPlan().crash(shard("S9"), at=0.001)).arm()
+        with pytest.raises(ChaosError):
+            cluster.run(until=0.002)
+
+    @pytest.mark.parametrize("shape", ["flat", "one-shard", "two-shard"])
+    def test_site_crash_and_recover_reach_the_owning_crash_manager(self, shape):
+        cluster = _bound_cluster(shape)
+        group_id, group = list(cluster.replica_groups().items())[-1]
+        victim = group.site_ids()[-1]
+        plan = FaultPlan().crash(site(victim), at=0.001).recover(site(victim), at=0.003)
+        ChaosOrchestrator(cluster, plan).arm()
+        cluster.run(until=0.002)
+        assert not group.crash_manager.is_up(victim)
+        assert group.crash_manager.crash_count(victim) == 1
+        for other_id, other in cluster.replica_groups().items():
+            if other_id != group_id:
+                assert all(other.crash_manager.is_up(s) for s in other.site_ids())
+        cluster.run(until=0.004)
+        assert group.crash_manager.is_up(victim)
+
+
 class TestShardedOrchestration:
     def test_shard_target_resolves_to_all_shard_sites(self):
         cluster, _ = build_chaos_cluster(seed=2)

@@ -1,17 +1,25 @@
 """Integration tests for the replica manager and the cluster facade."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import (
     BROADCAST_CONSERVATIVE,
     BROADCAST_OPTIMISTIC,
+    BatchingConfig,
     ClusterConfig,
     ProcedureRegistry,
     ReplicatedDatabase,
     ShardingConfig,
 )
+from repro.core.admission import AdmissionConfig
+from repro.core.config import ProtocolConfig
 from repro.errors import ReplicationError
-from repro.network import LanMulticastLatency
+from repro.failure.suspicion import FailureDetectionConfig
+from repro.network import ConstantLatency, LanMulticastLatency
+from repro.network.latency import GeoTopology
+from repro.observability.trace import TransactionTracer
 from repro.verification import check_broadcast_properties, check_one_copy_serializability
 
 
@@ -247,6 +255,27 @@ class TestQueries:
         assert cluster.replica("N4").metrics.count("queries_completed") == 1
 
 
+#: One non-default value per :class:`ProtocolConfig` field.
+PROTOCOL_SENTINELS = {
+    "seed": 41,
+    "broadcast": BROADCAST_CONSERVATIVE,
+    "ordering_mode": "voting",
+    "latency_model": ConstantLatency(0.002),
+    "loss_probability": 0.25,
+    "cpu_count": 3,
+    "duration_scale": 2.5,
+    "voting_timeout": 0.123,
+    "echo_on_first_receipt": True,
+    "record_deliveries": True,
+    "batching": BatchingConfig(window=0.002),
+    "medium_frame_time": 0.0003,
+    "tracer": TransactionTracer(),
+    "topology": GeoTopology.striped(("eu", "us")),
+    "failure_detection": FailureDetectionConfig(),
+    "admission": AdmissionConfig(high_watermark=8, low_watermark=4),
+}
+
+
 class TestConfigValidation:
     def test_invalid_site_count_rejected(self):
         with pytest.raises(ReplicationError):
@@ -261,6 +290,33 @@ class TestConfigValidation:
             ClusterConfig(broadcast="conservative", ordering_mode="voting")
         with pytest.raises(ReplicationError):
             ShardingConfig(broadcast="conservative", ordering_mode="voting")
+
+    def test_negative_frame_time_rejected_by_both_shapes(self):
+        for config_class in (ClusterConfig, ShardingConfig):
+            with pytest.raises(ReplicationError):
+                config_class(medium_frame_time=-0.001)
+
+    def test_subclasses_add_only_their_shape_fields(self):
+        base = {field.name for field in fields(ProtocolConfig)}
+        assert len(base) == 16
+        cluster = {field.name for field in fields(ClusterConfig)}
+        sharding = {field.name for field in fields(ShardingConfig)}
+        assert cluster - base == {"site_count", "site_prefix"}
+        assert sharding - base == {"shard_count", "sites_per_shard"}
+
+    def test_sentinels_cover_every_protocol_field(self):
+        assert PROTOCOL_SENTINELS.keys() == {f.name for f in fields(ProtocolConfig)}
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_SENTINELS))
+    def test_protocol_field_reaches_every_shard_group(self, name):
+        value = PROTOCOL_SENTINELS[name]
+        assert getattr(ShardingConfig(), name) != value  # a non-default sentinel
+        sharding = ShardingConfig(shard_count=2, sites_per_shard=5, **{name: value})
+        for shard_index in range(2):
+            group = sharding.shard_cluster_config(shard_index)
+            assert getattr(group, name) == value
+            assert group.site_count == 5
+            assert group.site_prefix == f"S{shard_index + 1}:"
 
     def test_site_ids_naming(self):
         assert ClusterConfig(site_count=3).site_ids() == ["N1", "N2", "N3"]

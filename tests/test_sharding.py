@@ -4,14 +4,11 @@ import pytest
 
 from repro.core.config import BROADCAST_CONSERVATIVE, ShardingConfig
 from repro.errors import ReplicationError, ShardingError, WorkloadError
-from repro.sharding import (
-    ShardMap,
-    ShardedCluster,
-    aggregate_shard_metrics,
-)
+from repro.harness import summarize_run
+from repro.sharding import ShardMap, ShardedCluster
 from repro.verification import (
+    check_cluster,
     check_cross_shard_query_consistency,
-    check_sharded_cluster,
     check_sharded_one_copy_serializability,
 )
 from repro.workloads import (
@@ -144,7 +141,27 @@ class TestTransactionRouter:
         assert routed.shard_id == "S2"
         assert routed.site_id.startswith("S2:")
         cluster.run_until_idle()
-        assert cluster.committed_per_shard() == {"S1": 0, "S2": 1}
+        summary = summarize_run(cluster, check_cluster(cluster))
+        assert {gid: g.committed for gid, g in summary.groups.items()} == {
+            "S1": 0,
+            "S2": 1,
+        }
+
+    def test_router_and_group_pick_the_same_site_around_a_crash(self):
+        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2)
+        cluster = build_sharded_cluster(spec)
+        shard = cluster.shard("S2")
+        shard.crash_manager.crash_now("S2:N2")
+        for start in range(6):
+            picked = cluster.router._pick_site("S2", start)
+            assert picked == shard.open_site_from(start)
+            assert picked != "S2:N2"
+        # Unpinned picks rotate the router's own per-shard cursor, not the group's.
+        rotated = [cluster.router._pick_site("S2", None) for _ in range(3)]
+        assert rotated == [shard.open_site_from(index) for index in range(3)]
+        for site_id in shard.site_ids():
+            shard.crash_manager.crash_now(site_id)
+        assert cluster.router._pick_site("S2", 0) is None is shard.open_site_from(0)
 
     def test_query_fans_out_to_every_touched_shard(self):
         spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2, objects_per_class=5)
@@ -250,11 +267,11 @@ class TestShardedCluster:
         cluster.run_until_idle()
         cluster.check_scheduler_invariants()
 
-        assert cluster.total_committed() == plan.update_count == 45
         assert cluster.database_divergence() == {}
-        report = check_sharded_cluster(cluster)
+        report = check_cluster(cluster)
         report.raise_if_violated()
-        assert report.queries_checked == 6
+        assert summarize_run(cluster, report).committed == plan.update_count == 45
+        assert report.queries.queries_checked == 6
 
     def test_bursty_queries_racing_updates_stay_consistent(self):
         """Regression: commits of different classes can complete out of
@@ -275,16 +292,16 @@ class TestShardedCluster:
         cluster = build_sharded_cluster(spec, seed=77)
         ShardedWorkloadGenerator(spec).apply(cluster)
         cluster.run_until_idle()
-        report = check_sharded_cluster(cluster)
+        report = check_cluster(cluster)
         report.raise_if_violated()
-        assert report.queries_checked == 40
+        assert report.queries.queries_checked == 40
 
     def test_conservative_broadcast_also_verifies(self):
         spec = ShardedWorkloadSpec(shard_count=2, updates_per_shard=8, queries=3)
         cluster = build_sharded_cluster(spec, broadcast=BROADCAST_CONSERVATIVE)
         ShardedWorkloadGenerator(spec).apply(cluster)
         cluster.run_until_idle()
-        check_sharded_cluster(cluster).raise_if_violated()
+        check_cluster(cluster).raise_if_violated()
 
     def test_same_seed_is_deterministic(self):
         spec = ShardedWorkloadSpec(shard_count=2, updates_per_shard=12, queries=4)
@@ -347,11 +364,14 @@ class TestShardedMetrics:
         ShardedWorkloadGenerator(spec).apply(cluster)
         cluster.run_until_idle()
 
-        report = aggregate_shard_metrics(cluster)
-        assert {summary.shard_id for summary in report.shards} == {"S1", "S2"}
-        assert report.total_committed == 20
-        assert report.shard("S1").committed == 10
-        assert report.aggregate_throughput_tps > 0.0
-        assert report.duration > 0.0
-        assert all(s.throughput_tps > 0.0 for s in report.shards)
-        assert report.per_shard_throughput().keys() == {"S1", "S2"}
+        summary = summarize_run(cluster, check_cluster(cluster))
+        assert summary.groups.keys() == {"S1", "S2"}
+        assert summary.committed == 20
+        assert summary.groups["S1"].committed == 10
+        assert summary.throughput_tps > 0.0
+        assert summary.duration > 0.0
+        assert all(group.throughput_tps > 0.0 for group in summary.groups.values())
+        assert summary.reorder_aborts == sum(
+            group.reorder_aborts for group in summary.groups.values()
+        )
+        assert summary.one_copy_ok and summary.broadcast_ok and summary.queries_consistent

@@ -4,9 +4,18 @@ import pytest
 
 from repro.database.history import CommittedTransaction, SiteHistory
 from repro.errors import VerificationError
+from repro import ClusterConfig, ReplicatedDatabase
 from repro.verification import (
+    check_cluster,
     check_one_copy_serializability,
     serial_history_from_definitive_order,
+)
+from repro.workloads import (
+    WorkloadGenerator,
+    WorkloadSpec,
+    build_conflict_map,
+    build_initial_data,
+    build_partitioned_registry,
 )
 from repro.verification.properties import check_broadcast_properties
 from repro.broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage
@@ -167,3 +176,53 @@ class TestBroadcastPropertyChecker:
 
     def test_empty_endpoints_pass(self):
         assert check_broadcast_properties({}).ok
+
+
+class TestCheckClusterOnFlatRuns:
+    """A flat cluster is the one-group case: Lemma 4.1 is checked there too."""
+
+    def run_flat_cluster(self):
+        spec = WorkloadSpec(class_count=2, updates_per_site=8)
+        cluster = ReplicatedDatabase(
+            ClusterConfig(site_count=3, seed=3),
+            build_partitioned_registry(spec),
+            conflict_map=build_conflict_map(spec),
+            initial_data=build_initial_data(spec),
+        )
+        WorkloadGenerator(spec).apply(cluster)
+        cluster.run_until_idle()
+        return cluster
+
+    def test_clean_flat_run_passes_every_layer(self):
+        report = check_cluster(self.run_flat_cluster())
+        report.raise_if_violated()
+        assert set(report.one_copy.per_shard_one_copy) == {"global"}
+        assert report.liveness.transactions_checked == 24
+        assert report.queries.queries_checked == 0
+
+    def test_commit_order_contradicting_the_definitive_order_is_caught(self):
+        """Regression: flat runs were verified without ``definitive_order=``.
+
+        Swap the same two same-class transactions in *every* site's history:
+        the sites still agree with each other and the conflict graph stays
+        acyclic, so only the comparison against the coordinator's
+        TO-delivery log (Lemma 4.1) can notice.
+        """
+        cluster = self.run_flat_cluster()
+        histories = cluster.histories()
+        victim_class, order = sorted(histories["N1"].commit_orders_by_class().items())[0]
+        first, second = order[:2]
+        for history in histories.values():
+            ids = history.transaction_ids()
+            i, j = ids.index(first), ids.index(second)
+            history._commits[i], history._commits[j] = history._commits[j], history._commits[i]
+        assert check_one_copy_serializability(histories).ok  # what flat runs used to check
+        report = check_cluster(cluster)
+        assert not report.ok
+        assert any(
+            f"class {victim_class}: commit order does not follow the definitive total order"
+            in violation
+            for violation in report.violations
+        )
+        with pytest.raises(VerificationError):
+            report.raise_if_violated()
