@@ -1,8 +1,8 @@
 """Benchmark: simulation-kernel hot path (event queue + dispatch overhead).
 
 Large sweeps spend their wall-clock almost entirely inside the kernel loop,
-so the event queue and dispatch path are optimised (slot-based events, a
-manual early-exit comparison, the single-traversal ``pop_due``, static
+so the event queue and dispatch path are optimised (slot-based events,
+tuple heap entries compared in C, the single-traversal ``pop_due``, static
 event labels on the network/execution paths) and this benchmark keeps the
 numbers honest.  The structural assertions (exact event counts, batching
 reducing the event volume of an identical workload) gate in the tier-1

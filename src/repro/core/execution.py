@@ -131,6 +131,8 @@ class ExecutionEngine:
         """Whether the transaction is running or waiting for a CPU slot."""
         if transaction_id in self._running:
             return True
+        if not self._cpu_queue:
+            return False
         return any(
             queued.transaction.transaction_id == transaction_id
             for queued in self._cpu_queue

@@ -308,7 +308,9 @@ class ReplicaManager:
                 f"{transaction.transaction_id} committed without a definitive index"
             )
         now = self.kernel.now()
-        for key, value in sorted(transaction.workspace.items()):
+        workspace = transaction.workspace
+        write_keys = tuple(sorted(workspace))
+        for key in write_keys:
             owning_class = self.conflict_map.class_of_key(key)
             if owning_class is not None and owning_class != transaction.conflict_class:
                 raise ReplicationError(
@@ -319,7 +321,7 @@ class ReplicaManager:
             try:
                 self.store.install(
                     key,
-                    value,
+                    workspace[key],
                     created_index=transaction.global_index,
                     created_by=transaction.transaction_id,
                     created_at=now,
@@ -333,7 +335,7 @@ class ReplicaManager:
                 ) from error
         self.redo_log.append_commit(
             transaction.transaction_id,
-            transaction.workspace,
+            workspace,
             transaction.global_index,
             committed_at=now,
         )
@@ -344,7 +346,7 @@ class ReplicaManager:
                 conflict_class=transaction.conflict_class,
                 global_index=transaction.global_index,
                 committed_at=now,
-                write_keys=tuple(sorted(transaction.workspace.keys())),
+                write_keys=write_keys,
                 read_keys=tuple(sorted(transaction.read_set)),
                 message_id=self._message_ids.pop(transaction.transaction_id, None),
             )

@@ -46,6 +46,9 @@ class ConflictClassMap:
 
     def __init__(self) -> None:
         self._classes: Dict[ConflictClassId, ConflictClass] = {}
+        #: ``class_of_key`` answers, resolved once per key and dropped
+        #: whenever a class is defined (a key may gain an owner).
+        self._owner_of_key: Dict[ObjectKey, Optional[ConflictClassId]] = {}
 
     def define(
         self,
@@ -78,6 +81,7 @@ class ConflictClassMap:
             description=description,
         )
         self._classes[class_id] = conflict_class
+        self._owner_of_key.clear()
         return conflict_class
 
     def get(self, class_id: ConflictClassId) -> ConflictClass:
@@ -93,10 +97,18 @@ class ConflictClassMap:
 
     def class_of_key(self, key: ObjectKey) -> Optional[ConflictClassId]:
         """Return the class owning ``key`` or ``None`` if no class does."""
-        for class_id in sorted(self._classes):
-            if self._classes[class_id].owns_key(key):
-                return class_id
-        return None
+        owners = self._owner_of_key
+        if key in owners:
+            return owners[key]
+        # Partitions are disjoint (``define`` rejects overlaps), so the first
+        # owner found is the only one.
+        owner = next(
+            (class_id for class_id, conflict_class in self._classes.items()
+             if conflict_class.owns_key(key)),
+            None,
+        )
+        owners[key] = owner
+        return owner
 
     def __contains__(self, class_id: ConflictClassId) -> bool:
         return class_id in self._classes
@@ -187,12 +199,8 @@ class ClassQueue:
         committable entry (excluding ``transaction`` itself).  Returns the new
         position of ``transaction``.
         """
-        if transaction not in self._entries:
-            raise ConflictClassError(
-                f"{transaction.transaction_id} is not queued in class {self.class_id}"
-            )
-        original = self._entries.index(transaction)
-        self._entries.remove(transaction)
+        original = self.position_of(transaction)
+        del self._entries[original]
         target = len(self._entries)
         for index, entry in enumerate(self._entries):
             if entry.delivery_state is DeliveryState.PENDING:

@@ -19,6 +19,9 @@ from typing import List, Optional
 from ..errors import DatabaseError
 from ..types import ObjectKey, ObjectValue, TransactionId
 
+#: Immutable value types handed out without copying (subclasses still copy).
+_UNCOPIED_TYPES = frozenset({int, float, str, bool, type(None)})
+
 
 @dataclass(frozen=True)
 class ObjectVersion:
@@ -31,8 +34,15 @@ class ObjectVersion:
     created_at: float = 0.0
 
     def copy_value(self) -> ObjectValue:
-        """Return a deep copy of the value (so callers cannot mutate history)."""
-        return copy.deepcopy(self.value)
+        """Return a deep copy of the value (so callers cannot mutate history).
+
+        Immutable scalars come back as they are: a deep copy of one is the
+        same object anyway.
+        """
+        value = self.value
+        if type(value) in _UNCOPIED_TYPES:
+            return value
+        return copy.deepcopy(value)
 
 
 @dataclass

@@ -41,7 +41,9 @@ class MultiVersionStore:
     # ----------------------------------------------------------------- setup
     def load(self, key: ObjectKey, value: ObjectValue) -> None:
         """Install an initial version of ``key`` (index ``INITIAL_INDEX``)."""
-        chain = self._chains.setdefault(key, VersionChain(key=key))
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = VersionChain(key=key)
         chain.append(
             ObjectVersion(
                 key=key,
@@ -110,7 +112,9 @@ class MultiVersionStore:
     ) -> ObjectVersion:
         """Install a new committed version of ``key`` and return it."""
         self.stats.writes += 1
-        chain = self._chains.setdefault(key, VersionChain(key=key))
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = VersionChain(key=key)
         version = ObjectVersion(
             key=key,
             value=value,

@@ -68,12 +68,21 @@ class TransactionRequest:
     is_query: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class Transaction:
-    """Per-site record of an update transaction processed by the OTP scheduler."""
+    """Per-site record of an update transaction processed by the OTP scheduler.
+
+    Records compare by identity: a site keeps exactly one record per
+    transaction id, so two records are the same transaction only if they are
+    the same object (class queues rely on this for their scans).
+    """
 
     request: TransactionRequest
     site_id: SiteId
+    #: Copies of ``request.transaction_id`` / ``request.conflict_class``
+    #: (the request is frozen), read as plain attributes on the hot path.
+    transaction_id: TransactionId = field(init=False)
+    conflict_class: ConflictClassId = field(init=False)
     execution_state: ExecutionState = ExecutionState.ACTIVE
     delivery_state: DeliveryState = DeliveryState.PENDING
     outcome: TransactionOutcome = TransactionOutcome.UNDECIDED
@@ -101,17 +110,11 @@ class Transaction:
     executed_at: Optional[float] = None
     committed_at: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        self.transaction_id = self.request.transaction_id
+        self.conflict_class = self.request.conflict_class
+
     # ------------------------------------------------------------ properties
-    @property
-    def transaction_id(self) -> TransactionId:
-        """The globally unique transaction identifier."""
-        return self.request.transaction_id
-
-    @property
-    def conflict_class(self) -> ConflictClassId:
-        """The conflict class this transaction belongs to."""
-        return self.request.conflict_class
-
     @property
     def is_pending(self) -> bool:
         """Whether the transaction has not been TO-delivered yet."""

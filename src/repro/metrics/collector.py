@@ -78,7 +78,10 @@ class MetricsCollector:
 
     def increment(self, name: str, amount: int = 1) -> None:
         """Increment the counter called ``name``."""
-        self.counter(name).increment(amount)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        counter.value += amount
 
     def count(self, name: str) -> int:
         """Return the current value of the counter (0 if never incremented)."""
@@ -94,7 +97,10 @@ class MetricsCollector:
 
     def record_latency(self, name: str, value: float) -> None:
         """Record one latency sample under ``name``."""
-        self.latency(name).record(value)
+        recorder = self._latencies.get(name)
+        if recorder is None:
+            recorder = self._latencies[name] = LatencyRecorder(name)
+        recorder.samples.append(value)
 
     def latency_summary(self, name: str) -> Summary:
         """Return the summary of the latency recorder (empty if absent)."""

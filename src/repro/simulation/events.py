@@ -10,10 +10,9 @@ a little convenience for speed — measured by
 * :class:`Event` is a hand-rolled ``__slots__`` class (not a dataclass):
   slot storage roughly halves the per-event memory and removes the
   ``__dict__`` lookup from every attribute access in the run loop.
-* Ordering is a manual ``__lt__`` comparing ``time`` first with an early
-  exit instead of the tuple-building comparison a ``dataclass(order=True)``
-  generates; almost all comparisons differ in ``time``, so the common path
-  is one float compare.
+* The heap holds ``(time, priority, sequence, event)`` tuples, so every
+  sift compares floats and ints in C and never calls back into Python.
+  The sequence number is unique, so a comparison never reaches the event.
 * :meth:`EventQueue.pop_due` pops the next live event *and* applies the
   ``until`` horizon in one heap traversal, replacing the previous
   peek-then-pop double walk in the kernel loop.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -33,9 +32,9 @@ EventCallback = Callable[[], None]
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback (the handle returned by :meth:`EventQueue.push`).
 
-    Events are ordered by ``(time, priority, sequence)``.  The sequence
+    Events fire in ``(time, priority, sequence)`` order.  The sequence
     number breaks ties deterministically in insertion order, which keeps
     simulations reproducible even when many events share a timestamp.
     """
@@ -66,38 +65,6 @@ class Event:
         """Mark the event as cancelled; the kernel will skip it."""
         self.cancelled = True
 
-    # Manual comparisons: the heap only needs __lt__, the equality operator
-    # mirrors the old dataclass behaviour (same ordering key = same event
-    # slot).  ``time`` differs in almost every comparison, so it is checked
-    # first with an early exit.
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.priority == other.priority
-            and self.sequence == other.sequence
-        )
-
-    def __le__(self, other: "Event") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Event") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Event") -> bool:
-        return not self < other
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.priority, self.sequence))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time!r}, prio={self.priority}, seq={self.sequence}, label={self.label!r}{state})"
@@ -111,7 +78,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -126,8 +93,9 @@ class EventQueue:
         """Schedule ``callback`` at ``time`` and return the event handle."""
         if not callable(callback):
             raise SimulationError("event callback must be callable")
-        event = Event(time, priority, next(self._counter), callback, label)
-        heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, priority, sequence, callback, label)
+        heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         return event
 
@@ -147,9 +115,10 @@ class EventQueue:
         heap = self._heap
         # repro: hot-path (heap traversal under the kernel dispatch loop)
         while heap:
-            event = heap[0]
+            event = heap[0][3]
             if event.cancelled:
-                heappop(heap).in_queue = False
+                heappop(heap)
+                event.in_queue = False
                 continue
             if until is not None and event.time > until:
                 return None
@@ -162,11 +131,11 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event without removing it."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heappop(heap).in_queue = False
+        while heap and heap[0][3].cancelled:
+            heappop(heap)[3].in_queue = False
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event.

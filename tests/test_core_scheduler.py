@@ -104,6 +104,16 @@ class TestSerializationModule:
         with pytest.raises(SchedulerError):
             harness.opt_deliver(transaction)
 
+    def test_second_record_with_the_same_id_rejected(self):
+        # Records compare by identity, so the id index is what keeps a site
+        # at one record per transaction.
+        harness = SchedulerHarness()
+        original = harness.transaction("T1")
+        harness.opt_deliver(original)
+        with pytest.raises(SchedulerError):
+            harness.opt_deliver(harness.transaction("T1"))
+        assert list(harness.scheduler.queue_for("Cx")) == [original]
+
 
 class TestExecutionModule:
     def test_executed_but_pending_transaction_waits_for_to_delivery(self):

@@ -127,6 +127,26 @@ class TestMultiVersionStore:
         value["items"].append(3)
         assert store.read_latest("doc") == {"items": [1, 2]}
 
+    def test_mutating_a_returned_list_or_dict_leaves_the_store_alone(self):
+        store = MultiVersionStore()
+        store.load("doc", {"tags": ["a"]})
+        store.install("seq", [1, 2], created_index=0, created_by="T0")
+        document = store.read_latest("doc")
+        document["tags"].append("b")
+        document["new"] = 1
+        sequence = store.read_version("seq", 0.5)
+        sequence.append(3)
+        assert store.read_latest("doc") == {"tags": ["a"]}
+        assert store.read_latest("seq") == [1, 2]
+        assert store.dump_latest() == {"doc": {"tags": ["a"]}, "seq": [1, 2]}
+
+    @pytest.mark.parametrize("value", [7, 2**70, 1.5, "text", True, None])
+    def test_scalars_come_back_unchanged(self, value):
+        version = ObjectVersion("k", value, created_index=0, created_by="T0")
+        copied = version.copy_value()
+        assert copied is value
+        assert type(copied) is type(value)
+
     def test_remove_version_supports_undo(self):
         store = self.build_store()
         store.install("a", 99, created_index=7, created_by="T7")

@@ -1,6 +1,8 @@
 """Tests for transactions, stored procedures and conflict-class queues."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.database import (
     ClassQueue,
@@ -322,6 +324,42 @@ class TestConflictClassMap:
         assert mapping.class_of_key("part1:obj0") == "C1"
         assert mapping.class_of_key("part10:obj0") == "C10"
 
+    def test_key_resolved_before_its_class_exists_resolves_after_define(self):
+        mapping = ConflictClassMap()
+        mapping.define("C_a", key_prefixes=("a:",))
+        assert mapping.class_of_key("b:1") is None
+        assert mapping.class_of_key("a:1") == "C_a"
+        mapping.define("C_b", key_prefixes=("b:",))
+        assert mapping.class_of_key("b:1") == "C_b"
+        assert mapping.class_of_key("a:1") == "C_a"
+
+    @pytest.mark.parametrize("class_count", [8, 64])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_memoised_lookup_matches_a_linear_scan(self, class_count, data):
+        mapping = ConflictClassMap()
+        for index in range(class_count):
+            mapping.define(f"C{index}", key_prefixes=(f"part{index}:", f"alt{index}/"))
+
+        def scan(key):
+            owners = [
+                class_id for class_id in mapping.class_ids()
+                if mapping.get(class_id).owns_key(key)
+            ]
+            assert len(owners) <= 1
+            return owners[0] if owners else None
+
+        prefix = st.sampled_from(["part", "alt", "other", ""])
+        number = st.integers(min_value=0, max_value=class_count + 3)
+        separator = st.sampled_from([":", "/", "", "-"])
+        suffix = st.text(alphabet="obj0123:/", max_size=6)
+        keys = data.draw(st.lists(
+            st.builds(lambda p, n, s, t: f"{p}{n}{s}{t}", prefix, number, separator, suffix),
+            min_size=1, max_size=40,
+        ))
+        for key in keys + keys:  # the second pass answers from the memo
+            assert mapping.class_of_key(key) == scan(key)
+
 
 class TestClassQueue:
     def test_append_and_fifo_order(self):
@@ -410,6 +448,40 @@ class TestClassQueue:
         transaction.mark_opt_delivered(0.0)
         queue.append(transaction)
         assert queue.snapshot_labels() == ["T1[a,p]"]
+
+    def test_field_equal_records_are_distinct_entries(self):
+        queue = ClassQueue("Cx")
+        original, twin = make_transaction("T1"), make_transaction("T1")
+        assert original is not twin and original != twin
+        queue.append(original)
+        assert twin not in queue
+        assert original in queue
+        queue.append(twin)
+        assert len(queue) == 2
+        with pytest.raises(ConflictClassError):
+            queue.append(original)
+        assert queue.position_of(twin) == 1
+        with pytest.raises(ConflictClassError):
+            queue.remove(twin)
+        queue.remove(original)
+        assert queue.first() is twin
+
+    def test_position_and_reschedule_act_on_the_identical_record(self):
+        queue = ClassQueue("Cx")
+        first, second, twin = make_transaction("T1"), make_transaction("T2"), make_transaction("T2")
+        for transaction in (first, second):
+            transaction.mark_opt_delivered(0.0)
+            queue.append(transaction)
+        with pytest.raises(ConflictClassError):
+            queue.position_of(twin)
+        twin.mark_committable(1.0)
+        with pytest.raises(ConflictClassError):
+            queue.reschedule_before_pending(twin)
+        assert list(queue) == [first, second]
+        second.mark_committable(1.0)
+        assert queue.reschedule_before_pending(second) == 0
+        assert list(queue)[0] is second and list(queue)[1] is first
+        assert queue.total_reorderings == 1
 
     def test_counters(self):
         queue = ClassQueue("Cx")

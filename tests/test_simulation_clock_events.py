@@ -10,6 +10,7 @@ from repro.simulation.clock import (
     to_milliseconds,
 )
 from repro.simulation.events import EventQueue
+from repro.simulation.kernel import SimulationKernel
 
 
 class TestVirtualClock:
@@ -133,3 +134,51 @@ class TestEventQueue:
         assert not queue
         queue.push(1.0, lambda: None)
         assert queue
+
+    def test_time_ties_fall_back_to_priority_then_insertion(self):
+        queue = EventQueue()
+        queue.push(1.0, lambda: None, priority=1, label="p1-first")
+        queue.push(1.0, lambda: None, priority=0, label="p0-first")
+        queue.push(0.5, lambda: None, priority=9, label="earliest")
+        queue.push(1.0, lambda: None, priority=1, label="p1-second")
+        queue.push(1.0, lambda: None, priority=0, label="p0-second")
+        labels = [queue.pop().label for _ in range(5)]
+        assert labels == ["earliest", "p0-first", "p0-second", "p1-first", "p1-second"]
+
+    def test_pop_due_skips_cancelled_heads_and_respects_horizon(self):
+        queue = EventQueue()
+        first = queue.push(1.0, lambda: None)
+        second = queue.push(1.5, lambda: None)
+        queue.push(2.0, lambda: None, label="live")
+        queue.cancel(first)
+        queue.cancel(second)
+        assert queue.pop_due(1.9) is None
+        assert len(queue) == 1
+        assert not first.in_queue and not second.in_queue
+        assert queue.pop_due(2.0).label == "live"
+        assert queue.pop_due(None) is None
+
+    def test_peek_time_skips_several_cancelled_heads(self):
+        queue = EventQueue()
+        events = [queue.push(float(at), lambda: None) for at in range(1, 4)]
+        queue.push(4.0, lambda: None)
+        for event in events:
+            queue.cancel(event)
+        assert queue.peek_time() == 4.0
+        assert len(queue) == 1
+
+    def test_handle_cancelling_itself_from_its_callback(self):
+        kernel = SimulationKernel()
+        handle = []
+
+        def flush():
+            kernel.cancel(handle[0])
+
+        handle.append(kernel.schedule(1.0, flush))
+        kernel.schedule(2.0, lambda: None)
+        kernel.run(until=1.0)
+        assert kernel.pending_events == 1
+        kernel.run_until_idle()
+        assert kernel.pending_events == 0
+        kernel.cancel(handle[0])
+        assert kernel.pending_events == 0

@@ -107,6 +107,41 @@ class TestRunControl:
         kernel.run_until_idle()
         assert seen == ["first"]
 
+    def test_stop_before_until_leaves_clock_at_earlier_events(self):
+        kernel = SimulationKernel()
+        seen = []
+
+        def first():
+            seen.append(kernel.now())
+            kernel.stop()
+
+        kernel.schedule(1.0, first)
+        kernel.schedule(2.0, lambda: seen.append(kernel.now()))
+        kernel.run(until=10.0)
+        assert kernel.now() == 1.0
+        kernel.run(until=10.0)
+        assert seen == [1.0, 2.0]
+        assert kernel.now() == 10.0
+
+    def test_max_events_before_until_leaves_clock_at_earlier_events(self):
+        kernel = SimulationKernel()
+        seen = []
+        for at in (1.0, 2.0, 3.0):
+            kernel.schedule(at, lambda: seen.append(kernel.now()))
+        assert kernel.run(until=10.0, max_events=1) == 1
+        assert kernel.now() == 1.0
+        kernel.run(until=10.0)
+        assert seen == [1.0, 2.0, 3.0]
+        assert kernel.now() == 10.0
+
+    def test_stop_with_nothing_left_before_until_still_advances(self):
+        kernel = SimulationKernel()
+        kernel.schedule(1.0, kernel.stop)
+        kernel.schedule(20.0, lambda: None)
+        kernel.run(until=10.0)
+        assert kernel.now() == 10.0
+        assert kernel.pending_events == 1
+
     def test_run_is_not_reentrant(self):
         kernel = SimulationKernel()
         errors = []
