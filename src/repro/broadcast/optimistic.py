@@ -44,7 +44,7 @@ a majority-based agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from ..errors import BroadcastError
 from ..network.dispatcher import SiteDispatcher
@@ -71,8 +71,7 @@ OPTIMISTIC_SOLICIT_KIND = "optabcast.solicit"
 ORDERING_MODES = ("sequencer", "voting")
 
 
-@dataclass(frozen=True)
-class OptimisticData:
+class OptimisticData(NamedTuple):
     """Data message disseminated to all sites (carries the payload)."""
 
     message_id: MessageId
@@ -81,8 +80,7 @@ class OptimisticData:
     broadcast_at: float
 
 
-@dataclass(frozen=True)
-class OptimisticOrder:
+class OptimisticOrder(NamedTuple):
     """Definitive-order confirmation emitted by the coordinator.
 
     In practice this is the paper's "confirmation message that contains the

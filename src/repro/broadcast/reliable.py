@@ -9,8 +9,7 @@ receiver echoes the message).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
@@ -23,8 +22,7 @@ RELIABLE_KIND = "rbcast.data"
 _RB_COUNTER = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class ReliablePayload:
+class ReliablePayload(NamedTuple):
     """Wire format of a reliable-broadcast message."""
 
     rb_id: MessageId

@@ -9,8 +9,10 @@ concurrently on one site, which lets the benchmarks show saturation effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..database.procedures import ProcedureRegistry, StoredProcedure, TransactionContext
 from ..database.storage import MultiVersionStore
@@ -82,7 +84,7 @@ class ExecutionEngine:
             f"execution.duration.{site_id}"
         )
         self._running: Dict[TransactionId, _RunningExecution] = {}
-        self._cpu_queue: List[_QueuedExecution] = []
+        self._cpu_queue: Deque[_QueuedExecution] = deque()
         self.executions_started = 0
         self.executions_completed = 0
         self.executions_cancelled = 0
@@ -177,8 +179,10 @@ class ExecutionEngine:
         # execution would occupy the database engine.
         context = TransactionContext(self.store)
         result = procedure.body(context, transaction.request.parameters)
-        transaction.workspace = dict(context.workspace)
-        transaction.read_set = set(context.read_set)
+        # The context ends with this attempt, so the transaction adopts its
+        # workspace and read set instead of copying them.
+        transaction.workspace = context.workspace
+        transaction.read_set = context.read_set
 
         duration = procedure.sample_duration(
             transaction.request.parameters, self._duration_stream
@@ -192,7 +196,7 @@ class ExecutionEngine:
         self._running[transaction.transaction_id] = running
         running.completion_event = self.kernel.schedule(
             duration,
-            lambda: self._complete(transaction.transaction_id, result),
+            partial(self._complete, transaction.transaction_id, result),
             label="exec-complete",
         )
 
@@ -211,7 +215,7 @@ class ExecutionEngine:
         while self._cpu_queue and (
             self.cpu_count is None or len(self._running) < self.cpu_count
         ):
-            queued = self._cpu_queue.pop(0)
+            queued = self._cpu_queue.popleft()
             self._start(queued.transaction, queued.on_complete)
 
 

@@ -163,29 +163,30 @@ class ReplicaManager:
                 f"procedure {procedure_name!r} is a query; use submit_query instead"
             )
         transaction_id = next_transaction_id(self.site_id)
+        now = self.kernel.now()
         request = TransactionRequest(
             transaction_id=transaction_id,
             procedure_name=procedure_name,
             parameters=parameters,
             conflict_class=procedure.resolve_conflict_class(parameters),
             origin_site=self.site_id,
-            submitted_at=self.kernel.now(),
+            submitted_at=now,
             is_query=False,
         )
         self.submitted[transaction_id] = SubmittedRequest(
-            request=request, submitted_at=self.kernel.now()
+            request=request, submitted_at=now
         )
         self.metrics.increment("transactions_submitted")
         if self.tracer is not None:
             self.tracer.record(
-                self.kernel.now(),
+                now,
                 "submit",
                 self.site_id,
                 transaction_id,
                 procedure=procedure_name,
                 conflict_class=request.conflict_class,
             )
-            self.tracer.begin(self.kernel.now(), "lifecycle", self.site_id, transaction_id)
+            self.tracer.begin(now, "lifecycle", self.site_id, transaction_id)
         self.broadcast.broadcast(request)
         return transaction_id
 

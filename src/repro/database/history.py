@@ -10,15 +10,13 @@ check 1-copy-serializability across sites (Theorem 4.2).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import VerificationError
 from ..types import ConflictClassId, ObjectKey, SiteId, TransactionId
 
 
-@dataclass(frozen=True)
-class CommittedTransaction:
+class CommittedTransaction(NamedTuple):
     """One committed transaction as recorded in a site's history.
 
     ``message_id`` is the atomic-broadcast message that carried the request;

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from ..errors import DatabaseError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -23,9 +23,8 @@ from ..types import ObjectKey, ObjectValue, TransactionId
 _UNCOPIED_TYPES = frozenset({int, float, str, bool, type(None)})
 
 
-@dataclass(frozen=True)
-class ObjectVersion:
-    """One committed version of a data object."""
+class ObjectVersion(NamedTuple):
+    """One committed version of a data object (an immutable named tuple)."""
 
     key: ObjectKey
     value: ObjectValue

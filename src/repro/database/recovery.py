@@ -10,18 +10,26 @@ are applied to the store immediately, and rollback restores the
 before-images (by removing the installed versions).
 
 The redo log is the durable half of a site: every committed write is
-appended together with its definitive index and real commit time.  When a
-crashed site recovers it catches up by replaying a live peer's redo suffix —
-``records_after(last_durable_index)`` — into its own multi-version store
-(state transfer; see :meth:`repro.core.replica.ReplicaManager.catch_up_from`).
-Replayed versions carry the *original* commit timestamps, so a recovered
-site's version chains are indistinguishable from a site that never crashed.
+recorded together with its definitive index and real commit time.  The log
+holds one entry per committed transaction — ``(transaction_id, index,
+committed_at, writes)`` with the writes sorted by key — in commit order, so
+the commit path appends one tuple however many keys it wrote.  ``len()``
+still counts writes, not commits.
+
+When a crashed site recovers it catches up by replaying a live peer's redo
+suffix into its own multi-version store (state transfer; see
+:meth:`repro.core.replica.ReplicaManager.catch_up_from`).
+``records_after(last_durable_index)`` expands the suffix into one
+:class:`RedoRecord` per write, built on demand since only recovery reads
+them.  Replayed versions carry the *original* commit timestamps, so a
+recovered site's version chains are indistinguishable from a site that
+never crashed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import DatabaseError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -41,7 +49,8 @@ class UndoRecord:
 
 @dataclass(frozen=True)
 class RedoRecord:
-    """After-image of one committed write (used for catch-up replay).
+    """After-image of one committed write, as :meth:`RedoLog.records_after`
+    returns it for catch-up replay.
 
     ``committed_at`` is the virtual time at which the owning transaction
     committed; replay installs versions with this original timestamp rather
@@ -121,12 +130,18 @@ class UndoLog:
         self._records.pop(transaction_id, None)
 
 
+#: One committed transaction in the redo log: ``(transaction_id, index,
+#: committed_at, writes)``, the writes as ``(key, value)`` pairs sorted by key.
+_RedoEntry = Tuple[TransactionId, int, float, List[Tuple[ObjectKey, ObjectValue]]]
+
+
 class RedoLog:
     """Per-site redo log of committed writes, used for crash-recovery catch-up."""
 
     def __init__(self) -> None:
-        self._records: List[RedoRecord] = []
+        self._entries: List[_RedoEntry] = []
         self._indices: Set[int] = set()
+        self._writes = 0
 
     def append_commit(
         self,
@@ -138,30 +153,31 @@ class RedoLog:
     ) -> None:
         """Record the after-images of one committed transaction."""
         self._indices.add(index)
-        for key, value in sorted(writes.items()):
-            self._records.append(
-                RedoRecord(
-                    transaction_id=transaction_id,
-                    key=key,
-                    value=value,
-                    index=index,
-                    committed_at=committed_at,
-                )
-            )
+        sorted_writes = sorted(writes.items())
+        self._entries.append((transaction_id, index, committed_at, sorted_writes))
+        self._writes += len(sorted_writes)
 
     def records_after(
         self, index: int, *, up_to: Optional[int] = None
     ) -> List[RedoRecord]:
         """Return redo records with ``index < record.index`` (``<= up_to``).
 
+        Records come in commit order, each commit's writes sorted by key.
         ``up_to`` bounds the suffix: a recovering site transfers only the
         donor's gap-free committed prefix and lets the broadcast layer deliver
         everything beyond it, so transfer and delivery never overlap.
         """
         return [
-            record
-            for record in self._records
-            if record.index > index and (up_to is None or record.index <= up_to)
+            RedoRecord(
+                transaction_id=transaction_id,
+                key=key,
+                value=value,
+                index=commit_index,
+                committed_at=committed_at,
+            )
+            for transaction_id, commit_index, committed_at, writes in self._entries
+            if commit_index > index and (up_to is None or commit_index <= up_to)
+            for key, value in writes
         ]
 
     def covers_index(self, index: int) -> bool:
@@ -202,4 +218,5 @@ class RedoLog:
         return replayed
 
     def __len__(self) -> int:
-        return len(self._records)
+        """The number of committed writes recorded (not commits)."""
+        return self._writes

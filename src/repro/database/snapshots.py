@@ -79,6 +79,10 @@ class SnapshotManager:
         """
         if committed_index <= self._last_processed_index:
             return
+        if committed_index == self._last_processed_index + 1 and not self._pending_indices:
+            # The common in-order commit: nothing is parked behind it.
+            self._last_processed_index = committed_index
+            return
         self._pending_indices.add(committed_index)
         while self._last_processed_index + 1 in self._pending_indices:
             self._last_processed_index += 1

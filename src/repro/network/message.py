@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional
 
 from ..types import MessageId, SiteId
 
@@ -21,9 +21,12 @@ def next_envelope_id(sender: SiteId) -> MessageId:
     return f"{sender}#{next(_ENVELOPE_COUNTER)}"
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A single message travelling through the network.
+
+    An immutable record (a named tuple: half the construction cost of a
+    frozen dataclass).  A multicast builds one envelope and hands that same
+    object to every receiver; the transport tracks each receiver beside it.
 
     Attributes
     ----------
@@ -32,9 +35,7 @@ class Envelope:
     sender:
         Originating site.
     destination:
-        Target site for unicasts; ``None`` for multicast envelopes (the
-        transport fans a multicast out into one envelope per receiver, each
-        carrying the concrete destination).
+        Target site for unicasts; ``None`` for multicast envelopes.
     payload:
         Protocol-specific content.
     kind:
@@ -49,21 +50,6 @@ class Envelope:
     payload: Any
     kind: str = "data"
     sent_at: float = 0.0
-
-    def with_destination(self, destination: SiteId) -> "Envelope":
-        """Return a copy of this envelope addressed to ``destination``."""
-        return Envelope(
-            envelope_id=self.envelope_id,
-            sender=self.sender,
-            destination=destination,
-            payload=self.payload,
-            kind=self.kind,
-            sent_at=self.sent_at,
-        )
-
-    def sort_key(self) -> Tuple[str, str]:
-        """A deterministic ordering key (used only for tie-breaking in tests)."""
-        return (self.envelope_id, self.sender)
 
 
 @dataclass

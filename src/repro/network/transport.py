@@ -12,6 +12,7 @@ is reachable again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import NetworkError, UnknownSiteError
@@ -153,7 +154,7 @@ class NetworkTransport:
         if up and endpoint.pending:
             pending, endpoint.pending = endpoint.pending, []
             for envelope in pending:
-                self._schedule_delivery(envelope, envelope.destination or site_id)
+                self._schedule_delivery(envelope, site_id)
 
     def is_site_up(self, site_id: SiteId) -> bool:
         """Return whether the site is currently up."""
@@ -219,8 +220,9 @@ class NetworkTransport:
         self._account_payload(envelope)
         shared = self.latency_model.shared_delay(self._latency_stream)
         shared += self._occupy_medium()
+        # Every receiver gets this one envelope; the receiver travels beside it.
         for target in targets:
-            self._transmit(envelope.with_destination(target), target, shared_delay=shared)
+            self._transmit(envelope, target, shared_delay=shared)
         return envelope.envelope_id
 
     def _occupy_medium(self) -> float:
@@ -250,8 +252,8 @@ class NetworkTransport:
 
     # Event labels on the delivery paths are static strings: formatting a
     # per-envelope label allocated on every single message and dominated the
-    # kernel hot-path profile; the scheduled closure still carries the full
-    # envelope for debugging.
+    # kernel hot-path profile; the scheduled callback still carries the full
+    # envelope and its receiver for debugging.
     def _transmit(
         self, envelope: Envelope, destination: SiteId, *, shared_delay: Optional[float]
     ) -> None:
@@ -274,9 +276,7 @@ class NetworkTransport:
                 envelope.sender, destination, self._latency_stream
             )
         self.kernel.schedule(
-            delay,
-            lambda: self._arrive(envelope, destination),
-            label="net-deliver",
+            delay, partial(self._arrive, envelope, destination), label="net-deliver"
         )
 
     def _arrive(self, envelope: Envelope, destination: SiteId) -> None:

@@ -211,6 +211,46 @@ class TestCorrectnessCheckModule:
         assert harness.committed_ids() == ["T3", "T1", "T2"]
         assert t1.execution_attempts == 2
 
+    def test_rerun_after_reorder_abort_starts_from_an_empty_workspace(self):
+        """CC8: nothing the aborted attempt wrote or read carries into the re-run."""
+        harness = SchedulerHarness(duration=0.010)
+        seen = []
+
+        def probe(ctx, params):
+            seen.append((params["label"], dict(ctx.workspace), set(ctx.read_set)))
+            ctx.write(f"out:{params['label']}", ctx.read("obj:0") + 1)
+
+        harness.registry.register(
+            StoredProcedure(name="probe", body=probe, conflict_class="C", duration=0.010)
+        )
+
+        def transaction(txn_id):
+            request = TransactionRequest(
+                transaction_id=txn_id,
+                procedure_name="probe",
+                parameters={"label": txn_id},
+                conflict_class="Cx",
+                origin_site="N1",
+            )
+            return Transaction(request=request, site_id="N1")
+
+        t1, t3 = transaction("T1"), transaction("T3")
+        harness.opt_deliver(t1)
+        harness.opt_deliver(t3)
+        harness.kernel.run_until_idle()  # T1 executes fully -> [e,p]
+        first_workspace, first_reads = t1.workspace, t1.read_set
+        assert first_workspace == {"out:T1": 1} and first_reads == {"obj:0"}
+        harness.to_deliver(t3, index=0)  # CC8: T1 is aborted behind T3
+        assert t1.reorder_aborts == 1
+        assert t1.workspace == {} and t1.read_set == set()
+        harness.to_deliver(t1, index=1)
+        harness.kernel.run_until_idle()
+        assert harness.committed_ids() == ["T3", "T1"]
+        assert seen == [("T1", {}, set()), ("T3", {}, set()), ("T1", {}, set())]
+        assert t1.workspace == {"out:T1": 1} and t1.read_set == {"obj:0"}
+        assert t1.workspace is not first_workspace
+        assert t1.read_set is not first_reads
+
     def test_executing_pending_head_is_cancelled_on_reorder(self):
         """Section 3.2 scenario at N': T6 executing when T5 is TO-delivered first."""
         harness = SchedulerHarness(duration=0.050)

@@ -9,12 +9,13 @@ from repro.database import (
     ConflictGraph,
     MultiVersionStore,
     RedoLog,
+    RedoRecord,
     SiteHistory,
     UndoLog,
     history_is_serializable,
     transactions_conflict,
 )
-from repro.errors import VerificationError
+from repro.errors import DatabaseError, VerificationError
 from repro.verification import check_one_copy_serializability
 
 from oracles import all_pairs_conflict_graph, one_copy_serializable, transitive_closure
@@ -70,6 +71,83 @@ class TestUndoRedo:
         redo.append_commit("T0", {"x": 1}, index=0)
         redo.append_commit("T5", {"x": 2}, index=5)
         assert [record.index for record in redo.records_after(0)] == [5]
+
+
+#: Random commits for the redo-log property: unique definitive indices in any
+#: order (classes commit out of definitive order), some with no writes.
+redo_commits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=15),
+        st.dictionaries(st.sampled_from("abcde"), st.integers(), max_size=4),
+    ),
+    max_size=10,
+    unique_by=lambda commit: commit[0],
+)
+
+
+def per_write_reference(commits):
+    """The redo log as one ``RedoRecord`` per write, in append order."""
+    return [
+        RedoRecord(
+            transaction_id=f"T{index}",
+            key=key,
+            value=value,
+            index=index,
+            committed_at=index / 10,
+        )
+        for index, writes in commits
+        for key, value in sorted(writes.items())
+    ]
+
+
+def replay_outcome(replay):
+    """Replay into a fresh store; return what a caller could observe."""
+    store = MultiVersionStore()
+    store.load_many({key: 0 for key in "abcde"})
+    try:
+        replayed = replay(store)
+    except DatabaseError as error:  # out-of-order installs of one key
+        return ("error", str(error))
+    versions = {key: store.latest_version(key) for key in store.keys()}
+    counts = {key: store.version_count(key) for key in store.keys()}
+    return replayed, versions, counts
+
+
+class TestRedoLogLayout:
+    @given(
+        commits=redo_commits,
+        after=st.integers(min_value=-2, max_value=16),
+        up_to=st.one_of(st.none(), st.integers(min_value=-2, max_value=16)),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_per_commit_log_matches_a_per_write_reference(self, commits, after, up_to):
+        redo = RedoLog()
+        for index, writes in commits:
+            redo.append_commit(f"T{index}", writes, index, committed_at=index / 10)
+        reference = per_write_reference(commits)
+        expected = [
+            record
+            for record in reference
+            if record.index > after and (up_to is None or record.index <= up_to)
+        ]
+        assert len(redo) == len(reference)
+        assert redo.records_after(after, up_to=up_to) == expected
+        assert all(redo.covers_index(index) for index, _ in commits)
+
+        def reference_replay(store):
+            for record in expected:
+                store.install(
+                    record.key,
+                    record.value,
+                    created_index=record.index,
+                    created_by=record.transaction_id,
+                    created_at=record.committed_at,
+                )
+            return len(expected)
+
+        assert replay_outcome(
+            lambda store: redo.replay_into(store, after_index=after, up_to=up_to)
+        ) == replay_outcome(reference_replay)
 
 
 def committed(txn_id, conflict_class, index, writes=(), reads=()):

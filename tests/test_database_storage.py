@@ -268,3 +268,22 @@ class TestSnapshotManager:
         assert store.read_latest("x") == 19
         # Recent snapshots still work.
         assert manager.snapshot(query_index=18.5).read("x") == 18
+
+    @given(
+        indices=st.one_of(
+            st.integers(min_value=0, max_value=30).map(lambda n: list(range(n))),
+            st.permutations(list(range(12))),
+            st.lists(st.integers(min_value=-1, max_value=15), max_size=30),
+        )
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_frontier_matches_a_reference_over_any_index_sequence(self, indices):
+        manager = SnapshotManager(MultiVersionStore())
+        committed = set()
+        for index in indices:
+            manager.advance(index)
+            committed.add(index)
+            frontier = MultiVersionStore.INITIAL_INDEX
+            while frontier + 1 in committed:
+                frontier += 1
+            assert manager.last_processed_index == frontier

@@ -10,7 +10,7 @@ from repro.network.latency import (
     UniformLatency,
     WanLatency,
 )
-from repro.network.message import Envelope, next_envelope_id
+from repro.network.message import next_envelope_id
 from repro.simulation.randomness import RandomSource
 
 
@@ -194,23 +194,3 @@ class TestEnvelope:
     def test_next_envelope_id_unique(self):
         ids = {next_envelope_id("N1") for _ in range(100)}
         assert len(ids) == 100
-
-    def test_with_destination_copies_fields(self):
-        envelope = Envelope(
-            envelope_id="e1",
-            sender="N1",
-            destination=None,
-            payload={"x": 1},
-            kind="data",
-            sent_at=1.5,
-        )
-        addressed = envelope.with_destination("N3")
-        assert addressed.destination == "N3"
-        assert addressed.envelope_id == "e1"
-        assert addressed.sender == "N1"
-        assert addressed.payload == {"x": 1}
-        assert addressed.sent_at == 1.5
-
-    def test_sort_key_is_deterministic(self):
-        envelope = Envelope("e1", "N1", "N2", None)
-        assert envelope.sort_key() == ("e1", "N1")

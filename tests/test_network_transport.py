@@ -78,6 +78,16 @@ class TestMulticast:
         assert len(inboxes["N2"]) == 1
         assert len(inboxes["N3"]) == 0
 
+    def test_every_receiver_gets_the_one_envelope(self):
+        kernel, transport = build_transport()
+        inboxes = {site: register_collector(transport, site) for site in ["N1", "N2", "N3"]}
+        envelope_id = transport.multicast("N1", {"x": 1})
+        kernel.run_until_idle()
+        received = [inbox[0] for inbox in inboxes.values()]
+        assert all(envelope is received[0] for envelope in received)
+        assert received[0].envelope_id == envelope_id
+        assert received[0].destination is None
+
     def test_delivery_log_records_receivers(self):
         kernel, transport = build_transport(record_deliveries=True)
         for site in ["N1", "N2", "N3"]:
@@ -119,6 +129,38 @@ class TestCrashBuffering:
         kernel.run_until_idle()
         assert len(inbox) == 1
         assert inbox[0].payload == "while-down"
+
+    def test_multicast_to_down_site_is_delivered_once_after_recovery(self):
+        kernel, transport = build_transport()
+        inboxes = {site: register_collector(transport, site) for site in ["N1", "N2", "N3"]}
+        transport.set_site_up("N2", False)
+        transport.multicast("N1", "while-down")
+        kernel.run_until_idle()
+        assert inboxes["N2"] == []
+        assert len(inboxes["N3"]) == 1
+        assert transport.stats.envelopes_buffered == 1
+        transport.set_site_up("N2", True)
+        kernel.run_until_idle()
+        # The flushed envelope reaches the site it was buffered at, exactly once.
+        assert [envelope.payload for envelope in inboxes["N2"]] == ["while-down"]
+        assert inboxes["N2"][0] is inboxes["N3"][0]
+        assert [len(inbox) for inbox in inboxes.values()] == [1, 1, 1]
+        transport.set_site_up("N2", False)
+        transport.set_site_up("N2", True)
+        kernel.run_until_idle()
+        assert len(inboxes["N2"]) == 1
+
+    def test_unicast_to_down_site_is_delivered_once_after_recovery(self):
+        kernel, transport = build_transport()
+        inbox = register_collector(transport, "N2")
+        register_collector(transport, "N1")
+        transport.set_site_up("N2", False)
+        transport.unicast("N1", "N2", "while-down")
+        kernel.run_until_idle()
+        transport.set_site_up("N2", True)
+        transport.set_site_up("N2", True)
+        kernel.run_until_idle()
+        assert [envelope.payload for envelope in inbox] == ["while-down"]
 
     def test_is_site_up_tracks_state(self):
         kernel, transport = build_transport()
