@@ -5,16 +5,15 @@ bottleneck of the reproduction: sweeps are embarrassingly parallel but used
 to run serially in one process.  This bench gates the property that makes
 the parallel engine safe to rely on (the merged result of a parallel sweep
 is **identical** to the serial run: same rows, same order, same values) and
-records the wall-clock speedup through ``bench_record`` so it trends in the
-results store.  The speedup numbers are machine-dependent, so — matching
-the kernel-hotpath pattern — only the structural, deterministic metrics
-gate; timings are recorded ungated.
+pins the sweep's deterministic shape exactly.  The wall-clock speedup is
+machine-dependent, so it is measured where host performance is: the
+``harness.sweep_speedup_jobs2`` probe of ``python -m bench``
+(``bench/README.md``).
 """
 
 import pytest
 
 from repro.harness import Design, SweepExecutor, batching_ablation_experiment
-from repro.observability.wallclock import wall_clock
 
 pytestmark = pytest.mark.bench
 
@@ -27,16 +26,10 @@ BATCHING_GRID = dict(
 PARALLEL_JOBS = 2
 
 
-def _timed_batching(jobs):
-    started = wall_clock()
-    result = batching_ablation_experiment(jobs=jobs, **BATCHING_GRID)
-    return result, wall_clock() - started
-
-
-def test_parallel_sweep_equals_serial_and_records_speedup(bench_record):
+def test_parallel_sweep_equals_serial():
     """Tier-1 gate: serial and parallel batching ablations are identical."""
-    serial, serial_seconds = _timed_batching(jobs=1)
-    parallel, parallel_seconds = _timed_batching(jobs=PARALLEL_JOBS)
+    serial = batching_ablation_experiment(jobs=1, **BATCHING_GRID)
+    parallel = batching_ablation_experiment(jobs=PARALLEL_JOBS, **BATCHING_GRID)
 
     # The serial == parallel equivalence guarantee, cell by cell: same
     # columns, same row order, same values — bit-identical tables.
@@ -49,51 +42,22 @@ def test_parallel_sweep_equals_serial_and_records_speedup(bench_record):
     # every cell kept its correctness verdicts.
     assert len(parallel.rows) == 4
     assert all(row["one_copy_ok"] and row["broadcast_ok"] for row in parallel.rows)
-
-    bench_record(
-        "sweep_parallel_batching",
-        config=dict(BATCHING_GRID, jobs=PARALLEL_JOBS, seed=7),
-        metrics={
-            # Deterministic, gated: the sweep's shape must not shrink.
-            "rows": float(len(parallel.rows)),
-            "committed_total": float(
-                sum(row["committed"] for row in parallel.rows)
-            ),
-            # Wall-clock, recorded for the trend report but never gated.
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "speedup": serial_seconds / parallel_seconds
-            if parallel_seconds > 0
-            else 0.0,
-        },
-        seed=7,
-        gates={"rows": True, "committed_total": True},
-    )
+    assert sum(row["committed"] for row in parallel.rows) == 480
 
 
-def test_parallel_probe_sweep_scales_without_reordering(bench_record):
+def test_parallel_probe_sweep_scales_without_reordering():
     """A pure-probe design keeps spec order under heavy fan-out."""
     design = Design(
         name="probe_fanout",
         factors={"alpha": tuple(range(8)), "beta": ("x", "y")},
         seeds=range(4),
     )
-    started = wall_clock()
     report = SweepExecutor(jobs=PARALLEL_JOBS).run(
         design, "repro.harness.cells:seed_probe_cell"
     )
-    elapsed = wall_clock() - started
     assert report.ok
     rows = report.require_rows()
+    assert len(rows) == 64
     assert [row["alpha"] for row in rows] == [
         spec.factors["alpha"] for spec in design.expand()
     ]
-    bench_record(
-        "sweep_parallel_probe",
-        config={"cells": 16, "seeds": 4, "jobs": PARALLEL_JOBS},
-        metrics={
-            "runs": float(len(rows)),
-            "elapsed_seconds": elapsed,
-        },
-        gates={"runs": True},
-    )

@@ -33,7 +33,6 @@ class ModuleSource:
     scope_path: str
     text: str
     tree: ast.Module
-    lines: List[str]
 
     def in_scope(self, prefixes: Sequence[str]) -> bool:
         """Whether this module falls under any of the path ``prefixes``."""
@@ -69,7 +68,6 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     files_scanned: int = 0
-    lines_scanned: int = 0
     baselined: int = 0
 
     @property
@@ -115,7 +113,6 @@ class LintEngine:
                 scope_path=scope_path,
                 text=text,
                 tree=tree,
-                lines=text.splitlines(),
             ),
             None,
         )
@@ -201,7 +198,6 @@ class LintEngine:
                 report.findings.extend(kept)
                 report.suppressed.extend(suppressed)
                 report.files_scanned += 1
-                report.lines_scanned += len(module.lines)
         report.findings.sort()
         report.suppressed.sort()
         return report

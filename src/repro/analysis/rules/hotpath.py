@@ -30,8 +30,8 @@ MARKER = "repro: hot-path"
 
 _HINT = (
     "hoist the allocation out of the marked loop (bind before the loop, "
-    "reuse buffers, use static labels) — see harness/profiling.py to "
-    "measure the dispatch floor"
+    "reuse buffers, use static labels) — measure with python -m bench "
+    "(bench/README.md)"
 )
 
 

@@ -5,8 +5,8 @@ virtual clock) or an injected clock callable; a single ``time.time()`` in
 simulation logic silently breaks same-seed reproducibility and every
 trace-signature comparison.  Wall-clock reads are legal only inside the
 declared observability boundary (``repro.observability.wallclock`` defines
-the sanctioned callable; ``harness/profiling.py`` measures real hardware
-performance on purpose).
+the sanctioned monotonic clock for host durations; ``harness/profiling.py``
+measures real hardware performance on purpose).
 """
 
 from __future__ import annotations

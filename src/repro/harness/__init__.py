@@ -25,7 +25,6 @@ from .parallel import (
 )
 from .profiling import (
     HotpathProfile,
-    hotspots,
     profile_callback_cost,
     profile_event_loop,
     profile_workload,
@@ -36,7 +35,6 @@ from .runner import (
     FAST_EXPERIMENTS,
     FULL_EXPERIMENTS,
     ExperimentSuiteResult,
-    record_suite_timings,
     run_experiments,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "SweepError",
     "SweepExecutor",
     "SweepReport",
-    "record_suite_timings",
     "RunSummary",
     "finish_run",
     "summarize_run",
@@ -66,7 +63,6 @@ __all__ = [
     "run_standard_workload",
     "scalability_experiment",
     "HotpathProfile",
-    "hotspots",
     "profile_callback_cost",
     "profile_event_loop",
     "profile_workload",

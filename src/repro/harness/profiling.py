@@ -18,22 +18,18 @@ attached instead of folklore:
   workload, reported as kernel events per wall-clock second.  The gap
   between this number and the floor is what the protocol layers cost per
   event.
-* :func:`hotspots` — run any callable under :mod:`cProfile` and return the
-  top functions by cumulative time; this is how the static-label and
-  ``pop_due`` optimisations were found.
 
-``benchmarks/test_bench_kernel_hotpath.py`` tracks these numbers in CI
-(non-gating smoke step) and asserts the structural invariants (event counts,
-determinism) in the tier-1 suite.
+``bench/probes.py`` reads the floor as a per-layer probe, and
+``benchmarks/test_bench_kernel_hotpath.py`` pins the structural invariants
+(event counts, determinism) in the tier-1 suite.  Where host time goes is
+the benchmark's business: ``python -m bench`` (``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core.config import ClusterConfig
 from ..simulation.kernel import SimulationKernel
@@ -61,14 +57,6 @@ class HotpathProfile:
         if self.events == 0:
             return 0.0
         return 1_000_000.0 * self.wall_seconds / self.events
-
-    def format_row(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"{self.label:<28} {self.events:>10,} events  "
-            f"{self.events_per_second:>12,.0f} ev/s  "
-            f"{self.microseconds_per_event:>8.3f} us/ev"
-        )
 
 
 def profile_event_loop(
@@ -175,137 +163,3 @@ def profile_workload(
     if label is None:
         label = "workload (batched)" if batching is not None else "workload (full stack)"
     return HotpathProfile(label=label, events=executed, wall_seconds=wall)
-
-
-def hotspots(
-    run: Callable[[], object], *, top: int = 10, sort: str = "cumulative"
-) -> List[Tuple[str, int, float]]:
-    """Profile ``run`` under :mod:`cProfile`; return the top functions.
-
-    Each entry is ``(function, call_count, cumulative_seconds)``, sorted by
-    ``sort`` (a :mod:`pstats` sort key).  Use this to find the next
-    optimisation target rather than guessing.
-    """
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        run()
-    finally:
-        profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats(sort)
-    rows: List[Tuple[str, int, float]] = []
-    for function in stats.fcn_list[:top]:  # type: ignore[attr-defined]
-        cc, nc, tt, ct, _callers = stats.stats[function]  # type: ignore[attr-defined]
-        filename, line, name = function
-        location = f"{filename.rsplit('/', 1)[-1]}:{line}:{name}"
-        rows.append((location, nc, ct))
-    return rows
-
-
-def format_report(profiles: List[HotpathProfile]) -> str:
-    """Render profiles as an aligned plain-text table."""
-    return "\n".join(profile.format_row() for profile in profiles)
-
-
-def standard_profiles(seed: int = 11) -> List[HotpathProfile]:
-    """The standard hot-path suite: floor, callback cost, full stack, batched."""
-    from ..broadcast.batching import BatchingConfig
-
-    return [
-        profile_event_loop(seed=seed),
-        profile_callback_cost(seed=seed),
-        profile_workload(seed=seed),
-        profile_workload(
-            seed=seed, batching=BatchingConfig(window=0.002, max_batch_size=16)
-        ),
-    ]
-
-
-def profiles_to_metrics(profiles: List[HotpathProfile]) -> dict:
-    """Flatten profiles into scalar metrics for the results store."""
-    metrics: dict = {}
-    for profile in profiles:
-        key = profile.label.replace(" ", "_").replace("(", "").replace(")", "")
-        metrics[f"{key}_events"] = float(profile.events)
-        metrics[f"{key}_events_per_second"] = profile.events_per_second
-        metrics[f"{key}_us_per_event"] = profile.microseconds_per_event
-    return metrics
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Print the standard hot-path report (used when tuning the kernel).
-
-    ``--json`` prints the run as JSON instead of the plain-text table, and
-    ``--results-db PATH`` records it in the observability results store —
-    the same provenance-stamped record (config hash, git rev, seed) every
-    benchmark emits, so profiling runs land in the perf trajectory too.
-    """
-    import argparse
-    import json as json_module
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.profiling",
-        description="Profile the simulation-kernel hot path.",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON on stdout"
-    )
-    parser.add_argument(
-        "--results-db",
-        default=None,
-        metavar="PATH",
-        help="record the run in this SQLite results store (see repro.observability)",
-    )
-    parser.add_argument("--seed", type=int, default=11, help="workload seed")
-    parser.add_argument(
-        "--hotspots",
-        action="store_true",
-        help="also profile the full-stack workload under cProfile (text mode only)",
-    )
-    options = parser.parse_args(argv)
-
-    profiles = standard_profiles(seed=options.seed)
-    metrics = profiles_to_metrics(profiles)
-    record_dict = None
-    if options.results_db is not None:
-        from ..observability.store import ResultsStore
-
-        store = ResultsStore(options.results_db)
-        try:
-            record = store.record_run(
-                "kernel_hotpath_profile",
-                config={"seed": options.seed, "suite": "standard_profiles"},
-                metrics=metrics,
-                seed=options.seed,
-            )
-            store.write_artifact(record)
-        finally:
-            store.close()
-        record_dict = record.to_dict()
-
-    if options.json:
-        payload = record_dict if record_dict is not None else {"metrics": metrics}
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    print(format_report(profiles))
-    if record_dict is not None:
-        print(
-            f"\nrecorded as run {record_dict['run_id']} "
-            f"(config {record_dict['config_hash']}, rev {record_dict['git_rev']}) "
-            f"in {options.results_db}"
-        )
-    if options.hotspots:
-        print("\nTop hotspots of the full-stack workload:")
-        for location, calls, cumulative in hotspots(
-            lambda: profile_workload(seed=options.seed), top=12
-        ):
-            print(f"  {cumulative:8.3f}s {calls:>10,}x  {location}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

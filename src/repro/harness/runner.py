@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..observability.wallclock import wall_clock
 from .experiments import (
     batching_ablation_experiment,
     chaos_resilience_experiment,
@@ -85,8 +84,6 @@ class ExperimentSuiteResult:
     """All experiment results keyed by experiment id, in selection order."""
 
     results: Dict[str, ExperimentResult] = field(default_factory=dict)
-    #: Real elapsed seconds per experiment (declared wall-clock boundary).
-    timings: Dict[str, float] = field(default_factory=dict)
 
     def to_markdown(self) -> str:
         """Render every result as a Markdown document body."""
@@ -131,42 +128,8 @@ def run_experiments(
             raise KeyError(
                 f"unknown experiment {name!r}; available: {sorted(registry)}"
             )
-        started = wall_clock()
         suite.results[name] = registry[name](jobs=jobs)
-        suite.timings[name] = wall_clock() - started
     return suite
-
-
-def record_suite_timings(
-    suite: ExperimentSuiteResult,
-    results_db: str,
-    *,
-    fast: bool,
-    jobs: int,
-) -> None:
-    """Persist per-experiment sweep timings into a results store.
-
-    Each experiment lands as an ``experiment_sweep_<name>`` run whose config
-    (name, grid size, ``fast``, ``jobs``) keys the like-for-like baseline, so
-    the parallel speedup shows up in the
-    :mod:`repro.observability.trend` report as the store accumulates runs.
-    """
-    from ..observability.store import ResultsStore
-
-    store = ResultsStore(results_db)
-    try:
-        for name, elapsed in suite.timings.items():
-            result = suite.results[name]
-            store.record_run(
-                f"experiment_sweep_{name}",
-                config={"experiment": name, "fast": fast, "jobs": jobs},
-                metrics={
-                    "elapsed_seconds": elapsed,
-                    "rows": float(len(result.rows)),
-                },
-            )
-    finally:
-        store.close()
 
 
 def main() -> None:  # pragma: no cover - CLI convenience
@@ -184,22 +147,10 @@ def main() -> None:  # pragma: no cover - CLI convenience
         metavar="N",
         help="worker processes for design-based sweeps (default: 1 = serial)",
     )
-    parser.add_argument(
-        "--record-db",
-        metavar="PATH",
-        help="record per-experiment sweep timings into this results store",
-    )
     arguments = parser.parse_args()
     suite = run_experiments(
         arguments.names or None, fast=not arguments.full, jobs=arguments.jobs
     )
-    if arguments.record_db:
-        record_suite_timings(
-            suite,
-            arguments.record_db,
-            fast=not arguments.full,
-            jobs=arguments.jobs,
-        )
     print(suite.to_markdown() if arguments.markdown else suite.to_text())
 
 

@@ -198,28 +198,6 @@ class DerivedMetrics:
     deferred: int = 0
     max_admission_queue_depth: float = 0.0
 
-    def to_metrics(self) -> Dict[str, float]:
-        """Flatten into scalar metrics for the results store."""
-        flat: Dict[str, float] = {
-            "opt_to_divergence_rate": self.opt_to_divergence_rate,
-            "max_class_queue_depth": self.max_class_queue_depth,
-            "commits": float(self.commits),
-            "admission_admitted": float(self.admitted),
-            "admission_deferred": float(self.deferred),
-            "max_admission_queue_depth": self.max_admission_queue_depth,
-        }
-        for cause, count in self.aborts_by_cause.items():
-            flat[f"aborts_{cause}"] = float(count)
-        for cause, count in self.sheds_by_cause.items():
-            flat[f"sheds_{cause}"] = float(count)
-        for phase, summary in self.phase_breakdown.items():
-            if summary.count == 0:
-                continue
-            flat[f"{phase}_p50"] = summary.p50
-            flat[f"{phase}_p95"] = summary.p95
-            flat[f"{phase}_p99"] = summary.p99
-        return flat
-
 
 def divergence_by_site(cluster: Any) -> Dict[SiteId, float]:
     """Opt/TO mismatch fraction of every site, groups in facade order."""

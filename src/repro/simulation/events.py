@@ -3,9 +3,9 @@
 This module is the hottest code in the repository: every network envelope,
 timer, transaction completion and chaos fault passes through one
 :class:`Event` and one heap operation.  The implementation therefore trades
-a little convenience for speed — measured by
-``benchmarks/test_bench_kernel_hotpath.py`` and the profiling harness in
-:mod:`repro.harness.profiling`:
+a little convenience for speed — measured by the
+``simulation.probe_event_us`` probes of ``python -m bench``, with the
+structural invariants pinned in ``benchmarks/test_bench_kernel_hotpath.py``:
 
 * :class:`Event` is a hand-rolled ``__slots__`` class (not a dataclass):
   slot storage roughly halves the per-event memory and removes the

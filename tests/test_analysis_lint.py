@@ -441,37 +441,19 @@ class TestLintCli:
         assert finding["line"] == 3
         assert finding["path"].endswith("dirty.py")
 
+    @pytest.mark.parametrize("flag", ["--record-db", "--record-name"])
+    def test_removed_record_options_are_rejected(self, tmp_path, capsys, flag):
+        write_tree(tmp_path, {"pkg/clean.py": CLEAN_FILE})
+        with pytest.raises(SystemExit) as excinfo:
+            lint_cli.main([str(tmp_path / "pkg"), flag, "value"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert lint_cli.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "no-wallclock:" in out
         assert "kernel-hot-path-allocation:" in out
-
-    def test_record_db_files_debt_in_results_store(self, tmp_path, capsys):
-        from repro.observability.store import ResultsStore
-
-        write_tree(tmp_path, {"pkg/dirty.py": DIRTY_FILE})
-        db = tmp_path / "results.sqlite"
-        code = lint_cli.main(
-            [
-                str(tmp_path / "pkg"),
-                "--report-only",
-                "--record-db",
-                str(db),
-                "--record-name",
-                "lint_debt_tests",
-            ]
-        )
-        assert code == 0
-        store = ResultsStore(str(db))
-        try:
-            (run,) = store.runs("lint_debt_tests")
-            assert run.metrics["findings_total"] == 1.0
-            assert run.metrics["findings_no_wallclock"] == 1.0
-            assert run.metrics["files_scanned"] == 1.0
-            assert run.metrics["lines_scanned"] == len(DIRTY_FILE.splitlines())
-        finally:
-            store.close()
 
 
 class TestBaseline:

@@ -1,9 +1,19 @@
 """Tests for the experiment harness, result containers and reporting."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro.harness
+from repro.broadcast.batching import BatchingConfig
 from repro.harness import (
     ExperimentResult,
+    HotpathProfile,
+    profile_callback_cost,
+    profile_event_loop,
+    profile_workload,
     ascii_plot,
     figure1_spontaneous_order,
     format_mapping,
@@ -138,5 +148,76 @@ class TestExperiments:
         assert list(suite.results) == ["overlap", "figure1"]
         text = suite.to_text()
         assert text.index("overlap") < text.index("Figure 1")
-        assert set(suite.timings) == {"overlap", "figure1"}
-        assert all(elapsed >= 0.0 for elapsed in suite.timings.values())
+
+    def test_runner_rejects_the_removed_record_db_option(self, tmp_path):
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src_dir)
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.harness.runner",
+                "--record-db",
+                str(tmp_path / "results.sqlite"),
+                "figure1",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "unrecognized arguments: --record-db" in completed.stderr
+        assert not (tmp_path / "results.sqlite").exists()
+
+
+class TestProfiling:
+    def test_rates_derive_from_events_and_wall_seconds(self):
+        profile = HotpathProfile(label="x", events=1_000, wall_seconds=0.5)
+        assert profile.events_per_second == pytest.approx(2_000.0)
+        assert profile.microseconds_per_event == pytest.approx(500.0)
+
+    def test_rates_are_zero_for_an_empty_measurement(self):
+        assert HotpathProfile("x", events=10, wall_seconds=0.0).events_per_second == 0.0
+        assert HotpathProfile("x", events=0, wall_seconds=1.0).microseconds_per_event == 0.0
+
+    def test_event_loop_chains_each_fire_once_past_the_budget(self):
+        # The budget is shared: once it runs out, every other chain still
+        # has one tick pending, which fires but does not reschedule.
+        assert profile_event_loop(500).events == 500
+        profile = profile_event_loop(500, chains=4)
+        assert profile.events == 500 + 4 - 1
+        assert profile.label == "event-loop floor"
+
+    def test_callback_cost_dispatches_exactly_the_budget(self):
+        profile = profile_callback_cost(1_000)
+        assert profile.events == 1_000
+        assert profile.label == "dispatch + callback"
+
+    def test_workload_event_count_is_a_function_of_the_seed(self):
+        first = profile_workload(updates_per_site=20)
+        second = profile_workload(updates_per_site=20)
+        assert first.events == second.events == 1_051
+        assert first.label == "workload (full stack)"
+
+    def test_workload_label_names_batching_unless_given(self):
+        batching = BatchingConfig(window=0.002, max_batch_size=16)
+        batched = profile_workload(updates_per_site=20, batching=batching)
+        assert batched.label == "workload (batched)"
+        assert batched.events == 680
+        named = profile_workload(updates_per_site=20, label="custom")
+        assert named.label == "custom"
+
+    def test_exports_resolve_and_omit_the_removed_report_helpers(self):
+        for name in repro.harness.__all__:
+            assert hasattr(repro.harness, name), name
+        removed = {
+            "hotspots",
+            "format_report",
+            "standard_profiles",
+            "profiles_to_metrics",
+            "record_suite_timings",
+        }
+        assert removed.isdisjoint(repro.harness.__all__)
+        assert not any(hasattr(repro.harness, name) for name in removed)

@@ -1,14 +1,18 @@
-"""Tests for the observability layer: tracing, registry, store, gate, trend.
+"""Tests for the observability layer: tracing and the metrics registry.
 
 Covers the span protocol (closed exactly once, loud failures on misuse),
 end-to-end tracing of flat and chaos runs (same-seed reproducible), the
-zero-cost disabled path, the unified metric namespace across flat and
-sharded clusters, and the provenance-stamped results store with its
-baseline regression gate.
+zero-cost disabled path, and the unified metric namespace across flat and
+sharded clusters.
 """
 
+import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -16,19 +20,13 @@ from repro.chaos.plan import FaultPlan, coordinator
 from repro.chaos.scenarios import build_chaos_cluster, execute_chaos_run
 from repro.core.cluster import ReplicatedDatabase
 from repro.core.config import ClusterConfig
+import repro.observability
 from repro.observability import (
     FLAT_SHARD_LABEL,
-    PerfGate,
-    ResultsStore,
-    ResultsStoreError,
     TraceError,
     TransactionTracer,
     build_registry,
-    config_hash,
     derive_metrics,
-    failures,
-    gate_against_history,
-    render_trend_report,
 )
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.procedures import (
@@ -148,9 +146,7 @@ class TestTracedClusterRun:
         assert 0.0 <= derived.opt_to_divergence_rate <= 1.0
         assert derived.commits > 0
         assert derived.max_class_queue_depth >= 1.0
-        flat = derived.to_metrics()
-        assert "opt_to_divergence_rate" in flat
-        assert "client_commit_latency_p95" in flat
+        assert derived.phase_breakdown["client_commit_latency"].count > 0
 
     def test_jsonl_export_round_trips(self):
         tracer = TransactionTracer()
@@ -300,157 +296,60 @@ class TestRegistryNamespace:
         assert all(count > 0 for count in per_shard)
 
 
-class TestResultsStore:
-    def test_record_and_query_runs(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "results.sqlite"))
-        record = store.record_run(
-            "demo_bench",
-            config={"sites": 4, "seed": 2},
-            metrics={"throughput": 120.0, "aborts": 3},
-            seed=2,
-            git_rev="abc1234",
-            created_at=1000.0,
-        )
-        assert record.run_id == 1
-        assert record.config_hash == config_hash({"seed": 2, "sites": 4})
-        fetched = store.runs("demo_bench")
-        assert len(fetched) == 1
-        assert fetched[0].metrics == {"aborts": 3.0, "throughput": 120.0}
-        assert store.run_names() == ["demo_bench"]
-        store.close()
 
-    def test_store_persists_across_reopen(self, tmp_path):
-        path = str(tmp_path / "results.sqlite")
-        store = ResultsStore(path)
-        store.record_run("persisted", config={}, metrics={"x": 1.0})
-        store.close()
-        reopened = ResultsStore(path)
-        assert [run.name for run in reopened.runs()] == ["persisted"]
-        reopened.close()
-
-    def test_invalid_run_name_rejected(self):
-        store = ResultsStore()
-        with pytest.raises(ResultsStoreError):
-            store.record_run("bad name!", config={}, metrics={})
-        store.close()
-
-    def test_config_hash_ignores_key_order(self):
-        assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
-        assert config_hash({"a": 1}) != config_hash({"a": 2})
-
-    def test_metric_history_filters(self):
-        store = ResultsStore()
-        first = store.record_run("b", config={"v": 1}, metrics={"m": 1.0})
-        store.record_run("b", config={"v": 1}, metrics={"m": 2.0})
-        store.record_run("b", config={"v": 2}, metrics={"m": 99.0})
-        history = store.metric_history("b", "m", config_hash=first.config_hash)
-        assert history == [1.0, 2.0]
-        assert store.metric_history(
-            "b", "m", config_hash=first.config_hash, exclude_run_id=first.run_id
-        ) == [2.0]
-        store.close()
-
-    def test_artifact_carries_the_provenance_stamp(self, tmp_path):
-        store = ResultsStore()
-        record = store.record_run(
-            "figure1",
-            config={"intervals": [1.0, 4.0]},
-            metrics={"ordered_pct": 99.0},
-            seed=1,
-            git_rev="deadbee",
-            created_at=5.0,
-        )
-        path = store.write_artifact(record, str(tmp_path))
-        assert path.name == "BENCH_figure1.json"
-        body = json.loads(path.read_text())
-        assert body["config_hash"] == record.config_hash
-        assert body["git_rev"] == "deadbee"
-        assert body["seed"] == 1
-        assert body["metrics"] == {"ordered_pct": 99.0}
-        store.close()
+@pytest.mark.parametrize("module", ["store", "gate", "trend"])
+def test_removed_perf_store_modules_stay_gone(module):
+    # Host performance is measured by ``python -m bench`` only; the SQLite
+    # results store, its statistical gate and trend report were deleted.
+    assert importlib.util.find_spec(f"repro.observability.{module}") is None
 
 
-class TestPerfGate:
-    def test_seeding_mode_passes_with_sparse_baseline(self):
-        result = gate_against_history("tps", 1.0, [5.0, 5.0])
-        assert result.passed and result.status == "seeding"
-        assert "seeding" in result.describe()
-
-    def test_within_band_passes(self):
-        result = gate_against_history("tps", 97.0, [100.0, 101.0, 99.0])
-        assert result.passed and result.status == "within"
-
-    def test_regression_fails_in_the_gated_direction_only(self):
-        history = [100.0, 100.0, 100.0]
-        low = gate_against_history("tps", 50.0, history, higher_is_better=True)
-        assert not low.passed and low.status == "regressed"
-        assert "REGRESSED" in low.describe()
-        high = gate_against_history("tps", 150.0, history, higher_is_better=True)
-        assert high.passed
-        # Lower-is-better inverts which tail regresses.
-        latency_up = gate_against_history("lat", 150.0, history, higher_is_better=False)
-        assert not latency_up.passed
-        assert gate_against_history("lat", 50.0, history, higher_is_better=False).passed
-
-    def test_band_uses_sample_stddev_for_small_baselines(self):
-        # Regression: the band was computed with the population (n) stddev,
-        # understating the documented `sigmas * sample_stddev` band — worst
-        # exactly at the minimum 3-sample baseline CI accumulates first.
-        history = [10.0, 12.0, 14.0]
-        # sample stddev = 2.0 (Bessel), population = sqrt(8/3) ~ 1.633;
-        # the band must be 3 * 2.0 = 6.0, so the threshold is 12 - 6 = 6.
-        result = gate_against_history("tps", 6.5, history)
-        assert result.threshold == pytest.approx(6.0)
-        # 6.5 sits outside the narrower population band (threshold ~7.1):
-        # the biased band would have flagged a regression here.
-        assert result.passed and result.status == "within"
-
-    def test_slack_floor_tolerates_small_drift_of_constants(self):
-        result = gate_against_history("events", 95.0, [100.0, 100.0, 100.0])
-        assert result.passed  # within the 10% slack floor despite zero stddev
-
-    def test_perf_gate_builds_baseline_from_like_for_like_runs(self):
-        store = ResultsStore()
-        for value in (100.0, 101.0, 99.0):
-            store.record_run("bench", config={"v": 1}, metrics={"tps": value})
-        # A differently-configured run must not pollute the baseline.
-        store.record_run("bench", config={"v": 2}, metrics={"tps": 1.0})
-        good = store.record_run("bench", config={"v": 1}, metrics={"tps": 98.0})
-        gate = PerfGate(store)
-        results = gate.assert_within_baseline(good, {"tps": True})
-        assert [result.status for result in results] == ["within"]
-
-        bad = store.record_run("bench", config={"v": 1}, metrics={"tps": 10.0})
-        with pytest.raises(AssertionError, match="REGRESSED"):
-            gate.assert_within_baseline(bad, {"tps": True})
-        assert set(failures(gate.check(bad, {"tps": True}))) == {"tps"}
-        store.close()
-
-    def test_gate_skips_metrics_absent_from_the_record(self):
-        store = ResultsStore()
-        record = store.record_run("bench", config={}, metrics={"tps": 1.0})
-        results = PerfGate(store).check(record, {"missing": True})
-        assert results == []
-        store.close()
+def test_exports_resolve_and_omit_the_results_store():
+    for name in repro.observability.__all__:
+        assert hasattr(repro.observability, name), name
+    removed = {
+        "ResultsStore",
+        "ResultsStoreError",
+        "PerfGate",
+        "config_hash",
+        "failures",
+        "gate_against_history",
+        "render_trend_report",
+    }
+    assert removed.isdisjoint(repro.observability.__all__)
+    assert not any(hasattr(repro.observability, name) for name in removed)
 
 
-class TestTrendReport:
-    def test_report_lists_runs_and_marks_seeding(self):
-        store = ResultsStore()
-        store.record_run(
-            "demo", config={"v": 1}, metrics={"tps": 100.0}, git_rev="abc", seed=4
-        )
-        report = render_trend_report(store)
-        assert "demo" in report
-        assert "tps" in report
-        assert "seeding" in report
-        store.close()
+class TestWallClockBoundary:
+    def test_boundary_reads_the_monotonic_counter(self):
+        from repro.observability import wallclock
 
-    def test_report_flags_drift(self):
-        store = ResultsStore()
-        for value in (100.0, 100.0, 100.0):
-            store.record_run("demo", config={"v": 1}, metrics={"tps": value})
-        store.record_run("demo", config={"v": 1}, metrics={"tps": 1.0})
-        report = render_trend_report(store)
-        assert "DRIFT" in report
-        store.close()
+        assert wallclock.WALL_CLOCK is time.perf_counter
+
+    def test_successive_reads_never_decrease(self):
+        from repro.observability.wallclock import wall_clock
+
+        reads = [wall_clock() for _ in range(1_000)]
+        assert reads == sorted(reads)
+
+
+def test_importing_repro_loads_neither_sqlite3_nor_subprocess():
+    # The package measures no host performance of its own (that is
+    # ``python -m bench``), so a bare import must not pay for a database
+    # driver or process spawning.
+    snippet = (
+        "import sys, repro;"
+        "print(sorted({'sqlite3', 'subprocess'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src_dir)
+    completed = subprocess.run(
+        [sys.executable, "-c", snippet],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

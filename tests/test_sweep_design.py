@@ -210,6 +210,32 @@ class TestSweepExecutor:
         report = executor.run(_probe_design(), PROBE)
         assert report.elapsed_seconds == pytest.approx(7.5)
 
+    def test_elapsed_survives_the_epoch_clock_stepping_backwards(self):
+        # Regression: the default clock was time.time, so an NTP step during
+        # a sweep made elapsed_seconds negative.  Patch time.time before
+        # repro is imported, so a boundary bound to it would see the step.
+        snippet = (
+            "import itertools, time;"
+            "ticks = itertools.count(1e9, -1000.0);"
+            "time.time = lambda: next(ticks);"
+            "from repro.harness.design import Design;"
+            "from repro.harness.parallel import SweepExecutor;"
+            "d = Design(name='probe', factors={'alpha': (1, 2)});"
+            f"print(SweepExecutor(jobs=1).run(d, {PROBE!r}).elapsed_seconds)"
+        )
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src_dir)
+        completed = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert float(completed.stdout) >= 0.0
+
 
 class TestSpecPickling:
     def test_runspec_round_trips_through_pickle(self):

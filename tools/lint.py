@@ -3,8 +3,7 @@
 Usage::
 
     python -m tools.lint [paths ...] [--format text|json] [--baseline FILE]
-                         [--write-baseline FILE] [--report-only]
-                         [--record-db DB --record-name NAME] [--list-rules]
+                         [--write-baseline FILE] [--report-only] [--list-rules]
 
 Exit-code contract (stable; CI and the driver rely on it):
 
@@ -12,12 +11,8 @@ Exit-code contract (stable; CI and the driver rely on it):
 * ``1`` — findings present.
 * ``2`` — engine/usage error (unparsable file, missing path, bad baseline).
 
-``--report-only`` prints/records findings but always exits 0 — used over
-``tests/`` to make determinism debt visible without gating.  With
-``--record-db`` the findings count per rule is recorded into the
-observability results store, so the trend report
-(``python -m repro.observability.trend``) files it next to the perf
-trajectory.
+``--report-only`` prints findings but always exits 0 — used over
+``tests/`` to make determinism debt visible without gating.
 """
 
 from __future__ import annotations
@@ -68,28 +63,6 @@ def render_json(report: LintReport, rule_names: List[str]) -> str:
     return json.dumps(body, indent=2, sort_keys=True)
 
 
-def record_report(report: LintReport, *, db_path: str, name: str, paths: List[str]) -> None:
-    """File the findings count in the results store (trend report input)."""
-    from repro.observability.store import ResultsStore
-
-    metrics = {"findings_total": float(len(report.findings))}
-    for rule, count in report.counts_by_rule().items():
-        metrics[f"findings_{rule.replace('-', '_')}"] = float(count)
-    metrics["files_scanned"] = float(report.files_scanned)
-    metrics["lines_scanned"] = float(report.lines_scanned)
-    metrics["suppressed"] = float(len(report.suppressed))
-    store = ResultsStore(db_path)
-    try:
-        record = store.record_run(
-            name,
-            config={"paths": sorted(paths), "tool": "tools.lint"},
-            metrics=metrics,
-        )
-        store.write_artifact(record, directory=str(Path(db_path).parent))
-    finally:
-        store.close()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.lint",
@@ -114,14 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--report-only",
         action="store_true",
         help="always exit 0 (non-gating debt report)",
-    )
-    parser.add_argument(
-        "--record-db", help="record the findings count into this results store"
-    )
-    parser.add_argument(
-        "--record-name",
-        default="lint_debt",
-        help="run name used with --record-db (default: %(default)s)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list the rule pack and exit"
@@ -156,14 +121,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_json(report, engine.rule_names))
     else:
         print(render_text(report))
-
-    if options.record_db:
-        record_report(
-            report,
-            db_path=options.record_db,
-            name=options.record_name,
-            paths=list(options.paths),
-        )
 
     if report.errors:
         return 2
