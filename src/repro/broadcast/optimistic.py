@@ -170,7 +170,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         #: ``False`` selects conservative delivery (see the module docstring).
         self.opt_deliver_on_receipt = opt_deliver_on_receipt
         self.voting_timeout = voting_timeout
-        self.group = list(group) if group is not None else None
+        self.group = tuple(group) if group is not None else None
         self._data_channel = ReliableBroadcast(
             kernel,
             transport,

@@ -9,7 +9,7 @@ receiver echoes the message).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
@@ -46,8 +46,9 @@ class ReliableBroadcast:
         multicast.  Experiments that only run failure-free scenarios can turn
         echoing off to reduce the number of simulated envelopes.
     group:
-        Optional broadcast-group membership (a list of site ids).  When set,
-        multicasts are restricted to exactly these sites, which lets several
+        Optional broadcast-group membership (site ids, kept as a tuple so
+        the transport resolves the receivers once).  When set, multicasts
+        are restricted to exactly these sites, which lets several
         independent broadcast groups — e.g. one per shard — share a single
         network transport.  ``None`` (default) addresses every registered
         site, preserving the original fully-replicated behaviour.
@@ -68,7 +69,7 @@ class ReliableBroadcast:
         self.site_id = site_id
         self.kind = kind
         self.echo_on_first_receipt = echo_on_first_receipt
-        self.group: Optional[List[SiteId]] = list(group) if group is not None else None
+        self.group: Optional[Tuple[SiteId, ...]] = tuple(group) if group is not None else None
         self._delivered: Set[MessageId] = set()
         self._listeners: List[ReliableDeliveryListener] = []
         self.delivery_log: List[MessageId] = []

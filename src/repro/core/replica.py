@@ -176,7 +176,7 @@ class ReplicaManager:
         self.submitted[transaction_id] = SubmittedRequest(
             request=request, submitted_at=now
         )
-        self.metrics.increment("transactions_submitted")
+        self.metrics.counts["transactions_submitted"] += 1
         if self.tracer is not None:
             self.tracer.record(
                 now,
@@ -207,15 +207,15 @@ class ReplicaManager:
                 "use submit_transaction instead"
             )
         query_index = self.snapshot_manager.next_query_index()
-        self.metrics.increment("queries_submitted")
+        self.metrics.counts["queries_submitted"] += 1
 
         def finished(execution: QueryExecution) -> None:
             if execution.aborted:
-                self.metrics.increment("queries_aborted_by_crash")
+                self.metrics.counts["queries_aborted_by_crash"] += 1
             else:
-                self.metrics.increment("queries_completed")
+                self.metrics.counts["queries_completed"] += 1
                 if execution.latency is not None:
-                    self.metrics.record_latency("query_latency", execution.latency)
+                    self.metrics.samples["query_latency"].append(execution.latency)
             if on_complete is not None:
                 on_complete(execution)
 
@@ -233,16 +233,16 @@ class ReplicaManager:
             # A stale or duplicate copy of a transaction this site already
             # committed (flushed pre-crash traffic, or a post-recovery
             # re-submission racing its original): ignore it.
-            self.metrics.increment("stale_deliveries_ignored")
+            self.metrics.counts["stale_deliveries_ignored"] += 1
             return
         if self.scheduler.transaction(transaction_id) is not None:
             # A second broadcast of a request whose first copy is still being
             # processed (origin re-submitted after recovering): ignore it.
-            self.metrics.increment("stale_deliveries_ignored")
+            self.metrics.counts["stale_deliveries_ignored"] += 1
             return
         self._message_ids.setdefault(transaction_id, message.message_id)
         transaction = Transaction(request=request, site_id=self.site_id)
-        self.metrics.increment("messages_opt_delivered")
+        self.metrics.counts["messages_opt_delivered"] += 1
         if self.tracer is not None:
             self.tracer.record(
                 self.kernel.now(),
@@ -263,7 +263,7 @@ class ReplicaManager:
             # A dead position filled by the coordinator after a whole-group
             # crash: nothing to execute, but the snapshot frontier must pass.
             self.snapshot_manager.advance(message.definitive_position)
-            self.metrics.increment("noop_positions_filled")
+            self.metrics.counts["noop_positions_filled"] += 1
             if self.tracer is not None:
                 self.tracer.record(
                     self.kernel.now(),
@@ -280,17 +280,17 @@ class ReplicaManager:
             # state transfer): the position holds no new work, but the
             # snapshot frontier must still pass over it.
             self.snapshot_manager.advance(message.definitive_position)
-            self.metrics.increment("duplicate_orders_ignored")
+            self.metrics.counts["duplicate_orders_ignored"] += 1
             return
         transaction = self.scheduler.transaction(transaction_id)
         if transaction is not None and transaction.global_index is not None:
             # Second copy ordered while the first already holds a position.
             self.snapshot_manager.advance(message.definitive_position)
-            self.metrics.increment("duplicate_orders_ignored")
+            self.metrics.counts["duplicate_orders_ignored"] += 1
             return
-        self.metrics.increment("messages_to_delivered")
+        self.metrics.counts["messages_to_delivered"] += 1
         if message.ordering_delay is not None:
-            self.metrics.record_latency("ordering_delay", message.ordering_delay)
+            self.metrics.samples["ordering_delay"].append(message.ordering_delay)
         if self.tracer is not None:
             self.tracer.record(
                 self.kernel.now(),
@@ -352,7 +352,7 @@ class ReplicaManager:
                 message_id=self._message_ids.pop(transaction.transaction_id, None),
             )
         )
-        self.metrics.increment("commits")
+        self.metrics.counts["commits"] += 1
         if self.tracer is not None:
             self.tracer.record(
                 now,
@@ -367,25 +367,18 @@ class ReplicaManager:
                 outcome="committed", position=transaction.global_index,
             )
         if transaction.reorder_aborts:
-            self.metrics.increment("commits_after_reorder")
-        self.metrics.record_latency(
-            "commit_latency_all", now - transaction.request.submitted_at
-        )
+            self.metrics.counts["commits_after_reorder"] += 1
+        samples = self.metrics.samples
+        samples["commit_latency_all"].append(now - transaction.request.submitted_at)
         if transaction.to_delivered_at is not None:
-            self.metrics.record_latency(
-                "to_deliver_to_commit", now - transaction.to_delivered_at
-            )
+            samples["to_deliver_to_commit"].append(now - transaction.to_delivered_at)
         if transaction.opt_delivered_at is not None:
-            self.metrics.record_latency(
-                "opt_deliver_to_commit", now - transaction.opt_delivered_at
-            )
+            samples["opt_deliver_to_commit"].append(now - transaction.opt_delivered_at)
 
         submitted = self.submitted.get(transaction.transaction_id)
         if submitted is not None:
             submitted.committed_at = now
-            self.metrics.record_latency(
-                "client_commit_latency", now - submitted.submitted_at
-            )
+            samples["client_commit_latency"].append(now - submitted.submitted_at)
             for listener in self._client_listeners:
                 listener(transaction)
         for listener in self._commit_listeners:
@@ -414,9 +407,9 @@ class ReplicaManager:
         for submitted in self.submitted.values():
             if submitted.committed_at is None and submitted.crash_voided_at is None:
                 submitted.crash_voided_at = now
-        self.metrics.increment("crashes")
-        self.metrics.increment("inflight_lost_in_crash", lost)
-        self.metrics.increment("queries_killed_in_crash", aborted_queries)
+        self.metrics.counts["crashes"] += 1
+        self.metrics.counts["inflight_lost_in_crash"] += lost
+        self.metrics.counts["queries_killed_in_crash"] += aborted_queries
         if self.tracer is not None:
             closed = self.tracer.close_site_spans(now, self.site_id, outcome="crash")
             self.tracer.record(
@@ -464,7 +457,7 @@ class ReplicaManager:
             if peer.commit_frontier < self.commit_frontier:
                 peer.catch_up_from(self)
         self._open = True
-        self.metrics.increment("recoveries")
+        self.metrics.counts["recoveries"] += 1
         if self.tracer is not None:
             self.tracer.record(
                 self.kernel.now(),
@@ -479,7 +472,7 @@ class ReplicaManager:
                 continue
             if self.scheduler.transaction(transaction_id) is not None:
                 continue
-            self.metrics.increment("resubmitted_after_recovery")
+            self.metrics.counts["resubmitted_after_recovery"] += 1
             self.broadcast.broadcast(submitted.request)
 
     def catch_up_from(self, donor: "ReplicaManager") -> int:
@@ -545,7 +538,7 @@ class ReplicaManager:
         # transferred state (a recovery-flavoured CC8).
         for conflict_class in sorted(touched_classes):
             self.scheduler.invalidate_class_executions(conflict_class)
-        self.metrics.increment("state_transfer_commits", transferred)
+        self.metrics.counts["state_transfer_commits"] += transferred
         return transferred
 
     # ------------------------------------------------------------ inspection

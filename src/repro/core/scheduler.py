@@ -93,8 +93,16 @@ class OTPScheduler:
         queue = self.queue_for(transaction.conflict_class)
         transaction.mark_opt_delivered(self.kernel.now())         # S2
         queue.append(transaction)                                  # S1
-        self.metrics.increment("transactions_opt_delivered")
-        self.metrics.set_gauge("class_queue_depth", len(queue))
+        self.metrics.counts["transactions_opt_delivered"] += 1
+        # The depth gauge is updated in place; set_gauge creates it once.
+        depth = len(queue)
+        gauge = self.metrics.gauges.get("class_queue_depth")
+        if gauge is None:
+            self.metrics.set_gauge("class_queue_depth", depth)
+        else:
+            gauge.value = depth
+            if depth > gauge.maximum:
+                gauge.maximum = depth
         if queue.first() is transaction:                           # S3
             self._submit(transaction)                              # S4
 
@@ -114,7 +122,7 @@ class OTPScheduler:
                 f"{transaction.transaction_id} finished executing but is not at the "
                 f"head of queue {transaction.conflict_class}"
             )
-        self.metrics.increment("executions_completed")
+        self.metrics.counts["executions_completed"] += 1
         if self.tracer is not None:
             self.tracer.end_if_open(
                 self.kernel.now(),
@@ -151,7 +159,7 @@ class OTPScheduler:
         if transaction.is_committed:
             raise SchedulerError(f"{transaction_id} was TO-delivered after committing")
         transaction.global_index = global_index
-        self.metrics.increment("transactions_to_delivered")
+        self.metrics.counts["transactions_to_delivered"] += 1
         queue = self.queue_for(transaction.conflict_class)
 
         if transaction.execution_state is ExecutionState.EXECUTED:     # CC2
@@ -190,7 +198,7 @@ class OTPScheduler:
         lost = sum(len(queue) for queue in self._queues.values())
         self._queues.clear()
         self._by_id.clear()
-        self.metrics.increment("transactions_lost_in_crash", lost)
+        self.metrics.counts["transactions_lost_in_crash"] += lost
         return lost
 
     def discard(self, transaction_id: TransactionId) -> bool:
@@ -209,7 +217,7 @@ class OTPScheduler:
         was_head = queue.first() is transaction
         self.engine.cancel(transaction)
         queue.remove(transaction)
-        self.metrics.increment("transactions_discarded")
+        self.metrics.counts["transactions_discarded"] += 1
         if self.tracer is not None:
             self.tracer.end_if_open(
                 self.kernel.now(),
@@ -247,7 +255,7 @@ class OTPScheduler:
             if transaction.executing or transaction.is_executed:
                 self.engine.cancel(transaction)
                 transaction.abort_for_reordering()
-                self.metrics.increment("reorder_aborts")
+                self.metrics.counts["reorder_aborts"] += 1
                 if self.tracer is not None:
                     now = self.kernel.now()
                     self.tracer.end_if_open(
@@ -277,7 +285,7 @@ class OTPScheduler:
     # ---------------------------------------------------------------- helpers
     def _submit(self, transaction: Transaction) -> None:
         """Submit one execution attempt of the queue-head transaction."""
-        self.metrics.increment("executions_submitted")
+        self.metrics.counts["executions_submitted"] += 1
         if self.tracer is not None:
             self.tracer.begin(
                 self.kernel.now(),
@@ -292,7 +300,7 @@ class OTPScheduler:
         """CC8: undo the tentative execution of a mis-ordered transaction."""
         self.engine.cancel(transaction)
         transaction.abort_for_reordering()
-        self.metrics.increment("reorder_aborts")
+        self.metrics.counts["reorder_aborts"] += 1
         if self.tracer is not None:
             now = self.kernel.now()
             self.tracer.end_if_open(
@@ -315,9 +323,9 @@ class OTPScheduler:
         transaction.mark_committed(self.kernel.now())
         queue.remove(transaction)
         self._by_id.pop(transaction.transaction_id, None)
-        self.metrics.increment("transactions_committed")
+        self.metrics.counts["transactions_committed"] += 1
         if transaction.reorder_aborts:
-            self.metrics.increment("committed_after_reordering")
+            self.metrics.counts["committed_after_reordering"] += 1
         self._commit_callback(transaction)
         successor = queue.first()
         if (

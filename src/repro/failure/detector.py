@@ -12,7 +12,7 @@ atomic broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
@@ -70,7 +70,9 @@ class FailureDetector:
         self.heartbeat_interval = heartbeat_interval
         self.initial_timeout = initial_timeout
         self.timeout_increment = timeout_increment
-        self._group: Optional[List[SiteId]] = sorted(group) if group is not None else None
+        self._group: Optional[Tuple[SiteId, ...]] = (
+            tuple(sorted(group)) if group is not None else None
+        )
         self._sequence = 0
         self._last_heard: Dict[SiteId, float] = {}
         self._last_sequence: Dict[SiteId, int] = {}

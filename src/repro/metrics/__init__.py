@@ -1,6 +1,6 @@
 """Metric collection and summary statistics."""
 
-from .collector import Counter, Gauge, LatencyRecorder, MetricsCollector
+from .collector import Gauge, LatencyRecorder, MetricsCollector
 from .stats import (
     Summary,
     confidence_interval_95,
@@ -13,7 +13,6 @@ from .stats import (
 )
 
 __all__ = [
-    "Counter",
     "Gauge",
     "LatencyRecorder",
     "MetricsCollector",

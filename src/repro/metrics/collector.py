@@ -2,33 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional
 
 from .stats import Summary, summarize
 
 
-class Counter:
-    """A named monotonically increasing counter."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        """Add ``amount`` (defaults to 1)."""
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
 class LatencyRecorder:
-    """Records individual latency samples (seconds) under a name."""
+    """Latency samples (seconds) recorded under one name."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, samples: Optional[List[float]] = None) -> None:
         self.name = name
-        self.samples: List[float] = []
+        self.samples: List[float] = [] if samples is None else samples
 
     def record(self, value: float) -> None:
         """Add one sample."""
@@ -61,82 +46,82 @@ class Gauge:
 
 
 class MetricsCollector:
-    """A registry of counters, latency recorders and gauges for one component."""
+    """A registry of counters, latency samples and gauges for one component.
+
+    The storage is public so the run phase writes it without a call:
+    ``counts[name] += 1`` and ``samples[name].append(x)``.  Both are
+    ``defaultdict`` instances, so an instrument comes into being at its
+    first write, exactly as through :meth:`increment` /
+    :meth:`record_latency`.  Gauges live in :attr:`gauges` (name →
+    :class:`Gauge`); :meth:`set_gauge` creates one at its first set, and a
+    writer holding it may update ``value`` / ``maximum`` in place.
+
+    Reads never create an instrument: :meth:`count`, :meth:`latency`,
+    :meth:`gauge` and :meth:`gauge_max` of a name never written return an
+    empty, unregistered value, so a report leaves :meth:`snapshot` as it
+    found it.  Read the storage with ``.get`` for the same reason.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._latencies: Dict[str, LatencyRecorder] = {}
-        self._gauges: Dict[str, Gauge] = {}
+        self.counts: DefaultDict[str, int] = defaultdict(int)
+        self.samples: DefaultDict[str, List[float]] = defaultdict(list)
+        self.gauges: Dict[str, Gauge] = {}
 
     # -------------------------------------------------------------- counters
-    def counter(self, name: str) -> Counter:
-        """Return (creating if needed) the counter called ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
     def increment(self, name: str, amount: int = 1) -> None:
         """Increment the counter called ``name``."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        counter.value += amount
+        self.counts[name] += amount
 
     def count(self, name: str) -> int:
         """Return the current value of the counter (0 if never incremented)."""
-        counter = self._counters.get(name)
-        return counter.value if counter else 0
+        return self.counts.get(name, 0)
 
     # ------------------------------------------------------------- latencies
     def latency(self, name: str) -> LatencyRecorder:
-        """Return (creating if needed) the latency recorder called ``name``."""
-        if name not in self._latencies:
-            self._latencies[name] = LatencyRecorder(name)
-        return self._latencies[name]
+        """Return a view of the samples recorded under ``name`` (empty if none)."""
+        return LatencyRecorder(name, self.samples.get(name))
 
     def record_latency(self, name: str, value: float) -> None:
         """Record one latency sample under ``name``."""
-        recorder = self._latencies.get(name)
-        if recorder is None:
-            recorder = self._latencies[name] = LatencyRecorder(name)
-        recorder.samples.append(value)
+        self.samples[name].append(value)
 
     def latency_summary(self, name: str) -> Summary:
-        """Return the summary of the latency recorder (empty if absent)."""
-        recorder = self._latencies.get(name)
-        return recorder.summary() if recorder else Summary.empty()
+        """Return the summary of the latency samples (empty if absent)."""
+        return summarize(self.samples.get(name, ()))
 
     # ---------------------------------------------------------------- gauges
     def gauge(self, name: str) -> Gauge:
-        """Return (creating if needed) the gauge called ``name``."""
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
+        """Return the gauge called ``name`` (an unregistered zero gauge if never set)."""
+        gauge = self.gauges.get(name)
+        return gauge if gauge is not None else Gauge(name)
 
     def set_gauge(self, name: str, value: float) -> None:
-        """Set the gauge called ``name`` to ``value``."""
-        self.gauge(name).set(value)
+        """Set the gauge called ``name`` to ``value`` (creating it at the first set)."""
+        gauge = self.gauges.get(name)
+        if gauge is None:
+            gauge = self.gauges[name] = Gauge(name)
+        gauge.set(value)
 
     def gauge_max(self, name: str) -> float:
         """High-water mark of the gauge (0.0 if never set)."""
-        gauge = self._gauges.get(name)
+        gauge = self.gauges.get(name)
         return gauge.maximum if gauge else 0.0
 
     # ---------------------------------------------------------------- export
     def snapshot(self) -> Dict[str, object]:
         """Return all counters, latency summaries and gauges as a dictionary."""
         return {
-            "counters": {name: counter.value for name, counter in sorted(self._counters.items())},
+            "counters": self.counters(),
             "latencies": {
-                name: recorder.summary() for name, recorder in sorted(self._latencies.items())
+                name: summarize(samples) for name, samples in sorted(self.samples.items())
             },
             "gauges": {
                 name: {"value": gauge.value, "max": gauge.maximum}
-                for name, gauge in sorted(self._gauges.items())
+                for name, gauge in sorted(self.gauges.items())
             },
         }
 
     def counters(self) -> Dict[str, int]:
         """Return all counter values."""
-        return {name: counter.value for name, counter in sorted(self._counters.items())}
+        return dict(sorted(self.counts.items()))

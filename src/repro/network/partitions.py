@@ -60,6 +60,14 @@ class PartitionController:
         self._severed: Set[Link] = set()
         self._history: List[Tuple[float, str, HistorySites]] = []
         self._clock = clock
+        #: ``True`` while no isolated group and no severed link exists, so
+        #: every site reaches every other and :meth:`connected` need not be
+        #: asked.  ``isolate`` / ``heal`` / ``sever`` / ``restore`` keep it
+        #: current.
+        self.intact = True
+
+    def _update_intact(self) -> None:
+        self.intact = not self._group_of and not self._severed
 
     def _stamp(self, at_time: Optional[float]) -> float:
         if at_time is not None:
@@ -119,6 +127,7 @@ class PartitionController:
         self._next_group += 1
         for site in group:
             self._group_of[site] = group_id
+        self._update_intact()
         self._history.append((self._stamp(at_time), "isolate", group))
 
     def isolate_single(self, site: SiteId, at_time: Optional[float] = None) -> None:
@@ -138,6 +147,7 @@ class PartitionController:
         if sender == receiver:
             raise NetworkError("cannot sever a site's link to itself")
         self._severed.add((sender, receiver))
+        self._update_intact()
         self._history.append((self._stamp(at_time), "sever", (sender, receiver)))
 
     def restore(
@@ -147,6 +157,7 @@ class PartitionController:
         if (sender, receiver) not in self._severed:
             return
         self._severed.discard((sender, receiver))
+        self._update_intact()
         self._history.append((self._stamp(at_time), "restore", (sender, receiver)))
 
     def heal(
@@ -177,6 +188,7 @@ class PartitionController:
             for link in touching:
                 self._severed.discard(link)
                 self._history.append((stamp, "restore", link))
+        self._update_intact()
         self._history.append((stamp, "heal", frozenset(healed)))
 
     # ------------------------------------------------------------ inspection

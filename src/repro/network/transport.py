@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError, UnknownSiteError
 from ..simulation.kernel import SimulationKernel
@@ -120,6 +120,8 @@ class NetworkTransport:
         self._latency_stream: RandomStream = kernel.random.stream("network.latency")
         self._loss_stream: RandomStream = kernel.random.stream("network.loss")
         self._payload_size_estimator = payload_size_estimator
+        #: Resolved multicast receivers by (destinations, sender, include_sender).
+        self._receivers: Dict[tuple, Tuple[SiteId, ...]] = {}
 
     # ---------------------------------------------------------- registration
     def register_site(self, site_id: SiteId, handler: ReceiveHandler) -> None:
@@ -128,6 +130,7 @@ class NetworkTransport:
         Re-registering an existing site replaces its handler (used when a
         site restarts after a crash with a fresh protocol stack).
         """
+        self._receivers.clear()
         if site_id in self._sites:
             endpoint = self._sites[site_id]
             endpoint.handler = handler
@@ -179,7 +182,8 @@ class NetworkTransport:
             sent_at=self.kernel.now(),
         )
         self.stats.unicasts_sent += 1
-        self._account_payload(envelope)
+        if self._payload_size_estimator is not None:
+            self.stats.bytes_estimate += self._payload_size_estimator(envelope)
         self._transmit(envelope, destination, shared_delay=None)
         return envelope.envelope_id
 
@@ -198,16 +202,20 @@ class NetworkTransport:
         site.  The shared delay component of the latency model is drawn once
         per multicast (it models the shared Ethernet medium), while the
         per-receiver component is drawn independently for every destination.
+
+        Receivers are resolved once per ``(destinations, sender,
+        include_sender)``: the sorted, validated receiver tuple is kept and
+        reused while the same tuple (or ``None``) is passed again, which is
+        what the broadcast groups and failure detectors do.
+        :meth:`register_site` forgets every kept tuple, because a new site
+        changes what ``None`` means.  An unregistered sender or destination
+        raises :class:`~repro.errors.UnknownSiteError` on every send, since
+        nothing is kept for it.
         """
-        self._endpoint(sender)
-        if destinations is None:
-            targets = self.sites()
-        else:
-            targets = sorted(set(destinations))
-        if not include_sender:
-            targets = [target for target in targets if target != sender]
-        for target in targets:
-            self._endpoint(target)
+        try:
+            receivers = self._receivers[destinations, sender, include_sender]
+        except (KeyError, TypeError):  # TypeError: a list is not hashable
+            receivers = self._resolve_receivers(sender, destinations, include_sender)
         envelope = Envelope(
             envelope_id=next_envelope_id(sender),
             sender=sender,
@@ -217,22 +225,56 @@ class NetworkTransport:
             sent_at=self.kernel.now(),
         )
         self.stats.multicasts_sent += 1
-        self._account_payload(envelope)
-        shared = self.latency_model.shared_delay(self._latency_stream)
-        shared += self._occupy_medium()
+        if self._payload_size_estimator is not None:
+            self.stats.bytes_estimate += self._payload_size_estimator(envelope)
+        stream = self._latency_stream
+        shared = self.latency_model.shared_delay(stream)
+        if self.medium_frame_time > 0.0:
+            shared += self._occupy_medium()
         # Every receiver gets this one envelope; the receiver travels beside it.
-        for target in targets:
-            self._transmit(envelope, target, shared_delay=shared)
+        if self.loss_probability > 0.0:
+            for target in receivers:
+                self._transmit(envelope, target, shared_delay=shared)
+            return envelope.envelope_id
+        receiver_delay = self.latency_model.receiver_delay
+        schedule = self.kernel.schedule
+        arrive = self._arrive
+        for target in receivers:
+            schedule(
+                shared + receiver_delay(sender, target, stream),
+                partial(arrive, envelope, target),
+                label="net-deliver",
+            )
         return envelope.envelope_id
 
-    def _occupy_medium(self) -> float:
-        """Serialise a multicast through the shared medium (if modelled).
+    def _resolve_receivers(
+        self,
+        sender: SiteId,
+        destinations: Optional[Iterable[SiteId]],
+        include_sender: bool,
+    ) -> Tuple[SiteId, ...]:
+        """Validate and sort one multicast's receivers, and keep the result."""
+        self._endpoint(sender)
+        if destinations is None:
+            targets = self.sites()
+        else:
+            destinations = tuple(destinations)
+            targets = sorted(set(destinations))
+        if not include_sender:
+            targets = [target for target in targets if target != sender]
+        for target in targets:
+            self._endpoint(target)
+        receivers = tuple(targets)
+        self._receivers[destinations, sender, include_sender] = receivers
+        return receivers
 
-        Returns the additional delay (queueing behind earlier frames plus the
-        frame transmission time) that every receiver of this multicast sees.
+    def _occupy_medium(self) -> float:
+        """Serialise a multicast through the shared medium.
+
+        Called only when ``medium_frame_time`` is positive.  Returns the
+        additional delay (queueing behind earlier frames plus the frame
+        transmission time) that every receiver of this multicast sees.
         """
-        if self.medium_frame_time <= 0.0:
-            return 0.0
         now = self.kernel.now()
         start = max(now, self._medium_free_at)
         finish = start + self.medium_frame_time
@@ -245,10 +287,6 @@ class NetworkTransport:
             return self._sites[site_id]
         except KeyError:
             raise UnknownSiteError(f"site {site_id!r} is not registered") from None
-
-    def _account_payload(self, envelope: Envelope) -> None:
-        if self._payload_size_estimator is not None:
-            self.stats.bytes_estimate += self._payload_size_estimator(envelope)
 
     # Event labels on the delivery paths are static strings: formatting a
     # per-envelope label allocated on every single message and dominated the
@@ -280,8 +318,10 @@ class NetworkTransport:
         )
 
     def _arrive(self, envelope: Envelope, destination: SiteId) -> None:
-        endpoint = self._endpoint(destination)
-        if not self.partitions.connected(envelope.sender, destination):
+        # The receiver was validated when the envelope was sent.
+        endpoint = self._sites[destination]
+        partitions = self.partitions
+        if not partitions.intact and not partitions.connected(envelope.sender, destination):
             # Hold the envelope until the partition heals; re-check shortly.
             self.stats.envelopes_buffered += 1
             self.kernel.schedule(
@@ -294,7 +334,20 @@ class NetworkTransport:
             self.stats.envelopes_buffered += 1
             endpoint.pending.append(envelope)
             return
-        self._deliver(envelope, endpoint)
+        self.stats.envelopes_delivered += 1
+        if self._record_deliveries:
+            self.delivery_log.append(
+                DeliveryRecord(
+                    envelope_id=envelope.envelope_id,
+                    sender=envelope.sender,
+                    receiver=destination,
+                    sent_at=envelope.sent_at,
+                    delivered_at=self.kernel.now(),
+                    kind=envelope.kind,
+                    payload=envelope.payload,
+                )
+            )
+        endpoint.handler(envelope)
 
     def _schedule_delivery(self, envelope: Envelope, destination: SiteId) -> None:
         """Schedule an immediate delivery attempt (used after recovery)."""
@@ -303,19 +356,3 @@ class NetworkTransport:
             lambda: self._arrive(envelope, destination),
             label="net-flush",
         )
-
-    def _deliver(self, envelope: Envelope, endpoint: _SiteEndpoint) -> None:
-        self.stats.envelopes_delivered += 1
-        if self._record_deliveries:
-            self.delivery_log.append(
-                DeliveryRecord(
-                    envelope_id=envelope.envelope_id,
-                    sender=envelope.sender,
-                    receiver=endpoint.site_id,
-                    sent_at=envelope.sent_at,
-                    delivered_at=self.kernel.now(),
-                    kind=envelope.kind,
-                    payload=envelope.payload,
-                )
-            )
-        endpoint.handler(envelope)

@@ -102,9 +102,7 @@ class MetricsRegistry:
     # ---------------------------------------------------------------- gauges
     def gauge_high_water(self, name: str, **labels: str) -> float:
         """Largest high-water mark of the gauge ``name`` across collectors."""
-        marks = [
-            entry.collector.gauge(name).maximum for entry in self._matching(labels)
-        ]
+        marks = [entry.collector.gauge_max(name) for entry in self._matching(labels)]
         return max(marks) if marks else 0.0
 
     # ----------------------------------------------------------------- export

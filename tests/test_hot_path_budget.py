@@ -2,9 +2,9 @@
 
 The number of calls a simulation makes is fixed by its seed: it repeats
 exactly across runs and ``PYTHONHASHSEED`` values and involves no wall
-clock, so it gates exactly where a timing could only trend.  The test runs a
-small 4-site, 8-class flat cluster to idle under :mod:`cProfile` and counts,
-per commit, two kinds of calls:
+clock, so it gates exactly where a timing could only trend.  The test runs
+two small flat clusters under :mod:`cProfile` and counts, per commit, two
+kinds of calls:
 
 * calls whose frame lies in the ``repro`` package, and
 * calls of *generated constructors*: the ``__init__`` of a dataclass and
@@ -18,14 +18,24 @@ overwrites rows with an equal key instead of adding them up, so a
 ``pstats`` sum would undercount them by a varying amount.  Each count fails
 the test when it exceeds its measured value by more than 5 %.
 
-Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
-609.4 ``repro`` calls and 32.1 generated-constructor calls per commit on
-CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike.  The pass that
-introduced this budget took ``repro`` calls from 1 101.0 to 630.5; the pass
-that stopped building frozen records nobody keeps took them to 609.4 and
-generated-constructor calls from 48.1 to 32.1.  A change that adds
-per-commit work must raise the measured value and say why; one that
-removes work should lower it.
+The two clusters share one 8-class workload:
+
+* ``budget``: 4 sites run to idle, with neither echo nor failure
+  detectors — the commit path;
+* ``message``: one shard of the benchmark's ``failover_recovery`` — 3
+  sites with ``echo_on_first_receipt`` and heartbeat detectors, run past
+  the last submission, detectors stopped, then drained — the message path.
+
+Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
+CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 500.7 ``repro`` and
+32.1 generated-constructor calls per commit on ``budget``, 506.5 and 34.6
+on ``message``.  History of ``budget``'s ``repro`` calls: 1 101.0 before
+this budget existed, 630.5 when it landed, 609.4 once frozen records
+nobody kept were gone (generated calls 48.1 → 32.1), 500.7 once multicast
+kept its resolved receivers and the run phase wrote metrics without a call
+(``message``: 649.7 → 506.5).  A change that adds per-commit work must
+raise the measured value and say why; one that removes work should lower
+it.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import os
 
 import repro
 from repro import ClusterConfig, ReplicatedDatabase
+from repro.failure.suspicion import FailureDetectionConfig
 from repro.workloads import (
     WorkloadGenerator,
     WorkloadSpec,
@@ -43,38 +54,75 @@ from repro.workloads import (
     build_partitioned_registry,
 )
 
-MEASURED_CALLS_PER_COMMIT = 609.4
-MEASURED_GENERATED_CALLS_PER_COMMIT = 32.1
+#: Measured ``(repro calls, generated-constructor calls)`` per commit.
+MEASURED_PER_COMMIT = {
+    "budget": (500.7, 32.1),
+    "message": (506.5, 34.6),
+}
 TOLERANCE = 1.05
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: ``co_filename`` of code compiled by ``dataclasses`` and ``collections.namedtuple``.
 _GENERATED_FILENAME = "<string>"
 
+_SPEC = WorkloadSpec(
+    class_count=8,
+    objects_per_class=20,
+    updates_per_site=60,
+    update_interval=0.001,
+    update_duration=0.0005,
+)
 
-def calls_per_commit(seed: int = 11) -> tuple:
-    """Run the budget cluster under cProfile.
+
+def _build(config: ClusterConfig) -> tuple:
+    cluster = ReplicatedDatabase(
+        config,
+        build_partitioned_registry(_SPEC),
+        conflict_map=build_conflict_map(_SPEC),
+        initial_data=build_initial_data(_SPEC),
+    )
+    return cluster, WorkloadGenerator(_SPEC).apply(cluster)
+
+
+def budget_cluster(seed: int) -> tuple:
+    """4 sites, no echo, no detectors: ``(cluster, run phase)``."""
+    cluster, _ = _build(ClusterConfig(site_count=4, seed=seed))
+    return cluster, cluster.run_until_idle
+
+
+def message_cluster(seed: int) -> tuple:
+    """One shard of ``failover_recovery``: 3 sites, echo and heartbeat detectors."""
+    cluster, plan = _build(
+        ClusterConfig(
+            site_count=3,
+            seed=seed,
+            echo_on_first_receipt=True,
+            failure_detection=FailureDetectionConfig(),
+        )
+    )
+
+    def run() -> None:
+        # Detectors tick forever: run past the last submission, stop them, drain.
+        cluster.run(until=plan.last_submission_time() + 0.1)
+        cluster.stop_failure_detectors()
+        cluster.run_until_idle()
+
+    return cluster, run
+
+
+CLUSTERS = {"budget": budget_cluster, "message": message_cluster}
+
+
+def calls_per_commit(name: str, seed: int = 11) -> tuple:
+    """Run the named cluster under cProfile.
 
     Returns ``(repro calls per commit, generated-constructor calls per
     commit, commits)``.
     """
-    spec = WorkloadSpec(
-        class_count=8,
-        objects_per_class=20,
-        updates_per_site=60,
-        update_interval=0.001,
-        update_duration=0.0005,
-    )
-    cluster = ReplicatedDatabase(
-        ClusterConfig(site_count=4, seed=seed),
-        build_partitioned_registry(spec),
-        conflict_map=build_conflict_map(spec),
-        initial_data=build_initial_data(spec),
-    )
-    WorkloadGenerator(spec).apply(cluster)
+    cluster, run = CLUSTERS[name](seed)
     profiler = cProfile.Profile()
     profiler.enable()
-    cluster.run_until_idle()
+    run()
     profiler.disable()
     repro_calls = generated_calls = 0
     for entry in profiler.getstats():
@@ -89,20 +137,31 @@ def calls_per_commit(seed: int = 11) -> tuple:
     return repro_calls / commits, generated_calls / commits, commits
 
 
-def test_run_phase_calls_per_commit_stay_within_budget():
-    repro_calls, generated_calls, commits = calls_per_commit()
-    assert commits == 240
-    assert repro_calls <= MEASURED_CALLS_PER_COMMIT * TOLERANCE, (
+def _assert_within_budget(name: str, commits: int) -> None:
+    repro_calls, generated_calls, committed = calls_per_commit(name)
+    measured_repro, measured_generated = MEASURED_PER_COMMIT[name]
+    assert committed == commits
+    assert repro_calls <= measured_repro * TOLERANCE, (
         f"{repro_calls:.1f} repro calls per commit exceeds the budget of "
-        f"{MEASURED_CALLS_PER_COMMIT} x {TOLERANCE}"
+        f"{measured_repro} x {TOLERANCE}"
     )
-    assert generated_calls <= MEASURED_GENERATED_CALLS_PER_COMMIT * TOLERANCE, (
+    assert generated_calls <= measured_generated * TOLERANCE, (
         f"{generated_calls:.1f} generated-constructor calls per commit exceeds the "
-        f"budget of {MEASURED_GENERATED_CALLS_PER_COMMIT} x {TOLERANCE}"
+        f"budget of {measured_generated} x {TOLERANCE}"
     )
+
+
+def test_run_phase_calls_per_commit_stay_within_budget():
+    _assert_within_budget("budget", commits=240)
+
+
+def test_message_path_calls_per_commit_stay_within_budget():
+    _assert_within_budget("message", commits=180)
 
 
 if __name__ == "__main__":
-    repro_value, generated_value, committed = calls_per_commit()
-    print(f"{repro_value:.1f} repro calls per commit over {committed} commits")
-    print(f"{generated_value:.1f} generated-constructor calls per commit")
+    for cluster_name in CLUSTERS:
+        repro_value, generated_value, committed = calls_per_commit(cluster_name)
+        print(f"{cluster_name}: {repro_value:.1f} repro calls per commit over "
+              f"{committed} commits")
+        print(f"{cluster_name}: {generated_value:.1f} generated-constructor calls per commit")

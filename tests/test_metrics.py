@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
-    Counter,
     Gauge,
     LatencyRecorder,
     MetricsCollector,
@@ -81,10 +80,10 @@ class TestStats:
 
 class TestCollector:
     def test_counter_increment(self):
-        counter = Counter("x")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
+        metrics = MetricsCollector("test")
+        metrics.increment("x")
+        metrics.increment("x", 4)
+        assert metrics.count("x") == 5
 
     def test_latency_recorder_summary(self):
         recorder = LatencyRecorder("lat")
@@ -133,3 +132,23 @@ class TestCollector:
         assert metrics.gauge_max("missing") == 0.0
         snapshot = metrics.snapshot()
         assert snapshot["gauges"]["queue_depth"] == {"value": 1.0, "max": 4.0}
+
+    def test_reading_an_instrument_does_not_register_it(self):
+        metrics = MetricsCollector("test")
+        metrics.increment("a")
+        before = metrics.snapshot()
+        assert metrics.latency("missing").samples == []
+        assert metrics.gauge("missing").maximum == 0.0
+        assert metrics.count("missing") == 0
+        assert metrics.gauge_max("missing") == 0.0
+        assert metrics.latency_summary("missing").count == 0
+        assert metrics.snapshot() == before
+
+    def test_direct_writes_create_instruments_at_first_write(self):
+        metrics = MetricsCollector("test")
+        metrics.counts["commits"] += 1
+        metrics.samples["commit"].append(0.5)
+        metrics.record_latency("commit", 1.5)
+        assert metrics.counters() == {"commits": 1}
+        assert metrics.latency("commit").samples == [0.5, 1.5]
+        assert list(metrics.snapshot()["latencies"]) == ["commit"]

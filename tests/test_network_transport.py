@@ -237,6 +237,119 @@ class TestPartitions:
         assert controller.connected("N1", "N1")
 
 
+#: The delivery log of :func:`lossy_partitioned_delivery_log`, printed before
+#: multicast kept its resolved receivers and arrival skipped the partition
+#: check while nothing is cut: a pin on the order of every loss and latency
+#: draw, every hold and every flush.
+#: Rows are ``(payload, sender, receiver, sent_at, delivered_at)``.
+EXPECTED_LOSSY_PARTITIONED_LOG = [
+    ('open-uni', 'N3', 'N4', 0.0, 0.0005118),
+    ('open-all', 'N1', 'N4', 0.0, 0.000936124),
+    ('open-all', 'N1', 'N1', 0.0, 0.000952106),
+    ('open-list', 'N4', 'N3', 0.0, 0.001058693),
+    ('open-group', 'N2', 'N1', 0.0, 0.001071146),
+    ('open-all', 'N1', 'N2', 0.0, 0.001446737),
+    ('split-uni', 'N3', 'N4', 0.0015, 0.001960021),
+    ('split-all', 'N1', 'N2', 0.0015, 0.002426759),
+    ('split-group', 'N2', 'N1', 0.0015, 0.002642303),
+    ('split-list', 'N4', 'N3', 0.0015, 0.002978296),
+    ('split-all', 'N1', 'N3', 0.0015, 0.006334985),
+    ('split-all', 'N1', 'N4', 0.0015, 0.006413588),
+    ('split-group', 'N2', 'N3', 0.0015, 0.00653855),
+    ('split-list', 'N4', 'N1', 0.0015, 0.006951257),
+    ('open-all', 'N1', 'N3', 0.0, 0.00698551),
+    ('open-list', 'N4', 'N1', 0.0, 0.007076212),
+    ('open-group', 'N2', 'N3', 0.0, 0.007145324),
+    ('cut-all', 'N1', 'N4', 0.0075, 0.008175936),
+    ('cut-all', 'N1', 'N3', 0.0075, 0.008208181),
+    ('cut-all', 'N1', 'N2', 0.0075, 0.008267708),
+    ('cut-group', 'N2', 'N3', 0.0075, 0.008804574),
+    ('cut-all', 'N1', 'N1', 0.0075, 0.010171648),
+    ('cut-list', 'N4', 'N3', 0.0075, 0.010827872),
+    ('cut-uni', 'N3', 'N4', 0.0075, 0.012328668),
+    ('cut-group', 'N2', 'N1', 0.0075, 0.012746306),
+    ('cut-list', 'N4', 'N1', 0.0075, 0.012836462),
+    ('healed-all', 'N1', 'N1', 0.013, 0.013851596),
+    ('healed-uni', 'N3', 'N4', 0.013, 0.013875014),
+    ('healed-all', 'N1', 'N3', 0.013, 0.013877537),
+    ('healed-all', 'N1', 'N2', 0.013, 0.013970867),
+    ('healed-list', 'N4', 'N1', 0.013, 0.014516556),
+    ('healed-group', 'N2', 'N3', 0.013, 0.014595305),
+    ('healed-list', 'N4', 'N3', 0.013, 0.016239739),
+    ('healed-group', 'N2', 'N1', 0.013, 0.016290445),
+    ('split-all', 'N1', 'N1', 0.0015, 0.016309956),
+    ('healed-all', 'N1', 'N4', 0.013, 0.019805935),
+]
+
+
+def lossy_partitioned_delivery_log():
+    """Four bursts over a lossy shared medium: open, partitioned, cut, healed.
+
+    A group partition isolates N1 and N2 and is healed; the directed link
+    N3 -> N4 is severed and restored.  Each burst multicasts to everyone, to
+    a fixed group tuple without the sender, to a list with a duplicate, and
+    unicasts once.
+    """
+    kernel = SimulationKernel(seed=7)
+    transport = NetworkTransport(
+        kernel, loss_probability=0.3, medium_frame_time=0.0002, record_deliveries=True
+    )
+    for site in ("N1", "N2", "N3", "N4"):
+        transport.register_site(site, lambda envelope: None)
+    group = ("N1", "N2", "N3")
+
+    def burst(tag):
+        transport.multicast("N1", f"{tag}-all")
+        transport.multicast("N2", f"{tag}-group", destinations=group, include_sender=False)
+        transport.multicast("N4", f"{tag}-list", destinations=["N3", "N1", "N3"])
+        transport.unicast("N3", "N4", f"{tag}-uni")
+
+    burst("open")
+    kernel.schedule(0.001, lambda: transport.partitions.isolate(["N1", "N2"]))
+    kernel.schedule(0.0015, lambda: burst("split"))
+    kernel.schedule(0.006, lambda: transport.partitions.heal())
+    kernel.schedule(0.007, lambda: transport.partitions.sever("N3", "N4"))
+    kernel.schedule(0.0075, lambda: burst("cut"))
+    kernel.schedule(0.012, lambda: transport.partitions.restore("N3", "N4"))
+    kernel.schedule(0.013, lambda: burst("healed"))
+    kernel.run_until_idle()
+    log = [
+        (r.payload, r.sender, r.receiver, round(r.sent_at, 9), round(r.delivered_at, 9))
+        for r in transport.delivery_log
+    ]
+    return log, transport.stats
+
+
+class TestExactDelivery:
+    def test_lossy_partitioned_run_delivers_exactly_as_pinned(self):
+        log, stats = lossy_partitioned_delivery_log()
+        assert log == EXPECTED_LOSSY_PARTITIONED_LOG
+        assert (stats.envelopes_delivered, stats.envelopes_buffered) == (36, 16)
+        assert (stats.envelopes_dropped, stats.retransmissions) == (21, 21)
+
+    def test_site_registered_after_a_multicast_receives_the_next_one(self):
+        kernel, transport = build_transport()
+        inboxes = {site: register_collector(transport, site) for site in ["N1", "N2"]}
+        transport.multicast("N1", "before")
+        inboxes["N3"] = register_collector(transport, "N3")
+        transport.multicast("N1", "after")
+        kernel.run_until_idle()
+        assert [e.payload for e in inboxes["N3"]] == ["after"]
+        assert [e.payload for e in inboxes["N1"]] == ["before", "after"]
+
+    @pytest.mark.parametrize(
+        "sender, destinations",
+        [("N9", None), ("N9", ("N1",)), ("N1", ("N1", "N9")), ("N1", ["N9"])],
+    )
+    def test_unknown_site_is_rejected_on_every_send(self, sender, destinations):
+        kernel, transport = build_transport()
+        register_collector(transport, "N1")
+        for _ in range(2):
+            with pytest.raises(UnknownSiteError):
+                transport.multicast(sender, "x", destinations=destinations)
+        assert transport.stats.multicasts_sent == 0
+
+
 class TestDispatcher:
     def test_routes_by_kind(self):
         kernel, transport = build_transport()

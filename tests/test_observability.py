@@ -256,6 +256,22 @@ class TestRegistryNamespace:
         assert registry.counter_total("commits") == total
         assert registry.gauge_high_water("class_queue_depth") >= 1.0
 
+    def test_deriving_metrics_registers_no_instrument(self):
+        # A flat closed-loop run records no query latency and sets no
+        # admission gauge; reporting on it must not create either.
+        cluster = build_traced_cluster(None)
+        cluster.run_until_idle()
+        before = build_registry(cluster).instrument_names()
+        snapshot = build_registry(cluster).snapshot()
+        derived = derive_metrics(cluster)
+        assert build_registry(cluster).instrument_names() == before
+        assert build_registry(cluster).snapshot() == snapshot
+        assert "query_latency" not in before["latencies"]
+        assert "admission_queue_depth" not in before["gauges"]
+        assert derived.phase_breakdown["query_latency"].count == 0
+        assert derived.max_admission_queue_depth == 0.0
+        assert derived.max_class_queue_depth >= 1.0
+
     def test_flat_and_sharded_share_one_namespace(self):
         flat = build_traced_cluster(None)
         flat.run_until_idle()
