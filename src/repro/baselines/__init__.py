@@ -1,10 +1,10 @@
-"""Baselines the paper compares against (conceptually or explicitly)."""
+"""Baselines the paper compares against (conceptually or explicitly).
 
-from .conservative import (
-    build_conservative_cluster,
-    conservative_config,
-    optimistic_config,
-)
+The conservative baseline is not a module: it is
+``ClusterConfig(broadcast=BROADCAST_CONSERVATIVE)`` on the one cluster
+facade.
+"""
+
 from .lazy import (
     LazyCommitRecord,
     LazyReplica,
@@ -13,9 +13,6 @@ from .lazy import (
 )
 
 __all__ = [
-    "build_conservative_cluster",
-    "conservative_config",
-    "optimistic_config",
     "LazyCommitRecord",
     "LazyReplica",
     "LazyReplicatedDatabase",

@@ -1,6 +1,6 @@
 """Group-communication substrate: reliable and FIFO broadcast, the atomic
 broadcast with optimistic (or, as a delivery policy, conservative) delivery,
-plus consensus and the spontaneous-order measurement."""
+plus the spontaneous-order measurement."""
 
 from .batching import (
     Batch,
@@ -9,7 +9,6 @@ from .batching import (
     BatchMember,
     unwrap_endpoint,
 )
-from .consensus import CONSENSUS_KIND, ConsensusMessage, ConsensusParticipant
 from .fifo import FIFO_KIND, FifoBroadcast
 from .interfaces import (
     AtomicBroadcastEndpoint,
@@ -41,9 +40,6 @@ __all__ = [
     "BatchingEndpoint",
     "BatchMember",
     "unwrap_endpoint",
-    "ConsensusParticipant",
-    "ConsensusMessage",
-    "CONSENSUS_KIND",
     "FifoBroadcast",
     "FIFO_KIND",
     "AtomicBroadcastEndpoint",

@@ -36,9 +36,10 @@ modes are provided:
 
 Both modes satisfy the five properties of Section 2.1 in failure-free runs
 and tolerate coordinator crashes through explicit coordinator promotion
-(:meth:`set_coordinator`); the standalone consensus substrate
-(:mod:`repro.broadcast.consensus`) shows how the decision step generalises to
-a majority-based agreement.
+(:meth:`set_coordinator`).  The cluster's one failover governor decides the
+promotion and repoints every endpoint in one simulation event, standing in
+for the paper's consensus fallback (a modelling assumption, see
+``docs/recovery.md``).
 """
 
 from __future__ import annotations

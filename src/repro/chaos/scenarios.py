@@ -156,9 +156,9 @@ def build_chaos_cluster(
     ``topology`` (a :class:`~repro.network.latency.GeoTopology`) puts the
     shared transport on region-aware per-link WAN delays, and
     ``failure_detection`` (a
-    :class:`~repro.failure.suspicion.FailureDetectionConfig`) switches every
-    shard from oracle-driven failover to heartbeat suspicion-driven
-    promotion — runs using it must go through ``execute_chaos_run`` with a
+    :class:`~repro.failure.suspicion.FailureDetectionConfig`) feeds every
+    shard's failover governor from heartbeat detectors instead of the
+    perfect oracle detector — runs using it must go through ``execute_chaos_run`` with a
     ``settle_time`` so the periodic detectors can be stopped before the
     final drain to idle.  ``admission`` (an
     :class:`~repro.core.admission.AdmissionConfig`) arms every shard's
@@ -264,7 +264,8 @@ def sequencer_failover_under_load(seed: int = 1, **sizing) -> ChaosRunResult:
     The crash target is the *role*: whichever site holds the coordinator
     role of shard S1 when the fault fires goes down, the shard promotes the
     lowest-id survivor, in-flight messages still get ordered, and the old
-    coordinator recovers later, catches up, and does not reclaim the role.
+    coordinator recovers later, catches up, and — under the Ω rule — takes
+    the role back.
     """
     cluster, spec = build_chaos_cluster(seed, **sizing)
     first_shard = cluster.shard_ids()[0]

@@ -9,7 +9,7 @@ layer all operate on this facade.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..broadcast.batching import BatchingEndpoint
 from ..broadcast.interfaces import AtomicBroadcastEndpoint
@@ -19,8 +19,8 @@ from ..database.history import SiteHistory
 from ..database.procedures import ProcedureRegistry
 from ..errors import ReplicationError
 from ..failure.crash import CrashManager
-from ..failure.detector import HEARTBEAT_KIND, FailureDetector
-from ..failure.suspicion import SuspicionFailoverGovernor
+from ..failure.detector import HEARTBEAT_KIND, FailureDetector, SuspicionListener
+from ..failure.suspicion import SuspicionFailoverGovernor, SuspicionSource
 from ..network.dispatcher import SiteDispatcher
 from ..network.transport import NetworkTransport
 from ..observability.registry import FLAT_SHARD_LABEL
@@ -38,6 +38,23 @@ from .admission import (
 from .config import BROADCAST_OPTIMISTIC, ClusterConfig
 from .execution import QueryExecution
 from .replica import ReplicaManager
+
+
+class _PerfectDetector:
+    """Oracle mode's detector: every site suspects exactly the down sites.
+
+    It never notifies listeners — a crash or recovery already re-runs the
+    election through the governor's ``site_down`` / ``site_up``.
+    """
+
+    def __init__(self, crash_manager: CrashManager) -> None:
+        self._crash_manager = crash_manager
+
+    def is_suspected(self, peer: SiteId) -> bool:
+        return not self._crash_manager.is_up(peer)
+
+    def add_listener(self, listener: SuspicionListener) -> None:
+        """Nothing to register (see the class docstring)."""
 
 
 class ReplicatedDatabase:
@@ -100,22 +117,20 @@ class ReplicatedDatabase:
         coordinator = site_ids[0]
         self._current_coordinator = coordinator
         # Crash semantics and coordinator failover: a crash destroys the
-        # site's volatile state (ReplicaManager.on_crash) and, when the
-        # crashed site held the coordinator role, a surviving site takes
-        # over.  A recovering site runs the catch-up protocol
+        # site's volatile state (ReplicaManager.on_crash).  A recovering site
+        # adopts the current coordinator and runs the catch-up protocol
         # (ReplicaManager.on_recover: state transfer, broadcast rejoin,
-        # client re-submission) and adopts the current coordinator.
+        # client re-submission).
         #
-        # *Who* decides the promotion depends on ``config.failure_detection``:
-        # with it unset (default), the crash manager's ground truth drives
-        # the role directly (oracle mode — deterministic and cheap, right
-        # for experiments that are not about failure handling).  With it
-        # set, every site runs a heartbeat ◇P detector and a
-        # :class:`SuspicionFailoverGovernor` elects the coordinator from the
-        # live sites' *suspicions* (quorum condemnation + Ω rule), so false
-        # suspicions — the case the paper's consensus fallback exists for —
-        # actually reach the promotion path; the crash manager is then only
-        # the fault injector.
+        # One SuspicionFailoverGovernor decides every promotion (quorum
+        # condemnation + Ω rule).  Only its inputs depend on
+        # ``config.failure_detection``: with it set, every site runs a
+        # heartbeat ◇P detector, so false suspicions — the case the paper's
+        # consensus fallback exists for — reach the promotion path.  With it
+        # unset (oracle mode — deterministic and cheap, right for experiments
+        # that are not about failure handling), a perfect detector reports
+        # the crash manager's ground truth, so the governor promotes at the
+        # crash instant.
         self.crash_manager.add_listener(self._on_liveness_change)
         for site_id in site_ids:
             dispatcher = SiteDispatcher(self.transport, site_id)
@@ -170,9 +185,12 @@ class ReplicatedDatabase:
         self._offer_cursor = 0
 
         self.failure_detectors: Dict[SiteId, FailureDetector] = {}
-        self._governor: Optional[SuspicionFailoverGovernor] = None
-        if config.failure_detection is not None:
-            detection = config.failure_detection
+        detection = config.failure_detection
+        detectors: Mapping[SiteId, SuspicionSource] = self.failure_detectors
+        if detection is None:
+            perfect = _PerfectDetector(self.crash_manager)
+            detectors = {site_id: perfect for site_id in site_ids}
+        else:
             for site_id in site_ids:
                 detector = FailureDetector(
                     self.kernel,
@@ -188,12 +206,12 @@ class ReplicatedDatabase:
                 )
                 detector.start()
                 self.failure_detectors[site_id] = detector
-            self._governor = SuspicionFailoverGovernor(
-                site_ids,
-                self.failure_detectors,
-                self._on_coordinator_elected,
-                quorum=detection.quorum,
-            )
+        self._governor = SuspicionFailoverGovernor(
+            site_ids,
+            detectors,
+            self._on_coordinator_elected,
+            quorum=None if detection is None else detection.quorum,
+        )
 
     def _position_uncommitted_everywhere(self, position: int) -> bool:
         """Whether no replica's durable redo log records ``position``."""
@@ -227,61 +245,45 @@ class ReplicatedDatabase:
         return self._current_coordinator
 
     def _on_liveness_change(self, site_id: SiteId, up: bool) -> None:
-        """Apply crash/recovery semantics and keep the coordinator role live."""
+        """Apply crash/recovery semantics, then let the governor re-elect."""
+        detector = self.failure_detectors.get(site_id)
+        if not up:
+            # The crashed process loses its volatile state before anything
+            # else reacts, and stops heartbeating (its detector dies with
+            # it).  The crash manager only injected the fault: the governor
+            # promotes once the detectors condemn the site — at once for the
+            # perfect detector, after a timeout for heartbeat detectors.
+            self.replicas[site_id].on_crash()
+            if detector is not None:
+                detector.stop()
+            self._governor.site_down(site_id)
+            return
+        # The recovered site adopts whatever the governor last decided, then
+        # rejoins; a fresh heartbeat detector announces its state (reset
+        # notifies lifted suspicions) before the governor re-evaluates —
+        # under the Ω rule a recovered lowest-ranked site reclaims the role
+        # once it is live and no quorum suspects it.
         up_sites = [
             candidate
             for candidate in self.site_ids()
             if self.crash_manager.is_up(candidate)
         ]
-        if not up:
-            # The crashed process loses its volatile state before anything
-            # else reacts to the membership change.
-            self.replicas[site_id].on_crash()
-            if self._governor is not None:
-                # Suspicion mode: the dead process stops heartbeating (its
-                # detector dies with it) and the governor re-elects once the
-                # survivors' suspicions condemn it — the crash manager only
-                # injected the fault, it does not promote anyone.
-                self.failure_detectors[site_id].stop()
-                self._governor.site_down(site_id)
-            elif site_id == self._current_coordinator and up_sites:
-                self._current_coordinator = up_sites[0]
-                for endpoint in self._broadcasts.values():
-                    endpoint.set_coordinator(self._current_coordinator)
-            return
-        if self._governor is not None:
-            # The recovered site adopts whatever the governor last decided,
-            # then rejoins; its fresh detector state is announced (reset
-            # notifies lifted suspicions) before the governor re-evaluates —
-            # under the Ω rule a recovered lowest-ranked site reclaims the
-            # role once it is live and no quorum suspects it.
-            self._broadcasts[site_id].set_coordinator(self._current_coordinator)
-            self.replicas[site_id].on_recover(
-                [self.replicas[peer] for peer in up_sites]
-            )
-            detector = self.failure_detectors[site_id]
-            detector.reset()
-            detector.start()
-            self._governor.site_up(site_id)
-            return
-        if not self.crash_manager.is_up(self._current_coordinator):
-            # The recovering site rejoins a group whose coordinator is still
-            # down (a whole-group outage): promote the lowest-id up site.
-            self._current_coordinator = up_sites[0]
-            for endpoint in self._broadcasts.values():
-                endpoint.set_coordinator(self._current_coordinator)
-        else:
-            self._broadcasts[site_id].set_coordinator(self._current_coordinator)
+        self._broadcasts[site_id].set_coordinator(self._current_coordinator)
         self.replicas[site_id].on_recover(
             [self.replicas[peer] for peer in up_sites]
         )
+        if detector is not None:
+            detector.reset()
+            detector.start()
+        self._governor.site_up(site_id)
 
     def _on_coordinator_elected(self, new_coordinator: SiteId) -> None:
-        """Execute the view change the suspicion governor decided.
+        """Execute the view change the governor decided.
 
         The change is atomic across the group (every endpoint repoints in
-        this one simulation event), standing in for the consensus round the
-        paper's fallback runs among the live sites.  Before anyone repoints,
+        this one simulation event).  That is a modelling assumption standing
+        in for the consensus round the paper's fallback runs among the live
+        sites (``docs/recovery.md``).  Before anyone repoints,
         the incoming coordinator's position counter is raised to the highest
         counter observed in the group — the view change's state exchange —
         so positions the outgoing coordinator assigned (possibly still in

@@ -85,13 +85,15 @@ class ProtocolConfig:
         :class:`~repro.network.latency.GeoLatency` over it, so per-link
         delay depends on which regions the sender and receiver live in.
     failure_detection:
+        Every coordinator promotion is decided by one
+        :class:`~repro.failure.suspicion.SuspicionFailoverGovernor`
+        (quorum condemnation + Ω election); this field picks its inputs.
         When given
         (:class:`~repro.failure.suspicion.FailureDetectionConfig`), the
-        cluster attaches one heartbeat failure detector per site and drives
-        coordinator promotion from the detectors' suspicions
-        (quorum condemnation + Ω election) instead of the crash manager's
-        ground truth.  ``None`` (default) keeps the legacy oracle-driven
-        failover.
+        cluster attaches one heartbeat failure detector per site and the
+        governor reads their suspicions.  ``None`` (default, oracle mode)
+        feeds it a perfect detector over the crash manager's ground truth,
+        so promotion happens at the crash instant.
     admission:
         When given (:class:`~repro.core.admission.AdmissionConfig`), every
         site gets an :class:`~repro.core.admission.AdmissionController` and

@@ -31,10 +31,6 @@ class BroadcastError(ReproError):
     """Raised by broadcast protocols on invalid usage."""
 
 
-class ConsensusError(BroadcastError):
-    """Raised when a consensus instance is driven incorrectly."""
-
-
 class DatabaseError(ReproError):
     """Raised by the database substrate."""
 

@@ -5,8 +5,9 @@ detection (Chandra & Toueg [6]).  Each site runs a :class:`FailureDetector`
 that multicasts heartbeats and suspects peers whose heartbeats stop arriving
 within the current timeout.  Wrong suspicions are corrected — and the timeout
 increased — when a heartbeat from a suspected site arrives, giving the
-eventual accuracy required by the consensus fallback of the optimistic
-atomic broadcast.
+eventual accuracy the optimistic atomic broadcast's failover relies on.
+The detectors feed :class:`~repro.failure.suspicion.SuspicionFailoverGovernor`,
+which elects the coordinator from their suspicions.
 """
 
 from __future__ import annotations

@@ -18,35 +18,46 @@ self-correcting — when heartbeats resume, the suspicion is lifted, the site
 is no longer condemned, and the role returns to it (demotion of the stand-in
 coordinator, re-trust of the wrongly suspected one).
 
-The governor executes the resulting view change atomically across the
-replica group (every endpoint repoints in one simulation event).  That
-atomicity stands in for the consensus round the paper's fallback would run
-among the live sites — exactly like the atomic view change the crash-driven
-failover already performed — so the simulation cannot split-brain even
-though the *inputs* to the decision are unreliable.
+The governor is the cluster's one promotion path.  Its inputs are either
+heartbeat detectors or, in oracle mode, a *perfect* detector that suspects
+exactly the sites that are down — so oracle mode follows the same quorum and
+Ω rules, it just condemns at the crash instant.  The resulting view change
+is executed atomically across the replica group (every endpoint repoints in
+one simulation event).  That atomicity is a stated modelling assumption
+(``docs/recovery.md``) standing in for the consensus round the paper's
+fallback would run among the live sites, so the simulation cannot
+split-brain even though the *inputs* to the decision are unreliable.
 
-The crash manager stays what it always was: the fault *injector*.  A crash
-still destroys volatile state and silences the site's detector (a dead
-process sends no heartbeats); but the promotion decision itself is computed
+The crash manager stays the fault *injector*.  A crash destroys volatile
+state and silences the site's heartbeat detector (a dead process sends no
+heartbeats); with heartbeat detectors the promotion decision is computed
 from the surviving sites' suspicions — a real crash is only acted on once
 the detectors *detect* it, and a latency spike alone — no crash anywhere —
-can now exercise the failover path.  The governor never reads ground-truth
-liveness: condemned sites are excluded from the electorate in their place
-(a stopped detector's frozen suspicion state must not be able to veto a
-quorum forever), computed as a monotone fixed point.
+can exercise the failover path.  The governor never reads ground-truth
+liveness itself: condemned sites are excluded from the electorate in its
+place (a stopped detector's frozen suspicion state must not be able to veto
+a quorum forever), computed as a monotone fixed point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, List, Mapping, Optional, Protocol, Sequence, Set
 
 from ..errors import ReplicationError
 from ..types import SiteId
-from .detector import FailureDetector
+from .detector import SuspicionListener
 
 #: Callback invoked with the newly elected coordinator site.
 CoordinatorChangeListener = Callable[[SiteId], None]
+
+
+class SuspicionSource(Protocol):
+    """What the governor reads of one site's detector."""
+
+    def is_suspected(self, peer: SiteId) -> bool: ...
+
+    def add_listener(self, listener: SuspicionListener) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,8 @@ class FailureDetectionConfig:
     timeout_increment:
         Added to a peer's timeout each time it was wrongly suspected.
     quorum:
-        Number of observers whose suspicion condemns a site.  ``None``
+        Number of observers whose suspicion condemns a site, at most the
+        group size minus one (the governor rejects more).  ``None``
         (default) uses a majority of the non-condemned sites other than the
         accused.
     """
@@ -92,21 +104,25 @@ class SuspicionFailoverGovernor:
         The group's sites in promotion-preference order (the existing
         convention: lowest site id first).
     detectors:
-        One started :class:`FailureDetector` per site of the group.  The
-        governor subscribes to every detector's suspicion changes.
+        One suspicion source per site of the group: a started
+        :class:`~repro.failure.detector.FailureDetector`, or the cluster's
+        perfect detector in oracle mode.  The governor subscribes to every
+        detector's suspicion changes.
     on_coordinator_change:
         Invoked with the new coordinator whenever the election result
         changes.  The callback must apply the view change atomically (the
         cluster facade repoints every endpoint before returning).
     quorum:
         Fixed condemnation quorum; ``None`` = majority of the non-condemned
-        observers other than the accused.
+        observers other than the accused.  A site has at most
+        ``len(ranking) - 1`` observers, so a larger quorum could never
+        condemn anyone and is rejected.
     """
 
     def __init__(
         self,
         ranking: Sequence[SiteId],
-        detectors: Dict[SiteId, FailureDetector],
+        detectors: Mapping[SiteId, SuspicionSource],
         on_coordinator_change: CoordinatorChangeListener,
         *,
         quorum: Optional[int] = None,
@@ -116,6 +132,11 @@ class SuspicionFailoverGovernor:
         missing = [site for site in ranking if site not in detectors]
         if missing:
             raise ReplicationError(f"no failure detector for sites {missing!r}")
+        if quorum is not None and quorum > len(ranking) - 1:
+            raise ReplicationError(
+                f"a suspicion quorum of {quorum} exceeds the {len(ranking) - 1} "
+                "observers a site has, so no site could ever be condemned"
+            )
         self._ranking: List[SiteId] = list(ranking)
         self._detectors = dict(detectors)
         self._on_change = on_coordinator_change
@@ -137,10 +158,11 @@ class SuspicionFailoverGovernor:
     def site_down(self, site: SiteId) -> None:
         """The process at ``site`` stopped running.
 
-        Deliberately *not* a vote: ground-truth liveness never enters the
-        election.  The crash will be detected (missing heartbeats condemn
-        the site) and acted on then; this hook only re-runs the election in
-        case the condemnation already happened while the site was mid-crash.
+        Deliberately *not* a vote: ground-truth liveness enters the election
+        only through the detectors.  Heartbeat detectors will detect the
+        crash (missing heartbeats condemn the site) and act on it then; a
+        perfect detector (oracle mode) already reports it, so this
+        re-election is where oracle mode promotes.
         """
         self._reevaluate()
 

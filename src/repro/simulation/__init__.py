@@ -9,7 +9,7 @@ from .clock import VirtualClock, microseconds, milliseconds, to_milliseconds
 from .events import Event, EventQueue
 from .kernel import SimulationKernel
 from .randomness import RandomSource, RandomStream
-from .timers import PeriodicTimer, Timeout
+from .timers import PeriodicTimer
 
 __all__ = [
     "VirtualClock",
@@ -19,7 +19,6 @@ __all__ = [
     "RandomSource",
     "RandomStream",
     "PeriodicTimer",
-    "Timeout",
     "milliseconds",
     "microseconds",
     "to_milliseconds",

@@ -1,8 +1,8 @@
 """Timer helpers built on top of the simulation kernel.
 
 Protocols use :class:`PeriodicTimer` for heartbeat-style activity (failure
-detector probes, workload generators) and :class:`Timeout` for one-shot,
-restartable timeouts (failure-detector suspicion, retransmission).
+detector probes, workload generators); a one-shot delay is a plain
+``kernel.schedule``.
 """
 
 from __future__ import annotations
@@ -74,57 +74,4 @@ class PeriodicTimer:
         if not self._running:
             return
         self._event = self._kernel.schedule(self._interval, self._tick, label=self._label)
-        self._callback()
-
-
-class Timeout:
-    """A restartable one-shot timeout."""
-
-    def __init__(
-        self,
-        kernel: SimulationKernel,
-        duration: float,
-        callback: Callable[[], None],
-        *,
-        label: str = "timeout",
-    ) -> None:
-        if duration <= 0.0:
-            raise SimulationError("timeout duration must be positive")
-        self._kernel = kernel
-        self._duration = duration
-        self._callback = callback
-        self._label = label
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timeout is currently counting down."""
-        return self._event is not None and not self._event.cancelled
-
-    @property
-    def duration(self) -> float:
-        """The timeout duration in seconds."""
-        return self._duration
-
-    def start(self) -> None:
-        """Arm the timeout; restarts the countdown if already armed."""
-        self.cancel()
-        self._event = self._kernel.schedule(self._duration, self._fire, label=self._label)
-
-    def restart(self, duration: Optional[float] = None) -> None:
-        """Restart the countdown, optionally with a new duration."""
-        if duration is not None:
-            if duration <= 0.0:
-                raise SimulationError("timeout duration must be positive")
-            self._duration = duration
-        self.start()
-
-    def cancel(self) -> None:
-        """Disarm the timeout without firing it."""
-        if self._event is not None:
-            self._kernel.cancel(self._event)
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
         self._callback()

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro import BatchingConfig, ClusterConfig, ProcedureRegistry, ReplicatedDatabase
-from repro.baselines import (
-    LazyReplicatedDatabase,
-    build_conservative_cluster,
-    conservative_config,
-    optimistic_config,
-)
-from repro.core.admission import AdmissionConfig
-from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
+from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro.baselines import LazyReplicatedDatabase
+from repro.core.config import BROADCAST_CONSERVATIVE
 from repro.errors import ReplicationError
 from repro.network import ConstantLatency, LanMulticastLatency
 
@@ -34,30 +28,12 @@ def initial_slots(count=4):
     return {f"slot:{index}": 0 for index in range(count)}
 
 
-class TestConservativeHelpers:
-    def test_conservative_config_flips_broadcast_and_keeps_rest(self):
-        base = ClusterConfig(site_count=6, seed=3, broadcast=BROADCAST_OPTIMISTIC)
-        config = conservative_config(base)
-        assert config.broadcast == BROADCAST_CONSERVATIVE
-        assert config.site_count == 6
-        assert config.seed == 3
-        batching = BatchingConfig(window=0.001, max_batch_size=4)
-        admission = AdmissionConfig(high_watermark=8, low_watermark=4)
-        tuned = ClusterConfig(batching=batching, medium_frame_time=2e-4, admission=admission)
-        config = conservative_config(tuned, seed=9)
-        assert (config.batching, config.medium_frame_time) == (batching, 2e-4)
-        assert config.admission == admission
-        assert (config.broadcast, config.seed) == (BROADCAST_CONSERVATIVE, 9)
-        with pytest.raises(TypeError):
-            conservative_config(tuned, site_cuont=5)
-
-    def test_optimistic_config_roundtrip(self):
-        base = ClusterConfig(broadcast=BROADCAST_CONSERVATIVE)
-        assert optimistic_config(base).broadcast == BROADCAST_OPTIMISTIC
-
+class TestConservativeBaseline:
     def test_conservative_cluster_behaves_identically_for_clients(self):
-        cluster = build_conservative_cluster(
-            ClusterConfig(site_count=3, seed=1), counter_registry(), initial_data=initial_slots()
+        cluster = ReplicatedDatabase(
+            ClusterConfig(site_count=3, seed=1, broadcast=BROADCAST_CONSERVATIVE),
+            counter_registry(),
+            initial_data=initial_slots(),
         )
         cluster.submit("N2", "bump", {"slot": 1, "amount": 7})
         cluster.run_until_idle()

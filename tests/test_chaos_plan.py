@@ -157,10 +157,12 @@ class TestFlatOrchestration:
         cluster.run_until_idle()
 
         # The role resolved to N1 at fire time; the auto-recovery brought the
-        # *same* site back even though N2 holds the role by then.
+        # *same* site back even though N2 held the role by then, and the
+        # recovered N1 reclaimed it under the Ω rule.
         actions = [(fault.action, fault.sites) for fault in orchestrator.trace]
         assert actions == [("crash", ("N1",)), ("recover", ("N1",))]
-        assert cluster.coordinator_site() == "N2"
+        assert cluster.crash_manager.is_up("N1")
+        assert cluster.broadcast_endpoint("N1").is_coordinator
         assert cluster.replica("N1").committed_count() == 12
         assert cluster.database_divergence() == {}
         check_one_copy_serializability(cluster.histories()).raise_if_violated()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import PeriodicTimer, SimulationKernel, Timeout
+from repro.simulation import PeriodicTimer, SimulationKernel
 
 
 class TestScheduling:
@@ -240,41 +240,3 @@ class TestPeriodicTimer:
         timer.start()
         kernel.run(until=0.15)
         assert len(ticks) == 1
-
-
-class TestTimeout:
-    def test_fires_once_after_duration(self):
-        kernel = SimulationKernel()
-        fired = []
-        timeout = Timeout(kernel, 0.3, lambda: fired.append(kernel.now()))
-        timeout.start()
-        kernel.run_until_idle()
-        assert fired == [0.3]
-
-    def test_restart_postpones_firing(self):
-        kernel = SimulationKernel()
-        fired = []
-        timeout = Timeout(kernel, 0.3, lambda: fired.append(kernel.now()))
-        timeout.start()
-        kernel.run(until=0.2)
-        timeout.restart()
-        kernel.run_until_idle()
-        assert fired == [0.5]
-
-    def test_cancel_prevents_firing(self):
-        kernel = SimulationKernel()
-        fired = []
-        timeout = Timeout(kernel, 0.3, lambda: fired.append(1))
-        timeout.start()
-        timeout.cancel()
-        kernel.run_until_idle()
-        assert fired == []
-        assert not timeout.armed
-
-    def test_restart_with_new_duration(self):
-        kernel = SimulationKernel()
-        fired = []
-        timeout = Timeout(kernel, 0.3, lambda: fired.append(kernel.now()))
-        timeout.restart(0.1)
-        kernel.run_until_idle()
-        assert fired == [0.1]

@@ -13,8 +13,12 @@ never violate 1-copy-serializability across the view changes.
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro.core.config import ShardingConfig
+from repro.database.conflict import ConflictClassMap
+from repro.errors import ReplicationError
 from repro.failure import CrashSchedule, FailureDetectionConfig, SuspicionFailoverGovernor
 from repro.network import ConstantLatency
+from repro.sharding import ShardedCluster
 from repro.verification import check_one_copy_serializability
 
 
@@ -225,31 +229,30 @@ class TestSuspicionDrivenCluster:
         settle(cluster, until=0.9)
 
         # N1 recovered, caught up, and — being live and no longer condemned —
-        # reclaimed the role under the Ω rule (unlike oracle mode, where the
-        # recovered site defers; suspicion mode is authoritative).
+        # reclaimed the role under the Ω rule.
         assert cluster.coordinator_site() == "N1"
         for site in cluster.site_ids():
             assert cluster.replica(site).committed_count() == 20
         assert cluster.database_divergence() == {}
         check_one_copy_serializability(cluster.histories()).raise_if_violated()
 
-    def test_legacy_mode_unaffected_by_detector_config_absence(self):
+    def test_oracle_mode_promotes_at_the_crash_instant(self):
         cluster = ReplicatedDatabase(
             ClusterConfig(site_count=3, seed=3, echo_on_first_receipt=True),
             build_registry(),
             initial_data={f"slot:{index}": 0 for index in range(6)},
         )
+        # No heartbeat detectors: the governor reads a perfect detector.
         assert cluster.failure_detectors == {}
         cluster.crash_manager.apply_schedule(CrashSchedule().crash("N1", at=0.010))
-        cluster.run(until=0.020)
-        # Oracle mode still promotes instantly on the crash notification.
+        cluster.run(until=0.010)
+        # The crash event itself condemns N1, so the role has moved already.
+        assert cluster.now == 0.010
         assert cluster.coordinator_site() == "N2"
 
 
 class TestFailureDetectionConfig:
     def test_validation(self):
-        from repro.errors import ReplicationError
-
         with pytest.raises(ReplicationError):
             FailureDetectionConfig(heartbeat_interval=0.0)
         with pytest.raises(ReplicationError):
@@ -262,3 +265,46 @@ class TestFailureDetectionConfig:
     def test_defaults_are_valid(self):
         config = FailureDetectionConfig()
         assert config.heartbeat_interval < config.initial_timeout
+
+
+class TestQuorumBound:
+    """A site has at most n - 1 observers; a larger quorum never condemns."""
+
+    def test_governor_rejects_a_quorum_above_its_observer_count(self):
+        detectors = {site: TestGovernor.StubDetector() for site in ("N1", "N2", "N3")}
+        with pytest.raises(ReplicationError, match="exceeds the 2 observers"):
+            SuspicionFailoverGovernor(["N1", "N2", "N3"], detectors, [].append, quorum=3)
+
+    def test_governor_quorum_of_every_observer_needs_every_suspicion(self):
+        governor, detectors, changes = TestGovernor().build(quorum=2)
+        detectors["N2"].suspect("N1")
+        assert governor.coordinator() == "N1"
+        detectors["N3"].suspect("N1")
+        assert governor.coordinator() == "N2"
+        assert changes == ["N2"]
+
+    def test_flat_quorum_above_observer_count_is_rejected(self):
+        with pytest.raises(ReplicationError, match="quorum of 3"):
+            build_cluster(failure_detection=FailureDetectionConfig(quorum=3))
+
+    def test_flat_quorum_of_every_observer_is_accepted(self):
+        cluster = build_cluster(failure_detection=FailureDetectionConfig(quorum=2))
+        cluster.crash_manager.apply_schedule(CrashSchedule().crash("N1", at=0.010))
+        submit(cluster, count=5, start=0.100, sites=("N2",))
+        settle(cluster, until=0.5)
+        assert cluster.coordinator_site() == "N2"
+        assert cluster.replica("N2").committed_count() == 5
+
+    def test_sharded_quorum_above_observer_count_is_rejected(self):
+        conflict_map = ConflictClassMap()
+        conflict_map.define("C0", key_prefixes=("slot:",))
+        with pytest.raises(ReplicationError, match="quorum of 3"):
+            ShardedCluster(
+                ShardingConfig(
+                    shard_count=1,
+                    sites_per_shard=3,
+                    failure_detection=FailureDetectionConfig(quorum=3),
+                ),
+                build_registry(),
+                conflict_map=conflict_map,
+            )
