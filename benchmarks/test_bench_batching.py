@@ -21,7 +21,7 @@ import pytest
 
 from repro.broadcast.batching import BatchingConfig
 from repro.chaos.scenarios import run_chaos_scenario
-from repro.harness import batching_ablation_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -30,9 +30,10 @@ INTERVALS_MS = (4.0, 1.0, 0.25)
 
 
 def run_batching_ablation():
-    return batching_ablation_experiment(
-        batch_windows_ms=WINDOWS_MS,
-        submission_intervals_ms=INTERVALS_MS,
+    return run_experiment(
+        "batching",
+        window_ms=WINDOWS_MS,
+        interval_ms=INTERVALS_MS,
         updates_per_site=40,
     )
 

@@ -10,7 +10,7 @@ mismatch rate stays (roughly) constant while aborts decrease.
 
 import pytest
 
-from repro.harness import conflict_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -18,7 +18,7 @@ CLASS_COUNTS = (1, 4, 16)
 
 
 def run_conflicts():
-    return conflict_experiment(class_counts=CLASS_COUNTS, updates_per_site=30)
+    return run_experiment("conflicts", class_count=CLASS_COUNTS, updates_per_site=30)
 
 
 @pytest.mark.benchmark(group="conflicts")

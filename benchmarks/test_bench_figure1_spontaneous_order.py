@@ -13,7 +13,7 @@ interval is pinned exactly: any drift is a code change, not machine noise.
 
 import pytest
 
-from repro.harness import figure1_spontaneous_order
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -33,8 +33,11 @@ EXPECTED_ORDERED_PCT = {
 
 
 def run_figure1():
-    return figure1_spontaneous_order(
-        intervals_ms=INTERVALS_MS, messages_per_site=MESSAGES_PER_SITE, seed=SEED
+    return run_experiment(
+        "figure1",
+        interval_ms=INTERVALS_MS,
+        messages_per_site=MESSAGES_PER_SITE,
+        seed=SEED,
     )
 
 

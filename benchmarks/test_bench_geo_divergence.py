@@ -13,7 +13,7 @@ optimism payoff, never correctness.
 
 import pytest
 
-from repro.harness import geo_divergence_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -22,8 +22,8 @@ UPDATES_PER_SITE = 20
 
 
 def run_geo_divergence():
-    return geo_divergence_experiment(
-        cross_base_ms=CROSS_BASE_MS, updates_per_site=UPDATES_PER_SITE
+    return run_experiment(
+        "geo", cross_base_ms=CROSS_BASE_MS, updates_per_site=UPDATES_PER_SITE
     )
 
 

@@ -11,13 +11,13 @@ constant latency overhead and remains 1-copy-serializable.
 
 import pytest
 
-from repro.harness import lazy_comparison_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
 
 def run_lazy_comparison():
-    return lazy_comparison_experiment(updates_per_site=40)
+    return run_experiment("lazy", updates_per_site=40)
 
 
 @pytest.mark.benchmark(group="lazy")

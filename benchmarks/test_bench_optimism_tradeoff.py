@@ -10,7 +10,7 @@ with the jitter while correctness is never affected.
 
 import pytest
 
-from repro.harness import optimism_tradeoff_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -18,7 +18,7 @@ JITTER_US = (30.0, 400.0, 3000.0)
 
 
 def run_tradeoff():
-    return optimism_tradeoff_experiment(receiver_jitter_us=JITTER_US, updates_per_site=25)
+    return run_experiment("tradeoff", receiver_jitter_us=JITTER_US, updates_per_site=25)
 
 
 @pytest.mark.benchmark(group="tradeoff")

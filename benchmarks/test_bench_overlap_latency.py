@@ -10,7 +10,7 @@ OTP's mean commit latency is lower by roughly the ordering delay.
 
 import pytest
 
-from repro.harness import overlap_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -18,7 +18,9 @@ EXECUTION_TIMES_MS = (0.5, 2.0, 6.0)
 
 
 def run_overlap():
-    return overlap_experiment(execution_times_ms=EXECUTION_TIMES_MS, updates_per_site=25)
+    return run_experiment(
+        "overlap", execution_ms=EXECUTION_TIMES_MS, updates_per_site=25
+    )
 
 
 @pytest.mark.benchmark(group="overlap")

@@ -21,7 +21,7 @@ gates the acceptance criteria:
 
 import pytest
 
-from repro.harness.experiments import overload_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -33,7 +33,8 @@ LOW_WATERMARK = 24
 
 
 def run_overload_sweep():
-    return overload_experiment(
+    return run_experiment(
+        "overload",
         offered_tps=OFFERED_TPS,
         high_watermark=HIGH_WATERMARK,
         low_watermark=LOW_WATERMARK,

@@ -9,7 +9,7 @@ stays bounded.
 
 import pytest
 
-from repro.harness import query_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -17,7 +17,7 @@ QUERY_LOADS = (0, 20, 50)
 
 
 def run_queries():
-    return query_experiment(queries_per_site_values=QUERY_LOADS, updates_per_site=20)
+    return run_experiment("queries", queries_per_site=QUERY_LOADS, updates_per_site=20)
 
 
 @pytest.mark.benchmark(group="queries")

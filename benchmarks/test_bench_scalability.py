@@ -8,7 +8,7 @@ advantage persists as sites are added and that correctness holds throughout.
 
 import pytest
 
-from repro.harness import scalability_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -16,7 +16,7 @@ SITE_COUNTS = (2, 4, 6)
 
 
 def run_scalability():
-    return scalability_experiment(site_counts=SITE_COUNTS, updates_per_site=20)
+    return run_experiment("scalability", site_count=SITE_COUNTS, updates_per_site=20)
 
 
 @pytest.mark.benchmark(group="scalability")

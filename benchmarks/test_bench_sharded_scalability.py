@@ -11,7 +11,7 @@ query snapshot consistency must hold at every scale.
 
 import pytest
 
-from repro.harness import sharded_scalability_experiment
+from repro.harness import run_experiment
 
 pytestmark = pytest.mark.bench
 
@@ -19,8 +19,9 @@ SHARD_COUNTS = (1, 2, 4, 8)
 
 
 def run_sharded_scalability():
-    return sharded_scalability_experiment(
-        shard_counts=SHARD_COUNTS, updates_per_shard=40, queries=10, query_span=3
+    return run_experiment(
+        "sharded",
+        shard_count=SHARD_COUNTS, updates_per_shard=40, queries=10, query_span=3
     )
 
 

@@ -12,18 +12,15 @@ noisier, and compares OTP against asynchronous (lazy) replication on the same
 workload — the three quantitative arguments of the paper.
 """
 
-from repro.harness import (
-    ascii_plot,
-    figure1_spontaneous_order,
-    lazy_comparison_experiment,
-    optimism_tradeoff_experiment,
-)
+from repro.harness import ascii_plot, run_experiment
 
 
 def main() -> None:
     print("Reproducing Figure 1: spontaneous total order on a simulated LAN")
-    figure1 = figure1_spontaneous_order(
-        intervals_ms=(0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0), messages_per_site=150
+    figure1 = run_experiment(
+        "figure1",
+        interval_ms=(0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0),
+        messages_per_site=150,
     )
     print(figure1.format_table())
     points = [
@@ -34,14 +31,14 @@ def main() -> None:
     print()
 
     print("Optimism trade-off: what happens when spontaneous order degrades")
-    tradeoff = optimism_tradeoff_experiment(
-        receiver_jitter_us=(30.0, 400.0, 3000.0), updates_per_site=25
+    tradeoff = run_experiment(
+        "tradeoff", receiver_jitter_us=(30.0, 400.0, 3000.0), updates_per_site=25
     )
     print(tradeoff.format_table())
     print()
 
     print("OTP vs. asynchronous (lazy) replication on the same workload")
-    lazy = lazy_comparison_experiment(updates_per_site=40)
+    lazy = run_experiment("lazy", updates_per_site=40)
     print(lazy.format_table())
     print()
     for note in lazy.notes:

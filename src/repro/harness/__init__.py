@@ -1,22 +1,15 @@
 """Experiment harness: one experiment per paper figure/claim, plus reporting."""
 
 from ..observability.summary import RunSummary, finish_run, summarize_run
-from .experiments import (
-    batching_ablation_experiment,
-    chaos_resilience_experiment,
-    conflict_experiment,
-    figure1_spontaneous_order,
-    geo_divergence_experiment,
-    lazy_comparison_experiment,
-    optimism_tradeoff_experiment,
-    overlap_experiment,
-    query_experiment,
-    run_sharded_workload,
-    run_standard_workload,
-    scalability_experiment,
-    sharded_scalability_experiment,
-)
+from .cells import run_sharded_workload, run_standard_workload
 from .design import Design, RunSpec, derive_run_seed
+from .experiments import (
+    EXPERIMENTS,
+    Experiment,
+    ExperimentSuiteResult,
+    run_experiment,
+    run_experiments,
+)
 from .parallel import (
     RunFailure,
     SweepError,
@@ -29,14 +22,8 @@ from .profiling import (
     profile_event_loop,
     profile_workload,
 )
-from .reporting import ascii_plot, format_mapping, format_table
+from .reporting import ascii_plot, format_table
 from .results import ExperimentResult
-from .runner import (
-    FAST_EXPERIMENTS,
-    FULL_EXPERIMENTS,
-    ExperimentSuiteResult,
-    run_experiments,
-)
 
 __all__ = [
     "Design",
@@ -50,28 +37,17 @@ __all__ = [
     "finish_run",
     "summarize_run",
     "run_sharded_workload",
-    "sharded_scalability_experiment",
-    "batching_ablation_experiment",
-    "chaos_resilience_experiment",
-    "conflict_experiment",
-    "figure1_spontaneous_order",
-    "geo_divergence_experiment",
-    "lazy_comparison_experiment",
-    "optimism_tradeoff_experiment",
-    "overlap_experiment",
-    "query_experiment",
     "run_standard_workload",
-    "scalability_experiment",
+    "EXPERIMENTS",
+    "Experiment",
+    "ExperimentSuiteResult",
+    "run_experiment",
+    "run_experiments",
     "HotpathProfile",
     "profile_callback_cost",
     "profile_event_loop",
     "profile_workload",
     "ascii_plot",
-    "format_mapping",
     "format_table",
     "ExperimentResult",
-    "FAST_EXPERIMENTS",
-    "FULL_EXPERIMENTS",
-    "ExperimentSuiteResult",
-    "run_experiments",
 ]

@@ -1,16 +1,20 @@
-"""Per-cell run functions for design-based sweeps.
+"""Per-cell run functions: each maps one bound spec to one result-table row.
 
-Each function here maps one bound :class:`~repro.harness.design.RunSpec` to
-one result-table row.  They live at module level so a
-:class:`~repro.harness.parallel.SweepExecutor` worker can import them by
-dotted path (``"repro.harness.cells:batching_cell"``) — the spec crosses
-the process boundary as plain data, the function never does.
+Every registered experiment (:data:`repro.harness.experiments.EXPERIMENTS`)
+is a :class:`~repro.harness.design.Design` over one function here.  They
+live at module level so a :class:`~repro.harness.parallel.SweepExecutor`
+worker can import them by dotted path (``"repro.harness.cells:batching_cell"``)
+— the spec crosses the process boundary as plain data, the function never
+does.
 
 Cells must be pure functions of their spec: same spec, same row, no matter
 which process runs it.  That is what makes the parallel merge bit-identical
-to serial execution.  Cross-cell derived columns (e.g. the batching
-ablation's speedup-vs-off) are computed by the owning experiment *after*
-the merge, so no cell ever depends on another's output.
+to serial execution.  A cell reads its seed from ``spec.params()`` (a base
+parameter or a factor of the design), never from the derived ``spec.seed``,
+so a cell's random draws depend only on the parameters the table reports.
+Cross-cell derived columns (the batching ablation's speedup-vs-off) are
+filled in by the experiment's ``finish`` hook *after* the merge, so no cell
+ever depends on another's output.
 
 The ``*_probe_cell`` functions at the bottom are cheap self-test cells used
 by the executor's own test suite (determinism, partial failure, worker
@@ -20,17 +24,39 @@ crash); they run no simulation.
 from __future__ import annotations
 
 import os
-from typing import Dict
+from dataclasses import replace
+from typing import Dict, Tuple
 
+from ..baselines.lazy import LazyReplicatedDatabase
 from ..broadcast.batching import BatchingConfig
+from ..broadcast.spontaneous import (
+    PeriodicMulticastSource,
+    order_agreement,
+    receive_sequences,
+    tentative_vs_definitive_mismatch,
+)
 from ..chaos.scenarios import run_chaos_scenario
 from ..core.admission import AdmissionConfig
 from ..core.cluster import ReplicatedDatabase
-from ..core.config import BROADCAST_OPTIMISTIC, ClusterConfig
-from ..network.latency import DEFAULT_INTRA_PROFILE, GeoTopology, LinkProfile
+from ..core.config import (
+    BROADCAST_CONSERVATIVE,
+    BROADCAST_OPTIMISTIC,
+    ClusterConfig,
+    ShardingConfig,
+)
+from ..metrics.stats import mean, summarize
+from ..network.latency import (
+    DEFAULT_INTRA_PROFILE,
+    GeoTopology,
+    LanMulticastLatency,
+    LinkProfile,
+)
+from ..network.transport import NetworkTransport
 from ..observability.registry import derive_metrics
-from ..observability.summary import finish_run
+from ..observability.summary import RunSummary, finish_run
+from ..sharding.cluster import ShardedCluster
 from ..simulation.clock import milliseconds, to_milliseconds
+from ..simulation.kernel import SimulationKernel
 from ..simulation.randomness import RandomSource
 from ..workloads.arrivals import OpenLoopSpec, OpenLoopTrafficEngine, PoissonArrivals
 from ..workloads.generator import WorkloadGenerator
@@ -39,37 +65,350 @@ from ..workloads.procedures import (
     build_initial_data,
     build_partitioned_registry,
 )
+from ..workloads.sharded import (
+    ShardedWorkloadGenerator,
+    ShardedWorkloadSpec,
+    build_shard_map,
+)
 from ..workloads.specs import WorkloadSpec
 from .design import RunSpec
-from .experiments import run_standard_workload
 
-__all__ = [
-    "batching_cell",
-    "chaos_cell",
-    "geo_cell",
-    "overload_cell",
-    "seed_probe_cell",
-    "failing_probe_cell",
-    "exiting_probe_cell",
-]
+Row = Dict[str, object]
 
 
-def batching_cell(spec: RunSpec) -> Dict[str, object]:
+# --------------------------------------------------------------------------
+# Shared machinery
+# --------------------------------------------------------------------------
+
+
+def _flat_cluster(config: ClusterConfig, spec: WorkloadSpec) -> ReplicatedDatabase:
+    """A flat cluster loaded with ``spec``'s procedures, classes and data."""
+    return ReplicatedDatabase(
+        config,
+        build_partitioned_registry(spec),
+        conflict_map=build_conflict_map(spec),
+        initial_data=build_initial_data(spec),
+    )
+
+
+def run_standard_workload(config: ClusterConfig, spec: WorkloadSpec) -> RunSummary:
+    """Build a cluster, apply the standard workload, run to completion and verify."""
+    cluster = _flat_cluster(config, spec)
+    WorkloadGenerator(spec).apply(cluster)
+    return finish_run(cluster)
+
+
+def run_sharded_workload(config: ShardingConfig, spec: ShardedWorkloadSpec) -> RunSummary:
+    """Build a sharded cluster, apply the sharded workload, run and verify.
+
+    The summary's query figures are the *routed* queries' (fan-out to merge),
+    not the per-replica sub-queries'.
+    """
+    base_spec = spec.base_spec()
+    cluster = ShardedCluster(
+        config,
+        build_partitioned_registry(base_spec),
+        conflict_map=build_conflict_map(base_spec),
+        shard_map=build_shard_map(spec, config.shard_ids()),
+        initial_data=build_initial_data(base_spec),
+    )
+    ShardedWorkloadGenerator(spec).apply(cluster)
+    summary = finish_run(cluster)
+    query_latencies = [
+        query.latency
+        for query in cluster.router.sharded_queries
+        if query.latency is not None
+    ]
+    return replace(
+        summary,
+        mean_query_latency=mean(query_latencies),
+        queries_completed=len(query_latencies),
+    )
+
+
+def _workload(params: Row, **fields: object) -> WorkloadSpec:
+    """The cell's standard workload; ``fields`` add or replace spec fields."""
+    sizing: Row = dict(
+        class_count=params["class_count"],
+        updates_per_site=params["updates_per_site"],
+        update_duration=milliseconds(params["execution_ms"]),
+    )
+    if "update_interval" in params:
+        sizing["update_interval"] = params["update_interval"]
+    sizing.update(fields)
+    return WorkloadSpec(**sizing)
+
+
+def _run_flat(
+    params: Row, workload: WorkloadSpec, broadcast: str = BROADCAST_OPTIMISTIC, **config
+) -> RunSummary:
+    """Run ``workload`` on a flat cluster of the cell's sites and seed."""
+    cell = dict(site_count=params["site_count"], seed=params["seed"], broadcast=broadcast)
+    return run_standard_workload(ClusterConfig(**cell, **config), workload)
+
+
+def _run_both(
+    params: Row, workload: WorkloadSpec, **config
+) -> Tuple[RunSummary, RunSummary]:
+    """The same workload under OTP and under conservative processing."""
+    return (
+        _run_flat(params, workload, BROADCAST_OPTIMISTIC, **config),
+        _run_flat(params, workload, BROADCAST_CONSERVATIVE, **config),
+    )
+
+
+def figure1_cell(spec: RunSpec) -> Row:
+    """One inter-broadcast interval of paper Figure 1.
+
+    Every site multicasts ``messages_per_site`` probe messages, one every
+    ``interval_ms``; the row reports which percentage arrived at the same
+    position at every site.  The network mirrors the paper's testbed: a
+    shared 10 Mbit/s Ethernet serialises frames (``medium_frame_time``
+    models a ~1 KB frame) and the residual per-receiver processing jitter
+    (``receiver_jitter_mean``) is what occasionally reorders messages.
+    """
+    params = spec.params()
+    kernel = SimulationKernel(seed=params["seed"])
+    transport = NetworkTransport(
+        kernel,
+        LanMulticastLatency(receiver_jitter_mean=params["receiver_jitter_mean"]),
+        record_deliveries=True,
+        medium_frame_time=params["medium_frame_time"],
+    )
+    sites = [f"N{index + 1}" for index in range(params["site_count"])]
+    for site in sites:
+        transport.register_site(site, lambda envelope: None)
+    for site in sites:
+        PeriodicMulticastSource(
+            kernel,
+            transport,
+            site,
+            interval=milliseconds(params["interval_ms"]),
+            message_count=params["messages_per_site"],
+        ).start()
+    kernel.run_until_idle()
+    sequences = receive_sequences(transport.delivery_log)
+    report = order_agreement(sequences)
+    # Opt/TO divergence: take the definitive total order to be the
+    # coordinator's receive sequence (exactly what the sequencer modes do)
+    # and measure the fraction of messages every other site received at a
+    # different position — the work CC8 would have to repair.
+    definitive = sequences.get(sites[0], [])
+    divergences = [
+        tentative_vs_definitive_mismatch(sequences.get(site, []), definitive)
+        for site in sites[1:]
+    ]
+    return dict(
+        interval_ms=params["interval_ms"],
+        spontaneously_ordered_pct=report.same_position_percentage,
+        pairwise_agreement_pct=100.0 * report.pairwise_agreement_fraction,
+        opt_to_divergence_pct=100.0 * mean(divergences),
+        messages=report.message_count,
+    )
+
+
+def overlap_cell(spec: RunSpec) -> Row:
+    """One execution time of claim C1: OTP vs. conservative latency.
+
+    The conservative baseline pays ordering delay + execution serially; OTP
+    overlaps them and pays roughly their maximum (Sections 1 and 3).
+    """
+    params = spec.params()
+    optimistic, conservative = _run_both(params, _workload(params))
+    return dict(
+        execution_ms=params["execution_ms"],
+        otp_latency_ms=to_milliseconds(optimistic.mean_client_latency),
+        conservative_latency_ms=to_milliseconds(conservative.mean_client_latency),
+        latency_saving_ms=to_milliseconds(
+            conservative.mean_client_latency - optimistic.mean_client_latency
+        ),
+        ordering_delay_ms=to_milliseconds(optimistic.mean_ordering_delay),
+        otp_aborts=optimistic.reorder_aborts,
+        one_copy_ok=optimistic.one_copy_ok and conservative.one_copy_ok,
+    )
+
+
+def conflict_cell(spec: RunSpec) -> Row:
+    """One conflict-class count of claim C2, under a bursty submission pattern.
+
+    With very short inter-submission intervals the tentative order often
+    differs from the definitive one; CC8 abort/reschedule work falls as
+    transactions spread over more classes while the mismatch rate stays put.
+    """
+    params = spec.params()
+    summary = _run_flat(params, _workload(params))
+    executions = (summary.committed or 1) * params["site_count"]
+    return dict(
+        class_count=params["class_count"],
+        mismatch_pct=100.0 * summary.mismatch_fraction,
+        reorder_aborts=summary.reorder_aborts,
+        aborts_per_100_txn=100.0 * summary.reorder_aborts / executions,
+        latency_ms=to_milliseconds(summary.mean_client_latency),
+        one_copy_ok=summary.one_copy_ok,
+    )
+
+
+def tradeoff_cell(spec: RunSpec) -> Row:
+    """One per-receiver jitter level of claim C5 (the optimism trade-off).
+
+    Low jitter makes optimism free; WAN-like jitter raises mismatches and
+    aborts and shrinks OTP's advantage (Section 2.1).  Both runs must be 1SR.
+    """
+    params = spec.params()
+    jitter_us = params["receiver_jitter_us"]
+    optimistic, conservative = _run_both(
+        params,
+        _workload(params),
+        latency_model=LanMulticastLatency(receiver_jitter_mean=jitter_us / 1_000_000.0),
+    )
+    return dict(
+        receiver_jitter_us=jitter_us,
+        mismatch_pct=100.0 * optimistic.mismatch_fraction,
+        reorder_aborts=optimistic.reorder_aborts,
+        otp_latency_ms=to_milliseconds(optimistic.mean_client_latency),
+        conservative_latency_ms=to_milliseconds(conservative.mean_client_latency),
+        otp_advantage_ms=to_milliseconds(
+            conservative.mean_client_latency - optimistic.mean_client_latency
+        ),
+        one_copy_ok=optimistic.one_copy_ok and conservative.one_copy_ok,
+    )
+
+
+def lazy_cell(spec: RunSpec) -> Row:
+    """One system of claim C3: ``system="otp"`` or asynchronous ``"lazy"``.
+
+    Both run the identical workload.  The lazy baseline commits locally
+    before coordinating, so its latency is lower, but it pays with lost
+    updates and replica divergence; OTP keeps 1-copy-serializability.
+    """
+    params = spec.params()
+    workload = _workload(params)
+    if params["system"] == "otp":
+        summary = _run_flat(params, workload)
+        return dict(
+            system="otp",
+            mean_latency_ms=to_milliseconds(summary.mean_client_latency),
+            p90_latency_ms=to_milliseconds(summary.p90_client_latency),
+            committed=summary.committed,
+            lost_updates=0,
+            divergent_objects=0,
+            one_copy_serializable=summary.one_copy_ok,
+        )
+    lazy = LazyReplicatedDatabase(
+        site_count=params["site_count"],
+        seed=params["seed"],
+        registry=build_partitioned_registry(workload),
+        initial_data=build_initial_data(workload),
+        latency_model=LanMulticastLatency(),
+    )
+    WorkloadGenerator(workload).apply(lazy)
+    lazy.run_until_idle()
+    latencies = lazy.all_client_latencies()
+    latency = summarize(latencies)
+    lost_updates = lazy.total_lost_updates()
+    divergent_objects = len(lazy.database_divergence())
+    return dict(
+        system="lazy",
+        mean_latency_ms=to_milliseconds(latency.mean),
+        p90_latency_ms=to_milliseconds(latency.p90),
+        committed=len(latencies),
+        lost_updates=lost_updates,
+        divergent_objects=divergent_objects,
+        one_copy_serializable=lost_updates == 0 and divergent_objects == 0,
+    )
+
+
+def query_cell(spec: RunSpec) -> Row:
+    """One per-site query load of claim C4 (Section 5 snapshot queries).
+
+    Queries read multi-version snapshots and never enter the class queues,
+    so update commit latency must stay flat as the query load grows.
+    """
+    params = spec.params()
+    summary = _run_flat(
+        params,
+        _workload(
+            params,
+            queries_per_site=params["queries_per_site"],
+            query_interval=params["update_interval"],
+            query_span=params["query_span"],
+            query_duration=milliseconds(params["query_ms"]),
+        ),
+    )
+    return dict(
+        queries_per_site=params["queries_per_site"],
+        update_latency_ms=to_milliseconds(summary.mean_client_latency),
+        query_latency_ms=to_milliseconds(summary.mean_query_latency),
+        queries_completed=summary.queries_completed,
+        one_copy_ok=summary.one_copy_ok,
+    )
+
+
+def scalability_cell(spec: RunSpec) -> Row:
+    """One cluster size: OTP vs. conservative throughput and latency.
+
+    Atomic broadcast scalability motivates the paper (Section 1); every
+    site submits the same load, so the offered load grows with the sites.
+    """
+    params = spec.params()
+    optimistic, conservative = _run_both(params, _workload(params))
+    return dict(
+        site_count=params["site_count"],
+        otp_throughput_tps=optimistic.throughput_tps,
+        conservative_throughput_tps=conservative.throughput_tps,
+        otp_latency_ms=to_milliseconds(optimistic.mean_client_latency),
+        conservative_latency_ms=to_milliseconds(conservative.mean_client_latency),
+        one_copy_ok=optimistic.one_copy_ok and conservative.one_copy_ok,
+    )
+
+
+def sharded_cell(spec: RunSpec) -> Row:
+    """One shard count at fixed per-shard load (one broadcast group per shard).
+
+    With one global group the sequencer serialises every update; with one
+    group per shard the aggregate committed throughput grows with the shard
+    count while per-transaction latency stays flat.
+    """
+    params = spec.params()
+    shard_count = params["shard_count"]
+    summary = run_sharded_workload(
+        ShardingConfig(
+            shard_count=shard_count,
+            sites_per_shard=params["sites_per_shard"],
+            seed=params["seed"],
+        ),
+        ShardedWorkloadSpec(
+            shard_count=shard_count,
+            classes_per_shard=params["classes_per_shard"],
+            updates_per_shard=params["updates_per_shard"],
+            update_interval=params["update_interval"],
+            queries=params["queries"],
+            query_span=params["query_span"],
+            update_duration=milliseconds(params["execution_ms"]),
+        ),
+    )
+    return dict(
+        shard_count=shard_count,
+        total_committed=summary.committed,
+        aggregate_throughput_tps=summary.throughput_tps,
+        mean_latency_ms=to_milliseconds(summary.mean_client_latency),
+        query_latency_ms=to_milliseconds(summary.mean_query_latency),
+        queries_completed=summary.queries_completed,
+        one_copy_ok=summary.one_copy_ok and summary.broadcast_ok,
+        queries_consistent=summary.queries_consistent,
+    )
+
+
+def batching_cell(spec: RunSpec) -> Row:
     """One (submission interval, batching window) cell of the batching ablation.
 
-    ``speedup_vs_off`` is a cross-cell column (it compares against the
-    unbatched cell of the same interval), so the cell emits a ``None``
-    placeholder and the experiment fills it in after the ordered merge.
+    Every data and order frame occupies the shared medium, so at high rates
+    ordering traffic saturates it; a window divides both frame counts by the
+    mean batch size.  ``speedup_vs_off`` is left ``None`` for the merge.
     """
     params = spec.params()
     interval_ms = params["interval_ms"]
     window_ms = params["window_ms"]
-    workload = WorkloadSpec(
-        class_count=params["class_count"],
-        updates_per_site=params["updates_per_site"],
-        update_interval=milliseconds(interval_ms),
-        update_duration=milliseconds(params["execution_ms"]),
-    )
     batching = (
         None
         if window_ms is None
@@ -77,15 +416,11 @@ def batching_cell(spec: RunSpec) -> Dict[str, object]:
             window=milliseconds(window_ms), max_batch_size=params["max_batch_size"]
         )
     )
-    summary = run_standard_workload(
-        ClusterConfig(
-            site_count=params["site_count"],
-            seed=params["seed"],
-            broadcast=BROADCAST_OPTIMISTIC,
-            batching=batching,
-            medium_frame_time=params["medium_frame_time"],
-        ),
-        workload,
+    summary = _run_flat(
+        params,
+        _workload(params, update_interval=milliseconds(interval_ms)),
+        batching=batching,
+        medium_frame_time=params["medium_frame_time"],
     )
     return dict(
         interval_ms=interval_ms,
@@ -101,44 +436,13 @@ def batching_cell(spec: RunSpec) -> Dict[str, object]:
     )
 
 
-def chaos_cell(spec: RunSpec) -> Dict[str, object]:
-    """One (scenario, seed) cell of the chaos resilience sweep.
+def overload_cell(spec: RunSpec) -> Row:
+    """One (offered load, admission mode) cell of the open-loop overload sweep.
 
-    The chaos seed is a declared factor (each seed is a distinct, named
-    grid point whose fault trace must reproduce), so the cell reads it from
-    the factor assignment rather than from the derived spec seed.  The
-    design's ``base`` carries the pass-through sizing overrides.
-    """
-    params = spec.params()
-    run = run_chaos_scenario(
-        params["scenario"],
-        seed=params["seed"],
-        **{key: value for key, value in spec.base.items()},
-    )
-    return dict(
-        scenario=params["scenario"],
-        seed=params["seed"],
-        faults_injected=run.faults_injected,
-        committed=run.committed,
-        submitted=run.submitted_updates,
-        one_copy_ok=run.one_copy_ok,
-        queries_consistent=run.queries_consistent,
-        liveness_ok=run.liveness_ok,
-        faults_cease_at_ms=to_milliseconds(run.faults_cease_at),
-    )
-
-
-def overload_cell(spec: RunSpec) -> Dict[str, object]:
-    """One (offered load, admission mode) cell of the overload sweep.
-
-    The cluster seed lives in the design's ``base`` — *not* in the factor
-    grid — so the admission=on and admission=off cells of one offered-load
-    level see the **identical** open-loop arrival schedule and differ only
-    in whether the watermark valve is armed.  Goodput counts the update
-    commits achieved *within the offered-load window* (``committed_at <=
-    horizon``): a run that merely parks everything in an unbounded backlog
-    and drains it long after the horizon earns no goodput credit for the
-    late commits.
+    The seed is a base value, so both admission modes of one load level see
+    the **identical** Poisson schedule and differ only in the watermark
+    valve.  Goodput counts commits *within the offered-load window*
+    (``committed_at <= horizon``): a backlog drained later earns nothing.
     """
     params = spec.params()
     offered_tps = float(params["offered_tps"])
@@ -150,34 +454,26 @@ def overload_cell(spec: RunSpec) -> Dict[str, object]:
         class_count=params["class_count"],
         update_duration=milliseconds(params["execution_ms"]),
     )
-    admission = (
-        AdmissionConfig(
-            high_watermark=params["high_watermark"],
-            low_watermark=params["low_watermark"],
+    admission = None
+    if admission_on:
+        admission = AdmissionConfig(
+            high_watermark=params["high_watermark"], low_watermark=params["low_watermark"]
         )
-        if admission_on
-        else None
-    )
-    base_spec = open_spec.base_spec()
-    cluster = ReplicatedDatabase(
+    cluster = _flat_cluster(
         ClusterConfig(
-            site_count=params["site_count"],
-            seed=params["seed"],
-            admission=admission,
+            site_count=params["site_count"], seed=params["seed"], admission=admission
         ),
-        build_partitioned_registry(base_spec),
-        conflict_map=build_conflict_map(base_spec),
-        initial_data=build_initial_data(base_spec),
+        open_spec.base_spec(),
     )
     plan = OpenLoopTrafficEngine(open_spec).apply(cluster)
     summary = finish_run(cluster)
     derived = derive_metrics(cluster)
-
-    committed_in_window = 0
-    for replica in cluster.replicas.values():
-        for submitted in replica.submitted.values():
-            if submitted.committed_at is not None and submitted.committed_at <= horizon:
-                committed_in_window += 1
+    committed_in_window = sum(
+        1
+        for replica in cluster.replicas.values()
+        for submitted in replica.submitted.values()
+        if submitted.committed_at is not None and submitted.committed_at <= horizon
+    )
     latency = derived.phase_breakdown["client_commit_latency"]
     return dict(
         offered_tps=offered_tps,
@@ -195,8 +491,16 @@ def overload_cell(spec: RunSpec) -> Dict[str, object]:
     )
 
 
-def geo_cell(spec: RunSpec) -> Dict[str, object]:
-    """One cross-region-delay cell of the geo divergence sweep."""
+def geo_cell(spec: RunSpec) -> Row:
+    """One cross-region delay of the geo divergence sweep.
+
+    Spontaneous total order is a LAN phenomenon: on a striped WAN topology
+    a message reaches same-region peers in microseconds but other regions
+    milliseconds later, so concurrent transactions from different regions
+    interleave differently at every site.  The row reports the opt/TO
+    divergence rate (via :func:`~repro.observability.registry.derive_metrics`)
+    against the resulting round-trip spread.
+    """
     params = spec.params()
     cross_ms = params["cross_base_ms"]
     topology = GeoTopology.striped(
@@ -207,19 +511,12 @@ def geo_cell(spec: RunSpec) -> Dict[str, object]:
             jitter=params["cross_jitter_fraction"] * milliseconds(cross_ms),
         ),
     )
-    workload = WorkloadSpec(
-        class_count=params["class_count"],
-        updates_per_site=params["updates_per_site"],
-        update_interval=params["update_interval"],
-        update_duration=milliseconds(params["execution_ms"]),
-    )
-    cluster = ReplicatedDatabase(
+    workload = _workload(params)
+    cluster = _flat_cluster(
         ClusterConfig(
             site_count=params["site_count"], seed=params["seed"], topology=topology
         ),
-        build_partitioned_registry(workload),
-        conflict_map=build_conflict_map(workload),
-        initial_data=build_initial_data(workload),
+        workload,
     )
     WorkloadGenerator(workload).apply(cluster)
     summary = finish_run(cluster)
@@ -234,12 +531,33 @@ def geo_cell(spec: RunSpec) -> Dict[str, object]:
     )
 
 
+def chaos_cell(spec: RunSpec) -> Row:
+    """One (scenario, seed) cell of the chaos resilience sweep.
+
+    The chaos seed is a declared factor: each seed is a distinct, named
+    grid point whose fault trace must reproduce.
+    """
+    params = spec.params()
+    run = run_chaos_scenario(params["scenario"], seed=params["seed"])
+    return dict(
+        scenario=params["scenario"],
+        seed=params["seed"],
+        faults_injected=run.faults_injected,
+        committed=run.committed,
+        submitted=run.submitted_updates,
+        one_copy_ok=run.one_copy_ok,
+        queries_consistent=run.queries_consistent,
+        liveness_ok=run.liveness_ok,
+        faults_cease_at_ms=to_milliseconds(run.faults_cease_at),
+    )
+
+
 # --------------------------------------------------------------------------
 # Self-test cells (no simulation; used by the executor's own tests)
 # --------------------------------------------------------------------------
 
 
-def seed_probe_cell(spec: RunSpec) -> Dict[str, object]:
+def seed_probe_cell(spec: RunSpec) -> Row:
     """Echo the spec's identity plus a draw from its derived seed.
 
     The draw goes through the seeded-randomness boundary
@@ -248,21 +566,21 @@ def seed_probe_cell(spec: RunSpec) -> Dict[str, object]:
     produce identical rows.
     """
     stream = RandomSource(spec.seed).stream("probe")
-    row: Dict[str, object] = dict(spec.factors)
+    row: Row = dict(spec.factors)
     row["seed_index"] = spec.seed_index
     row["derived_seed"] = spec.seed
     row["probe_draw"] = stream.randint(0, 10**9)
     return row
 
 
-def failing_probe_cell(spec: RunSpec) -> Dict[str, object]:
+def failing_probe_cell(spec: RunSpec) -> Row:
     """A cell that raises when its factor assignment says ``fail=True``."""
     if spec.factors.get("fail"):
         raise ValueError(f"cell {spec.label()} was told to fail")
     return seed_probe_cell(spec)
 
 
-def exiting_probe_cell(spec: RunSpec) -> Dict[str, object]:
+def exiting_probe_cell(spec: RunSpec) -> Row:
     """A cell that kills its worker process outright when told to.
 
     ``os._exit`` bypasses all exception handling — the worker dies without

@@ -138,14 +138,6 @@ class Design:
         if not list(self.seeds):
             raise ValueError(f"design {self.name!r}: seeds must be non-empty")
 
-    @property
-    def size(self) -> int:
-        """Number of runs the design expands to (cells x replicates)."""
-        cells = 1
-        for levels in self.factors.values():
-            cells *= len(list(levels))
-        return cells * len(list(self.seeds))
-
     def cells(self) -> Iterator[Dict[str, object]]:
         """Iterate the factor grid in declaration order (no replication)."""
         names = list(self.factors.keys())

@@ -1,1045 +1,448 @@
-"""Experiment definitions: one per paper figure / claim (see DESIGN.md).
+"""The experiment registry: one entry per paper figure / claim.
 
-Every experiment is a pure function of its parameters and a seed, returns an
-:class:`ExperimentResult`, and is reused by three consumers: the benchmark
-suite (one bench per table/figure), the examples, and the generation of
-``EXPERIMENTS.md``.
+Every experiment is a :class:`~repro.harness.design.Design` over one cell
+function of :mod:`repro.harness.cells`, run by the one
+:class:`~repro.harness.parallel.SweepExecutor`.  :data:`EXPERIMENTS` holds
+each design's full grid, its fast (CI-sized) overrides and its report text;
+:func:`run_experiment` runs one entry and :func:`run_experiments` a
+selection.  ``docs/experiments.md`` catalogues them, and
+``python -m repro.harness.runner --full --markdown`` renders the full-size
+report.
+
+A factor's name is the row column it fills, so an override names what the
+table shows: ``run_experiment("batching", window_ms=(None, 2.0))``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..baselines.lazy import LazyReplicatedDatabase
-from ..broadcast.spontaneous import (
-    PeriodicMulticastSource,
-    order_agreement,
-    receive_sequences,
-    tentative_vs_definitive_mismatch,
-)
 from ..chaos.scenarios import SCENARIOS as CHAOS_SCENARIOS
-from ..core.cluster import ReplicatedDatabase
-from ..core.config import (
-    BROADCAST_CONSERVATIVE,
-    BROADCAST_OPTIMISTIC,
-    ClusterConfig,
-    ShardingConfig,
-)
-from ..metrics.stats import mean, summarize
-from ..network.latency import DEFAULT_INTRA_PROFILE, LanMulticastLatency
-from ..network.transport import NetworkTransport
-from ..observability.summary import RunSummary, finish_run
-from ..sharding.cluster import ShardedCluster
-from ..simulation.clock import milliseconds, to_milliseconds
-from ..simulation.kernel import SimulationKernel
-from ..workloads.generator import WorkloadGenerator
-from ..workloads.procedures import (
-    build_conflict_map,
-    build_initial_data,
-    build_partitioned_registry,
-)
-from ..workloads.sharded import (
-    ShardedWorkloadGenerator,
-    ShardedWorkloadSpec,
-    build_shard_map,
-)
-from ..workloads.specs import WorkloadSpec
+from ..network.latency import DEFAULT_INTRA_PROFILE
+from ..simulation.clock import milliseconds
 from .design import Design
 from .parallel import SweepExecutor
 from .results import ExperimentResult
 
-# --------------------------------------------------------------------------
-# Shared machinery
-# --------------------------------------------------------------------------
+Params = Dict[str, object]
 
 
-def run_standard_workload(config: ClusterConfig, spec: WorkloadSpec) -> RunSummary:
-    """Build a cluster, apply the standard workload, run to completion and verify."""
-    cluster = ReplicatedDatabase(
-        config,
-        build_partitioned_registry(spec),
-        conflict_map=build_conflict_map(spec),
-        initial_data=build_initial_data(spec),
-    )
-    WorkloadGenerator(spec).apply(cluster)
-    return finish_run(cluster)
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment: a factorial design over one cell function."""
+
+    #: Title of the result table.
+    title: str
+    #: The table's description, from the base values and the factor levels.
+    describe: Callable[[Params], str]
+    #: Dotted path of the cell function (``"package.module:function"``).
+    cell: str
+    #: Full-grid factor levels; each factor fills the row column of its name.
+    factors: Mapping[str, Tuple[object, ...]]
+    #: Constants every cell shares; they are the result's ``parameters``.
+    base: Mapping[str, object]
+    #: Overrides that shrink the grid to the fast (CI-sized) suite.
+    fast: Mapping[str, object] = field(default_factory=dict)
+    notes: Tuple[str, ...] = ()
+    #: Post-merge hook: fills cross-cell columns and run-dependent notes.
+    finish: Optional[Callable[[ExperimentResult, Params], None]] = None
 
 
-def run_sharded_workload(config: ShardingConfig, spec: ShardedWorkloadSpec) -> RunSummary:
-    """Build a sharded cluster, apply the sharded workload, run and verify.
+def _fill_speedup_vs_off(result: ExperimentResult, params: Params) -> None:
+    """Batching's one cross-cell column: throughput over the unbatched cell.
 
-    The summary's query figures are the *routed* queries' (fan-out to merge),
-    not the per-replica sub-queries'.
+    Rows arrive in spec order (interval outermost), so each interval's
+    unbatched cell precedes its batched ones when ``None`` is a level.
     """
-    base_spec = spec.base_spec()
-    cluster = ShardedCluster(
-        config,
-        build_partitioned_registry(base_spec),
-        conflict_map=build_conflict_map(base_spec),
-        shard_map=build_shard_map(spec, config.shard_ids()),
-        initial_data=build_initial_data(base_spec),
-    )
-    ShardedWorkloadGenerator(spec).apply(cluster)
-    summary = finish_run(cluster)
-    query_latencies = [
-        query.latency
-        for query in cluster.router.sharded_queries
-        if query.latency is not None
-    ]
-    return replace(
-        summary,
-        mean_query_latency=mean(query_latencies),
-        queries_completed=len(query_latencies),
-    )
-
-
-# --------------------------------------------------------------------------
-# Figure 1 — spontaneous total order vs. inter-broadcast interval
-# --------------------------------------------------------------------------
-
-DEFAULT_FIGURE1_INTERVALS_MS: Tuple[float, ...] = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
-
-
-def figure1_spontaneous_order(
-    intervals_ms: Sequence[float] = DEFAULT_FIGURE1_INTERVALS_MS,
-    *,
-    site_count: int = 4,
-    messages_per_site: int = 150,
-    seed: int = 1,
-    latency_model: Optional[LanMulticastLatency] = None,
-    medium_frame_time: float = 0.00022,
-    receiver_jitter_mean: float = 0.000045,
-) -> ExperimentResult:
-    """Reproduce paper Figure 1.
-
-    Every site multicasts ``messages_per_site`` probe messages, one every
-    ``interval`` milliseconds; the result reports which percentage of
-    messages arrived at the same position at every site.
-
-    The network model mirrors the paper's testbed: a shared 10 Mbit/s
-    Ethernet serialises frames (``medium_frame_time`` models a ~1 KB frame)
-    and the residual per-receiver processing jitter
-    (``receiver_jitter_mean``) is what occasionally reorders messages.
-    """
-    result = ExperimentResult(
-        name="Figure 1 — spontaneous total order",
-        description=(
-            "Percentage of spontaneously totally-ordered multicast messages as a "
-            "function of the interval between broadcasts on each of "
-            f"{site_count} sites (paper: ~99% at 4 ms on 10 Mbit/s Ethernet)."
-        ),
-        parameters={
-            "site_count": site_count,
-            "messages_per_site": messages_per_site,
-            "seed": seed,
-            "medium_frame_time": medium_frame_time,
-            "receiver_jitter_mean": receiver_jitter_mean,
-        },
-    )
-    for interval_ms in intervals_ms:
-        kernel = SimulationKernel(seed=seed)
-        transport = NetworkTransport(
-            kernel,
-            latency_model
-            or LanMulticastLatency(receiver_jitter_mean=receiver_jitter_mean),
-            record_deliveries=True,
-            medium_frame_time=medium_frame_time,
-        )
-        sites = [f"N{index + 1}" for index in range(site_count)]
-        for site in sites:
-            transport.register_site(site, lambda envelope: None)
-        sources = [
-            PeriodicMulticastSource(
-                kernel,
-                transport,
-                site,
-                interval=milliseconds(interval_ms),
-                message_count=messages_per_site,
-            )
-            for site in sites
-        ]
-        for source in sources:
-            source.start()
-        kernel.run_until_idle()
-        sequences = receive_sequences(transport.delivery_log)
-        report = order_agreement(sequences)
-        # Opt/TO divergence: take the definitive total order to be the
-        # coordinator's receive sequence (exactly what the sequencer modes
-        # do) and measure the fraction of messages every other site received
-        # at a different position — the work CC8 would have to repair.
-        definitive = sequences.get(sites[0], [])
-        divergences = [
-            tentative_vs_definitive_mismatch(sequences.get(site, []), definitive)
-            for site in sites[1:]
-        ]
-        result.add_row(
-            interval_ms=interval_ms,
-            spontaneously_ordered_pct=report.same_position_percentage,
-            pairwise_agreement_pct=100.0 * report.pairwise_agreement_fraction,
-            opt_to_divergence_pct=100.0 * mean(divergences),
-            messages=report.message_count,
-        )
-    result.notes.append(
-        "The paper measured ~99% at a 4 ms interval and a drop towards the "
-        "80s as the interval approaches 0; the simulated LAN model is "
-        "calibrated to reproduce that shape."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Claim C1 — overlapping execution with the ordering phase hides its latency
-# --------------------------------------------------------------------------
-
-
-def overlap_experiment(
-    execution_times_ms: Sequence[float] = (0.5, 1.0, 2.0, 4.0, 8.0),
-    *,
-    site_count: int = 4,
-    updates_per_site: int = 40,
-    class_count: int = 8,
-    update_interval: float = 0.006,
-    seed: int = 3,
-) -> ExperimentResult:
-    """Compare OTP against conservative processing while sweeping execution time.
-
-    The paper's argument (Sections 1 and 3): if the time to receive the order
-    confirmation is comparable to the execution time, the overhead of the
-    atomic broadcast is hidden behind the execution.  The conservative
-    baseline pays ordering delay + execution serially; OTP pays roughly their
-    maximum.
-    """
-    result = ExperimentResult(
-        name="Claim C1 — overlap of ordering and execution",
-        description=(
-            "Mean client-observed commit latency (ms) of OTP vs. conservative "
-            "processing as the transaction execution time grows."
-        ),
-        parameters={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "seed": seed,
-        },
-    )
-    for execution_ms in execution_times_ms:
-        spec = WorkloadSpec(
-            class_count=class_count,
-            updates_per_site=updates_per_site,
-            update_interval=update_interval,
-            update_duration=milliseconds(execution_ms),
-        )
-        optimistic = run_standard_workload(
-            ClusterConfig(
-                site_count=site_count, seed=seed, broadcast=BROADCAST_OPTIMISTIC
-            ),
-            spec,
-        )
-        conservative = run_standard_workload(
-            ClusterConfig(
-                site_count=site_count, seed=seed, broadcast=BROADCAST_CONSERVATIVE
-            ),
-            spec,
-        )
-        result.add_row(
-            execution_ms=execution_ms,
-            otp_latency_ms=to_milliseconds(optimistic.mean_client_latency),
-            conservative_latency_ms=to_milliseconds(conservative.mean_client_latency),
-            latency_saving_ms=to_milliseconds(
-                conservative.mean_client_latency - optimistic.mean_client_latency
-            ),
-            ordering_delay_ms=to_milliseconds(optimistic.mean_ordering_delay),
-            otp_aborts=optimistic.reorder_aborts,
-            one_copy_ok=optimistic.one_copy_ok and conservative.one_copy_ok,
-        )
-    result.notes.append(
-        "OTP latency should stay close to the conservative latency minus the "
-        "ordering delay (the ordering phase is overlapped with execution)."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Claim C2 — mismatches only cost work for conflicting transactions
-# --------------------------------------------------------------------------
-
-
-def conflict_experiment(
-    class_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    *,
-    site_count: int = 4,
-    updates_per_site: int = 40,
-    update_interval: float = 0.003,
-    execution_ms: float = 0.3,
-    seed: int = 5,
-) -> ExperimentResult:
-    """Sweep the number of conflict classes under a bursty submission pattern.
-
-    With very short inter-submission intervals the tentative order frequently
-    differs from the definitive one; the experiment shows that the number of
-    abort/reschedule events (CC8) drops as the conflict rate decreases (more
-    classes), even though the order-mismatch rate stays roughly constant.
-    """
-    result = ExperimentResult(
-        name="Claim C2 — aborts vs. conflict rate",
-        description=(
-            "Reorder aborts (CC8) and commit latency as a function of the number "
-            "of conflict classes under a bursty workload."
-        ),
-        parameters={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "update_interval": update_interval,
-            "seed": seed,
-        },
-    )
-    for class_count in class_counts:
-        spec = WorkloadSpec(
-            class_count=class_count,
-            updates_per_site=updates_per_site,
-            update_interval=update_interval,
-            update_duration=milliseconds(execution_ms),
-        )
-        summary = run_standard_workload(
-            ClusterConfig(site_count=site_count, seed=seed, broadcast=BROADCAST_OPTIMISTIC),
-            spec,
-        )
-        total = summary.committed if summary.committed else 1
-        result.add_row(
-            class_count=class_count,
-            mismatch_pct=100.0 * summary.mismatch_fraction,
-            reorder_aborts=summary.reorder_aborts,
-            aborts_per_100_txn=100.0 * summary.reorder_aborts / (total * site_count),
-            latency_ms=to_milliseconds(summary.mean_client_latency),
-            one_copy_ok=summary.one_copy_ok,
-        )
-    result.notes.append(
-        "The order-mismatch percentage is a property of the network and stays "
-        "flat, while aborts fall as transactions spread over more classes."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Claim C5 — optimism trade-off vs. spontaneous-order probability
-# --------------------------------------------------------------------------
-
-
-def optimism_tradeoff_experiment(
-    receiver_jitter_us: Sequence[float] = (30.0, 120.0, 400.0, 1000.0, 3000.0),
-    *,
-    site_count: int = 4,
-    updates_per_site: int = 40,
-    class_count: int = 4,
-    update_interval: float = 0.002,
-    execution_ms: float = 2.0,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Sweep the network's per-receiver jitter (spontaneous-order probability).
-
-    With low jitter the tentative order almost always matches the definitive
-    order and optimism is free; with very high jitter (WAN-like conditions)
-    mismatches and aborts increase and the advantage over conservative
-    processing shrinks — the trade-off discussed in Section 2.1.
-    """
-    result = ExperimentResult(
-        name="Claim C5 — optimistic/conservative trade-off",
-        description=(
-            "Mismatch rate, aborts and latency advantage of OTP over the "
-            "conservative baseline as the per-receiver network jitter grows."
-        ),
-        parameters={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "seed": seed,
-        },
-    )
-    for jitter_us in receiver_jitter_us:
-        latency_model = LanMulticastLatency(receiver_jitter_mean=jitter_us / 1_000_000.0)
-        spec = WorkloadSpec(
-            class_count=class_count,
-            updates_per_site=updates_per_site,
-            update_interval=update_interval,
-            update_duration=milliseconds(execution_ms),
-        )
-        optimistic = run_standard_workload(
-            ClusterConfig(
-                site_count=site_count,
-                seed=seed,
-                broadcast=BROADCAST_OPTIMISTIC,
-                latency_model=latency_model,
-            ),
-            spec,
-        )
-        conservative = run_standard_workload(
-            ClusterConfig(
-                site_count=site_count,
-                seed=seed,
-                broadcast=BROADCAST_CONSERVATIVE,
-                latency_model=LanMulticastLatency(
-                    receiver_jitter_mean=jitter_us / 1_000_000.0
-                ),
-            ),
-            spec,
-        )
-        result.add_row(
-            receiver_jitter_us=jitter_us,
-            mismatch_pct=100.0 * optimistic.mismatch_fraction,
-            reorder_aborts=optimistic.reorder_aborts,
-            otp_latency_ms=to_milliseconds(optimistic.mean_client_latency),
-            conservative_latency_ms=to_milliseconds(conservative.mean_client_latency),
-            otp_advantage_ms=to_milliseconds(
-                conservative.mean_client_latency - optimistic.mean_client_latency
-            ),
-            one_copy_ok=optimistic.one_copy_ok,
-        )
-    result.notes.append(
-        "Messages are never delivered in a wrong definitive order; higher jitter "
-        "only increases the undo/redo penalty, never violates correctness."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Geo divergence — opt/TO divergence vs. WAN link-delay spread
-# --------------------------------------------------------------------------
-
-#: Cross-region base delays swept by the geo experiment.  The grid stays
-#: above the intra-region base (0.4 ms — below it the topology inverts and
-#: the "cross" links become the fast ones) and below the ~20 ms saturation
-#: point where nearly every concurrent pair already diverges and the curve
-#: flattens into noise.
-DEFAULT_GEO_CROSS_BASE_MS: Tuple[float, ...] = (0.5, 1.0, 2.0, 5.0, 10.0)
-
-
-def geo_divergence_experiment(
-    cross_base_ms: Sequence[float] = DEFAULT_GEO_CROSS_BASE_MS,
-    *,
-    regions: Sequence[str] = ("eu", "us", "ap"),
-    site_count: int = 6,
-    updates_per_site: int = 30,
-    class_count: int = 4,
-    update_interval: float = 0.002,
-    execution_ms: float = 0.5,
-    cross_jitter_fraction: float = 0.15,
-    seed: int = 7,
-    jobs: int = 1,
-) -> ExperimentResult:
-    """Sweep the cross-region link delay of a striped WAN topology.
-
-    Spontaneous total order is a LAN phenomenon: when every receiver hears a
-    multicast at (almost) the same time, the tentative order matches the
-    definitive one.  A region-aware topology breaks that symmetry — a
-    message reaches same-region peers in microseconds but other regions
-    milliseconds later, so concurrently submitted transactions from
-    different regions interleave differently at every site.  The experiment
-    grows the cross-region base delay (and proportional jitter) while
-    keeping the intra-region profile fixed, and measures the opt/TO
-    divergence rate (via :func:`~repro.observability.registry.derive_metrics`)
-    against the resulting round-trip spread.  Divergence must grow with the
-    spread; 1-copy-serializability must hold in every cell regardless.
-    ``jobs>1`` fans the delay cells across processes with a result table
-    identical to ``jobs=1``.
-    """
-    result = ExperimentResult(
-        name="Geo divergence — opt/TO divergence vs. WAN link spread",
-        description=(
-            "Opt-delivery vs. definitive-order divergence as the cross-region "
-            f"link delay grows, on {site_count} sites striped over regions "
-            f"{tuple(regions)} (intra-region links stay at "
-            f"{DEFAULT_INTRA_PROFILE.base * 1e6:.0f} us)."
-        ),
-        parameters={
-            "site_count": site_count,
-            "regions": list(regions),
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "update_interval": update_interval,
-            "cross_jitter_fraction": cross_jitter_fraction,
-            "seed": seed,
-        },
-    )
-    design = Design(
-        name="geo_divergence",
-        factors={"cross_base_ms": tuple(cross_base_ms)},
-        base={
-            "regions": list(regions),
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "update_interval": update_interval,
-            "execution_ms": execution_ms,
-            "cross_jitter_fraction": cross_jitter_fraction,
-            "seed": seed,
-        },
-    )
-    report = SweepExecutor(jobs=jobs).run(design, "repro.harness.cells:geo_cell")
-    for row in report.require_rows():
-        result.add_row(**row)
-    result.notes.append(
-        "The divergence rate is what the CC8 reordering rule has to repair: "
-        "it should rise monotonically with the round-trip spread while "
-        "1-copy-serializability holds in every cell (definitive order wins)."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Claim C3 — OTP vs. asynchronous (lazy) replication
-# --------------------------------------------------------------------------
-
-
-def lazy_comparison_experiment(
-    *,
-    site_count: int = 4,
-    updates_per_site: int = 60,
-    class_count: int = 4,
-    update_interval: float = 0.003,
-    execution_ms: float = 2.0,
-    seed: int = 11,
-) -> ExperimentResult:
-    """Compare OTP with commercial-style asynchronous replication (claim C3).
-
-    The lazy baseline commits locally before coordinating, so its latency is
-    lower, but it pays with lost updates and replica divergence; OTP keeps
-    1-copy-serializability with a latency overhead roughly equal to the part
-    of the ordering delay that cannot be overlapped.
-    """
-    spec = WorkloadSpec(
-        class_count=class_count,
-        updates_per_site=updates_per_site,
-        update_interval=update_interval,
-        update_duration=milliseconds(execution_ms),
-    )
-    registry = build_partitioned_registry(spec)
-    initial_data = build_initial_data(spec)
-
-    otp_summary = run_standard_workload(
-        ClusterConfig(site_count=site_count, seed=seed, broadcast=BROADCAST_OPTIMISTIC),
-        spec,
-    )
-
-    lazy = LazyReplicatedDatabase(
-        site_count=site_count,
-        seed=seed,
-        registry=registry,
-        initial_data=initial_data,
-        latency_model=LanMulticastLatency(),
-    )
-    generator = WorkloadGenerator(spec)
-    plan = generator.apply(lazy)
-    lazy.run_until_idle()
-    lazy_latencies = lazy.all_client_latencies()
-
-    result = ExperimentResult(
-        name="Claim C3 — OTP vs. asynchronous (lazy) replication",
-        description=(
-            "Latency and consistency comparison between OTP and a lazy "
-            "(commit-locally, propagate-later) replication scheme under the "
-            "same workload."
-        ),
-        parameters={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "seed": seed,
-        },
-    )
-    result.add_row(
-        system="otp",
-        mean_latency_ms=to_milliseconds(otp_summary.mean_client_latency),
-        p90_latency_ms=to_milliseconds(otp_summary.p90_client_latency),
-        committed=otp_summary.committed,
-        lost_updates=0,
-        divergent_objects=0,
-        one_copy_serializable=otp_summary.one_copy_ok,
-    )
-    lazy_summary = summarize(lazy_latencies)
-    result.add_row(
-        system="lazy",
-        mean_latency_ms=to_milliseconds(lazy_summary.mean),
-        p90_latency_ms=to_milliseconds(lazy_summary.p90),
-        committed=len(lazy_latencies),
-        lost_updates=lazy.total_lost_updates(),
-        divergent_objects=len(lazy.database_divergence()),
-        one_copy_serializable=lazy.total_lost_updates() == 0
-        and len(lazy.database_divergence()) == 0,
-    )
-    result.notes.append(
-        f"The workload submitted {plan.update_count} update transactions in total."
-    )
-    result.notes.append(
-        "Lazy replication commits before coordinating, so its latency excludes "
-        "any ordering delay, but conflicting updates issued at different sites "
-        "are silently reconciled by last-writer-wins (lost updates)."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Claim C4 — snapshot queries do not delay update transactions
-# --------------------------------------------------------------------------
-
-
-def query_experiment(
-    queries_per_site_values: Sequence[int] = (0, 10, 30, 60),
-    *,
-    site_count: int = 4,
-    updates_per_site: int = 30,
-    class_count: int = 6,
-    query_span: int = 3,
-    update_interval: float = 0.004,
-    execution_ms: float = 2.0,
-    query_ms: float = 4.0,
-    seed: int = 13,
-) -> ExperimentResult:
-    """Sweep the local query load (claim C4, Section 5).
-
-    Queries run over multi-version snapshots, so adding query load must leave
-    update-transaction commit latency essentially unchanged while query
-    response times stay bounded and 1-copy-serializability holds.
-    """
-    result = ExperimentResult(
-        name="Claim C4 — snapshot queries",
-        description=(
-            "Update-transaction commit latency and query response time as the "
-            "per-site query load grows (queries read "
-            f"{query_span} conflict classes each)."
-        ),
-        parameters={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "seed": seed,
-        },
-    )
-    for queries_per_site in queries_per_site_values:
-        spec = WorkloadSpec(
-            class_count=class_count,
-            updates_per_site=updates_per_site,
-            update_interval=update_interval,
-            update_duration=milliseconds(execution_ms),
-            queries_per_site=queries_per_site,
-            query_interval=update_interval,
-            query_span=query_span,
-            query_duration=milliseconds(query_ms),
-        )
-        summary = run_standard_workload(
-            ClusterConfig(site_count=site_count, seed=seed, broadcast=BROADCAST_OPTIMISTIC),
-            spec,
-        )
-        result.add_row(
-            queries_per_site=queries_per_site,
-            update_latency_ms=to_milliseconds(summary.mean_client_latency),
-            query_latency_ms=to_milliseconds(summary.mean_query_latency),
-            queries_completed=summary.queries_completed,
-            one_copy_ok=summary.one_copy_ok,
-        )
-    result.notes.append(
-        "Update latency stays flat because queries never enter the class queues; "
-        "they read consistent multi-version snapshots (paper Section 5)."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Scalability ablation — throughput/latency vs. number of sites
-# --------------------------------------------------------------------------
-
-
-def scalability_experiment(
-    site_counts: Sequence[int] = (2, 4, 6, 8),
-    *,
-    updates_per_site: int = 30,
-    class_count: int = 8,
-    update_interval: float = 0.004,
-    execution_ms: float = 2.0,
-    seed: int = 17,
-) -> ExperimentResult:
-    """Throughput and latency of OTP vs. conservative as the cluster grows.
-
-    Atomic broadcast scalability problems motivate the paper (Section 1);
-    this ablation quantifies how much of the per-message ordering cost OTP
-    hides as the number of replicas (and hence the total update load) grows.
-    """
-    result = ExperimentResult(
-        name="Scalability — sites sweep",
-        description=(
-            "Throughput (committed update transactions per second) and mean "
-            "latency for OTP and conservative processing as sites are added."
-        ),
-        parameters={
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "seed": seed,
-        },
-    )
-    for site_count in site_counts:
-        spec = WorkloadSpec(
-            class_count=class_count,
-            updates_per_site=updates_per_site,
-            update_interval=update_interval,
-            update_duration=milliseconds(execution_ms),
-        )
-        optimistic = run_standard_workload(
-            ClusterConfig(site_count=site_count, seed=seed, broadcast=BROADCAST_OPTIMISTIC),
-            spec,
-        )
-        conservative = run_standard_workload(
-            ClusterConfig(site_count=site_count, seed=seed, broadcast=BROADCAST_CONSERVATIVE),
-            spec,
-        )
-        result.add_row(
-            site_count=site_count,
-            otp_throughput_tps=optimistic.throughput_tps,
-            conservative_throughput_tps=conservative.throughput_tps,
-            otp_latency_ms=to_milliseconds(optimistic.mean_client_latency),
-            conservative_latency_ms=to_milliseconds(conservative.mean_client_latency),
-            one_copy_ok=optimistic.one_copy_ok and conservative.one_copy_ok,
-        )
-    result.notes.append(
-        "Every site executes every update transaction (full replication), so "
-        "aggregate throughput grows with the offered load until the per-class "
-        "serial execution becomes the bottleneck."
-    )
-    return result
-
-
-# --------------------------------------------------------------------------
-# Batching ablation — amortising the per-message ordering cost
-# --------------------------------------------------------------------------
-
-#: Shared-medium frame time, matching the Figure 1 reproduction's
-#: calibration (220 us ~ a 275-byte frame on the paper's 10 Mbit/s
-#: Ethernet testbed).  Serialising every data and order multicast for one
-#: frame time makes the per-message ordering cost visible — exactly the
-#: cost the batching layer amortises.
-DEFAULT_BATCHING_FRAME_TIME = 0.00022
-
-#: ``None`` disables batching; floats are coalescing windows in milliseconds.
-DEFAULT_BATCH_WINDOWS_MS: Tuple[Optional[float], ...] = (None, 0.5, 2.0)
-
-#: Per-site inter-submission intervals, from relaxed to saturating.
-DEFAULT_BATCHING_INTERVALS_MS: Tuple[float, ...] = (4.0, 1.0, 0.25)
-
-
-def batching_ablation_experiment(
-    batch_windows_ms: Sequence[Optional[float]] = DEFAULT_BATCH_WINDOWS_MS,
-    submission_intervals_ms: Sequence[float] = DEFAULT_BATCHING_INTERVALS_MS,
-    *,
-    site_count: int = 4,
-    updates_per_site: int = 40,
-    class_count: int = 8,
-    execution_ms: float = 0.3,
-    max_batch_size: int = 32,
-    medium_frame_time: float = DEFAULT_BATCHING_FRAME_TIME,
-    seed: int = 7,
-    jobs: int = 1,
-) -> ExperimentResult:
-    """Sweep the batching window against the submission rate.
-
-    Every data message and every order confirmation occupies the shared
-    medium for one frame time, so at high submission rates the ordering
-    traffic itself becomes the bottleneck (back-to-back frames queue behind
-    each other) and committed throughput saturates.  Coalescing the
-    submissions of a window into one batch message divides both the data
-    and the order frame count by the mean batch size: throughput at
-    saturation rises roughly with the batch size, while at relaxed rates
-    batching is a no-op apart from the (bounded) added coalescing latency.
-    Correctness is orthogonal — every run is checked for
-    1-copy-serializability and the five broadcast properties.
-
-    The sweep is a factorial :class:`~repro.harness.design.Design`
-    (interval x window) executed by a
-    :class:`~repro.harness.parallel.SweepExecutor`; ``jobs>1`` fans the
-    cells across processes with a result table identical to ``jobs=1``.
-    """
-    result = ExperimentResult(
-        name="Batching ablation — window x submission rate",
-        description=(
-            "Committed-update throughput, client latency and reorder aborts "
-            "as the batching window grows, for per-site submission intervals "
-            f"{tuple(submission_intervals_ms)} ms on a shared medium with a "
-            f"{medium_frame_time * 1e6:.0f} us frame time."
-        ),
-        parameters={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "max_batch_size": max_batch_size,
-            "medium_frame_time": medium_frame_time,
-            "seed": seed,
-        },
-    )
-    design = Design(
-        name="batching_ablation",
-        factors={
-            "interval_ms": tuple(submission_intervals_ms),
-            "window_ms": tuple(batch_windows_ms),
-        },
-        base={
-            "site_count": site_count,
-            "updates_per_site": updates_per_site,
-            "class_count": class_count,
-            "execution_ms": execution_ms,
-            "max_batch_size": max_batch_size,
-            "medium_frame_time": medium_frame_time,
-            "seed": seed,
-        },
-    )
-    report = SweepExecutor(jobs=jobs).run(design, "repro.harness.cells:batching_cell")
-    # Speedup-vs-off is the one cross-cell column: fill it in after the
-    # ordered merge, against the unbatched cell of the same interval.
     current_interval: object = object()
     baseline_tps: Optional[float] = None
-    for row in report.require_rows():
+    for row in result.rows:
         if row["interval_ms"] != current_interval:
             current_interval = row["interval_ms"]
             baseline_tps = None
         throughput = float(row["throughput_tps"])  # type: ignore[arg-type]
         if row["batching"] == "off":
             baseline_tps = throughput
-        # No unbatched cell ran (yet) for this interval: report no
-        # speedup rather than a misleading 1.0.
-        row["speedup_vs_off"] = (
-            throughput / baseline_tps
-            if baseline_tps is not None and baseline_tps > 0
-            else None
-        )
-        result.add_row(**row)
+        # No unbatched cell ran (yet) for this interval: report no speedup
+        # rather than a misleading 1.0.
+        row["speedup_vs_off"] = None
+        if baseline_tps is not None and baseline_tps > 0:
+            row["speedup_vs_off"] = throughput / baseline_tps
+
+
+def _note_submitted_updates(result: ExperimentResult, params: Params) -> None:
+    """Lazy's workload size: every site submits ``updates_per_site`` updates."""
+    submitted = params["site_count"] * params["updates_per_site"]
     result.notes.append(
-        "At the smallest interval the medium is saturated by ordering "
-        "traffic; batching multiplies throughput (the acceptance gate is "
-        ">= 1.5x at the highest rate) without inflating the abort rate, and "
-        "1SR plus the five OAB properties hold in every cell."
+        f"The workload submitted {submitted} update transactions in total."
     )
-    result.notes.append(
-        "At the 4 ms interval batching is within noise of the unbatched "
-        "run: a window only helps once submissions actually coalesce."
+
+
+def _describe_overload(p: Params) -> str:
+    knee_tps = p["class_count"] / milliseconds(p["execution_ms"])
+    return (
+        f"Open-loop Poisson arrivals swept across the saturation knee "
+        f"(~{knee_tps:.0f} tps: {p['class_count']} classes x {p['execution_ms']} ms "
+        f"serial execution) on {p['site_count']} sites, with the per-site "
+        f"admission valve (high/low watermark "
+        f"{p['high_watermark']}/{p['low_watermark']}) off vs. on."
     )
-    return result
 
 
-# --------------------------------------------------------------------------
-# Chaos resilience — fault scenarios must preserve every correctness property
-# --------------------------------------------------------------------------
-
-DEFAULT_CHAOS_SEEDS: Tuple[int, ...] = (1, 2, 3, 4, 5)
-
-
-def chaos_resilience_experiment(
-    scenario_names: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = DEFAULT_CHAOS_SEEDS,
-    jobs: int = 1,
-    **sizing,
-) -> ExperimentResult:
-    """Run the chaos scenario library across a seed sweep and verify each run.
-
-    The paper's model admits crash failures with recovery and reliable
-    channels (Section 2); this experiment injects exactly those faults —
-    sequencer failover under load, rolling per-shard crashes, a whole-shard
-    outage, a partition during optimistic delivery, a latency spike — and
-    asserts that every run still satisfies per-shard
-    1-copy-serializability, cross-shard query snapshot consistency, and
-    eventual termination of all submitted transactions once faults cease.
-
-    The sweep is a (scenario x seed) factorial design; ``jobs>1`` fans the
-    cells across processes with a result table identical to ``jobs=1``.
-    """
-    names = list(scenario_names) if scenario_names is not None else sorted(CHAOS_SCENARIOS)
-    result = ExperimentResult(
-        name="Chaos resilience — fault scenario sweep",
-        description=(
-            "Correctness verdicts (1SR, query snapshot consistency, eventual "
-            "termination) and commit completeness for each fault scenario "
-            f"across seeds {tuple(seeds)}."
+#: Every registered experiment, keyed by its runner id.
+EXPERIMENTS: Dict[str, Experiment] = {
+    # Paper Figure 1: spontaneous total order vs. inter-broadcast interval.
+    "figure1": Experiment(
+        title="Figure 1 — spontaneous total order",
+        describe=lambda p: (
+            "Percentage of spontaneously totally-ordered multicast messages as a "
+            "function of the interval between broadcasts on each of "
+            f"{p['site_count']} sites (paper: ~99% at 4 ms on 10 Mbit/s Ethernet)."
         ),
-        parameters={"scenarios": names, "seeds": list(seeds)},
-    )
-    design = Design(
-        name="chaos_resilience",
-        factors={"scenario": tuple(names), "seed": tuple(seeds)},
-        base=dict(sizing),
-    )
-    report = SweepExecutor(jobs=jobs).run(design, "repro.harness.cells:chaos_cell")
-    for row in report.require_rows():
-        result.add_row(**row)
-    result.notes.append(
-        "Every row must show committed == submitted and all three verdicts "
-        "True; a False anywhere means a fault schedule falsified a paper "
-        "property and the trace of that (scenario, seed) pair reproduces it "
-        "deterministically."
-    )
-    return result
-
-
-#: Default offered-load sweep of the overload experiment (updates/second).
-#: With 4 conflict classes at 2 ms serial execution each, the cluster's
-#: saturation knee sits near 4 / 0.002 = 2000 tps; the grid straddles it.
-DEFAULT_OVERLOAD_TPS: Tuple[float, ...] = (600.0, 1200.0, 1800.0, 2400.0, 3600.0)
-
-
-def overload_experiment(
-    offered_tps: Sequence[float] = DEFAULT_OVERLOAD_TPS,
-    admission_modes: Sequence[str] = ("off", "on"),
-    *,
-    horizon: float = 0.25,
-    class_count: int = 4,
-    execution_ms: float = 2.0,
-    site_count: int = 4,
-    high_watermark: int = 48,
-    low_watermark: int = 24,
-    seed: int = 7,
-    jobs: int = 1,
-) -> ExperimentResult:
-    """Sweep open-loop offered load across the saturation knee, ± admission.
-
-    A closed-loop workload can never overload the system — each client
-    waits for its previous transaction before submitting the next — so the
-    saturation behaviour of the OTP scheduler is invisible to every other
-    experiment.  This sweep drives a seed-identical open-loop Poisson
-    arrival schedule (:mod:`repro.workloads.arrivals`) at each offered-load
-    level twice: once with admission control off (every arrival is
-    submitted, the class queues grow without bound past the knee and p99
-    latency grows with them) and once with the watermark valve on (excess
-    arrivals are shed at the door, the backlog — and with it tail latency —
-    stays bounded at the cost of refusing work the system could never
-    finish in time anyway).
-
-    Expected shape: below the knee the two modes are indistinguishable
-    (nothing sheds); past the knee goodput saturates near the service
-    capacity in both modes, but p99 and the queue high-water mark keep
-    climbing with offered load only when admission is off.
-    1-copy-serializability must hold in every cell — load shedding refuses
-    transactions, it never corrupts the ones it admits.  ``jobs>1`` fans
-    the (load × mode) cells across processes with a result table identical
-    to ``jobs=1``.
-    """
-    knee_tps = class_count / milliseconds(execution_ms)
-    result = ExperimentResult(
-        name="Overload — open-loop saturation with and without admission control",
-        description=(
-            f"Open-loop Poisson arrivals swept across the saturation knee "
-            f"(~{knee_tps:.0f} tps: {class_count} classes x {execution_ms} ms "
-            f"serial execution) on {site_count} sites, with the per-site "
-            f"admission valve (high/low watermark "
-            f"{high_watermark}/{low_watermark}) off vs. on."
+        cell="repro.harness.cells:figure1_cell",
+        factors={"interval_ms": (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)},
+        base=dict(
+            site_count=4, messages_per_site=150, seed=1, medium_frame_time=0.00022,
+            receiver_jitter_mean=0.000045,
         ),
-        parameters={
-            "offered_tps": list(offered_tps),
-            "admission_modes": list(admission_modes),
-            "horizon": horizon,
-            "class_count": class_count,
-            "execution_ms": execution_ms,
-            "site_count": site_count,
-            "high_watermark": high_watermark,
-            "low_watermark": low_watermark,
-            "seed": seed,
-        },
-    )
-    design = Design(
-        name="overload",
-        factors={
-            "offered_tps": tuple(offered_tps),
-            "admission": tuple(admission_modes),
-        },
-        base={
-            "horizon": horizon,
-            "class_count": class_count,
-            "execution_ms": execution_ms,
-            "site_count": site_count,
-            "high_watermark": high_watermark,
-            "low_watermark": low_watermark,
-            "seed": seed,
-        },
-    )
-    report = SweepExecutor(jobs=jobs).run(design, "repro.harness.cells:overload_cell")
-    for row in report.require_rows():
-        result.add_row(**row)
-    result.notes.append(
-        "Goodput counts only commits achieved inside the offered-load window "
-        "(committed_at <= horizon): an unbounded backlog drained after the "
-        "horizon earns nothing.  Past the knee the admission=on rows must "
-        "keep p99 bounded while shedding the excess; the admission=off rows "
-        "show the open-loop failure mode — queue depth and tail latency "
-        "growing with offered load.  1SR holds in every cell either way."
-    )
-    return result
-
-
-def sharded_scalability_experiment(
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-    *,
-    sites_per_shard: int = 3,
-    classes_per_shard: int = 2,
-    updates_per_shard: int = 60,
-    update_interval: float = 0.004,
-    queries: int = 12,
-    query_span: int = 3,
-    execution_ms: float = 2.0,
-    seed: int = 23,
-) -> ExperimentResult:
-    """Throughput scale-out with per-shard broadcast groups.
-
-    Holds the per-shard load fixed (same classes, same update stream, same
-    submission rate per shard) while growing the number of shards.  With a
-    single global broadcast group the sequencer serialises every update; with
-    one group per shard the offered load — and hence the aggregate committed
-    throughput — grows with the shard count while per-transaction latency
-    stays flat, because the shards coordinate on nothing.
-    """
-    result = ExperimentResult(
-        name="Sharded scale-out — shards sweep",
-        description=(
+        fast=dict(interval_ms=(0.1, 0.5, 1.0, 2.0, 4.0), messages_per_site=80),
+        notes=(
+            "The paper measured ~99% at a 4 ms interval and a drop towards the "
+            "80s as the interval approaches 0; the simulated LAN model is "
+            "calibrated to reproduce that shape.",
+        ),
+    ),
+    # Claim C1: overlapping execution with the ordering phase hides its latency.
+    "overlap": Experiment(
+        title="Claim C1 — overlap of ordering and execution",
+        describe=lambda p: (
+            "Mean client-observed commit latency (ms) of OTP vs. conservative "
+            "processing as the transaction execution time grows."
+        ),
+        cell="repro.harness.cells:overlap_cell",
+        factors={"execution_ms": (0.5, 1.0, 2.0, 4.0, 8.0)},
+        base=dict(
+            site_count=4, updates_per_site=40, class_count=8, update_interval=0.006,
+            seed=3,
+        ),
+        fast=dict(execution_ms=(0.5, 2.0, 6.0), updates_per_site=20),
+        notes=(
+            "OTP latency should stay close to the conservative latency minus the "
+            "ordering delay (the ordering phase is overlapped with execution).",
+        ),
+    ),
+    # Claim C2: mismatches only cost work for conflicting transactions.
+    "conflicts": Experiment(
+        title="Claim C2 — aborts vs. conflict rate",
+        describe=lambda p: (
+            "Reorder aborts (CC8) and commit latency as a function of the number "
+            "of conflict classes under a bursty workload."
+        ),
+        cell="repro.harness.cells:conflict_cell",
+        factors={"class_count": (1, 2, 4, 8, 16)},
+        base=dict(
+            site_count=4, updates_per_site=40, update_interval=0.003, execution_ms=0.3,
+            seed=5,
+        ),
+        fast=dict(class_count=(1, 4, 16), updates_per_site=20),
+        notes=(
+            "The order-mismatch percentage is a property of the network and stays "
+            "flat, while aborts fall as transactions spread over more classes.",
+        ),
+    ),
+    # Claim C5: the optimism trade-off vs. spontaneous-order probability.
+    "tradeoff": Experiment(
+        title="Claim C5 — optimistic/conservative trade-off",
+        describe=lambda p: (
+            "Mismatch rate, aborts and latency advantage of OTP over the "
+            "conservative baseline as the per-receiver network jitter grows."
+        ),
+        cell="repro.harness.cells:tradeoff_cell",
+        factors={"receiver_jitter_us": (30.0, 120.0, 400.0, 1000.0, 3000.0)},
+        base=dict(
+            site_count=4, updates_per_site=40, class_count=4, update_interval=0.002,
+            execution_ms=2.0, seed=7,
+        ),
+        fast=dict(receiver_jitter_us=(30.0, 400.0, 3000.0), updates_per_site=20),
+        notes=(
+            "Messages are never delivered in a wrong definitive order; higher jitter "
+            "only increases the undo/redo penalty, never violates correctness.",
+        ),
+    ),
+    # Claim C3: OTP vs. asynchronous (lazy) replication on the same workload.
+    "lazy": Experiment(
+        title="Claim C3 — OTP vs. asynchronous (lazy) replication",
+        describe=lambda p: (
+            "Latency and consistency comparison between OTP and a lazy "
+            "(commit-locally, propagate-later) replication scheme under the "
+            "same workload."
+        ),
+        cell="repro.harness.cells:lazy_cell",
+        factors={"system": ("otp", "lazy")},
+        base=dict(
+            site_count=4, updates_per_site=60, class_count=4, update_interval=0.003,
+            execution_ms=2.0, seed=11,
+        ),
+        fast=dict(updates_per_site=30),
+        notes=(
+            "Lazy replication commits before coordinating, so its latency excludes "
+            "any ordering delay, but conflicting updates issued at different sites "
+            "are silently reconciled by last-writer-wins (lost updates).",
+        ),
+        finish=_note_submitted_updates,
+    ),
+    # Claim C4: snapshot queries do not delay update transactions.
+    "queries": Experiment(
+        title="Claim C4 — snapshot queries",
+        describe=lambda p: (
+            "Update-transaction commit latency and query response time as the "
+            "per-site query load grows (queries read "
+            f"{p['query_span']} conflict classes each)."
+        ),
+        cell="repro.harness.cells:query_cell",
+        factors={"queries_per_site": (0, 10, 30, 60)},
+        base=dict(
+            site_count=4, updates_per_site=30, class_count=6, query_span=3,
+            update_interval=0.004, execution_ms=2.0, query_ms=4.0, seed=13,
+        ),
+        fast=dict(queries_per_site=(0, 20), updates_per_site=20),
+        notes=(
+            "Update latency stays flat because queries never enter the class queues; "
+            "they read consistent multi-version snapshots (paper Section 5).",
+        ),
+    ),
+    # Ablation: throughput/latency of OTP vs. conservative as sites are added.
+    "scalability": Experiment(
+        title="Scalability — sites sweep",
+        describe=lambda p: (
+            "Throughput (committed update transactions per second) and mean "
+            "latency for OTP and conservative processing as sites are added."
+        ),
+        cell="repro.harness.cells:scalability_cell",
+        factors={"site_count": (2, 4, 6, 8)},
+        base=dict(
+            updates_per_site=30, class_count=8, update_interval=0.004,
+            execution_ms=2.0, seed=17,
+        ),
+        fast=dict(site_count=(2, 4, 6), updates_per_site=20),
+        notes=(
+            "Every site executes every update transaction (full replication), so "
+            "aggregate throughput grows with the offered load until the per-class "
+            "serial execution becomes the bottleneck.",
+        ),
+    ),
+    # Scale-out: aggregate throughput with one broadcast group per shard.
+    "sharded": Experiment(
+        title="Sharded scale-out — shards sweep",
+        describe=lambda p: (
             "Aggregate committed-update throughput and latency as conflict "
             "classes are sharded over independent broadcast groups at fixed "
             "per-shard load."
         ),
-        parameters={
-            "sites_per_shard": sites_per_shard,
-            "classes_per_shard": classes_per_shard,
-            "updates_per_shard": updates_per_shard,
-            "queries": queries,
-            "seed": seed,
+        cell="repro.harness.cells:sharded_cell",
+        factors={"shard_count": (1, 2, 4, 8)},
+        base=dict(
+            sites_per_shard=3, classes_per_shard=2, updates_per_shard=60,
+            update_interval=0.004, queries=12, query_span=3, execution_ms=2.0, seed=23,
+        ),
+        fast=dict(shard_count=(1, 2, 4)),
+        notes=(
+            "Per-shard load is fixed, so total offered load grows linearly with the "
+            "shard count; aggregate throughput follows because the shards' broadcast "
+            "groups sequence independently (no global sequencer bottleneck).",
+            "Queries span several conflict classes and therefore shards; the "
+            "router merges consistent per-shard snapshots (verified per run).",
+        ),
+    ),
+    # Fault scenarios must preserve every correctness property (paper Section 2).
+    "chaos": Experiment(
+        title="Chaos resilience — fault scenario sweep",
+        describe=lambda p: (
+            "Correctness verdicts (1SR, query snapshot consistency, eventual "
+            "termination) and commit completeness for each fault scenario "
+            f"across seeds {tuple(p['seed'])}."
+        ),
+        cell="repro.harness.cells:chaos_cell",
+        factors={"scenario": tuple(sorted(CHAOS_SCENARIOS)), "seed": (1, 2, 3, 4, 5)},
+        base={},
+        fast=dict(seed=(1, 2)),
+        notes=(
+            "Every row must show committed == submitted and all three verdicts "
+            "True; a False anywhere means a fault schedule falsified a paper "
+            "property and the trace of that (scenario, seed) pair reproduces it "
+            "deterministically.",
+        ),
+    ),
+    # Open-loop load across the saturation knee (~class_count / execution
+    # time), with the admission valve off and on.  The seed is a base value,
+    # so both modes of one load level see the identical arrival schedule.
+    "overload": Experiment(
+        title="Overload — open-loop saturation with and without admission control",
+        describe=_describe_overload,
+        cell="repro.harness.cells:overload_cell",
+        factors={
+            "offered_tps": (600.0, 1200.0, 1800.0, 2400.0, 3600.0),
+            "admission": ("off", "on"),
         },
+        base=dict(
+            horizon=0.25, class_count=4, execution_ms=2.0, site_count=4,
+            high_watermark=48, low_watermark=24, seed=7,
+        ),
+        fast=dict(offered_tps=(800.0, 1600.0, 3200.0), horizon=0.15),
+        notes=(
+            "Goodput counts only commits achieved inside the offered-load window "
+            "(committed_at <= horizon): an unbounded backlog drained after the "
+            "horizon earns nothing.  Past the knee the admission=on rows must "
+            "keep p99 bounded while shedding the excess; the admission=off rows "
+            "show the open-loop failure mode — queue depth and tail latency "
+            "growing with offered load.  1SR holds in every cell either way.",
+        ),
+    ),
+    # Opt/TO divergence vs. WAN link-delay spread.  The cross-region grid
+    # stays above the intra-region base (0.4 ms — below it the topology
+    # inverts) and below the ~20 ms point where nearly every concurrent pair
+    # already diverges and the curve flattens into noise.
+    "geo": Experiment(
+        title="Geo divergence — opt/TO divergence vs. WAN link spread",
+        describe=lambda p: (
+            "Opt-delivery vs. definitive-order divergence as the cross-region "
+            f"link delay grows, on {p['site_count']} sites striped over regions "
+            f"{tuple(p['regions'])} (intra-region links stay at "
+            f"{DEFAULT_INTRA_PROFILE.base * 1e6:.0f} us)."
+        ),
+        cell="repro.harness.cells:geo_cell",
+        factors={"cross_base_ms": (0.5, 1.0, 2.0, 5.0, 10.0)},
+        base=dict(
+            regions=("eu", "us", "ap"), site_count=6, updates_per_site=30,
+            class_count=4, update_interval=0.002, execution_ms=0.5,
+            cross_jitter_fraction=0.15, seed=7,
+        ),
+        fast=dict(cross_base_ms=(0.5, 2.0, 10.0), updates_per_site=20),
+        notes=(
+            "The divergence rate is what the CC8 reordering rule has to repair: "
+            "it should rise monotonically with the round-trip spread while "
+            "1-copy-serializability holds in every cell (definitive order wins).",
+        ),
+    ),
+    # Batching ablation: window (None = off) x per-site submission interval
+    # on a shared medium whose 220 us frame time (a 275-byte frame on the
+    # paper's 10 Mbit/s testbed) makes the per-message ordering cost visible.
+    "batching": Experiment(
+        title="Batching ablation — window x submission rate",
+        describe=lambda p: (
+            "Committed-update throughput, client latency and reorder aborts "
+            "as the batching window grows, for per-site submission intervals "
+            f"{tuple(p['interval_ms'])} ms on a shared medium with a "
+            f"{p['medium_frame_time'] * 1e6:.0f} us frame time."
+        ),
+        cell="repro.harness.cells:batching_cell",
+        factors={"interval_ms": (4.0, 1.0, 0.25), "window_ms": (None, 0.5, 2.0)},
+        base=dict(
+            site_count=4, updates_per_site=40, class_count=8, execution_ms=0.3,
+            max_batch_size=32, medium_frame_time=0.00022, seed=7,
+        ),
+        fast=dict(interval_ms=(1.0, 0.25), window_ms=(None, 2.0), updates_per_site=30),
+        notes=(
+            "At the smallest interval the medium is saturated by ordering "
+            "traffic; batching multiplies throughput (the acceptance gate is "
+            ">= 1.5x at the highest rate) without inflating the abort rate, and "
+            "1SR plus the five OAB properties hold in every cell.",
+            "At the 4 ms interval batching is within noise of the unbatched "
+            "run: a window only helps once submissions actually coalesce.",
+        ),
+        finish=_fill_speedup_vs_off,
+    ),
+}
+
+
+def _registered(name: str) -> Experiment:
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
+        ) from None
+
+
+def run_experiment(
+    name: str, *, fast: bool = False, jobs: int = 1, **overrides: object
+) -> ExperimentResult:
+    """Run one registered experiment through the sweep executor.
+
+    ``fast=True`` applies the experiment's CI-sized grid.  Each override
+    names a factor (its value replaces the levels, in the given order) or a
+    base parameter (its value replaces the constant); any other name raises
+    :class:`TypeError`.  ``jobs>1`` fans the cells across that many worker
+    processes with a result identical to ``jobs=1``.
+    """
+    experiment = _registered(name)
+    factors = dict(experiment.factors)
+    base = dict(experiment.base)
+    for key, value in {**(experiment.fast if fast else {}), **overrides}.items():
+        if key in factors:
+            factors[key] = tuple(value)
+        elif key in base:
+            base[key] = value
+        else:
+            raise TypeError(
+                f"experiment {name!r} got an unexpected parameter {key!r}; "
+                f"it takes {sorted([*factors, *base])}"
+            )
+    params = {**base, **factors}
+    result = ExperimentResult(
+        name=experiment.title, description=experiment.describe(params), parameters=base
     )
-    for shard_count in shard_counts:
-        spec = ShardedWorkloadSpec(
-            shard_count=shard_count,
-            classes_per_shard=classes_per_shard,
-            updates_per_shard=updates_per_shard,
-            update_interval=update_interval,
-            queries=queries,
-            query_span=query_span,
-            update_duration=milliseconds(execution_ms),
-        )
-        summary = run_sharded_workload(
-            ShardingConfig(
-                shard_count=shard_count,
-                sites_per_shard=sites_per_shard,
-                seed=seed,
-            ),
-            spec,
-        )
-        result.add_row(
-            shard_count=shard_count,
-            total_committed=summary.committed,
-            aggregate_throughput_tps=summary.throughput_tps,
-            mean_latency_ms=to_milliseconds(summary.mean_client_latency),
-            query_latency_ms=to_milliseconds(summary.mean_query_latency),
-            queries_completed=summary.queries_completed,
-            one_copy_ok=summary.one_copy_ok and summary.broadcast_ok,
-            queries_consistent=summary.queries_consistent,
-        )
-    result.notes.append(
-        "Per-shard load is fixed, so total offered load grows linearly with the "
-        "shard count; aggregate throughput follows because the shards' broadcast "
-        "groups sequence independently (no global sequencer bottleneck)."
-    )
-    result.notes.append(
-        "Queries span several conflict classes and therefore shards; the "
-        "router merges consistent per-shard snapshots (verified per run)."
-    )
+    design = Design(name=name, factors=factors, base=base)
+    for row in SweepExecutor(jobs=jobs).run(design, experiment.cell).require_rows():
+        result.add_row(**row)
+    if experiment.finish is not None:
+        experiment.finish(result, params)
+    result.notes.extend(experiment.notes)
     return result
+
+
+@dataclass
+class ExperimentSuiteResult:
+    """All experiment results keyed by experiment id, in selection order."""
+
+    results: Dict[str, ExperimentResult] = field(default_factory=dict)
+
+    def to_markdown(self) -> str:
+        """Render every result as a Markdown document body."""
+        return "\n\n".join(result.to_markdown() for result in self.results.values())
+
+    def to_text(self) -> str:
+        """Render every result as plain-text tables."""
+        blocks: List[str] = []
+        for result in self.results.values():
+            blocks.extend([f"== {result.name} ==", result.format_table(), ""])
+        return "\n".join(blocks)
+
+
+def run_experiments(
+    names: Optional[Sequence[str]] = None, *, fast: bool = True, jobs: int = 1
+) -> ExperimentSuiteResult:
+    """Run the selected experiments.
+
+    ``names=None`` runs the whole registry (sorted); an explicit list runs
+    exactly those experiments, **in the given order** — an empty list is an
+    empty selection, not "everything", and duplicate names are rejected
+    instead of being silently collapsed.  ``fast=True`` uses the reduced
+    grids suitable for CI; ``fast=False`` runs the full sweeps.  ``jobs``
+    fans every experiment's cells across that many worker processes
+    (results are identical to ``jobs=1``).
+    """
+    selected = sorted(EXPERIMENTS) if names is None else list(names)
+    duplicates = sorted({name for name in selected if selected.count(name) > 1})
+    if duplicates:
+        raise ValueError(
+            f"duplicate experiment name(s) {duplicates}: each experiment runs "
+            "once per suite; drop the repeats"
+        )
+    for name in selected:
+        _registered(name)
+    suite = ExperimentSuiteResult()
+    for name in selected:
+        suite.results[name] = run_experiment(name, fast=fast, jobs=jobs)
+    return suite

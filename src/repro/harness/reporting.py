@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -58,9 +58,3 @@ def ascii_plot(
     lines = ["".join(row) for row in grid]
     header = f"{y_label}: {y_min:.2f} .. {y_max:.2f}   {x_label}: {x_min:.3f} .. {x_max:.3f}"
     return header + "\n" + "\n".join(lines)
-
-
-def format_mapping(mapping: Dict[str, object]) -> str:
-    """Render a key/value mapping one pair per line."""
-    width = max((len(key) for key in mapping), default=0)
-    return "\n".join(f"{key.ljust(width)} : {_cell(value)}" for key, value in mapping.items())

@@ -13,8 +13,9 @@ class ExperimentResult:
     """Generic result of one experiment: a named table of rows.
 
     Every experiment of the harness (one per paper figure/claim) returns an
-    instance of this class; benchmarks assert on the rows and
-    ``EXPERIMENTS.md`` is generated from the formatted tables.
+    instance of this class; benchmarks assert on the rows, and
+    ``python -m repro.harness.runner --full --markdown`` renders the tables
+    (catalogued in ``docs/experiments.md``).
     """
 
     name: str
@@ -47,7 +48,7 @@ class ExperimentResult:
         )
 
     def to_markdown(self) -> str:
-        """Render the result as a Markdown section (used for EXPERIMENTS.md)."""
+        """Render the result as a Markdown section (the runner's ``--markdown``)."""
         lines = [f"### {self.name}", "", self.description, ""]
         if self.parameters:
             lines.append(

@@ -1,5 +1,6 @@
 """Tests for the experiment harness, result containers and reporting."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 import repro.harness
 from repro.broadcast.batching import BatchingConfig
+import repro.harness.cells
+import repro.harness.runner
 from repro.harness import (
     ExperimentResult,
     HotpathProfile,
@@ -15,14 +18,12 @@ from repro.harness import (
     profile_event_loop,
     profile_workload,
     ascii_plot,
-    figure1_spontaneous_order,
-    format_mapping,
     format_table,
-    overlap_experiment,
+    run_experiment,
     run_experiments,
     run_standard_workload,
 )
-from repro.core.config import BROADCAST_OPTIMISTIC, ClusterConfig
+from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC, ClusterConfig
 from repro.workloads import WorkloadSpec
 
 
@@ -40,10 +41,6 @@ class TestReporting:
 
     def test_ascii_plot_empty(self):
         assert ascii_plot([]) == "(no data)"
-
-    def test_format_mapping(self):
-        text = format_mapping({"alpha": 1, "b": 2.5})
-        assert "alpha" in text and "2.500" in text
 
 
 class TestExperimentResult:
@@ -107,8 +104,8 @@ class TestRunStandardWorkload:
 
 class TestExperiments:
     def test_figure1_percentages_are_valid_and_trend_upwards(self):
-        result = figure1_spontaneous_order(
-            intervals_ms=(0.1, 4.0), messages_per_site=60, seed=2
+        result = run_experiment(
+            "figure1", interval_ms=(0.1, 4.0), messages_per_site=60, seed=2
         )
         values = result.column("spontaneously_ordered_pct")
         assert all(0.0 <= value <= 100.0 for value in values)
@@ -116,10 +113,46 @@ class TestExperiments:
         assert values[-1] > 90.0
 
     def test_overlap_experiment_shows_latency_saving(self):
-        result = overlap_experiment(execution_times_ms=(2.0,), updates_per_site=10)
+        result = run_experiment("overlap", execution_ms=(2.0,), updates_per_site=10)
         row = result.rows[0]
         assert row["otp_latency_ms"] < row["conservative_latency_ms"]
         assert row["one_copy_ok"]
+
+    def test_unknown_override_raises_a_type_error_naming_it(self):
+        with pytest.raises(TypeError, match="'intervals_ms'"):
+            run_experiment("figure1", intervals_ms=(1.0,))
+
+    def test_factor_override_replaces_the_levels_in_the_given_order(self):
+        result = run_experiment("figure1", interval_ms=(4.0, 0.1), messages_per_site=10)
+        assert result.column("interval_ms") == [4.0, 0.1]
+
+    def test_base_override_reaches_the_cell_and_the_parameters(self):
+        result = run_experiment(
+            "figure1", interval_ms=(4.0,), messages_per_site=10, site_count=3
+        )
+        assert result.column("messages") == [30]
+        assert result.parameters["messages_per_site"] == 10
+        assert "each of 3 sites" in result.description
+
+    def test_tradeoff_row_is_one_copy_ok_only_if_both_runs_are(self, monkeypatch):
+        # Regression: the row read the optimistic run's verdict alone.
+        run = repro.harness.cells.run_standard_workload
+
+        def conservative_fails(config, spec):
+            summary = run(config, spec)
+            if config.broadcast == BROADCAST_CONSERVATIVE:
+                summary = dataclasses.replace(summary, one_copy_ok=False)
+            return summary
+
+        monkeypatch.setattr(repro.harness.cells, "run_standard_workload", conservative_fails)
+        result = run_experiment("tradeoff", receiver_jitter_us=(30.0,), updates_per_site=5)
+        assert result.column("one_copy_ok") == [False]
+
+    def test_lazy_notes_the_submitted_workload_first(self):
+        result = run_experiment("lazy", updates_per_site=5, site_count=3)
+        assert result.column("system") == ["otp", "lazy"]
+        assert result.column("committed") == [15, 15]
+        assert result.notes[0] == "The workload submitted 15 update transactions in total."
 
     def test_run_experiments_selects_by_name(self):
         suite = run_experiments(["figure1"], fast=True)
@@ -148,6 +181,23 @@ class TestExperiments:
         assert list(suite.results) == ["overlap", "figure1"]
         text = suite.to_text()
         assert text.index("overlap") < text.index("Figure 1")
+
+    def test_runner_module_runs_without_warnings(self):
+        # Regression: the package imported ``runner``, so ``python -m`` warned
+        # that the module was already in sys.modules on every run.
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src_dir)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.harness.runner", "lazy"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0
+        assert completed.stderr == ""
+        assert "== Claim C3" in completed.stdout
 
     def test_runner_rejects_the_removed_record_db_option(self, tmp_path):
         env = dict(os.environ)
@@ -218,6 +268,30 @@ class TestProfiling:
             "standard_profiles",
             "profiles_to_metrics",
             "record_suite_timings",
+            # One sweep path: the registry replaced these.
+            "FAST_EXPERIMENTS",
+            "FULL_EXPERIMENTS",
+            "ExperimentRunner",
+            "format_mapping",
+            "figure1_spontaneous_order",
+            "overlap_experiment",
+            "conflict_experiment",
+            "optimism_tradeoff_experiment",
+            "lazy_comparison_experiment",
+            "query_experiment",
+            "scalability_experiment",
+            "sharded_scalability_experiment",
+            "chaos_resilience_experiment",
+            "overload_experiment",
+            "geo_divergence_experiment",
+            "batching_ablation_experiment",
         }
         assert removed.isdisjoint(repro.harness.__all__)
-        assert not any(hasattr(repro.harness, name) for name in removed)
+        for module in (
+            repro.harness,
+            repro.harness.experiments,
+            repro.harness.reporting,
+            repro.harness.runner,
+        ):
+            assert not any(hasattr(module, name) for name in removed), module
+        assert not hasattr(repro.harness.Design, "size")

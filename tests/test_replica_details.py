@@ -4,7 +4,6 @@ import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.broadcast.spontaneous import receive_sequences
-from repro.harness.runner import FAST_EXPERIMENTS, FULL_EXPERIMENTS
 
 
 def simple_registry():
@@ -116,9 +115,6 @@ class TestClusterOptions:
 
 
 class TestHarnessRegistry:
-    def test_fast_and_full_registries_cover_the_same_experiments(self):
-        assert set(FAST_EXPERIMENTS) == set(FULL_EXPERIMENTS)
-
     def test_every_design_experiment_has_a_benchmark_file(self):
         from pathlib import Path
 

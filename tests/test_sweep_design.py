@@ -32,7 +32,7 @@ class TestDesignExpansion:
     def test_size_and_order_cross_in_declaration_order(self):
         design = _probe_design()
         specs = design.expand()
-        assert design.size == len(specs) == 8
+        assert len(specs) == 8
         assert [spec.index for spec in specs] == list(range(8))
         # First factor varies slowest, seed index fastest.
         assert [
