@@ -40,7 +40,7 @@ def build_registry() -> ProcedureRegistry:
 
 def main() -> None:
     cluster = ReplicatedDatabase(
-        ClusterConfig(site_count=4, seed=23, echo_on_first_receipt=True),
+        ClusterConfig(site_count=4, seed=23),
         build_registry(),
         initial_data={f"slot:{index}": 0 for index in range(SLOTS)},
     )

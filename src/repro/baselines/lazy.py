@@ -17,7 +17,6 @@ benchmark (claim C3) can measure both sides:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -31,8 +30,6 @@ from ..network.latency import LatencyModel
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
 from ..types import ObjectKey, ObjectValue, SiteId, TransactionId
-
-_LAZY_TXN_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class LazyReplica:
         procedure = self.registry.get(procedure_name)
         if procedure.is_query:
             raise ReplicationError(f"{procedure_name!r} is a query; use submit_query")
-        transaction_id = f"L:{self.site_id}:{next(_LAZY_TXN_COUNTER)}"
+        transaction_id = f"L:{self.site_id}:{next(self.kernel.serials['lazy'])}"
         record = LazyCommitRecord(
             transaction_id=transaction_id,
             origin_site=self.site_id,

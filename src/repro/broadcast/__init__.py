@@ -1,6 +1,7 @@
-"""Group-communication substrate: reliable and FIFO broadcast, the atomic
-broadcast with optimistic (or, as a delivery policy, conservative) delivery,
-plus the spontaneous-order measurement."""
+"""Group-communication substrate: FIFO broadcast, the atomic broadcast with
+optimistic (or, as a delivery policy, conservative) delivery, plus the
+spontaneous-order measurement.  Reliable dissemination is the transport's
+own guarantee (see :class:`~repro.network.transport.NetworkTransport`)."""
 
 from .batching import (
     Batch,
@@ -23,7 +24,6 @@ from .optimistic import (
     OPTIMISTIC_ORDER_KIND,
     OptimisticAtomicBroadcast,
 )
-from .reliable import RELIABLE_KIND, ReliableBroadcast
 from .spontaneous import (
     PROBE_KIND,
     OrderAgreementReport,
@@ -51,8 +51,6 @@ __all__ = [
     "OPTIMISTIC_DATA_KIND",
     "OPTIMISTIC_ORDER_KIND",
     "OPTIMISTIC_ANNOUNCE_KIND",
-    "ReliableBroadcast",
-    "RELIABLE_KIND",
     "PeriodicMulticastSource",
     "ProbeMessage",
     "PROBE_KIND",

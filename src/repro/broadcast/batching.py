@@ -154,7 +154,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
     def broadcast(self, payload: Any) -> MessageId:
         """Buffer ``payload``; it is TO-broadcast with the next batch flush."""
         member = BatchMember(
-            message_id=next_broadcast_id(self.site_id),
+            message_id=next_broadcast_id(self.kernel, self.site_id),
             payload=payload,
             broadcast_at=self.kernel.now(),
         )

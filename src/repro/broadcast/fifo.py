@@ -1,4 +1,4 @@
-"""FIFO broadcast built on top of reliable broadcast.
+"""FIFO broadcast over the transport's reliable multicast.
 
 Guarantees that messages from the same sender are delivered in the order
 they were broadcast.  The OTP architecture itself does not require FIFO
@@ -9,7 +9,6 @@ natural part of a group-communication substrate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
@@ -17,12 +16,9 @@ from ..network.message import Envelope
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
 from ..types import MessageId, SiteId
-from .reliable import ReliableBroadcast
 
 #: Envelope kind used by the FIFO broadcast layer.
 FIFO_KIND = "fifobcast.data"
-
-_FIFO_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -43,24 +39,11 @@ class FifoBroadcast:
     """Per-site endpoint providing per-sender FIFO delivery order."""
 
     def __init__(
-        self,
-        kernel: SimulationKernel,
-        transport: NetworkTransport,
-        site_id: SiteId,
-        *,
-        echo_on_first_receipt: bool = False,
+        self, kernel: SimulationKernel, transport: NetworkTransport, site_id: SiteId
     ) -> None:
         self.kernel = kernel
         self.transport = transport
         self.site_id = site_id
-        self._reliable = ReliableBroadcast(
-            kernel,
-            transport,
-            site_id,
-            echo_on_first_receipt=echo_on_first_receipt,
-            kind=FIFO_KIND,
-        )
-        self._reliable.add_listener(self._on_reliable_delivery)
         self._next_send_sequence = 1
         self._next_expected: Dict[SiteId, int] = {}
         self._pending: Dict[SiteId, Dict[int, FifoPayload]] = {}
@@ -74,7 +57,7 @@ class FifoBroadcast:
 
     def broadcast(self, content: Any) -> MessageId:
         """Broadcast ``content`` with FIFO ordering relative to this sender."""
-        fifo_id = f"fifo:{self.site_id}:{next(_FIFO_COUNTER)}"
+        fifo_id = f"fifo:{self.site_id}:{next(self.kernel.serials['fifo'])}"
         payload = FifoPayload(
             fifo_id=fifo_id,
             origin=self.site_id,
@@ -82,18 +65,14 @@ class FifoBroadcast:
             content=content,
         )
         self._next_send_sequence += 1
-        self._reliable.broadcast(payload)
+        self.transport.multicast(self.site_id, payload, kind=FIFO_KIND)
         return fifo_id
 
     def on_envelope(self, envelope: Envelope) -> bool:
         """Process an incoming envelope; returns True if it belonged here."""
-        return self._reliable.on_envelope(envelope)
-
-    # -------------------------------------------------------------- internal
-    def _on_reliable_delivery(self, rb_id: MessageId, origin: SiteId, content: Any) -> None:
-        payload = content
+        payload = envelope.payload
         if not isinstance(payload, FifoPayload):
-            return
+            return False
         sender = payload.origin
         expected = self._next_expected.setdefault(sender, 1)
         buffered = self._pending.setdefault(sender, {})
@@ -103,7 +82,9 @@ class FifoBroadcast:
             expected += 1
             self._deliver(ready)
         self._next_expected[sender] = expected
+        return True
 
+    # -------------------------------------------------------------- internal
     def _deliver(self, payload: FifoPayload) -> None:
         self.delivery_log.append(payload.fifo_id)
         for listener in self._listeners:

@@ -12,16 +12,14 @@ modification.
 from __future__ import annotations
 
 import abc
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, TypeVar
 
 from ..types import MessageId, SiteId
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..observability.trace import TransactionTracer
-
-_BROADCAST_COUNTER = itertools.count(1)
+    from ..simulation.kernel import SimulationKernel
 
 _Endpoint = TypeVar("_Endpoint", bound="AtomicBroadcastEndpoint")
 
@@ -29,9 +27,9 @@ _Endpoint = TypeVar("_Endpoint", bound="AtomicBroadcastEndpoint")
 NOOP_FILL_PREFIX = "noop:"
 
 
-def next_broadcast_id(origin: SiteId) -> MessageId:
-    """Return a globally unique broadcast message identifier."""
-    return f"m:{origin}:{next(_BROADCAST_COUNTER)}"
+def next_broadcast_id(kernel: "SimulationKernel", origin: SiteId) -> MessageId:
+    """Return a broadcast message identifier, unique within ``kernel``."""
+    return f"m:{origin}:{next(kernel.serials['broadcast'])}"
 
 
 def noop_fill_id(position: int) -> MessageId:

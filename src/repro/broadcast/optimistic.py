@@ -60,7 +60,6 @@ from .interfaces import (
     next_broadcast_id,
     noop_fill_id,
 )
-from .reliable import ReliableBroadcast
 
 #: Envelope kinds used by the optimistic protocol.
 OPTIMISTIC_DATA_KIND = "optabcast.data"
@@ -153,7 +152,6 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         coordinator_site: SiteId,
         ordering_mode: str = "sequencer",
         voting_timeout: float = 0.010,
-        echo_on_first_receipt: bool = False,
         group: Optional[Sequence[SiteId]] = None,
         opt_deliver_on_receipt: bool = True,
     ) -> None:
@@ -171,29 +169,14 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         #: ``False`` selects conservative delivery (see the module docstring).
         self.opt_deliver_on_receipt = opt_deliver_on_receipt
         self.voting_timeout = voting_timeout
+        #: A tuple, so the transport resolves the receivers once.
         self.group = tuple(group) if group is not None else None
-        self._data_channel = ReliableBroadcast(
-            kernel,
-            transport,
-            site_id,
-            echo_on_first_receipt=echo_on_first_receipt,
-            kind=OPTIMISTIC_DATA_KIND,
-            group=self.group,
-        )
-        self._order_channel = ReliableBroadcast(
-            kernel,
-            transport,
-            site_id,
-            echo_on_first_receipt=echo_on_first_receipt,
-            kind=OPTIMISTIC_ORDER_KIND,
-            group=self.group,
-        )
-        dispatcher.register_kind(OPTIMISTIC_DATA_KIND, self._data_channel.on_envelope)
-        dispatcher.register_kind(OPTIMISTIC_ORDER_KIND, self._order_channel.on_envelope)
+        # The transport delivers each envelope to each receiver exactly once,
+        # even when the sender crashes, so every message is a plain multicast.
+        dispatcher.register_kind(OPTIMISTIC_DATA_KIND, self._on_data)
+        dispatcher.register_kind(OPTIMISTIC_ORDER_KIND, self._on_order)
         dispatcher.register_kind(OPTIMISTIC_ANNOUNCE_KIND, self._on_announce_envelope)
         dispatcher.register_kind(OPTIMISTIC_SOLICIT_KIND, self._on_solicit_envelope)
-        self._data_channel.add_listener(self._on_data)
-        self._order_channel.add_listener(self._on_order)
         #: Local receive position of every received, not transfer-covered
         #: message — the tentative order, in receipt order.
         self._local_positions: Dict[MessageId, int] = {}
@@ -224,7 +207,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     # ------------------------------------------------------------------- api
     def broadcast(self, payload: Any) -> MessageId:
         """TO-broadcast ``payload`` to all sites (paper primitive)."""
-        message_id = next_broadcast_id(self.site_id)
+        message_id = next_broadcast_id(self.kernel, self.site_id)
         self.stats.broadcasts += 1
         data = OptimisticData(
             message_id=message_id,
@@ -240,7 +223,9 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 getattr(payload, "transaction_id", None),
                 message_id=message_id,
             )
-        self._data_channel.broadcast(data)
+        self.transport.multicast(
+            self.site_id, data, kind=OPTIMISTIC_DATA_KIND, destinations=self.group
+        )
         return message_id
 
     @property
@@ -385,9 +370,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         return list(self.to_delivery_log)
 
     # ----------------------------------------------------- data dissemination
-    def _on_data(self, rb_id: MessageId, origin: SiteId, content: Any) -> None:
+    def _on_data(self, envelope: Envelope) -> bool:
+        content = envelope.payload
         if not isinstance(content, OptimisticData):
-            return
+            return False
         message_id = content.message_id
         record = self._messages.get(message_id)
         if record is None:
@@ -407,12 +393,13 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             # site through state transfer: keep the payload (for solicits) but
             # never deliver it again.
             self._try_to_deliver()
-            return
+            return True
         if message_id not in self._local_positions:
             self._receive_locally(record)
         if self.is_coordinator:
             self._coordinator_handle(message_id)
         self._try_to_deliver()
+        return True
 
     def _receive_locally(self, record: BroadcastMessage) -> None:
         """Assign ``record`` the next tentative position; Opt-deliver on receipt."""
@@ -451,8 +438,11 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     def _release_confirmation(self, message_id: MessageId, position: int) -> None:
         self._ordered_messages.add(message_id)
         self.stats.control_messages += 1
-        self._order_channel.broadcast(
-            OptimisticOrder(message_id=message_id, position=position)
+        self.transport.multicast(
+            self.site_id,
+            OptimisticOrder(message_id=message_id, position=position),
+            kind=OPTIMISTIC_ORDER_KIND,
+            destinations=self.group,
         )
 
     def _voting_timeout(self, message_id: MessageId) -> None:
@@ -502,19 +492,21 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         return True
 
     # ---------------------------------------------------- definitive delivery
-    def _on_order(self, rb_id: MessageId, origin: SiteId, content: Any) -> None:
+    def _on_order(self, envelope: Envelope) -> bool:
+        content = envelope.payload
         if isinstance(content, OptimisticFill):
             self._on_fill(content)
-            return
+            return True
         if not isinstance(content, OptimisticOrder):
-            return
+            return False
         if content.position in self._positions:
-            return
+            return True
         self._positions[content.position] = content.message_id
         self._ordered_messages.add(content.message_id)
         if content.position >= self._next_position_to_assign:
             self._next_position_to_assign = content.position + 1
         self._try_to_deliver()
+        return True
 
     def _on_fill(self, fill: OptimisticFill) -> None:
         """Apply a coordinator gap fill: the position becomes a no-op."""
@@ -622,13 +614,16 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if record is not None and record.payload is not None:
             # We still hold the data: re-disseminate it for the requester.
             self.stats.control_messages += 1
-            self._data_channel.broadcast(
+            self.transport.multicast(
+                self.site_id,
                 OptimisticData(
                     message_id=solicit.message_id,
                     origin=record.origin,
                     payload=record.payload,
                     broadcast_at=record.broadcast_at,
-                )
+                ),
+                kind=OPTIMISTIC_DATA_KIND,
+                destinations=self.group,
             )
         elif self.is_coordinator:
             self._schedule_fill(solicit.position, solicit.message_id)
@@ -666,6 +661,9 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 self._schedule_fill(position, message_id, attempts=attempts + 1)
             return
         self.stats.control_messages += 1
-        self._order_channel.broadcast(
-            OptimisticFill(position=position, message_id=message_id)
+        self.transport.multicast(
+            self.site_id,
+            OptimisticFill(position=position, message_id=message_id),
+            kind=OPTIMISTIC_ORDER_KIND,
+            destinations=self.group,
         )

@@ -144,10 +144,9 @@ def build_chaos_cluster(
 ) -> Tuple[ShardedCluster, ShardedWorkloadSpec]:
     """Build the standard cluster + workload spec used by the scenarios.
 
-    ``echo_on_first_receipt`` is always enabled: with crashes injected
-    mid-multicast, the reliable broadcast must echo messages for them to
-    survive the failure of their origin (the paper's reliable-channel
-    assumption is about *correct* sites).  ``batching`` optionally enables
+    A crash injected mid-multicast loses no message: the transport delivers
+    every envelope its sender handed over, whatever happens to the sender
+    afterwards, so the broadcast needs no relays.  ``batching`` optionally enables
     the broadcast batching layer (a
     :class:`~repro.broadcast.batching.BatchingConfig`), so every scenario
     can be replayed against batched endpoints.  ``tracer`` optionally attaches
@@ -179,7 +178,6 @@ def build_chaos_cluster(
         shard_count=shard_count,
         sites_per_shard=sites_per_shard,
         seed=seed,
-        echo_on_first_receipt=True,
         batching=batching,
         tracer=tracer,
         topology=topology,

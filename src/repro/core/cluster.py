@@ -145,7 +145,6 @@ class ReplicatedDatabase:
                 coordinator_site=coordinator,
                 ordering_mode=config.ordering_mode,
                 voting_timeout=config.voting_timeout,
-                echo_on_first_receipt=config.echo_on_first_receipt,
                 group=site_ids,
                 opt_deliver_on_receipt=config.broadcast == BROADCAST_OPTIMISTIC,
             )

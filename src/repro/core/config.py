@@ -54,9 +54,6 @@ class ProtocolConfig:
         execution-time/ordering-delay ratio.
     voting_timeout:
         Timeout of the voting ordering mode.
-    echo_on_first_receipt:
-        Whether reliable broadcast echoes messages (needed only when crashes
-        are injected mid-multicast).
     record_deliveries:
         Whether the transport keeps a full delivery log (needed by the
         spontaneous-order analysis, costs memory in long runs).
@@ -114,7 +111,6 @@ class ProtocolConfig:
     cpu_count: Optional[int] = None
     duration_scale: float = 1.0
     voting_timeout: float = 0.010
-    echo_on_first_receipt: bool = False
     record_deliveries: bool = False
     batching: Optional[BatchingConfig] = None
     medium_frame_time: float = 0.0

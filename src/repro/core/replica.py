@@ -162,7 +162,7 @@ class ReplicaManager:
             raise ReplicationError(
                 f"procedure {procedure_name!r} is a query; use submit_query instead"
             )
-        transaction_id = next_transaction_id(self.site_id)
+        transaction_id = next_transaction_id(self.kernel, self.site_id)
         now = self.kernel.now()
         request = TransactionRequest(
             transaction_id=transaction_id,

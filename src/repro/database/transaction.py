@@ -15,19 +15,19 @@ manipulate.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..errors import TransactionError
 from ..types import ConflictClassId, ObjectKey, ObjectValue, SiteId, TransactionId
 
-_TXN_COUNTER = itertools.count(1)
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..simulation.kernel import SimulationKernel
 
 
-def next_transaction_id(origin: SiteId) -> TransactionId:
-    """Return a globally unique transaction identifier."""
-    return f"T:{origin}:{next(_TXN_COUNTER)}"
+def next_transaction_id(kernel: "SimulationKernel", origin: SiteId) -> TransactionId:
+    """Return a transaction identifier, unique within ``kernel``."""
+    return f"T:{origin}:{next(kernel.serials['transaction'])}"
 
 
 class ExecutionState(enum.Enum):

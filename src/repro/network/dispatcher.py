@@ -1,7 +1,7 @@
 """Per-site envelope dispatcher.
 
-A site runs several protocol layers at once (failure detector, reliable
-broadcast instances, atomic broadcast, replication manager).  The dispatcher
+A site runs several protocol layers at once (failure detector, atomic
+broadcast, replication manager).  The dispatcher
 is registered as the site's single transport handler and routes incoming
 envelopes to the layer that owns the envelope's ``kind``.
 """

@@ -7,18 +7,18 @@ put their own protocol messages inside it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from ..types import MessageId, SiteId
 
-_ENVELOPE_COUNTER = itertools.count(1)
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..simulation.kernel import SimulationKernel
 
 
-def next_envelope_id(sender: SiteId) -> MessageId:
-    """Return a globally unique envelope identifier for ``sender``."""
-    return f"{sender}#{next(_ENVELOPE_COUNTER)}"
+def next_envelope_id(kernel: "SimulationKernel", sender: SiteId) -> MessageId:
+    """Return an envelope identifier for ``sender``, unique within ``kernel``."""
+    return f"{sender}#{next(kernel.serials['envelope'])}"
 
 
 class Envelope(NamedTuple):

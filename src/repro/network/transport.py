@@ -65,6 +65,15 @@ class _SiteEndpoint:
 class NetworkTransport:
     """Simulated network connecting a fixed set of sites.
 
+    Every envelope the transport accepts reaches each of its registered
+    receivers exactly once, whatever happens to its sender: a multicast
+    schedules all its arrivals when sent, lost transmissions are retried,
+    and envelopes for a crashed or partitioned receiver are held until it is
+    reachable.  The broadcast layers rely on this and relay nothing; over a
+    transport that can lose a crashed sender's messages they would need the
+    fail-stop "Lazy Reliable Broadcast" (Guerraoui and Rodrigues,
+    *Introduction to Reliable Distributed Programming*).
+
     Parameters
     ----------
     kernel:
@@ -174,7 +183,7 @@ class NetworkTransport:
         self._endpoint(sender)
         self._endpoint(destination)
         envelope = Envelope(
-            envelope_id=next_envelope_id(sender),
+            envelope_id=next_envelope_id(self.kernel, sender),
             sender=sender,
             destination=destination,
             payload=payload,
@@ -217,7 +226,7 @@ class NetworkTransport:
         except (KeyError, TypeError):  # TypeError: a list is not hashable
             receivers = self._resolve_receivers(sender, destinations, include_sender)
         envelope = Envelope(
-            envelope_id=next_envelope_id(sender),
+            envelope_id=next_envelope_id(self.kernel, sender),
             sender=sender,
             destination=None,
             payload=payload,

@@ -9,7 +9,10 @@ callback executed by :meth:`SimulationKernel.run`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import itertools
+from collections import defaultdict
+from functools import partial
+from typing import Callable, DefaultDict, Iterator, Optional
 
 from ..errors import SimulationError
 from .clock import VirtualClock
@@ -36,6 +39,11 @@ class SimulationKernel:
         self._stopped = False
         self._events_executed = 0
         self._trace_hooks: list[Callable[[Event], None]] = []
+        #: One counter per id family (``"transaction"``, ``"envelope"``, ...),
+        #: from 1: two same-seed simulations in one process get the same ids.
+        self.serials: DefaultDict[str, Iterator[int]] = defaultdict(
+            partial(itertools.count, 1)
+        )
 
     # ------------------------------------------------------------------ time
     def now(self) -> float:

@@ -36,7 +36,6 @@ def build_cluster(batching, *, broadcast=BROADCAST_OPTIMISTIC, seed=3, site_coun
             site_count=site_count,
             seed=seed,
             broadcast=broadcast,
-            echo_on_first_receipt=True,
             batching=batching,
         ),
         build_registry(),

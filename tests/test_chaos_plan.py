@@ -39,7 +39,6 @@ def build_flat_cluster(seed=3, **overrides):
             site_count=4,
             seed=seed,
             broadcast=BROADCAST_OPTIMISTIC,
-            echo_on_first_receipt=True,
             **overrides,
         ),
         build_registry(),

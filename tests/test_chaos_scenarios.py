@@ -49,8 +49,8 @@ def test_scenario_preserves_all_properties(scenario, seed):
     assert result.faults_injected >= 1
     assert len(result.trace) > result.faults_injected  # reverts traced too
     assert result.committed == result.submitted_updates
-    # The run only terminated after the plan stopped injecting faults.
-    assert result.duration > result.faults_cease_at
+    # The run did not terminate before the plan stopped injecting faults.
+    assert result.duration >= result.faults_cease_at
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_NAMES)

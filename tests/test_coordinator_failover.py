@@ -42,7 +42,6 @@ def build_cluster(broadcast, failure_detection, seed=3, tracer=None):
             site_count=4,
             seed=seed,
             broadcast=broadcast,
-            echo_on_first_receipt=True,
             failure_detection=failure_detection,
             tracer=tracer,
         ),

@@ -255,6 +255,35 @@ class TestQueries:
         assert cluster.replica("N4").metrics.count("queries_completed") == 1
 
 
+class TestSameSeedSameIds:
+    @pytest.mark.parametrize("batching", [None, BatchingConfig(window=0.002)],
+                             ids=["unbatched", "batched"])
+    def test_a_second_build_in_one_process_assigns_the_same_ids(self, batching):
+        def run():
+            cluster = build_cluster(seed=7, batching=batching)
+            for index in range(12):
+                site = cluster.site_ids()[index % 4]
+                cluster.kernel.schedule(
+                    0.001 * index,
+                    lambda site=site, index=index: cluster.submit(
+                        site, "deposit", {"branch": index % 3, "account": 1, "amount": 5}
+                    ),
+                )
+            cluster.run_until_idle()
+            return {
+                site: (
+                    cluster.replica(site).history.transaction_ids(),
+                    cluster.broadcast_endpoint(site).to_delivery_log,
+                )
+                for site in cluster.site_ids()
+            }
+
+        first, second = run(), run()
+        assert first == second
+        # Each build numbers its ids from 1, whatever ran before it.
+        assert "T:N1:1" in first["N1"][0]
+
+
 #: One non-default value per :class:`ProtocolConfig` field.
 PROTOCOL_SENTINELS = {
     "seed": 41,
@@ -265,7 +294,6 @@ PROTOCOL_SENTINELS = {
     "cpu_count": 3,
     "duration_scale": 2.5,
     "voting_timeout": 0.123,
-    "echo_on_first_receipt": True,
     "record_deliveries": True,
     "batching": BatchingConfig(window=0.002),
     "medium_frame_time": 0.0003,
@@ -298,7 +326,7 @@ class TestConfigValidation:
 
     def test_subclasses_add_only_their_shape_fields(self):
         base = {field.name for field in fields(ProtocolConfig)}
-        assert len(base) == 16
+        assert len(base) == 15
         cluster = {field.name for field in fields(ClusterConfig)}
         sharding = {field.name for field in fields(ShardingConfig)}
         assert cluster - base == {"site_count", "site_prefix"}

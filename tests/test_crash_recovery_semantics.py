@@ -58,7 +58,6 @@ def build_cluster(seed=5, site_count=3, duration=0.005, broadcast=BROADCAST_OPTI
             site_count=site_count,
             seed=seed,
             broadcast=broadcast,
-            echo_on_first_receipt=True,
         ),
         build_registry(duration=duration),
         initial_data={f"slot:{index}": 0 for index in range(4)},

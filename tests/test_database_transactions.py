@@ -24,6 +24,7 @@ from repro.errors import (
     TransactionError,
     UnknownProcedureError,
 )
+from repro.simulation import SimulationKernel
 from repro.simulation.randomness import RandomSource
 
 
@@ -132,7 +133,8 @@ class TestTransactionStates:
             transaction.abort_for_reordering()
 
     def test_transaction_ids_are_unique(self):
-        ids = {next_transaction_id("N1") for _ in range(200)}
+        kernel = SimulationKernel()
+        ids = {next_transaction_id(kernel, "N1") for _ in range(200)}
         assert len(ids) == 200
 
 

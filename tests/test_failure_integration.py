@@ -3,18 +3,19 @@
 The paper's correctness argument assumes failure-free runs (Section 4); the
 implementation nevertheless keeps working when a non-coordinator site crashes
 and recovers, because the transport buffers envelopes for crashed sites and
-the reliable broadcast is idempotent.  These tests exercise those paths and
+delivers each envelope exactly once.  These tests exercise those paths and
 the redo-log-based catch-up substrate.
 """
 
 import pytest
 
-from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
-from repro.core.config import BROADCAST_OPTIMISTIC
+from repro import BatchingConfig, ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro.broadcast import OPTIMISTIC_DATA_KIND
+from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
 from repro.database import MultiVersionStore
 from repro.failure import CrashSchedule
 from repro.network import LanMulticastLatency
-from repro.verification import check_one_copy_serializability
+from repro.verification import check_broadcast_properties, check_one_copy_serializability
 
 
 def build_registry():
@@ -35,7 +36,6 @@ def build_cluster(seed=4, site_count=4):
             seed=seed,
             broadcast=BROADCAST_OPTIMISTIC,
             latency_model=LanMulticastLatency(),
-            echo_on_first_receipt=True,
         ),
         build_registry(),
         initial_data={f"slot:{index}": 0 for index in range(6)},
@@ -102,6 +102,53 @@ class TestCrashRecovery:
         replayed = donor.redo_log.replay_into(fresh, after_index=-1)
         assert replayed > 0
         assert fresh.dump_latest() == donor.database_contents()
+
+
+class TestOriginCrash:
+    @pytest.mark.parametrize("batching", [None, BatchingConfig(window=0.002)],
+                             ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("broadcast", [BROADCAST_OPTIMISTIC, BROADCAST_CONSERVATIVE])
+    @pytest.mark.parametrize("origin", ["N1", "N2"], ids=["coordinator", "follower"])
+    def test_message_of_an_origin_crashing_right_after_sending_is_delivered(
+        self, origin, broadcast, batching
+    ):
+        cluster = ReplicatedDatabase(
+            ClusterConfig(site_count=3, seed=5, broadcast=broadcast, batching=batching),
+            build_registry(),
+            initial_data={f"slot:{index}": 0 for index in range(6)},
+        )
+        transport = cluster.transport
+        multicast = transport.multicast
+        crashed = []
+
+        def crash_after_data(sender, payload, **kwargs):
+            envelope_id = multicast(sender, payload, **kwargs)
+            if sender == origin and kwargs.get("kind") == OPTIMISTIC_DATA_KIND and not crashed:
+                # The origin dies the instant after its data left, before any
+                # receiver has it; it never recovers.
+                crashed.append(envelope_id)
+                cluster.kernel.schedule(0.0, lambda: cluster.crash_manager.crash_now(origin))
+            return envelope_id
+
+        transport.multicast = crash_after_data
+        submitted = []
+        cluster.kernel.schedule(
+            0.001, lambda: submitted.append(cluster.submit(origin, "add", {"slot": 1}))
+        )
+        submit_spread(cluster, count=6, spacing=0.004, sites=["N3"])
+        cluster.run_until_idle()
+
+        assert crashed
+        correct = [site for site in cluster.site_ids() if site != origin]
+        (transaction_id,) = submitted
+        for site in correct:
+            committed = cluster.replica(site).history.get(transaction_id)
+            assert committed is not None
+            assert committed.message_id in cluster.broadcast_endpoint(site).to_delivery_log
+        assert set(cluster.committed_counts()[site] for site in correct) == {7}
+        check_broadcast_properties(
+            {site: cluster.broadcast_endpoint(site) for site in correct}
+        ).raise_if_violated()
 
 
 class TestMessageLoss:

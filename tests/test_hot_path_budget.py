@@ -20,20 +20,23 @@ the test when it exceeds its measured value by more than 5 %.
 
 The two clusters share one 8-class workload:
 
-* ``budget``: 4 sites run to idle, with neither echo nor failure
-  detectors — the commit path;
+* ``budget``: 4 sites run to idle, without failure detectors — the
+  commit path;
 * ``message``: one shard of the benchmark's ``failover_recovery`` — 3
-  sites with ``echo_on_first_receipt`` and heartbeat detectors, run past
-  the last submission, detectors stopped, then drained — the message path.
+  sites with heartbeat detectors, run past the last submission, detectors
+  stopped, then drained — the message path.
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
-CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 500.7 ``repro`` and
-32.1 generated-constructor calls per commit on ``budget``, 506.5 and 34.6
+CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 482.7 ``repro`` and
+30.1 generated-constructor calls per commit on ``budget``, 384.0 and 24.6
 on ``message``.  History of ``budget``'s ``repro`` calls: 1 101.0 before
 this budget existed, 630.5 when it landed, 609.4 once frozen records
 nobody kept were gone (generated calls 48.1 → 32.1), 500.7 once multicast
 kept its resolved receivers and the run phase wrote metrics without a call
-(``message``: 649.7 → 506.5).  A change that adds per-commit work must
+(``message``: 649.7 → 506.5), 482.7 once data and order messages were
+plain multicasts instead of going through an echoing reliable-broadcast
+wrapper (generated 32.1 → 30.1; ``message``: 506.5 / 34.6 → 384.0 /
+24.6, its cluster no longer echoing).  A change that adds per-commit work must
 raise the measured value and say why; one that removes work should lower
 it.
 """
@@ -56,8 +59,8 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (500.7, 32.1),
-    "message": (506.5, 34.6),
+    "budget": (482.7, 30.1),
+    "message": (384.0, 24.6),
 }
 TOLERANCE = 1.05
 
@@ -85,20 +88,15 @@ def _build(config: ClusterConfig) -> tuple:
 
 
 def budget_cluster(seed: int) -> tuple:
-    """4 sites, no echo, no detectors: ``(cluster, run phase)``."""
+    """4 sites, no detectors: ``(cluster, run phase)``."""
     cluster, _ = _build(ClusterConfig(site_count=4, seed=seed))
     return cluster, cluster.run_until_idle
 
 
 def message_cluster(seed: int) -> tuple:
-    """One shard of ``failover_recovery``: 3 sites, echo and heartbeat detectors."""
+    """One shard of ``failover_recovery``: 3 sites with heartbeat detectors."""
     cluster, plan = _build(
-        ClusterConfig(
-            site_count=3,
-            seed=seed,
-            echo_on_first_receipt=True,
-            failure_detection=FailureDetectionConfig(),
-        )
+        ClusterConfig(site_count=3, seed=seed, failure_detection=FailureDetectionConfig())
     )
 
     def run() -> None:

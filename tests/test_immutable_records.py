@@ -17,7 +17,6 @@ from repro.broadcast.optimistic import (
     OptimisticData,
     OptimisticOrder,
 )
-from repro.broadcast.reliable import ReliableBroadcast, ReliablePayload
 from repro.database import CommittedTransaction, ObjectVersion
 from repro.network import ConstantLatency, NetworkTransport
 from repro.network.dispatcher import SiteDispatcher
@@ -30,11 +29,6 @@ RECORDS = [
         Envelope,
         {"envelope_id": "e1", "sender": "N1", "destination": None, "payload": "p"},
         {"kind": "data", "sent_at": 0.0},
-    ),
-    (
-        ReliablePayload,
-        {"rb_id": "rb:N1:1", "origin": "N1", "content": "c"},
-        {"echo": False},
     ),
     (
         OptimisticData,
@@ -83,23 +77,13 @@ def test_equal_values_compare_and_hash_equal(record_type, required, defaults):
     assert first != record_type(**{**required, name: "other"})
 
 
-def test_reliable_broadcast_accepts_its_payload_but_not_a_plain_tuple():
-    kernel = SimulationKernel(seed=0)
-    transport = NetworkTransport(kernel, ConstantLatency(0.001))
-    channel = ReliableBroadcast(kernel, transport, "N1", echo_on_first_receipt=False)
-    payload = ReliablePayload(rb_id="rb:N9:1", origin="N9", content="c")
-    plain = Envelope("e1", "N9", "N1", tuple(payload), kind=channel.kind)
-    assert channel.on_envelope(plain) is False
-    assert channel.on_envelope(Envelope("e2", "N9", "N1", payload, kind=channel.kind)) is True
-    assert channel.delivery_log == ["rb:N9:1"]
-
-
 def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
     # The coordinator N2 never speaks: the definitive order comes from the test.
     kernel = SimulationKernel(seed=0)
     transport = NetworkTransport(kernel, ConstantLatency(0.001))
+    dispatcher = SiteDispatcher(transport, "N1")
     endpoint = OptimisticAtomicBroadcast(
-        kernel, transport, SiteDispatcher(transport, "N1"), "N1", coordinator_site="N2"
+        kernel, transport, dispatcher, "N1", coordinator_site="N2"
     )
     data = OptimisticData(message_id="m:N1:1", origin="N1", payload="p", broadcast_at=0.0)
     order = OptimisticOrder(message_id="m:N1:1", position=0)
@@ -108,15 +92,15 @@ def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
         (OPTIMISTIC_DATA_KIND, data),
         (OPTIMISTIC_ORDER_KIND, tuple(order)),
     ]
-    for number, (kind, content) in enumerate(sends):
-        payload = ReliablePayload(rb_id=f"rb:N1:{number}", origin="N1", content=content)
-        transport.unicast("N1", "N1", payload, kind=kind)
+    for kind, content in sends:
+        transport.unicast("N1", "N1", content, kind=kind)
     kernel.run_until_idle()
     assert endpoint.opt_delivery_log == ["m:N1:1"]
     assert endpoint.to_delivery_log == []
-    transport.unicast(
-        "N1", "N1", ReliablePayload(rb_id="rb:N1:9", origin="N1", content=order),
-        kind=OPTIMISTIC_ORDER_KIND,
-    )
+    # The two plain tuples were refused by the endpoint's handlers.
+    assert [envelope.payload for envelope in dispatcher.unhandled] == [
+        tuple(data), tuple(order)
+    ]
+    transport.unicast("N1", "N1", order, kind=OPTIMISTIC_ORDER_KIND)
     kernel.run_until_idle()
     assert endpoint.to_delivery_log == ["m:N1:1"]

@@ -11,6 +11,7 @@ from repro.network.latency import (
     WanLatency,
 )
 from repro.network.message import next_envelope_id
+from repro.simulation import SimulationKernel
 from repro.simulation.randomness import RandomSource
 
 
@@ -192,5 +193,12 @@ class TestGeoLatency:
 
 class TestEnvelope:
     def test_next_envelope_id_unique(self):
-        ids = {next_envelope_id("N1") for _ in range(100)}
+        kernel = SimulationKernel()
+        ids = {next_envelope_id(kernel, "N1") for _ in range(100)}
         assert len(ids) == 100
+
+    def test_envelope_ids_count_per_kernel(self):
+        first, second = SimulationKernel(), SimulationKernel()
+        assert next_envelope_id(first, "N1") == "N1#1"
+        assert next_envelope_id(first, "N2") == "N2#2"
+        assert next_envelope_id(second, "N1") == "N1#1"

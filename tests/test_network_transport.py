@@ -1,9 +1,17 @@
 """Unit tests for the network transport, partitions and the dispatcher."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError, UnknownSiteError
-from repro.network import ConstantLatency, NetworkTransport, PartitionController
+from repro.failure import CrashManager
+from repro.network import (
+    ConstantLatency,
+    NetworkTransport,
+    PartitionController,
+    UniformLatency,
+)
 from repro.network.dispatcher import SiteDispatcher
 from repro.simulation import SimulationKernel
 
@@ -348,6 +356,72 @@ class TestExactDelivery:
             with pytest.raises(UnknownSiteError):
                 transport.multicast(sender, "x", destinations=destinations)
         assert transport.stats.multicasts_sent == 0
+
+
+#: Milliseconds on the simulated clock.
+MS = 0.001
+
+
+class TestEveryEnvelopeExactlyOnce:
+    """The guarantee the broadcast layers build on, so they relay nothing."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        loss=st.sampled_from([0.0, 0.3]),
+        down=st.tuples(
+            st.sampled_from(["N2", "N3"]), st.integers(0, 12), st.integers(1, 12)
+        ),
+        cut=st.tuples(
+            st.sampled_from(["N1", "N2", "N3"]), st.integers(0, 12), st.integers(1, 12)
+        ),
+        sender_crashes=st.booleans(),
+    )
+    def test_each_receiver_handles_each_envelope_exactly_once(
+        self, loss, down, cut, sender_crashes
+    ):
+        kernel = SimulationKernel(seed=3)
+        transport = NetworkTransport(
+            kernel, UniformLatency(0.0005, 0.004), loss_probability=loss
+        )
+        seen = {}
+        for site in ("N1", "N2", "N3"):
+            seen[site] = []
+            transport.register_site(
+                site, lambda envelope, site=site: seen[site].append(envelope.envelope_id)
+            )
+        crash_manager = CrashManager(kernel, transport)
+        down_site, down_at, down_for = down
+        kernel.schedule(down_at * MS, lambda: transport.set_site_up(down_site, False))
+        kernel.schedule(
+            (down_at + down_for) * MS, lambda: transport.set_site_up(down_site, True)
+        )
+        isolated, cut_at, cut_for = cut
+        kernel.schedule(cut_at * MS, lambda: transport.partitions.isolate([isolated]))
+        kernel.schedule((cut_at + cut_for) * MS, transport.partitions.heal)
+        sent = []
+
+        def send(sender):
+            if not transport.is_site_up(sender):
+                return  # a down site sends nothing
+            sent.append(transport.multicast(sender, "x"))
+            if sender == "N1" and sender_crashes:
+                crash_manager.crash_now("N1")  # right after the multicast
+
+        for tick in range(8):
+            kernel.schedule(tick * 1.5 * MS, lambda: send("N2"))
+            kernel.schedule(tick * 1.5 * MS, lambda: send("N3"))
+        kernel.schedule(6 * MS, lambda: send("N1"))
+        kernel.run_until_idle()
+
+        assert len(sent) > 8
+        for site in ("N2", "N3"):
+            assert sorted(seen[site]) == sorted(sent)
+        if sender_crashes:
+            # A crash-stop sender handles nothing after its crash, and
+            # nothing twice before it.
+            assert len(set(seen["N1"])) == len(seen["N1"]) < len(sent)
+        else:
+            assert sorted(seen["N1"]) == sorted(sent)
 
 
 class TestDispatcher:

@@ -40,7 +40,6 @@ def build_cluster(seed=3, site_count=3, **config_kwargs):
         ClusterConfig(
             site_count=site_count,
             seed=seed,
-            echo_on_first_receipt=True,
             **config_kwargs,
         ),
         build_registry(),
@@ -238,7 +237,7 @@ class TestSuspicionDrivenCluster:
 
     def test_oracle_mode_promotes_at_the_crash_instant(self):
         cluster = ReplicatedDatabase(
-            ClusterConfig(site_count=3, seed=3, echo_on_first_receipt=True),
+            ClusterConfig(site_count=3, seed=3),
             build_registry(),
             initial_data={f"slot:{index}": 0 for index in range(6)},
         )
