@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from ..findings import Finding
 
@@ -58,16 +58,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def enclosing_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, Sequence[ast.AST]]]:
-    """Yield ``(function_node, ancestors)`` for every def in the module."""
-    stack: list = [(tree, ())]
-    while stack:
-        node, ancestors = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, ancestors + (node,)
-            stack.append((child, ancestors + (node,)))

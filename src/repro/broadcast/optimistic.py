@@ -361,10 +361,6 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             fresh.append(record)
         return fresh
 
-    def tentative_order(self) -> List[MessageId]:
-        """The local tentative (Opt-delivery) order observed so far."""
-        return list(self.opt_delivery_log)
-
     def definitive_order(self) -> List[MessageId]:
         """The definitive (TO-delivery) order observed so far."""
         return list(self.to_delivery_log)

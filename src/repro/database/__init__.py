@@ -6,7 +6,6 @@ from .history import (
     CommittedTransaction,
     ConflictGraph,
     SiteHistory,
-    history_is_serializable,
     transactions_conflict,
 )
 from .objects import ObjectVersion, VersionChain
@@ -15,7 +14,7 @@ from .procedures import (
     StoredProcedure,
     TransactionContext,
 )
-from .recovery import RedoLog, RedoRecord, UndoLog, UndoRecord
+from .recovery import RedoLog, RedoRecord
 from .snapshots import QuerySnapshot, SnapshotManager
 from .storage import MultiVersionStore, StoreStats
 from .transaction import (
@@ -34,7 +33,6 @@ __all__ = [
     "CommittedTransaction",
     "ConflictGraph",
     "SiteHistory",
-    "history_is_serializable",
     "transactions_conflict",
     "ObjectVersion",
     "VersionChain",
@@ -43,8 +41,6 @@ __all__ = [
     "TransactionContext",
     "RedoLog",
     "RedoRecord",
-    "UndoLog",
-    "UndoRecord",
     "QuerySnapshot",
     "SnapshotManager",
     "MultiVersionStore",

@@ -138,10 +138,6 @@ class ClassQueue:
     def __contains__(self, transaction: Transaction) -> bool:
         return transaction in self._entries
 
-    def is_empty(self) -> bool:
-        """Return whether the queue has no transactions."""
-        return not self._entries
-
     def first(self) -> Optional[Transaction]:
         """Return the transaction at the head of the queue (or ``None``)."""
         return self._entries[0] if self._entries else None

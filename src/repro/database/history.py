@@ -277,10 +277,3 @@ class ConflictGraph:
                 if in_degree[successor] == 0:
                     heapq.heappush(ready, successor)
         return order
-
-
-def history_is_serializable(commits: Sequence[CommittedTransaction]) -> bool:
-    """Return whether a single-site history is (conflict-)serializable."""
-    graph = ConflictGraph()
-    graph.add_history(commits)
-    return graph.is_acyclic()

@@ -84,19 +84,6 @@ class VersionChain:
         self.versions.append(version)
         self._created_indices.append(version.created_index)
 
-    def remove_version(self, created_index: int, created_by: TransactionId) -> bool:
-        """Remove the version created by ``created_by`` at ``created_index``.
-
-        Used by the undo log when an eagerly applied transaction aborts.
-        Returns whether a version was removed.
-        """
-        for position, version in enumerate(self.versions):
-            if version.created_index == created_index and version.created_by == created_by:
-                del self.versions[position]
-                del self._created_indices[position]
-                return True
-        return False
-
     def prune_before(self, min_index: int, keep_at_least: int = 1) -> int:
         """Drop versions older than ``min_index``; keep at least ``keep_at_least``.
 

@@ -1,13 +1,9 @@
-"""Undo/redo logging ("traditional recovery techniques", paper Section 3.2).
+"""Redo logging ("traditional recovery techniques", paper Section 3.2).
 
-The OTP scheduler may have to *undo* the effects of a transaction that was
-executed in the wrong tentative order (step CC8) and re-execute it later.
-With the default deferred-update execution engine the undo is trivial — the
-buffered workspace is discarded — but the paper describes the undo in terms
-of classical recovery, so this module provides the eager-application
-machinery as well: before-images are recorded in an :class:`UndoLog`, writes
-are applied to the store immediately, and rollback restores the
-before-images (by removing the installed versions).
+The OTP scheduler may have to *undo* a transaction that was executed in the
+wrong tentative order (step CC8) and re-execute it later.  Execution is
+deferred-update: a transaction writes into a private workspace that is
+installed only at commit, so discarding the workspace *is* the undo.
 
 The redo log is the durable half of a site: every committed write is
 recorded together with its definitive index and real commit time.  The log
@@ -31,20 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import DatabaseError
 from ..types import ObjectKey, ObjectValue, TransactionId
 from .storage import MultiVersionStore
-
-
-@dataclass(frozen=True)
-class UndoRecord:
-    """Before-image of one eagerly applied write."""
-
-    transaction_id: TransactionId
-    key: ObjectKey
-    had_previous_version: bool
-    previous_value: Optional[ObjectValue]
-    applied_index: int
 
 
 @dataclass(frozen=True)
@@ -62,72 +46,6 @@ class RedoRecord:
     value: ObjectValue
     index: int
     committed_at: float = 0.0
-
-
-class UndoLog:
-    """Per-site undo log for eagerly applied, not-yet-committed transactions."""
-
-    def __init__(self, store: MultiVersionStore) -> None:
-        self._store = store
-        self._records: Dict[TransactionId, List[UndoRecord]] = {}
-        self.undo_operations = 0
-
-    def record_and_apply(
-        self,
-        transaction_id: TransactionId,
-        key: ObjectKey,
-        value: ObjectValue,
-        *,
-        index: int,
-        at_time: float = 0.0,
-    ) -> None:
-        """Apply a write eagerly and remember how to undo it.
-
-        ``at_time`` must be the real (virtual) time of the write so that the
-        installed version carries a meaningful ``created_at``.
-        """
-        previous = self._store.latest_version(key)
-        self._records.setdefault(transaction_id, []).append(
-            UndoRecord(
-                transaction_id=transaction_id,
-                key=key,
-                had_previous_version=previous is not None,
-                previous_value=previous.copy_value() if previous is not None else None,
-                applied_index=index,
-            )
-        )
-        self._store.install(
-            key,
-            value,
-            created_index=index,
-            created_by=transaction_id,
-            created_at=at_time,
-        )
-
-    def has_pending(self, transaction_id: TransactionId) -> bool:
-        """Return whether the transaction has un-finalised eager writes."""
-        return bool(self._records.get(transaction_id))
-
-    def rollback(self, transaction_id: TransactionId) -> int:
-        """Undo every eager write of ``transaction_id``; returns the count."""
-        records = self._records.pop(transaction_id, [])
-        for record in reversed(records):
-            removed = self._store.remove_version(
-                record.key,
-                created_index=record.applied_index,
-                created_by=transaction_id,
-            )
-            if not removed:
-                raise DatabaseError(
-                    f"undo failed: version of {record.key!r} installed by "
-                    f"{transaction_id} at index {record.applied_index} is missing"
-                )
-            self.undo_operations += 1
-        return len(records)
-
-    def forget(self, transaction_id: TransactionId) -> None:
-        """Drop undo information after the transaction committed."""
-        self._records.pop(transaction_id, None)
 
 
 #: One committed transaction in the redo log: ``(transaction_id, index,

@@ -3,9 +3,7 @@
 The store only ever contains *committed* versions.  Executing transactions
 buffer their writes in a private workspace (see
 :mod:`repro.core.execution`); the workspace is installed atomically at commit
-time, or simply discarded on abort.  An eager-application mode backed by an
-undo log is also supported for completeness (see
-:mod:`repro.database.recovery`).
+time, or simply discarded on abort; the discard is the whole undo.
 """
 
 from __future__ import annotations
@@ -124,15 +122,6 @@ class MultiVersionStore:
         )
         chain.append(version)
         return version
-
-    def remove_version(
-        self, key: ObjectKey, *, created_index: int, created_by: TransactionId
-    ) -> bool:
-        """Remove a previously installed version (undo of an eager write)."""
-        chain = self._chains.get(key)
-        if chain is None:
-            return False
-        return chain.remove_version(created_index, created_by)
 
     # ------------------------------------------------------------ maintenance
     def prune(self, min_index: int, *, keep_at_least: int = 1) -> int:

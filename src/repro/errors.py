@@ -47,10 +47,6 @@ class TransactionError(DatabaseError):
     """Raised on an invalid transaction state transition."""
 
 
-class TransactionAborted(DatabaseError):
-    """Raised inside a stored procedure when its transaction was aborted."""
-
-
 class ConflictClassError(DatabaseError):
     """Raised when conflict classes are configured or used incorrectly."""
 
@@ -81,7 +77,3 @@ class ChaosError(ReproError):
 
 class VerificationError(ReproError):
     """Raised when a correctness property is found to be violated."""
-
-
-class HarnessError(ReproError):
-    """Raised by the experiment harness."""

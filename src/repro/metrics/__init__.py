@@ -3,11 +3,8 @@
 from .collector import Gauge, LatencyRecorder, MetricsCollector
 from .stats import (
     Summary,
-    confidence_interval_95,
     mean,
     percentile,
-    ratio,
-    sample_stddev,
     stddev,
     summarize,
 )
@@ -17,11 +14,8 @@ __all__ = [
     "LatencyRecorder",
     "MetricsCollector",
     "Summary",
-    "confidence_interval_95",
     "mean",
     "percentile",
-    "ratio",
-    "sample_stddev",
     "stddev",
     "summarize",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,9 @@ def percentile(values: Sequence[float], fraction: float) -> float:
     if lower == upper:
         return ordered[lower]
     weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+    low, high = ordered[lower], ordered[upper]
+    # Rounding (e.g. a subnormal halved to 0.0) must not leave [low, high].
+    return min(max(low * (1.0 - weight) + high * weight, low), high)
 
 
 def mean(values: Sequence[float]) -> float:
@@ -56,21 +58,6 @@ def stddev(values: Sequence[float]) -> float:
         return 0.0
     sample_mean = mean(values)
     variance = sum((value - sample_mean) ** 2 for value in values) / len(values)
-    return math.sqrt(variance)
-
-
-def sample_stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation (Bessel-corrected, n-1 denominator).
-
-    The estimator to use when the values are a sample of a larger population
-    — e.g. per-seed benchmark results — rather than the whole population;
-    the population formula biases the spread (and any interval built from
-    it) low.
-    """
-    if len(values) < 2:
-        return 0.0
-    sample_mean = mean(values)
-    variance = sum((value - sample_mean) ** 2 for value in values) / (len(values) - 1)
     return math.sqrt(variance)
 
 
@@ -90,20 +77,3 @@ def summarize(values: Iterable[float]) -> Summary:
         p95=percentile(sample, 0.95),
         p99=percentile(sample, 0.99),
     )
-
-
-def confidence_interval_95(values: Sequence[float]) -> float:
-    """Half-width of a normal-approximation 95 % confidence interval.
-
-    Uses the sample (n-1) standard deviation: the values are a sample, and
-    the population formula understates the interval, most severely for the
-    small per-seed sweeps the harness reports.
-    """
-    if len(values) < 2:
-        return 0.0
-    return 1.96 * sample_stddev(values) / math.sqrt(len(values))
-
-
-def ratio(numerator: float, denominator: float) -> float:
-    """Safe ratio helper (0.0 when the denominator is zero)."""
-    return numerator / denominator if denominator else 0.0

@@ -12,9 +12,7 @@ from .latency import (
     LanMulticastLatency,
     LatencyModel,
     LinkProfile,
-    NormalLatency,
     UniformLatency,
-    WanLatency,
 )
 from .message import DeliveryRecord, Envelope, next_envelope_id
 from .partitions import PartitionController
@@ -27,9 +25,7 @@ __all__ = [
     "LanMulticastLatency",
     "LatencyModel",
     "LinkProfile",
-    "NormalLatency",
     "UniformLatency",
-    "WanLatency",
     "DeliveryRecord",
     "Envelope",
     "next_envelope_id",

@@ -47,7 +47,7 @@ class LatencyModel(abc.ABC):
 
 @dataclass
 class ConstantLatency(LatencyModel):
-    """A fixed one-way delay; useful in unit tests."""
+    """A fixed one-way delay (a test double: unit tests assert exact timings)."""
 
     delay: float = 0.001
 
@@ -64,7 +64,11 @@ class ConstantLatency(LatencyModel):
 
 @dataclass
 class UniformLatency(LatencyModel):
-    """One-way delay drawn uniformly from ``[minimum, maximum]`` per receiver."""
+    """One-way delay drawn uniformly from ``[minimum, maximum]`` per receiver.
+
+    A test double: a wide interval reorders a multicast differently at every
+    receiver, which the transport, FIFO and atomic-broadcast tests rely on.
+    """
 
     minimum: float = 0.0005
     maximum: float = 0.002
@@ -78,25 +82,6 @@ class UniformLatency(LatencyModel):
 
     def receiver_delay(self, sender: SiteId, receiver: SiteId, stream: RandomStream) -> float:
         return stream.uniform(self.minimum, self.maximum)
-
-
-@dataclass
-class NormalLatency(LatencyModel):
-    """One-way delay drawn from a truncated normal distribution per receiver."""
-
-    mean: float = 0.001
-    stddev: float = 0.0002
-    minimum: float = 0.0001
-
-    def __post_init__(self) -> None:
-        if self.mean < 0.0 or self.stddev < 0.0 or self.minimum < 0.0:
-            raise NetworkError("invalid normal latency parameters")
-
-    def shared_delay(self, stream: RandomStream) -> float:
-        return 0.0
-
-    def receiver_delay(self, sender: SiteId, receiver: SiteId, stream: RandomStream) -> float:
-        return stream.truncated_normal(self.mean, self.stddev, self.minimum)
 
 
 @dataclass
@@ -137,31 +122,6 @@ class LanMulticastLatency(LatencyModel):
 
     def receiver_delay(self, sender: SiteId, receiver: SiteId, stream: RandomStream) -> float:
         return stream.exponential(self.receiver_jitter_mean)
-
-
-@dataclass
-class WanLatency(LatencyModel):
-    """A wide-area model: large base delay, large per-receiver variance.
-
-    Used in ablation benchmarks to show that the optimistic approach loses its
-    edge when spontaneous total order is unlikely.  The model is oblivious to
-    *which* sender talks to *which* receiver — every link looks the same; for
-    a real WAN link map (intra-DC vs cross-DC base delays per region pair)
-    use :class:`GeoLatency` over a :class:`GeoTopology`.
-    """
-
-    base: float = 0.020
-    variance: float = 0.010
-
-    def __post_init__(self) -> None:
-        if self.base < 0.0 or self.variance < 0.0:
-            raise NetworkError("invalid WAN latency parameters")
-
-    def shared_delay(self, stream: RandomStream) -> float:
-        return self.base
-
-    def receiver_delay(self, sender: SiteId, receiver: SiteId, stream: RandomStream) -> float:
-        return stream.exponential(self.variance)
 
 
 @dataclass(frozen=True)
@@ -284,10 +244,9 @@ class GeoTopology:
 class GeoLatency(LatencyModel):
     """Per-link latency drawn from a :class:`GeoTopology`.
 
-    Unlike :class:`WanLatency`, the delay depends on *which* link a message
-    crosses: there is no shared-medium component (datacenters do not share an
-    Ethernet segment), the whole delay is the link's base plus exponential
-    jitter, per receiver.
+    The delay depends on *which* link a message crosses: there is no
+    shared-medium component (datacenters do not share an Ethernet segment),
+    the whole delay is the link's base plus exponential jitter, per receiver.
     """
 
     topology: GeoTopology

@@ -130,10 +130,6 @@ class PartitionController:
         self._update_intact()
         self._history.append((self._stamp(at_time), "isolate", group))
 
-    def isolate_single(self, site: SiteId, at_time: Optional[float] = None) -> None:
-        """Cut a single site off from every other site."""
-        self.isolate([site], at_time=at_time)
-
     def sever(
         self, sender: SiteId, receiver: SiteId, at_time: Optional[float] = None
     ) -> None:

@@ -150,10 +150,6 @@ class NetworkTransport:
         """Return the identifiers of all registered sites (sorted)."""
         return sorted(self._sites)
 
-    def is_registered(self, site_id: SiteId) -> bool:
-        """Return whether ``site_id`` has been registered."""
-        return site_id in self._sites
-
     # -------------------------------------------------------------- up/down
     def set_site_up(self, site_id: SiteId, up: bool) -> None:
         """Mark a site as crashed (``up=False``) or recovered (``up=True``).

@@ -284,17 +284,6 @@ class TransactionTracer:
         ]
         return "\n".join(lines)
 
-    def write_jsonl(self, stream_or_path) -> int:
-        """Write the JSONL export to a path or file object; returns line count."""
-        payload = self.to_jsonl()
-        count = len(payload.splitlines())
-        if hasattr(stream_or_path, "write"):
-            stream_or_path.write(payload + "\n")
-        else:
-            with open(stream_or_path, "w", encoding="utf-8") as stream:
-                stream.write(payload + "\n")
-        return count
-
     def to_chrome_trace(self) -> List[Dict[str, Any]]:
         """Export as Chrome trace-event objects (``chrome://tracing``).
 

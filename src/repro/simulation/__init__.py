@@ -5,7 +5,7 @@ a 10 Mbit/s Ethernet) with a virtual-time simulation so that every
 latency-sensitive experiment is exactly reproducible.
 """
 
-from .clock import VirtualClock, microseconds, milliseconds, to_milliseconds
+from .clock import VirtualClock, milliseconds, to_milliseconds
 from .events import Event, EventQueue
 from .kernel import SimulationKernel
 from .randomness import RandomSource, RandomStream
@@ -20,6 +20,5 @@ __all__ = [
     "RandomStream",
     "PeriodicTimer",
     "milliseconds",
-    "microseconds",
     "to_milliseconds",
 ]

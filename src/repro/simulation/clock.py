@@ -47,11 +47,6 @@ def milliseconds(value: float) -> float:
     return value / 1_000.0
 
 
-def microseconds(value: float) -> float:
-    """Convert ``value`` microseconds into the clock unit (seconds)."""
-    return value / 1_000_000.0
-
-
 def to_milliseconds(seconds: float) -> float:
     """Convert seconds into milliseconds (for reporting)."""
     return seconds * 1_000.0

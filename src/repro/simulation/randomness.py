@@ -33,17 +33,9 @@ class RandomStream:
             return 0.0
         return self._rng.expovariate(1.0 / mean)
 
-    def normal(self, mean: float, stddev: float) -> float:
-        """Draw from a normal distribution (not truncated)."""
-        return self._rng.gauss(mean, stddev)
-
     def truncated_normal(self, mean: float, stddev: float, minimum: float = 0.0) -> float:
         """Draw from a normal distribution truncated below at ``minimum``."""
         return max(minimum, self._rng.gauss(mean, stddev))
-
-    def pareto(self, alpha: float, scale: float) -> float:
-        """Draw from a Pareto distribution with shape ``alpha`` and scale."""
-        return scale * self._rng.paretovariate(alpha)
 
     def randint(self, low: int, high: int) -> int:
         """Draw an integer uniformly from ``[low, high]`` inclusive."""

@@ -10,7 +10,6 @@ from .recovery import RecoveryReport, check_recovery_completeness
 from .onecopy import (
     OneCopyReport,
     check_one_copy_serializability,
-    serial_history_from_definitive_order,
 )
 from .properties import BroadcastPropertyReport, check_broadcast_properties
 from .sharded import (
@@ -29,7 +28,6 @@ __all__ = [
     "check_recovery_completeness",
     "OneCopyReport",
     "check_one_copy_serializability",
-    "serial_history_from_definitive_order",
     "BroadcastPropertyReport",
     "check_broadcast_properties",
     "ClusterVerificationReport",

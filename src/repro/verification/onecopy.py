@@ -20,13 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..database.history import (
-    CommittedTransaction,
-    ConflictGraph,
-    SiteHistory,
-)
+from ..database.history import ConflictGraph, SiteHistory
 from ..errors import VerificationError
-from ..types import ConflictClassId, SiteId, TransactionId
+from ..types import SiteId, TransactionId
 
 
 @dataclass
@@ -137,25 +133,3 @@ def check_one_copy_serializability(
                         "follow the definitive total order"
                     )
     return report
-
-
-def serial_history_from_definitive_order(
-    histories: Dict[SiteId, SiteHistory], definitive_order: Sequence[TransactionId]
-) -> List[CommittedTransaction]:
-    """Build the serial history induced by the definitive total order.
-
-    Theorem 4.2 argues that the serial history derived from the definitive
-    total order is conflict-equivalent to every local history; this helper
-    materialises it (taking each transaction's record from the first site
-    that committed it) so tests can check the equivalence explicitly.
-    """
-    by_id: Dict[TransactionId, CommittedTransaction] = {}
-    for history in histories.values():
-        for committed in history.committed_transactions():
-            by_id.setdefault(committed.transaction_id, committed)
-    serial: List[CommittedTransaction] = []
-    for transaction_id in definitive_order:
-        committed = by_id.get(transaction_id)
-        if committed is not None:
-            serial.append(committed)
-    return serial

@@ -1,11 +1,6 @@
 """Workload specifications, standard stored procedures and the generator."""
 
 from .arrivals import (
-    ArrivalProcess,
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    HotKeyChurn,
-    OnOffArrivals,
     OpenLoopOperation,
     OpenLoopPlan,
     OpenLoopSpec,
@@ -39,11 +34,6 @@ from .specs import (
 )
 
 __all__ = [
-    "ArrivalProcess",
-    "DiurnalArrivals",
-    "FlashCrowdArrivals",
-    "HotKeyChurn",
-    "OnOffArrivals",
     "OpenLoopOperation",
     "OpenLoopPlan",
     "OpenLoopSpec",

@@ -1,4 +1,4 @@
-"""Open-loop arrival processes and the open-loop traffic engine.
+"""Open-loop Poisson arrivals and the open-loop traffic engine.
 
 Every generator in :mod:`repro.workloads.generator` is *closed-loop*: each
 site's stream draws a think time after the previous submission, so the
@@ -10,26 +10,12 @@ arrival on the simulation kernel regardless of completions.  Offered load
 past the saturation knee therefore builds real backlog, which is exactly
 the regime admission control (:mod:`repro.core.admission`) exists for.
 
-Arrival processes
------------------
-* :class:`PoissonArrivals` — homogeneous Poisson stream (exponential gaps);
-* :class:`OnOffArrivals` — bursty on/off source with Pareto (heavy-tailed)
-  phase durations, the classic construction of self-similar traffic;
-* :class:`DiurnalArrivals` — sinusoidal day/night rate curve, realised by
-  thinning a Poisson stream at the peak rate;
-* :class:`FlashCrowdArrivals` — a baseline rate with one sudden ramp to a
-  multiple of it and an exponential decay back down.
-
-All processes are pure functions of a :class:`~repro.simulation.randomness.
-RandomStream`, so two clusters with equal seeds receive identical arrival
-schedules in any ``PYTHONHASHSEED`` universe.
-
-Hot-key churn
--------------
-:class:`HotKeyChurn` makes the Zipf hotspot *move*: the drawn class rank is
-rotated by an offset that advances every ``drift_interval`` seconds, so the
-hottest conflict class wanders over the keyspace during a long run instead
-of pinning one class forever.
+Arrivals
+--------
+:class:`PoissonArrivals` is a homogeneous Poisson stream (exponential gaps),
+a pure function of a :class:`~repro.simulation.randomness.RandomStream`, so
+two clusters with equal seeds receive identical arrival schedules in any
+``PYTHONHASHSEED`` universe.
 
 The engine
 ----------
@@ -43,9 +29,8 @@ cluster facade's admission-aware entry points (``offer_update`` /
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..errors import WorkloadError
 from ..simulation.randomness import RandomStream
@@ -53,40 +38,9 @@ from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
 from .specs import WorkloadSpec
 
 
-class ArrivalProcess(Protocol):
-    """A seed-driven arrival schedule over a finite horizon."""
-
-    def arrival_times(self, stream: RandomStream, horizon: float) -> List[float]:
-        """Strictly increasing arrival offsets in ``[0, horizon)``."""
-        ...
-
-
 def _require_positive(name: str, value: float) -> None:
     if value <= 0.0:
         raise WorkloadError(f"{name} must be positive (got {value!r})")
-
-
-def _thinned_arrivals(
-    stream: RandomStream,
-    horizon: float,
-    peak_rate: float,
-    rate_at: Callable[[float], float],
-) -> List[float]:
-    """Nonhomogeneous Poisson arrivals by thinning (Lewis & Shedler).
-
-    Candidates are drawn at the constant ``peak_rate`` and each is kept with
-    probability ``rate_at(t) / peak_rate`` — rejected candidates still
-    consume draws, so the schedule depends only on the stream and the rate
-    curve, never on how the curve is sampled.
-    """
-    times: List[float] = []
-    at = 0.0
-    while True:
-        at += stream.exponential(1.0 / peak_rate)
-        if at >= horizon:
-            return times
-        if stream.random() * peak_rate < rate_at(at):
-            times.append(at)
 
 
 @dataclass(frozen=True)
@@ -108,160 +62,6 @@ class PoissonArrivals:
             times.append(at)
 
 
-@dataclass(frozen=True)
-class OnOffArrivals:
-    """Bursty on/off source: Poisson bursts separated by silent periods.
-
-    Phase durations are Pareto with shape ``tail_alpha`` (scaled so their
-    means are ``mean_on`` / ``mean_off``).  Heavy-tailed on/off periods are
-    the standard construction of self-similar traffic: occasional very long
-    bursts and very long silences survive aggregation, unlike exponential
-    phases which smooth out.  ``tail_alpha`` must exceed 1 for the phase
-    means to exist; values close to 1 give the heaviest tails.
-    """
-
-    on_rate: float
-    mean_on: float = 0.02
-    mean_off: float = 0.02
-    tail_alpha: float = 1.5
-
-    def __post_init__(self) -> None:
-        _require_positive("on_rate", self.on_rate)
-        _require_positive("mean_on", self.mean_on)
-        _require_positive("mean_off", self.mean_off)
-        if self.tail_alpha <= 1.0:
-            raise WorkloadError(
-                "tail_alpha must exceed 1 (Pareto phase durations need a "
-                f"finite mean; got {self.tail_alpha!r})"
-            )
-
-    def _phase_duration(self, stream: RandomStream, mean: float) -> float:
-        # Pareto(alpha, scale) has mean alpha*scale/(alpha-1); solve for the
-        # scale that hits the requested phase mean.
-        scale = mean * (self.tail_alpha - 1.0) / self.tail_alpha
-        return stream.pareto(self.tail_alpha, scale)
-
-    def arrival_times(self, stream: RandomStream, horizon: float) -> List[float]:
-        times: List[float] = []
-        at = 0.0
-        burst_on = True
-        while at < horizon:
-            duration = self._phase_duration(
-                stream, self.mean_on if burst_on else self.mean_off
-            )
-            if burst_on:
-                end = min(at + duration, horizon)
-                tick = at
-                while True:
-                    tick += stream.exponential(1.0 / self.on_rate)
-                    if tick >= end:
-                        break
-                    times.append(tick)
-            at += duration
-            burst_on = not burst_on
-        return times
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals:
-    """Sinusoidal day/night rate curve around ``base_rate``.
-
-    The instantaneous rate is ``base_rate * (1 + amplitude * sin(2*pi*t /
-    period + phase))``; with ``amplitude=1`` the trough touches zero.  A
-    simulation "day" is ``period`` virtual seconds.
-    """
-
-    base_rate: float
-    amplitude: float = 0.8
-    period: float = 0.2
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_positive("base_rate", self.base_rate)
-        _require_positive("period", self.period)
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise WorkloadError(
-                f"amplitude must lie in [0, 1] (got {self.amplitude!r})"
-            )
-
-    def rate_at(self, time: float) -> float:
-        """Instantaneous arrival rate at virtual time ``time``."""
-        angle = 2.0 * math.pi * time / self.period + self.phase
-        return self.base_rate * (1.0 + self.amplitude * math.sin(angle))
-
-    def arrival_times(self, stream: RandomStream, horizon: float) -> List[float]:
-        peak = self.base_rate * (1.0 + self.amplitude)
-        return _thinned_arrivals(stream, horizon, peak, self.rate_at)
-
-
-@dataclass(frozen=True)
-class FlashCrowdArrivals:
-    """A flash crowd: baseline rate, sudden ramp to a peak, exponential decay.
-
-    Before ``spike_at`` the rate is ``base_rate``; it then ramps linearly to
-    ``base_rate * peak_multiplier`` over ``ramp`` seconds and decays back
-    toward the baseline with time constant ``decay``.
-    """
-
-    base_rate: float
-    peak_multiplier: float = 8.0
-    spike_at: float = 0.05
-    ramp: float = 0.01
-    decay: float = 0.03
-
-    def __post_init__(self) -> None:
-        _require_positive("base_rate", self.base_rate)
-        _require_positive("ramp", self.ramp)
-        _require_positive("decay", self.decay)
-        if self.peak_multiplier < 1.0:
-            raise WorkloadError(
-                f"peak_multiplier must be at least 1 (got {self.peak_multiplier!r})"
-            )
-        if self.spike_at < 0.0:
-            raise WorkloadError("spike_at cannot be negative")
-
-    def rate_at(self, time: float) -> float:
-        """Instantaneous arrival rate at virtual time ``time``."""
-        if time < self.spike_at:
-            return self.base_rate
-        peak = self.base_rate * self.peak_multiplier
-        ramp_end = self.spike_at + self.ramp
-        if time < ramp_end:
-            return self.base_rate + (peak - self.base_rate) * (
-                (time - self.spike_at) / self.ramp
-            )
-        return self.base_rate + (peak - self.base_rate) * math.exp(
-            -(time - ramp_end) / self.decay
-        )
-
-    def arrival_times(self, stream: RandomStream, horizon: float) -> List[float]:
-        peak = self.base_rate * self.peak_multiplier
-        return _thinned_arrivals(stream, horizon, peak, self.rate_at)
-
-
-@dataclass(frozen=True)
-class HotKeyChurn:
-    """A drifting Zipf hotspot: the hottest class rotates over time.
-
-    The engine draws a Zipf *rank* and rotates it by ``step`` classes every
-    ``drift_interval`` virtual seconds, so rank 0 — the hottest — names a
-    different conflict class as the run progresses.  A long-horizon run
-    therefore heats every class in turn instead of pinning one forever.
-    """
-
-    drift_interval: float
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        _require_positive("drift_interval", self.drift_interval)
-        if self.step < 1:
-            raise WorkloadError(f"step must be at least 1 (got {self.step!r})")
-
-    def hot_offset(self, time: float) -> int:
-        """Rotation applied to Zipf ranks at virtual time ``time``."""
-        return int(time / self.drift_interval) * self.step
-
-
 @dataclass
 class OpenLoopSpec:
     """Description of an open-loop client load.
@@ -276,7 +76,7 @@ class OpenLoopSpec:
     initial-data builders apply unchanged (see :meth:`base_spec`).
     """
 
-    arrivals: ArrivalProcess
+    arrivals: PoissonArrivals
     horizon: float
     class_count: int = 6
     objects_per_class: int = 20
@@ -287,7 +87,6 @@ class OpenLoopSpec:
     update_duration: float = 0.002
     query_duration: float = 0.002
     initial_value: int = 100
-    churn: Optional[HotKeyChurn] = None
 
     def __post_init__(self) -> None:
         _require_positive("horizon", self.horizon)
@@ -428,8 +227,7 @@ class OpenLoopTrafficEngine:
             is_query = spec.query_fraction > 0.0 and param_stream.chance(
                 spec.query_fraction
             )
-            rank = param_stream.zipf_index(spec.class_count, spec.class_skew)
-            first_class = self._rotated_class(rank, offset)
+            first_class = param_stream.zipf_index(spec.class_count, spec.class_skew)
             if is_query:
                 span = spec.effective_query_span
                 class_indexes = sorted(
@@ -477,12 +275,6 @@ class OpenLoopTrafficEngine:
         return plan
 
     # -------------------------------------------------------------- internal
-    def _rotated_class(self, rank: int, time: float) -> int:
-        churn = self.spec.churn
-        if churn is None:
-            return rank
-        return (rank + churn.hot_offset(time)) % self.spec.class_count
-
     def _make_offer(
         self,
         cluster: Any,

@@ -1,4 +1,4 @@
-"""Tests for undo/redo recovery and history/conflict graphs."""
+"""Tests for redo recovery and history/conflict graphs."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +11,6 @@ from repro.database import (
     RedoLog,
     RedoRecord,
     SiteHistory,
-    UndoLog,
-    history_is_serializable,
     transactions_conflict,
 )
 from repro.errors import DatabaseError, VerificationError
@@ -21,38 +19,7 @@ from repro.verification import check_one_copy_serializability
 from oracles import all_pairs_conflict_graph, one_copy_serializable, transitive_closure
 
 
-class TestUndoRedo:
-    def test_eager_apply_and_rollback(self):
-        store = MultiVersionStore()
-        store.load("x", 1)
-        undo = UndoLog(store)
-        undo.record_and_apply("T1", "x", 99, index=0)
-        assert store.read_latest("x") == 99
-        assert undo.has_pending("T1")
-        undone = undo.rollback("T1")
-        assert undone == 1
-        assert store.read_latest("x") == 1
-        assert not undo.has_pending("T1")
-
-    def test_forget_after_commit(self):
-        store = MultiVersionStore()
-        store.load("x", 1)
-        undo = UndoLog(store)
-        undo.record_and_apply("T1", "x", 2, index=0)
-        undo.forget("T1")
-        assert undo.rollback("T1") == 0
-        assert store.read_latest("x") == 2
-
-    def test_rollback_of_multiple_writes_restores_everything(self):
-        store = MultiVersionStore()
-        store.load_many({"x": 1, "y": 2})
-        undo = UndoLog(store)
-        undo.record_and_apply("T1", "x", 10, index=0)
-        undo.record_and_apply("T1", "y", 20, index=0)
-        undo.rollback("T1")
-        assert store.read_latest("x") == 1
-        assert store.read_latest("y") == 2
-
+class TestRedo:
     def test_redo_log_replay_catches_up_a_fresh_store(self):
         redo = RedoLog()
         redo.append_commit("T0", {"x": 1}, index=0)
@@ -71,6 +38,35 @@ class TestUndoRedo:
         redo.append_commit("T0", {"x": 1}, index=0)
         redo.append_commit("T5", {"x": 2}, index=5)
         assert [record.index for record in redo.records_after(0)] == [5]
+
+    def test_len_counts_writes_not_commits(self):
+        redo = RedoLog()
+        redo.append_commit("T0", {"x": 1, "y": 2, "z": 3}, index=0)
+        redo.append_commit("T1", {}, index=1)
+        assert len(redo) == 3
+        # A commit that wrote nothing is still recorded as covered.
+        assert redo.covers_index(1)
+
+    def test_each_commit_replays_its_writes_sorted_by_key(self):
+        redo = RedoLog()
+        redo.append_commit("T0", {"c": 3, "a": 1, "b": 2}, index=0)
+        records = redo.records_after(-1)
+        assert [record.key for record in records] == ["a", "b", "c"]
+        assert records[0] == RedoRecord("T0", "a", 1, 0)
+
+    def test_indices_returns_a_copy(self):
+        redo = RedoLog()
+        redo.append_commit("T0", {"x": 1}, index=4)
+        redo.indices().add(9)
+        assert redo.indices() == {4}
+        assert not redo.covers_index(9)
+
+    def test_empty_log_replays_nothing(self):
+        store = MultiVersionStore()
+        store.load("x", 0)
+        assert RedoLog().replay_into(store, after_index=-1) == 0
+        assert store.version_count("x") == 1
+        assert len(RedoLog()) == 0
 
 
 #: Random commits for the redo-log property: unique definitive indices in any
@@ -197,7 +193,9 @@ class TestHistoryAndConflictGraph:
 
     def test_acyclic_graph_is_serializable(self):
         commits = [committed("T1", "Cx", 0), committed("T2", "Cx", 1), committed("T3", "Cy", 2)]
-        assert history_is_serializable(commits)
+        graph = ConflictGraph()
+        graph.add_history(commits)
+        assert graph.is_acyclic()
 
     def test_cycle_detection(self):
         graph = ConflictGraph()
@@ -251,7 +249,9 @@ class TestHistoryAndConflictGraph:
             committed(f"T{index}", f"C{class_index}", index)
             for index, class_index in enumerate(class_of)
         ]
-        assert history_is_serializable(commits)
+        graph = ConflictGraph()
+        graph.add_history(commits)
+        assert graph.is_acyclic()
 
 
 KEYS = ("a", "b", "c", "d")

@@ -39,14 +39,6 @@ class TestVersionChain:
         with pytest.raises(DatabaseError):
             chain.append(ObjectVersion("x", 2, created_index=4, created_by="T4"))
 
-    def test_remove_version(self):
-        chain = VersionChain(key="x")
-        chain.append(ObjectVersion("x", 1, created_index=0, created_by="T1"))
-        chain.append(ObjectVersion("x", 2, created_index=1, created_by="T2"))
-        assert chain.remove_version(1, "T2")
-        assert chain.latest().value == 1
-        assert not chain.remove_version(1, "T2")
-
     def test_prune_keeps_at_least_one_version(self):
         chain = VersionChain(key="x")
         for index in range(5):
@@ -80,8 +72,6 @@ class TestVersionChain:
             chain.append(ObjectVersion("x", len(chain), created_index=index, created_by=f"T{len(chain)}"))
             check(chain)
         assert chain.visible_at(5).created_by == "T7"
-        assert chain.remove_version(5, "T6")
-        check(chain)
         assert chain.prune_before(3, keep_at_least=2) == 4
         check(chain)
         assert chain.visible_at(2.5) is None
@@ -146,13 +136,6 @@ class TestMultiVersionStore:
         copied = version.copy_value()
         assert copied is value
         assert type(copied) is type(value)
-
-    def test_remove_version_supports_undo(self):
-        store = self.build_store()
-        store.install("a", 99, created_index=7, created_by="T7")
-        assert store.remove_version("a", created_index=7, created_by="T7")
-        assert store.read_latest("a") == 1
-        assert not store.remove_version("missing", created_index=0, created_by="T")
 
     def test_dump_latest(self):
         store = self.build_store()

@@ -122,6 +122,17 @@ class TestTransactionStates:
         transaction.begin_execution(3.0)
         assert transaction.execution_attempts == 2
 
+    def test_abort_for_reordering_forgets_reads_and_completion(self):
+        transaction = make_transaction()
+        transaction.mark_opt_delivered(0.5)
+        transaction.begin_execution(1.0)
+        transaction.read_set = {"x", "y"}
+        transaction.complete_execution(2.0, result=None)
+        transaction.abort_for_reordering()
+        assert transaction.read_set == set()
+        assert transaction.executed_at is None
+        assert not transaction.is_executed
+
     def test_aborting_committed_transaction_rejected(self):
         transaction = make_transaction()
         transaction.mark_opt_delivered(0.5)
@@ -181,6 +192,17 @@ class TestTransactionContext:
         store.install("acct:1", 999, created_index=5, created_by="T5")
         context = TransactionContext(store, snapshot_index=2.5)
         assert context.read("acct:1") == 100
+
+    def test_writes_stay_in_the_workspace_until_installed(self):
+        # Deferred update: dropping the workspace is the whole undo (CC8).
+        store = self.build_store()
+        context = TransactionContext(store)
+        context.write("acct:1", 0)
+        context.increment("acct:2", 10)
+        assert store.read_latest("acct:1") == 100
+        assert store.read_latest("acct:2") == 50
+        assert store.version_count("acct:1") == store.version_count("acct:2") == 1
+        assert TransactionContext(store).read("acct:1") == 100
 
     def test_exists(self):
         context = TransactionContext(self.build_store())

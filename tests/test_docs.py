@@ -1,16 +1,19 @@
 """Tier-1 guard for the docs site.
 
 Runs the same checker as the CI docs job (``tools/check_docs.py``): every
-internal link in ``README.md``/``docs/*.md`` must resolve, and every fenced
-``>>>`` example in ``docs/*.md`` must pass under doctest.  Keeping this in
-the tier-1 suite means a stale example or a broken cross-link fails locally
-before it fails in CI.
+internal link in ``README.md``/``docs/*.md`` and every cited ``repro.…``
+symbol must resolve, and every fenced ``>>>`` example in ``docs/*.md`` must
+pass under doctest.  Keeping this in the tier-1 suite means a stale example,
+a stale reference or a broken cross-link fails locally before it fails in
+CI.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import tools.check_docs as check_docs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +43,19 @@ def test_docs_links_and_doctests_are_clean():
         f"docs checker failed:\n{completed.stdout}\n{completed.stderr}"
     )
     assert "docs OK" in completed.stdout
+
+
+def test_a_cited_symbol_that_was_deleted_fails_the_reference_pass():
+    page = (
+        "Before-images live in :class:`~repro.database.recovery.UndoLog`; "
+        "redo lives in ``repro.database.recovery.RedoLog`` and "
+        "`repro.database.recovery`."
+    )
+    assert check_docs.check_references([("docs/page.md", page)]) == [
+        "docs/page.md: unresolved reference -> repro.database.recovery.UndoLog"
+    ]
+
+
+def test_a_reference_resolves_below_its_longest_importable_module():
+    assert check_docs.resolves("repro.core.replica.ReplicaManager.catch_up_from")
+    assert not check_docs.resolves("repro.broadcast.consensus.Consensus.propose")

@@ -1,7 +1,7 @@
 """Tests for metric collection and summary statistics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
@@ -9,10 +9,8 @@ from repro.metrics import (
     LatencyRecorder,
     MetricsCollector,
     Summary,
-    confidence_interval_95,
     mean,
     percentile,
-    ratio,
     stddev,
     summarize,
 )
@@ -55,15 +53,40 @@ class TestStats:
     def test_summarize_empty(self):
         assert summarize([]) == Summary.empty()
 
-    def test_confidence_interval(self):
-        assert confidence_interval_95([1.0]) == 0.0
-        assert confidence_interval_95([1.0, 2.0, 3.0]) > 0.0
+    def test_summarize_accepts_a_generator(self):
+        summary = summarize(value * 2.0 for value in range(1, 4))
+        assert summary.count == 3
+        assert summary.mean == pytest.approx(4.0)
+        assert (summary.minimum, summary.maximum) == (2.0, 6.0)
 
-    def test_ratio(self):
-        assert ratio(1.0, 2.0) == 0.5
-        assert ratio(1.0, 0.0) == 0.0
+    def test_stddev_uses_the_population_formula(self):
+        # n, not n - 1: the sample estimator would give sqrt(2) here.
+        assert stddev([1.0, 3.0]) == pytest.approx(1.0)
+
+    def test_percentile_of_equal_subnormals_is_that_value(self):
+        tiny = 5e-324
+        assert percentile([tiny, tiny], 0.5) == tiny
+        assert 0.0 <= percentile([0.0, tiny], 0.5) <= tiny
+
+    def test_percentile_ignores_input_order_and_leaves_it_unsorted(self):
+        values = [4.0, 1.0, 3.0, 2.0]
+        assert percentile(values, 0.5) == pytest.approx(2.5)
+        assert values == [4.0, 1.0, 3.0, 2.0]
+
+    def test_percentile_rejects_negative_and_nan_fractions(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], -0.1)
+        with pytest.raises(ValueError):
+            percentile([1.0], float("nan"))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_fractions_return_the_extremes(self, values):
+        assert percentile(values, 0.0) == min(values)
+        assert percentile(values, 1.0) == max(values)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
+    @example([5e-324, 5e-324])  # the halved subnormal once rounded to 0.0
     @settings(max_examples=60, deadline=None)
     def test_summary_bounds_property(self, values):
         summary = summarize(values)

@@ -1,4 +1,4 @@
-"""No ``src/repro`` module is imported only by its own tests.
+"""No ``src/repro`` module, function or class is used only by its own tests.
 
 A module that nothing but its own test file runs is code the library
 carries without using (ROADMAP item 2).  This check builds the static
@@ -17,9 +17,16 @@ when any of these holds:
 
 A re-export that only lands in ``__all__`` does not count: that is how a
 module only its own tests import stays reachable from a package.
+
+The same holds per symbol: every top-level function and class of ``src/``,
+public or private, must be reachable from a root through resolved uses (see
+:class:`SymbolGraph`).  A symbol that only unused symbols use is unused too,
+so a dead helper goes with the dead class that called it.  ``ALLOWLIST``
+names the few kept anyway, each with its reason.
 """
 
 import ast
+import doctest
 import importlib
 import re
 from pathlib import Path
@@ -212,3 +219,302 @@ def test_code_only_its_own_tests_ran_stays_deleted(module, name):
             importlib.import_module(module)
     else:
         assert not hasattr(importlib.import_module(module), name)
+
+
+# --------------------------------------------------------------- symbols
+#: Symbols kept although only tests use them; one reason each.  An entry
+#: that names a missing symbol, or a symbol that gained a real user, fails
+#: the check, so the list cannot rot.
+ALLOWLIST = {
+    "repro.network.latency:ConstantLatency": (
+        "test double of LatencyModel: a fixed delay for timing assertions"
+    ),
+    "repro.network.latency:UniformLatency": (
+        "test double of LatencyModel: wide per-receiver reordering for the "
+        "transport property and the FIFO and atomic-broadcast tests"
+    ),
+    "repro.database.history:transactions_conflict": (
+        "building block of tests/oracles.py, the reference checker the "
+        "linear verifier is compared against"
+    ),
+    "repro.harness.cells:failing_probe_cell": (
+        "fault cell the SweepExecutor crash tests name by cell path; a "
+        "worker process cannot import it from tests/"
+    ),
+    "repro.harness.cells:exiting_probe_cell": (
+        "fault cell the SweepExecutor crash tests name by cell path; a "
+        "worker process cannot import it from tests/"
+    ),
+}
+
+
+def doc_example_source(text):
+    """The ``>>>`` examples of one markdown page, as one module's source."""
+    return "\n".join(
+        example.source for example in doctest.DocTestParser().get_examples(text)
+    )
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree):
+    return {node.name: node for node in tree.body if isinstance(node, DEFINITIONS)}
+
+
+def bindings(tree, package):
+    """Each name the file's imports bind -> its targets.
+
+    A target is a module name (``import x``) or a ``(module, name)`` pair
+    (``from x import name``).  Imports inside functions count too; a name
+    bound twice keeps both targets.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound.setdefault(alias.asname, []).append(alias.name)
+                else:
+                    head = alias.name.partition(".")[0]
+                    bound.setdefault(head, []).append(head)
+        elif isinstance(node, ast.ImportFrom):
+            source = resolve_from(node, package)
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name, []).append(
+                    (source, alias.name)
+                )
+    return bound
+
+
+class SymbolGraph:
+    """Which top-level functions and classes of ``src/`` something uses.
+
+    Uses are resolved through imports, never by word search: a name, an
+    attribute chain off an imported module (``stats.ratio``) and a
+    ``"module:function"`` cell path each resolve to the defining module,
+    following package and module re-exports.  Roots are the consumer files
+    (``bench/``, ``tools/``, ``examples/``, ``benchmarks/``), the ``>>>``
+    examples of ``docs/*.md``, and the module-level statements of ``src/``
+    (so ``__main__`` blocks and tables like ``EXPERIMENTS``).  An import is
+    no use, and ``__all__`` names strings, so a re-export alone reaches
+    nothing.  A symbol's own body adds edges, so a symbol counts as used
+    only when a root reaches it.
+    """
+
+    def __init__(self, modules, packages=(), consumers=(), docs=()):
+        #: Module name -> parsed source, for ``src/``.
+        self.trees = {name: ast.parse(source) for name, source in modules.items()}
+        self.packages = set(packages)
+        #: ``(package, parsed source)`` per consumer file and docs page.
+        self.consumers = [(package, ast.parse(source)) for package, source in consumers]
+        self.consumers += [("", ast.parse(doc_example_source(text))) for text in docs]
+        self.definitions = {name: definitions(tree) for name, tree in self.trees.items()}
+        self.bindings = {
+            name: bindings(tree, self.package_of(name))
+            for name, tree in self.trees.items()
+        }
+
+    @classmethod
+    def from_repo(cls):
+        modules, packages = {}, set()
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            name = module_name(path)
+            modules[name] = path.read_text()
+            if path.name == "__init__.py":
+                packages.add(name)
+        consumers = [
+            (directory, path.read_text())
+            for directory in CONSUMER_DIRS
+            for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+        ]
+        docs = [path.read_text() for path in sorted((REPO_ROOT / "docs").glob("*.md"))]
+        return cls(modules, packages, consumers, docs)
+
+    def package_of(self, module):
+        return module if module in self.packages else module.rpartition(".")[0]
+
+    def symbols(self):
+        return {
+            f"{module}:{name}"
+            for module, names in self.definitions.items()
+            for name in names
+        }
+
+    # ------------------------------------------------------------ resolution
+    def member(self, module, name, seen=frozenset()):
+        """What ``module.name`` is: symbols ``"m:n"`` and module names."""
+        if module not in self.trees or (module, name) in seen:
+            return set()
+        if name in self.definitions[module]:
+            return {f"{module}:{name}"}
+        seen = seen | {(module, name)}
+        found = set()
+        for target in self.bindings[module].get(name, ()):
+            found |= self.target(target, seen)
+        if f"{module}.{name}" in self.trees:
+            found.add(f"{module}.{name}")
+        return found
+
+    def target(self, target, seen=frozenset()):
+        return {target} if isinstance(target, str) else self.member(*target, seen)
+
+    def expression(self, node, scope):
+        """What a ``Name`` or attribute chain refers to, in ``scope``."""
+        if isinstance(node, ast.Name):
+            return scope(node.id)
+        if isinstance(node, ast.Attribute):
+            found = set()
+            for base in self.expression(node.value, scope):
+                if ":" not in base:
+                    found |= self.member(base, node.attr)
+            return found
+        return set()
+
+    def uses(self, nodes, scope):
+        """The symbols the given statements use."""
+        used = set()
+        for root in nodes:
+            for node in ast.walk(root):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    used |= self.expression(node, scope)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    match = CELL_PATH.match(node.value)
+                    if match:
+                        module, _, function = node.value.partition(":")
+                        used |= self.member(module, function)
+        return {found for found in used if ":" in found}
+
+    def module_scope(self, module):
+        return lambda name: self.member(module, name)
+
+    def file_scope(self, tree, package):
+        bound = bindings(tree, package)
+
+        def scope(name):
+            found = set()
+            for target in bound.get(name, ()):
+                found |= self.target(target)
+            return found
+
+        return scope
+
+    # ---------------------------------------------------------- reachability
+    def unused_symbols(self):
+        reached = set()
+        for package, tree in self.consumers:
+            reached |= self.uses([tree], self.file_scope(tree, package))
+        for module, tree in self.trees.items():
+            roots = [node for node in tree.body if not isinstance(node, DEFINITIONS)]
+            reached |= self.uses(roots, self.module_scope(module))
+        frontier = list(reached)
+        while frontier:
+            module, _, name = frontier.pop().partition(":")
+            node = self.definitions[module][name]
+            for used in self.uses([node], self.module_scope(module)) - reached:
+                reached.add(used)
+                frontier.append(used)
+        return sorted(self.symbols() - reached)
+
+
+def allowlist_problems(graph, allowlist):
+    """Flagged symbols not allowlisted, and allowlist entries gone stale."""
+    flagged = set(graph.unused_symbols())
+    problems = [f"only tests use {symbol}" for symbol in sorted(flagged - set(allowlist))]
+    for symbol in sorted(allowlist):
+        if symbol not in graph.symbols():
+            problems.append(f"allowlisted {symbol} does not exist")
+        elif symbol not in flagged:
+            problems.append(f"allowlisted {symbol} has a user outside tests")
+    return problems
+
+
+def test_every_symbol_is_used_outside_its_own_tests():
+    assert allowlist_problems(SymbolGraph.from_repo(), ALLOWLIST) == []
+
+
+def fake_graph(modules, consumers=(), docs=(), init=""):
+    """A synthetic package ``repro.pkg`` (``__init__`` source ``init``)."""
+    sources = {f"repro.pkg.{name}": source for name, source in modules.items()}
+    sources["repro.pkg"] = init
+    consumers = [("tools", source) for source in consumers]
+    return SymbolGraph(sources, {"repro.pkg"}, consumers, docs)
+
+
+def test_a_symbol_only_reexported_through_all_is_flagged():
+    graph = fake_graph(
+        {"mod": "class Orphan:\n    pass\n\ndef used():\n    pass\n"},
+        consumers=["from repro.pkg import used\nused()\n"],
+        init="from .mod import Orphan, used\n__all__ = ['Orphan', 'used']\n",
+    )
+    assert graph.unused_symbols() == ["repro.pkg.mod:Orphan"]
+
+
+def test_a_symbol_only_flagged_symbols_use_is_flagged():
+    graph = fake_graph(
+        {
+            "mod": "def helper():\n    pass\n\n"
+            "def dead():\n    return helper() + ping()\n\n"
+            "def ping():\n    return dead()\n\n"
+            "def live():\n    pass\n"
+        },
+        consumers=["from repro.pkg.mod import live\nlive()\n"],
+    )
+    assert graph.unused_symbols() == [
+        "repro.pkg.mod:dead",
+        "repro.pkg.mod:helper",
+        "repro.pkg.mod:ping",
+    ]
+
+
+def test_uses_resolve_through_imports_not_by_name():
+    graph = fake_graph(
+        {"stats": "def ratio():\n    pass\n\ndef mean():\n    pass\n"},
+        consumers=["from repro.pkg import stats\nstats.mean()\nrow.ratio\nratio = 1\n"],
+    )
+    assert graph.unused_symbols() == ["repro.pkg.stats:ratio"]
+
+
+def test_a_cell_path_counts_as_a_use():
+    graph = fake_graph(
+        {
+            "cells": "def run_cell():\n    pass\n\ndef other_cell():\n    pass\n",
+            "table": "CELLS = ['repro.pkg.cells:run_cell']\n",
+        }
+    )
+    assert graph.unused_symbols() == ["repro.pkg.cells:other_cell"]
+
+
+def test_a_doc_example_counts_as_a_use():
+    graph = fake_graph(
+        {"mod": "def shown():\n    pass\n\ndef prose_only():\n    pass\n"},
+        docs=["Call `prose_only` or:\n\n>>> from repro.pkg.mod import shown\n>>> shown()\n"],
+    )
+    assert graph.unused_symbols() == ["repro.pkg.mod:prose_only"]
+
+
+def test_a_main_block_counts_as_a_use():
+    graph = fake_graph(
+        {"tool": "def main():\n    pass\n\nif __name__ == '__main__':\n    main()\n"}
+    )
+    assert graph.unused_symbols() == []
+
+
+def test_a_stale_allowlist_entry_fails():
+    graph = fake_graph(
+        {"mod": "def double():\n    pass\n\ndef live():\n    pass\n"},
+        consumers=["from repro.pkg.mod import live\nlive()\n"],
+    )
+    assert allowlist_problems(graph, {"repro.pkg.mod:double": "test double"}) == []
+    assert allowlist_problems(
+        graph,
+        {
+            "repro.pkg.mod:double": "test double",
+            "repro.pkg.mod:gone": "deleted since",
+            "repro.pkg.mod:live": "gained a user",
+        },
+    ) == [
+        "allowlisted repro.pkg.mod:gone does not exist",
+        "allowlisted repro.pkg.mod:live has a user outside tests",
+    ]
+    assert allowlist_problems(graph, {}) == ["only tests use repro.pkg.mod:double"]

@@ -6,9 +6,7 @@ from repro.errors import NetworkError
 from repro.network.latency import (
     ConstantLatency,
     LanMulticastLatency,
-    NormalLatency,
     UniformLatency,
-    WanLatency,
 )
 from repro.network.message import next_envelope_id
 from repro.simulation import SimulationKernel
@@ -29,6 +27,12 @@ class TestConstantLatency:
         with pytest.raises(NetworkError):
             ConstantLatency(-0.001)
 
+    def test_whole_delay_is_shared(self, stream):
+        model = ConstantLatency(0.003)
+        assert model.shared_delay(stream) == 0.003
+        assert model.receiver_delay("N1", "N2", stream) == 0.0
+        assert ConstantLatency(0.0).sample("N1", "N2", stream) == 0.0
+
 
 class TestUniformLatency:
     def test_sample_within_bounds(self, stream):
@@ -39,22 +43,23 @@ class TestUniformLatency:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(NetworkError):
             UniformLatency(0.002, 0.001)
-
-
-class TestNormalLatency:
-    def test_sample_respects_minimum(self, stream):
-        model = NormalLatency(mean=0.001, stddev=0.01, minimum=0.0005)
-        assert all(model.sample("N1", "N2", stream) >= 0.0005 for _ in range(200))
-
-    def test_negative_parameters_rejected(self):
         with pytest.raises(NetworkError):
-            NormalLatency(mean=-0.001)
+            UniformLatency(-0.001, 0.001)
+
+    def test_whole_delay_is_per_receiver(self, stream):
+        model = UniformLatency(0.0015, 0.0015)
+        assert model.shared_delay(stream) == 0.0
+        assert model.sample("N1", "N2", stream) == 0.0015
 
 
 class TestLanMulticastLatency:
     def test_shared_delay_at_least_propagation(self, stream):
         model = LanMulticastLatency(propagation=0.0004)
         assert all(model.shared_delay(stream) >= 0.0004 for _ in range(100))
+
+    def test_zero_transmission_jitter_gives_exact_propagation(self, stream):
+        model = LanMulticastLatency(propagation=0.0004, transmission_jitter=0.0)
+        assert {model.shared_delay(stream) for _ in range(20)} == {0.0004}
 
     def test_receiver_delay_nonnegative(self, stream):
         model = LanMulticastLatency()
@@ -70,16 +75,6 @@ class TestLanMulticastLatency:
             LanMulticastLatency(propagation=-1.0)
         with pytest.raises(NetworkError):
             LanMulticastLatency(receiver_jitter_mean=-0.1)
-
-
-class TestWanLatency:
-    def test_sample_at_least_base(self, stream):
-        model = WanLatency(base=0.02, variance=0.01)
-        assert all(model.sample("N1", "N2", stream) >= 0.02 for _ in range(100))
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(NetworkError):
-            WanLatency(base=-0.01)
 
 
 class TestGeoTopology:
@@ -150,6 +145,35 @@ class TestGeoTopology:
         with pytest.raises(NetworkError):
             topology.region_of("garbage")
 
+    def test_explicit_region_beats_the_stripes(self):
+        from repro.network.latency import GeoTopology
+
+        topology = GeoTopology({"N1": "ap"}, stripes=("eu", "us"))
+        assert topology.region_of("N1") == "ap"
+        assert topology.region_of("N2") == "us"
+        assert topology.region_of("N3") == "eu"
+
+    def test_topology_needs_regions_or_stripes(self):
+        from repro.network.latency import GeoTopology
+
+        with pytest.raises(NetworkError):
+            GeoTopology({})
+        with pytest.raises(NetworkError):
+            GeoTopology.striped(())
+
+    def test_link_profiles_include_the_overrides(self):
+        from repro.network.latency import GeoTopology, LinkProfile
+
+        intra, cross, special = LinkProfile(0.001), LinkProfile(0.01), LinkProfile(0.05)
+        topology = GeoTopology(
+            {"N1": "eu", "N2": "us"},
+            intra=intra,
+            cross=cross,
+            overrides={("eu", "us"): special},
+        )
+        assert topology.link_profiles() == (intra, cross, special)
+        assert topology.one_way_spread() == pytest.approx(0.049)
+
     def test_one_way_spread(self):
         topology = self.build()
         assert topology.one_way_spread() == pytest.approx(0.010 - 0.0005)
@@ -176,6 +200,18 @@ class TestGeoLatency:
         # Zero jitter makes delays exact: intra fast, cross slow, per link.
         assert model.receiver_delay("N1", "N2", stream) == pytest.approx(0.0005)
         assert model.receiver_delay("N1", "N3", stream) == pytest.approx(0.020)
+
+    def test_no_shared_medium_delay(self, stream):
+        from repro.network.latency import GeoLatency, GeoTopology, LinkProfile
+
+        topology = GeoTopology(
+            {"N1": "eu", "N2": "us"},
+            intra=LinkProfile(base=0.0005),
+            cross=LinkProfile(base=0.020),
+        )
+        model = GeoLatency(topology)
+        assert model.shared_delay(stream) == 0.0
+        assert model.sample("N1", "N2", stream) == pytest.approx(0.020)
 
     def test_jitter_adds_on_top_of_base(self, stream):
         from repro.network.latency import GeoLatency, GeoTopology, LinkProfile

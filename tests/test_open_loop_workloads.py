@@ -12,10 +12,6 @@ from repro.errors import WorkloadError
 from repro.simulation.randomness import RandomSource
 from repro.verification import check_one_copy_serializability
 from repro.workloads import (
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    HotKeyChurn,
-    OnOffArrivals,
     OpenLoopSpec,
     OpenLoopTrafficEngine,
     PoissonArrivals,
@@ -50,116 +46,15 @@ class TestPoissonArrivals:
         second = process.arrival_times(stream(seed=3), horizon=0.25)
         assert first == second
 
+    def test_different_streams_give_different_schedules(self):
+        process = PoissonArrivals(rate=800.0)
+        first = process.arrival_times(stream(seed=3), horizon=0.25)
+        second = process.arrival_times(stream(seed=4), horizon=0.25)
+        assert first != second
+
     def test_rate_must_be_positive(self):
         with pytest.raises(WorkloadError, match="rate must be positive"):
             PoissonArrivals(rate=0.0)
-
-
-class TestOnOffArrivals:
-    def test_schedule_is_increasing_and_bounded(self):
-        process = OnOffArrivals(on_rate=2000.0, mean_on=0.02, mean_off=0.02)
-        times = process.arrival_times(stream(), horizon=0.4)
-        assert_valid_schedule(times, 0.4)
-        assert times  # the on-phases must actually produce arrivals
-
-    def test_bursts_are_sparser_than_constant_peak_rate(self):
-        # Roughly half the horizon is silent, so an on/off source at peak
-        # rate R yields far fewer arrivals than a constant-R Poisson stream.
-        on_off = OnOffArrivals(on_rate=2000.0, mean_on=0.02, mean_off=0.02)
-        burst_count = len(on_off.arrival_times(stream(seed=5), horizon=1.0))
-        poisson_count = len(
-            PoissonArrivals(rate=2000.0).arrival_times(stream(seed=5), horizon=1.0)
-        )
-        assert burst_count < 0.8 * poisson_count
-
-    def test_tail_alpha_must_exceed_one(self):
-        with pytest.raises(WorkloadError, match="tail_alpha must exceed 1"):
-            OnOffArrivals(on_rate=100.0, tail_alpha=1.0)
-
-
-class TestDiurnalArrivals:
-    def test_rate_curve_oscillates_about_the_base(self):
-        process = DiurnalArrivals(base_rate=1000.0, amplitude=0.5, period=0.2)
-        peak = max(process.rate_at(t / 1000) for t in range(200))
-        trough = min(process.rate_at(t / 1000) for t in range(200))
-        assert peak == pytest.approx(1500.0, rel=0.01)
-        assert trough == pytest.approx(500.0, rel=0.01)
-
-    def test_schedule_is_increasing_and_bounded(self):
-        process = DiurnalArrivals(base_rate=800.0, amplitude=0.8, period=0.1)
-        times = process.arrival_times(stream(), horizon=0.3)
-        assert_valid_schedule(times, 0.3)
-
-    def test_amplitude_must_stay_in_unit_interval(self):
-        with pytest.raises(WorkloadError, match="amplitude"):
-            DiurnalArrivals(base_rate=100.0, amplitude=1.5)
-
-
-class TestFlashCrowdArrivals:
-    def test_rate_curve_ramps_and_decays(self):
-        process = FlashCrowdArrivals(
-            base_rate=200.0, peak_multiplier=10.0, spike_at=0.05, ramp=0.01, decay=0.02
-        )
-        assert process.rate_at(0.0) == 200.0
-        assert process.rate_at(0.06) == pytest.approx(2000.0)
-        assert 200.0 < process.rate_at(0.2) < 2000.0
-        assert process.rate_at(1.0) == pytest.approx(200.0, rel=0.01)
-
-    def test_arrivals_cluster_around_the_spike(self):
-        process = FlashCrowdArrivals(
-            base_rate=300.0, peak_multiplier=8.0, spike_at=0.10, ramp=0.01, decay=0.03
-        )
-        times = process.arrival_times(stream(), horizon=0.2)
-        assert_valid_schedule(times, 0.2)
-        before = sum(1 for at in times if at < 0.10)
-        after = sum(1 for at in times if at >= 0.10)
-        assert after > 2 * before
-
-    def test_peak_multiplier_at_least_one(self):
-        with pytest.raises(WorkloadError, match="peak_multiplier"):
-            FlashCrowdArrivals(base_rate=100.0, peak_multiplier=0.5)
-
-
-class TestHotKeyChurn:
-    def test_offset_advances_every_drift_interval(self):
-        churn = HotKeyChurn(drift_interval=0.05, step=2)
-        assert churn.hot_offset(0.0) == 0
-        assert churn.hot_offset(0.049) == 0
-        assert churn.hot_offset(0.05) == 2
-        assert churn.hot_offset(0.26) == 10
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError, match="drift_interval"):
-            HotKeyChurn(drift_interval=0.0)
-        with pytest.raises(WorkloadError, match="step"):
-            HotKeyChurn(drift_interval=0.1, step=0)
-
-    def test_engine_rotates_the_hotspot(self):
-        # With extreme skew the Zipf rank is almost always 0, so the chosen
-        # class tracks the churn rotation: early updates hit class 0, updates
-        # after one drift interval hit class 1.
-        spec = OpenLoopSpec(
-            arrivals=PoissonArrivals(rate=2000.0),
-            horizon=0.2,
-            class_count=4,
-            class_skew=50.0,
-            churn=HotKeyChurn(drift_interval=0.1),
-        )
-        cluster = build_flat_cluster(spec, seed=9)
-        plan = OpenLoopTrafficEngine(spec).build_plan(cluster)
-        early = [
-            operation.parameters["class_index"]
-            for operation in plan.operations
-            if operation.scheduled_at < 0.1
-        ]
-        late = [
-            operation.parameters["class_index"]
-            for operation in plan.operations
-            if operation.scheduled_at >= 0.1
-        ]
-        assert early and late
-        assert max(early, key=early.count) == 0
-        assert max(late, key=late.count) == 1
 
 
 class TestOpenLoopSpec:
@@ -234,6 +129,42 @@ class TestOpenLoopPlan:
         assert plan.update_count + plan.query_count == len(plan.operations)
         fraction = plan.query_count / len(plan.operations)
         assert fraction == pytest.approx(0.3, abs=0.1)
+
+    def test_skew_concentrates_updates_on_the_first_class(self):
+        spec = open_spec(class_skew=2.0)
+        plan = OpenLoopTrafficEngine(spec).build_plan(build_flat_cluster(spec, seed=5))
+        counts = [0] * spec.class_count
+        for operation in plan.operations:
+            counts[operation.parameters["class_index"]] += 1
+        assert counts[0] > sum(counts[1:])
+
+    def test_queries_read_consecutive_classes_wrapping(self):
+        spec = open_spec(query_fraction=1.0, query_span=3)
+        plan = OpenLoopTrafficEngine(spec).build_plan(build_flat_cluster(spec, seed=5))
+        assert plan.operations and plan.update_count == 0
+        windows = [
+            sorted((first + step) % spec.class_count for step in range(3))
+            for first in range(spec.class_count)
+        ]
+        assert all(op.parameters["class_indexes"] in windows for op in plan.operations)
+
+    def test_update_objects_are_distinct_sorted_and_in_range(self):
+        spec = open_spec(objects_per_class=5, operations_per_update=3)
+        plan = OpenLoopTrafficEngine(spec).build_plan(build_flat_cluster(spec, seed=5))
+        for operation in plan.operations:
+            objects = operation.parameters["object_indexes"]
+            assert objects == sorted(set(objects))
+            assert len(objects) == 3 and 0 <= objects[0] and objects[-1] < 5
+
+    def test_start_time_shifts_every_offer(self):
+        spec = open_spec()
+        engine = OpenLoopTrafficEngine(spec)
+        base = engine.build_plan(build_flat_cluster(spec, seed=5))
+        shifted = engine.build_plan(build_flat_cluster(spec, seed=5), start_time=1.0)
+        assert len(base.operations) == len(shifted.operations) > 0
+        for early, late in zip(base.operations, shifted.operations):
+            assert late.scheduled_at == pytest.approx(early.scheduled_at + 1.0)
+            assert late.parameters == early.parameters
 
     def test_last_arrival_lies_inside_the_horizon(self):
         spec = open_spec()

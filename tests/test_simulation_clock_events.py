@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ClockError, SimulationError
 from repro.simulation.clock import (
     VirtualClock,
-    microseconds,
     milliseconds,
     to_milliseconds,
 )
@@ -44,11 +43,19 @@ class TestUnitHelpers:
     def test_milliseconds(self):
         assert milliseconds(4.0) == pytest.approx(0.004)
 
-    def test_microseconds(self):
-        assert microseconds(250.0) == pytest.approx(0.00025)
-
     def test_to_milliseconds_roundtrip(self):
         assert to_milliseconds(milliseconds(7.5)) == pytest.approx(7.5)
+
+    def test_milliseconds_converts_to_seconds(self):
+        assert milliseconds(250.0) == pytest.approx(0.25)
+        assert to_milliseconds(0.004) == pytest.approx(4.0)
+        assert milliseconds(0.0) == 0.0
+
+    def test_clock_times_are_floats(self):
+        clock = VirtualClock(2)
+        assert type(clock.now()) is float
+        clock.advance_to(3)
+        assert type(clock.now()) is float
 
 
 class TestEventQueue:

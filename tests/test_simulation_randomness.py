@@ -90,6 +90,20 @@ class TestDistributions:
         stream = RandomSource(1).stream("e0")
         assert stream.exponential(0.0) == 0.0
 
+    def test_exponential_negative_mean_returns_zero(self):
+        stream = RandomSource(1).stream("e-")
+        assert stream.exponential(-1.0) == 0.0
+
+    def test_random_lies_in_the_unit_interval(self):
+        stream = RandomSource(1).stream("r")
+        assert all(0.0 <= stream.random() < 1.0 for _ in range(200))
+
+    def test_truncated_normal_with_zero_spread_is_the_mean_or_minimum(self):
+        stream = RandomSource(1).stream("n0")
+        assert stream.truncated_normal(0.3, 0.0) == 0.3
+        assert stream.truncated_normal(-0.3, 0.0) == 0.0
+        assert stream.truncated_normal(0.3, 0.0, minimum=0.5) == 0.5
+
     def test_truncated_normal_respects_minimum(self):
         stream = RandomSource(1).stream("n")
         assert all(
@@ -116,10 +130,6 @@ class TestDistributions:
         stream = RandomSource(1).stream("s")
         sample = stream.sample(range(10), 4)
         assert len(sample) == len(set(sample)) == 4
-
-    def test_pareto_scale(self):
-        stream = RandomSource(1).stream("p")
-        assert all(stream.pareto(2.0, 1.5) >= 1.5 for _ in range(100))
 
     def test_shuffle_preserves_elements(self):
         stream = RandomSource(1).stream("sh")

@@ -5,11 +5,7 @@ import pytest
 from repro.database.history import CommittedTransaction, SiteHistory
 from repro.errors import VerificationError
 from repro import ClusterConfig, ReplicatedDatabase
-from repro.verification import (
-    check_cluster,
-    check_one_copy_serializability,
-    serial_history_from_definitive_order,
-)
+from repro.verification import check_cluster, check_one_copy_serializability
 from repro.workloads import (
     WorkloadGenerator,
     WorkloadSpec,
@@ -91,12 +87,6 @@ class TestOneCopyChecker:
 
     def test_empty_histories_pass(self):
         assert check_one_copy_serializability({}).ok
-
-    def test_serial_history_materialisation(self):
-        commits = [committed("T1", "Cx", 0), committed("T2", "Cy", 1)]
-        histories = {"N1": history_from("N1", commits)}
-        serial = serial_history_from_definitive_order(histories, ["T2", "T1"])
-        assert [entry.transaction_id for entry in serial] == ["T2", "T1"]
 
     def test_conflict_equivalence(self):
         first = [committed("T1", "Cx", 0), committed("T2", "Cy", 1), committed("T3", "Cx", 2)]

@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Docs site checker: internal links resolve, fenced examples doctest clean.
+"""Docs site checker: links and cited symbols resolve, examples doctest clean.
 
 Run from the repository root (the package must be importable, e.g.
-``PYTHONPATH=src python tools/check_docs.py``).  Two checks:
+``PYTHONPATH=src python tools/check_docs.py``).  Three checks:
 
 * every relative markdown link in ``README.md`` and ``docs/*.md`` points at
   an existing file;
+* every cited ``repro.…`` symbol in ``README.md``, ``docs/*.md`` and the
+  docstrings of ``src/`` resolves by import plus ``getattr`` — a Sphinx role
+  (``:class:`~repro.x.Y```), an RST literal or a markdown code span — so a
+  rename or a deletion cannot leave a stale reference behind;
 * every ``>>>`` example in ``docs/*.md`` passes under :mod:`doctest`
   (``python -m doctest`` semantics — the examples are real, deterministic
   runs of the library).
@@ -17,16 +21,22 @@ or a stale example fails fast in both places.
 
 from __future__ import annotations
 
+import ast
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import Iterable, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Markdown inline links, excluding pure in-page anchors ("#...").
 _LINK = re.compile(r"\[[^\]]*\]\(([^)#][^)]*)\)")
+
+#: A cited symbol: a dotted ``repro`` name right after one or two backticks,
+#: so a Sphinx role (with or without ``~``), an RST literal or a code span.
+_REFERENCE = re.compile(r"`{1,2}~?(repro(?:\.\w+)+)")
 
 
 def doc_files() -> List[Path]:
@@ -49,6 +59,57 @@ def check_links() -> List[str]:
     return failures
 
 
+def cited_texts() -> List[Tuple[str, str]]:
+    """``(where, text)`` for every page and every ``src/`` docstring."""
+    texts = [
+        (str(doc.relative_to(ROOT)), doc.read_text(encoding="utf-8"))
+        for doc in doc_files()
+    ]
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                docstring = ast.get_docstring(node, clean=False)
+                if docstring:
+                    line = getattr(node, "lineno", 1)
+                    texts.append((f"{path.relative_to(ROOT)}:{line}", docstring))
+    return texts
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute chain below one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as error:
+            # Only "this prefix is no module" moves on to a shorter prefix.
+            if not f"{name}.".startswith(f"{error.name}."):
+                raise
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_references(
+    texts: Optional[Iterable[Tuple[str, str]]] = None,
+) -> List[str]:
+    """Return one message per cited ``repro.…`` symbol that does not resolve."""
+    failures: List[str] = []
+    for where, text in cited_texts() if texts is None else texts:
+        for dotted in _REFERENCE.findall(text):
+            if not resolves(dotted):
+                failures.append(f"{where}: unresolved reference -> {dotted}")
+    return failures
+
+
 def run_doctests() -> List[str]:
     """Return one message per docs page with failing doctests."""
     failures: List[str] = []
@@ -63,18 +124,19 @@ def run_doctests() -> List[str]:
 
 
 def main(argv: List[str] = ()) -> int:
-    # --links-only lets CI split link checking from the doctest pass (which
-    # it runs via `python -m doctest docs/*.md`) without executing every
-    # example twice.
+    # --links-only lets CI split the static checks (links and references,
+    # which import but execute nothing) from the doctest pass (which it runs
+    # via `python -m doctest docs/*.md`) without executing every example
+    # twice.
     links_only = "--links-only" in argv
-    failures = check_links()
+    failures = check_links() + check_references()
     if not links_only:
         failures += run_doctests()
     for failure in failures:
         print(f"FAIL {failure}")
     if failures:
         return 1
-    checked = "links" if links_only else "links and doctests"
+    checked = "links and references" if links_only else "links, references and doctests"
     print(f"docs OK: {len(doc_files())} files, {checked} clean")
     return 0
 
