@@ -124,7 +124,7 @@ class AdmissionController:
 
     def queue_depth(self) -> int:
         """Current backlog: opt-delivered, not-yet-committed transactions."""
-        return len(self.replica.scheduler.pending_transactions())
+        return self.replica.scheduler.pending_count()
 
     def decide(self) -> str:
         """Update the hysteresis state and return the decision for one offer.

@@ -154,11 +154,11 @@ class ReplicatedDatabase:
                 endpoint = BatchingEndpoint(self.kernel, ordering, config.batching)
                 endpoint.tracer = config.tracer
             # A no-op gap fill is only safe when no site — up or down — holds
-            # the position in its durable redo log (a down committer will push
-            # the commit via state transfer when it recovers).  A batching
-            # wrapper translates batch positions to the member positions the
-            # redo logs record (its fill_safe setter installs the translated
-            # hook).
+            # the position in its durable commit history (a down committer
+            # will push the commit via state transfer when it recovers).  A
+            # batching wrapper translates batch positions to the member
+            # positions the histories record (its fill_safe setter installs
+            # the translated hook).
             endpoint.fill_safe = self._position_uncommitted_everywhere
             self._broadcasts[site_id] = endpoint
             self.replicas[site_id] = ReplicaManager(
@@ -213,9 +213,9 @@ class ReplicatedDatabase:
         )
 
     def _position_uncommitted_everywhere(self, position: int) -> bool:
-        """Whether no replica's durable redo log records ``position``."""
+        """Whether no replica's durable history records ``position``."""
         return not any(
-            replica.redo_log.covers_index(position)
+            position in replica.history.global_indices()
             for replica in self.replicas.values()
         )
 

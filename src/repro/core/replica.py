@@ -16,7 +16,7 @@ from ..broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage, No
 from ..database.conflict import ConflictClassMap
 from ..database.history import CommittedTransaction, SiteHistory
 from ..database.procedures import ProcedureRegistry, StoredProcedure
-from ..database.recovery import RedoLog, RedoRecord
+from ..database.recovery import RedoLog
 from ..database.snapshots import SnapshotManager
 from ..database.storage import MultiVersionStore
 from ..database.transaction import (
@@ -88,8 +88,9 @@ class ReplicaManager:
         if initial_data:
             self.store.load_many(initial_data)
         self.snapshot_manager = SnapshotManager(self.store)
-        self.redo_log = RedoLog()
         self.history = SiteHistory(site_id)
+        #: Read-only redo view: the store and the history are the redo log.
+        self.redo_log = RedoLog(self.store, self.history)
         self.engine = ExecutionEngine(
             kernel,
             self.store,
@@ -334,13 +335,11 @@ class ReplicaManager:
                     "of different conflict classes, which violates the disjoint-partition "
                     "assumption of the concurrency-control model (paper Section 2.3)."
                 ) from error
-        self.redo_log.append_commit(
-            transaction.transaction_id,
-            workspace,
-            transaction.global_index,
-            committed_at=now,
-        )
         self.snapshot_manager.advance(transaction.global_index)
+        read_keys = tuple(sorted(transaction.read_set))
+        if read_keys == write_keys:
+            # A read-modify-write of its own keys: one tuple serves both.
+            read_keys = write_keys
         self.history.record_commit(
             CommittedTransaction(
                 transaction_id=transaction.transaction_id,
@@ -348,7 +347,7 @@ class ReplicaManager:
                 global_index=transaction.global_index,
                 committed_at=now,
                 write_keys=write_keys,
-                read_keys=tuple(sorted(transaction.read_set)),
+                read_keys=read_keys,
                 message_id=self._message_ids.pop(transaction.transaction_id, None),
             )
         )
@@ -392,8 +391,8 @@ class ReplicaManager:
         workspaces discarded, the optimistic- and TO-delivery state of the
         communication manager is dropped, running snapshot queries are killed
         and the site stops accepting submissions.  What survives is exactly
-        the durable state — the committed multi-version store, the redo log,
-        the commit history and the commit frontier.
+        the durable state — the committed multi-version store, the commit
+        history and the commit frontier, which together are the redo log.
         """
         if not self._open:
             return
@@ -429,8 +428,9 @@ class ReplicaManager:
         "traditional recovery techniques" before rejoining the broadcast
         group):
 
-        1. state transfer — replay the redo-log suffix of the most advanced
-           live peer into the local store (original commit timestamps);
+        1. state transfer — replay the redo suffix of the most advanced live
+           peer (its committed versions, read through its history) into the
+           local store (original commit timestamps);
         2. rejoin — re-register with the broadcast group at the current
            sequence point, so delivery resumes exactly after the transferred
            prefix;
@@ -479,8 +479,8 @@ class ReplicaManager:
         """State transfer: replay ``donor``'s committed suffix into this site.
 
         Copies every commit with ``self.commit_frontier < index <=
-        donor.commit_frontier`` — store versions (with their original commit
-        times), redo-log records and history entries — then forces the
+        donor.commit_frontier`` — the store versions it created (with their
+        original commit times) and its history entry — then forces the
         snapshot frontier to the donor's.  Transactions still sitting in this
         site's scheduler queues are discarded first (their definitive
         confirmation becomes a no-op), and the broadcast endpoint is told
@@ -494,33 +494,22 @@ class ReplicaManager:
         own_indices = self.history.global_indices()
         transferred = 0
         touched_classes = set()
-        redo_by_index: Dict[int, List[RedoRecord]] = {}
-        for record in donor.redo_log.records_after(after_index, up_to=up_to):
-            redo_by_index.setdefault(record.index, []).append(record)
-        for committed in donor.history.commits_in_index_range(after_index, up_to):
+        for committed, versions in donor.redo_log.records_after(
+            after_index, up_to=up_to
+        ):
             if committed.global_index in own_indices:
                 continue
             if committed.transaction_id in self.history:
                 continue
             self.scheduler.discard(committed.transaction_id)
-            writes: Dict[ObjectKey, ObjectValue] = {}
-            for record in redo_by_index.get(committed.global_index, ()):
-                if record.transaction_id != committed.transaction_id:
-                    continue
-                writes[record.key] = record.value
+            for version in versions:
                 self.store.install(
-                    record.key,
-                    record.value,
-                    created_index=record.index,
-                    created_by=record.transaction_id,
-                    created_at=record.committed_at,
+                    version.key,
+                    version.value,
+                    created_index=version.created_index,
+                    created_by=version.created_by,
+                    created_at=version.created_at,
                 )
-            self.redo_log.append_commit(
-                committed.transaction_id,
-                writes,
-                committed.global_index,
-                committed_at=committed.committed_at,
-            )
             self.history.record_commit(committed)
             self.snapshot_manager.advance(committed.global_index)
             self.broadcast.note_transfer_covered(committed.message_id)

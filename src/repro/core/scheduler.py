@@ -76,6 +76,10 @@ class OTPScheduler:
         """Return every queued (not yet committed) transaction."""
         return [entry for queue in self._queues.values() for entry in queue]
 
+    def pending_count(self) -> int:
+        """Return how many transactions are queued (not yet committed)."""
+        return sum(len(queue) for queue in self._queues.values())
+
     # ------------------------------------------------- Serialization module
     def on_opt_deliver(self, transaction: Transaction) -> None:
         """Handle the Opt-delivery of ``transaction`` (Figure 4).

@@ -14,7 +14,7 @@ from .procedures import (
     StoredProcedure,
     TransactionContext,
 )
-from .recovery import RedoLog, RedoRecord
+from .recovery import RedoLog
 from .snapshots import QuerySnapshot, SnapshotManager
 from .storage import MultiVersionStore, StoreStats
 from .transaction import (
@@ -40,7 +40,6 @@ __all__ = [
     "StoredProcedure",
     "TransactionContext",
     "RedoLog",
-    "RedoRecord",
     "QuerySnapshot",
     "SnapshotManager",
     "MultiVersionStore",

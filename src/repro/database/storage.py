@@ -93,6 +93,15 @@ class MultiVersionStore:
         chain = self._chains.get(key)
         return chain.latest() if chain else None
 
+    def version_at(self, key: ObjectKey, max_index: float) -> Optional[ObjectVersion]:
+        """Return the :class:`ObjectVersion` of ``key`` visible at ``max_index``.
+
+        The record behind :meth:`read_version`, without copying the value or
+        counting a snapshot read (``None`` when there is none).
+        """
+        chain = self._chains.get(key)
+        return chain.visible_at(max_index) if chain else None
+
     def version_count(self, key: ObjectKey) -> int:
         """Number of committed versions currently retained for ``key``."""
         chain = self._chains.get(key)

@@ -11,8 +11,9 @@ every injected fault has been reverted:
 * its commit history covers exactly the same transactions;
 * its commit frontier reached the group's frontier (snapshots are as fresh
   as everyone else's);
-* its own redo log covers every index in its history (the durable state it
-  would donate to the *next* recovering site is complete);
+* its store holds, for every committed transaction and every key it wrote,
+  the version that transaction created at its definitive index (the store
+  is the redo log it would donate to the *next* recovering site);
 * no zombie in-flight work survived the crash — the scheduler queues of
   every up site are empty once the run terminates;
 * every site that crashed and came back actually ran the recovery protocol
@@ -87,12 +88,17 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
                 f"({replica.commit_frontier}) lags {reference_site} "
                 f"({reference.commit_frontier})"
             )
-        uncovered = replica.history.global_indices() - replica.redo_log.indices()
-        if uncovered:
+        missing = [
+            (committed.transaction_id, key, committed.global_index)
+            for committed in replica.history.committed_transactions()
+            for key in committed.write_keys
+            if replica.redo_log.version_of(committed, key) is None
+        ]
+        if missing:
             report._violate(
-                f"{label}: redo log of {site_id} misses committed indices "
-                f"{sorted(uncovered)[:3]} — it could not serve as a state-"
-                "transfer donor"
+                f"{label}: store of {site_id} lacks {len(missing)} committed "
+                f"versions (e.g. (transaction, key, index) {missing[:3]}) — it "
+                "could not serve as a state-transfer donor"
             )
         if group.crash_manager.is_up(site_id):
             pending = replica.scheduler.pending_transactions()

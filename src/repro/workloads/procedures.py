@@ -30,16 +30,28 @@ def build_partitioned_registry(spec: WorkloadSpec) -> ProcedureRegistry:
       objects of one partition (one conflict class per partition).
     * ``partition_scan`` — read every object of a set of partitions (query).
     * ``database_sum`` — read every object of the database (query).
+
+    Each partition's keys are built once, here: every site's version chains,
+    workspaces and history records then share one string per object.
     """
     registry = ProcedureRegistry()
+    # Dicts, not sequences: an out-of-range or negative index must fail,
+    # not wrap around to another object.
+    keys: Dict[int, Dict[int, ObjectKey]] = {
+        class_index: {
+            object_index: partition_key(class_index, object_index)
+            for object_index in range(spec.objects_per_class)
+        }
+        for class_index in range(spec.class_count)
+    }
 
     def update_body(ctx: TransactionContext, params: Dict[str, object]) -> int:
-        class_index = int(params["class_index"])
+        class_keys = keys[int(params["class_index"])]
         object_indexes: List[int] = list(params["object_indexes"])
         amount = params.get("amount", 1)
         total = 0
         for object_index in object_indexes:
-            key = partition_key(class_index, object_index)
+            key = class_keys[object_index]
             value = ctx.read(key)
             updated = value + amount
             ctx.write(key, updated)
@@ -50,15 +62,15 @@ def build_partitioned_registry(spec: WorkloadSpec) -> ProcedureRegistry:
         class_indexes: List[int] = list(params["class_indexes"])
         total = 0
         for class_index in class_indexes:
-            for object_index in range(spec.objects_per_class):
-                total += ctx.read(partition_key(class_index, object_index))
+            for key in keys[class_index].values():
+                total += ctx.read(key)
         return total
 
     def sum_body(ctx: TransactionContext, params: Dict[str, object]) -> int:
         total = 0
-        for class_index in range(spec.class_count):
-            for object_index in range(spec.objects_per_class):
-                total += ctx.read(partition_key(class_index, object_index))
+        for class_keys in keys.values():
+            for key in class_keys.values():
+                total += ctx.read(key)
         return total
 
     registry.register(

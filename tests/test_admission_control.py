@@ -58,8 +58,8 @@ class _StubScheduler:
     def __init__(self):
         self.depth = 0
 
-    def pending_transactions(self):
-        return list(range(self.depth))
+    def pending_count(self):
+        return self.depth
 
 
 class _StubReplica:

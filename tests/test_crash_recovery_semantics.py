@@ -17,7 +17,6 @@ import pytest
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.core.config import BROADCAST_CHOICES, BROADCAST_OPTIMISTIC
 from repro.core.replica import SiteCrashedError
-from repro.database import MultiVersionStore, RedoLog
 from repro.failure import CrashSchedule, FailureDetector
 from repro.network import ConstantLatency, NetworkTransport
 from repro.simulation import SimulationKernel
@@ -192,6 +191,21 @@ class TestRecoveryProtocol:
         )
         assert not check_recovery_completeness(cluster).ok
 
+    def test_recovery_completeness_flags_a_store_missing_a_committed_version(self):
+        cluster = build_cluster()
+        cluster.submit("N1", "add", {"slot": 0})
+        cluster.submit("N1", "add", {"slot": 0})
+        cluster.run_until_idle()
+        assert check_recovery_completeness(cluster).ok
+        # Drop index 0's version of slot:0 at N2.  Its latest contents,
+        # history and frontier still match: only the version it would
+        # donate for index 0 is gone.
+        assert cluster.replica("N2").store.prune(1) == 2
+        assert cluster.database_divergence() == {}
+        report = check_recovery_completeness(cluster)
+        assert not report.ok
+        assert "store of N2 lacks 1 committed versions" in report.violations[0]
+
     @pytest.mark.parametrize("broadcast", BROADCAST_CHOICES)
     @pytest.mark.parametrize("victim", ["N3", "N1"], ids=["follower", "coordinator"])
     def test_recovery_under_load_preserves_one_copy_serializability(
@@ -282,28 +296,44 @@ class TestFailureDetectorResetNotifies:
 
 class TestRedoEdgeCases:
     def test_records_after_boundary_is_exclusive_and_up_to_inclusive(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"x": 1}, index=0, committed_at=0.1)
-        redo.append_commit("T1", {"x": 2}, index=1, committed_at=0.2)
-        redo.append_commit("T2", {"x": 3}, index=2, committed_at=0.3)
-        assert [r.index for r in redo.records_after(0)] == [1, 2]
-        assert [r.index for r in redo.records_after(-1, up_to=1)] == [0, 1]
-        assert [r.index for r in redo.records_after(2)] == []
-        assert redo.covers_index(1)
-        assert not redo.covers_index(5)
-        assert redo.indices() == {0, 1, 2}
+        cluster = build_cluster()
+        for _ in range(3):
+            cluster.submit("N1", "add", {"slot": 0})
+        cluster.run_until_idle()
+        replica = cluster.replica("N1")
+        redo = replica.redo_log
+
+        def indices(after, up_to):
+            return [c.global_index for c, _ in redo.records_after(after, up_to=up_to)]
+
+        assert indices(0, 2) == [1, 2]
+        assert indices(-1, 1) == [0, 1]
+        assert indices(2, 2) == []
+        assert replica.history.global_indices() == {0, 1, 2}
+        assert len(redo) == 3
 
     def test_replay_threads_commit_timestamps_and_respects_bounds(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"x": 1}, index=0, committed_at=0.25)
-        redo.append_commit("T1", {"y": 7}, index=1, committed_at=0.50)
-        redo.append_commit("T2", {"x": 9}, index=2, committed_at=0.75)
-        fresh = MultiVersionStore()
-        replayed = redo.replay_into(fresh, after_index=0)
-        assert replayed == 2
-        assert fresh.latest_version("x").created_at == 0.75
-        assert fresh.latest_version("x").value == 9
-        assert fresh.latest_version("y").created_at == 0.50
-        bounded = MultiVersionStore()
-        assert redo.replay_into(bounded, after_index=-1, up_to=0) == 1
-        assert bounded.latest_version("x").created_at == 0.25
+        cluster = build_cluster()
+        cluster.submit("N1", "add", {"slot": 0})
+        cluster.run(until=0.040)
+        recovered = cluster.replica("N3")
+        assert recovered.commit_frontier == 0, "setup: index 0 committed everywhere"
+        cluster.crash_manager.crash_now("N3")
+        cluster.submit("N1", "add", {"slot": 1})
+        cluster.submit("N1", "add", {"slot": 0})
+        cluster.run(until=0.100)
+        assert recovered.commit_frontier == 0
+        cluster.crash_manager.recover_now("N3")
+        cluster.run_until_idle()
+        # Only the suffix (0, 2] was transferred.
+        assert recovered.metrics.count("state_transfer_commits") == 2
+        donor = cluster.replica("N1")
+        for committed, donated in donor.redo_log.records_after(0, up_to=2):
+            for version in donated:
+                replayed = recovered.store.version_at(version.key, version.created_index)
+                assert replayed == version
+                assert replayed.created_at == committed.committed_at > 0.0
+        # Index 0 committed at N3 itself, at its own commit time.
+        own = recovered.store.version_at("slot:0", 0)
+        assert own.created_at != donor.store.version_at("slot:0", 0).created_at
+        check_recovery_completeness(cluster).raise_if_violated()

@@ -8,8 +8,8 @@ from repro.database import (
     CommittedTransaction,
     ConflictGraph,
     MultiVersionStore,
+    ObjectVersion,
     RedoLog,
-    RedoRecord,
     SiteHistory,
     transactions_conflict,
 )
@@ -19,131 +19,156 @@ from repro.verification import check_one_copy_serializability
 from oracles import all_pairs_conflict_graph, one_copy_serializable, transitive_closure
 
 
+def durable_site(commits):
+    """A site's redo view after ``commits``: ``(transaction, writes, index,
+    committed_at)`` tuples, installed in the order given."""
+    store = MultiVersionStore()
+    history = SiteHistory("N1")
+    for transaction_id, writes, index, committed_at in commits:
+        for key in sorted(writes):
+            store.install(
+                key,
+                writes[key],
+                created_index=index,
+                created_by=transaction_id,
+                created_at=committed_at,
+            )
+        history.record_commit(
+            CommittedTransaction(
+                transaction_id=transaction_id,
+                conflict_class="C0",
+                global_index=index,
+                committed_at=committed_at,
+                write_keys=tuple(sorted(writes)),
+            )
+        )
+    return RedoLog(store, history), store, history
+
+
+def flatten(records):
+    """``records_after`` output as ``(transaction, key, value, index, at)`` rows."""
+    rows = []
+    for committed, versions in records:
+        for version in versions:
+            assert version.created_by == committed.transaction_id
+            assert version.created_index == committed.global_index
+            rows.append(
+                (
+                    committed.transaction_id,
+                    version.key,
+                    version.value,
+                    version.created_index,
+                    version.created_at,
+                )
+            )
+    return rows
+
+
 class TestRedo:
-    def test_redo_log_replay_catches_up_a_fresh_store(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"x": 1}, index=0)
-        redo.append_commit("T1", {"x": 5, "y": 7}, index=1)
-        redo.append_commit("T2", {"y": 9}, index=2)
-        fresh = MultiVersionStore()
-        fresh.load_many({"x": 0, "y": 0})
-        replayed = redo.replay_into(fresh, after_index=0)
-        assert replayed == 3  # T1 (2 writes) + T2 (1 write)
-        assert fresh.read_latest("x") == 5
-        assert fresh.read_latest("y") == 9
+    def test_records_after_reads_the_versions_each_commit_created(self):
+        redo, _, _ = durable_site(
+            [
+                ("T0", {"x": 1}, 0, 0.1),
+                ("T1", {"x": 5, "y": 7}, 1, 0.2),
+                ("T2", {"y": 9}, 2, 0.3),
+            ]
+        )
+        assert flatten(redo.records_after(0, up_to=2)) == [
+            ("T1", "x", 5, 1, 0.2),
+            ("T1", "y", 7, 1, 0.2),
+            ("T2", "y", 9, 2, 0.3),
+        ]
         assert len(redo) == 4
 
     def test_records_after_filters_by_index(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"x": 1}, index=0)
-        redo.append_commit("T5", {"x": 2}, index=5)
-        assert [record.index for record in redo.records_after(0)] == [5]
+        redo, _, _ = durable_site([("T0", {"x": 1}, 0, 0.0), ("T5", {"x": 2}, 5, 0.0)])
+        records = redo.records_after(0, up_to=5)
+        assert [committed.global_index for committed, _ in records] == [5]
 
     def test_len_counts_writes_not_commits(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"x": 1, "y": 2, "z": 3}, index=0)
-        redo.append_commit("T1", {}, index=1)
+        redo, _, history = durable_site(
+            [("T0", {"x": 1, "y": 2, "z": 3}, 0, 0.0), ("T1", {}, 1, 0.0)]
+        )
         assert len(redo) == 3
-        # A commit that wrote nothing is still recorded as covered.
-        assert redo.covers_index(1)
+        # A commit that wrote nothing is still covered by the history.
+        assert history.global_indices() == {0, 1}
 
     def test_each_commit_replays_its_writes_sorted_by_key(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"c": 3, "a": 1, "b": 2}, index=0)
-        records = redo.records_after(-1)
-        assert [record.key for record in records] == ["a", "b", "c"]
-        assert records[0] == RedoRecord("T0", "a", 1, 0)
+        redo, _, _ = durable_site([("T0", {"c": 3, "a": 1, "b": 2}, 0, 0.5)])
+        [(committed, versions)] = redo.records_after(-1, up_to=0)
+        assert committed.transaction_id == "T0"
+        assert [version.key for version in versions] == ["a", "b", "c"]
+        assert versions[0] == ObjectVersion("a", 1, 0, "T0", 0.5)
 
-    def test_indices_returns_a_copy(self):
-        redo = RedoLog()
-        redo.append_commit("T0", {"x": 1}, index=4)
-        redo.indices().add(9)
-        assert redo.indices() == {4}
-        assert not redo.covers_index(9)
-
-    def test_empty_log_replays_nothing(self):
-        store = MultiVersionStore()
-        store.load("x", 0)
-        assert RedoLog().replay_into(store, after_index=-1) == 0
-        assert store.version_count("x") == 1
-        assert len(RedoLog()) == 0
-
-
-#: Random commits for the redo-log property: unique definitive indices in any
-#: order (classes commit out of definitive order), some with no writes.
-redo_commits = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=15),
-        st.dictionaries(st.sampled_from("abcde"), st.integers(), max_size=4),
-    ),
-    max_size=10,
-    unique_by=lambda commit: commit[0],
-)
-
-
-def per_write_reference(commits):
-    """The redo log as one ``RedoRecord`` per write, in append order."""
-    return [
-        RedoRecord(
-            transaction_id=f"T{index}",
-            key=key,
-            value=value,
-            index=index,
-            committed_at=index / 10,
+    def test_a_pruned_version_cannot_be_donated(self):
+        redo, store, _ = durable_site(
+            [("T0", {"x": 1}, 0, 0.0), ("T1", {"x": 2}, 1, 0.0)]
         )
-        for index, writes in commits
-        for key, value in sorted(writes.items())
-    ]
+        assert store.prune(1) == 1
+        assert flatten(redo.records_after(0, up_to=1)) == [("T1", "x", 2, 1, 0.0)]
+        with pytest.raises(DatabaseError, match="T0"):
+            redo.records_after(-1, up_to=1)
+
+    def test_empty_suffix_replays_nothing(self):
+        empty, _, _ = durable_site([])
+        assert empty.records_after(-1, up_to=10) == []
+        assert len(empty) == 0
+        redo, _, _ = durable_site([("T0", {"x": 1}, 0, 0.0)])
+        assert redo.records_after(0, up_to=10) == []
+        assert redo.records_after(-1, up_to=-1) == []
 
 
-def replay_outcome(replay):
-    """Replay into a fresh store; return what a caller could observe."""
-    store = MultiVersionStore()
-    store.load_many({key: 0 for key in "abcde"})
-    try:
-        replayed = replay(store)
-    except DatabaseError as error:  # out-of-order installs of one key
-        return ("error", str(error))
-    versions = {key: store.latest_version(key) for key in store.keys()}
-    counts = {key: store.version_count(key) for key in store.keys()}
-    return replayed, versions, counts
+@st.composite
+def site_commits(draw):
+    """Commits a site could hold: unique definitive indices, each class (one
+    key pair per class) committing in index order, the classes interleaved in
+    any order, some commits writing nothing."""
+    drawn = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15), st.sampled_from("ab")),
+            max_size=10,
+            unique_by=lambda commit: commit[0],
+        )
+    )
+    keys_of = {"a": ("a1", "a2"), "b": ("b1", "b2")}
+    by_class = {
+        conflict_class: sorted(index for index, owner in drawn if owner == conflict_class)
+        for conflict_class in keys_of
+    }
+    commits = []
+    for _, conflict_class in drawn:
+        index = by_class[conflict_class].pop(0)
+        keys = draw(st.sets(st.sampled_from(keys_of[conflict_class])))
+        writes = {key: draw(st.integers()) for key in sorted(keys)}
+        commits.append((f"T{index}", writes, index, index / 10))
+    return commits
 
 
 class TestRedoLogLayout:
     @given(
-        commits=redo_commits,
+        commits=site_commits(),
         after=st.integers(min_value=-2, max_value=16),
-        up_to=st.one_of(st.none(), st.integers(min_value=-2, max_value=16)),
+        up_to=st.integers(min_value=-2, max_value=16),
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_per_commit_log_matches_a_per_write_reference(self, commits, after, up_to):
-        redo = RedoLog()
-        for index, writes in commits:
-            redo.append_commit(f"T{index}", writes, index, committed_at=index / 10)
-        reference = per_write_reference(commits)
-        expected = [
-            record
-            for record in reference
-            if record.index > after and (up_to is None or record.index <= up_to)
-        ]
+    def test_store_backed_log_matches_a_per_write_reference(self, commits, after, up_to):
+        redo, _, _ = durable_site(commits)
+        reference = sorted(
+            (transaction_id, key, value, index, committed_at)
+            for transaction_id, writes, index, committed_at in commits
+            for key, value in writes.items()
+        )
+        expected = sorted(
+            (row for row in reference if after < row[3] <= up_to),
+            key=lambda row: (row[3], row[1]),
+        )
+        records = redo.records_after(after, up_to=up_to)
         assert len(redo) == len(reference)
-        assert redo.records_after(after, up_to=up_to) == expected
-        assert all(redo.covers_index(index) for index, _ in commits)
-
-        def reference_replay(store):
-            for record in expected:
-                store.install(
-                    record.key,
-                    record.value,
-                    created_index=record.index,
-                    created_by=record.transaction_id,
-                    created_at=record.committed_at,
-                )
-            return len(expected)
-
-        assert replay_outcome(
-            lambda store: redo.replay_into(store, after_index=after, up_to=up_to)
-        ) == replay_outcome(reference_replay)
+        assert flatten(records) == expected
+        # Commits that wrote nothing are part of the suffix too.
+        assert [committed.global_index for committed, _ in records] == sorted(
+            index for _, _, index, _ in commits if after < index <= up_to
+        )
 
 
 def committed(txn_id, conflict_class, index, writes=(), reads=()):

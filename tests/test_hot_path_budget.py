@@ -1,4 +1,4 @@
-"""A deterministic budget for the run phase's per-commit Python call count.
+"""Deterministic budgets for the run phase's per-commit calls and memory.
 
 The number of calls a simulation makes is fixed by its seed: it repeats
 exactly across runs and ``PYTHONHASHSEED`` values and involves no wall
@@ -27,8 +27,8 @@ The two clusters share one 8-class workload:
   stopped, then drained — the message path.
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
-CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 482.7 ``repro`` and
-30.1 generated-constructor calls per commit on ``budget``, 384.0 and 24.6
+CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 470.5 ``repro`` and
+30.1 generated-constructor calls per commit on ``budget``, 374.8 and 24.6
 on ``message``.  History of ``budget``'s ``repro`` calls: 1 101.0 before
 this budget existed, 630.5 when it landed, 609.4 once frozen records
 nobody kept were gone (generated calls 48.1 → 32.1), 500.7 once multicast
@@ -36,15 +36,31 @@ kept its resolved receivers and the run phase wrote metrics without a call
 (``message``: 649.7 → 506.5), 482.7 once data and order messages were
 plain multicasts instead of going through an echoing reliable-broadcast
 wrapper (generated 32.1 → 30.1; ``message``: 506.5 / 34.6 → 384.0 /
-24.6, its cluster no longer echoing).  A change that adds per-commit work must
+24.6, its cluster no longer echoing), 470.5 once commits stopped appending
+to a separate redo log and workload keys stopped being formatted per access
+(``message``: 384.0 → 374.8).  A change that adds per-commit work must
 raise the measured value and say why; one that removes work should lower
 it.
+
+The same two clusters, run without the profiler, also gate what the run
+phase *keeps*: ``sys.getallocatedblocks()`` after ``gc.collect()``, before
+and after the run, per commit, with the same 5 % tolerance.  It is 48.5 on
+``budget`` and 40.3 on ``message`` (``PYTHONHASHSEED`` moves the second
+decimal only).  History: 80.6 / 64.4 while a separate redo log copied every
+commit's writes beside the version store and every site built its own key
+strings; 52.5 / 43.3 once the store was the redo log and the workload's keys
+were built once; 48.5 / 40.3 once a read-modify-write commit's history
+record used one key tuple for its reads and writes.
 """
 
 from __future__ import annotations
 
 import cProfile
+import gc
 import os
+import sys
+
+import pytest
 
 import repro
 from repro import ClusterConfig, ReplicatedDatabase
@@ -59,8 +75,13 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (482.7, 30.1),
-    "message": (384.0, 24.6),
+    "budget": (470.5, 30.1),
+    "message": (374.8, 24.6),
+}
+#: Measured retained ``sys.getallocatedblocks()`` per commit.
+MEASURED_BLOCKS_PER_COMMIT = {
+    "budget": 48.5,
+    "message": 40.3,
 }
 TOLERANCE = 1.05
 
@@ -135,6 +156,21 @@ def calls_per_commit(name: str, seed: int = 11) -> tuple:
     return repro_calls / commits, generated_calls / commits, commits
 
 
+def retained_blocks_per_commit(name: str, seed: int = 11) -> tuple:
+    """Run the named cluster unprofiled.
+
+    Returns ``(allocated blocks the run phase retains per commit, commits)``.
+    """
+    cluster, run = CLUSTERS[name](seed)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    run()
+    gc.collect()
+    retained = sys.getallocatedblocks() - before
+    commits = max(cluster.committed_counts().values())
+    return retained / commits, commits
+
+
 def _assert_within_budget(name: str, commits: int) -> None:
     repro_calls, generated_calls, committed = calls_per_commit(name)
     measured_repro, measured_generated = MEASURED_PER_COMMIT[name]
@@ -157,9 +193,23 @@ def test_message_path_calls_per_commit_stay_within_budget():
     _assert_within_budget("message", commits=180)
 
 
+@pytest.mark.parametrize("name, commits", [("budget", 240), ("message", 180)])
+def test_run_phase_retained_blocks_per_commit_stay_within_budget(name, commits):
+    blocks, committed = retained_blocks_per_commit(name)
+    assert committed == commits
+    measured = MEASURED_BLOCKS_PER_COMMIT[name]
+    assert blocks <= measured * TOLERANCE, (
+        f"the run phase retains {blocks:.1f} allocated blocks per commit, over "
+        f"the budget of {measured} x {TOLERANCE}"
+    )
+
+
 if __name__ == "__main__":
     for cluster_name in CLUSTERS:
         repro_value, generated_value, committed = calls_per_commit(cluster_name)
         print(f"{cluster_name}: {repro_value:.1f} repro calls per commit over "
               f"{committed} commits")
         print(f"{cluster_name}: {generated_value:.1f} generated-constructor calls per commit")
+        # One decimal: the hash seed moves only the second.
+        blocks_value, _ = retained_blocks_per_commit(cluster_name)
+        print(f"{cluster_name}: {blocks_value:.1f} retained allocated blocks per commit")

@@ -4,7 +4,8 @@ import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.core.config import BROADCAST_OPTIMISTIC
-from repro.errors import WorkloadError
+from repro.database import MultiVersionStore, TransactionContext
+from repro.errors import UnknownObjectError, WorkloadError
 from repro.workloads import (
     READ_CLASSES_QUERY,
     SUM_ALL_QUERY,
@@ -173,6 +174,40 @@ class TestGeneratedProcedures:
     def test_update_procedure_maps_to_partition_class(self):
         registry = build_partitioned_registry(WorkloadSpec())
         assert registry.get(UPDATE_PROCEDURE).resolve_conflict_class({"class_index": 5}) == "C5"
+
+    def test_procedures_share_one_key_string_per_object(self):
+        spec = WorkloadSpec(class_count=2, objects_per_class=3)
+        registry = build_partitioned_registry(spec)
+        store = MultiVersionStore()
+        store.load_many(build_initial_data(spec))
+        update = registry.get(UPDATE_PROCEDURE).body
+        first, second = TransactionContext(store), TransactionContext(store)
+        update(first, {"class_index": 1, "object_indexes": [0, 2]})
+        update(second, {"class_index": 1, "object_indexes": [2]})
+        scan = TransactionContext(store, read_only=True)
+        registry.get(READ_CLASSES_QUERY).body(scan, {"class_indexes": [1]})
+        [key] = second.workspace
+        assert key == partition_key(1, 2)
+        assert any(written is key for written in first.workspace)
+        assert any(read is key for read in scan.read_set)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"class_index": 0, "object_indexes": [-1]},
+            {"class_index": 0, "object_indexes": [3]},
+            {"class_index": -1, "object_indexes": [0]},
+        ],
+        ids=["negative-object", "object-past-end", "negative-class"],
+    )
+    def test_update_rejects_an_index_outside_the_partitions(self, params):
+        spec = WorkloadSpec(class_count=2, objects_per_class=3)
+        store = MultiVersionStore()
+        store.load_many(build_initial_data(spec))
+        context = TransactionContext(store)
+        with pytest.raises((KeyError, UnknownObjectError)):
+            build_partitioned_registry(spec).get(UPDATE_PROCEDURE).body(context, params)
+        assert context.workspace == {}
 
     def test_conflict_map_assigns_keys_to_partitions(self):
         conflict_map = build_conflict_map(WorkloadSpec(class_count=4))
