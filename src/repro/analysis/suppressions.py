@@ -46,9 +46,6 @@ class Suppression:
     scope_path: str = ""
     used: bool = field(default=False, compare=False)
 
-    def matches(self, finding: Finding) -> bool:
-        return finding.line == self.applies_to and finding.rule in self.rules
-
 
 def _code_lines(tokens: Iterable[tokenize.TokenInfo]) -> Set[int]:
     """Line numbers that carry actual code (not comments/blank/NL)."""

@@ -177,10 +177,6 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
             )
         return member.message_id
 
-    def flush(self) -> None:
-        """Flush the coalescing buffer immediately (mainly for tests)."""
-        self._flush()
-
     @property
     def pending_count(self) -> int:
         """Number of payloads currently buffered, awaiting the next flush."""

@@ -12,7 +12,7 @@ modification.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, TypeVar
 
 from ..types import MessageId, SiteId
@@ -56,23 +56,44 @@ class NoOpFill:
     position: int
 
 
-@dataclass
 class BroadcastMessage:
     """A message handled by an atomic broadcast protocol.
 
     One instance exists per site and per message; the timestamps record when
     that particular site opt-delivered and TO-delivered the message, which the
     benchmarks use to measure the ordering delay that OTP overlaps with
-    transaction execution.
+    transaction execution.  A site keeps one per message for the whole run,
+    so the record has slots and no per-instance ``__dict__``.
     """
 
-    message_id: MessageId
-    origin: SiteId
-    payload: Any
-    broadcast_at: float = 0.0
-    opt_delivered_at: Optional[float] = None
-    to_delivered_at: Optional[float] = None
-    definitive_position: Optional[int] = None
+    __slots__ = (
+        "message_id",
+        "origin",
+        "payload",
+        "broadcast_at",
+        "opt_delivered_at",
+        "to_delivered_at",
+        "definitive_position",
+        "local_position",
+    )
+
+    def __init__(
+        self,
+        message_id: MessageId,
+        origin: SiteId,
+        payload: Any,
+        broadcast_at: float = 0.0,
+    ) -> None:
+        self.message_id = message_id
+        self.origin = origin
+        self.payload = payload
+        self.broadcast_at = broadcast_at
+        self.opt_delivered_at: Optional[float] = None
+        self.to_delivered_at: Optional[float] = None
+        self.definitive_position: Optional[int] = None
+        #: This site's tentative (receipt) position; ``None`` until the
+        #: message is received locally (never, for a transfer-covered one).
+        self.local_position: Optional[int] = None
 
     @property
     def opt_delivered(self) -> bool:

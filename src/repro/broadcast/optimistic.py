@@ -177,9 +177,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         dispatcher.register_kind(OPTIMISTIC_ORDER_KIND, self._on_order)
         dispatcher.register_kind(OPTIMISTIC_ANNOUNCE_KIND, self._on_announce_envelope)
         dispatcher.register_kind(OPTIMISTIC_SOLICIT_KIND, self._on_solicit_envelope)
-        #: Local receive position of every received, not transfer-covered
-        #: message — the tentative order, in receipt order.
-        self._local_positions: Dict[MessageId, int] = {}
+        #: The next tentative (receipt) position; a received record keeps
+        #: its own in ``BroadcastMessage.local_position``.
         self._next_local_position = 0
         self._positions: Dict[int, MessageId] = {}
         self._ordered_messages: Set[MessageId] = set()
@@ -241,7 +240,12 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     def _order_unconfirmed(self) -> None:
         """As coordinator, order everything received but never seen confirmed."""
         if self.is_coordinator:
-            for message_id in list(self._local_positions):
+            received = sorted(
+                (record.local_position, record.message_id)
+                for record in self._messages.values()
+                if record.local_position is not None
+            )
+            for _, message_id in received:
                 if message_id not in self._ordered_messages:
                     self._coordinator_handle(message_id)
 
@@ -281,7 +285,6 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 message_id for message_id in self.opt_delivery_log if message_id in delivered
             ]
         self._messages.clear()
-        self._local_positions.clear()
         self._next_local_position = 0
         self._positions.clear()
         self._ordered_messages.clear()
@@ -361,10 +364,6 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             fresh.append(record)
         return fresh
 
-    def definitive_order(self) -> List[MessageId]:
-        """The definitive (TO-delivery) order observed so far."""
-        return list(self.to_delivery_log)
-
     # ----------------------------------------------------- data dissemination
     def _on_data(self, envelope: Envelope) -> bool:
         content = envelope.payload
@@ -390,7 +389,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             # never deliver it again.
             self._try_to_deliver()
             return True
-        if message_id not in self._local_positions:
+        if record.local_position is None:
             self._receive_locally(record)
         if self.is_coordinator:
             self._coordinator_handle(message_id)
@@ -401,7 +400,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         """Assign ``record`` the next tentative position; Opt-deliver on receipt."""
         local_position = self._next_local_position
         self._next_local_position += 1
-        self._local_positions[record.message_id] = local_position
+        record.local_position = local_position
         if self.opt_deliver_on_receipt:
             record.opt_delivered_at = self.kernel.now()
             self._emit_opt_deliver(record)
@@ -420,8 +419,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._release_confirmation(message_id, position)
             return
         pending = _PendingConfirmation(message_id=message_id, position=position)
-        pending.announced_positions[self.site_id] = self._local_positions.get(
-            message_id, position
+        record = self._messages.get(message_id)
+        local_position = record.local_position if record is not None else None
+        pending.announced_positions[self.site_id] = (
+            position if local_position is None else local_position
         )
         self._pending_confirmations[message_id] = pending
         self.kernel.schedule(
@@ -529,7 +530,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 self._next_position_to_deliver += 1
                 continue
             record = self._messages.get(message_id)
-            if record is None or not record.opt_delivered:
+            if record is None or record.opt_delivered_at is None:
                 if record is None or self.opt_deliver_on_receipt:
                     # Local Order property: a site must Opt-deliver a message
                     # before TO-delivering it.  Wait until the data arrives —
@@ -540,15 +541,13 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 # Conservative delivery: Opt-deliver immediately before TO.
                 record.opt_delivered_at = self.kernel.now()
                 self._emit_opt_deliver(record)
-            if record.to_delivered:
+            if record.to_delivered_at is not None:
                 self._next_position_to_deliver += 1
                 continue
             record.definitive_position = position
             record.to_delivered_at = self.kernel.now()
-            if (
-                self._local_positions.get(message_id) is not None
-                and self._local_positions[message_id] != record.definitive_position
-            ):
+            local_position = record.local_position
+            if local_position is not None and local_position != position:
                 self.stats.out_of_order_to_deliveries += 1
             self._emit_to_deliver(record)
             self._next_position_to_deliver += 1
@@ -583,7 +582,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._gap_probe_position = None
         if self._next_position_to_deliver != position:
             return  # delivery progressed past the suspected gap
-        if message_id in self._local_positions:
+        record = self._messages.get(message_id)
+        if record is not None and record.local_position is not None:
             return  # the data arrived; the normal path delivers it
         if not self.transport.is_site_up(self.site_id):
             # The site is down; if the stall persists after recovery, the

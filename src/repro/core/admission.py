@@ -131,9 +131,10 @@ class AdmissionController:
 
         Returns :data:`DECISION_ADMIT`, :data:`DECISION_SHED` or
         :data:`DECISION_DEFER`.  The caller records the matching counter
-        (``record_admitted`` / ``record_shed`` / ``record_deferred``) once it
-        knows the submission's fate — deferral bookkeeping depends on the
-        attempt count, which the controller does not track.
+        (``record_admitted`` / ``record_shed``, or the ``admission_deferred``
+        count the cluster keeps for a re-offer) once it knows the
+        submission's fate — deferral bookkeeping depends on the attempt
+        count, which the controller does not track.
         """
         depth = self.queue_depth()
         self.replica.metrics.set_gauge("admission_queue_depth", float(depth))
@@ -157,7 +158,3 @@ class AdmissionController:
     def record_shed(self, cause: str) -> None:
         """Count one shed submission under ``cause``."""
         self.replica.metrics.increment(f"admission_shed_{cause}")
-
-    def record_deferred(self) -> None:
-        """Count one deferral (the submission will be re-offered)."""
-        self.replica.metrics.increment("admission_deferred")

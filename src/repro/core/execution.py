@@ -219,29 +219,41 @@ class ExecutionEngine:
             self._start(queued.transaction, queued.on_complete)
 
 
-@dataclass
 class QueryExecution:
-    """Bookkeeping of one locally executed read-only query."""
+    """Bookkeeping of one locally executed read-only query.
 
-    query_id: str
-    procedure_name: str
-    query_index: float
-    started_at: float
-    completed_at: Optional[float] = None
-    result: object = None
-    #: Set when the executing site crashed mid-query: the snapshot read died
-    #: with the process and the client receives an error instead of a result.
-    aborted_at: Optional[float] = None
+    A site keeps one per query for the whole run, so the record has slots
+    and no per-instance ``__dict__``.
+    """
+
+    __slots__ = (
+        "query_id",
+        "procedure_name",
+        "query_index",
+        "started_at",
+        "completed_at",
+        "result",
+        "aborted_at",
+    )
+
+    def __init__(
+        self, query_id: str, procedure_name: str, query_index: float, started_at: float
+    ) -> None:
+        self.query_id = query_id
+        self.procedure_name = procedure_name
+        self.query_index = query_index
+        self.started_at = started_at
+        self.completed_at: Optional[float] = None
+        self.result: object = None
+        #: Set when the executing site crashed mid-query: the snapshot read
+        #: died with the process and the client receives an error instead of
+        #: a result.
+        self.aborted_at: Optional[float] = None
 
     @property
     def aborted(self) -> bool:
         """Whether the query was killed by a crash of its site."""
         return self.aborted_at is not None
-
-    @property
-    def terminated(self) -> bool:
-        """Whether the query reached a terminal state (result or error)."""
-        return self.completed_at is not None or self.aborted_at is not None
 
     @property
     def latency(self) -> Optional[float]:

@@ -9,7 +9,6 @@ multi-version store and the snapshot-based query engine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage, NoOpFill
@@ -38,18 +37,25 @@ class SiteCrashedError(ReplicationError):
     """Raised when a client submits work to a site that is currently down."""
 
 
-@dataclass
 class SubmittedRequest:
-    """Client-side bookkeeping of a submitted update transaction."""
+    """Client-side bookkeeping of a submitted update transaction.
 
-    request: TransactionRequest
-    submitted_at: float
-    committed_at: Optional[float] = None
-    #: Set when the origin site crashed before observing the commit: the
-    #: client is told the outcome is unknown.  The recovered site re-submits
-    #: the request (deduplicated cluster-wide), so the transaction still
-    #: commits exactly once and ``committed_at`` is filled in eventually.
-    crash_voided_at: Optional[float] = None
+    The origin site keeps one per submission for the whole run, so the
+    record has slots and no per-instance ``__dict__``.
+    """
+
+    __slots__ = ("request", "submitted_at", "committed_at", "crash_voided_at")
+
+    def __init__(self, request: TransactionRequest, submitted_at: float) -> None:
+        self.request = request
+        self.submitted_at = submitted_at
+        self.committed_at: Optional[float] = None
+        #: Set when the origin site crashed before observing the commit: the
+        #: client is told the outcome is unknown.  The recovered site
+        #: re-submits the request (deduplicated cluster-wide), so the
+        #: transaction still commits exactly once and ``committed_at`` is
+        #: filled in eventually.
+        self.crash_voided_at: Optional[float] = None
 
     @property
     def latency(self) -> Optional[float]:
@@ -290,8 +296,11 @@ class ReplicaManager:
             self.metrics.counts["duplicate_orders_ignored"] += 1
             return
         self.metrics.counts["messages_to_delivered"] += 1
-        if message.ordering_delay is not None:
-            self.metrics.samples["ordering_delay"].append(message.ordering_delay)
+        opt_delivered_at = message.opt_delivered_at
+        if opt_delivered_at is not None and message.to_delivered_at is not None:
+            self.metrics.samples["ordering_delay"].append(
+                message.to_delivered_at - opt_delivered_at
+            )
         if self.tracer is not None:
             self.tracer.record(
                 self.kernel.now(),

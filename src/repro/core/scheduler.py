@@ -64,10 +64,6 @@ class OTPScheduler:
             self._queues[conflict_class] = ClassQueue(conflict_class)
         return self._queues[conflict_class]
 
-    def queues(self) -> Dict[ConflictClassId, ClassQueue]:
-        """Return all class queues (by class id)."""
-        return dict(self._queues)
-
     def transaction(self, transaction_id: TransactionId) -> Optional[Transaction]:
         """Return the scheduler's record of ``transaction_id`` (or ``None``)."""
         return self._by_id.get(transaction_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional
 
 from ..errors import TransactionError
 from ..types import ConflictClassId, ObjectKey, ObjectValue, SiteId, TransactionId
@@ -55,9 +55,12 @@ class TransactionOutcome(enum.Enum):
     REORDERED = "reordered"
 
 
-@dataclass(frozen=True)
-class TransactionRequest:
-    """The client request broadcast to all sites (one stored procedure call)."""
+class TransactionRequest(NamedTuple):
+    """The client request broadcast to all sites (one stored procedure call).
+
+    Every site keeps the one it delivered for the whole run, so it is a named
+    tuple: immutable, with no per-instance ``__dict__``.
+    """
 
     transaction_id: TransactionId
     procedure_name: str

@@ -18,7 +18,6 @@ violate.  The verification layer re-checks this property explicitly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.execution import QueryExecution
@@ -67,18 +66,30 @@ def merge_sum(results: Sequence[Any]) -> Any:
     return sum(results)
 
 
-@dataclass
 class RoutedUpdate:
-    """Routing record of one update transaction."""
+    """Routing record of one update transaction.
 
-    transaction_id: TransactionId
-    conflict_class: ConflictClassId
-    shard_id: ShardId
-    site_id: SiteId
-    routed_at: float
+    The router keeps one per update for the whole run, as it does the query
+    records below, so each has slots and no per-instance ``__dict__``.
+    """
+
+    __slots__ = ("transaction_id", "conflict_class", "shard_id", "site_id", "routed_at")
+
+    def __init__(
+        self,
+        transaction_id: TransactionId,
+        conflict_class: ConflictClassId,
+        shard_id: ShardId,
+        site_id: SiteId,
+        routed_at: float,
+    ) -> None:
+        self.transaction_id = transaction_id
+        self.conflict_class = conflict_class
+        self.shard_id = shard_id
+        self.site_id = site_id
+        self.routed_at = routed_at
 
 
-@dataclass
 class ShardSubQuery:
     """One per-shard leg of a fanned-out multi-class query.
 
@@ -88,23 +99,42 @@ class ShardSubQuery:
     because its shard has no live replica).
     """
 
-    shard_id: ShardId
-    site_id: SiteId
-    classes: List[ConflictClassId]
-    parameters: Dict[str, Any]
-    execution: Optional[QueryExecution]
+    __slots__ = ("shard_id", "site_id", "classes", "parameters", "execution")
+
+    def __init__(
+        self,
+        shard_id: ShardId,
+        site_id: SiteId,
+        classes: List[ConflictClassId],
+        parameters: Dict[str, Any],
+        execution: Optional[QueryExecution],
+    ) -> None:
+        self.shard_id = shard_id
+        self.site_id = site_id
+        self.classes = classes
+        self.parameters = parameters
+        self.execution = execution
 
 
-@dataclass
 class ShardedQueryExecution:
     """Bookkeeping of one multi-shard query and its snapshot merge."""
 
-    query_id: str
-    procedure_name: str
-    submitted_at: float
-    subqueries: List[ShardSubQuery] = field(default_factory=list)
-    merged_result: Any = None
-    completed_at: Optional[float] = None
+    __slots__ = (
+        "query_id",
+        "procedure_name",
+        "submitted_at",
+        "subqueries",
+        "merged_result",
+        "completed_at",
+    )
+
+    def __init__(self, query_id: str, procedure_name: str, submitted_at: float) -> None:
+        self.query_id = query_id
+        self.procedure_name = procedure_name
+        self.submitted_at = submitted_at
+        self.subqueries: List[ShardSubQuery] = []
+        self.merged_result: Any = None
+        self.completed_at: Optional[float] = None
 
     @property
     def is_complete(self) -> bool:

@@ -37,11 +37,6 @@ class PeriodicTimer:
         self._fire_immediately = start_immediately
 
     @property
-    def running(self) -> bool:
-        """Whether the timer is currently scheduled."""
-        return self._running
-
-    @property
     def interval(self) -> float:
         """The firing interval in seconds."""
         return self._interval

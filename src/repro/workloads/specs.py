@@ -10,6 +10,7 @@ functions of ``(spec, cluster config, seed)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..errors import WorkloadError
@@ -18,8 +19,13 @@ from ..errors import WorkloadError
 PARTITION_KEY_PREFIX = "part"
 
 
+@lru_cache(maxsize=None, typed=True)
 def partition_class_id(partition_index: int) -> str:
-    """Conflict class id of partition ``partition_index``."""
+    """Conflict class id of partition ``partition_index``.
+
+    Cached, so every request of a class shares one id string instead of
+    keeping a fresh one per submission.
+    """
     return f"C{partition_index}"
 
 

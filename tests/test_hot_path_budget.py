@@ -27,8 +27,8 @@ The two clusters share one 8-class workload:
   stopped, then drained — the message path.
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
-CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 470.5 ``repro`` and
-30.1 generated-constructor calls per commit on ``budget``, 374.8 and 24.6
+CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 458.5 ``repro`` and
+25.1 generated-constructor calls per commit on ``budget``, 365.8 and 20.6
 on ``message``.  History of ``budget``'s ``repro`` calls: 1 101.0 before
 this budget existed, 630.5 when it landed, 609.4 once frozen records
 nobody kept were gone (generated calls 48.1 → 32.1), 500.7 once multicast
@@ -38,19 +38,27 @@ plain multicasts instead of going through an echoing reliable-broadcast
 wrapper (generated 32.1 → 30.1; ``message``: 506.5 / 34.6 → 384.0 /
 24.6, its cluster no longer echoing), 470.5 once commits stopped appending
 to a separate redo log and workload keys stopped being formatted per access
-(``message``: 384.0 → 374.8).  A change that adds per-commit work must
-raise the measured value and say why; one that removes work should lower
-it.
+(``message``: 384.0 → 374.8), 458.5 once the kept message, request and
+query records had slots (their written-out ``__init__`` is a ``repro``
+frame, a dataclass's was generated: generated 30.1 → 25.1), the delivery
+path read the delivery timestamps instead of three properties, and class
+ids came from a cache (``message``: 374.8 / 24.6 → 365.8 / 20.6).  A
+change that adds per-commit work must raise the measured value and say
+why; one that removes work should lower it.
 
 The same two clusters, run without the profiler, also gate what the run
 phase *keeps*: ``sys.getallocatedblocks()`` after ``gc.collect()``, before
-and after the run, per commit, with the same 5 % tolerance.  It is 48.5 on
-``budget`` and 40.3 on ``message`` (``PYTHONHASHSEED`` moves the second
+and after the run, per commit, with the same 5 % tolerance.  It is 24.5 on
+``budget`` and 21.3 on ``message`` (``PYTHONHASHSEED`` moves the second
 decimal only).  History: 80.6 / 64.4 while a separate redo log copied every
 commit's writes beside the version store and every site built its own key
 strings; 52.5 / 43.3 once the store was the redo log and the workload's keys
 were built once; 48.5 / 40.3 once a read-modify-write commit's history
-record used one key tuple for its reads and writes.
+record used one key tuple for its reads and writes; 24.5 / 21.3 once the
+broadcast, submission and query records had slots instead of a
+``__dict__``, the request was a named tuple, latency samples were
+``array('d')`` doubles and every request of a class shared one class-id
+string.
 """
 
 from __future__ import annotations
@@ -75,13 +83,13 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (470.5, 30.1),
-    "message": (374.8, 24.6),
+    "budget": (458.5, 25.1),
+    "message": (365.8, 20.6),
 }
 #: Measured retained ``sys.getallocatedblocks()`` per commit.
 MEASURED_BLOCKS_PER_COMMIT = {
-    "budget": 48.5,
-    "message": 40.3,
+    "budget": 24.5,
+    "message": 21.3,
 }
 TOLERANCE = 1.05
 

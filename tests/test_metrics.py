@@ -1,5 +1,7 @@
 """Tests for metric collection and summary statistics."""
 
+from array import array
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -169,9 +171,22 @@ class TestCollector:
 
     def test_direct_writes_create_instruments_at_first_write(self):
         metrics = MetricsCollector("test")
+        assert dict(metrics.samples) == {}
         metrics.counts["commits"] += 1
         metrics.samples["commit"].append(0.5)
         metrics.record_latency("commit", 1.5)
         assert metrics.counters() == {"commits": 1}
-        assert metrics.latency("commit").samples == [0.5, 1.5]
+        assert metrics.latency("commit").samples == array("d", [0.5, 1.5])
+        assert metrics.latency("other").samples == []
+        assert metrics.latency_summary("other").count == 0
+        assert list(metrics.samples) == ["commit"]
         assert list(metrics.snapshot()["latencies"]) == ["commit"]
+
+    def test_samples_are_stored_as_doubles(self):
+        metrics = MetricsCollector("test")
+        metrics.samples["commit"].append(1)
+        metrics.record_latency("commit", 0.1)
+        samples = metrics.samples["commit"]
+        assert isinstance(samples, array) and samples.typecode == "d"
+        assert [type(value) for value in samples] == [float, float]
+        assert list(samples) == [1.0, 0.1]
