@@ -48,7 +48,7 @@ The wrapper exposes the same listener/log surface as a raw endpoint
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import BroadcastError
 from ..simulation.events import Event
@@ -91,8 +91,7 @@ class BatchingConfig:
             raise BroadcastError("batches must hold at least one message")
 
 
-@dataclass(frozen=True)
-class BatchMember:
+class BatchMember(NamedTuple):
     """One client payload inside a batch message."""
 
     message_id: MessageId
@@ -100,8 +99,7 @@ class BatchMember:
     broadcast_at: float
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(NamedTuple):
     """The payload of one inner broadcast: an ordered tuple of members."""
 
     origin: SiteId

@@ -9,8 +9,7 @@ natural part of a group-communication substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, NamedTuple
 
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
@@ -21,8 +20,7 @@ from ..types import MessageId, SiteId
 FIFO_KIND = "fifobcast.data"
 
 
-@dataclass(frozen=True)
-class FifoPayload:
+class FifoPayload(NamedTuple):
     """Wire format of a FIFO-broadcast message."""
 
     fifo_id: MessageId

@@ -12,8 +12,7 @@ modification.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Set, TypeVar
 
 from ..types import MessageId, SiteId
 
@@ -42,8 +41,7 @@ def is_noop_fill_id(message_id: MessageId) -> bool:
     return message_id.startswith(NOOP_FILL_PREFIX)
 
 
-@dataclass(frozen=True)
-class NoOpFill:
+class NoOpFill(NamedTuple):
     """Payload delivered for a definitive position declared dead.
 
     After a whole-group crash the data of an already-ordered message can be
@@ -117,25 +115,20 @@ class BroadcastMessage:
 DeliveryListener = Callable[[BroadcastMessage], None]
 
 
-@dataclass
 class BroadcastStats:
     """Counters shared by all broadcast protocol implementations."""
 
-    broadcasts: int = 0
-    opt_deliveries: int = 0
-    to_deliveries: int = 0
-    control_messages: int = 0
-    out_of_order_to_deliveries: int = 0
+    __slots__ = (
+        "broadcasts",
+        "opt_deliveries",
+        "to_deliveries",
+        "control_messages",
+        "out_of_order_to_deliveries",
+    )
 
-    def snapshot(self) -> Dict[str, int]:
-        """Return the counters as a plain dictionary."""
-        return {
-            "broadcasts": self.broadcasts,
-            "opt_deliveries": self.opt_deliveries,
-            "to_deliveries": self.to_deliveries,
-            "control_messages": self.control_messages,
-            "out_of_order_to_deliveries": self.out_of_order_to_deliveries,
-        }
+    def __init__(self) -> None:
+        self.broadcasts = self.opt_deliveries = self.to_deliveries = 0
+        self.control_messages = self.out_of_order_to_deliveries = 0
 
 
 class AtomicBroadcastEndpoint(abc.ABC):

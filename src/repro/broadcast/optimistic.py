@@ -44,7 +44,6 @@ for the paper's consensus fallback (a modelling assumption, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from ..errors import BroadcastError
@@ -91,8 +90,7 @@ class OptimisticOrder(NamedTuple):
     position: int
 
 
-@dataclass(frozen=True)
-class OptimisticAnnounce:
+class OptimisticAnnounce(NamedTuple):
     """A site's announcement of its local tentative position for a message."""
 
     message_id: MessageId
@@ -100,8 +98,7 @@ class OptimisticAnnounce:
     local_position: int
 
 
-@dataclass(frozen=True)
-class DataSolicit:
+class DataSolicit(NamedTuple):
     """A recovering/stalled site's request for the data of an ordered message.
 
     Sent when delivery stalls at a definitive position whose data message was
@@ -115,8 +112,7 @@ class DataSolicit:
     requester: SiteId
 
 
-@dataclass(frozen=True)
-class OptimisticFill:
+class OptimisticFill(NamedTuple):
     """Coordinator decree declaring a definitive position a dead no-op.
 
     Issued after a whole-group crash lost the data of an already-ordered
@@ -129,14 +125,16 @@ class OptimisticFill:
     message_id: MessageId
 
 
-@dataclass
 class _PendingConfirmation:
     """Coordinator-side state for a message awaiting confirmation (voting mode)."""
 
-    message_id: MessageId
-    position: int
-    announced_positions: Dict[SiteId, int] = field(default_factory=dict)
-    released: bool = False
+    __slots__ = ("message_id", "position", "announced_positions", "released")
+
+    def __init__(self, message_id: MessageId, position: int) -> None:
+        self.message_id = message_id
+        self.position = position
+        self.announced_positions: Dict[SiteId, int] = {}
+        self.released = False
 
 
 class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):

@@ -10,8 +10,7 @@ the order-agreement statistics computed from per-site receive sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from ..errors import BroadcastError
 from ..network.message import DeliveryRecord, Envelope
@@ -23,8 +22,7 @@ from ..types import MessageId, SiteId
 PROBE_KIND = "spontaneous.probe"
 
 
-@dataclass(frozen=True)
-class ProbeMessage:
+class ProbeMessage(NamedTuple):
     """Payload of one probe multicast."""
 
     origin: SiteId
@@ -78,8 +76,7 @@ class PeriodicMulticastSource:
             self.kernel.schedule(self.interval, self._send_next, label=f"probe:{self.site_id}")
 
 
-@dataclass
-class OrderAgreementReport:
+class OrderAgreementReport(NamedTuple):
     """Spontaneous-order statistics computed from per-site receive sequences."""
 
     message_count: int
@@ -90,7 +87,7 @@ class OrderAgreementReport:
     #: Fraction of adjacent message pairs ordered the same way at every site.
     pairwise_agreement_fraction: float
     #: Number of messages at mismatching positions, per site.
-    mismatches_by_site: Dict[SiteId, int] = field(default_factory=dict)
+    mismatches_by_site: Dict[SiteId, int]
 
     @property
     def same_position_percentage(self) -> float:
@@ -124,6 +121,7 @@ def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreem
             site_count=0,
             same_position_fraction=1.0,
             pairwise_agreement_fraction=1.0,
+            mismatches_by_site={},
         )
     common = set.intersection(*(set(seq) for seq in sequences.values()))
     restricted: Dict[SiteId, List[MessageId]] = {
@@ -136,6 +134,7 @@ def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreem
             site_count=len(sites),
             same_position_fraction=1.0,
             pairwise_agreement_fraction=1.0,
+            mismatches_by_site={},
         )
     reference_site = sites[0]
     reference = restricted[reference_site]

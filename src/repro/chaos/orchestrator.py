@@ -17,8 +17,7 @@ that the group's own coordinator-failover listener fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ChaosError
 from ..network.latency import LatencyModel
@@ -42,12 +41,14 @@ from .plan import (
 )
 
 
-@dataclass
 class SpikedLatency(LatencyModel):
     """A latency model temporarily inflated by a chaos latency spike."""
 
-    base: LatencyModel
-    extra_delay: float
+    __slots__ = ("base", "extra_delay")
+
+    def __init__(self, base: LatencyModel, extra_delay: float) -> None:
+        self.base = base
+        self.extra_delay = extra_delay
 
     def shared_delay(self, stream: RandomStream) -> float:
         return self.base.shared_delay(stream) + self.extra_delay
@@ -58,8 +59,7 @@ class SpikedLatency(LatencyModel):
         return self.base.receiver_delay(sender, receiver, stream)
 
 
-@dataclass(frozen=True)
-class InjectedFault:
+class InjectedFault(NamedTuple):
     """One fault actually applied to the cluster (trace record)."""
 
     time: float

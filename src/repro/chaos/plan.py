@@ -14,8 +14,7 @@ the same virtual times — the property the chaos test harness asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ChaosError
 from ..types import ShardId, SiteId
@@ -36,8 +35,7 @@ TARGET_COORDINATOR = "coordinator"
 TARGET_RANDOM_SITE = "random-site"
 
 
-@dataclass(frozen=True)
-class FaultTarget:
+class FaultTarget(NamedTuple):
     """What a fault event applies to, resolved to concrete sites at fire time.
 
     Attributes
@@ -104,8 +102,7 @@ def _coerce_target(target: TargetLike) -> FaultTarget:
     raise ChaosError(f"cannot interpret {target!r} as a fault target")
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(NamedTuple):
     """One scheduled fault.
 
     ``duration`` > 0 makes the fault self-reverting: the orchestrator

@@ -41,8 +41,7 @@ produce identical fault traces and identical commit outcomes (asserted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.admission import AdmissionConfig
 from ..core.config import ShardingConfig
@@ -68,8 +67,7 @@ from .orchestrator import ChaosOrchestrator, InjectedFault, trace_signature
 from .plan import FaultPlan, coordinator, random_site, shard, site
 
 
-@dataclass
-class ChaosRunResult:
+class ChaosRunResult(NamedTuple):
     """Outcome of one chaos run: fault trace + verification verdicts."""
 
     scenario: str
@@ -81,7 +79,7 @@ class ChaosRunResult:
     one_copy_ok: bool
     queries_consistent: bool
     liveness_ok: bool
-    violations: List[str] = field(default_factory=list)
+    violations: List[str]
     faults_cease_at: float = 0.0
     duration: float = 0.0
     recovery_ok: bool = True
@@ -248,7 +246,7 @@ def execute_chaos_run(
     result = _run_plan(
         cluster, plan, scenario=scenario, seed=seed, settle_time=settle_time
     )
-    return replace(result, submitted_updates=spec.total_updates())
+    return result._replace(submitted_updates=spec.total_updates())
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +505,7 @@ def execute_fuzz_run(
     result = _run_plan(
         cluster, plan, scenario=scenario, seed=seed, settle_time=settle_time
     )
-    return replace(
-        result,
+    return result._replace(
         offered_updates=open_plan.update_count,
         shed_updates=sum(derive_metrics(cluster).sheds_by_cause.values()),
     )

@@ -10,9 +10,8 @@ concurrently on one site, which lets the benchmarks show saturation effects.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 from ..database.procedures import ProcedureRegistry, StoredProcedure, TransactionContext
 from ..database.storage import MultiVersionStore
@@ -27,18 +26,15 @@ from ..types import SiteId, TransactionId
 CompletionCallback = Callable[[Transaction], None]
 
 
-@dataclass
-class _RunningExecution:
+class _RunningExecution(NamedTuple):
     """Bookkeeping for one in-flight execution attempt."""
 
     transaction: Transaction
-    completion_event: Optional[Event]
+    completion_event: Event
     on_complete: CompletionCallback
-    duration: float
 
 
-@dataclass
-class _QueuedExecution:
+class _QueuedExecution(NamedTuple):
     """An execution waiting for a free CPU slot."""
 
     transaction: Transaction
@@ -113,8 +109,7 @@ class ExecutionEngine:
         """
         running = self._running.pop(transaction.transaction_id, None)
         if running is not None:
-            if running.completion_event is not None:
-                self.kernel.cancel(running.completion_event)
+            self.kernel.cancel(running.completion_event)
             self.executions_cancelled += 1
             self._dispatch_queued()
             return True
@@ -158,8 +153,7 @@ class ExecutionEngine:
         """
         killed = 0
         for running in self._running.values():
-            if running.completion_event is not None:
-                self.kernel.cancel(running.completion_event)
+            self.kernel.cancel(running.completion_event)
             killed += 1
         self._running.clear()
         killed += len(self._cpu_queue)
@@ -187,17 +181,13 @@ class ExecutionEngine:
         duration = procedure.sample_duration(
             transaction.request.parameters, self._duration_stream
         ) * self.duration_scale
-        running = _RunningExecution(
-            transaction=transaction,
-            completion_event=None,
-            on_complete=on_complete,
-            duration=duration,
-        )
-        self._running[transaction.transaction_id] = running
-        running.completion_event = self.kernel.schedule(
+        event = self.kernel.schedule(
             duration,
             partial(self._complete, transaction.transaction_id, result),
             label="exec-complete",
+        )
+        self._running[transaction.transaction_id] = _RunningExecution(
+            transaction, event, on_complete
         )
 
     def _complete(self, transaction_id: TransactionId, result: object) -> None:
@@ -344,8 +334,7 @@ class QueryEngine:
         return len(pending)
 
 
-@dataclass
-class _PendingQuery:
+class _PendingQuery(NamedTuple):
     """One query whose simulated execution has not finished yet."""
 
     execution: QueryExecution

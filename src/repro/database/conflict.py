@@ -13,16 +13,14 @@ TO-delivered transaction in front of all still-pending ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConflictClassError
 from ..types import ConflictClassId, ObjectKey, TransactionId
 from .transaction import DeliveryState, Transaction
 
 
-@dataclass(frozen=True)
-class ConflictClass:
+class ConflictClass(NamedTuple):
     """Descriptor of one conflict class.
 
     ``key_prefixes`` describes the database partition owned by the class:

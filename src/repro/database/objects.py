@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from ..errors import DatabaseError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -44,17 +43,16 @@ class ObjectVersion(NamedTuple):
         return copy.deepcopy(value)
 
 
-@dataclass
 class VersionChain:
     """All committed versions of one object, ordered by creation index."""
 
-    key: ObjectKey
-    versions: List[ObjectVersion] = field(default_factory=list)
-    #: ``created_index`` of each entry of ``versions``, kept in step by the
-    #: mutators below so ``visible_at`` can bisect (``bisect(key=)`` is 3.10+).
-    _created_indices: List[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("key", "versions", "_created_indices")
 
-    def __post_init__(self) -> None:
+    def __init__(self, key: ObjectKey, versions: Iterable[ObjectVersion] = ()) -> None:
+        self.key = key
+        self.versions = list(versions)
+        #: ``created_index`` of each entry of ``versions``, kept in step by the
+        #: mutators below so ``visible_at`` can bisect (``bisect(key=)`` is 3.10+).
         self._created_indices = [version.created_index for version in self.versions]
 
     def latest(self) -> Optional[ObjectVersion]:

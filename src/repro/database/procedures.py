@@ -9,8 +9,7 @@ procedure registry and the execution context handed to procedure bodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Union
 
 from ..errors import DatabaseError, UnknownObjectError, UnknownProcedureError
 from ..simulation.randomness import RandomStream
@@ -84,8 +83,7 @@ class TransactionContext:
         return updated
 
 
-@dataclass(frozen=True)
-class StoredProcedure:
+class StoredProcedure(NamedTuple):
     """A registered stored procedure.
 
     Attributes

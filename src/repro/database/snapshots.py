@@ -17,16 +17,14 @@ query indices and hands out read-only views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from ..errors import SnapshotError
 from ..types import ObjectKey, ObjectValue
 from .storage import MultiVersionStore
 
 
-@dataclass(frozen=True)
-class QuerySnapshot:
+class QuerySnapshot(NamedTuple):
     """A consistent read-only view of the database at index ``query_index``."""
 
     query_index: float

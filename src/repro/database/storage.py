@@ -8,7 +8,6 @@ time, or simply discarded on abort; the discard is the whole undo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import UnknownObjectError
@@ -16,14 +15,13 @@ from ..types import ObjectKey, ObjectValue, TransactionId
 from .objects import ObjectVersion, VersionChain
 
 
-@dataclass
 class StoreStats:
     """Counters maintained by the store."""
 
-    reads: int = 0
-    writes: int = 0
-    snapshot_reads: int = 0
-    versions_pruned: int = 0
+    __slots__ = ("reads", "writes", "snapshot_reads", "versions_pruned")
+
+    def __init__(self) -> None:
+        self.reads = self.writes = self.snapshot_reads = self.versions_pruned = 0
 
 
 class MultiVersionStore:

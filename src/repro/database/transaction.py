@@ -15,7 +15,6 @@ manipulate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, NamedTuple, Optional
 
 from ..errors import TransactionError
@@ -71,7 +70,6 @@ class TransactionRequest(NamedTuple):
     is_query: bool = False
 
 
-@dataclass(eq=False)
 class Transaction:
     """Per-site record of an update transaction processed by the OTP scheduler.
 
@@ -80,42 +78,62 @@ class Transaction:
     the same object (class queues rely on this for their scans).
     """
 
-    request: TransactionRequest
-    site_id: SiteId
-    #: Copies of ``request.transaction_id`` / ``request.conflict_class``
-    #: (the request is frozen), read as plain attributes on the hot path.
-    transaction_id: TransactionId = field(init=False)
-    conflict_class: ConflictClassId = field(init=False)
-    execution_state: ExecutionState = ExecutionState.ACTIVE
-    delivery_state: DeliveryState = DeliveryState.PENDING
-    outcome: TransactionOutcome = TransactionOutcome.UNDECIDED
-    #: Definitive position assigned by the atomic broadcast (None until
-    #: TO-delivery).  Used as the version index for writes (Section 5).
-    global_index: Optional[int] = None
-    #: Whether the execution of this transaction has been submitted to the
-    #: execution engine and has not completed yet.
-    executing: bool = False
-    #: Buffered writes of the current execution attempt.
-    workspace: Dict[ObjectKey, ObjectValue] = field(default_factory=dict)
-    #: Keys read by the current execution attempt.
-    read_set: set = field(default_factory=set)
-    #: Return value of the stored procedure (set when execution completes).
-    result: Any = None
-    #: How many times the transaction was aborted and rescheduled (CC8).
-    reorder_aborts: int = 0
-    #: How many times execution was started.
-    execution_attempts: int = 0
-    # -- timestamps (virtual time, seconds) ---------------------------------
-    opt_delivered_at: Optional[float] = None
-    to_delivered_at: Optional[float] = None
-    first_execution_started_at: Optional[float] = None
-    last_execution_started_at: Optional[float] = None
-    executed_at: Optional[float] = None
-    committed_at: Optional[float] = None
+    __slots__ = (
+        "request",
+        "site_id",
+        "transaction_id",
+        "conflict_class",
+        "execution_state",
+        "delivery_state",
+        "outcome",
+        "global_index",
+        "executing",
+        "workspace",
+        "read_set",
+        "result",
+        "reorder_aborts",
+        "execution_attempts",
+        "opt_delivered_at",
+        "to_delivered_at",
+        "first_execution_started_at",
+        "last_execution_started_at",
+        "executed_at",
+        "committed_at",
+    )
 
-    def __post_init__(self) -> None:
-        self.transaction_id = self.request.transaction_id
-        self.conflict_class = self.request.conflict_class
+    def __init__(self, request: TransactionRequest, site_id: SiteId) -> None:
+        self.request = request
+        self.site_id = site_id
+        #: Copies of ``request.transaction_id`` / ``request.conflict_class``
+        #: (the request is frozen), read as plain attributes on the hot path.
+        self.transaction_id: TransactionId = request.transaction_id
+        self.conflict_class: ConflictClassId = request.conflict_class
+        self.execution_state = ExecutionState.ACTIVE
+        self.delivery_state = DeliveryState.PENDING
+        self.outcome = TransactionOutcome.UNDECIDED
+        #: Definitive position assigned by the atomic broadcast (None until
+        #: TO-delivery).  Used as the version index for writes (Section 5).
+        self.global_index: Optional[int] = None
+        #: Whether the execution of this transaction has been submitted to the
+        #: execution engine and has not completed yet.
+        self.executing = False
+        #: Buffered writes of the current execution attempt.
+        self.workspace: Dict[ObjectKey, ObjectValue] = {}
+        #: Keys read by the current execution attempt.
+        self.read_set: set = set()
+        #: Return value of the stored procedure (set when execution completes).
+        self.result: Any = None
+        #: How many times the transaction was aborted and rescheduled (CC8).
+        self.reorder_aborts = 0
+        #: How many times execution was started.
+        self.execution_attempts = 0
+        # -- timestamps (virtual time, seconds) -----------------------------
+        self.opt_delivered_at: Optional[float] = None
+        self.to_delivered_at: Optional[float] = None
+        self.first_execution_started_at: Optional[float] = None
+        self.last_execution_started_at: Optional[float] = None
+        self.executed_at: Optional[float] = None
+        self.committed_at: Optional[float] = None
 
     # ------------------------------------------------------------ properties
     @property

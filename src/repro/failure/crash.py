@@ -8,8 +8,7 @@ recovery events against the transport and notifies interested components
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
 from ..errors import NetworkError
 from ..simulation.kernel import SimulationKernel
@@ -23,8 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 LivenessListener = Callable[[SiteId, bool], None]
 
 
-@dataclass(frozen=True)
-class CrashEvent:
+class CrashEvent(NamedTuple):
     """One scheduled crash or recovery."""
 
     time: float
@@ -32,11 +30,13 @@ class CrashEvent:
     up: bool  # False = crash, True = recover
 
 
-@dataclass
 class CrashSchedule:
     """A reproducible list of crash/recovery events."""
 
-    events: List[CrashEvent] = field(default_factory=list)
+    __slots__ = ("events",)
+
+    def __init__(self) -> None:
+        self.events: List[CrashEvent] = []
 
     def crash(self, site: SiteId, at: float) -> "CrashSchedule":
         """Add a crash of ``site`` at virtual time ``at``."""

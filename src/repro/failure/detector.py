@@ -12,8 +12,7 @@ which elects the coordinator from their suspicions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
@@ -28,8 +27,7 @@ SuspicionListener = Callable[[SiteId, bool], None]
 HEARTBEAT_KIND = "failure-detector.heartbeat"
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
     """Payload of a heartbeat message."""
 
     origin: SiteId

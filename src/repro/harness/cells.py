@@ -24,7 +24,6 @@ crash); they run no simulation.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from typing import Dict, Tuple
 
 from ..baselines.lazy import LazyReplicatedDatabase
@@ -119,8 +118,7 @@ def run_sharded_workload(config: ShardingConfig, spec: ShardedWorkloadSpec) -> R
         for query in cluster.router.sharded_queries
         if query.latency is not None
     ]
-    return replace(
-        summary,
+    return summary._replace(
         mean_query_latency=mean(query_latencies),
         queries_completed=len(query_latencies),
     )

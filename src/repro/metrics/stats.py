@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Summary statistics of a sample."""
 
     count: int

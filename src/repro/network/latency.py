@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import abc
 import re
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import NetworkError
 from ..simulation.randomness import RandomStream
@@ -29,6 +28,8 @@ from ..types import SiteId
 
 class LatencyModel(abc.ABC):
     """Computes the one-way delay of a message towards one receiver."""
+
+    __slots__ = ()
 
     @abc.abstractmethod
     def shared_delay(self, stream: RandomStream) -> float:
@@ -45,15 +46,15 @@ class LatencyModel(abc.ABC):
         return self.shared_delay(stream) + self.receiver_delay(sender, receiver, stream)
 
 
-@dataclass
 class ConstantLatency(LatencyModel):
     """A fixed one-way delay (a test double: unit tests assert exact timings)."""
 
-    delay: float = 0.001
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0.0:
+    def __init__(self, delay: float = 0.001) -> None:
+        if not delay >= 0.0:
             raise NetworkError("latency cannot be negative")
+        self.delay = delay
 
     def shared_delay(self, stream: RandomStream) -> float:
         return self.delay
@@ -62,7 +63,6 @@ class ConstantLatency(LatencyModel):
         return 0.0
 
 
-@dataclass
 class UniformLatency(LatencyModel):
     """One-way delay drawn uniformly from ``[minimum, maximum]`` per receiver.
 
@@ -70,12 +70,13 @@ class UniformLatency(LatencyModel):
     receiver, which the transport, FIFO and atomic-broadcast tests rely on.
     """
 
-    minimum: float = 0.0005
-    maximum: float = 0.002
+    __slots__ = ("minimum", "maximum")
 
-    def __post_init__(self) -> None:
-        if self.minimum < 0.0 or self.maximum < self.minimum:
+    def __init__(self, minimum: float = 0.0005, maximum: float = 0.002) -> None:
+        if not minimum >= 0.0 or not maximum >= minimum:
             raise NetworkError("invalid uniform latency bounds")
+        self.minimum = minimum
+        self.maximum = maximum
 
     def shared_delay(self, stream: RandomStream) -> float:
         return 0.0
@@ -84,7 +85,6 @@ class UniformLatency(LatencyModel):
         return stream.uniform(self.minimum, self.maximum)
 
 
-@dataclass
 class LanMulticastLatency(LatencyModel):
     """Shared-medium LAN model used for the Figure 1 reproduction.
 
@@ -105,15 +105,21 @@ class LanMulticastLatency(LatencyModel):
         into the 80s as the interval approaches zero).
     """
 
-    propagation: float = 0.0004
-    transmission_jitter: float = 0.0002
-    receiver_jitter_mean: float = 0.00012
+    __slots__ = ("propagation", "transmission_jitter", "receiver_jitter_mean")
 
-    def __post_init__(self) -> None:
-        if self.propagation < 0.0:
+    def __init__(
+        self,
+        propagation: float = 0.0004,
+        transmission_jitter: float = 0.0002,
+        receiver_jitter_mean: float = 0.00012,
+    ) -> None:
+        if not propagation >= 0.0:
             raise NetworkError("propagation delay cannot be negative")
-        if self.transmission_jitter < 0.0 or self.receiver_jitter_mean < 0.0:
+        if not transmission_jitter >= 0.0 or not receiver_jitter_mean >= 0.0:
             raise NetworkError("jitter parameters cannot be negative")
+        self.propagation = propagation
+        self.transmission_jitter = transmission_jitter
+        self.receiver_jitter_mean = receiver_jitter_mean
 
     def shared_delay(self, stream: RandomStream) -> float:
         return self.propagation + stream.truncated_normal(
@@ -124,8 +130,12 @@ class LanMulticastLatency(LatencyModel):
         return stream.exponential(self.receiver_jitter_mean)
 
 
-@dataclass(frozen=True)
-class LinkProfile:
+class _LinkDelays(NamedTuple):
+    base: float
+    jitter: float = 0.0
+
+
+class LinkProfile(_LinkDelays):
     """Latency profile of one class of links: base one-way delay + jitter.
 
     ``base`` is the deterministic one-way propagation delay of the link;
@@ -133,12 +143,12 @@ class LinkProfile:
     (queueing, cross-traffic).
     """
 
-    base: float
-    jitter: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base < 0.0 or self.jitter < 0.0:
+    def __new__(cls, base: float, jitter: float = 0.0) -> "LinkProfile":
+        if not base >= 0.0 or not jitter >= 0.0:
             raise NetworkError("link profile delays cannot be negative")
+        return super().__new__(cls, base, jitter)
 
 
 #: Regex extracting the numeric site index from ids like ``N3`` / ``S2:N3``.
@@ -240,7 +250,6 @@ class GeoTopology:
         return max(bases) - min(bases)
 
 
-@dataclass
 class GeoLatency(LatencyModel):
     """Per-link latency drawn from a :class:`GeoTopology`.
 
@@ -249,7 +258,10 @@ class GeoLatency(LatencyModel):
     the whole delay is the link's base plus exponential jitter, per receiver.
     """
 
-    topology: GeoTopology
+    __slots__ = ("topology",)
+
+    def __init__(self, topology: GeoTopology) -> None:
+        self.topology = topology
 
     def shared_delay(self, stream: RandomStream) -> float:
         return 0.0

@@ -7,7 +7,6 @@ put their own protocol messages inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from ..types import MessageId, SiteId
@@ -52,8 +51,7 @@ class Envelope(NamedTuple):
     sent_at: float = 0.0
 
 
-@dataclass
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """Bookkeeping record of one delivery of an envelope at one site.
 
     Collected by the transport's optional trace so that experiments (Figure 1)
@@ -66,4 +64,4 @@ class DeliveryRecord:
     sent_at: float
     delivered_at: float
     kind: str = "data"
-    payload: Any = field(default=None, repr=False)
+    payload: Any = None

@@ -11,7 +11,6 @@ is reachable again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -27,39 +26,39 @@ from .partitions import PartitionController
 ReceiveHandler = Callable[[Envelope], None]
 
 
-@dataclass
 class TransportStats:
     """Counters maintained by the transport for benchmarking."""
 
-    unicasts_sent: int = 0
-    multicasts_sent: int = 0
-    envelopes_delivered: int = 0
-    envelopes_dropped: int = 0
-    envelopes_buffered: int = 0
-    retransmissions: int = 0
-    bytes_estimate: int = 0
+    __slots__ = (
+        "unicasts_sent",
+        "multicasts_sent",
+        "envelopes_delivered",
+        "envelopes_dropped",
+        "envelopes_buffered",
+        "retransmissions",
+        "bytes_estimate",
+    )
+
+    def __init__(self) -> None:
+        self.unicasts_sent = self.multicasts_sent = self.envelopes_delivered = 0
+        self.envelopes_dropped = self.envelopes_buffered = 0
+        self.retransmissions = self.bytes_estimate = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Return the counters as a plain dictionary."""
-        return {
-            "unicasts_sent": self.unicasts_sent,
-            "multicasts_sent": self.multicasts_sent,
-            "envelopes_delivered": self.envelopes_delivered,
-            "envelopes_dropped": self.envelopes_dropped,
-            "envelopes_buffered": self.envelopes_buffered,
-            "retransmissions": self.retransmissions,
-            "bytes_estimate": self.bytes_estimate,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass
 class _SiteEndpoint:
     """Internal per-site registration record."""
 
-    site_id: SiteId
-    handler: ReceiveHandler
-    up: bool = True
-    pending: List[Envelope] = field(default_factory=list)
+    __slots__ = ("site_id", "handler", "up", "pending")
+
+    def __init__(self, site_id: SiteId, handler: ReceiveHandler) -> None:
+        self.site_id = site_id
+        self.handler = handler
+        self.up = True
+        self.pending: List[Envelope] = []
 
 
 class NetworkTransport:

@@ -22,8 +22,7 @@ the paper cares about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..broadcast.spontaneous import tentative_vs_definitive_mismatch
 from ..metrics.collector import MetricsCollector
@@ -55,8 +54,7 @@ PHASE_LATENCIES: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     labels: Dict[str, str]
     collector: MetricsCollector
 
@@ -176,8 +174,7 @@ def build_registry(cluster: Any) -> MetricsRegistry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DerivedMetrics:
+class DerivedMetrics(NamedTuple):
     """The paper-level numbers computed from the raw instruments."""
 
     #: Mean fraction of messages opt-delivered at a different position than
@@ -191,10 +188,10 @@ class DerivedMetrics:
     commits: int
     #: Admission-control outcomes of the open-loop offer path (all zero /
     #: empty when the cluster has no admission config or ran closed-loop).
-    sheds_by_cause: Dict[str, int] = field(default_factory=dict)
-    admitted: int = 0
-    deferred: int = 0
-    max_admission_queue_depth: float = 0.0
+    sheds_by_cause: Dict[str, int]
+    admitted: int
+    deferred: int
+    max_admission_queue_depth: float
 
 
 def divergence_by_site(cluster: Any) -> Dict[SiteId, float]:

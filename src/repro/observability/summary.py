@@ -8,16 +8,14 @@ group, a sharded one a group per shard).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from ..metrics.stats import mean, summarize
 from ..verification.sharded import ClusterVerificationReport, check_cluster
 from .registry import MetricsRegistry, build_registry, divergence_by_site
 
 
-@dataclass
-class LoadSummary:
+class LoadSummary(NamedTuple):
     """Load observed by a set of replica groups: one group, or all of them.
 
     ``committed`` counts distinct update transactions (each group's converged
@@ -36,14 +34,23 @@ class LoadSummary:
     duration: float
 
 
-@dataclass
-class RunSummary(LoadSummary):
+class RunSummary(NamedTuple):
     """Outcome of one verified cluster run: totals, a row per group, verdicts.
 
-    ``mean_query_latency`` / ``queries_completed`` read the replicas' query
-    instruments — the sub-queries, on a cluster that routes queries.
+    The first eight fields are the :class:`LoadSummary` of all groups
+    together.  ``mean_query_latency`` / ``queries_completed`` read the
+    replicas' query instruments — the sub-queries, on a cluster that routes
+    queries.
     """
 
+    committed: int
+    throughput_tps: float
+    mean_client_latency: float
+    p90_client_latency: float
+    mean_ordering_delay: float
+    reorder_aborts: int
+    queries_completed: int
+    duration: float
     mismatch_fraction: float
     mean_query_latency: float
     groups: Dict[str, LoadSummary]

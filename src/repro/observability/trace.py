@@ -28,8 +28,7 @@ Perfetto): sites become processes, transactions become tracks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Iterable, List, Optional, Tuple
+from typing import Any, Dict, IO, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
 from ..types import SiteId, TransactionId
@@ -39,8 +38,7 @@ class TraceError(SimulationError):
     """Raised on span protocol violations (double close, end-without-begin)."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One instantaneous trace event on the virtual timeline."""
 
     time: float
@@ -63,7 +61,6 @@ class TraceEvent:
         return payload
 
 
-@dataclass
 class TraceSpan:
     """A named interval in one transaction's life at one site.
 
@@ -71,14 +68,25 @@ class TraceSpan:
     current ``execute`` span and the re-execution opens attempt ``n+1``.
     """
 
-    name: str
-    site: SiteId
-    transaction_id: TransactionId
-    start: float
-    attempt: int = 1
-    end: Optional[float] = None
-    outcome: Optional[str] = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "site", "transaction_id", "start", "attempt", "end", "outcome", "attrs")
+
+    def __init__(
+        self,
+        name: str,
+        site: SiteId,
+        transaction_id: TransactionId,
+        start: float,
+        attempt: int,
+        attrs: Dict[str, Any],
+    ) -> None:
+        self.name = name
+        self.site = site
+        self.transaction_id = transaction_id
+        self.start = start
+        self.attempt = attempt
+        self.end: Optional[float] = None
+        self.outcome: Optional[str] = None
+        self.attrs = attrs
 
     @property
     def closed(self) -> bool:

@@ -63,12 +63,13 @@ class SimulationKernel:
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        Negative delays are rejected; a zero delay runs the callback at the
-        current time but strictly after all callbacks already scheduled for
-        that time (FIFO among equal timestamps).
+        Negative and NaN delays are rejected (a NaN timestamp would silently
+        break the heap order); a zero delay runs the callback at the current
+        time but strictly after all callbacks already scheduled for that time
+        (FIFO among equal timestamps).
         """
-        if delay < 0.0:
-            raise SimulationError(f"cannot schedule an event {delay!r}s in the past")
+        if not delay >= 0.0:
+            raise SimulationError(f"cannot schedule an event {delay!r}s from now")
         return self._queue.push(
             self.clock._now + delay, callback, priority=priority, label=label
         )
@@ -82,9 +83,9 @@ class SimulationKernel:
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` at the absolute virtual time ``timestamp``."""
-        if timestamp < self.now():
+        if not timestamp >= self.now():
             raise SimulationError(
-                f"cannot schedule at {timestamp!r}, which is before now ({self.now()!r})"
+                f"cannot schedule at {timestamp!r}, which is not now ({self.now()!r}) or later"
             )
         return self._queue.push(timestamp, callback, priority=priority, label=label)
 

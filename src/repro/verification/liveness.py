@@ -19,22 +19,21 @@ scenario, not a liveness bug, and is reported as such).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..errors import VerificationError
 from ..types import SiteId
 
 
-@dataclass
 class LivenessReport:
     """Result of the eventual-termination check."""
 
-    ok: bool = True
-    violations: List[str] = field(default_factory=list)
-    transactions_checked: int = 0
-    queries_checked: int = 0
-    sites_checked: int = 0
+    __slots__ = ("ok", "violations", "transactions_checked", "queries_checked", "sites_checked")
+
+    def __init__(self) -> None:
+        self.ok = True
+        self.violations: List[str] = []
+        self.transactions_checked = self.queries_checked = self.sites_checked = 0
 
     def _violate(self, message: str) -> None:
         self.ok = False

@@ -17,7 +17,6 @@ histories produced by a simulation run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..database.history import ConflictGraph, SiteHistory
@@ -25,17 +24,25 @@ from ..errors import VerificationError
 from ..types import SiteId, TransactionId
 
 
-@dataclass
 class OneCopyReport:
     """Result of a 1-copy-serializability check."""
 
-    ok: bool
-    violations: List[str] = field(default_factory=list)
-    sites_checked: int = 0
-    transactions_checked: int = 0
-    classes_checked: int = 0
-    #: Edges of the union conflict graph the serializability check walked.
-    conflict_edges: int = 0
+    __slots__ = (
+        "ok",
+        "violations",
+        "sites_checked",
+        "transactions_checked",
+        "classes_checked",
+        "conflict_edges",
+    )
+
+    def __init__(self, ok: bool, sites_checked: int = 0) -> None:
+        self.ok = ok
+        self.violations: List[str] = []
+        self.sites_checked = sites_checked
+        self.transactions_checked = self.classes_checked = 0
+        #: Edges of the union conflict graph the serializability check walked.
+        self.conflict_edges = 0
 
     def raise_if_violated(self) -> None:
         """Raise :class:`VerificationError` when the check failed."""

@@ -22,7 +22,6 @@ from the reference message set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, is_noop_fill_id
@@ -30,14 +29,16 @@ from ..errors import VerificationError
 from ..types import MessageId, SiteId
 
 
-@dataclass
 class BroadcastPropertyReport:
     """Result of checking the five OAB properties."""
 
-    ok: bool
-    violations: List[str] = field(default_factory=list)
-    messages_checked: int = 0
-    sites_checked: int = 0
+    __slots__ = ("ok", "violations", "messages_checked", "sites_checked")
+
+    def __init__(self, ok: bool, sites_checked: int = 0) -> None:
+        self.ok = ok
+        self.violations: List[str] = []
+        self.messages_checked = 0
+        self.sites_checked = sites_checked
 
     def raise_if_violated(self) -> None:
         """Raise :class:`VerificationError` when any property was violated."""

@@ -22,21 +22,26 @@ every injected fault has been reverted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
 from ..errors import VerificationError
 
 
-@dataclass
 class RecoveryReport:
     """Result of the recovery-completeness check."""
 
-    ok: bool = True
-    violations: List[str] = field(default_factory=list)
-    sites_checked: int = 0
-    recovered_sites_checked: int = 0
-    transferred_commits: int = 0
+    __slots__ = (
+        "ok",
+        "violations",
+        "sites_checked",
+        "recovered_sites_checked",
+        "transferred_commits",
+    )
+
+    def __init__(self) -> None:
+        self.ok = True
+        self.violations: List[str] = []
+        self.sites_checked = self.recovered_sites_checked = self.transferred_commits = 0
 
     def _violate(self, message: str) -> None:
         self.ok = False

@@ -24,8 +24,7 @@ verified:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence
 
 from ..database.procedures import TransactionContext
 from ..errors import VerificationError
@@ -40,16 +39,24 @@ from .properties import BroadcastPropertyReport, check_broadcast_properties
 from .recovery import RecoveryReport, check_recovery_completeness
 
 
-@dataclass
 class ShardedVerificationReport:
     """One layer's verdict over every replica group (1SR + broadcast, or queries)."""
 
-    ok: bool
-    violations: List[str] = field(default_factory=list)
-    per_shard_one_copy: Dict[ShardId, OneCopyReport] = field(default_factory=dict)
-    per_shard_broadcast: Dict[ShardId, BroadcastPropertyReport] = field(default_factory=dict)
-    queries_checked: int = 0
-    subqueries_checked: int = 0
+    __slots__ = (
+        "ok",
+        "violations",
+        "per_shard_one_copy",
+        "per_shard_broadcast",
+        "queries_checked",
+        "subqueries_checked",
+    )
+
+    def __init__(self, ok: bool) -> None:
+        self.ok = ok
+        self.violations: List[str] = []
+        self.per_shard_one_copy: Dict[ShardId, OneCopyReport] = {}
+        self.per_shard_broadcast: Dict[ShardId, BroadcastPropertyReport] = {}
+        self.queries_checked = self.subqueries_checked = 0
 
 
 def check_sharded_one_copy_serializability(cluster) -> ShardedVerificationReport:
@@ -148,9 +155,11 @@ def check_cross_shard_query_consistency(
     return report
 
 
-@dataclass
-class ClusterVerificationReport:
-    """Every check of the stack over one finished run, sub-reports kept."""
+class ClusterVerificationReport(NamedTuple):
+    """Every check of the stack over one finished run, sub-reports kept.
+
+    The record is the tuple of its four layers, in layer order.
+    """
 
     #: Per-group 1SR along the definitive order + broadcast properties.
     one_copy: ShardedVerificationReport
@@ -159,18 +168,15 @@ class ClusterVerificationReport:
     liveness: LivenessReport
     recovery: RecoveryReport
 
-    def _layers(self) -> tuple:
-        return (self.one_copy, self.queries, self.liveness, self.recovery)
-
     @property
     def ok(self) -> bool:
         """Whether every verification layer passed."""
-        return all(layer.ok for layer in self._layers())
+        return all(layer.ok for layer in self)
 
     @property
     def violations(self) -> List[str]:
         """Every layer's violations, in layer order."""
-        return [v for layer in self._layers() for v in layer.violations]
+        return [v for layer in self for v in layer.violations]
 
     def raise_if_violated(self) -> None:
         """Raise :class:`VerificationError` when any check failed."""

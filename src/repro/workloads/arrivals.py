@@ -29,8 +29,8 @@ cluster facade's admission-aware entry points (``offer_update`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from ..errors import WorkloadError
 from ..simulation.randomness import RandomStream
@@ -39,18 +39,22 @@ from .specs import WorkloadSpec
 
 
 def _require_positive(name: str, value: float) -> None:
-    if value <= 0.0:
+    if not value > 0.0:
         raise WorkloadError(f"{name} must be positive (got {value!r})")
 
 
-@dataclass(frozen=True)
-class PoissonArrivals:
-    """Homogeneous Poisson arrivals at ``rate`` per second."""
-
+class _Rate(NamedTuple):
     rate: float
 
-    def __post_init__(self) -> None:
-        _require_positive("rate", self.rate)
+
+class PoissonArrivals(_Rate):
+    """Homogeneous Poisson arrivals at ``rate`` per second."""
+
+    __slots__ = ()
+
+    def __new__(cls, rate: float) -> "PoissonArrivals":
+        _require_positive("rate", rate)
+        return super().__new__(cls, rate)
 
     def arrival_times(self, stream: RandomStream, horizon: float) -> List[float]:
         times: List[float] = []
@@ -129,8 +133,7 @@ class OpenLoopSpec:
         )
 
 
-@dataclass
-class OpenLoopOperation:
+class OpenLoopOperation(NamedTuple):
     """One planned open-loop offer (kept for reproducibility checks)."""
 
     procedure_name: str
@@ -140,7 +143,6 @@ class OpenLoopOperation:
     is_query: bool
 
 
-@dataclass
 class OpenLoopPlan:
     """The full offer schedule plus live admission outcome counters.
 
@@ -150,11 +152,18 @@ class OpenLoopPlan:
     on a later retry is counted by the site's metrics, not here).
     """
 
-    operations: List[OpenLoopOperation] = field(default_factory=list)
-    admitted_updates: int = 0
-    admitted_queries: int = 0
-    refused_updates: int = 0
-    refused_queries: int = 0
+    __slots__ = (
+        "operations",
+        "admitted_updates",
+        "admitted_queries",
+        "refused_updates",
+        "refused_queries",
+    )
+
+    def __init__(self) -> None:
+        self.operations: List[OpenLoopOperation] = []
+        self.admitted_updates = self.admitted_queries = 0
+        self.refused_updates = self.refused_queries = 0
 
     @property
     def update_count(self) -> int:

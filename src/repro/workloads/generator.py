@@ -10,8 +10,7 @@ systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, NamedTuple, Optional, Protocol
 
 from ..errors import WorkloadError
 from ..simulation.kernel import SimulationKernel
@@ -33,8 +32,7 @@ class ClusterLike(Protocol):
     def submit_query(self, site_id: SiteId, procedure_name: str, parameters: Dict[str, Any]): ...
 
 
-@dataclass
-class GeneratedOperation:
+class GeneratedOperation(NamedTuple):
     """One scheduled client operation (kept for reproducibility checks)."""
 
     site_id: SiteId
@@ -44,11 +42,13 @@ class GeneratedOperation:
     is_query: bool
 
 
-@dataclass
 class WorkloadPlan:
     """The full set of operations the generator scheduled."""
 
-    operations: List[GeneratedOperation] = field(default_factory=list)
+    __slots__ = ("operations",)
+
+    def __init__(self) -> None:
+        self.operations: List[GeneratedOperation] = []
 
     @property
     def update_count(self) -> int:

@@ -1,6 +1,5 @@
 """Tests for the experiment harness, result containers and reporting."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -141,7 +140,7 @@ class TestExperiments:
         def conservative_fails(config, spec):
             summary = run(config, spec)
             if config.broadcast == BROADCAST_CONSERVATIVE:
-                summary = dataclasses.replace(summary, one_copy_ok=False)
+                summary = summary._replace(one_copy_ok=False)
             return summary
 
         monkeypatch.setattr(repro.harness.cells, "run_standard_workload", conservative_fails)

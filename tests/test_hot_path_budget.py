@@ -15,8 +15,11 @@ The counts come from ``cProfile.Profile.getstats()``, which has one entry
 per code object.  ``pstats`` keys its rows by (file, line, name), every
 generated constructor shares one key, and ``Profile.snapshot_stats``
 overwrites rows with an equal key instead of adding them up, so a
-``pstats`` sum would undercount them by a varying amount.  Each count fails
-the test when it exceeds its measured value by more than 5 %.
+``pstats`` sum would undercount them by a varying amount.  Each count, and
+their sum, fails the test when it exceeds its measured value by more than
+5 %.  The sum is gated on its own because turning a generated constructor
+into a written-out one moves a call from one count to the other: the sum
+says whether the work changed.
 
 The two clusters share one 8-class workload:
 
@@ -28,8 +31,8 @@ The two clusters share one 8-class workload:
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
 CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 458.5 ``repro`` and
-25.1 generated-constructor calls per commit on ``budget``, 365.8 and 20.6
-on ``message``.  History of ``budget``'s ``repro`` calls: 1 101.0 before
+21.1 generated-constructor calls per commit on ``budget`` (479.6 together),
+365.8 and 17.6 on ``message`` (383.4).  History of ``budget``'s ``repro`` calls: 1 101.0 before
 this budget existed, 630.5 when it landed, 609.4 once frozen records
 nobody kept were gone (generated calls 48.1 → 32.1), 500.7 once multicast
 kept its resolved receivers and the run phase wrote metrics without a call
@@ -42,13 +45,19 @@ to a separate redo log and workload keys stopped being formatted per access
 query records had slots (their written-out ``__init__`` is a ``repro``
 frame, a dataclass's was generated: generated 30.1 → 25.1), the delivery
 path read the delivery timestamps instead of three properties, and class
-ids came from a cache (``message``: 374.8 / 24.6 → 365.8 / 20.6).  A
-change that adds per-commit work must raise the measured value and say
-why; one that removes work should lower it.
+ids came from a cache (``message``: 374.8 / 24.6 → 365.8 / 20.6); and
+generated calls fell to 21.1 (``message``: 17.6) once every record outside
+configuration stopped being a dataclass.  The per-site ``Transaction``'s
+written-out ``__init__`` is a ``repro`` frame where a dataclass's was
+generated, but it also absorbs the ``__post_init__`` that the generated one
+called, so ``repro`` calls stay put while one generated call per site and
+commit goes (4 on ``budget``, 3 on ``message``).  A change that adds
+per-commit work must raise the measured value and say why; one that
+removes work should lower it.
 
 The same two clusters, run without the profiler, also gate what the run
 phase *keeps*: ``sys.getallocatedblocks()`` after ``gc.collect()``, before
-and after the run, per commit, with the same 5 % tolerance.  It is 24.5 on
+and after the run, per commit, with the same 5 % tolerance.  It is 25.5 on
 ``budget`` and 21.3 on ``message`` (``PYTHONHASHSEED`` moves the second
 decimal only).  History: 80.6 / 64.4 while a separate redo log copied every
 commit's writes beside the version store and every site built its own key
@@ -58,7 +67,12 @@ record used one key tuple for its reads and writes; 24.5 / 21.3 once the
 broadcast, submission and query records had slots instead of a
 ``__dict__``, the request was a named tuple, latency samples were
 ``array('d')`` doubles and every request of a class shared one class-id
-string.
+string; 25.5 / 21.3 once the workload's ``GeneratedOperation`` was a named
+tuple.  That rise is a smaller release, not more kept: the run frees every
+scheduled operation, which now returns one block where a dataclass
+instance returned two.  Absolute blocks fell on ``budget``, with
+``PYTHONHASHSEED=0``: 133 997 → 133 084 after import, 142 772 → 140 947
+after the build and 148 651 → 147 071 after the run.
 """
 
 from __future__ import annotations
@@ -83,12 +97,12 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (458.5, 25.1),
-    "message": (365.8, 20.6),
+    "budget": (458.5, 21.1),
+    "message": (365.8, 17.6),
 }
 #: Measured retained ``sys.getallocatedblocks()`` per commit.
 MEASURED_BLOCKS_PER_COMMIT = {
-    "budget": 24.5,
+    "budget": 25.5,
     "message": 21.3,
 }
 TOLERANCE = 1.05
@@ -190,6 +204,11 @@ def _assert_within_budget(name: str, commits: int) -> None:
     assert generated_calls <= measured_generated * TOLERANCE, (
         f"{generated_calls:.1f} generated-constructor calls per commit exceeds the "
         f"budget of {measured_generated} x {TOLERANCE}"
+    )
+    measured_sum = measured_repro + measured_generated
+    assert repro_calls + generated_calls <= measured_sum * TOLERANCE, (
+        f"{repro_calls + generated_calls:.1f} repro and generated-constructor calls "
+        f"per commit exceed the budget of {measured_sum:.1f} x {TOLERANCE}"
     )
 
 

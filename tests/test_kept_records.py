@@ -1,4 +1,4 @@
-"""What a run keeps per message, request or query carries no ``__dict__``.
+"""Every mutable record outside configuration carries no ``__dict__``.
 
 Every site keeps one broadcast record per message and one submission record
 per request for the whole run; the query engine and the router keep one
@@ -6,6 +6,12 @@ record per query and per routed update, and the metrics keep every latency
 sample.  The mutable records are classes with ``__slots__``, the frozen
 request is a named tuple, and the samples are ``array('d')`` doubles, so a
 kept record costs its fields and nothing more.
+
+The rarely built mutable records — stats counters, the per-site
+transaction, plans with live counters, reports built incrementally, latency
+models — are slotted classes with a written-out ``__init__`` too, so
+importing ``repro`` generates no methods for them.  A field that was a
+dataclass ``default_factory`` gets a fresh container per instance.
 """
 
 from array import array
@@ -13,20 +19,38 @@ from array import array
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
-from repro.broadcast.interfaces import BroadcastMessage
+from repro.broadcast.interfaces import BroadcastMessage, BroadcastStats
 from repro.broadcast.optimistic import (
     OPTIMISTIC_DATA_KIND,
     OptimisticAtomicBroadcast,
     OptimisticData,
+    _PendingConfirmation,
 )
+from repro.broadcast.spontaneous import OrderAgreementReport
+from repro.chaos.orchestrator import SpikedLatency
+from repro.chaos.scenarios import ChaosRunResult
 from repro.core.execution import QueryExecution
 from repro.core.replica import SubmittedRequest
-from repro.database.transaction import TransactionRequest
+from repro.database.objects import ObjectVersion, VersionChain
+from repro.database.storage import StoreStats
+from repro.database.transaction import Transaction, TransactionRequest
+from repro.failure.crash import CrashSchedule
 from repro.metrics import MetricsCollector
 from repro.network import ConstantLatency, NetworkTransport
 from repro.network.dispatcher import SiteDispatcher
+from repro.network.latency import GeoLatency, GeoTopology, LanMulticastLatency, UniformLatency
+from repro.network.transport import TransportStats, _SiteEndpoint
+from repro.observability.registry import DerivedMetrics
+from repro.observability.trace import TraceSpan
 from repro.sharding.router import RoutedUpdate, ShardedQueryExecution, ShardSubQuery
 from repro.simulation import SimulationKernel
+from repro.verification.liveness import LivenessReport
+from repro.verification.onecopy import OneCopyReport
+from repro.verification.properties import BroadcastPropertyReport
+from repro.verification.recovery import RecoveryReport
+from repro.verification.sharded import ShardedVerificationReport
+from repro.workloads.arrivals import OpenLoopPlan
+from repro.workloads.generator import WorkloadPlan
 
 REQUEST = TransactionRequest(
     transaction_id="T:N1:1",
@@ -49,7 +73,38 @@ KEPT = [
 ]
 
 
-@pytest.mark.parametrize("record", KEPT, ids=[type(record).__name__ for record in KEPT])
+#: Builders of the rarely built mutable records.
+RARELY_BUILT = [
+    BroadcastStats,
+    lambda: _PendingConfirmation("m:N1:1", 0),
+    lambda: SpikedLatency(ConstantLatency(0.001), 0.002),
+    lambda: VersionChain("x"),
+    StoreStats,
+    lambda: Transaction(REQUEST, "N1"),
+    CrashSchedule,
+    ConstantLatency,
+    UniformLatency,
+    LanMulticastLatency,
+    lambda: GeoLatency(GeoTopology({"N1": "eu"})),
+    TransportStats,
+    lambda: _SiteEndpoint("N1", print),
+    lambda: TraceSpan("execute", "N1", "T1", start=0.0, attempt=1, attrs={}),
+    LivenessReport,
+    lambda: OneCopyReport(ok=True),
+    lambda: BroadcastPropertyReport(ok=True),
+    RecoveryReport,
+    lambda: ShardedVerificationReport(ok=True),
+    OpenLoopPlan,
+    WorkloadPlan,
+]
+RARELY_BUILT_IDS = [type(build()).__name__ for build in RARELY_BUILT]
+
+
+@pytest.mark.parametrize(
+    "record",
+    KEPT + [build() for build in RARELY_BUILT],
+    ids=[type(record).__name__ for record in KEPT] + RARELY_BUILT_IDS,
+)
 def test_kept_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
@@ -57,6 +112,33 @@ def test_kept_records_have_no_instance_dict(record):
     # Every slot is set by the constructor: reading one never fails.
     for name in getattr(type(record), "__slots__", ()):
         getattr(record, name)
+
+
+@pytest.mark.parametrize("build", RARELY_BUILT, ids=RARELY_BUILT_IDS)
+def test_two_instances_never_share_a_container(build):
+    first, second = build(), build()
+    for name in type(first).__slots__:
+        value = getattr(first, name)
+        if isinstance(value, (list, dict, set)):
+            assert value is not getattr(second, name), name
+
+
+def test_a_container_passed_explicitly_is_kept():
+    attrs, mismatches, violations, sheds = {}, {}, [], {}
+    span = TraceSpan("execute", "N1", "T1", start=0.0, attempt=1, attrs=attrs)
+    assert span.attrs is attrs
+    report = OrderAgreementReport(1, 2, 1.0, 1.0, mismatches_by_site=mismatches)
+    assert report.mismatches_by_site is mismatches
+    result = ChaosRunResult("s", 1, 0, 0, 0, (), True, True, True, violations=violations)
+    assert result.violations is violations
+    derived = DerivedMetrics(0.0, {}, {}, {}, 0.0, 0, sheds_by_cause=sheds, admitted=0,
+                             deferred=0, max_admission_queue_depth=0.0)
+    assert derived.sheds_by_cause is sheds
+    # A version chain owns its list: it keeps the versions, not the caller's list.
+    versions = [ObjectVersion("x", 1, created_index=0, created_by="T1")]
+    chain = VersionChain("x", versions)
+    assert chain.versions == versions and chain.versions is not versions
+    assert chain.visible_at(0.5) is versions[0]
 
 
 def test_latency_samples_are_a_double_array():

@@ -12,6 +12,8 @@ from repro.network.message import next_envelope_id
 from repro.simulation import SimulationKernel
 from repro.simulation.randomness import RandomSource
 
+NAN = float("nan")
+
 
 @pytest.fixture
 def stream():
@@ -26,6 +28,10 @@ class TestConstantLatency:
     def test_negative_rejected(self):
         with pytest.raises(NetworkError):
             ConstantLatency(-0.001)
+
+    def test_nan_rejected(self):
+        with pytest.raises(NetworkError):
+            ConstantLatency(NAN)
 
     def test_whole_delay_is_shared(self, stream):
         model = ConstantLatency(0.003)
@@ -45,6 +51,11 @@ class TestUniformLatency:
             UniformLatency(0.002, 0.001)
         with pytest.raises(NetworkError):
             UniformLatency(-0.001, 0.001)
+
+    @pytest.mark.parametrize("bounds", [(NAN, 0.001), (0.001, NAN)])
+    def test_nan_bounds_rejected(self, bounds):
+        with pytest.raises(NetworkError):
+            UniformLatency(*bounds)
 
     def test_whole_delay_is_per_receiver(self, stream):
         model = UniformLatency(0.0015, 0.0015)
@@ -75,6 +86,13 @@ class TestLanMulticastLatency:
             LanMulticastLatency(propagation=-1.0)
         with pytest.raises(NetworkError):
             LanMulticastLatency(receiver_jitter_mean=-0.1)
+
+    @pytest.mark.parametrize(
+        "name", ["propagation", "transmission_jitter", "receiver_jitter_mean"]
+    )
+    def test_nan_parameters_rejected(self, name):
+        with pytest.raises(NetworkError):
+            LanMulticastLatency(**{name: NAN})
 
 
 class TestGeoTopology:
@@ -185,6 +203,14 @@ class TestGeoTopology:
             LinkProfile(base=-0.001)
         with pytest.raises(NetworkError):
             LinkProfile(base=0.001, jitter=-0.1)
+
+    def test_nan_profile_rejected(self):
+        from repro.network.latency import LinkProfile
+
+        with pytest.raises(NetworkError):
+            LinkProfile(base=NAN)
+        with pytest.raises(NetworkError):
+            LinkProfile(base=0.001, jitter=NAN)
 
 
 class TestGeoLatency:

@@ -56,12 +56,19 @@ class TestPoissonArrivals:
         with pytest.raises(WorkloadError, match="rate must be positive"):
             PoissonArrivals(rate=0.0)
 
+    def test_nan_rate_rejected(self):
+        # A NaN rate makes every gap NaN: ``at >= horizon`` never holds and
+        # arrival_times() would never return.
+        with pytest.raises(WorkloadError, match="rate must be positive"):
+            PoissonArrivals(rate=float("nan"))
+
 
 class TestOpenLoopSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"horizon": 0.0},
+            {"horizon": float("nan")},
             {"class_count": 0},
             {"objects_per_class": 0},
             {"query_fraction": 1.5},

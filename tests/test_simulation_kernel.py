@@ -50,6 +50,25 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             kernel.schedule_at(0.5, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN in the heap compares false both ways and silently breaks the
+        # time order of the events around it.
+        kernel = SimulationKernel()
+        times = []
+        for delay in (0.005, 0.004, float("nan"), 0.003, 0.002, 0.001):
+            try:
+                kernel.schedule(delay, lambda: times.append(kernel.now()))
+            except SimulationError:
+                pass
+        kernel.run_until_idle()
+        assert times == [0.001, 0.002, 0.003, 0.004, 0.005]
+
+    def test_schedule_at_nan_rejected(self):
+        kernel = SimulationKernel()
+        with pytest.raises(SimulationError):
+            kernel.schedule_at(float("nan"), lambda: None)
+        assert kernel.run_until_idle() == 0
+
     def test_nested_scheduling_from_callbacks(self):
         kernel = SimulationKernel()
         seen = []
