@@ -179,7 +179,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         #: its own in ``BroadcastMessage.local_position``.
         self._next_local_position = 0
         self._positions: Dict[int, MessageId] = {}
-        self._ordered_messages: Set[MessageId] = set()
+        #: Messages this endpoint ordered or saw ordered, kept only once it
+        #: coordinates: until then it would equal ``set(_positions.values())``,
+        #: from which ``_coordinator_handle`` seeds it.
+        self._ordered_messages: Optional[Set[MessageId]] = None
         self._next_position_to_assign = 0
         self._next_position_to_deliver = 0
         self._pending_confirmations: Dict[MessageId, _PendingConfirmation] = {}
@@ -244,8 +247,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 if record.local_position is not None
             )
             for _, message_id in received:
-                if message_id not in self._ordered_messages:
-                    self._coordinator_handle(message_id)
+                self._coordinator_handle(message_id)
 
     @property
     def next_position_to_assign(self) -> int:
@@ -285,7 +287,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         self._messages.clear()
         self._next_local_position = 0
         self._positions.clear()
-        self._ordered_messages.clear()
+        self._ordered_messages = None
         self._pending_confirmations.clear()
         self._noop_positions.clear()
         self._next_position_to_assign = 0
@@ -319,7 +321,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._noop_positions.update(donor._noop_positions)
             for record in self._copy_donor_order(donor, committed_through):
                 self._receive_locally(record)
-            self._ordered_messages.update(self._positions.values())
+            if self._ordered_messages is not None:
+                self._ordered_messages.update(self._positions.values())
         # A recovered site promoted straight back into the coordinator role
         # (whole-group outage) must order whatever it just copied.
         self._order_unconfirmed()
@@ -407,9 +410,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
 
     # --------------------------------------------------------- coordination
     def _coordinator_handle(self, message_id: MessageId) -> None:
-        if message_id in self._ordered_messages:
-            return
-        if message_id in self._pending_confirmations:
+        ordered = self._ordered_messages
+        if ordered is None:
+            ordered = self._ordered_messages = set(self._positions.values())
+        if message_id in ordered or message_id in self._pending_confirmations:
             return
         position = self._next_position_to_assign
         self._next_position_to_assign += 1
@@ -431,7 +435,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         self._maybe_release(pending)
 
     def _release_confirmation(self, message_id: MessageId, position: int) -> None:
-        self._ordered_messages.add(message_id)
+        # Every release follows a ``_coordinator_handle``, which seeded the set.
+        self._ordered_messages.add(message_id)  # type: ignore[union-attr]
         self.stats.control_messages += 1
         self.transport.multicast(
             self.site_id,
@@ -497,7 +502,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if content.position in self._positions:
             return True
         self._positions[content.position] = content.message_id
-        self._ordered_messages.add(content.message_id)
+        if self._ordered_messages is not None:
+            self._ordered_messages.add(content.message_id)
         if content.position >= self._next_position_to_assign:
             self._next_position_to_assign = content.position + 1
         self._try_to_deliver()

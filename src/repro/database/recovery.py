@@ -69,15 +69,23 @@ class RedoLog:
             records.append((committed, versions))
         return records
 
+    def holds(self, committed: CommittedTransaction, key: ObjectKey) -> bool:
+        """Whether the store holds the version of ``key`` that ``committed``
+        created: the one visible at its index, if ``committed`` created it.
+
+        Asks the chain for the writer at that index, building no record.
+        """
+        writer = self._store.writer_at(key, committed.global_index)
+        return writer == committed.transaction_id
+
     def version_of(
         self, committed: CommittedTransaction, key: ObjectKey
     ) -> Optional[ObjectVersion]:
-        """The version of ``key`` that ``committed`` created: the one visible
-        at its index, if ``committed`` created it (``None`` otherwise)."""
-        version = self._store.version_at(key, committed.global_index)
-        if version is None or version.created_by != committed.transaction_id:
+        """The version of ``key`` that ``committed`` created (``None`` when
+        the store no longer holds it; see :meth:`holds`)."""
+        if not self.holds(committed, key):
             return None
-        return version
+        return self._store.version_at(key, committed.global_index)
 
     def __len__(self) -> int:
         """The number of committed writes recorded (not commits)."""

@@ -1,6 +1,7 @@
 """In-memory multi-version object store (one per replica site).
 
-The store only ever contains *committed* versions.  Executing transactions
+The store only ever contains *committed* versions, kept as columns by each
+object's :class:`~repro.database.objects.VersionChain`.  Executing transactions
 buffer their writes in a private workspace (see
 :mod:`repro.core.execution`); the workspace is installed atomically at commit
 time, or simply discarded on abort; the discard is the whole undo.
@@ -39,15 +40,8 @@ class MultiVersionStore:
         """Install an initial version of ``key`` (index ``INITIAL_INDEX``)."""
         chain = self._chains.get(key)
         if chain is None:
-            chain = self._chains[key] = VersionChain(key=key)
-        chain.append(
-            ObjectVersion(
-                key=key,
-                value=value,
-                created_index=self.INITIAL_INDEX,
-                created_by="__initial__",
-            )
-        )
+            chain = self._chains[key] = VersionChain(key)
+        chain.add(value, self.INITIAL_INDEX, "__initial__")
 
     def load_many(self, items: Dict[ObjectKey, ObjectValue]) -> None:
         """Install initial versions for every ``key: value`` pair."""
@@ -67,10 +61,7 @@ class MultiVersionStore:
     def read_latest(self, key: ObjectKey) -> ObjectValue:
         """Return a copy of the latest committed value of ``key``."""
         self.stats.reads += 1
-        version = self._chain(key).latest()
-        if version is None:
-            raise UnknownObjectError(f"object {key!r} has no committed version")
-        return version.copy_value()
+        return self._chain(key).read_latest()
 
     def read_version(self, key: ObjectKey, max_index: float) -> ObjectValue:
         """Return a copy of the value of ``key`` visible at ``max_index``.
@@ -79,26 +70,28 @@ class MultiVersionStore:
         transaction with the greatest index ``<= max_index``.
         """
         self.stats.snapshot_reads += 1
-        version = self._chain(key).visible_at(max_index)
-        if version is None:
-            raise UnknownObjectError(
-                f"object {key!r} has no version visible at index {max_index!r}"
-            )
-        return version.copy_value()
+        return self._chain(key).read_at(max_index)
 
     def latest_version(self, key: ObjectKey) -> Optional[ObjectVersion]:
-        """Return the latest :class:`ObjectVersion` record (or ``None``)."""
+        """Return the latest :class:`ObjectVersion` record (or ``None``),
+        built on request."""
         chain = self._chains.get(key)
         return chain.latest() if chain else None
 
     def version_at(self, key: ObjectKey, max_index: float) -> Optional[ObjectVersion]:
         """Return the :class:`ObjectVersion` of ``key`` visible at ``max_index``.
 
-        The record behind :meth:`read_version`, without copying the value or
-        counting a snapshot read (``None`` when there is none).
+        The record behind :meth:`read_version`, built on request, without
+        copying the value or counting a snapshot read (``None`` when there
+        is none).
         """
         chain = self._chains.get(key)
         return chain.visible_at(max_index) if chain else None
+
+    def writer_at(self, key: ObjectKey, max_index: float) -> Optional[TransactionId]:
+        """The ``created_by`` of :meth:`version_at`'s record, without building it."""
+        chain = self._chains.get(key)
+        return chain.writer_at(max_index) if chain else None
 
     def version_count(self, key: ObjectKey) -> int:
         """Number of committed versions currently retained for ``key``."""
@@ -114,21 +107,13 @@ class MultiVersionStore:
         created_index: int,
         created_by: TransactionId,
         created_at: float = 0.0,
-    ) -> ObjectVersion:
-        """Install a new committed version of ``key`` and return it."""
+    ) -> None:
+        """Install a new committed version of ``key``."""
         self.stats.writes += 1
         chain = self._chains.get(key)
         if chain is None:
-            chain = self._chains[key] = VersionChain(key=key)
-        version = ObjectVersion(
-            key=key,
-            value=value,
-            created_index=created_index,
-            created_by=created_by,
-            created_at=created_at,
-        )
-        chain.append(version)
-        return version
+            chain = self._chains[key] = VersionChain(key)
+        chain.add(value, created_index, created_by, created_at)
 
     # ------------------------------------------------------------ maintenance
     def prune(self, min_index: int, *, keep_at_least: int = 1) -> int:
@@ -149,9 +134,9 @@ class MultiVersionStore:
         selected = list(keys) if keys is not None else self.keys()
         result: Dict[ObjectKey, ObjectValue] = {}
         for key in selected:
-            version = self._chain(key).latest()
-            if version is not None:
-                result[key] = version.copy_value()
+            chain = self._chain(key)
+            if len(chain):
+                result[key] = chain.read_latest()
         return result
 
     # -------------------------------------------------------------- internal

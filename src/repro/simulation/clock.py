@@ -7,6 +7,8 @@ makes every experiment deterministic and repeatable.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ClockError
 
 
@@ -18,8 +20,9 @@ class VirtualClock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ClockError(f"clock cannot start at negative time {start!r}")
+        # A NaN start fails both comparisons, so it is rejected too.
+        if not 0.0 <= start < math.inf:
+            raise ClockError(f"clock must start at a finite time >= 0, not {start!r}")
         self._now = float(start)
 
     def now(self) -> float:
@@ -29,10 +32,10 @@ class VirtualClock:
     def advance_to(self, timestamp: float) -> None:
         """Advance the clock to ``timestamp``.
 
-        Raises :class:`ClockError` if the timestamp lies in the past; the
-        simulation kernel never rewinds time.
+        Raises :class:`ClockError` if the timestamp lies in the past or is
+        NaN; the simulation kernel never rewinds time.
         """
-        if timestamp < self._now:
+        if not timestamp >= self._now:
             raise ClockError(
                 f"cannot move clock backwards from {self._now!r} to {timestamp!r}"
             )

@@ -69,11 +69,14 @@ class RandomStream:
         """Draw an index in ``[0, size)`` following a Zipf-like distribution.
 
         ``skew == 0`` degenerates to a uniform choice.  Used by the workload
-        generator to produce hot conflict classes.
+        generator to produce hot conflict classes.  A negative or NaN skew is
+        rejected: NaN weights would send every draw to the last index.
         """
         if size <= 0:
             raise ValueError("size must be positive")
-        if skew <= 0.0:
+        if not skew >= 0.0:
+            raise ValueError(f"skew must be >= 0, not {skew!r}")
+        if skew == 0.0:
             return self._rng.randrange(size)
         weights = [1.0 / ((rank + 1) ** skew) for rank in range(size)]
         total = sum(weights)

@@ -26,7 +26,7 @@ class PeriodicTimer:
         label: str = "periodic",
         start_immediately: bool = False,
     ) -> None:
-        if interval <= 0.0:
+        if not interval > 0.0:
             raise SimulationError("periodic timer interval must be positive")
         self._kernel = kernel
         self._interval = interval
@@ -58,7 +58,7 @@ class PeriodicTimer:
 
     def reschedule(self, interval: float) -> None:
         """Change the interval; takes effect immediately."""
-        if interval <= 0.0:
+        if not interval > 0.0:
             raise SimulationError("periodic timer interval must be positive")
         self._interval = interval
         if self._running:

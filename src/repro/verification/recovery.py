@@ -97,7 +97,7 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
             (committed.transaction_id, key, committed.global_index)
             for committed in replica.history.committed_transactions()
             for key in committed.write_keys
-            if replica.redo_log.version_of(committed, key) is None
+            if not replica.redo_log.holds(committed, key)
         ]
         if missing:
             report._violate(

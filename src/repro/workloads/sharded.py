@@ -86,8 +86,8 @@ class ShardedWorkloadSpec:
             raise WorkloadError("query_span must be at least 1")
         if self.operations_per_update < 1:
             raise WorkloadError("operations_per_update must be at least 1")
-        if self.class_skew < 0.0:
-            raise WorkloadError("class_skew cannot be negative")
+        if not self.class_skew >= 0.0:
+            raise WorkloadError(f"class_skew must be >= 0, not {self.class_skew!r}")
 
     @property
     def class_count(self) -> int:

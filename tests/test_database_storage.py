@@ -1,7 +1,9 @@
 """Tests for versioned objects, the multi-version store and snapshots."""
 
+import copy
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.database import MultiVersionStore, ObjectVersion, SnapshotManager, VersionChain
@@ -48,6 +50,29 @@ class TestVersionChain:
         assert len(chain) == 1
         assert chain.latest().value == 4
 
+    def test_constructor_rejects_versions_out_of_index_order(self):
+        # Trusted, these answered visible_at(4) with "a" and latest() with "b".
+        versions = [
+            ObjectVersion("x", "a", created_index=1, created_by="T1"),
+            ObjectVersion("x", "c", created_index=5, created_by="T5"),
+            ObjectVersion("x", "b", created_index=3, created_by="T3"),
+        ]
+        with pytest.raises(DatabaseError):
+            VersionChain("x", versions)
+
+    def test_constructor_rejects_a_version_of_another_key(self):
+        with pytest.raises(DatabaseError):
+            VersionChain("x", [ObjectVersion("y", 1, created_index=0, created_by="T0")])
+
+    @pytest.mark.parametrize("earlier", [(), (0,)])
+    def test_nan_index_rejected(self, earlier):
+        # NaN compares false both ways, so a ``<`` check let it through and
+        # broke the bisection of every later read.
+        chain = VersionChain("x", [ObjectVersion("x", 0, index, "T0") for index in earlier])
+        with pytest.raises(DatabaseError):
+            chain.append(ObjectVersion("x", 1, created_index=float("nan"), created_by="T1"))
+        assert len(chain) == len(earlier)
+
     def test_prune_invalid_keep_rejected(self):
         with pytest.raises(DatabaseError):
             VersionChain(key="x").prune_before(1, keep_at_least=0)
@@ -62,7 +87,8 @@ class TestVersionChain:
 
         def check(chain):
             for doubled in range(-3, 20):
-                assert chain.visible_at(doubled / 2) is scan(chain, doubled / 2)
+                # Records are built on request: equal in all five fields.
+                assert chain.visible_at(doubled / 2) == scan(chain, doubled / 2)
 
         initial = [ObjectVersion("x", "loaded", created_index=-1, created_by="__initial__")]
         chain = VersionChain(key="x", versions=initial)
@@ -75,6 +101,117 @@ class TestVersionChain:
         assert chain.prune_before(3, keep_at_least=2) == 4
         check(chain)
         assert chain.visible_at(2.5) is None
+
+
+class _ListChain:
+    """Reference layout: a plain list of :class:`ObjectVersion` records."""
+
+    def __init__(self):
+        self.versions = []
+
+    def visible_at(self, max_index):
+        visible = None
+        for version in self.versions:
+            if version.created_index <= max_index:
+                visible = version
+        return visible
+
+    def prune_before(self, min_index, keep_at_least):
+        older = sum(1 for version in self.versions if version.created_index < min_index)
+        removed = max(0, min(older, len(self.versions) - keep_at_least))
+        del self.versions[:removed]
+        return removed
+
+
+def _mutate_deeply(value):
+    """Change a list or dict value inside its first nested list, else at the top."""
+    items = value.values() if isinstance(value, dict) else value
+    inner = next((item for item in items if isinstance(item, list)), None)
+    if inner is not None:
+        inner.append(99)
+    elif isinstance(value, dict):
+        value["z"] = [99]
+    else:
+        value.append([99])
+
+
+_VALUES = st.one_of(
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.lists(st.integers(), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.lists(st.integers(), max_size=2), max_size=2),
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), st.sampled_from("ab"), st.integers(0, 3), _VALUES),
+        st.tuples(st.just("prune"), st.integers(-1, 12), st.integers(1, 3)),
+    ),
+    max_size=25,
+)
+
+
+class TestColumnLayout:
+    """The column chain and the store answer as a list of records would."""
+
+    @given(initial=_VALUES, steps=_STEPS)
+    @example(
+        initial=[[0]],
+        steps=[("install", "a", 0, [[1]]), ("install", "a", 0, {"x": [2]}), ("prune", 0, 1)],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chain_and_store_match_a_list_of_records(self, initial, steps):
+        store = MultiVersionStore()
+        store.load("a", initial)
+        first = ObjectVersion("a", copy.deepcopy(initial), -1, "__initial__")
+        chains = {"a": VersionChain("a", [first]), "b": VersionChain("b")}
+        references = {"a": _ListChain(), "b": _ListChain()}
+        references["a"].versions.append(first)
+        last_index = {"a": 0, "b": 0}
+        for step in steps:
+            if step[0] == "install":
+                _, key, step_size, value = step
+                index = last_index[key] = last_index[key] + step_size
+                writer, at = f"T{index}", index / 10
+                store.install(key, value, created_index=index, created_by=writer, created_at=at)
+                chains[key].append(ObjectVersion(key, value, index, writer, at))
+                # A deep copy: a read that leaked the stored object would
+                # mutate the reference too, and compare equal regardless.
+                references[key].versions.append(
+                    ObjectVersion(key, copy.deepcopy(value), index, writer, at)
+                )
+            else:
+                _, min_index, keep = step
+                expected = [references[key].prune_before(min_index, keep) for key in "ab"]
+                assert [chains[key].prune_before(min_index, keep) for key in "ab"] == expected
+                assert store.prune(min_index, keep_at_least=keep) == sum(expected)
+            self._check(store, chains, references, max(last_index.values()))
+
+    @staticmethod
+    def _check(store, chains, references, top_index):
+        latest = {}
+        for key, reference in references.items():
+            chain, versions = chains[key], reference.versions
+            assert chain.versions == versions
+            assert len(chain) == store.version_count(key) == len(versions)
+            newest = versions[-1] if versions else None
+            assert chain.latest() == store.latest_version(key) == newest
+            if newest is not None:
+                latest[key] = newest.value
+                assert store.read_latest(key) == newest.value
+            for doubled in range(-4, 2 * top_index + 4):
+                at = doubled / 2
+                visible = reference.visible_at(at)
+                assert chain.visible_at(at) == store.version_at(key, at) == visible
+                if visible is None:
+                    assert store.writer_at(key, at) is None
+                    continue
+                assert store.writer_at(key, at) == visible.created_by
+                value = store.read_version(key, at)
+                assert value == visible.value
+                if isinstance(value, (list, dict)):
+                    # Later reads of the same version see none of this.
+                    _mutate_deeply(value)
+        assert store.dump_latest() == latest
 
 
 class TestMultiVersionStore:

@@ -30,9 +30,9 @@ The two clusters share one 8-class workload:
   stopped, then drained — the message path.
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
-CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 458.5 ``repro`` and
-21.1 generated-constructor calls per commit on ``budget`` (479.6 together),
-365.8 and 17.6 on ``message`` (383.4).  History of ``budget``'s ``repro`` calls: 1 101.0 before
+CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 450.3 ``repro`` and
+13.1 generated-constructor calls per commit on ``budget`` (463.4 together),
+359.6 and 11.6 on ``message`` (371.2).  History of ``budget``'s ``repro`` calls: 1 101.0 before
 this budget existed, 630.5 when it landed, 609.4 once frozen records
 nobody kept were gone (generated calls 48.1 → 32.1), 500.7 once multicast
 kept its resolved receivers and the run phase wrote metrics without a call
@@ -51,14 +51,18 @@ configuration stopped being a dataclass.  The per-site ``Transaction``'s
 written-out ``__init__`` is a ``repro`` frame where a dataclass's was
 generated, but it also absorbs the ``__post_init__`` that the generated one
 called, so ``repro`` calls stay put while one generated call per site and
-commit goes (4 on ``budget``, 3 on ``message``).  A change that adds
+commit goes (4 on ``budget``, 3 on ``message``).  ``budget``'s ``repro``
+calls fell to 450.3 and its generated calls to 13.1 (``message``: 359.6 /
+11.6) once version chains kept columns: an install appends four fields
+instead of building an ``ObjectVersion``, and a read copies the value
+straight from its column.  A change that adds
 per-commit work must raise the measured value and say why; one that
 removes work should lower it.
 
 The same two clusters, run without the profiler, also gate what the run
 phase *keeps*: ``sys.getallocatedblocks()`` after ``gc.collect()``, before
-and after the run, per commit, with the same 5 % tolerance.  It is 25.5 on
-``budget`` and 21.3 on ``message`` (``PYTHONHASHSEED`` moves the second
+and after the run, per commit, with the same 5 % tolerance.  It is 17.5 on
+``budget`` and 15.3 on ``message`` (``PYTHONHASHSEED`` moves the second
 decimal only).  History: 80.6 / 64.4 while a separate redo log copied every
 commit's writes beside the version store and every site built its own key
 strings; 52.5 / 43.3 once the store was the redo log and the workload's keys
@@ -72,7 +76,9 @@ tuple.  That rise is a smaller release, not more kept: the run frees every
 scheduled operation, which now returns one block where a dataclass
 instance returned two.  Absolute blocks fell on ``budget``, with
 ``PYTHONHASHSEED=0``: 133 997 → 133 084 after import, 142 772 → 140 947
-after the build and 148 651 → 147 071 after the run.
+after the build and 148 651 → 147 071 after the run.  17.5 / 15.3 once a
+version chain kept its versions as columns instead of one record each, and
+followers stopped mirroring their position map in an ordered-message set.
 """
 
 from __future__ import annotations
@@ -97,13 +103,13 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (458.5, 21.1),
-    "message": (365.8, 17.6),
+    "budget": (450.3, 13.1),
+    "message": (359.6, 11.6),
 }
 #: Measured retained ``sys.getallocatedblocks()`` per commit.
 MEASURED_BLOCKS_PER_COMMIT = {
-    "budget": 25.5,
-    "message": 21.3,
+    "budget": 17.5,
+    "message": 15.3,
 }
 TOLERANCE = 1.05
 

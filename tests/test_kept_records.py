@@ -14,6 +14,7 @@ importing ``repro`` generates no methods for them.  A field that was a
 dataclass ``default_factory`` gets a fresh container per instance.
 """
 
+import gc
 from array import array
 
 import pytest
@@ -49,6 +50,13 @@ from repro.verification.onecopy import OneCopyReport
 from repro.verification.properties import BroadcastPropertyReport
 from repro.verification.recovery import RecoveryReport
 from repro.verification.sharded import ShardedVerificationReport
+from repro.workloads import (
+    WorkloadGenerator,
+    WorkloadSpec,
+    build_conflict_map,
+    build_initial_data,
+    build_partitioned_registry,
+)
 from repro.workloads.arrivals import OpenLoopPlan
 from repro.workloads.generator import WorkloadPlan
 
@@ -134,11 +142,57 @@ def test_a_container_passed_explicitly_is_kept():
     derived = DerivedMetrics(0.0, {}, {}, {}, 0.0, 0, sheds_by_cause=sheds, admitted=0,
                              deferred=0, max_admission_queue_depth=0.0)
     assert derived.sheds_by_cause is sheds
-    # A version chain owns its list: it keeps the versions, not the caller's list.
+    # A version chain owns its columns: it keeps the versions' fields, not
+    # the caller's list, and builds records equal in all five fields.
     versions = [ObjectVersion("x", 1, created_index=0, created_by="T1")]
     chain = VersionChain("x", versions)
     assert chain.versions == versions and chain.versions is not versions
-    assert chain.visible_at(0.5) is versions[0]
+    assert chain.visible_at(0.5) == versions[0]
+
+
+def test_a_version_chain_keeps_its_versions_in_columns_set_by_init():
+    version = ObjectVersion("x", [1], created_index=0, created_by="T1", created_at=0.5)
+    for chain in (VersionChain("x"), VersionChain("x", [version])):
+        columns = [getattr(chain, name) for name in VersionChain.__slots__ if name != "key"]
+        assert len(columns) == 4
+        assert all(type(column) is list and len(column) == len(chain) for column in columns)
+    # The one record it was given is not kept: it is rebuilt on request.
+    assert chain.latest() == version and chain.latest() is not version
+
+
+def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
+    # The benchmark's flat_update cell: 4 sites, 8 classes, 400 updates a site.
+    spec = WorkloadSpec(
+        class_count=8,
+        objects_per_class=20,
+        updates_per_site=400,
+        update_interval=0.001,
+        update_duration=0.0005,
+    )
+    cluster = ReplicatedDatabase(
+        ClusterConfig(site_count=4, seed=11),
+        build_partitioned_registry(spec),
+        conflict_map=build_conflict_map(spec),
+        initial_data=build_initial_data(spec),
+    )
+    WorkloadGenerator(spec).apply(cluster)
+    cluster.run_until_idle()
+    commits = max(cluster.committed_counts().values())
+    assert commits == 1600
+    gc.collect()
+    # A version chain keeps columns; a record lives only while a caller holds it.
+    assert sum(1 for obj in gc.get_objects() if type(obj) is ObjectVersion) == 0
+    coordinator = cluster.coordinator_site()
+    for site_id in cluster.site_ids():
+        endpoint = cluster.broadcast_endpoint(site_id)
+        per_message_sets = [
+            name
+            for name, value in vars(endpoint).items()
+            if isinstance(value, (set, frozenset)) and len(value) >= commits
+        ]
+        # Only the coordinator remembers what it ordered; a follower's
+        # position map already says it.
+        assert per_message_sets == (["_ordered_messages"] if site_id == coordinator else [])
 
 
 def test_latency_samples_are_a_double_array():

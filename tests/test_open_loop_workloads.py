@@ -74,6 +74,7 @@ class TestOpenLoopSpec:
             {"query_fraction": 1.5},
             {"query_span": 0},
             {"class_skew": -1.0},
+            {"class_skew": float("nan")},
             {"operations_per_update": 0},
         ],
     )

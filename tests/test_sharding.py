@@ -100,6 +100,7 @@ class TestShardedWorkloadSpec:
             {"query_span": 0},
             {"operations_per_update": 0},
             {"class_skew": -0.5},
+            {"class_skew": float("nan")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -23,6 +23,17 @@ class TestVirtualClock:
         with pytest.raises(ClockError):
             VirtualClock(-1.0)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_rejects_nan_and_infinite_start(self, start):
+        with pytest.raises(ClockError):
+            VirtualClock(start)
+
+    def test_cannot_advance_to_nan(self):
+        clock = VirtualClock(1.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(float("nan"))
+        assert clock.now() == 1.0
+
     def test_advances_forward(self):
         clock = VirtualClock()
         clock.advance_to(2.5)

@@ -63,6 +63,12 @@ class TestScheduling:
         kernel.run_until_idle()
         assert times == [0.001, 0.002, 0.003, 0.004, 0.005]
 
+    def test_nan_start_time_rejected(self):
+        # A NaN clock makes every event time NaN: the heap then runs events
+        # in insertion order, with now() NaN throughout.
+        with pytest.raises(SimulationError):
+            SimulationKernel(start_time=float("nan"))
+
     def test_schedule_at_nan_rejected(self):
         kernel = SimulationKernel()
         with pytest.raises(SimulationError):
@@ -250,6 +256,14 @@ class TestPeriodicTimer:
         kernel = SimulationKernel()
         with pytest.raises(SimulationError):
             PeriodicTimer(kernel, 0.0, lambda: None)
+
+    def test_rejects_nan_interval_at_construction(self):
+        kernel = SimulationKernel()
+        with pytest.raises(SimulationError):
+            PeriodicTimer(kernel, float("nan"), lambda: None)
+        timer = PeriodicTimer(kernel, 0.1, lambda: None)
+        with pytest.raises(SimulationError):
+            timer.reschedule(float("nan"))
 
     def test_double_start_is_idempotent(self):
         kernel = SimulationKernel()

@@ -159,6 +159,13 @@ class TestZipf:
         with pytest.raises(ValueError):
             stream.zipf_index(0, 1.0)
 
+    def test_nan_skew_rejected(self):
+        # NaN weights fail every cumulative comparison, so each draw would
+        # fall through to the last index.
+        stream = RandomSource(5).stream("z4")
+        with pytest.raises(ValueError):
+            stream.zipf_index(5, float("nan"))
+
     @given(size=st.integers(min_value=1, max_value=50), skew=st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=60, deadline=None)
     def test_zipf_index_always_in_range(self, size, skew):

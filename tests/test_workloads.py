@@ -41,6 +41,7 @@ class TestWorkloadSpec:
             {"query_span": 0},
             {"operations_per_update": 0},
             {"class_skew": -1.0},
+            {"class_skew": float("nan")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
