@@ -1,14 +1,12 @@
 """Finding records emitted by lint rules.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are value objects: hashable, ordered by location, and serialisable to the
-JSON schema the CLI emits (``tools/lint.py --format json``).
+are value objects: hashable and ordered by location.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -16,9 +14,10 @@ class Finding:
     """One rule violation at ``path:line:column``.
 
     ``path`` is the path as displayed to the user (relative to the invocation
-    directory), ``scope_path`` the path relative to the linted tree root —
+    directory), ``scope_path`` the path relative to the package root —
     rules match allowlists against the latter so results do not depend on
-    where the CLI was invoked from.
+    where the CLI was invoked from or which directory it was pointed at.
+    ``source`` is the offending line, stripped.
     """
 
     path: str
@@ -28,22 +27,12 @@ class Finding:
     message: str
     hint: str = field(default="", compare=False)
     scope_path: str = field(default="", compare=False)
+    source: str = field(default="", compare=False)
 
     @property
     def location(self) -> str:
         """``path:line:column`` — the clickable anchor used in text output."""
         return f"{self.path}:{self.line}:{self.column}"
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-schema form (see ``docs/analysis.md`` for the contract)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
     def render(self) -> str:
         """One-line text form: location, rule tag, message, optional hint."""

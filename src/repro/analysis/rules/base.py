@@ -14,13 +14,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 class Rule:
     """One invariant, checked over one module at a time.
 
-    Subclasses set :attr:`name` (the tag used in findings, pragmas and the
-    baseline) and :attr:`description` (one line for ``--list-rules`` and the
-    docs), and implement :meth:`check`.
+    Subclasses set :attr:`name` (the tag used in findings and in the
+    allowed-findings map) and implement :meth:`check`; ``docs/analysis.md``
+    catalogues each rule's invariant.
     """
 
     name: str = ""
-    description: str = ""
 
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         raise NotImplementedError

@@ -49,10 +49,6 @@ def _marker_lines(text: str) -> List[int]:
 
 class KernelHotPathAllocationRule(Rule):
     name = "kernel-hot-path-allocation"
-    description = (
-        "loops marked `# repro: hot-path` may not allocate per iteration "
-        "(comprehensions, dict()/list(), f-strings, .format)"
-    )
 
     def _loop_after(self, tree: ast.Module, marker_line: int) -> ast.AST:
         best = None

@@ -117,10 +117,6 @@ def _class_set_attrs(class_node: ast.ClassDef) -> Set[str]:
 
 class NoUnorderedIterationRule(Rule):
     name = "no-unordered-iteration"
-    description = (
-        "ordering-sensitive iteration over sets in simulation/, broadcast/, "
-        "core/, workloads/ must go through sorted(...)"
-    )
 
     def __init__(self, scoped_packages: Sequence[str] = DEFAULT_SCOPED_PACKAGES) -> None:
         self.scoped_packages = tuple(scoped_packages)

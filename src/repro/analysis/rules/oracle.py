@@ -10,7 +10,8 @@ replicas, and the explicit recovery donor path — code may not:
 * dereference a peer handed in as ``donor``/``peer`` (or iterate ``peers``),
 * reach through a site registry into a peer's private state
   (``cluster.replicas[x]._anything``),
-* consult the crash manager's ground truth (``is_up``/``up_sites``).
+* consult the crash manager's ground truth (``is_up``/``up_sites``), or
+  the transport's (``is_site_up``, on any receiver).
 
 The donor path is a *declared* allowlist of function names
 (:data:`DEFAULT_DONOR_FUNCTIONS`): recovery is the one sanctioned moment a
@@ -62,6 +63,9 @@ _SITE_COLLECTIONS = ("replicas", "sites", "endpoints", "schedulers", "_sites")
 #: Crash-manager methods that reveal ground-truth liveness.
 _ORACLE_METHODS = ("is_up", "up_sites", "down_sites")
 
+#: The transport's liveness flag: the same ground truth, whatever holds it.
+_TRANSPORT_ORACLE = "is_site_up"
+
 _HINT = (
     "sites may only learn about each other through delivered messages; use "
     "the transport, a failure detector, or the declared recovery donor path "
@@ -71,11 +75,6 @@ _HINT = (
 
 class NoCrossSiteOracleRule(Rule):
     name = "no-cross-site-oracle"
-    description = (
-        "outside network/chaos/verification and the declared recovery "
-        "allowlist, code may not dereference another site's state or "
-        "consult ground-truth liveness"
-    )
 
     def __init__(
         self,
@@ -127,19 +126,24 @@ class NoCrossSiteOracleRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr in _ORACLE_METHODS):
+            if not isinstance(func, ast.Attribute):
                 continue
-            receiver = func.value
-            receiver_name = dotted_name(receiver) or ""
-            if "crash_manager" in receiver_name or receiver_name.endswith("crash"):
-                yield module.finding(
-                    node,
-                    self.name,
-                    f"`{receiver_name}.{func.attr}(...)` consults the crash "
-                    "manager's ground truth (the PR 7 oracle bug class)",
-                    hint="use a failure detector (repro.failure.detector) or "
-                    "quorum suspicion (repro.failure.suspicion) instead",
-                )
+            receiver_name = dotted_name(func.value) or ""
+            if func.attr == _TRANSPORT_ORACLE:
+                reads = "reads the transport's ground-truth liveness"
+            elif func.attr in _ORACLE_METHODS and (
+                "crash_manager" in receiver_name or receiver_name.endswith("crash")
+            ):
+                reads = "consults the crash manager's ground truth (the PR 7 oracle bug class)"
+            else:
+                continue
+            yield module.finding(
+                node,
+                self.name,
+                f"`{receiver_name}.{func.attr}(...)` {reads}",
+                hint="use a failure detector (repro.failure.detector) or "
+                "quorum suspicion (repro.failure.suspicion) instead",
+            )
 
     # --------------------------------------------------------------- driving
     def check(self, module: "ModuleSource") -> Iterator[Finding]:

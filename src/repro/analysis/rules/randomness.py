@@ -30,10 +30,6 @@ _HINT = (
 
 class SeededRandomnessRule(Rule):
     name = "seeded-randomness-only"
-    description = (
-        "module-level random.* and unseeded random.Random() are banned; "
-        "randomness must come from RandomStream"
-    )
 
     def __init__(self, allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES) -> None:
         self.allowed_modules = tuple(allowed_modules)

@@ -82,10 +82,6 @@ def _terminates(body: List[ast.stmt]) -> bool:
 
 class TracerGuardRule(Rule):
     name = "tracer-guard"
-    description = (
-        "calls through a `tracer` receiver must be dominated by a "
-        "`tracer is not None` guard"
-    )
 
     def __init__(self, allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES) -> None:
         self.allowed_modules = tuple(allowed_modules)

@@ -44,10 +44,6 @@ DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = (
 
 class NoWallclockRule(Rule):
     name = "no-wallclock"
-    description = (
-        "time.time/monotonic/perf_counter and datetime.now are banned outside "
-        "the declared observability wall-clock boundary"
-    )
 
     def __init__(self, allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES) -> None:
         self.allowed_modules = tuple(allowed_modules)

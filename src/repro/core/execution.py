@@ -120,10 +120,6 @@ class ExecutionEngine:
                 return True
         return False
 
-    def is_executing(self, transaction_id: TransactionId) -> bool:
-        """Whether the transaction currently occupies a CPU slot."""
-        return transaction_id in self._running
-
     def is_submitted(self, transaction_id: TransactionId) -> bool:
         """Whether the transaction is running or waiting for a CPU slot."""
         if transaction_id in self._running:
@@ -134,16 +130,6 @@ class ExecutionEngine:
             queued.transaction.transaction_id == transaction_id
             for queued in self._cpu_queue
         )
-
-    @property
-    def running_count(self) -> int:
-        """Number of transactions currently executing."""
-        return len(self._running)
-
-    @property
-    def queued_count(self) -> int:
-        """Number of transactions waiting for a CPU slot."""
-        return len(self._cpu_queue)
 
     def crash_reset(self) -> int:
         """Cancel every running and queued execution (the site crashed).

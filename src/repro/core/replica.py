@@ -29,9 +29,6 @@ from ..simulation.kernel import SimulationKernel
 from ..types import MessageId, ObjectKey, ObjectValue, SiteId, TransactionId
 from .execution import ExecutionEngine, QueryEngine, QueryExecution
 
-#: Called at the origin site when one of its own transactions commits there.
-ClientCompletionCallback = Callable[[Transaction], None]
-
 
 class SiteCrashedError(ReplicationError):
     """Raised when a client submits work to a site that is currently down."""
@@ -117,8 +114,6 @@ class ReplicaManager:
         )
         self.submitted: Dict[TransactionId, SubmittedRequest] = {}
         self.queries: List[QueryExecution] = []
-        self._client_listeners: List[ClientCompletionCallback] = []
-        self._commit_listeners: List[ClientCompletionCallback] = []
         self._open = True
         self._message_ids: Dict[TransactionId, MessageId] = {}
         broadcast.add_opt_listener(self._on_opt_deliver)
@@ -142,15 +137,6 @@ class ReplicaManager:
                 "recovers and catches up"
             )
 
-    # ------------------------------------------------------------- listeners
-    def add_client_listener(self, listener: ClientCompletionCallback) -> None:
-        """Register a callback fired when a locally submitted transaction commits."""
-        self._client_listeners.append(listener)
-
-    def add_commit_listener(self, listener: ClientCompletionCallback) -> None:
-        """Register a callback fired on every local commit (any origin)."""
-        self._commit_listeners.append(listener)
-
     # --------------------------------------------------------------- clients
     def submit_transaction(
         self, procedure_name: str, parameters: Optional[Dict[str, Any]] = None
@@ -159,8 +145,7 @@ class ReplicaManager:
 
         Following the replica-control scheme of Section 2.4 the request is
         TO-broadcast to every site; the transaction identifier is returned
-        immediately and the commit can be observed through
-        :meth:`add_client_listener` or :attr:`submitted`.
+        immediately and the commit can be observed through :attr:`submitted`.
         """
         self._ensure_open()
         parameters = dict(parameters or {})
@@ -387,10 +372,6 @@ class ReplicaManager:
         if submitted is not None:
             submitted.committed_at = now
             samples["client_commit_latency"].append(now - submitted.submitted_at)
-            for listener in self._client_listeners:
-                listener(transaction)
-        for listener in self._commit_listeners:
-            listener(transaction)
 
     # --------------------------------------------------------- crash recovery
     def on_crash(self) -> None:

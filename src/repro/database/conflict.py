@@ -156,10 +156,6 @@ class ClassQueue:
                 return entry
         return None
 
-    def snapshot_labels(self) -> List[str]:
-        """Return the paper-style ``T[a|e, p|c]`` labels of the queue content."""
-        return [entry.state_label() for entry in self._entries]
-
     # ------------------------------------------------------------ operations
     def append(self, transaction: Transaction) -> None:
         """Append a newly Opt-delivered transaction (S1)."""
@@ -204,20 +200,6 @@ class ClassQueue:
         if target != original:
             self.total_reorderings += 1
         return target
-
-    def committable_prefix_length(self) -> int:
-        """Number of committable transactions at the front of the queue.
-
-        Used by tests to check the CC10 invariant: committable transactions
-        always precede pending ones.
-        """
-        count = 0
-        for entry in self._entries:
-            if entry.delivery_state is DeliveryState.COMMITTABLE:
-                count += 1
-            else:
-                break
-        return count
 
     def committable_before_pending(self) -> bool:
         """Invariant check: no pending transaction precedes a committable one."""

@@ -9,7 +9,6 @@ check 1-copy-serializability across sites (Theorem 4.2).
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import VerificationError
@@ -66,10 +65,6 @@ class SiteHistory:
         for commit in self._commits:
             orders.setdefault(commit.conflict_class, []).append(commit.transaction_id)
         return orders
-
-    def commit_order_of_class(self, conflict_class: ConflictClassId) -> List[TransactionId]:
-        """Return the commit order restricted to one conflict class."""
-        return self.commit_orders_by_class().get(conflict_class, [])
 
     def classes(self) -> List[ConflictClassId]:
         """Return the conflict classes appearing in the history."""
@@ -189,25 +184,9 @@ class ConflictGraph:
                 last_writer[key] = current
 
     # ---------------------------------------------------------------- queries
-    def nodes(self) -> Set[TransactionId]:
-        """Return all nodes."""
-        return set(self._nodes)
-
-    def edges(self) -> List[Tuple[TransactionId, TransactionId]]:
-        """Return all edges as ``(before, after)`` pairs."""
-        return [
-            (before, after)
-            for before, afters in sorted(self._edges.items())
-            for after in sorted(afters)
-        ]
-
     def edge_count(self) -> int:
         """Return the number of distinct edges."""
         return sum(len(afters) for afters in self._edges.values())
-
-    def successors(self, transaction_id: TransactionId) -> Set[TransactionId]:
-        """Return the direct successors of ``transaction_id``."""
-        return set(self._edges.get(transaction_id, set()))
 
     def find_cycle(self) -> Optional[List[TransactionId]]:
         """Return one cycle as a list of nodes, or ``None`` when acyclic."""
@@ -251,29 +230,3 @@ class ConflictGraph:
                 if cycle:
                     return cycle
         return None
-
-    def is_acyclic(self) -> bool:
-        """Return whether the graph has no cycle (history is serializable)."""
-        return self.find_cycle() is None
-
-    def topological_order(self) -> List[TransactionId]:
-        """Return a topological order (raises when the graph has a cycle)."""
-        cycle = self.find_cycle()
-        if cycle:
-            raise VerificationError(f"conflict graph is cyclic: {cycle}")
-        in_degree: Dict[TransactionId, int] = {node: 0 for node in self._nodes}
-        for _, afters in self._edges.items():
-            for after in afters:
-                in_degree[after] = in_degree.get(after, 0) + 1
-        ready = [node for node, degree in in_degree.items() if degree == 0]
-        heapq.heapify(ready)
-        order: List[TransactionId] = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            # Push order is immaterial: the heap pops the smallest id.
-            for successor in self._edges.get(node, ()):
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    heapq.heappush(ready, successor)
-        return order

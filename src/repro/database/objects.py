@@ -37,17 +37,6 @@ class ObjectVersion(NamedTuple):
     created_by: TransactionId
     created_at: float = 0.0
 
-    def copy_value(self) -> ObjectValue:
-        """Return a deep copy of the value (so callers cannot mutate history).
-
-        Immutable scalars come back as they are: a deep copy of one is the
-        same object anyway.
-        """
-        value = self.value
-        if type(value) in _UNCOPIED_TYPES:
-            return value
-        return copy.deepcopy(value)
-
 
 class VersionChain:
     """All committed versions of one object, ordered by creation index.
@@ -79,15 +68,6 @@ class VersionChain:
             self._commit_times[position],
         )
 
-    @property
-    def versions(self) -> List[ObjectVersion]:
-        """Every retained version as a record, oldest first (built on request)."""
-        return [self._record(position) for position in range(len(self._values))]
-
-    def latest(self) -> Optional[ObjectVersion]:
-        """Return the most recent committed version, or ``None`` if none."""
-        return self._record(-1) if self._values else None
-
     def visible_at(self, max_index: float) -> Optional[ObjectVersion]:
         """Return the version visible to a reader with index ``max_index``.
 
@@ -103,15 +83,15 @@ class VersionChain:
         return self._writers[position - 1] if position else None
 
     def read_latest(self) -> ObjectValue:
-        """Return a copy of the latest value, as :meth:`ObjectVersion.copy_value`."""
+        """Return a deep copy of the latest value (an immutable scalar as is)."""
         if not self._values:
             raise UnknownObjectError(f"object {self.key!r} has no committed version")
         value = self._values[-1]
         return value if type(value) in _UNCOPIED_TYPES else copy.deepcopy(value)
 
     def read_at(self, max_index: float) -> ObjectValue:
-        """Return a copy of the value visible at ``max_index``, as
-        :meth:`ObjectVersion.copy_value`."""
+        """Return a deep copy of the value visible at ``max_index`` (an
+        immutable scalar as is)."""
         position = bisect_right(self._created_indices, max_index)
         if not position:
             raise UnknownObjectError(

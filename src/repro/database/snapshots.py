@@ -17,7 +17,7 @@ query indices and hands out read-only views.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import NamedTuple, Optional, Set
 
 from ..errors import SnapshotError
 from ..types import ObjectKey, ObjectValue
@@ -33,10 +33,6 @@ class QuerySnapshot(NamedTuple):
     def read(self, key: ObjectKey) -> ObjectValue:
         """Read ``key`` as of this snapshot."""
         return self.store.read_version(key, self.query_index)
-
-    def read_many(self, keys: List[ObjectKey]) -> Dict[ObjectKey, ObjectValue]:
-        """Read several keys as of this snapshot."""
-        return {key: self.read(key) for key in keys}
 
 
 class SnapshotManager:

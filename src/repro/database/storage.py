@@ -72,12 +72,6 @@ class MultiVersionStore:
         self.stats.snapshot_reads += 1
         return self._chain(key).read_at(max_index)
 
-    def latest_version(self, key: ObjectKey) -> Optional[ObjectVersion]:
-        """Return the latest :class:`ObjectVersion` record (or ``None``),
-        built on request."""
-        chain = self._chains.get(key)
-        return chain.latest() if chain else None
-
     def version_at(self, key: ObjectKey, max_index: float) -> Optional[ObjectVersion]:
         """Return the :class:`ObjectVersion` of ``key`` visible at ``max_index``.
 

@@ -142,11 +142,6 @@ class Transaction:
         return self.delivery_state is DeliveryState.PENDING
 
     @property
-    def is_committable(self) -> bool:
-        """Whether the transaction has been TO-delivered (may still execute)."""
-        return self.delivery_state is DeliveryState.COMMITTABLE
-
-    @property
     def is_executed(self) -> bool:
         """Whether the current execution attempt has completed."""
         return self.execution_state is ExecutionState.EXECUTED
@@ -155,13 +150,6 @@ class Transaction:
     def is_committed(self) -> bool:
         """Whether the transaction has committed at this site."""
         return self.outcome is TransactionOutcome.COMMITTED
-
-    @property
-    def commit_latency(self) -> Optional[float]:
-        """Time from client submission to commit at this site."""
-        if self.committed_at is None:
-            return None
-        return self.committed_at - self.request.submitted_at
 
     # ------------------------------------------------------------ transitions
     def mark_opt_delivered(self, at_time: float) -> None:

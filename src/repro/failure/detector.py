@@ -127,25 +127,9 @@ class FailureDetector:
             return list(self._group)
         return self.transport.sites()
 
-    def timeout_for(self, peer: SiteId) -> float:
-        """Current suspicion timeout of ``peer`` (grows on false suspicion)."""
-        return self._timeouts.get(peer, self.initial_timeout)
-
     def is_suspected(self, peer: SiteId) -> bool:
         """Return whether ``peer`` is currently suspected to have crashed."""
         return peer in self._suspected
-
-    def suspected_sites(self) -> Set[SiteId]:
-        """Return the set of currently suspected peers."""
-        return set(self._suspected)
-
-    def trusted_sites(self) -> List[SiteId]:
-        """Return all sites (including self) currently believed to be up."""
-        return [
-            site
-            for site in self._members()
-            if site == self.site_id or site not in self._suspected
-        ]
 
     # ------------------------------------------------------------- listeners
     def add_listener(self, listener: SuspicionListener) -> None:

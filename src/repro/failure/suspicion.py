@@ -150,10 +150,6 @@ class SuspicionFailoverGovernor:
         """The currently elected coordinator."""
         return self._coordinator
 
-    def condemned(self, site: SiteId) -> bool:
-        """Whether a quorum of non-condemned observers suspects ``site``."""
-        return site in self._condemned_sites()
-
     # ------------------------------------------------------------ membership
     def site_down(self, site: SiteId) -> None:
         """The process at ``site`` stopped running.

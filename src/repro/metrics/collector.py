@@ -60,9 +60,9 @@ class MetricsCollector:
     :class:`Gauge`); :meth:`set_gauge` creates one at its first set, and a
     writer holding it may update ``value`` / ``maximum`` in place.
 
-    Reads never create an instrument: :meth:`count`, :meth:`latency`,
-    :meth:`gauge` and :meth:`gauge_max` of a name never written return an
-    empty, unregistered value, so a report leaves :meth:`snapshot` as it
+    Reads never create an instrument: :meth:`count`, :meth:`latency` and
+    :meth:`gauge_max` of a name never written return an empty, unregistered
+    value, so a report leaves :meth:`snapshot` as it
     found it.  Read the storage with ``.get`` for the same reason.
     """
 
@@ -92,16 +92,7 @@ class MetricsCollector:
         """Record one latency sample under ``name``."""
         self.samples[name].append(value)
 
-    def latency_summary(self, name: str) -> Summary:
-        """Return the summary of the latency samples (empty if absent)."""
-        return summarize(self.samples.get(name, ()))
-
     # ---------------------------------------------------------------- gauges
-    def gauge(self, name: str) -> Gauge:
-        """Return the gauge called ``name`` (an unregistered zero gauge if never set)."""
-        gauge = self.gauges.get(name)
-        return gauge if gauge is not None else Gauge(name)
-
     def set_gauge(self, name: str, value: float) -> None:
         """Set the gauge called ``name`` to ``value`` (creating it at the first set)."""
         gauge = self.gauges.get(name)

@@ -41,10 +41,6 @@ class LatencyModel(abc.ABC):
     ) -> float:
         """Delay component drawn independently per receiver."""
 
-    def sample(self, sender: SiteId, receiver: SiteId, stream: RandomStream) -> float:
-        """Total one-way delay for a unicast (shared + receiver components)."""
-        return self.shared_delay(stream) + self.receiver_delay(sender, receiver, stream)
-
 
 class ConstantLatency(LatencyModel):
     """A fixed one-way delay (a test double: unit tests assert exact timings)."""

@@ -7,7 +7,7 @@ put their own protocol messages inside it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..types import MessageId, SiteId
 
@@ -33,8 +33,6 @@ class Envelope(NamedTuple):
         Unique identifier, assigned by the transport when the message is sent.
     sender:
         Originating site.
-    destination:
-        Target site for unicasts; ``None`` for multicast envelopes.
     payload:
         Protocol-specific content.
     kind:
@@ -45,7 +43,6 @@ class Envelope(NamedTuple):
 
     envelope_id: MessageId
     sender: SiteId
-    destination: Optional[SiteId]
     payload: Any
     kind: str = "data"
     sent_at: float = 0.0

@@ -89,30 +89,6 @@ class PartitionController:
             return False
         return self._group_of.get(sender) == self._group_of.get(receiver)
 
-    def is_partitioned(self, all_sites: Optional[Iterable[SiteId]] = None) -> bool:
-        """Return whether any partition or severed link is currently in effect.
-
-        Sites never mentioned in an ``isolate`` call share the implicit
-        fully-connected group; a partition exists exactly when two sites are
-        in different groups.  With no explicit group there is no partition;
-        with two or more explicit groups there always is one.  A *single*
-        explicit group is separated from the implicit group only if some
-        site lives outside it — the controller does not know the full site
-        set, so without ``all_sites`` it conservatively reports a partition,
-        and with ``all_sites`` (e.g. ``transport.sites()``) it answers
-        exactly.  Any severed directed link counts as a partition.
-        """
-        if self._severed:
-            return True
-        groups = set(self._group_of.values())
-        if not groups:
-            return False
-        if len(groups) > 1:
-            return True
-        if all_sites is None:
-            return True
-        return any(site not in self._group_of for site in all_sites)
-
     # ------------------------------------------------------------ operations
     def isolate(self, sites: Iterable[SiteId], at_time: Optional[float] = None) -> None:
         """Split ``sites`` into their own partition group.
@@ -192,10 +168,6 @@ class PartitionController:
     def history(self) -> List[Tuple[float, str, HistorySites]]:
         """Chronological list of (time, operation, sites) partition changes."""
         return list(self._history)
-
-    def group_of(self, site: SiteId) -> Optional[int]:
-        """Return the partition group id of ``site`` (``None`` = main group)."""
-        return self._group_of.get(site)
 
     def severed_links(self) -> List[Link]:
         """Return the currently severed directed links (sorted)."""

@@ -30,7 +30,6 @@ class TransportStats:
     """Counters maintained by the transport for benchmarking."""
 
     __slots__ = (
-        "unicasts_sent",
         "multicasts_sent",
         "envelopes_delivered",
         "envelopes_dropped",
@@ -40,7 +39,7 @@ class TransportStats:
     )
 
     def __init__(self) -> None:
-        self.unicasts_sent = self.multicasts_sent = self.envelopes_delivered = 0
+        self.multicasts_sent = self.envelopes_delivered = 0
         self.envelopes_dropped = self.envelopes_buffered = 0
         self.retransmissions = self.bytes_estimate = 0
 
@@ -168,29 +167,6 @@ class NetworkTransport:
         return self._endpoint(site_id).up
 
     # --------------------------------------------------------------- sending
-    def unicast(
-        self, sender: SiteId, destination: SiteId, payload: object, *, kind: str = "data"
-    ) -> MessageId:
-        """Send ``payload`` from ``sender`` to ``destination``.
-
-        Returns the envelope identifier (useful for tracing in tests).
-        """
-        self._endpoint(sender)
-        self._endpoint(destination)
-        envelope = Envelope(
-            envelope_id=next_envelope_id(self.kernel, sender),
-            sender=sender,
-            destination=destination,
-            payload=payload,
-            kind=kind,
-            sent_at=self.kernel.now(),
-        )
-        self.stats.unicasts_sent += 1
-        if self._payload_size_estimator is not None:
-            self.stats.bytes_estimate += self._payload_size_estimator(envelope)
-        self._transmit(envelope, destination, shared_delay=None)
-        return envelope.envelope_id
-
     def multicast(
         self,
         sender: SiteId,
@@ -223,7 +199,6 @@ class NetworkTransport:
         envelope = Envelope(
             envelope_id=next_envelope_id(self.kernel, sender),
             sender=sender,
-            destination=None,
             payload=payload,
             kind=kind,
             sent_at=self.kernel.now(),
@@ -238,7 +213,7 @@ class NetworkTransport:
         # Every receiver gets this one envelope; the receiver travels beside it.
         if self.loss_probability > 0.0:
             for target in receivers:
-                self._transmit(envelope, target, shared_delay=shared)
+                self._transmit(envelope, target, shared)
             return envelope.envelope_id
         receiver_delay = self.latency_model.receiver_delay
         schedule = self.kernel.schedule
@@ -296,27 +271,20 @@ class NetworkTransport:
     # per-envelope label allocated on every single message and dominated the
     # kernel hot-path profile; the scheduled callback still carries the full
     # envelope and its receiver for debugging.
-    def _transmit(
-        self, envelope: Envelope, destination: SiteId, *, shared_delay: Optional[float]
-    ) -> None:
+    def _transmit(self, envelope: Envelope, destination: SiteId, shared_delay: float) -> None:
         """Attempt one transmission; retransmit on simulated loss."""
         if self.loss_probability > 0.0 and self._loss_stream.chance(self.loss_probability):
             self.stats.envelopes_dropped += 1
             self.stats.retransmissions += 1
             self.kernel.schedule(
                 self.retransmit_delay,
-                lambda: self._transmit(envelope, destination, shared_delay=shared_delay),
+                lambda: self._transmit(envelope, destination, shared_delay),
                 label="net-retransmit",
             )
             return
-        if shared_delay is None:
-            delay = self.latency_model.sample(
-                envelope.sender, destination, self._latency_stream
-            )
-        else:
-            delay = shared_delay + self.latency_model.receiver_delay(
-                envelope.sender, destination, self._latency_stream
-            )
+        delay = shared_delay + self.latency_model.receiver_delay(
+            envelope.sender, destination, self._latency_stream
+        )
         self.kernel.schedule(
             delay, partial(self._arrive, envelope, destination), label="net-deliver"
         )

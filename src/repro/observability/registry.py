@@ -104,22 +104,6 @@ class MetricsRegistry:
         return max(marks) if marks else 0.0
 
     # ----------------------------------------------------------------- export
-    def instrument_names(self) -> Dict[str, List[str]]:
-        """All instrument names by type (counters / latencies / gauges)."""
-        counters: set = set()
-        latencies: set = set()
-        gauges: set = set()
-        for entry in self._entries:
-            snapshot = entry.collector.snapshot()
-            counters.update(snapshot["counters"])
-            latencies.update(snapshot["latencies"])
-            gauges.update(snapshot.get("gauges", {}))
-        return {
-            "counters": sorted(counters),
-            "latencies": sorted(latencies),
-            "gauges": sorted(gauges),
-        }
-
     def snapshot(self) -> Dict[str, object]:
         """One flat namespace: ``shard=S1/site=S1:N1/counter/commits`` -> value.
 

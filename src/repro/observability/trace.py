@@ -234,10 +234,6 @@ class TransactionTracer:
         return len(keys)
 
     # ----------------------------------------------------------- inspection
-    def open_spans(self) -> List[TraceSpan]:
-        """Spans begun but never ended (in begin order)."""
-        return [span for span in self.spans if not span.closed]
-
     def spans_of(
         self, transaction_id: TransactionId, name: Optional[str] = None
     ) -> List[TraceSpan]:
@@ -347,13 +343,6 @@ class TransactionTracer:
     def divergence_events(self) -> List[TraceEvent]:
         """Events marking a repaired opt/TO divergence (CC8 reorder aborts)."""
         return [event for event in self.events if event.kind == "reorder_abort"]
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """Event counts per kind (a quick shape check of a trace)."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return dict(sorted(counts.items()))
 
     def __len__(self) -> int:
         return len(self.events) + len(self.spans)

@@ -36,8 +36,7 @@ class ShardMap:
       serializable execution.
     * The map is immutable while the system runs (dynamic rebalancing is a
       ROADMAP item); :meth:`contiguous` keeps classes a multi-class query
-      typically scans together on few shards, :meth:`round_robin` spreads
-      hot neighbouring classes apart.
+      typically scans together on few shards.
     """
 
     def __init__(self) -> None:
@@ -74,20 +73,6 @@ class ShardMap:
         per_shard = (len(class_ids) + len(shard_ids) - 1) // len(shard_ids)
         for index, class_id in enumerate(class_ids):
             shard_map.assign(class_id, shard_ids[min(index // per_shard, len(shard_ids) - 1)])
-        return shard_map
-
-    @classmethod
-    def round_robin(
-        cls, class_ids: Sequence[ConflictClassId], shard_ids: Sequence[ShardId]
-    ) -> "ShardMap":
-        """Assign classes to shards round-robin (spreads hot neighbours)."""
-        if not shard_ids:
-            raise ShardingError("at least one shard id is required")
-        if not class_ids:
-            raise ShardingError("at least one conflict class is required")
-        shard_map = cls()
-        for index, class_id in enumerate(class_ids):
-            shard_map.assign(class_id, shard_ids[index % len(shard_ids)])
         return shard_map
 
     # --------------------------------------------------------------- lookups

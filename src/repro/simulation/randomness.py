@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -101,10 +101,6 @@ class RandomSource:
         if name not in self._streams:
             self._streams[name] = RandomStream(self.seed, name)
         return self._streams[name]
-
-    def streams(self, names: Iterable[str]) -> Dict[str, RandomStream]:
-        """Return a dictionary of streams for every name in ``names``."""
-        return {name: self.stream(name) for name in names}
 
     def fork(self, salt: str) -> "RandomSource":
         """Return a new source whose seed is derived from this one and ``salt``.

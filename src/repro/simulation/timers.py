@@ -56,15 +56,6 @@ class PeriodicTimer:
             self._kernel.cancel(self._event)
             self._event = None
 
-    def reschedule(self, interval: float) -> None:
-        """Change the interval; takes effect immediately."""
-        if not interval > 0.0:
-            raise SimulationError("periodic timer interval must be positive")
-        self._interval = interval
-        if self._running:
-            self.stop()
-            self.start()
-
     def _tick(self) -> None:
         if not self._running:
             return

@@ -30,7 +30,7 @@ cluster facade's admission-aware entry points (``offer_update`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple
 
 from ..errors import WorkloadError
 from ..simulation.randomness import RandomStream
@@ -174,36 +174,6 @@ class OpenLoopPlan:
     def query_count(self) -> int:
         """Number of planned query offers."""
         return sum(1 for operation in self.operations if operation.is_query)
-
-    def last_arrival_time(self) -> float:
-        """Virtual time of the last planned offer."""
-        if not self.operations:
-            return 0.0
-        return max(operation.scheduled_at for operation in self.operations)
-
-    def signature(self) -> Tuple[Tuple[Any, ...], ...]:
-        """Hash-order-independent fingerprint of the planned schedule.
-
-        Two plans built from equal seeds must have equal signatures in any
-        ``PYTHONHASHSEED`` universe (asserted by the subprocess determinism
-        test in ``tests/test_open_loop_workloads.py``).
-        """
-        rows: List[Tuple[Any, ...]] = []
-        for operation in self.operations:
-            parameters = tuple(
-                (key, tuple(value) if isinstance(value, list) else value)
-                for key, value in sorted(operation.parameters.items())
-            )
-            rows.append(
-                (
-                    round(operation.scheduled_at, 9),
-                    operation.procedure_name,
-                    operation.site_index,
-                    operation.is_query,
-                    parameters,
-                )
-            )
-        return tuple(rows)
 
 
 class OpenLoopTrafficEngine:

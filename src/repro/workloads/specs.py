@@ -105,7 +105,3 @@ class WorkloadSpec:
     def total_updates(self, site_count: int) -> int:
         """Total number of update transactions submitted by ``site_count`` sites."""
         return self.updates_per_site * site_count
-
-    def total_queries(self, site_count: int) -> int:
-        """Total number of queries submitted by ``site_count`` sites."""
-        return self.queries_per_site * site_count

@@ -5,9 +5,67 @@ definitions spell out (Section 2.2).  ``src/`` carries only the linear-time
 reduction (:meth:`repro.database.ConflictGraph.add_history`); the all-pairs
 forms live here so a property test can state "same nodes, same reachability,
 same verdict" against something a reader can check by eye.
+
+The readers of a conflict graph's nodes and edges, and of a version chain's
+columns as records, live here too: only tests ask for them, so ``src/``
+keeps the structures and these functions read them.
 """
 
+import heapq
+
 from repro.database import ConflictGraph, transactions_conflict
+from repro.errors import VerificationError
+
+
+def nodes(graph):
+    """Every node of a :class:`~repro.database.ConflictGraph`."""
+    return set(graph._nodes)
+
+
+def edges(graph):
+    """Every edge as a ``(before, after)`` pair, sorted."""
+    return [
+        (before, after)
+        for before, afters in sorted(graph._edges.items())
+        for after in sorted(afters)
+    ]
+
+
+def successors(graph, transaction_id):
+    """The direct successors of ``transaction_id``."""
+    return set(graph._edges.get(transaction_id, ()))
+
+
+def is_acyclic(graph):
+    return graph.find_cycle() is None
+
+
+def topological_order(graph):
+    """The smallest-id-first topological order (raises on a cycle)."""
+    cycle = graph.find_cycle()
+    if cycle:
+        raise VerificationError(f"conflict graph is cyclic: {cycle}")
+    in_degree = {node: 0 for node in graph._nodes}
+    for afters in graph._edges.values():
+        for after in afters:
+            in_degree[after] += 1
+    ready = [node for node, degree in in_degree.items() if degree == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for successor in graph._edges.get(node, ()):
+            in_degree[successor] -= 1
+            if in_degree[successor] == 0:
+                heapq.heappush(ready, successor)
+    return order
+
+
+def chain_versions(chain):
+    """Every version of a :class:`~repro.database.VersionChain` as a record,
+    oldest first."""
+    return [chain._record(position) for position in range(len(chain))]
 
 
 def all_pairs_conflict_graph(*site_commits):
@@ -46,11 +104,11 @@ def histories_conflict_equivalent(first, second):
 def transitive_closure(graph):
     """``{node: set of nodes reachable from it}`` by depth-first search."""
     closure = {}
-    for start in graph.nodes():
+    for start in nodes(graph):
         reached = set()
         frontier = [start]
         while frontier:
-            for successor in graph.successors(frontier.pop()):
+            for successor in successors(graph, frontier.pop()):
                 if successor not in reached:
                     reached.add(successor)
                     frontier.append(successor)

@@ -58,6 +58,6 @@ class TestFifoBroadcast:
 
     def test_a_foreign_payload_of_the_fifo_kind_is_refused(self):
         kernel, transport, endpoints, deliveries = build_fifo_group()
-        transport.unicast("N1", "N2", "not-fifo", kind="fifobcast.data")
+        transport.multicast("N1", "not-fifo", destinations=["N2"], kind="fifobcast.data")
         kernel.run_until_idle()
         assert deliveries["N2"] == []

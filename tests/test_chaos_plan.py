@@ -177,7 +177,7 @@ class TestFlatOrchestration:
         cluster.run_until_idle()
         actions = [fault.action for fault in orchestrator.trace]
         assert actions == ["partition", "heal"]
-        assert not cluster.transport.partitions.is_partitioned()
+        assert cluster.transport.partitions.intact
         assert cluster.committed_counts()["N4"] == 12
 
     def test_latency_spike_wraps_and_restores_the_model(self):

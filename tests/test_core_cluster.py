@@ -94,13 +94,13 @@ class TestBasicOperation:
         assert len(latencies) == 1
         assert latencies[0] > 0.0
 
-    def test_client_listener_fires_on_local_commit(self):
+    def test_local_commit_is_stamped_on_the_submitted_record(self):
         cluster = build_cluster()
-        commits = []
-        cluster.replica("N1").add_client_listener(lambda txn: commits.append(txn.transaction_id))
         txn_id = cluster.submit("N1", "deposit", {"branch": 0, "account": 0, "amount": 1})
+        record = cluster.replica("N1").submitted[txn_id]
+        assert record.committed_at is None
         cluster.run_until_idle()
-        assert commits == [txn_id]
+        assert record.committed_at > record.submitted_at
 
     def test_submitting_query_as_update_rejected(self):
         cluster = build_cluster()

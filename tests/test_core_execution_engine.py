@@ -80,12 +80,12 @@ class TestExecutionEngine:
         completed = []
         engine.submit(transaction, completed.append)
         kernel.run(until=0.01)
-        assert engine.is_executing("T1")
+        assert engine.is_submitted("T1")
         assert engine.cancel(transaction)
         kernel.run_until_idle()
         assert completed == []
         assert engine.executions_cancelled == 1
-        assert not engine.is_executing("T1")
+        assert not engine.is_submitted("T1")
 
     def test_cancel_unknown_transaction_returns_false(self):
         kernel, store, registry, engine = build_engine()
@@ -105,8 +105,7 @@ class TestExecutionEngine:
         order = []
         engine.submit(first, lambda txn: order.append(txn.transaction_id))
         engine.submit(second, lambda txn: order.append(txn.transaction_id))
-        assert engine.running_count == 1
-        assert engine.queued_count == 1
+        assert engine.is_submitted("T1") and engine.is_submitted("T2")
         kernel.run_until_idle()
         assert order == ["T1", "T2"]
         # Executions were serialised by the single CPU: total 0.02s.

@@ -61,17 +61,16 @@ def build_cluster(seed=5, site_count=3, duration=0.005, broadcast=BROADCAST_OPTI
 class TestVolatileStateLoss:
     def test_crash_destroys_inflight_transactions_and_closes_the_site(self):
         cluster = build_cluster()
-        cluster.submit("N1", "add", {"slot": 0})
+        txn_id = cluster.submit("N1", "add", {"slot": 0})
         cluster.run(until=0.0020)  # opt-delivered and executing everywhere
         replica = cluster.replica("N3")
         assert replica.scheduler.pending_transactions(), "setup: nothing in flight"
-        assert replica.engine.running_count >= 1
+        assert replica.engine.is_submitted(txn_id)
 
         cluster.crash_manager.crash_now("N3")
 
         assert replica.scheduler.pending_transactions() == []
-        assert replica.engine.running_count == 0
-        assert replica.engine.queued_count == 0
+        assert not replica.engine.is_submitted(txn_id)
         assert not replica.is_open
         assert replica.store.read_latest("slot:0") == 0  # workspace died with it
         assert replica.metrics.count("crashes") == 1
@@ -116,8 +115,8 @@ class TestVolatileStateLoss:
             CrashSchedule().crash_for("N3", at=0.002, duration=0.080)
         )
         cluster.run_until_idle()
-        donor_version = cluster.replica("N1").store.latest_version("slot:0")
-        recovered_version = cluster.replica("N3").store.latest_version("slot:0")
+        donor_version = cluster.replica("N1").store.version_at("slot:0", float("inf"))
+        recovered_version = cluster.replica("N3").store.version_at("slot:0", float("inf"))
         assert recovered_version.created_at == donor_version.created_at
         assert recovered_version.created_at > 0.0
         assert recovered_version.created_index == donor_version.created_index

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from repro.database import MultiVersionStore, ObjectVersion, SnapshotManager, VersionChain
 from repro.errors import DatabaseError, SnapshotError, UnknownObjectError
 
+from oracles import chain_versions
+
+INF = float("inf")
+
 
 class TestVersionChain:
     def test_latest_returns_most_recent(self):
         chain = VersionChain(key="x")
         chain.append(ObjectVersion("x", 1, created_index=0, created_by="T1"))
         chain.append(ObjectVersion("x", 2, created_index=1, created_by="T2"))
-        assert chain.latest().value == 2
+        assert chain.visible_at(INF).value == 2
 
     def test_visible_at_picks_greatest_index_not_exceeding_bound(self):
         chain = VersionChain(key="x")
@@ -48,7 +52,7 @@ class TestVersionChain:
         removed = chain.prune_before(100, keep_at_least=1)
         assert removed == 4
         assert len(chain) == 1
-        assert chain.latest().value == 4
+        assert chain.visible_at(INF).value == 4
 
     def test_constructor_rejects_versions_out_of_index_order(self):
         # Trusted, these answered visible_at(4) with "a" and latest() with "b".
@@ -80,7 +84,7 @@ class TestVersionChain:
     def test_visible_at_matches_a_linear_scan_through_every_mutator(self):
         def scan(chain, max_index):
             visible = None
-            for version in chain.versions:
+            for version in chain_versions(chain):
                 if version.created_index <= max_index:
                     visible = version
             return visible
@@ -191,10 +195,10 @@ class TestColumnLayout:
         latest = {}
         for key, reference in references.items():
             chain, versions = chains[key], reference.versions
-            assert chain.versions == versions
+            assert chain_versions(chain) == versions
             assert len(chain) == store.version_count(key) == len(versions)
             newest = versions[-1] if versions else None
-            assert chain.latest() == store.latest_version(key) == newest
+            assert chain.visible_at(INF) == store.version_at(key, INF) == newest
             if newest is not None:
                 latest[key] = newest.value
                 assert store.read_latest(key) == newest.value
@@ -269,8 +273,9 @@ class TestMultiVersionStore:
 
     @pytest.mark.parametrize("value", [7, 2**70, 1.5, "text", True, None])
     def test_scalars_come_back_unchanged(self, value):
-        version = ObjectVersion("k", value, created_index=0, created_by="T0")
-        copied = version.copy_value()
+        store = MultiVersionStore()
+        store.load("k", value)
+        copied = store.read_latest("k")
         assert copied is value
         assert type(copied) is type(value)
 
@@ -364,17 +369,21 @@ class TestSnapshotManager:
         assert snapshot.read("x") == 1
         assert manager.snapshot().read("x") == 2
 
+    def test_one_snapshot_reads_every_key_at_its_index(self):
+        store = MultiVersionStore()
+        store.load_many({"x": 0, "y": 0})
+        manager = SnapshotManager(store)
+        store.install("x", 1, created_index=0, created_by="T0")
+        manager.advance(0)
+        snapshot = manager.snapshot()
+        store.install("y", 1, created_index=1, created_by="T1")
+        manager.advance(1)
+        assert [snapshot.read(key) for key in ("x", "y")] == [1, 0]
+
     def test_future_snapshot_rejected(self):
         manager = SnapshotManager(MultiVersionStore())
         with pytest.raises(SnapshotError):
             manager.snapshot(query_index=10.5)
-
-    def test_read_many(self):
-        store = MultiVersionStore()
-        store.load_many({"x": 1, "y": 2})
-        manager = SnapshotManager(store)
-        snapshot = manager.snapshot()
-        assert snapshot.read_many(["x", "y"]) == {"x": 1, "y": 2}
 
     def test_garbage_collect_respects_horizon(self):
         store = MultiVersionStore()

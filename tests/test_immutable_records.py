@@ -66,7 +66,7 @@ def _required(record_type, **values):
 RECORDS = [
     (
         Envelope,
-        {"envelope_id": "e1", "sender": "N1", "destination": None, "payload": "p"},
+        {"envelope_id": "e1", "sender": "N1", "payload": "p"},
         {"kind": "data", "sent_at": 0.0},
     ),
     (
@@ -186,7 +186,7 @@ def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
         (OPTIMISTIC_ORDER_KIND, tuple(order)),
     ]
     for kind, content in sends:
-        transport.unicast("N1", "N1", content, kind=kind)
+        transport.multicast("N1", content, destinations=["N1"], kind=kind)
     kernel.run_until_idle()
     assert endpoint.opt_delivery_log == ["m:N1:1"]
     assert endpoint.to_delivery_log == []
@@ -194,7 +194,7 @@ def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
     assert [envelope.payload for envelope in dispatcher.unhandled] == [
         tuple(data), tuple(order)
     ]
-    transport.unicast("N1", "N1", order, kind=OPTIMISTIC_ORDER_KIND)
+    transport.multicast("N1", order, destinations=["N1"], kind=OPTIMISTIC_ORDER_KIND)
     kernel.run_until_idle()
     assert endpoint.to_delivery_log == ["m:N1:1"]
 
@@ -221,8 +221,8 @@ def _endpoint():
 )
 def test_optimistic_control_handlers_refuse_plain_tuples(kind, record):
     kernel, transport, dispatcher, _ = _endpoint()
-    transport.unicast("N1", "N1", tuple(record), kind=kind)
-    transport.unicast("N1", "N1", record, kind=kind)
+    transport.multicast("N1", tuple(record), destinations=["N1"], kind=kind)
+    transport.multicast("N1", record, destinations=["N1"], kind=kind)
     kernel.run_until_idle()
     assert [envelope.payload for envelope in dispatcher.unhandled] == [tuple(record)]
 
@@ -238,7 +238,7 @@ def test_heartbeat_and_fifo_receivers_refuse_plain_tuples():
         (detector, HEARTBEAT_KIND, heartbeat),
         (fifo, FIFO_KIND, payload),
     ]:
-        plain = Envelope("e1", "N2", "N1", tuple(record), kind=kind)
+        plain = Envelope("e1", "N2", tuple(record), kind=kind)
         assert receiver.on_envelope(plain) is False
         assert receiver.on_envelope(plain._replace(payload=record)) is True
     assert fifo.delivery_log == ["f:N2:1"]

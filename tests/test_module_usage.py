@@ -21,12 +21,16 @@ module only its own tests import stays reachable from a package.
 The same holds per symbol: every top-level function and class of ``src/``,
 public or private, must be reachable from a root through resolved uses (see
 :class:`SymbolGraph`).  A symbol that only unused symbols use is unused too,
-so a dead helper goes with the dead class that called it.  ``ALLOWLIST``
-names the few kept anyway, each with its reason.
+so a dead helper goes with the dead class that called it.
+
+And per method: every public method and property of a ``src/`` class must
+be named by a non-test root (see :class:`MethodUses`).  ``ALLOWLIST`` names
+the few symbols and methods kept anyway, each with its reason.
 """
 
 import ast
 import doctest
+from collections import Counter
 import importlib
 import re
 from pathlib import Path
@@ -222,9 +226,10 @@ def test_code_only_its_own_tests_ran_stays_deleted(module, name):
 
 
 # --------------------------------------------------------------- symbols
-#: Symbols kept although only tests use them; one reason each.  An entry
-#: that names a missing symbol, or a symbol that gained a real user, fails
-#: the check, so the list cannot rot.
+#: Symbols (``module:name``) and methods (``module:Class.name``) kept
+#: although only tests use them; one reason each.  An entry that names a
+#: missing symbol or method, or one that gained a real user, fails the
+#: check, so the list cannot rot.
 ALLOWLIST = {
     "repro.network.latency:ConstantLatency": (
         "test double of LatencyModel: a fixed delay for timing assertions"
@@ -245,7 +250,27 @@ ALLOWLIST = {
         "fault cell the SweepExecutor crash tests name by cell path; a "
         "worker process cannot import it from tests/"
     ),
+    "repro.database.snapshots:SnapshotManager.garbage_collect": (
+        "the version GC that bounded store state needs (ROADMAP item 5); "
+        "no run calls it until the verifier stops reading every version"
+    ),
+    "repro.observability.trace:TransactionTracer.signature": (
+        "trace export kept until the causal-span work (ROADMAP item 3) "
+        "lands or is dropped"
+    ),
+    "repro.observability.trace:TransactionTracer.to_jsonl": (
+        "trace export kept until the causal-span work (ROADMAP item 3) "
+        "lands or is dropped"
+    ),
+    "repro.observability.trace:TransactionTracer.write_chrome_trace": (
+        "trace export kept until the causal-span work (ROADMAP item 3) "
+        "lands or is dropped"
+    ),
 }
+
+
+def is_method(entry):
+    return "." in entry.partition(":")[2]
 
 
 def doc_example_source(text):
@@ -255,7 +280,8 @@ def doc_example_source(text):
     )
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def definitions(tree):
@@ -417,20 +443,22 @@ class SymbolGraph:
         return sorted(self.symbols() - reached)
 
 
-def allowlist_problems(graph, allowlist):
-    """Flagged symbols not allowlisted, and allowlist entries gone stale."""
-    flagged = set(graph.unused_symbols())
-    problems = [f"only tests use {symbol}" for symbol in sorted(flagged - set(allowlist))]
-    for symbol in sorted(allowlist):
-        if symbol not in graph.symbols():
-            problems.append(f"allowlisted {symbol} does not exist")
-        elif symbol not in flagged:
-            problems.append(f"allowlisted {symbol} has a user outside tests")
+def allowlist_problems(flagged, defined, allowlist):
+    """Flagged names not allowlisted, and allowlist entries gone stale."""
+    flagged = set(flagged)
+    problems = [f"only tests use {name}" for name in sorted(flagged - set(allowlist))]
+    for name in sorted(allowlist):
+        if name not in defined:
+            problems.append(f"allowlisted {name} does not exist")
+        elif name not in flagged:
+            problems.append(f"allowlisted {name} has a user outside tests")
     return problems
 
 
 def test_every_symbol_is_used_outside_its_own_tests():
-    assert allowlist_problems(SymbolGraph.from_repo(), ALLOWLIST) == []
+    graph = SymbolGraph.from_repo()
+    allowlist = {entry for entry in ALLOWLIST if not is_method(entry)}
+    assert allowlist_problems(graph.unused_symbols(), graph.symbols(), allowlist) == []
 
 
 def fake_graph(modules, consumers=(), docs=(), init=""):
@@ -505,16 +533,179 @@ def test_a_stale_allowlist_entry_fails():
         {"mod": "def double():\n    pass\n\ndef live():\n    pass\n"},
         consumers=["from repro.pkg.mod import live\nlive()\n"],
     )
-    assert allowlist_problems(graph, {"repro.pkg.mod:double": "test double"}) == []
+    flagged, defined = graph.unused_symbols(), graph.symbols()
+    assert allowlist_problems(flagged, defined, {"repro.pkg.mod:double"}) == []
     assert allowlist_problems(
-        graph,
+        flagged,
+        defined,
         {
-            "repro.pkg.mod:double": "test double",
-            "repro.pkg.mod:gone": "deleted since",
-            "repro.pkg.mod:live": "gained a user",
+            "repro.pkg.mod:double",
+            "repro.pkg.mod:gone",
+            "repro.pkg.mod:live",
         },
     ) == [
         "allowlisted repro.pkg.mod:gone does not exist",
         "allowlisted repro.pkg.mod:live has a user outside tests",
     ]
-    assert allowlist_problems(graph, {}) == ["only tests use repro.pkg.mod:double"]
+    assert allowlist_problems(flagged, defined, set()) == [
+        "only tests use repro.pkg.mod:double"
+    ]
+
+
+# --------------------------------------------------------------- methods
+#: A method's name written where markdown shows code: ``.name``, ``name=``
+#: or a quoted ``"name"``.
+TEXT_USE = re.compile(r"\.(\w+)|\b(\w+)=|[\"'](\w+)[\"']")
+
+
+def names_used(node):
+    """How often ``node`` names each identifier the way a method is reached.
+
+    A use is an attribute ``.name``, a keyword ``name=`` or a string that is
+    a bare identifier (which covers ``getattr(obj, "name")``).
+    """
+    used = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            used[child.attr] += 1
+        elif isinstance(child, ast.keyword) and child.arg:
+            used[child.arg] += 1
+        elif (
+            isinstance(child, ast.Constant)
+            and isinstance(child.value, str)
+            and child.value.isidentifier()
+        ):
+            used[child.value] += 1
+    return used
+
+
+def names_in_text(text):
+    return Counter(
+        next(group for group in match.groups() if group)
+        for match in TEXT_USE.finditer(text)
+    )
+
+
+class MethodUses:
+    """Which public methods and properties of ``src/`` classes a root names.
+
+    This is a name scan, not a resolution: a method counts as used when its
+    name is used (see :func:`names_used`) anywhere in ``src/`` outside its
+    own ``def``, in a consumer file, or in ``docs/*.md`` or ``README.md``.
+    A shared name can hide a dead method, but a method really reached by
+    attribute, keyword or ``getattr`` is never flagged.
+    """
+
+    def __init__(self, modules, consumers=(), texts=()):
+        #: ``"module:Class.name"`` -> its ``def``, per public method.
+        self.methods = {}
+        self.used = Counter()
+        for module, source in modules.items():
+            tree = ast.parse(source)
+            self.used += names_used(tree)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                        self.methods[f"{module}:{node.name}.{item.name}"] = item
+        for source in consumers:
+            self.used += names_used(ast.parse(source))
+        for text in texts:
+            self.used += names_in_text(text)
+
+    @classmethod
+    def from_repo(cls):
+        modules = {
+            module_name(path): path.read_text()
+            for path in sorted((SRC / "repro").rglob("*.py"))
+        }
+        consumers = [
+            path.read_text()
+            for directory in CONSUMER_DIRS
+            for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+        ]
+        pages = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+        return cls(modules, consumers, [path.read_text() for path in pages])
+
+    def unused_methods(self):
+        return sorted(
+            key
+            for key, node in self.methods.items()
+            if self.used[node.name] <= names_used(node)[node.name]
+        )
+
+
+def test_every_method_is_used_outside_its_own_tests():
+    uses = MethodUses.from_repo()
+    allowlist = {entry for entry in ALLOWLIST if is_method(entry)}
+    assert allowlist_problems(uses.unused_methods(), uses.methods, allowlist) == []
+
+
+SERVICE = (
+    "class Service:\n"
+    "    def by_attribute(self):\n"
+    "        return self.by_attribute()\n"
+    "    def by_keyword(self):\n"
+    "        pass\n"
+    "    def by_getattr(self):\n"
+    "        pass\n"
+    "    @property\n"
+    "    def in_docs(self):\n"
+    "        pass\n"
+    "    def only_tested(self):\n"
+    "        pass\n"
+    "    def _private(self):\n"
+    "        pass\n"
+)
+
+
+def test_a_method_only_a_test_reaches_is_flagged():
+    test_file = "from repro.pkg.mod import Service\nService().only_tested()\n"
+    uses = MethodUses({"repro.pkg.mod": SERVICE}, consumers=[test_file])
+    assert "repro.pkg.mod:Service.only_tested" not in uses.unused_methods()
+    uses = MethodUses({"repro.pkg.mod": SERVICE})
+    assert "repro.pkg.mod:Service.only_tested" in uses.unused_methods()
+
+
+@pytest.mark.parametrize(
+    "method, consumer, text",
+    [
+        ("by_attribute", "service.by_attribute()\n", ""),
+        ("by_keyword", "configure(by_keyword=1)\n", ""),
+        ("by_getattr", "getattr(service, 'by_getattr')()\n", ""),
+        ("in_docs", "", "Read `service.in_docs` for the value.\n"),
+    ],
+)
+def test_an_attribute_keyword_getattr_or_docs_use_counts(method, consumer, text):
+    uses = MethodUses({"repro.pkg.mod": SERVICE}, consumers=[consumer], texts=[text])
+    flagged = uses.unused_methods()
+    assert f"repro.pkg.mod:Service.{method}" not in flagged
+    assert len(flagged) == 4 and "repro.pkg.mod:Service.only_tested" in flagged
+
+
+def test_a_use_inside_its_own_def_does_not_count():
+    uses = MethodUses({"repro.pkg.mod": SERVICE})
+    assert "repro.pkg.mod:Service.by_attribute" in uses.unused_methods()
+
+
+def test_a_stale_method_allowlist_entry_fails():
+    uses = MethodUses(
+        {"repro.pkg.mod": SERVICE},
+        consumers=["s.by_attribute(by_keyword=getattr(s, 'by_getattr'), x=s.in_docs)\n"],
+    )
+    assert allowlist_problems(
+        uses.unused_methods(),
+        uses.methods,
+        {
+            "repro.pkg.mod:Service.only_tested",
+            "repro.pkg.mod:Service.gone",
+            "repro.pkg.mod:Service.by_keyword",
+        },
+    ) == [
+        "allowlisted repro.pkg.mod:Service.by_keyword has a user outside tests",
+        "allowlisted repro.pkg.mod:Service.gone does not exist",
+    ]
+    assert allowlist_problems(uses.unused_methods(), uses.methods, set()) == [
+        "only tests use repro.pkg.mod:Service.only_tested"
+    ]

@@ -20,10 +20,15 @@ def stream():
     return RandomSource(1).stream("latency-test")
 
 
+def one_way(model, stream):
+    """The delay of one message from N1 to N2: shared plus per-receiver."""
+    return model.shared_delay(stream) + model.receiver_delay("N1", "N2", stream)
+
+
 class TestConstantLatency:
     def test_sample_is_constant(self, stream):
         model = ConstantLatency(0.002)
-        assert model.sample("N1", "N2", stream) == pytest.approx(0.002)
+        assert one_way(model, stream) == pytest.approx(0.002)
 
     def test_negative_rejected(self):
         with pytest.raises(NetworkError):
@@ -37,14 +42,14 @@ class TestConstantLatency:
         model = ConstantLatency(0.003)
         assert model.shared_delay(stream) == 0.003
         assert model.receiver_delay("N1", "N2", stream) == 0.0
-        assert ConstantLatency(0.0).sample("N1", "N2", stream) == 0.0
+        assert one_way(ConstantLatency(0.0), stream) == 0.0
 
 
 class TestUniformLatency:
     def test_sample_within_bounds(self, stream):
         model = UniformLatency(0.001, 0.002)
         for _ in range(100):
-            assert 0.001 <= model.sample("N1", "N2", stream) <= 0.002
+            assert 0.001 <= one_way(model, stream) <= 0.002
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(NetworkError):
@@ -60,7 +65,7 @@ class TestUniformLatency:
     def test_whole_delay_is_per_receiver(self, stream):
         model = UniformLatency(0.0015, 0.0015)
         assert model.shared_delay(stream) == 0.0
-        assert model.sample("N1", "N2", stream) == 0.0015
+        assert one_way(model, stream) == 0.0015
 
 
 class TestLanMulticastLatency:
@@ -237,7 +242,7 @@ class TestGeoLatency:
         )
         model = GeoLatency(topology)
         assert model.shared_delay(stream) == 0.0
-        assert model.sample("N1", "N2", stream) == pytest.approx(0.020)
+        assert one_way(model, stream) == pytest.approx(0.020)
 
     def test_jitter_adds_on_top_of_base(self, stream):
         from repro.network.latency import GeoLatency, GeoTopology, LinkProfile

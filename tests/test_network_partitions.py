@@ -27,8 +27,6 @@ class TestConnected:
         # Sites never mentioned in any isolate() share the implicit group.
         controller = PartitionController()
         controller.isolate(["N1"])
-        assert controller.group_of("N3") is None
-        assert controller.group_of("N4") is None
         assert controller.connected("N3", "N4")
 
     def test_empty_group_rejected(self):
@@ -37,42 +35,34 @@ class TestConnected:
             controller.isolate([])
 
 
-class TestIsPartitioned:
-    def test_empty_controller_is_not_partitioned(self):
+class TestGroupLayouts:
+    @pytest.mark.parametrize(
+        "groups, split_pairs",
+        [
+            ([], []),
+            ([["N1"], ["N2"]], [("N1", "N2"), ("N1", "N3"), ("N2", "N3")]),
+            ([["N1", "N2"]], [("N1", "N3"), ("N2", "N3")]),
+            ([["N1", "N2", "N3"]], []),
+        ],
+        ids=["no-group", "two-groups", "group-and-outside-site", "one-group-of-all"],
+    )
+    def test_groups_split_exactly_the_pairs_across_them(self, groups, split_pairs):
         controller = PartitionController()
-        assert not controller.is_partitioned()
-        assert not controller.is_partitioned(all_sites=["N1", "N2"])
+        for group in groups:
+            controller.isolate(group)
+        assert controller.intact is not groups
+        for sender in ("N1", "N2", "N3"):
+            for receiver in ("N1", "N2", "N3"):
+                split = (sender, receiver) in split_pairs or (receiver, sender) in split_pairs
+                assert controller.connected(sender, receiver) is not split
 
-    def test_two_explicit_groups_are_partitioned(self):
-        controller = PartitionController()
-        controller.isolate(["N1"])
-        controller.isolate(["N2"])
-        assert controller.is_partitioned()
-        assert controller.is_partitioned(all_sites=["N1", "N2"])
 
-    def test_single_group_is_conservative_without_site_universe(self):
-        controller = PartitionController()
-        controller.isolate(["N1", "N2"])
-        # The controller cannot know whether sites outside the group exist.
-        assert controller.is_partitioned()
-
-    def test_single_group_with_outside_site_is_partitioned(self):
-        controller = PartitionController()
-        controller.isolate(["N1", "N2"])
-        assert controller.is_partitioned(all_sites=["N1", "N2", "N3"])
-
-    def test_single_group_covering_all_sites_is_not_partitioned(self):
-        # Previously wrong: one explicit group containing the whole cluster
-        # is fully connected, yet was always reported as a partition.
-        controller = PartitionController()
-        controller.isolate(["N1", "N2", "N3"])
-        assert not controller.is_partitioned(all_sites=["N1", "N2", "N3"])
-
+class TestHeal:
     def test_heal_all_clears_partition(self):
         controller = PartitionController()
         controller.isolate(["N1"])
         controller.heal()
-        assert not controller.is_partitioned()
+        assert controller.intact
         assert controller.connected("N1", "N2")
 
     def test_partial_heal_keeps_remaining_group_partitioned(self):
@@ -80,7 +70,7 @@ class TestIsPartitioned:
         controller.isolate(["N1", "N2"])
         controller.heal(["N1"])
         # N2 is still split off from the implicit group (which now holds N1).
-        assert controller.is_partitioned(all_sites=["N1", "N2", "N3"])
+        assert not controller.intact
         assert not controller.connected("N1", "N2")
         assert controller.connected("N1", "N3")
 
@@ -112,9 +102,9 @@ class TestDirectedLinks:
 
     def test_severed_links_make_controller_partitioned(self):
         controller = PartitionController()
-        assert not controller.is_partitioned(all_sites=["N1", "N2"])
+        assert controller.intact
         controller.sever("N1", "N2")
-        assert controller.is_partitioned(all_sites=["N1", "N2"])
+        assert not controller.intact
 
     def test_directed_links_compose_with_groups(self):
         # A severed link on top of group membership: the group predicate

@@ -28,40 +28,6 @@ def register_collector(transport, site_id):
     return received
 
 
-class TestUnicast:
-    def test_message_is_delivered_after_latency(self):
-        kernel, transport = build_transport()
-        inbox = register_collector(transport, "N2")
-        register_collector(transport, "N1")
-        transport.unicast("N1", "N2", {"op": "ping"})
-        kernel.run_until_idle()
-        assert len(inbox) == 1
-        assert inbox[0].payload == {"op": "ping"}
-        assert kernel.now() == pytest.approx(0.001)
-
-    def test_unknown_destination_rejected(self):
-        kernel, transport = build_transport()
-        register_collector(transport, "N1")
-        with pytest.raises(UnknownSiteError):
-            transport.unicast("N1", "N9", "payload")
-
-    def test_unknown_sender_rejected(self):
-        kernel, transport = build_transport()
-        register_collector(transport, "N2")
-        with pytest.raises(UnknownSiteError):
-            transport.unicast("N9", "N2", "payload")
-
-    def test_stats_count_unicasts(self):
-        kernel, transport = build_transport()
-        register_collector(transport, "N1")
-        register_collector(transport, "N2")
-        transport.unicast("N1", "N2", "a")
-        transport.unicast("N1", "N2", "b")
-        kernel.run_until_idle()
-        assert transport.stats.unicasts_sent == 2
-        assert transport.stats.envelopes_delivered == 2
-
-
 class TestMulticast:
     def test_delivered_to_every_site_including_sender(self):
         kernel, transport = build_transport()
@@ -86,6 +52,25 @@ class TestMulticast:
         assert len(inboxes["N2"]) == 1
         assert len(inboxes["N3"]) == 0
 
+    def test_one_destination_multicast_reaches_only_it_after_latency(self):
+        kernel, transport = build_transport()
+        inboxes = {site: register_collector(transport, site) for site in ["N1", "N2", "N3"]}
+        transport.multicast("N1", {"op": "ping"}, destinations=["N2"])
+        kernel.run_until_idle()
+        assert [envelope.payload for envelope in inboxes["N2"]] == [{"op": "ping"}]
+        assert inboxes["N1"] == inboxes["N3"] == []
+        assert kernel.now() == pytest.approx(0.001)
+
+    def test_stats_count_multicasts_and_deliveries(self):
+        kernel, transport = build_transport()
+        for site in ["N1", "N2", "N3"]:
+            register_collector(transport, site)
+        transport.multicast("N1", "a", destinations=["N2"])
+        transport.multicast("N1", "b")
+        kernel.run_until_idle()
+        assert transport.stats.multicasts_sent == 2
+        assert transport.stats.envelopes_delivered == 4
+
     def test_every_receiver_gets_the_one_envelope(self):
         kernel, transport = build_transport()
         inboxes = {site: register_collector(transport, site) for site in ["N1", "N2", "N3"]}
@@ -94,7 +79,6 @@ class TestMulticast:
         received = [inbox[0] for inbox in inboxes.values()]
         assert all(envelope is received[0] for envelope in received)
         assert received[0].envelope_id == envelope_id
-        assert received[0].destination is None
 
     def test_delivery_log_records_receivers(self):
         kernel, transport = build_transport(record_deliveries=True)
@@ -113,7 +97,7 @@ class TestLossAndRetransmission:
         inbox = register_collector(transport, "N2")
         register_collector(transport, "N1")
         for index in range(50):
-            transport.unicast("N1", "N2", index)
+            transport.multicast("N1", index, destinations=["N2"])
         kernel.run_until_idle()
         assert sorted(envelope.payload for envelope in inbox) == list(range(50))
         assert transport.stats.retransmissions > 0
@@ -130,7 +114,7 @@ class TestCrashBuffering:
         inbox = register_collector(transport, "N2")
         register_collector(transport, "N1")
         transport.set_site_up("N2", False)
-        transport.unicast("N1", "N2", "while-down")
+        transport.multicast("N1", "while-down", destinations=["N2"])
         kernel.run_until_idle()
         assert inbox == []
         transport.set_site_up("N2", True)
@@ -158,12 +142,12 @@ class TestCrashBuffering:
         kernel.run_until_idle()
         assert len(inboxes["N2"]) == 1
 
-    def test_unicast_to_down_site_is_delivered_once_after_recovery(self):
+    def test_repeated_recovery_delivers_a_buffered_envelope_once(self):
         kernel, transport = build_transport()
         inbox = register_collector(transport, "N2")
         register_collector(transport, "N1")
         transport.set_site_up("N2", False)
-        transport.unicast("N1", "N2", "while-down")
+        transport.multicast("N1", "while-down", destinations=["N2"])
         kernel.run_until_idle()
         transport.set_site_up("N2", True)
         transport.set_site_up("N2", True)
@@ -206,7 +190,7 @@ class TestPartitions:
         inbox = register_collector(transport, "N2")
         register_collector(transport, "N1")
         transport.partitions.isolate(["N1"])
-        transport.unicast("N1", "N2", "across-partition")
+        transport.multicast("N1", "across-partition", destinations=["N2"])
         kernel.run(until=0.050)
         assert inbox == []
         transport.partitions.heal()
@@ -224,8 +208,8 @@ class TestPartitions:
         controller.isolate(["N1"])
         controller.isolate(["N2"])
         controller.heal(["N1"])
-        assert controller.group_of("N1") is None
-        assert controller.group_of("N2") is not None
+        assert controller.connected("N1", "N3")
+        assert not controller.connected("N2", "N3")
 
     def test_empty_partition_rejected(self):
         controller = PartitionController()
@@ -251,15 +235,15 @@ class TestPartitions:
 #: draw, every hold and every flush.
 #: Rows are ``(payload, sender, receiver, sent_at, delivered_at)``.
 EXPECTED_LOSSY_PARTITIONED_LOG = [
-    ('open-uni', 'N3', 'N4', 0.0, 0.0005118),
     ('open-all', 'N1', 'N4', 0.0, 0.000936124),
     ('open-all', 'N1', 'N1', 0.0, 0.000952106),
     ('open-list', 'N4', 'N3', 0.0, 0.001058693),
     ('open-group', 'N2', 'N1', 0.0, 0.001071146),
+    ('open-one', 'N3', 'N4', 0.0, 0.0013118),
     ('open-all', 'N1', 'N2', 0.0, 0.001446737),
-    ('split-uni', 'N3', 'N4', 0.0015, 0.001960021),
     ('split-all', 'N1', 'N2', 0.0015, 0.002426759),
     ('split-group', 'N2', 'N1', 0.0015, 0.002642303),
+    ('split-one', 'N3', 'N4', 0.0015, 0.002760021),
     ('split-list', 'N4', 'N3', 0.0015, 0.002978296),
     ('split-all', 'N1', 'N3', 0.0015, 0.006334985),
     ('split-all', 'N1', 'N4', 0.0015, 0.006413588),
@@ -274,15 +258,15 @@ EXPECTED_LOSSY_PARTITIONED_LOG = [
     ('cut-group', 'N2', 'N3', 0.0075, 0.008804574),
     ('cut-all', 'N1', 'N1', 0.0075, 0.010171648),
     ('cut-list', 'N4', 'N3', 0.0075, 0.010827872),
-    ('cut-uni', 'N3', 'N4', 0.0075, 0.012328668),
     ('cut-group', 'N2', 'N1', 0.0075, 0.012746306),
     ('cut-list', 'N4', 'N1', 0.0075, 0.012836462),
+    ('cut-one', 'N3', 'N4', 0.0075, 0.013128668),
     ('healed-all', 'N1', 'N1', 0.013, 0.013851596),
-    ('healed-uni', 'N3', 'N4', 0.013, 0.013875014),
     ('healed-all', 'N1', 'N3', 0.013, 0.013877537),
     ('healed-all', 'N1', 'N2', 0.013, 0.013970867),
     ('healed-list', 'N4', 'N1', 0.013, 0.014516556),
     ('healed-group', 'N2', 'N3', 0.013, 0.014595305),
+    ('healed-one', 'N3', 'N4', 0.013, 0.014675014),
     ('healed-list', 'N4', 'N3', 0.013, 0.016239739),
     ('healed-group', 'N2', 'N1', 0.013, 0.016290445),
     ('split-all', 'N1', 'N1', 0.0015, 0.016309956),
@@ -296,7 +280,7 @@ def lossy_partitioned_delivery_log():
     A group partition isolates N1 and N2 and is healed; the directed link
     N3 -> N4 is severed and restored.  Each burst multicasts to everyone, to
     a fixed group tuple without the sender, to a list with a duplicate, and
-    unicasts once.
+    to the one receiver N4.
     """
     kernel = SimulationKernel(seed=7)
     transport = NetworkTransport(
@@ -310,7 +294,7 @@ def lossy_partitioned_delivery_log():
         transport.multicast("N1", f"{tag}-all")
         transport.multicast("N2", f"{tag}-group", destinations=group, include_sender=False)
         transport.multicast("N4", f"{tag}-list", destinations=["N3", "N1", "N3"])
-        transport.unicast("N3", "N4", f"{tag}-uni")
+        transport.multicast("N3", f"{tag}-one", destinations=("N4",))
 
     burst("open")
     kernel.schedule(0.001, lambda: transport.partitions.isolate(["N1", "N2"]))
@@ -432,8 +416,8 @@ class TestDispatcher:
         seen_a, seen_b = [], []
         dispatcher.register_kind("alpha", lambda envelope: (seen_a.append(envelope), True)[1])
         dispatcher.register_kind("beta", lambda envelope: (seen_b.append(envelope), True)[1])
-        transport.unicast("N2", "N1", "x", kind="alpha")
-        transport.unicast("N2", "N1", "y", kind="beta")
+        transport.multicast("N2", "x", destinations=["N1"], kind="alpha")
+        transport.multicast("N2", "y", destinations=["N1"], kind="beta")
         kernel.run_until_idle()
         assert len(seen_a) == 1 and seen_a[0].payload == "x"
         assert len(seen_b) == 1 and seen_b[0].payload == "y"
@@ -442,7 +426,7 @@ class TestDispatcher:
         kernel, transport = build_transport()
         dispatcher = SiteDispatcher(transport, "N1")
         register_collector(transport, "N2")
-        transport.unicast("N2", "N1", "z", kind="unknown-kind")
+        transport.multicast("N2", "z", destinations=["N1"], kind="unknown-kind")
         kernel.run_until_idle()
         assert len(dispatcher.unhandled) == 1
 
@@ -452,7 +436,7 @@ class TestDispatcher:
         register_collector(transport, "N2")
         seen = []
         dispatcher.register(lambda envelope: (seen.append(envelope), True)[1])
-        transport.unicast("N2", "N1", "z", kind="whatever")
+        transport.multicast("N2", "z", destinations=["N1"], kind="whatever")
         kernel.run_until_idle()
         assert len(seen) == 1
         assert dispatcher.unhandled == []

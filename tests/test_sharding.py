@@ -31,11 +31,6 @@ class TestShardMap:
         assert shard_map.classes_of_shard("S2") == ["C2", "C3"]
         assert shard_map.shard_of_class("C3") == "S2"
 
-    def test_round_robin_assignment_interleaves(self):
-        shard_map = ShardMap.round_robin(["C0", "C1", "C2", "C3"], ["S1", "S2"])
-        assert shard_map.classes_of_shard("S1") == ["C0", "C2"]
-        assert shard_map.classes_of_shard("S2") == ["C1", "C3"]
-
     def test_uneven_contiguous_assignment_covers_every_class(self):
         shard_map = ShardMap.contiguous(["C0", "C1", "C2", "C3", "C4"], ["S1", "S2"])
         assert shard_map.class_ids() == ["C0", "C1", "C2", "C3", "C4"]

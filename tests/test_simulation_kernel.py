@@ -241,16 +241,18 @@ class TestPeriodicTimer:
         kernel.run(until=0.25)
         assert ticks[0] == pytest.approx(0.0)
 
-    def test_reschedule_changes_interval(self):
+    def test_start_after_stop_counts_the_interval_from_the_restart(self):
         kernel = SimulationKernel()
         ticks = []
         timer = PeriodicTimer(kernel, 0.1, lambda: ticks.append(kernel.now()))
         timer.start()
         kernel.run(until=0.15)
-        timer.reschedule(0.5)
-        kernel.run(until=1.0)
         timer.stop()
-        assert ticks == pytest.approx([0.1, 0.65])
+        kernel.run(until=0.5)
+        timer.start()
+        kernel.run(until=0.65)
+        timer.stop()
+        assert ticks == pytest.approx([0.1, 0.6])
 
     def test_rejects_non_positive_interval(self):
         kernel = SimulationKernel()
@@ -261,9 +263,6 @@ class TestPeriodicTimer:
         kernel = SimulationKernel()
         with pytest.raises(SimulationError):
             PeriodicTimer(kernel, float("nan"), lambda: None)
-        timer = PeriodicTimer(kernel, 0.1, lambda: None)
-        with pytest.raises(SimulationError):
-            timer.reschedule(float("nan"))
 
     def test_double_start_is_idempotent(self):
         kernel = SimulationKernel()

@@ -28,12 +28,6 @@ class TestReproducibility:
         source = RandomSource(3)
         assert source.stream("same") is source.stream("same")
 
-    def test_streams_returns_all_names(self):
-        source = RandomSource(3)
-        streams = source.streams(["a", "b"])
-        assert set(streams) == {"a", "b"}
-        assert all(isinstance(stream, RandomStream) for stream in streams.values())
-
     def test_fork_is_deterministic(self):
         base = RandomSource(9)
         fork_one = base.fork("rep-1").stream("s")

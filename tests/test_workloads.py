@@ -29,7 +29,6 @@ class TestWorkloadSpec:
     def test_totals(self):
         spec = WorkloadSpec(updates_per_site=10, queries_per_site=3)
         assert spec.total_updates(4) == 40
-        assert spec.total_queries(4) == 12
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -84,7 +83,6 @@ class TestWorkloadSpec:
             query_duration=0.0,
         )
         assert spec.total_updates(8) == 0
-        assert spec.total_queries(8) == 0
         assert spec.effective_query_span == 1
 
     def test_operations_per_update_may_exceed_partition_size(self):
