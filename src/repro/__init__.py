@@ -29,6 +29,7 @@ Quickstart::
 from .broadcast.batching import BatchingConfig
 from .core import (
     BROADCAST_CONSERVATIVE,
+    BROADCAST_LAZY,
     BROADCAST_OPTIMISTIC,
     ClusterConfig,
     ReplicatedDatabase,
@@ -54,6 +55,7 @@ __all__ = [
     "TransactionRouter",
     "BROADCAST_OPTIMISTIC",
     "BROADCAST_CONSERVATIVE",
+    "BROADCAST_LAZY",
     "ConflictClassMap",
     "ProcedureRegistry",
     "StoredProcedure",

@@ -41,7 +41,6 @@ DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = (
     "observability/",
     "analysis/",
     "sharding/",
-    "baselines/",
     "core/cluster.py",
 )
 

@@ -1,7 +1,7 @@
-"""Group-communication substrate: FIFO broadcast, the atomic broadcast with
-optimistic (or, as a delivery policy, conservative) delivery, plus the
-spontaneous-order measurement.  Reliable dissemination is the transport's
-own guarantee (see :class:`~repro.network.transport.NetworkTransport`)."""
+"""Group-communication substrate: the atomic broadcast with optimistic (or,
+as a delivery policy, conservative) delivery, plus the spontaneous-order
+measurement.  Reliable dissemination is the transport's own guarantee (see
+:class:`~repro.network.transport.NetworkTransport`)."""
 
 from .batching import (
     Batch,
@@ -10,7 +10,6 @@ from .batching import (
     BatchMember,
     unwrap_endpoint,
 )
-from .fifo import FIFO_KIND, FifoBroadcast
 from .interfaces import (
     AtomicBroadcastEndpoint,
     BroadcastMessage,
@@ -40,8 +39,6 @@ __all__ = [
     "BatchingEndpoint",
     "BatchMember",
     "unwrap_endpoint",
-    "FifoBroadcast",
-    "FIFO_KIND",
     "AtomicBroadcastEndpoint",
     "BroadcastMessage",
     "BroadcastStats",

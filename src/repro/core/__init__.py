@@ -3,7 +3,7 @@
 Public entry points:
 
 * :class:`ReplicatedDatabase` — build a simulated replicated database cluster
-  (optimistic or conservative atomic broadcast) from a
+  (optimistic or conservative atomic broadcast, or lazy replication) from a
   :class:`ClusterConfig`, a stored-procedure registry and initial data.
 * :class:`OTPScheduler` — the Serialization / Execution / Correctness-Check
   modules of Section 3.3, usable standalone for unit testing and analysis.
@@ -13,6 +13,7 @@ from .cluster import ReplicatedDatabase
 from .config import (
     BROADCAST_CHOICES,
     BROADCAST_CONSERVATIVE,
+    BROADCAST_LAZY,
     BROADCAST_OPTIMISTIC,
     ClusterConfig,
     ShardingConfig,
@@ -27,6 +28,7 @@ __all__ = [
     "ShardingConfig",
     "BROADCAST_CHOICES",
     "BROADCAST_CONSERVATIVE",
+    "BROADCAST_LAZY",
     "BROADCAST_OPTIMISTIC",
     "ExecutionEngine",
     "QueryEngine",

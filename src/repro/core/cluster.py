@@ -9,6 +9,7 @@ layer all operate on this facade.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..broadcast.batching import BatchingEndpoint
@@ -35,9 +36,9 @@ from .admission import (
     POLICY_DEFER,
     AdmissionController,
 )
-from .config import BROADCAST_OPTIMISTIC, ClusterConfig
+from .config import BROADCAST_LAZY, BROADCAST_OPTIMISTIC, ClusterConfig
 from .execution import QueryExecution
-from .replica import ReplicaManager
+from .replica import LAZY_WRITES_KIND, ReplicaManager
 
 
 class _PerfectDetector:
@@ -161,7 +162,17 @@ class ReplicatedDatabase:
             # the translated hook).
             endpoint.fill_safe = self._position_uncommitted_everywhere
             self._broadcasts[site_id] = endpoint
-            self.replicas[site_id] = ReplicaManager(
+            # Lazy replication orders nothing: a committed write set goes to
+            # the group as one plain multicast (the transport is reliable).
+            propagate = None
+            if config.broadcast == BROADCAST_LAZY:
+                propagate = partial(
+                    self.transport.multicast,
+                    site_id,
+                    kind=LAZY_WRITES_KIND,
+                    destinations=tuple(site_ids),
+                )
+            replica = self.replicas[site_id] = ReplicaManager(
                 self.kernel,
                 site_id,
                 endpoint,
@@ -171,7 +182,10 @@ class ReplicatedDatabase:
                 duration_scale=config.duration_scale,
                 initial_data=dict(initial_data or {}),
                 tracer=config.tracer,
+                propagate=propagate,
             )
+            if propagate is not None:
+                dispatcher.register_kind(LAZY_WRITES_KIND, replica.on_lazy_writes)
         # Admission control: one watermark valve per site, consulted by the
         # offer_* client paths (open-loop traffic).  submit()/submit_query()
         # bypass admission on purpose — closed-loop workloads self-regulate.

@@ -15,7 +15,8 @@ from .admission import AdmissionConfig
 #: Broadcast protocol choices for the cluster.
 BROADCAST_OPTIMISTIC = "optimistic"
 BROADCAST_CONSERVATIVE = "conservative"
-BROADCAST_CHOICES = (BROADCAST_OPTIMISTIC, BROADCAST_CONSERVATIVE)
+BROADCAST_LAZY = "lazy"
+BROADCAST_CHOICES = (BROADCAST_OPTIMISTIC, BROADCAST_CONSERVATIVE, BROADCAST_LAZY)
 
 
 @dataclass
@@ -35,6 +36,12 @@ class ProtocolConfig:
         ``"optimistic"`` for the paper's atomic broadcast with optimistic
         delivery, ``"conservative"`` for the baseline: the same protocol
         delivering each message only once its definitive order is known.
+        ``"lazy"`` is the asynchronous replication the paper's introduction
+        sets OTP against: a site executes and commits an update on its own,
+        then multicasts the write set, which the other sites apply
+        last-writer-wins (see :class:`~repro.core.replica.ReplicaManager`).
+        It orders nothing, so it takes neither ``batching`` nor the voting
+        ordering mode, and it has no crash recovery.
     ordering_mode:
         Definitive-order engine of the broadcast: ``"sequencer"`` or
         ``"voting"`` (see :mod:`repro.broadcast.optimistic`).  Voting
@@ -125,10 +132,15 @@ class ProtocolConfig:
                 f"unknown broadcast {self.broadcast!r}; expected one of "
                 f"{BROADCAST_CHOICES}"
             )
-        if self.broadcast == BROADCAST_CONSERVATIVE and self.ordering_mode == "voting":
+        if self.broadcast != BROADCAST_OPTIMISTIC and self.ordering_mode == "voting":
             raise ReplicationError(
                 "ordering_mode='voting' checks the optimistic order and cannot be "
-                "combined with broadcast='conservative'"
+                f"combined with broadcast={self.broadcast!r}"
+            )
+        if self.broadcast == BROADCAST_LAZY and self.batching is not None:
+            raise ReplicationError(
+                "batching configures the ordering endpoint, which "
+                "broadcast='lazy' never uses"
             )
         if self.medium_frame_time < 0.0:
             raise ReplicationError("medium frame time cannot be negative")

@@ -5,11 +5,16 @@ paper's execution model (Figure 3): the communication manager (an atomic
 broadcast endpoint delivering messages optimistically and definitively) and
 the transaction manager (the OTP scheduler, the execution engine, the
 multi-version store and the snapshot-based query engine).
+
+Under ``broadcast="lazy"`` the same replica runs the asynchronous
+replication the paper's introduction contrasts OTP with: an update executes
+and commits at its own site, and its write set is then multicast to the
+others, which apply it last-writer-wins.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage, NoOpFill
 from ..database.conflict import ConflictClassMap
@@ -25,9 +30,28 @@ from ..database.transaction import (
 )
 from ..errors import DatabaseError, ReplicationError
 from ..metrics.collector import MetricsCollector
+from ..network.message import Envelope
 from ..simulation.kernel import SimulationKernel
-from ..types import MessageId, ObjectKey, ObjectValue, SiteId, TransactionId
+from ..types import ConflictClassId, MessageId, ObjectKey, ObjectValue, SiteId, TransactionId
 from .execution import ExecutionEngine, QueryEngine, QueryExecution
+
+#: Envelope kind of a lazily propagated write set.
+LAZY_WRITES_KIND = "lazy.writes"
+
+
+class LazyWriteSet(NamedTuple):
+    """A lazy commit's write set, as its site multicasts it after commit.
+
+    Remote sites order it by ``(committed_at, origin_site)``;
+    ``started_at`` tells them which visible writes it never saw.
+    """
+
+    transaction_id: TransactionId
+    conflict_class: ConflictClassId
+    origin_site: SiteId
+    started_at: float
+    committed_at: float
+    writes: Tuple[Tuple[ObjectKey, ObjectValue], ...]
 
 
 class SiteCrashedError(ReplicationError):
@@ -77,6 +101,7 @@ class ReplicaManager:
         duration_scale: float = 1.0,
         initial_data: Optional[Dict[ObjectKey, ObjectValue]] = None,
         tracer: Optional[Any] = None,
+        propagate: Optional[Callable[[LazyWriteSet], object]] = None,
     ) -> None:
         from .scheduler import OTPScheduler  # local import to avoid a cycle
 
@@ -116,6 +141,19 @@ class ReplicaManager:
         self.queries: List[QueryExecution] = []
         self._open = True
         self._message_ids: Dict[TransactionId, MessageId] = {}
+        #: Where a submitted request goes, fixed here: the TO-broadcast, or —
+        #: given ``propagate``, lazy replication — this site's execution
+        #: engine, with ``propagate`` shipping each committed write set.
+        self._propagate = propagate
+        self._send_request = (
+            broadcast.broadcast if propagate is None else self._execute_locally
+        )
+        #: Lazy only: per key, the ``(commit time, origin site)`` of the
+        #: visible write; per class, the local transactions still executing
+        #: and the remote commits held back in the history behind them.
+        self._visible_stamps: Dict[ObjectKey, Tuple[float, SiteId]] = {}
+        self._executing: Dict[ConflictClassId, int] = {}
+        self._held: Dict[ConflictClassId, List[CommittedTransaction]] = {}
         broadcast.add_opt_listener(self._on_opt_deliver)
         broadcast.add_to_listener(self._on_to_deliver)
 
@@ -144,8 +182,9 @@ class ReplicaManager:
         """Submit an update transaction at this site.
 
         Following the replica-control scheme of Section 2.4 the request is
-        TO-broadcast to every site; the transaction identifier is returned
-        immediately and the commit can be observed through :attr:`submitted`.
+        TO-broadcast to every site (under lazy replication this site executes
+        it alone); the transaction identifier is returned immediately and the
+        commit can be observed through :attr:`submitted`.
         """
         self._ensure_open()
         parameters = dict(parameters or {})
@@ -179,7 +218,7 @@ class ReplicaManager:
                 conflict_class=request.conflict_class,
             )
             self.tracer.begin(now, "lifecycle", self.site_id, transaction_id)
-        self.broadcast.broadcast(request)
+        self._send_request(request)
         return transaction_id
 
     def submit_query(
@@ -373,6 +412,95 @@ class ReplicaManager:
             submitted.committed_at = now
             samples["client_commit_latency"].append(now - submitted.submitted_at)
 
+    # ------------------------------------------------------- lazy replication
+    def _execute_locally(self, request: TransactionRequest) -> None:
+        """Lazy submission: this site executes the update on its own."""
+        conflict_class = request.conflict_class
+        self._executing[conflict_class] = self._executing.get(conflict_class, 0) + 1
+        self.engine.submit(
+            Transaction(request=request, site_id=self.site_id), self._commit_locally
+        )
+
+    def _commit_locally(self, transaction: Transaction) -> None:
+        """Lazy commit at execution end: next local index, commit, propagate."""
+        transaction.global_index = self.commit_frontier + 1
+        write_set = LazyWriteSet(
+            transaction_id=transaction.transaction_id,
+            conflict_class=transaction.conflict_class,
+            origin_site=self.site_id,
+            started_at=transaction.last_execution_started_at,
+            committed_at=self.kernel.now(),
+            writes=tuple(sorted(transaction.workspace.items())),
+        )
+        for key, _ in write_set.writes:
+            # A local write is always the newest: whatever is visible
+            # arrived, so committed, before now.
+            self._wins(key, write_set)
+        self._on_commit(transaction)
+        conflict_class = transaction.conflict_class
+        self._executing[conflict_class] -= 1
+        if not self._executing[conflict_class]:
+            for committed in self._held.pop(conflict_class, ()):
+                self.history.record_commit(committed)
+        self._propagate(write_set)
+
+    def on_lazy_writes(self, envelope: Envelope) -> bool:
+        """Apply another site's write set last-writer-wins (lazy replication).
+
+        The write set commits here at once, at this site's next index, and
+        the store keeps only its writes that are newer than the visible
+        ones.  Its history record goes behind the local transactions of its
+        class still executing: they read the state before it, so they come
+        first in this site's serial order.
+        """
+        write_set = envelope.payload
+        if not isinstance(write_set, LazyWriteSet):
+            return False
+        if write_set.origin_site == self.site_id:
+            return True
+        index = self.commit_frontier + 1
+        now = self.kernel.now()
+        for key, value in write_set.writes:
+            if self._wins(key, write_set):
+                self.store.install(
+                    key,
+                    value,
+                    created_index=index,
+                    created_by=write_set.transaction_id,
+                    created_at=now,
+                )
+        self.snapshot_manager.advance(index)
+        committed = CommittedTransaction(
+            transaction_id=write_set.transaction_id,
+            conflict_class=write_set.conflict_class,
+            global_index=index,
+            committed_at=now,
+            write_keys=tuple(key for key, _ in write_set.writes),
+        )
+        if self._executing.get(write_set.conflict_class):
+            self._held.setdefault(write_set.conflict_class, []).append(committed)
+        else:
+            self.history.record_commit(committed)
+        return True
+
+    def _wins(self, key: ObjectKey, write_set: LazyWriteSet) -> bool:
+        """Whether ``write_set``'s write of ``key`` is newer than the visible one.
+
+        Last-writer-wins on ``(commit time, origin site)``.  Either way, a
+        visible write from another site that committed after ``write_set``'s
+        transaction started is a lost update: neither transaction saw the
+        other, and one of the two effects is dropped.
+        """
+        stamp = (write_set.committed_at, write_set.origin_site)
+        visible = self._visible_stamps.get(key)
+        if visible is not None:
+            if visible[1] != write_set.origin_site and visible[0] > write_set.started_at:
+                self.metrics.counts["lost_updates"] += 1
+            if stamp < visible:
+                return False
+        self._visible_stamps[key] = stamp
+        return True
+
     # --------------------------------------------------------- crash recovery
     def on_crash(self) -> None:
         """Destroy this site's volatile state (paper Section 2 crash model).
@@ -463,7 +591,7 @@ class ReplicaManager:
             if self.scheduler.transaction(transaction_id) is not None:
                 continue
             self.metrics.counts["resubmitted_after_recovery"] += 1
-            self.broadcast.broadcast(submitted.request)
+            self._send_request(submitted.request)
 
     def catch_up_from(self, donor: "ReplicaManager") -> int:
         """State transfer: replay ``donor``'s committed suffix into this site.

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from typing import Dict, Tuple
 
-from ..baselines.lazy import LazyReplicatedDatabase
 from ..broadcast.batching import BatchingConfig
 from ..broadcast.spontaneous import (
     PeriodicMulticastSource,
@@ -39,11 +38,12 @@ from ..core.admission import AdmissionConfig
 from ..core.cluster import ReplicatedDatabase
 from ..core.config import (
     BROADCAST_CONSERVATIVE,
+    BROADCAST_LAZY,
     BROADCAST_OPTIMISTIC,
     ClusterConfig,
     ShardingConfig,
 )
-from ..metrics.stats import mean, summarize
+from ..metrics.stats import mean
 from ..network.latency import (
     DEFAULT_INTRA_PROFILE,
     GeoTopology,
@@ -275,44 +275,32 @@ def tradeoff_cell(spec: RunSpec) -> Row:
 def lazy_cell(spec: RunSpec) -> Row:
     """One system of claim C3: ``system="otp"`` or asynchronous ``"lazy"``.
 
-    Both run the identical workload.  The lazy baseline commits locally
-    before coordinating, so its latency is lower, but it pays with lost
-    updates and replica divergence; OTP keeps 1-copy-serializability.
+    Both run the identical workload on the one cluster and are verified
+    alike.  Lazy replication commits locally before coordinating, so its
+    latency is lower, but it pays with lost updates; ``check_cluster``
+    rejects its histories, while OTP keeps 1-copy-serializability.
     """
     params = spec.params()
     workload = _workload(params)
-    if params["system"] == "otp":
-        summary = _run_flat(params, workload)
-        return dict(
-            system="otp",
-            mean_latency_ms=to_milliseconds(summary.mean_client_latency),
-            p90_latency_ms=to_milliseconds(summary.p90_client_latency),
-            committed=summary.committed,
-            lost_updates=0,
-            divergent_objects=0,
-            one_copy_serializable=summary.one_copy_ok,
-        )
-    lazy = LazyReplicatedDatabase(
-        site_count=params["site_count"],
-        seed=params["seed"],
-        registry=build_partitioned_registry(workload),
-        initial_data=build_initial_data(workload),
-        latency_model=LanMulticastLatency(),
+    broadcast = BROADCAST_LAZY if params["system"] == "lazy" else BROADCAST_OPTIMISTIC
+    cluster = _flat_cluster(
+        ClusterConfig(
+            site_count=params["site_count"], seed=params["seed"], broadcast=broadcast
+        ),
+        workload,
     )
-    WorkloadGenerator(workload).apply(lazy)
-    lazy.run_until_idle()
-    latencies = lazy.all_client_latencies()
-    latency = summarize(latencies)
-    lost_updates = lazy.total_lost_updates()
-    divergent_objects = len(lazy.database_divergence())
+    WorkloadGenerator(workload).apply(cluster)
+    summary = finish_run(cluster)
     return dict(
-        system="lazy",
-        mean_latency_ms=to_milliseconds(latency.mean),
-        p90_latency_ms=to_milliseconds(latency.p90),
-        committed=len(latencies),
-        lost_updates=lost_updates,
-        divergent_objects=divergent_objects,
-        one_copy_serializable=lost_updates == 0 and divergent_objects == 0,
+        system=params["system"],
+        mean_latency_ms=to_milliseconds(summary.mean_client_latency),
+        p90_latency_ms=to_milliseconds(summary.p90_client_latency),
+        committed=summary.committed,
+        lost_updates=sum(
+            replica.metrics.count("lost_updates") for replica in cluster.replicas.values()
+        ),
+        divergent_objects=len(cluster.database_divergence()),
+        one_copy_serializable=summary.verification.ok,
     )
 
 

@@ -63,7 +63,7 @@ class UniformLatency(LatencyModel):
     """One-way delay drawn uniformly from ``[minimum, maximum]`` per receiver.
 
     A test double: a wide interval reorders a multicast differently at every
-    receiver, which the transport, FIFO and atomic-broadcast tests rely on.
+    receiver, which the transport and atomic-broadcast tests rely on.
     """
 
     __slots__ = ("minimum", "maximum")

@@ -8,7 +8,6 @@ from .arrivals import (
     PoissonArrivals,
 )
 from .generator import (
-    ClusterLike,
     GeneratedOperation,
     WorkloadGenerator,
     WorkloadPlan,
@@ -39,7 +38,6 @@ __all__ = [
     "OpenLoopSpec",
     "OpenLoopTrafficEngine",
     "PoissonArrivals",
-    "ClusterLike",
     "GeneratedOperation",
     "WorkloadGenerator",
     "WorkloadPlan",

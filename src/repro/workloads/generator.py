@@ -1,35 +1,22 @@
 """Workload generator: schedules client submissions against a cluster.
 
-The generator works with any cluster facade that exposes ``kernel``,
-``site_ids()``, ``submit(site, procedure, params)`` and
-``submit_query(site, procedure, params)`` — i.e. both the OTP cluster and the
-lazy-replication baseline — so that comparison benchmarks can apply exactly
-the same load (same seeds, same submission times, same parameters) to both
-systems.
+The plan is a pure function of the cluster's seed, so every configuration
+of the one cluster facade — OTP, conservative or lazy — can receive exactly
+the same load (same submission times, same parameters) in a comparison.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple
 
 from ..errors import WorkloadError
-from ..simulation.kernel import SimulationKernel
 from ..simulation.randomness import RandomStream
 from ..types import SiteId
 from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
 from .specs import WorkloadSpec
 
-
-class ClusterLike(Protocol):
-    """The minimal cluster interface the generator needs."""
-
-    kernel: SimulationKernel
-
-    def site_ids(self) -> List[SiteId]: ...
-
-    def submit(self, site_id: SiteId, procedure_name: str, parameters: Dict[str, Any]): ...
-
-    def submit_query(self, site_id: SiteId, procedure_name: str, parameters: Dict[str, Any]): ...
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from ..core.cluster import ReplicatedDatabase
 
 
 class GeneratedOperation(NamedTuple):
@@ -75,7 +62,7 @@ class WorkloadGenerator:
         self.seed_salt = seed_salt
 
     # ------------------------------------------------------------------- api
-    def apply(self, cluster: ClusterLike, *, start_time: float = 0.0) -> WorkloadPlan:
+    def apply(self, cluster: "ReplicatedDatabase", *, start_time: float = 0.0) -> WorkloadPlan:
         """Schedule the whole workload on ``cluster`` and return the plan.
 
         The plan is derived deterministically from the cluster's master seed
@@ -97,7 +84,7 @@ class WorkloadGenerator:
         return plan
 
     # -------------------------------------------------------------- internal
-    def _make_submit_callback(self, cluster: ClusterLike, operation: GeneratedOperation):
+    def _make_submit_callback(self, cluster: "ReplicatedDatabase", operation: GeneratedOperation):
         if operation.is_query:
             return lambda: cluster.submit_query(
                 operation.site_id, operation.procedure_name, dict(operation.parameters)
@@ -106,7 +93,7 @@ class WorkloadGenerator:
             operation.site_id, operation.procedure_name, dict(operation.parameters)
         )
 
-    def _build_plan(self, cluster: ClusterLike, *, start_time: float) -> WorkloadPlan:
+    def _build_plan(self, cluster: "ReplicatedDatabase", *, start_time: float) -> WorkloadPlan:
         spec = self.spec
         plan = WorkloadPlan()
         for site_id in cluster.site_ids():

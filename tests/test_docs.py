@@ -59,3 +59,21 @@ def test_a_cited_symbol_that_was_deleted_fails_the_reference_pass():
 def test_a_reference_resolves_below_its_longest_importable_module():
     assert check_docs.resolves("repro.core.replica.ReplicaManager.catch_up_from")
     assert not check_docs.resolves("repro.broadcast.consensus.Consensus.propose")
+
+
+def test_a_cited_test_node_id_resolves_by_its_definitions():
+    assert check_docs.check_test_references(
+        [("docs/analysis.md", "`tests/test_analysis_lint.py::TestRepoIsClean`")]
+    ) == []
+
+
+def test_a_stale_test_node_id_or_file_fails_the_test_reference_pass():
+    page = (
+        "Checked by `tests/test_analysis_lint.py::TestRepoIsClean::test_gone`, "
+        "`benchmarks/test_bench_gone.py` and `tests/test_docs.py`."
+    )
+    assert check_docs.check_test_references([("docs/page.md", page)]) == [
+        "docs/page.md: unresolved test id -> "
+        "tests/test_analysis_lint.py::TestRepoIsClean::test_gone",
+        "docs/page.md: missing test file -> benchmarks/test_bench_gone.py",
+    ]

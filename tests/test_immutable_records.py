@@ -12,9 +12,8 @@ tell a record from a plain tuple holding the same values.
 
 import pytest
 
-from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro import BROADCAST_LAZY, ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.broadcast.batching import Batch, BatchingConfig, BatchingEndpoint, BatchMember
-from repro.broadcast.fifo import FIFO_KIND, FifoBroadcast, FifoPayload
 from repro.broadcast.interfaces import NoOpFill
 from repro.broadcast.optimistic import (
     OPTIMISTIC_ANNOUNCE_KIND,
@@ -33,6 +32,7 @@ from repro.chaos.orchestrator import InjectedFault
 from repro.chaos.plan import FaultEvent, FaultTarget
 from repro.chaos.scenarios import ChaosRunResult
 from repro.core.execution import _PendingQuery, _QueuedExecution, _RunningExecution
+from repro.core.replica import LAZY_WRITES_KIND, LazyWriteSet
 from repro.database import CommittedTransaction, ObjectVersion
 from repro.database.conflict import ConflictClass
 from repro.database.procedures import StoredProcedure
@@ -88,7 +88,7 @@ RECORDS = [
     (NoOpFill, {"position": 3}, {}),
     (BatchMember, _required(BatchMember), {}),
     (Batch, {"origin": "N1", "members": ()}, {}),
-    (FifoPayload, {"fifo_id": "f:N1:1", "origin": "N1", "sequence": 1, "content": "c"}, {}),
+    (LazyWriteSet, _required(LazyWriteSet), {}),
     (OptimisticAnnounce, {"message_id": "m:N1:1", "site_id": "N2", "local_position": 0}, {}),
     (DataSolicit, {"message_id": "m:N1:1", "position": 0, "requester": "N2"}, {}),
     (OptimisticFill, {"position": 0, "message_id": "m:N1:1"}, {}),
@@ -227,21 +227,23 @@ def test_optimistic_control_handlers_refuse_plain_tuples(kind, record):
     assert [envelope.payload for envelope in dispatcher.unhandled] == [tuple(record)]
 
 
-def test_heartbeat_and_fifo_receivers_refuse_plain_tuples():
+def test_heartbeat_and_lazy_write_set_receivers_refuse_plain_tuples():
     kernel = SimulationKernel(seed=0)
     transport = NetworkTransport(kernel, ConstantLatency(0.001))
     detector = FailureDetector(kernel, transport, "N1", group=["N1", "N2"])
-    fifo = FifoBroadcast(kernel, transport, "N1")
+    lazy = ReplicatedDatabase(
+        ClusterConfig(site_count=2, broadcast=BROADCAST_LAZY), ProcedureRegistry()
+    ).replica("N1")
     heartbeat = Heartbeat(origin="N2", sequence=1)
-    payload = FifoPayload(fifo_id="f:N2:1", origin="N2", sequence=1, content="c")
-    for receiver, kind, record in [
-        (detector, HEARTBEAT_KIND, heartbeat),
-        (fifo, FIFO_KIND, payload),
+    write_set = LazyWriteSet("T:N2:1", "C0", "N2", 0.0, 0.001, (("x", 1),))
+    for receive, kind, record in [
+        (detector.on_envelope, HEARTBEAT_KIND, heartbeat),
+        (lazy.on_lazy_writes, LAZY_WRITES_KIND, write_set),
     ]:
         plain = Envelope("e1", "N2", tuple(record), kind=kind)
-        assert receiver.on_envelope(plain) is False
-        assert receiver.on_envelope(plain._replace(payload=record)) is True
-    assert fifo.delivery_log == ["f:N2:1"]
+        assert receive(plain) is False
+        assert receive(plain._replace(payload=record)) is True
+    assert lazy.history.transaction_ids() == ["T:N2:1"]
 
 
 def test_batching_endpoint_refuses_a_plain_tuple_batch():

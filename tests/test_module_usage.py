@@ -236,7 +236,7 @@ ALLOWLIST = {
     ),
     "repro.network.latency:UniformLatency": (
         "test double of LatencyModel: wide per-receiver reordering for the "
-        "transport property and the FIFO and atomic-broadcast tests"
+        "transport property and the latency-model tests"
     ),
     "repro.database.history:transactions_conflict": (
         "building block of tests/oracles.py, the reference checker the "

@@ -29,7 +29,7 @@ FLOOR = (3, 9)
 NEWER_OPTIONS = {"slots", "kw_only"}
 DATACLASS_CALLS = {"dataclass", "field"}
 #: Packages no benchmark cell imports: the record rule does not cover them.
-UNSCANNED_PACKAGES = {"harness", "analysis", "baselines"}
+UNSCANNED_PACKAGES = {"harness", "analysis"}
 _KEYWORD_BUILT = "keyword-built user API, validated in __post_init__"
 #: The only dataclasses left in the scanned packages, each with its reason.
 CONFIGURATION_DATACLASSES = {

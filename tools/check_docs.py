@@ -2,7 +2,7 @@
 """Docs site checker: links and cited symbols resolve, examples doctest clean.
 
 Run from the repository root (the package must be importable, e.g.
-``PYTHONPATH=src python tools/check_docs.py``).  Three checks:
+``PYTHONPATH=src python tools/check_docs.py``).  Four checks:
 
 * every relative markdown link in ``README.md`` and ``docs/*.md`` points at
   an existing file;
@@ -10,6 +10,10 @@ Run from the repository root (the package must be importable, e.g.
   docstrings of ``src/`` resolves by import plus ``getattr`` — a Sphinx role
   (``:class:`~repro.x.Y```), an RST literal or a markdown code span — so a
   rename or a deletion cannot leave a stale reference behind;
+* every cited ``tests/….py`` or ``benchmarks/….py`` file in the same texts
+  exists, and a pytest node id after it (``::Class::name``) names a class
+  and function defined there — found in the file's syntax tree, without
+  collecting or importing the tests;
 * every ``>>>`` example in ``docs/*.md`` passes under :mod:`doctest`
   (``python -m doctest`` semantics — the examples are real, deterministic
   runs of the library).
@@ -27,7 +31,7 @@ import importlib
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +41,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)#][^)]*)\)")
 #: A cited symbol: a dotted ``repro`` name right after one or two backticks,
 #: so a Sphinx role (with or without ``~``), an RST literal or a code span.
 _REFERENCE = re.compile(r"`{1,2}~?(repro(?:\.\w+)+)")
+
+#: A cited test module, with the ``::Class::name`` node id after it, if any.
+_TEST_NODE = re.compile(r"(?<![\w/.])((?:tests|benchmarks)/[\w/]+\.py)((?:::\w+)*)")
 
 
 def doc_files() -> List[Path]:
@@ -110,6 +117,36 @@ def check_references(
     return failures
 
 
+def defines(path: Path, names: Sequence[str]) -> bool:
+    """Whether the module at ``path`` defines ``names``, each inside the last."""
+    body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    for name in names:
+        for node in body:
+            if (
+                isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == name
+            ):
+                body = node.body
+                break
+        else:
+            return False
+    return True
+
+
+def check_test_references(
+    texts: Optional[Iterable[Tuple[str, str]]] = None,
+) -> List[str]:
+    """Return one message per cited test file or node id that does not exist."""
+    failures: List[str] = []
+    for where, text in cited_texts() if texts is None else texts:
+        for path, node in _TEST_NODE.findall(text):
+            if not (ROOT / path).is_file():
+                failures.append(f"{where}: missing test file -> {path}")
+            elif node and not defines(ROOT / path, node.split("::")[1:]):
+                failures.append(f"{where}: unresolved test id -> {path}{node}")
+    return failures
+
+
 def run_doctests() -> List[str]:
     """Return one message per docs page with failing doctests."""
     failures: List[str] = []
@@ -129,7 +166,7 @@ def main(argv: List[str] = ()) -> int:
     # via `python -m doctest docs/*.md`) without executing every example
     # twice.
     links_only = "--links-only" in argv
-    failures = check_links() + check_references()
+    failures = check_links() + check_references() + check_test_references()
     if not links_only:
         failures += run_doctests()
     for failure in failures:
