@@ -200,7 +200,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     #: solicited from the group, and how long the coordinator then waits for
     #: an answer before declaring the position dead.  Both sit far above any
     #: healthy ordering delay (sub-millisecond LAN latencies, millisecond
-    #: retransmissions), so they only ever fire after a real loss.
+    #: partition re-checks), so they only ever fire after a real loss.
     GAP_PROBE_DELAY = 0.030
     FILL_GRACE = 0.030
 

@@ -27,15 +27,7 @@ from ..network.transport import NetworkTransport
 from ..observability.registry import FLAT_SHARD_LABEL
 from ..simulation.kernel import SimulationKernel
 from ..types import ObjectKey, ObjectValue, SiteId, TransactionId
-from .admission import (
-    CAUSE_DEFER_EXHAUSTED,
-    CAUSE_OVERLOAD,
-    CAUSE_SITE_DOWN,
-    DECISION_ADMIT,
-    DECISION_DEFER,
-    POLICY_DEFER,
-    AdmissionController,
-)
+from .admission import CAUSE_SITE_DOWN, AdmissionController
 from .config import BROADCAST_LAZY, BROADCAST_OPTIMISTIC, ClusterConfig
 from .execution import QueryExecution
 from .replica import LAZY_WRITES_KIND, ReplicaManager
@@ -104,8 +96,6 @@ class ReplicatedDatabase:
         self.transport = transport if transport is not None else NetworkTransport(
             self.kernel,
             config.latency_model,
-            loss_probability=config.loss_probability,
-            record_deliveries=config.record_deliveries,
             medium_frame_time=config.medium_frame_time,
         )
         self.crash_manager = CrashManager(self.kernel, self.transport)
@@ -178,8 +168,6 @@ class ReplicatedDatabase:
                 endpoint,
                 registry,
                 self.conflict_map,
-                cpu_count=config.cpu_count,
-                duration_scale=config.duration_scale,
                 initial_data=dict(initial_data or {}),
                 tracer=config.tracer,
                 propagate=propagate,
@@ -379,81 +367,17 @@ class ReplicatedDatabase:
         ``site_index`` (the facade rotates round-robin when ``None``), fails
         over to the next open site when it is closed, and the target's
         :class:`~repro.core.admission.AdmissionController` (when configured)
-        may shed or defer instead of queueing.  Returns the transaction id
-        when admitted now, ``None`` when shed or deferred — a deferred
-        submission may still be admitted by a later internal retry, which
-        the site's ``admission_*`` counters account for.
+        may shed it instead of queueing.  Returns the transaction id when
+        admitted, ``None`` when shed; the site's ``admission_*`` counters
+        say why.
         """
-        return self._offer_update(
-            procedure_name,
-            dict(parameters or {}),
-            self._next_offer_index(site_index),
-            0,
-        )
-
-    def _offer_update(
-        self,
-        procedure_name: str,
-        parameters: Dict[str, Any],
-        start: int,
-        deferrals: int,
-    ) -> Optional[TransactionId]:
-        preferred = self.site_ids()[start]
-        target = self.open_site_from(start)
+        target = self._offer_site(site_index)
         if target is None:
-            # Whole replica set dark.  Under the defer policy the submission
-            # waits for a recovery (the flat-cluster analogue of the sharded
-            # router's dark-shard deferral); otherwise it is shed.
-            admission = self.config.admission
-            if (
-                admission is not None
-                and admission.policy == POLICY_DEFER
-                and deferrals < admission.max_deferrals
-            ):
-                self._schedule_offer_retry(
-                    procedure_name, parameters, start, deferrals, preferred
-                )
-                return None
-            cause = CAUSE_DEFER_EXHAUSTED if deferrals else CAUSE_SITE_DOWN
-            self.replicas[preferred].metrics.increment(f"admission_shed_{cause}")
             return None
         controller = self.admission_controllers.get(target)
-        if controller is None:
-            return self.submit(target, procedure_name, parameters)
-        decision = controller.decide()
-        if decision == DECISION_ADMIT:
-            controller.record_admitted()
-            return self.submit(target, procedure_name, parameters)
-        if decision == DECISION_DEFER:
-            if deferrals >= controller.config.max_deferrals:
-                controller.record_shed(CAUSE_DEFER_EXHAUSTED)
-                return None
-            self._schedule_offer_retry(
-                procedure_name, parameters, start, deferrals, target
-            )
+        if controller is not None and not controller.admits():
             return None
-        controller.record_shed(CAUSE_OVERLOAD)
-        return None
-
-    def _schedule_offer_retry(
-        self,
-        procedure_name: str,
-        parameters: Dict[str, Any],
-        start: int,
-        deferrals: int,
-        counted_site: SiteId,
-    ) -> None:
-        admission = self.config.admission
-        if admission is None:  # pragma: no cover - defer requires a config
-            raise ReplicationError("cannot defer without an admission config")
-        self.replicas[counted_site].metrics.increment("admission_deferred")
-        self.kernel.schedule(
-            admission.retry_interval,
-            lambda: self._offer_update(
-                procedure_name, parameters, start, deferrals + 1
-            ),
-            label=f"admission-defer:{procedure_name}",
-        )
+        return self.submit(target, procedure_name, parameters)
 
     def offer_query(
         self,
@@ -466,8 +390,18 @@ class ReplicatedDatabase:
 
         Queries read consistent snapshots without entering the class queues,
         so they bypass the watermark valve; only a fully dark replica set
-        refuses them (counted as ``admission_shed_site_down`` at the
-        preferred site) and returns ``None``.
+        refuses them and returns ``None``.
+        """
+        target = self._offer_site(site_index)
+        if target is None:
+            return None
+        return self.submit_query(target, procedure_name, parameters)
+
+    def _offer_site(self, site_index: Optional[int]) -> Optional[SiteId]:
+        """The open site an offer goes to, or ``None`` if the group is dark.
+
+        A dark group sheds the offer, counted as ``admission_shed_site_down``
+        at the preferred site.
         """
         start = self._next_offer_index(site_index)
         target = self.open_site_from(start)
@@ -476,8 +410,7 @@ class ReplicatedDatabase:
             self.replicas[preferred].metrics.increment(
                 f"admission_shed_{CAUSE_SITE_DOWN}"
             )
-            return None
-        return self.submit_query(target, procedure_name, parameters)
+        return target
 
     # ------------------------------------------------------------ simulation
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

@@ -50,20 +50,8 @@ class ProtocolConfig:
     latency_model:
         Network latency model; defaults to the LAN multicast model used for
         the Figure 1 reproduction.
-    loss_probability:
-        Probability that an individual envelope transmission is lost (it is
-        transparently retransmitted).
-    cpu_count:
-        Per-site bound on concurrently executing transactions (``None`` =
-        unbounded).
-    duration_scale:
-        Multiplier on stored-procedure execution times; used to sweep the
-        execution-time/ordering-delay ratio.
     voting_timeout:
         Timeout of the voting ordering mode.
-    record_deliveries:
-        Whether the transport keeps a full delivery log (needed by the
-        spontaneous-order analysis, costs memory in long runs).
     batching:
         When given, every site's broadcast endpoint is wrapped in a
         :class:`~repro.broadcast.batching.BatchingEndpoint` that coalesces
@@ -101,24 +89,19 @@ class ProtocolConfig:
     admission:
         When given (:class:`~repro.core.admission.AdmissionConfig`), every
         site gets an :class:`~repro.core.admission.AdmissionController` and
-        the facade's ``offer_update`` path sheds or defers submissions once
-        the site's class-queue backlog crosses the high watermark — the
-        backpressure valve open-loop traffic needs.  ``None`` (default)
-        admits everything, and ``offer_update`` degenerates to ``submit``
-        with client failover.  In a sharded deployment a saturated shard
-        sheds or defers while healthy shards keep admitting — per-shard
-        backpressure.
+        the facade's ``offer_update`` path sheds submissions once the site's
+        class-queue backlog crosses the high watermark — the backpressure
+        valve open-loop traffic needs.  ``None`` (default) admits
+        everything, and ``offer_update`` degenerates to ``submit`` with
+        client failover.  In a sharded deployment a saturated shard sheds
+        while healthy shards keep admitting — per-shard backpressure.
     """
 
     seed: int = 0
     broadcast: str = BROADCAST_OPTIMISTIC
     ordering_mode: str = "sequencer"
     latency_model: Optional[LatencyModel] = None
-    loss_probability: float = 0.0
-    cpu_count: Optional[int] = None
-    duration_scale: float = 1.0
     voting_timeout: float = 0.010
-    record_deliveries: bool = False
     batching: Optional[BatchingConfig] = None
     medium_frame_time: float = 0.0
     tracer: Optional[TransactionTracer] = None

@@ -3,15 +3,14 @@
 The OTP scheduler submits at most one transaction per conflict class at a
 time; the engine evaluates the procedure body against a private workspace
 (deferred updates) and signals completion after a sampled execution time.
-An optional CPU model limits how many transactions can make progress
-concurrently on one site, which lets the benchmarks show saturation effects.
+As in the paper's model, that time does not depend on how many other
+transactions are executing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..database.procedures import ProcedureRegistry, StoredProcedure, TransactionContext
 from ..database.storage import MultiVersionStore
@@ -34,26 +33,12 @@ class _RunningExecution(NamedTuple):
     on_complete: CompletionCallback
 
 
-class _QueuedExecution(NamedTuple):
-    """An execution waiting for a free CPU slot."""
-
-    transaction: Transaction
-    on_complete: CompletionCallback
-
-
 class ExecutionEngine:
     """Per-site stored-procedure execution engine.
 
-    Parameters
-    ----------
-    cpu_count:
-        Maximum number of transactions executing concurrently at this site;
-        ``None`` means unbounded (the default, matching the paper's model in
-        which execution time is independent of concurrency).
-    duration_scale:
-        Multiplier applied to every sampled execution time; benchmarks use it
-        to sweep the ratio between transaction execution time and the atomic
-        broadcast ordering delay (claim C1).
+    Every submitted transaction executes at once: the engine bounds nothing.
+    The execution-time/ordering-delay ratio of claim C1 is swept through
+    the procedures' durations (``WorkloadSpec.update_duration``).
     """
 
     def __init__(
@@ -62,77 +47,46 @@ class ExecutionEngine:
         store: MultiVersionStore,
         registry: ProcedureRegistry,
         site_id: SiteId,
-        *,
-        cpu_count: Optional[int] = None,
-        duration_scale: float = 1.0,
     ) -> None:
-        if cpu_count is not None and cpu_count <= 0:
-            raise SchedulerError("cpu_count must be positive (or None for unbounded)")
-        if duration_scale < 0.0:
-            raise SchedulerError("duration_scale cannot be negative")
         self.kernel = kernel
         self.store = store
         self.registry = registry
         self.site_id = site_id
-        self.cpu_count = cpu_count
-        self.duration_scale = duration_scale
         self._duration_stream: RandomStream = kernel.random.stream(
             f"execution.duration.{site_id}"
         )
         self._running: Dict[TransactionId, _RunningExecution] = {}
-        self._cpu_queue: Deque[_QueuedExecution] = deque()
         self.executions_started = 0
         self.executions_completed = 0
         self.executions_cancelled = 0
 
     # ------------------------------------------------------------------- api
     def submit(self, transaction: Transaction, on_complete: CompletionCallback) -> None:
-        """Start executing ``transaction``; ``on_complete`` fires when done.
-
-        The request is queued when all CPU slots are busy.
-        """
+        """Start executing ``transaction``; ``on_complete`` fires when done."""
         if self.is_submitted(transaction.transaction_id):
             raise SchedulerError(
-                f"{transaction.transaction_id} is already executing or queued at {self.site_id}"
+                f"{transaction.transaction_id} is already executing at {self.site_id}"
             )
-        if self.cpu_count is not None and len(self._running) >= self.cpu_count:
-            self._cpu_queue.append(
-                _QueuedExecution(transaction=transaction, on_complete=on_complete)
-            )
-            return
         self._start(transaction, on_complete)
 
     def cancel(self, transaction: Transaction) -> bool:
-        """Cancel the in-flight or queued execution of ``transaction`` (CC8 abort).
+        """Cancel the in-flight execution of ``transaction`` (CC8 abort).
 
         Returns whether anything was cancelled.
         """
         running = self._running.pop(transaction.transaction_id, None)
-        if running is not None:
-            self.kernel.cancel(running.completion_event)
-            self.executions_cancelled += 1
-            self._dispatch_queued()
-            return True
-        for index, queued in enumerate(self._cpu_queue):
-            if queued.transaction.transaction_id == transaction.transaction_id:
-                del self._cpu_queue[index]
-                self.executions_cancelled += 1
-                return True
-        return False
+        if running is None:
+            return False
+        self.kernel.cancel(running.completion_event)
+        self.executions_cancelled += 1
+        return True
 
     def is_submitted(self, transaction_id: TransactionId) -> bool:
-        """Whether the transaction is running or waiting for a CPU slot."""
-        if transaction_id in self._running:
-            return True
-        if not self._cpu_queue:
-            return False
-        return any(
-            queued.transaction.transaction_id == transaction_id
-            for queued in self._cpu_queue
-        )
+        """Whether the transaction is executing."""
+        return transaction_id in self._running
 
     def crash_reset(self) -> int:
-        """Cancel every running and queued execution (the site crashed).
+        """Cancel every running execution (the site crashed).
 
         Completion events are descheduled so no callback of the dead
         incarnation ever fires; returns the number of executions killed.
@@ -142,8 +96,6 @@ class ExecutionEngine:
             self.kernel.cancel(running.completion_event)
             killed += 1
         self._running.clear()
-        killed += len(self._cpu_queue)
-        self._cpu_queue.clear()
         self.executions_cancelled += killed
         return killed
 
@@ -166,7 +118,7 @@ class ExecutionEngine:
 
         duration = procedure.sample_duration(
             transaction.request.parameters, self._duration_stream
-        ) * self.duration_scale
+        )
         event = self.kernel.schedule(
             duration,
             partial(self._complete, transaction.transaction_id, result),
@@ -184,15 +136,7 @@ class ExecutionEngine:
         transaction = running.transaction
         transaction.complete_execution(self.kernel.now(), result)
         self.executions_completed += 1
-        self._dispatch_queued()
         running.on_complete(transaction)
-
-    def _dispatch_queued(self) -> None:
-        while self._cpu_queue and (
-            self.cpu_count is None or len(self._running) < self.cpu_count
-        ):
-            queued = self._cpu_queue.popleft()
-            self._start(queued.transaction, queued.on_complete)
 
 
 class QueryExecution:
@@ -248,14 +192,11 @@ class QueryEngine:
         store: MultiVersionStore,
         registry: ProcedureRegistry,
         site_id: SiteId,
-        *,
-        duration_scale: float = 1.0,
     ) -> None:
         self.kernel = kernel
         self.store = store
         self.registry = registry
         self.site_id = site_id
-        self.duration_scale = duration_scale
         self._duration_stream = kernel.random.stream(f"query.duration.{site_id}")
         self._query_counter = 0
         self.completed: List[QueryExecution] = []
@@ -284,9 +225,7 @@ class QueryEngine:
             self.store, snapshot_index=query_index, read_only=True
         )
         result = procedure.body(context, parameters)
-        duration = (
-            procedure.sample_duration(parameters, self._duration_stream) * self.duration_scale
-        )
+        duration = procedure.sample_duration(parameters, self._duration_stream)
 
         def finish() -> None:
             self._pending.pop(execution.query_id, None)

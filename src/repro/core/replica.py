@@ -97,8 +97,6 @@ class ReplicaManager:
         registry: ProcedureRegistry,
         conflict_map: ConflictClassMap,
         *,
-        cpu_count: Optional[int] = None,
-        duration_scale: float = 1.0,
         initial_data: Optional[Dict[ObjectKey, ObjectValue]] = None,
         tracer: Optional[Any] = None,
         propagate: Optional[Callable[[LazyWriteSet], object]] = None,
@@ -119,17 +117,8 @@ class ReplicaManager:
         self.history = SiteHistory(site_id)
         #: Read-only redo view: the store and the history are the redo log.
         self.redo_log = RedoLog(self.store, self.history)
-        self.engine = ExecutionEngine(
-            kernel,
-            self.store,
-            registry,
-            site_id,
-            cpu_count=cpu_count,
-            duration_scale=duration_scale,
-        )
-        self.query_engine = QueryEngine(
-            kernel, self.store, registry, site_id, duration_scale=duration_scale
-        )
+        self.engine = ExecutionEngine(kernel, self.store, registry, site_id)
+        self.query_engine = QueryEngine(kernel, self.store, registry, site_id)
         self.scheduler = OTPScheduler(
             kernel,
             self.engine,

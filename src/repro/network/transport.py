@@ -3,10 +3,9 @@
 The transport implements the paper's system model (Section 2): asynchronous
 channels with no bound on transmission delay, reliable delivery (a message
 sent to a correct site is eventually received), crash-stop failures with
-recovery, and optional network partitions.  Reliability in the presence of
-message loss is provided by transparent retransmission; reliability across
-crashes and partitions is provided by buffering envelopes until the receiver
-is reachable again.
+recovery, and optional network partitions.  Channels lose nothing;
+reliability across crashes and partitions is provided by holding envelopes
+until the receiver is reachable again.
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ from .partitions import PartitionController
 #: Signature of the per-site receive handler registered with the transport.
 ReceiveHandler = Callable[[Envelope], None]
 
+#: Virtual seconds between re-checks of an envelope held by a partition.
+_PARTITION_RECHECK = 0.002
+
 
 class TransportStats:
     """Counters maintained by the transport for benchmarking."""
@@ -32,7 +34,6 @@ class TransportStats:
     __slots__ = (
         "multicasts_sent",
         "envelopes_delivered",
-        "envelopes_dropped",
         "envelopes_buffered",
         "retransmissions",
         "bytes_estimate",
@@ -40,8 +41,10 @@ class TransportStats:
 
     def __init__(self) -> None:
         self.multicasts_sent = self.envelopes_delivered = 0
-        self.envelopes_dropped = self.envelopes_buffered = 0
-        self.retransmissions = self.bytes_estimate = 0
+        self.envelopes_buffered = self.bytes_estimate = 0
+        #: Always 0: channels lose nothing.  Kept for the benchmark's
+        #: ``network.retransmissions`` column until that column is retired.
+        self.retransmissions = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Return the counters as a plain dictionary."""
@@ -65,12 +68,12 @@ class NetworkTransport:
 
     Every envelope the transport accepts reaches each of its registered
     receivers exactly once, whatever happens to its sender: a multicast
-    schedules all its arrivals when sent, lost transmissions are retried,
-    and envelopes for a crashed or partitioned receiver are held until it is
-    reachable.  The broadcast layers rely on this and relay nothing; over a
-    transport that can lose a crashed sender's messages they would need the
-    fail-stop "Lazy Reliable Broadcast" (Guerraoui and Rodrigues,
-    *Introduction to Reliable Distributed Programming*).
+    schedules all its arrivals when sent, and envelopes for a crashed or
+    partitioned receiver are held until it is reachable.  The broadcast
+    layers rely on this and relay nothing; over a transport that can lose a
+    crashed sender's messages they would need the fail-stop "Lazy Reliable
+    Broadcast" (Guerraoui and Rodrigues, *Introduction to Reliable
+    Distributed Programming*).
 
     Parameters
     ----------
@@ -79,10 +82,6 @@ class NetworkTransport:
     latency_model:
         Model producing one-way delays; defaults to the LAN multicast model
         used for the Figure 1 reproduction.
-    loss_probability:
-        Probability that any individual envelope transmission is lost.  Lost
-        envelopes are retransmitted after ``retransmit_delay`` so channels
-        remain reliable, matching the paper's model.
     record_deliveries:
         When true, every delivery is appended to :attr:`delivery_log`, which
         the spontaneous-order experiment uses to reconstruct per-site receive
@@ -101,22 +100,14 @@ class NetworkTransport:
         kernel: SimulationKernel,
         latency_model: Optional[LatencyModel] = None,
         *,
-        loss_probability: float = 0.0,
-        retransmit_delay: float = 0.002,
         record_deliveries: bool = False,
         medium_frame_time: float = 0.0,
         payload_size_estimator: Optional[Callable[[Envelope], int]] = None,
     ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise NetworkError("loss probability must be in [0, 1)")
-        if retransmit_delay <= 0.0:
-            raise NetworkError("retransmit delay must be positive")
         if medium_frame_time < 0.0:
             raise NetworkError("medium frame time cannot be negative")
         self.kernel = kernel
         self.latency_model = latency_model or LanMulticastLatency()
-        self.loss_probability = loss_probability
-        self.retransmit_delay = retransmit_delay
         self.medium_frame_time = medium_frame_time
         self._medium_free_at = 0.0
         self.partitions = PartitionController(clock=kernel.now)
@@ -125,7 +116,6 @@ class NetworkTransport:
         self._record_deliveries = record_deliveries
         self._sites: Dict[SiteId, _SiteEndpoint] = {}
         self._latency_stream: RandomStream = kernel.random.stream("network.latency")
-        self._loss_stream: RandomStream = kernel.random.stream("network.loss")
         self._payload_size_estimator = payload_size_estimator
         #: Resolved multicast receivers by (destinations, sender, include_sender).
         self._receivers: Dict[tuple, Tuple[SiteId, ...]] = {}
@@ -211,10 +201,6 @@ class NetworkTransport:
         if self.medium_frame_time > 0.0:
             shared += self._occupy_medium()
         # Every receiver gets this one envelope; the receiver travels beside it.
-        if self.loss_probability > 0.0:
-            for target in receivers:
-                self._transmit(envelope, target, shared)
-            return envelope.envelope_id
         receiver_delay = self.latency_model.receiver_delay
         schedule = self.kernel.schedule
         arrive = self._arrive
@@ -271,24 +257,6 @@ class NetworkTransport:
     # per-envelope label allocated on every single message and dominated the
     # kernel hot-path profile; the scheduled callback still carries the full
     # envelope and its receiver for debugging.
-    def _transmit(self, envelope: Envelope, destination: SiteId, shared_delay: float) -> None:
-        """Attempt one transmission; retransmit on simulated loss."""
-        if self.loss_probability > 0.0 and self._loss_stream.chance(self.loss_probability):
-            self.stats.envelopes_dropped += 1
-            self.stats.retransmissions += 1
-            self.kernel.schedule(
-                self.retransmit_delay,
-                lambda: self._transmit(envelope, destination, shared_delay),
-                label="net-retransmit",
-            )
-            return
-        delay = shared_delay + self.latency_model.receiver_delay(
-            envelope.sender, destination, self._latency_stream
-        )
-        self.kernel.schedule(
-            delay, partial(self._arrive, envelope, destination), label="net-deliver"
-        )
-
     def _arrive(self, envelope: Envelope, destination: SiteId) -> None:
         # The receiver was validated when the envelope was sent.
         endpoint = self._sites[destination]
@@ -297,7 +265,7 @@ class NetworkTransport:
             # Hold the envelope until the partition heals; re-check shortly.
             self.stats.envelopes_buffered += 1
             self.kernel.schedule(
-                self.retransmit_delay,
+                _PARTITION_RECHECK,
                 lambda: self._arrive(envelope, destination),
                 label="net-partition-hold",
             )

@@ -41,7 +41,6 @@ ABORT_CAUSES: Dict[str, Tuple[str, ...]] = {
 SHED_CAUSES: Dict[str, Tuple[str, ...]] = {
     "overload": ("admission_shed_overload",),
     "site_down": ("admission_shed_site_down",),
-    "defer_exhausted": ("admission_shed_defer_exhausted",),
 }
 
 #: Latency instruments reported in the per-phase breakdown, in client order.
@@ -174,6 +173,8 @@ class DerivedMetrics(NamedTuple):
     #: empty when the cluster has no admission config or ran closed-loop).
     sheds_by_cause: Dict[str, int]
     admitted: int
+    #: Always 0: admission sheds and never defers.  Kept for the benchmark's
+    #: ``core.deferred`` column until that column is retired.
     deferred: int
     max_admission_queue_depth: float
 
@@ -212,6 +213,6 @@ def derive_metrics(cluster: Any, registry: Optional[MetricsRegistry] = None) -> 
             for cause, counters in SHED_CAUSES.items()
         },
         admitted=registry.counter_total("admission_admitted"),
-        deferred=registry.counter_total("admission_deferred"),
+        deferred=0,
         max_admission_queue_depth=registry.gauge_high_water("admission_queue_depth"),
     )

@@ -82,8 +82,6 @@ class ShardedCluster:
         self.transport = NetworkTransport(
             self.kernel,
             config.latency_model,
-            loss_probability=config.loss_probability,
-            record_deliveries=config.record_deliveries,
             medium_frame_time=config.medium_frame_time,
         )
 
@@ -198,9 +196,9 @@ class ShardedCluster:
         through that shard's :meth:`~repro.core.cluster.ReplicatedDatabase.
         offer_update` — client failover over the shard's replicas and, when
         ``config.admission`` is set, the per-site watermark valve.  A
-        saturated or dark shard therefore sheds or defers *its own* traffic
-        while every other shard keeps admitting (per-shard backpressure).
-        Returns the transaction id when admitted now, ``None`` otherwise.
+        saturated or dark shard therefore sheds *its own* traffic while
+        every other shard keeps admitting (per-shard backpressure).
+        Returns the transaction id when admitted, ``None`` when shed.
         """
         parameters = dict(parameters or {})
         _, shard_id = self.router.owner_of_update(procedure_name, parameters)

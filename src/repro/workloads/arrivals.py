@@ -147,9 +147,8 @@ class OpenLoopPlan:
     """The full offer schedule plus live admission outcome counters.
 
     The operation list is fixed once built; the counters fill in as the
-    simulation executes the offers (an offer returning ``None`` was shed or
-    deferred by admission control — a deferred submission that is admitted
-    on a later retry is counted by the site's metrics, not here).
+    simulation executes the offers (an offer returning ``None`` was shed by
+    admission control).
     """
 
     __slots__ = (

@@ -1,4 +1,4 @@
-"""Tests for admission control: watermark hysteresis, shedding, deferral.
+"""Tests for admission control: watermark hysteresis and shedding.
 
 The unit tests drive :class:`~repro.core.admission.AdmissionController`
 against a stub replica whose queue depth is set directly; the integration
@@ -10,13 +10,7 @@ import pytest
 
 from repro import ClusterConfig, ReplicatedDatabase
 from repro.chaos import build_chaos_cluster
-from repro.core.admission import (
-    DECISION_ADMIT,
-    DECISION_DEFER,
-    DECISION_SHED,
-    AdmissionConfig,
-    AdmissionController,
-)
+from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.errors import ReplicationError
 from repro.metrics.collector import MetricsCollector
 from repro.observability.registry import derive_metrics
@@ -40,9 +34,6 @@ class TestAdmissionConfig:
             {"high_watermark": 0},
             {"high_watermark": 8, "low_watermark": 9},
             {"low_watermark": -1},
-            {"policy": "drop"},
-            {"retry_interval": 0.0},
-            {"max_deferrals": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -78,28 +69,26 @@ def controller(**config_overrides):
 class TestWatermarkHysteresis:
     def decide_at(self, valve, replica, depth):
         replica.scheduler.depth = depth
-        return valve.decide()
+        return valve.admits()
 
     def test_valve_closes_at_high_and_reopens_only_at_low(self):
         valve, replica = controller()
-        assert self.decide_at(valve, replica, 3) == DECISION_ADMIT
-        assert self.decide_at(valve, replica, 4) == DECISION_SHED
+        assert self.decide_at(valve, replica, 3)
+        assert not self.decide_at(valve, replica, 4)
         # Inside the hysteresis band the valve stays closed: a depth
         # oscillating between low and high must not flap it open.
-        assert self.decide_at(valve, replica, 3) == DECISION_SHED
-        assert self.decide_at(valve, replica, 4) == DECISION_SHED
-        assert self.decide_at(valve, replica, 3) == DECISION_SHED
+        assert not self.decide_at(valve, replica, 3)
+        assert not self.decide_at(valve, replica, 4)
+        assert not self.decide_at(valve, replica, 3)
         assert valve.shed_windows == 1
         # Only draining to the low watermark reopens it...
-        assert self.decide_at(valve, replica, 2) == DECISION_ADMIT
+        assert self.decide_at(valve, replica, 2)
         # ...and inside the band it now stays open until high is hit again.
-        assert self.decide_at(valve, replica, 3) == DECISION_ADMIT
-        assert self.decide_at(valve, replica, 4) == DECISION_SHED
+        assert self.decide_at(valve, replica, 3)
+        assert not self.decide_at(valve, replica, 4)
         assert valve.shed_windows == 2
-
-    def test_defer_policy_returns_defer_while_closed(self):
-        valve, replica = controller(policy="defer")
-        assert self.decide_at(valve, replica, 4) == DECISION_DEFER
+        assert replica.metrics.count("admission_admitted") == 3
+        assert replica.metrics.count("admission_shed_overload") == 5
 
     def test_queue_depth_gauge_tracks_every_decision(self):
         valve, replica = controller()
@@ -154,26 +143,6 @@ class TestOverloadIntegration:
         # Shedding refuses work at the door; it never corrupts admitted work.
         check_one_copy_serializability(valved.histories()).raise_if_violated()
 
-    def test_defer_policy_accounts_for_every_offer(self):
-        # Under the defer policy an offer's terminal fate is admit or
-        # defer-exhausted shed — nothing silently disappears.
-        admission = AdmissionConfig(
-            high_watermark=16,
-            low_watermark=8,
-            policy="defer",
-            retry_interval=0.01,
-            max_deferrals=4,
-        )
-        cluster, spec = build_open_loop_cluster(seed=31, admission=admission)
-        plan = OpenLoopTrafficEngine(spec).apply(cluster)
-        cluster.run_until_idle()
-        derived = derive_metrics(cluster)
-        assert derived.deferred > 0
-        exhausted = derived.sheds_by_cause["defer_exhausted"]
-        assert derived.admitted + exhausted == plan.update_count
-        assert max(cluster.committed_counts().values()) == derived.admitted
-        check_one_copy_serializability(cluster.histories()).raise_if_violated()
-
 
 def update_parameters(class_index):
     return {"class_index": class_index, "object_indexes": [0, 1], "amount": 1}
@@ -197,58 +166,6 @@ class TestShedDuringCrash:
         assert admitted is not None
         cluster.run_until_idle()
         assert set(cluster.committed_counts().values()) == {1}
-
-    def test_defer_policy_rides_out_a_whole_group_outage(self):
-        admission = AdmissionConfig(
-            high_watermark=16,
-            low_watermark=8,
-            policy="defer",
-            retry_interval=0.005,
-            max_deferrals=20,
-        )
-        cluster, _ = build_open_loop_cluster(seed=41, admission=admission)
-        for site in cluster.site_ids():
-            cluster.crash_manager.crash_now(site)
-        assert cluster.offer_update(UPDATE_PROCEDURE, update_parameters(1)) is None
-        cluster.kernel.schedule_at(
-            0.02,
-            lambda: [
-                cluster.crash_manager.recover_now(site)
-                for site in cluster.site_ids()
-            ],
-            label="recover-group",
-        )
-        cluster.run_until_idle()
-        assert set(cluster.committed_counts().values()) == {1}
-        deferred = sum(
-            replica.metrics.count("admission_deferred")
-            for replica in cluster.replicas.values()
-        )
-        assert deferred >= 1
-
-    def test_defer_exhaustion_sheds_with_its_own_cause(self):
-        admission = AdmissionConfig(
-            high_watermark=16,
-            low_watermark=8,
-            policy="defer",
-            retry_interval=0.005,
-            max_deferrals=2,
-        )
-        cluster, _ = build_open_loop_cluster(seed=43, admission=admission)
-        for site in cluster.site_ids():
-            cluster.crash_manager.crash_now(site)
-        assert cluster.offer_update(UPDATE_PROCEDURE, update_parameters(2)) is None
-        cluster.run_until_idle()  # the site never recovers; retries exhaust
-        exhausted = sum(
-            replica.metrics.count("admission_shed_defer_exhausted")
-            for replica in cluster.replicas.values()
-        )
-        assert exhausted == 1
-        deferred = sum(
-            replica.metrics.count("admission_deferred")
-            for replica in cluster.replicas.values()
-        )
-        assert deferred == admission.max_deferrals
 
 
 class TestDarkShardBackpressure:

@@ -284,10 +284,9 @@ class TestDeliveryModesOrderIdentically:
         "config",
         [
             {},
-            {"loss_probability": 0.02},
             {"batching": BatchingConfig(window=0.002), "medium_frame_time": 2e-4},
         ],
-        ids=["plain", "lossy", "batched"],
+        ids=["plain", "batched"],
     )
     def test_same_definitive_order_and_contents(self, config):
         optimistic = self.run("optimistic", **config)

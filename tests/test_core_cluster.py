@@ -290,11 +290,7 @@ PROTOCOL_SENTINELS = {
     "broadcast": BROADCAST_CONSERVATIVE,
     "ordering_mode": "voting",
     "latency_model": ConstantLatency(0.002),
-    "loss_probability": 0.25,
-    "cpu_count": 3,
-    "duration_scale": 2.5,
     "voting_timeout": 0.123,
-    "record_deliveries": True,
     "batching": BatchingConfig(window=0.002),
     "medium_frame_time": 0.0003,
     "tracer": TransactionTracer(),
@@ -326,7 +322,7 @@ class TestConfigValidation:
 
     def test_subclasses_add_only_their_shape_fields(self):
         base = {field.name for field in fields(ProtocolConfig)}
-        assert len(base) == 15
+        assert len(base) == 11
         cluster = {field.name for field in fields(ClusterConfig)}
         sharding = {field.name for field in fields(ShardingConfig)}
         assert cluster - base == {"site_count", "site_prefix"}

@@ -14,7 +14,7 @@ from repro.errors import SchedulerError
 from repro.simulation import SimulationKernel
 
 
-def build_engine(cpu_count=None, duration=0.01, duration_scale=1.0):
+def build_engine(duration=0.01):
     kernel = SimulationKernel(seed=0)
     store = MultiVersionStore()
     store.load_many({"x": 10, "y": 20})
@@ -33,9 +33,7 @@ def build_engine(cpu_count=None, duration=0.01, duration_scale=1.0):
             name="slow", body=add_body, conflict_class="C", duration=duration * 10
         )
     )
-    engine = ExecutionEngine(
-        kernel, store, registry, "N1", cpu_count=cpu_count, duration_scale=duration_scale
-    )
+    engine = ExecutionEngine(kernel, store, registry, "N1")
     return kernel, store, registry, engine
 
 
@@ -67,13 +65,6 @@ class TestExecutionEngine:
         # The store itself is untouched until commit.
         assert store.read_latest("x") == 10
 
-    def test_duration_scale_stretches_execution(self):
-        kernel, store, registry, engine = build_engine(duration=0.01, duration_scale=3.0)
-        transaction = make_transaction()
-        engine.submit(transaction, lambda txn: None)
-        kernel.run_until_idle()
-        assert transaction.executed_at == pytest.approx(0.03)
-
     def test_cancel_in_flight_execution(self):
         kernel, store, registry, engine = build_engine(duration=0.05)
         transaction = make_transaction()
@@ -97,38 +88,6 @@ class TestExecutionEngine:
         engine.submit(transaction, lambda txn: None)
         with pytest.raises(SchedulerError):
             engine.submit(transaction, lambda txn: None)
-
-    def test_cpu_limit_queues_executions(self):
-        kernel, store, registry, engine = build_engine(cpu_count=1, duration=0.01)
-        first = make_transaction("T1", key="x")
-        second = make_transaction("T2", key="y")
-        order = []
-        engine.submit(first, lambda txn: order.append(txn.transaction_id))
-        engine.submit(second, lambda txn: order.append(txn.transaction_id))
-        assert engine.is_submitted("T1") and engine.is_submitted("T2")
-        kernel.run_until_idle()
-        assert order == ["T1", "T2"]
-        # Executions were serialised by the single CPU: total 0.02s.
-        assert kernel.now() == pytest.approx(0.02)
-
-    def test_cancel_queued_execution(self):
-        kernel, store, registry, engine = build_engine(cpu_count=1, duration=0.01)
-        first = make_transaction("T1")
-        second = make_transaction("T2", key="y")
-        engine.submit(first, lambda txn: None)
-        engine.submit(second, lambda txn: None)
-        assert engine.cancel(second)
-        kernel.run_until_idle()
-        assert engine.executions_completed == 1
-
-    def test_invalid_configuration_rejected(self):
-        kernel = SimulationKernel()
-        store = MultiVersionStore()
-        registry = ProcedureRegistry()
-        with pytest.raises(SchedulerError):
-            ExecutionEngine(kernel, store, registry, "N1", cpu_count=0)
-        with pytest.raises(SchedulerError):
-            ExecutionEngine(kernel, store, registry, "N1", duration_scale=-1.0)
 
 
 class TestQueryEngine:

@@ -159,22 +159,3 @@ class TestOriginCrash:
         check_broadcast_properties(
             {site: cluster.broadcast_endpoint(site) for site in correct}
         ).raise_if_violated()
-
-
-class TestMessageLoss:
-    def test_lossy_network_still_reaches_agreement(self):
-        cluster = ReplicatedDatabase(
-            ClusterConfig(
-                site_count=3,
-                seed=11,
-                broadcast=BROADCAST_OPTIMISTIC,
-                loss_probability=0.2,
-            ),
-            build_registry(),
-            initial_data={f"slot:{index}": 0 for index in range(6)},
-        )
-        submit_spread(cluster, count=20)
-        cluster.run_until_idle()
-        assert set(cluster.committed_counts().values()) == {20}
-        assert cluster.database_divergence() == {}
-        check_one_copy_serializability(cluster.histories()).raise_if_violated()

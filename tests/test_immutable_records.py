@@ -31,7 +31,7 @@ from repro.broadcast.spontaneous import OrderAgreementReport, ProbeMessage
 from repro.chaos.orchestrator import InjectedFault
 from repro.chaos.plan import FaultEvent, FaultTarget
 from repro.chaos.scenarios import ChaosRunResult
-from repro.core.execution import _PendingQuery, _QueuedExecution, _RunningExecution
+from repro.core.execution import _PendingQuery, _RunningExecution
 from repro.core.replica import LAZY_WRITES_KIND, LazyWriteSet
 from repro.database import CommittedTransaction, ObjectVersion
 from repro.database.conflict import ConflictClass
@@ -136,7 +136,6 @@ RECORDS = [
     (OpenLoopOperation, _required(OpenLoopOperation), {}),
     (GeneratedOperation, _required(GeneratedOperation), {}),
     (_RunningExecution, _required(_RunningExecution), {}),
-    (_QueuedExecution, _required(_QueuedExecution), {}),
     (_PendingQuery, _required(_PendingQuery), {}),
 ]
 

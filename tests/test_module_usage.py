@@ -24,8 +24,12 @@ public or private, must be reachable from a root through resolved uses (see
 so a dead helper goes with the dead class that called it.
 
 And per method: every public method and property of a ``src/`` class must
-be named by a non-test root (see :class:`MethodUses`).  ``ALLOWLIST`` names
-the few symbols and methods kept anyway, each with its reason.
+be named by a non-test root (see :class:`MethodUses`).
+
+And per option: every field of the configuration classes must be set to a
+non-default value by a non-test root (see :class:`ConfigFieldUses`), since
+an option only tests turn keeps a code path no run takes.  ``ALLOWLIST``
+names the few symbols, methods and fields kept anyway, each with its reason.
 """
 
 import ast
@@ -226,8 +230,9 @@ def test_code_only_its_own_tests_ran_stays_deleted(module, name):
 
 
 # --------------------------------------------------------------- symbols
-#: Symbols (``module:name``) and methods (``module:Class.name``) kept
-#: although only tests use them; one reason each.  An entry that names a
+#: Symbols (``module:name``), methods (``module:Class.name``) and
+#: configuration fields (``module:Class.field=``) kept although only tests
+#: use or set them; one reason each.  An entry that names a
 #: missing symbol or method, or one that gained a real user, fails the
 #: check, so the list cannot rot.
 ALLOWLIST = {
@@ -266,11 +271,27 @@ ALLOWLIST = {
         "trace export kept until the causal-span work (ROADMAP item 3) "
         "lands or is dropped"
     ),
+    "repro.failure.suspicion:FailureDetectionConfig.heartbeat_interval=": (
+        "deployment setting: detector timings scale with the network delay"
+    ),
+    "repro.failure.suspicion:FailureDetectionConfig.initial_timeout=": (
+        "deployment setting: detector timings scale with the network delay"
+    ),
+    "repro.failure.suspicion:FailureDetectionConfig.timeout_increment=": (
+        "deployment setting: detector timings scale with the network delay"
+    ),
+    "repro.failure.suspicion:FailureDetectionConfig.quorum=": (
+        "deployment setting: the suspicion quorum scales with the group size"
+    ),
 }
 
 
 def is_method(entry):
-    return "." in entry.partition(":")[2]
+    return "." in entry.partition(":")[2] and not is_field(entry)
+
+
+def is_field(entry):
+    return entry.endswith("=")
 
 
 def doc_example_source(text):
@@ -457,7 +478,9 @@ def allowlist_problems(flagged, defined, allowlist):
 
 def test_every_symbol_is_used_outside_its_own_tests():
     graph = SymbolGraph.from_repo()
-    allowlist = {entry for entry in ALLOWLIST if not is_method(entry)}
+    allowlist = {
+        entry for entry in ALLOWLIST if not is_method(entry) and not is_field(entry)
+    }
     assert allowlist_problems(graph.unused_symbols(), graph.symbols(), allowlist) == []
 
 
@@ -708,4 +731,262 @@ def test_a_stale_method_allowlist_entry_fails():
     ]
     assert allowlist_problems(uses.unused_methods(), uses.methods, set()) == [
         "only tests use repro.pkg.mod:Service.only_tested"
+    ]
+
+
+# ---------------------------------------------------------- config fields
+#: The configuration classes whose every field must be set somewhere.
+CONFIG_CLASSES = (
+    "ProtocolConfig",
+    "ClusterConfig",
+    "ShardingConfig",
+    "AdmissionConfig",
+    "BatchingConfig",
+    "FailureDetectionConfig",
+)
+
+
+def parameters(function):
+    args = function.args
+    return [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def defaults(function):
+    """Parameter name -> its default expression."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += zip(args.kwonlyargs, args.kw_defaults)
+    return {arg.arg: default for arg, default in pairs if default is not None}
+
+
+def scopes(tree):
+    """``(name, function or None, calls)`` per function and the module body.
+
+    A nested function's calls belong to it, not to the function around it.
+    A class's ``__init__`` is named after the class, which is how it is
+    called.
+    """
+    found = []
+
+    def visit(node, owner, calls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                inner = []
+                name = owner if child.name == "__init__" and owner else child.name
+                found.append((name, child, inner))
+                visit(child, None, inner)
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append(child)
+                visit(child, child.name if isinstance(child, ast.ClassDef) else None, calls)
+
+    module_calls = []
+    found.append((None, None, module_calls))
+    visit(tree, None, module_calls)
+    return found
+
+
+def callee(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def local_dicts(function):
+    """``name = dict(k=v, ...)`` in ``function``: name -> its keywords."""
+    found = {}
+    for node in ast.walk(function):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and callee(node.value) == "dict"
+        ):
+            found[node.targets[0].id] = [
+                keyword for keyword in node.value.keywords if keyword.arg
+            ]
+    return found
+
+
+def same_literal(value, default):
+    if isinstance(value, ast.Constant) and isinstance(default, ast.Constant):
+        return type(value.value) is type(default.value) and value.value == default.value
+    if isinstance(value, ast.Name) and isinstance(default, ast.Name):
+        return value.id == default.id
+    return False
+
+
+class ConfigFieldUses:
+    """Which configuration fields a non-test root sets to a non-default value.
+
+    A field is set by a keyword passed to its class (or a subclass), or to
+    a forwarder: a function that hands one of its parameters, or its
+    ``**`` parameter, on to a class or another forwarder, also through a
+    local ``name = dict(...)`` splatted as ``**name``.  A forwarder's own
+    parameter default counts as a value it passes.  A value equal to the
+    field's literal default does not count, and neither does a forwarded
+    ``x=config.x``.  Callees are matched by name, so a keyword to an
+    unrelated callee (``NetworkTransport(record_deliveries=True)``) sets
+    nothing.
+    """
+
+    def __init__(self, modules, consumers=(), classes=CONFIG_CLASSES):
+        trees = [ast.parse(source) for source in modules.values()]
+        declared = {}
+        for module, tree in zip(modules, trees):
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name in classes:
+                    declared[node.name] = (module, node)
+        #: ``"module:Class.field="`` -> the field's default expression.
+        self.fields = {}
+        #: Callee name -> keyword -> the field keys the keyword sets.
+        self.targets = {}
+        for name in declared:
+            accepted = self.targets[name] = {}
+            for owner in self.lineage(name, declared):
+                module, node = declared[owner]
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and item.value is not None:
+                        key = f"{module}:{owner}.{item.target.id}="
+                        self.fields[key] = item.value
+                        accepted.setdefault(item.target.id, set()).add(key)
+        self.scopes = [
+            scope for tree in trees + [ast.parse(source) for source in consumers]
+            for scope in scopes(tree)
+        ]
+        #: The field keys some root sets to a non-default value.
+        self.assigned = set()
+        while self.propagate():
+            pass
+
+    @staticmethod
+    def lineage(name, declared):
+        """``name`` and its configuration base classes, nearest first."""
+        while name in declared:
+            yield name
+            bases = declared[name][1].bases
+            name = bases[0].id if bases and isinstance(bases[0], ast.Name) else None
+
+    def arguments(self, call, dicts, positional):
+        """``(keyword, value)`` per argument ``call`` names a parameter with."""
+        for name, value in zip(positional, call.args):
+            yield name, value
+        for keyword in call.keywords:
+            if keyword.arg:
+                yield keyword.arg, keyword.value
+            elif isinstance(keyword.value, ast.Name):
+                for spread in dicts.get(keyword.value.id, ()):
+                    yield spread.arg, spread.value
+
+    def propagate(self):
+        """One pass over every call; whether a forwarder gained a field."""
+        grew = False
+        functions = {name: function for name, function, _ in self.scopes if function}
+        for name, function, calls in self.scopes:
+            own = self.targets.setdefault(name, {}) if function else {}
+            params = set(parameters(function)) if function else set()
+            splat = function.args.kwarg if function else None
+            dicts = local_dicts(function) if function else {}
+
+            def forward(parameter, keys):
+                before = own.setdefault(parameter, set())
+                grown = not keys <= before
+                before |= keys
+                return grown
+
+            for call in calls:
+                accepted = self.targets.get(callee(call))
+                if not accepted:
+                    continue
+                target = functions.get(callee(call))
+                positional = parameters(target) if target else ()
+                for keyword, value in self.arguments(call, dicts, positional):
+                    keys = accepted.get(keyword, set())
+                    if isinstance(value, ast.Name) and value.id in params:
+                        grew |= forward(value.id, keys)
+                    elif not (isinstance(value, ast.Attribute) and value.attr == keyword):
+                        self.assign(keys, value)
+                if splat and any(
+                    keyword.arg is None
+                    and isinstance(keyword.value, ast.Name)
+                    and keyword.value.id == splat.arg
+                    for keyword in call.keywords
+                ):
+                    for keyword, keys in accepted.items():
+                        grew |= forward(keyword, keys)
+            for parameter, default in (defaults(function) if function else {}).items():
+                self.assign(own.get(parameter, ()), default)
+        return grew
+
+    def assign(self, keys, value):
+        """Count ``value`` as set for each of ``keys`` whose default it is not."""
+        for key in keys:
+            if not same_literal(value, self.fields[key]):
+                self.assigned.add(key)
+
+    @classmethod
+    def from_repo(cls):
+        modules = {
+            module_name(path): path.read_text()
+            for path in sorted((SRC / "repro").rglob("*.py"))
+        }
+        consumers = [
+            path.read_text()
+            for directory in CONSUMER_DIRS
+            for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+        ]
+        return cls(modules, consumers)
+
+    def unset_fields(self):
+        return sorted(set(self.fields) - self.assigned)
+
+
+def test_every_config_field_is_set_outside_tests():
+    uses = ConfigFieldUses.from_repo()
+    allowlist = {entry for entry in ALLOWLIST if is_field(entry)}
+    assert allowlist_problems(uses.unset_fields(), uses.fields, allowlist) == []
+
+
+CONFIGS = (
+    "from dataclasses import dataclass\n"
+    "@dataclass\n"
+    "class BaseConfig:\n"
+    "    direct: int = 0\n"
+    "    forwarded: int = 0\n"
+    "    spread: int = 0\n"
+    "    default_only: float = 0.5\n"
+    "    copied: int = 0\n"
+    "    test_only: int = 0\n"
+    "@dataclass\n"
+    "class GroupConfig(BaseConfig):\n"
+    "    sites: int = 1\n"
+    "def build(base, **options):\n"
+    "    cell = dict(spread=base.size)\n"
+    "    return GroupConfig(copied=base.copied, **cell, **options)\n"
+)
+
+
+def test_a_field_only_tests_set_is_flagged():
+    uses = ConfigFieldUses(
+        {"repro.pkg.mod": CONFIGS},
+        consumers=[
+            "GroupConfig(direct=2, default_only=0.5)\n"
+            "build(base, forwarded=3, sites=4)\n"
+            "Transport(test_only=1)\n"
+        ],
+        classes=("BaseConfig", "GroupConfig"),
+    )
+    assert uses.unset_fields() == [
+        "repro.pkg.mod:BaseConfig.copied=",
+        "repro.pkg.mod:BaseConfig.default_only=",
+        "repro.pkg.mod:BaseConfig.test_only=",
+    ]
+    assert allowlist_problems(uses.unset_fields(), uses.fields, set()) == [
+        "only tests use repro.pkg.mod:BaseConfig.copied=",
+        "only tests use repro.pkg.mod:BaseConfig.default_only=",
+        "only tests use repro.pkg.mod:BaseConfig.test_only=",
     ]

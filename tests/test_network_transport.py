@@ -91,23 +91,6 @@ class TestMulticast:
         assert all(record.kind == "probe" for record in transport.delivery_log)
 
 
-class TestLossAndRetransmission:
-    def test_lossy_channel_still_delivers_everything(self):
-        kernel, transport = build_transport(loss_probability=0.4)
-        inbox = register_collector(transport, "N2")
-        register_collector(transport, "N1")
-        for index in range(50):
-            transport.multicast("N1", index, destinations=["N2"])
-        kernel.run_until_idle()
-        assert sorted(envelope.payload for envelope in inbox) == list(range(50))
-        assert transport.stats.retransmissions > 0
-
-    def test_invalid_loss_probability_rejected(self):
-        kernel = SimulationKernel()
-        with pytest.raises(NetworkError):
-            NetworkTransport(kernel, ConstantLatency(), loss_probability=1.0)
-
-
 class TestCrashBuffering:
     def test_messages_to_down_site_are_buffered_until_recovery(self):
         kernel, transport = build_transport()
@@ -229,53 +212,52 @@ class TestPartitions:
         assert controller.connected("N1", "N1")
 
 
-#: The delivery log of :func:`lossy_partitioned_delivery_log`, printed before
-#: multicast kept its resolved receivers and arrival skipped the partition
-#: check while nothing is cut: a pin on the order of every loss and latency
-#: draw, every hold and every flush.
+#: The delivery log of :func:`partitioned_delivery_log`, printed with loss
+#: off before the transport's lossy path was deleted: a pin on the order of
+#: every latency draw, every hold and every flush.
 #: Rows are ``(payload, sender, receiver, sent_at, delivered_at)``.
-EXPECTED_LOSSY_PARTITIONED_LOG = [
-    ('open-all', 'N1', 'N4', 0.0, 0.000936124),
+EXPECTED_PARTITIONED_LOG = [
+    ('open-all', 'N1', 'N4', 0.0, 0.00087782),
+    ('open-all', 'N1', 'N3', 0.0, 0.000936124),
     ('open-all', 'N1', 'N1', 0.0, 0.000952106),
-    ('open-list', 'N4', 'N3', 0.0, 0.001058693),
-    ('open-group', 'N2', 'N1', 0.0, 0.001071146),
-    ('open-one', 'N3', 'N4', 0.0, 0.0013118),
+    ('open-group', 'N2', 'N1', 0.0, 0.001145324),
+    ('open-one', 'N3', 'N4', 0.0, 0.001358935),
+    ('open-list', 'N4', 'N3', 0.0, 0.001444635),
     ('open-all', 'N1', 'N2', 0.0, 0.001446737),
-    ('split-all', 'N1', 'N2', 0.0015, 0.002426759),
-    ('split-group', 'N2', 'N1', 0.0015, 0.002642303),
-    ('split-one', 'N3', 'N4', 0.0015, 0.002760021),
-    ('split-list', 'N4', 'N3', 0.0015, 0.002978296),
-    ('split-all', 'N1', 'N3', 0.0015, 0.006334985),
-    ('split-all', 'N1', 'N4', 0.0015, 0.006413588),
-    ('split-group', 'N2', 'N3', 0.0015, 0.00653855),
-    ('split-list', 'N4', 'N1', 0.0015, 0.006951257),
-    ('open-all', 'N1', 'N3', 0.0, 0.00698551),
-    ('open-list', 'N4', 'N1', 0.0, 0.007076212),
-    ('open-group', 'N2', 'N3', 0.0, 0.007145324),
-    ('cut-all', 'N1', 'N4', 0.0075, 0.008175936),
-    ('cut-all', 'N1', 'N3', 0.0075, 0.008208181),
-    ('cut-all', 'N1', 'N2', 0.0075, 0.008267708),
-    ('cut-group', 'N2', 'N3', 0.0075, 0.008804574),
-    ('cut-all', 'N1', 'N1', 0.0075, 0.010171648),
-    ('cut-list', 'N4', 'N3', 0.0075, 0.010827872),
-    ('cut-group', 'N2', 'N1', 0.0075, 0.012746306),
-    ('cut-list', 'N4', 'N1', 0.0075, 0.012836462),
-    ('cut-one', 'N3', 'N4', 0.0075, 0.013128668),
-    ('healed-all', 'N1', 'N1', 0.013, 0.013851596),
-    ('healed-all', 'N1', 'N3', 0.013, 0.013877537),
-    ('healed-all', 'N1', 'N2', 0.013, 0.013970867),
-    ('healed-list', 'N4', 'N1', 0.013, 0.014516556),
-    ('healed-group', 'N2', 'N3', 0.013, 0.014595305),
-    ('healed-one', 'N3', 'N4', 0.013, 0.014675014),
-    ('healed-list', 'N4', 'N3', 0.013, 0.016239739),
-    ('healed-group', 'N2', 'N1', 0.013, 0.016290445),
-    ('split-all', 'N1', 'N1', 0.0015, 0.016309956),
-    ('healed-all', 'N1', 'N4', 0.013, 0.019805935),
+    ('split-all', 'N1', 'N1', 0.0015, 0.002357232),
+    ('split-all', 'N1', 'N2', 0.0015, 0.002437989),
+    ('split-group', 'N2', 'N1', 0.0015, 0.002685241),
+    ('split-list', 'N4', 'N3', 0.0015, 0.002841275),
+    ('split-one', 'N3', 'N4', 0.0015, 0.003067305),
+    ('split-all', 'N1', 'N3', 0.0015, 0.006334236),
+    ('split-all', 'N1', 'N4', 0.0015, 0.006425815),
+    ('split-list', 'N4', 'N1', 0.0015, 0.006659849),
+    ('split-group', 'N2', 'N3', 0.0015, 0.006718484),
+    ('open-group', 'N2', 'N3', 0.0, 0.0071677),
+    ('open-list', 'N4', 'N1', 0.0, 0.007277211),
+    ('cut-all', 'N1', 'N2', 0.0075, 0.008270905),
+    ('cut-all', 'N1', 'N4', 0.0075, 0.0082936),
+    ('cut-all', 'N1', 'N1', 0.0075, 0.008303151),
+    ('cut-group', 'N2', 'N3', 0.0075, 0.008463315),
+    ('cut-all', 'N1', 'N3', 0.0075, 0.00848878),
+    ('cut-group', 'N2', 'N1', 0.0075, 0.008493647),
+    ('cut-list', 'N4', 'N3', 0.0075, 0.008971296),
+    ('cut-list', 'N4', 'N1', 0.0075, 0.009006734),
+    ('cut-one', 'N3', 'N4', 0.0075, 0.013006586),
+    ('healed-all', 'N1', 'N4', 0.013, 0.013859959),
+    ('healed-all', 'N1', 'N2', 0.013, 0.013946834),
+    ('healed-list', 'N4', 'N3', 0.013, 0.014037046),
+    ('healed-all', 'N1', 'N1', 0.013, 0.014040163),
+    ('healed-list', 'N4', 'N1', 0.013, 0.014073544),
+    ('healed-group', 'N2', 'N1', 0.013, 0.014288881),
+    ('healed-one', 'N3', 'N4', 0.013, 0.014336679),
+    ('healed-all', 'N1', 'N3', 0.013, 0.014366359),
+    ('healed-group', 'N2', 'N3', 0.013, 0.014436499),
 ]
 
 
-def lossy_partitioned_delivery_log():
-    """Four bursts over a lossy shared medium: open, partitioned, cut, healed.
+def partitioned_delivery_log():
+    """Four bursts over a shared medium: open, partitioned, cut, healed.
 
     A group partition isolates N1 and N2 and is healed; the directed link
     N3 -> N4 is severed and restored.  Each burst multicasts to everyone, to
@@ -283,9 +265,7 @@ def lossy_partitioned_delivery_log():
     to the one receiver N4.
     """
     kernel = SimulationKernel(seed=7)
-    transport = NetworkTransport(
-        kernel, loss_probability=0.3, medium_frame_time=0.0002, record_deliveries=True
-    )
+    transport = NetworkTransport(kernel, medium_frame_time=0.0002, record_deliveries=True)
     for site in ("N1", "N2", "N3", "N4"):
         transport.register_site(site, lambda envelope: None)
     group = ("N1", "N2", "N3")
@@ -314,10 +294,9 @@ def lossy_partitioned_delivery_log():
 
 class TestExactDelivery:
     def test_lossy_partitioned_run_delivers_exactly_as_pinned(self):
-        log, stats = lossy_partitioned_delivery_log()
-        assert log == EXPECTED_LOSSY_PARTITIONED_LOG
+        log, stats = partitioned_delivery_log()
+        assert log == EXPECTED_PARTITIONED_LOG
         assert (stats.envelopes_delivered, stats.envelopes_buffered) == (36, 16)
-        assert (stats.envelopes_dropped, stats.retransmissions) == (21, 21)
 
     def test_site_registered_after_a_multicast_receives_the_next_one(self):
         kernel, transport = build_transport()
@@ -351,7 +330,6 @@ class TestEveryEnvelopeExactlyOnce:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        loss=st.sampled_from([0.0, 0.3]),
         down=st.tuples(
             st.sampled_from(["N2", "N3"]), st.integers(0, 12), st.integers(1, 12)
         ),
@@ -361,12 +339,10 @@ class TestEveryEnvelopeExactlyOnce:
         sender_crashes=st.booleans(),
     )
     def test_each_receiver_handles_each_envelope_exactly_once(
-        self, loss, down, cut, sender_crashes
+        self, down, cut, sender_crashes
     ):
         kernel = SimulationKernel(seed=3)
-        transport = NetworkTransport(
-            kernel, UniformLatency(0.0005, 0.004), loss_probability=loss
-        )
+        transport = NetworkTransport(kernel, UniformLatency(0.0005, 0.004))
         seen = {}
         for site in ("N1", "N2", "N3"):
             seen[site] = []

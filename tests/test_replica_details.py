@@ -3,7 +3,6 @@
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
-from repro.broadcast.spontaneous import receive_sequences
 
 
 def simple_registry():
@@ -76,41 +75,6 @@ class TestReplicaInternals:
         cluster.run_until_idle()
         assert all(txn_id in cluster.replica(site).history for site in ("N1", "N2", "N3"))
         assert txn_id not in cluster.replica("N3").submitted
-
-
-class TestClusterOptions:
-    def test_record_deliveries_populates_transport_log(self):
-        cluster = build_cluster(record_deliveries=True)
-        cluster.submit("N1", "set_value", {"value": 1})
-        cluster.run_until_idle()
-        sequences = receive_sequences(cluster.transport.delivery_log, kind="optabcast.data")
-        assert set(sequences) == {"N1", "N2", "N3"}
-
-    def test_duration_scale_slows_down_execution(self):
-        fast = build_cluster(seed=2)
-        slow = build_cluster(seed=2, duration_scale=5.0)
-        for cluster in (fast, slow):
-            cluster.submit("N1", "set_value", {"value": 1})
-            cluster.run_until_idle()
-        assert slow.all_client_latencies()[0] > fast.all_client_latencies()[0]
-
-    def test_cpu_count_limits_concurrent_executions(self):
-        registry = ProcedureRegistry()
-
-        @registry.procedure("spin", conflict_class=lambda p: f"C{p['n']}", duration=0.010)
-        def spin(ctx, params):
-            ctx.write(f"slot:{params['n']}", 1)
-
-        cluster = ReplicatedDatabase(
-            ClusterConfig(site_count=1, seed=3, cpu_count=1),
-            registry,
-            initial_data={f"slot:{index}": 0 for index in range(4)},
-        )
-        for index in range(4):
-            cluster.submit("N1", "spin", {"n": index})
-        cluster.run_until_idle()
-        # With a single CPU the four 10 ms executions are serialised.
-        assert cluster.now >= 0.040
 
 
 class TestHarnessRegistry:
