@@ -34,6 +34,9 @@ class TestAdmissionConfig:
             {"high_watermark": 0},
             {"high_watermark": 8, "low_watermark": 9},
             {"low_watermark": -1},
+            {"high_watermark": -4, "low_watermark": 0},
+            {"low_watermark": 33},
+            {"high_watermark": 1, "low_watermark": 2},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -97,6 +100,23 @@ class TestWatermarkHysteresis:
         self.decide_at(valve, replica, 1)
         assert replica.metrics.gauge_max("admission_queue_depth") == 7.0
 
+    def test_tightest_valve_closes_on_one_pending_and_reopens_only_when_empty(self):
+        valve, replica = controller(high_watermark=1, low_watermark=0)
+        assert self.decide_at(valve, replica, 0)
+        assert not self.decide_at(valve, replica, 1)
+        assert not self.decide_at(valve, replica, 1)
+        assert self.decide_at(valve, replica, 0)
+        assert valve.shed_windows == 1
+
+    def test_equal_watermarks_leave_no_hysteresis_band(self):
+        valve, replica = controller(high_watermark=3, low_watermark=3)
+        assert not self.decide_at(valve, replica, 3)
+        # With no band between the watermarks, any drain below high reopens
+        # the valve, and the next offer at high closes it again.
+        assert self.decide_at(valve, replica, 2)
+        assert not self.decide_at(valve, replica, 3)
+        assert valve.shed_windows == 2
+
 
 def build_open_loop_cluster(*, seed, admission, rate=4000.0, horizon=0.1):
     spec = OpenLoopSpec(
@@ -143,6 +163,21 @@ class TestOverloadIntegration:
         # Shedding refuses work at the door; it never corrupts admitted work.
         check_one_copy_serializability(valved.histories()).raise_if_violated()
 
+    def test_a_flat_cluster_defers_nothing(self):
+        # A shed offer is refused at once and never parked for a re-offer,
+        # so the deferred column (kept for the benchmark's reader) reads 0.
+        admission = AdmissionConfig(high_watermark=16, low_watermark=8)
+        cluster, spec = build_open_loop_cluster(seed=31, admission=admission)
+        plan = OpenLoopTrafficEngine(spec).apply(cluster)
+        cluster.run_until_idle()
+        derived = derive_metrics(cluster)
+        assert derived.deferred == 0
+        assert derived.sheds_by_cause["overload"] > 0
+        assert max(cluster.committed_counts().values()) == derived.admitted
+        assert derived.admitted + derived.sheds_by_cause["overload"] == (
+            plan.update_count
+        )
+
 
 def update_parameters(class_index):
     return {"class_index": class_index, "object_indexes": [0, 1], "amount": 1}
@@ -166,6 +201,26 @@ class TestShedDuringCrash:
         assert admitted is not None
         cluster.run_until_idle()
         assert set(cluster.committed_counts().values()) == {1}
+
+    def test_an_offer_shed_while_dark_is_never_retried(self):
+        admission = AdmissionConfig(high_watermark=16, low_watermark=8)
+        cluster, _ = build_open_loop_cluster(seed=41, admission=admission)
+        for site in cluster.site_ids():
+            cluster.crash_manager.crash_now(site)
+        assert cluster.offer_update(UPDATE_PROCEDURE, update_parameters(1)) is None
+        cluster.kernel.schedule_at(
+            0.02,
+            lambda: [
+                cluster.crash_manager.recover_now(site)
+                for site in cluster.site_ids()
+            ],
+            label="recover-group",
+        )
+        cluster.run_until_idle()
+        # The group came back, but the client was already told no: nothing
+        # was parked, so nothing commits.
+        assert set(cluster.committed_counts().values()) == {0}
+        assert derive_metrics(cluster).deferred == 0
 
 
 class TestDarkShardBackpressure:

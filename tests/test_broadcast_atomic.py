@@ -284,9 +284,10 @@ class TestDeliveryModesOrderIdentically:
         "config",
         [
             {},
+            {"latency_model": UniformLatency(0.0005, 0.008)},
             {"batching": BatchingConfig(window=0.002), "medium_frame_time": 2e-4},
         ],
-        ids=["plain", "batched"],
+        ids=["plain", "reordering", "batched"],
     )
     def test_same_definitive_order_and_contents(self, config):
         optimistic = self.run("optimistic", **config)

@@ -89,6 +89,44 @@ class TestExecutionEngine:
         with pytest.raises(SchedulerError):
             engine.submit(transaction, lambda txn: None)
 
+    def test_executions_run_concurrently(self):
+        # The engine bounds nothing: an execution's time does not depend on
+        # how many others are running (the paper's system model).
+        kernel, store, registry, engine = build_engine(duration=0.01)
+        transactions = [
+            make_transaction(f"T{index}", key="xy"[index % 2]) for index in range(4)
+        ]
+        for transaction in transactions:
+            engine.submit(transaction, lambda txn: None)
+        assert all(engine.is_submitted(txn.transaction_id) for txn in transactions)
+        kernel.run_until_idle()
+        assert kernel.now() == pytest.approx(0.01)
+        assert [txn.executed_at for txn in transactions] == [pytest.approx(0.01)] * 4
+        assert engine.executions_completed == 4
+
+    def test_cancel_one_of_two_running_executions(self):
+        kernel, store, registry, engine = build_engine(duration=0.01)
+        first = make_transaction("T1")
+        second = make_transaction("T2", key="y")
+        completed = []
+        engine.submit(first, completed.append)
+        engine.submit(second, completed.append)
+        assert engine.cancel(second)
+        kernel.run_until_idle()
+        assert completed == [first]
+        assert (engine.executions_completed, engine.executions_cancelled) == (1, 1)
+
+    def test_crash_reset_kills_every_running_execution(self):
+        kernel, store, registry, engine = build_engine(duration=0.01)
+        completed = []
+        for index in range(3):
+            engine.submit(make_transaction(f"T{index}"), completed.append)
+        assert engine.crash_reset() == 3
+        kernel.run_until_idle()
+        assert completed == []
+        assert not any(engine.is_submitted(f"T{index}") for index in range(3))
+        assert engine.executions_cancelled == 3
+
 
 class TestQueryEngine:
     def build(self):

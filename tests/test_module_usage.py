@@ -990,3 +990,86 @@ def test_a_field_only_tests_set_is_flagged():
         "only tests use repro.pkg.mod:BaseConfig.default_only=",
         "only tests use repro.pkg.mod:BaseConfig.test_only=",
     ]
+
+
+OPTION = (
+    "from dataclasses import dataclass\n"
+    "@dataclass\n"
+    "class BaseConfig:\n"
+    "    option: int = 0\n"
+    "@dataclass\n"
+    "class GroupConfig(BaseConfig):\n"
+    "    sites: int = 1\n"
+)
+
+
+def option_is_set(consumer):
+    uses = ConfigFieldUses(
+        {"repro.pkg.mod": OPTION},
+        consumers=[consumer],
+        classes=("BaseConfig", "GroupConfig"),
+    )
+    return "repro.pkg.mod:BaseConfig.option=" in uses.assigned
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        "BaseConfig(option=1)\n",
+        "GroupConfig(option=1)\n",
+        "def build(option):\n    return BaseConfig(option=option)\nbuild(option=2)\n",
+        "def build(option):\n    return BaseConfig(option=option)\nbuild(2)\n",
+        "def build(option=3):\n    return BaseConfig(option=option)\n",
+        "def build(**options):\n    return BaseConfig(**options)\nbuild(option=4)\n",
+        "def cell():\n    params = dict(option=5)\n    return GroupConfig(**params)\n",
+        "def inner(**kw):\n    return BaseConfig(**kw)\n"
+        "def outer(**kw):\n    return inner(**kw)\n"
+        "outer(option=6)\n",
+    ],
+    ids=[
+        "direct",
+        "subclass",
+        "forwarder_keyword",
+        "forwarder_positional",
+        "forwarder_default",
+        "splat",
+        "dict_splat",
+        "forwarder_chain",
+    ],
+)
+def test_a_non_default_value_reaching_the_class_sets_the_field(consumer):
+    assert option_is_set(consumer)
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        "BaseConfig(option=0)\n",
+        "def copy(config):\n    return BaseConfig(option=config.option)\n",
+        "Transport(option=1)\n",
+        "def build(option):\n    return BaseConfig(option=option)\n",
+    ],
+    ids=["default_value", "copied_attribute", "unrelated_callee", "uncalled_forwarder"],
+)
+def test_a_default_copy_or_unrelated_keyword_sets_nothing(consumer):
+    assert not option_is_set(consumer)
+
+
+def test_a_stale_field_allowlist_entry_fails():
+    uses = ConfigFieldUses(
+        {"repro.pkg.mod": OPTION},
+        consumers=["GroupConfig(sites=2)\n"],
+        classes=("BaseConfig", "GroupConfig"),
+    )
+    assert allowlist_problems(
+        uses.unset_fields(),
+        uses.fields,
+        {
+            "repro.pkg.mod:BaseConfig.option=",
+            "repro.pkg.mod:GroupConfig.sites=",
+            "repro.pkg.mod:BaseConfig.gone=",
+        },
+    ) == [
+        "allowlisted repro.pkg.mod:BaseConfig.gone= does not exist",
+        "allowlisted repro.pkg.mod:GroupConfig.sites= has a user outside tests",
+    ]

@@ -77,6 +77,28 @@ class TestReplicaInternals:
         assert txn_id not in cluster.replica("N3").submitted
 
 
+class TestClusterOptions:
+    def test_execution_time_does_not_depend_on_load(self):
+        registry = ProcedureRegistry()
+
+        @registry.procedure("spin", conflict_class=lambda p: f"C{p['n']}", duration=0.010)
+        def spin(ctx, params):
+            ctx.write(f"slot:{params['n']}", 1)
+
+        cluster = ReplicatedDatabase(
+            ClusterConfig(site_count=1, seed=3),
+            registry,
+            initial_data={f"slot:{index}": 0 for index in range(4)},
+        )
+        for index in range(4):
+            cluster.submit("N1", "spin", {"n": index})
+        cluster.run_until_idle()
+        # Four 10 ms executions of distinct classes overlap: a site bounds
+        # no concurrency, so the run ends well before four serial executions.
+        assert cluster.now < 0.040
+        assert cluster.committed_counts() == {"N1": 4}
+
+
 class TestHarnessRegistry:
     def test_every_design_experiment_has_a_benchmark_file(self):
         from pathlib import Path
