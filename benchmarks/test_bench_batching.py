@@ -38,9 +38,8 @@ def run_batching_ablation():
     )
 
 
-@pytest.mark.benchmark(group="batching")
-def test_batching_multiplies_saturated_throughput(benchmark):
-    result = benchmark.pedantic(run_batching_ablation, iterations=1, rounds=1)
+def test_batching_multiplies_saturated_throughput():
+    result = run_batching_ablation()
 
     # Correctness is non-negotiable in every cell of the sweep.
     for row in result.rows:
@@ -71,13 +70,6 @@ def test_batching_multiplies_saturated_throughput(benchmark):
     relaxed_off = next(row for row in relaxed if row["batching"] == "off")
     for row in relaxed:
         assert row["throughput_tps"] >= 0.9 * relaxed_off["throughput_tps"]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Section 6 outlook: amortising the ordering cost over message "
-        "batches preserves the optimistic-delivery overlap while removing "
-        "the per-message frame bottleneck of the 10 Mbit/s testbed."
-    )
 
     # Throughputs here are committed / virtual busy window — deterministic —
     # so the speedup and both endpoint throughputs are pinned exactly.

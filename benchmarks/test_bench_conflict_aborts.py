@@ -21,9 +21,8 @@ def run_conflicts():
     return run_experiment("conflicts", class_count=CLASS_COUNTS, updates_per_site=30)
 
 
-@pytest.mark.benchmark(group="conflicts")
-def test_aborts_decrease_with_conflict_rate(benchmark):
-    result = benchmark.pedantic(run_conflicts, iterations=1, rounds=2)
+def test_aborts_decrease_with_conflict_rate():
+    result = run_conflicts()
     rows = {row["class_count"]: row for row in result.rows}
 
     # The order-mismatch rate is a property of the network, not of the
@@ -37,9 +36,3 @@ def test_aborts_decrease_with_conflict_rate(benchmark):
 
     # Every configuration stays 1-copy-serializable.
     assert all(row["one_copy_ok"] for row in result.rows)
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Claim: with low/medium conflict rates the tentative and definitive "
-        "orders may differ considerably without leading to high abort rates"
-    )

@@ -41,9 +41,8 @@ def run_figure1():
     )
 
 
-@pytest.mark.benchmark(group="figure1")
-def test_figure1_spontaneous_order(benchmark):
-    result = benchmark.pedantic(run_figure1, iterations=1, rounds=3)
+def test_figure1_spontaneous_order():
+    result = run_figure1()
     percentages = dict(
         zip(result.column("interval_ms"), result.column("spontaneously_ordered_pct"))
     )
@@ -63,10 +62,5 @@ def test_figure1_spontaneous_order(benchmark):
     # near zero — exactly when CC8 reordering work would appear.
     assert divergences[4.0] <= 5.0
     assert divergences[0.1] >= divergences[4.0]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Figure 1: ~99% spontaneously ordered at 4 ms on 4 sites / 10 Mbit/s Ethernet"
-    )
 
     assert percentages == pytest.approx(EXPECTED_ORDERED_PCT, rel=1e-9)

@@ -27,9 +27,8 @@ def run_geo_divergence():
     )
 
 
-@pytest.mark.benchmark(group="geo")
-def test_divergence_grows_with_rtt_spread(benchmark):
-    result = benchmark.pedantic(run_geo_divergence, iterations=1, rounds=1)
+def test_divergence_grows_with_rtt_spread():
+    result = run_geo_divergence()
 
     # Correctness is non-negotiable in every cell of the sweep.
     for row in result.rows:
@@ -44,13 +43,6 @@ def test_divergence_grows_with_rtt_spread(benchmark):
     assert all(a < b for a, b in zip(spreads, spreads[1:])), spreads
     assert all(a <= b for a, b in zip(divergences, divergences[1:])), divergences
     assert divergences[-1] > divergences[0], divergences
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Section 2.1: the probability of spontaneous total order — high on "
-        "the paper's LAN testbed — is what makes optimistic delivery pay; "
-        "WAN-scale delay spread erodes it without ever violating 1SR."
-    )
 
     # The sweep is a pure function of the seed, so the span is pinned exactly.
     assert divergences[-1] - divergences[0] == pytest.approx(

@@ -1,77 +1,64 @@
-"""Benchmark: simulation-kernel hot path (event queue + dispatch overhead).
+"""Benchmark: kernel events per workload, the simulation's hot-path volume.
 
-Large sweeps spend their wall-clock almost entirely inside the kernel loop,
-so the event queue and dispatch path are optimised (slot-based events,
-tuple heap entries compared in C, the single-traversal ``pop_due``, static
-event labels on the network/execution paths) and this benchmark keeps the
-numbers honest.  The structural assertions (exact event counts, batching
-reducing the event volume of an identical workload) gate in the tier-1
-suite; the throughput numbers land in ``extra_info`` only — host
-performance is measured by ``python -m bench`` (``bench/README.md``).
+Large sweeps spend their time inside the kernel loop, so the number of
+events a workload dispatches is the volume every kernel optimisation works
+on.  The simulation is a pure function of the seed, so the counts are
+pinned exactly, and batching must shrink the event volume of an identical
+workload: every coalesced data/order multicast removes per-envelope
+delivery events.  What an event costs on the host is measured by
+``python -m bench`` (``bench/README.md``), not here.
 """
 
 import pytest
 
-from repro.broadcast.batching import BatchingConfig
-from repro.harness.profiling import (
-    profile_callback_cost,
-    profile_event_loop,
-    profile_workload,
+from repro import BatchingConfig, ClusterConfig, ReplicatedDatabase
+from repro.workloads import (
+    WorkloadGenerator,
+    WorkloadSpec,
+    build_conflict_map,
+    build_initial_data,
+    build_partitioned_registry,
 )
 
 pytestmark = pytest.mark.bench
 
-EVENT_COUNT = 100_000
+#: Kernel events to idle for (updates per site, update interval, batched)
+#: on 4 sites, 8 classes, 0.5 ms executions, seed 11.
+EXPECTED_EVENTS = {
+    (100, 0.001, False): 5_242,
+    (60, 0.0005, False): 3_157,
+    (60, 0.0005, True): 1_664,
+    (20, 0.001, False): 1_051,
+    (20, 0.001, True): 680,
+}
 
 
-@pytest.mark.benchmark(group="kernel-hotpath")
-def test_event_loop_floor(benchmark):
-    """The bare dispatch floor: schedule -> heap -> callback, empty bodies."""
-    profile = benchmark.pedantic(
-        lambda: profile_event_loop(event_count=EVENT_COUNT), iterations=1, rounds=3
+def run_workload(updates_per_site, update_interval, batched):
+    """Kernel events the standard partitioned workload dispatches to idle."""
+    spec = WorkloadSpec(
+        class_count=8,
+        updates_per_site=updates_per_site,
+        update_interval=update_interval,
+        update_duration=0.0005,
     )
-    assert profile.events == EVENT_COUNT
-    assert profile.events_per_second > 0
-    benchmark.extra_info["events_per_second"] = round(profile.events_per_second)
-    benchmark.extra_info["us_per_event"] = round(profile.microseconds_per_event, 3)
-
-
-@pytest.mark.benchmark(group="kernel-hotpath")
-def test_dispatch_with_callback_body(benchmark):
-    """Dispatch plus a token protocol-handler-sized callback body."""
-    profile = benchmark.pedantic(
-        lambda: profile_callback_cost(event_count=EVENT_COUNT), iterations=1, rounds=3
+    batching = BatchingConfig(window=0.002, max_batch_size=16) if batched else None
+    cluster = ReplicatedDatabase(
+        ClusterConfig(site_count=4, seed=11, batching=batching),
+        build_partitioned_registry(spec),
+        conflict_map=build_conflict_map(spec),
+        initial_data=build_initial_data(spec),
     )
-    assert profile.events == EVENT_COUNT
-    benchmark.extra_info["events_per_second"] = round(profile.events_per_second)
+    WorkloadGenerator(spec).apply(cluster)
+    return cluster.run_until_idle()
 
 
-@pytest.mark.benchmark(group="kernel-hotpath")
-def test_full_stack_events_per_second(benchmark):
-    """The whole replicated-database stack, in kernel events per second."""
-    profile = benchmark.pedantic(
-        lambda: profile_workload(updates_per_site=100), iterations=1, rounds=1
-    )
-    # The event count is virtual-time deterministic, so it is pinned exactly;
-    # the throughput is wall-clock and only reported.
-    assert profile.events == 5_242
-    benchmark.extra_info["events_per_second"] = round(profile.events_per_second)
-    benchmark.extra_info["kernel_events"] = profile.events
+@pytest.mark.parametrize("row", sorted(EXPECTED_EVENTS))
+def test_kernel_event_count_is_pinned(row):
+    assert run_workload(*row) == EXPECTED_EVENTS[row]
 
 
 def test_batching_reduces_kernel_event_volume():
-    """Batching must shrink the event volume of an identical workload.
-
-    Every coalesced data/order multicast removes per-envelope delivery
-    events; the simulation is deterministic, so the counts are exact and
-    this gates in the tier-1 suite.
-    """
-    plain = profile_workload(updates_per_site=60, update_interval=0.0005)
-    batched = profile_workload(
-        updates_per_site=60,
-        update_interval=0.0005,
-        batching=BatchingConfig(window=0.002, max_batch_size=16),
-    )
-    assert batched.events < plain.events
-    assert plain.events == 3_157
-    assert batched.events == 1_664
+    """Each batched row dispatches fewer events than its plain twin."""
+    for (updates, interval, batched), events in EXPECTED_EVENTS.items():
+        if batched:
+            assert events < EXPECTED_EVENTS[(updates, interval, False)]

@@ -20,9 +20,8 @@ def run_lazy_comparison():
     return run_experiment("lazy", updates_per_site=40)
 
 
-@pytest.mark.benchmark(group="lazy")
-def test_otp_is_comparable_to_lazy_but_consistent(benchmark):
-    result = benchmark.pedantic(run_lazy_comparison, iterations=1, rounds=2)
+def test_otp_is_comparable_to_lazy_but_consistent():
+    result = run_lazy_comparison()
     rows = {row["system"]: row for row in result.rows}
     otp, lazy = rows["otp"], rows["lazy"]
 
@@ -43,9 +42,3 @@ def test_otp_is_comparable_to_lazy_but_consistent(benchmark):
     assert otp["lost_updates"] == 0
     assert otp["one_copy_serializable"]
     assert not lazy["one_copy_serializable"]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Claim: comparable performance to asynchronous replication while "
-        "maintaining global consistency"
-    )

@@ -21,9 +21,8 @@ def run_tradeoff():
     return run_experiment("tradeoff", receiver_jitter_us=JITTER_US, updates_per_site=25)
 
 
-@pytest.mark.benchmark(group="tradeoff")
-def test_optimism_pays_on_lans_and_costs_on_noisy_networks(benchmark):
-    result = benchmark.pedantic(run_tradeoff, iterations=1, rounds=2)
+def test_optimism_pays_on_lans_and_costs_on_noisy_networks():
+    result = run_tradeoff()
     rows = {row["receiver_jitter_us"]: row for row in result.rows}
 
     # Mismatch rate and aborts grow as spontaneous order degrades.
@@ -37,9 +36,3 @@ def test_optimism_pays_on_lans_and_costs_on_noisy_networks(benchmark):
 
     # Correctness never depends on the quality of the optimistic guess.
     assert all(row["one_copy_ok"] for row in result.rows)
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Claim: trade-off between optimistic and conservative decisions; "
-        "messages are never delivered in a wrong definitive order"
-    )

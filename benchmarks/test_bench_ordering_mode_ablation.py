@@ -41,9 +41,8 @@ def run_both():
     return {"sequencer": run_mode("sequencer"), "voting": run_mode("voting")}
 
 
-@pytest.mark.benchmark(group="ordering-mode")
-def test_ordering_mode_ablation(benchmark):
-    results = benchmark.pedantic(run_both, iterations=1, rounds=2)
+def test_ordering_mode_ablation():
+    results = run_both()
     sequencer, voting = results["sequencer"], results["voting"]
 
     # Both modes are correct and commit the same number of transactions.
@@ -55,8 +54,3 @@ def test_ordering_mode_ablation(benchmark):
     # more in voting mode, which translates into higher commit latency.
     assert voting.mean_ordering_delay > sequencer.mean_ordering_delay
     assert voting.mean_client_latency >= sequencer.mean_client_latency
-
-    benchmark.extra_info["sequencer_latency_ms"] = 1000 * sequencer.mean_client_latency
-    benchmark.extra_info["voting_latency_ms"] = 1000 * voting.mean_client_latency
-    benchmark.extra_info["sequencer_ordering_delay_ms"] = 1000 * sequencer.mean_ordering_delay
-    benchmark.extra_info["voting_ordering_delay_ms"] = 1000 * voting.mean_ordering_delay

@@ -23,9 +23,8 @@ def run_overlap():
     )
 
 
-@pytest.mark.benchmark(group="overlap")
-def test_overlap_hides_ordering_latency(benchmark):
-    result = benchmark.pedantic(run_overlap, iterations=1, rounds=2)
+def test_overlap_hides_ordering_latency():
+    result = run_overlap()
 
     for row in result.rows:
         # OTP must win on every execution-time setting...
@@ -36,9 +35,3 @@ def test_overlap_hides_ordering_latency(benchmark):
             assert row["latency_saving_ms"] >= 0.5 * row["ordering_delay_ms"]
         # Correctness is never traded away.
         assert row["one_copy_ok"]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Claim: the coordination phase of the atomic broadcast is fully "
-        "overlapped with transaction execution"
-    )

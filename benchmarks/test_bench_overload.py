@@ -47,9 +47,8 @@ def _rows_by_mode(result, mode):
     }
 
 
-@pytest.mark.benchmark(group="overload")
-def test_admission_bounds_tail_latency_past_the_knee(benchmark):
-    result = benchmark.pedantic(run_overload_sweep, iterations=1, rounds=1)
+def test_admission_bounds_tail_latency_past_the_knee():
+    result = run_overload_sweep()
 
     on = _rows_by_mode(result, "on")
     off = _rows_by_mode(result, "off")
@@ -86,14 +85,6 @@ def test_admission_bounds_tail_latency_past_the_knee(benchmark):
     for previous, current in zip(ordered, ordered[1:]):
         assert current["p99_ms"] > previous["p99_ms"], (previous, current)
         assert current["max_queue_depth"] > previous["max_queue_depth"]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Section 2.3/4: the OTP scheduler serialises each conflict class, so "
-        "aggregate service capacity is classes/execution-time; open-loop "
-        "arrivals past that knee must be shed at the door or the class "
-        "queues — and client-observed latency — grow without bound."
-    )
 
     worst = max(past_knee)
     # Virtual-time metrics are deterministic, so the knee and saturated-tail

@@ -20,9 +20,8 @@ def run_queries():
     return run_experiment("queries", queries_per_site=QUERY_LOADS, updates_per_site=20)
 
 
-@pytest.mark.benchmark(group="queries")
-def test_queries_do_not_delay_updates(benchmark):
-    result = benchmark.pedantic(run_queries, iterations=1, rounds=2)
+def test_queries_do_not_delay_updates():
+    result = run_queries()
     rows = {row["queries_per_site"]: row for row in result.rows}
 
     baseline_latency = rows[0]["update_latency_ms"]
@@ -34,9 +33,3 @@ def test_queries_do_not_delay_updates(benchmark):
         assert row["queries_completed"] == load * 4
         assert row["query_latency_ms"] > 0.0
         assert row["one_copy_ok"]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Claim: snapshot-based queries run locally, access multiple classes "
-        "and do not delay update transactions"
-    )

@@ -19,9 +19,8 @@ def run_scalability():
     return run_experiment("scalability", site_count=SITE_COUNTS, updates_per_site=20)
 
 
-@pytest.mark.benchmark(group="scalability")
-def test_otp_advantage_persists_as_sites_are_added(benchmark):
-    result = benchmark.pedantic(run_scalability, iterations=1, rounds=2)
+def test_otp_advantage_persists_as_sites_are_added():
+    result = run_scalability()
 
     for row in result.rows:
         assert row["otp_latency_ms"] < row["conservative_latency_ms"]
@@ -32,9 +31,3 @@ def test_otp_advantage_persists_as_sites_are_added(benchmark):
     # same number of transactions), so aggregate throughput must grow too.
     throughputs = result.column("otp_throughput_tps")
     assert throughputs[-1] > throughputs[0]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Motivation: atomic broadcast scalability; OTP hides the per-message "
-        "ordering cost behind execution at every cluster size"
-    )

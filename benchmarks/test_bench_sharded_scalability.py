@@ -25,9 +25,8 @@ def run_sharded_scalability():
     )
 
 
-@pytest.mark.benchmark(group="sharded-scalability")
-def test_throughput_scales_with_shard_count(benchmark):
-    result = benchmark.pedantic(run_sharded_scalability, iterations=1, rounds=1)
+def test_throughput_scales_with_shard_count():
+    result = run_sharded_scalability()
 
     assert result.column("shard_count") == list(SHARD_COUNTS)
     for row in result.rows:
@@ -48,11 +47,3 @@ def test_throughput_scales_with_shard_count(benchmark):
     # nothing, so mean commit latency stays within 50% of the 1-shard run.
     latencies = result.column("mean_latency_ms")
     assert max(latencies) <= 1.5 * latencies[0]
-
-    benchmark.extra_info["table"] = result.format_table()
-    benchmark.extra_info["paper_reference"] = (
-        "Conflict classes are disjoint (Section 2.3), so classes sharded onto "
-        "independent broadcast groups sequence in parallel without violating "
-        "1-copy-serializability; queries span classes via snapshot reads "
-        "(Section 5), merged per shard by the router."
-    )

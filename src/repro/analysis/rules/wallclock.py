@@ -4,9 +4,9 @@ Every timestamp inside the simulation must come from ``kernel.now()`` (the
 virtual clock) or an injected clock callable; a single ``time.time()`` in
 simulation logic silently breaks same-seed reproducibility and every
 trace-signature comparison.  Wall-clock reads are legal only inside the
-declared observability boundary (``repro.observability.wallclock`` defines
-the sanctioned monotonic clock for host durations; ``harness/profiling.py``
-measures real hardware performance on purpose).
+declared boundary, ``repro.observability.wallclock``, which defines the
+sanctioned monotonic clock for host durations; whatever times the host
+reads it through there.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ _TIME_CALLS = (
 #: Constructors on ``datetime.datetime`` / ``datetime.date`` that do the same.
 _DATETIME_CALLS = ("now", "utcnow", "today")
 
-#: Modules where wall-clock reads are the declared, documented boundary.
-DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = (
-    "observability/wallclock.py",
-    "harness/profiling.py",
-)
+#: The module where wall-clock reads are the declared, documented boundary.
+DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = ("observability/wallclock.py",)
 
 
 class NoWallclockRule(Rule):

@@ -99,7 +99,9 @@ class AdmissionController:
         depth = self.queue_depth()
         self.replica.metrics.set_gauge("admission_queue_depth", float(depth))
         if self.shedding:
-            if depth <= self.config.low_watermark:
+            # Reopen below high only: with equal watermarks a constant depth
+            # at high would otherwise alternate shed and admit.
+            if depth <= self.config.low_watermark and depth < self.config.high_watermark:
                 self.shedding = False
         elif depth >= self.config.high_watermark:
             self.shedding = True

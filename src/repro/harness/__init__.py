@@ -16,12 +16,6 @@ from .parallel import (
     SweepExecutor,
     SweepReport,
 )
-from .profiling import (
-    HotpathProfile,
-    profile_callback_cost,
-    profile_event_loop,
-    profile_workload,
-)
 from .reporting import ascii_plot, format_table
 from .results import ExperimentResult
 
@@ -43,10 +37,6 @@ __all__ = [
     "ExperimentSuiteResult",
     "run_experiment",
     "run_experiments",
-    "HotpathProfile",
-    "profile_callback_cost",
-    "profile_event_loop",
-    "profile_workload",
     "ascii_plot",
     "format_table",
     "ExperimentResult",

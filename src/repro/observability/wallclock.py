@@ -10,8 +10,7 @@ backwards, so the boundary reads :func:`time.perf_counter`, not the epoch.
 This module is that exception's single home.  Components that time
 themselves accept an injectable ``clock: Callable[[], float]`` defaulting to
 :data:`WALL_CLOCK`; tests inject a fake.  The module is allowlisted in the
-``no-wallclock`` rule — wall-clock reads anywhere else in ``src/repro``
-(outside ``harness/profiling.py``, which measures hardware on purpose) are
+``no-wallclock`` rule — wall-clock reads anywhere else in ``src/repro`` are
 lint findings.
 """
 

@@ -117,6 +117,11 @@ class TestWatermarkHysteresis:
         assert not self.decide_at(valve, replica, 3)
         assert valve.shed_windows == 2
 
+    def test_equal_watermarks_keep_the_valve_shut_at_a_constant_high_depth(self):
+        valve, replica = controller(high_watermark=3, low_watermark=3)
+        assert not any(self.decide_at(valve, replica, 3) for _ in range(6))
+        assert valve.shed_windows == 1
+
 
 def build_open_loop_cluster(*, seed, admission, rate=4000.0, horizon=0.1):
     spec = OpenLoopSpec(

@@ -69,6 +69,14 @@ class TestNoWallclock:
         )
         assert findings == []
 
+    def test_profiling_module_reads_the_host_through_the_boundary(self, engine):
+        findings = engine.lint_source(
+            "import time\n\nstarted = time.perf_counter()\n",
+            path="harness/profiling.py",
+            scope_path="harness/profiling.py",
+        )
+        assert rules_of(findings) == ["no-wallclock"]
+
     def test_time_sleep_is_not_a_clock_read(self, engine):
         assert lint(engine, "import time\ntime.sleep(1)\n") == []
 

@@ -19,6 +19,7 @@ from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
 from repro.core.replica import SiteCrashedError
 from repro.failure import CrashSchedule, FailureDetector
 from repro.network import ConstantLatency, NetworkTransport
+from repro.observability import TransactionTracer
 from repro.simulation import SimulationKernel
 from repro.verification import (
     check_eventual_termination,
@@ -49,12 +50,15 @@ def build_registry(duration=0.005):
     return registry
 
 
-def build_cluster(seed=5, site_count=3, duration=0.005, broadcast=BROADCAST_OPTIMISTIC):
+def build_cluster(
+    seed=5, site_count=3, duration=0.005, broadcast=BROADCAST_OPTIMISTIC, tracer=None
+):
     return ReplicatedDatabase(
         ClusterConfig(
             site_count=site_count,
             seed=seed,
             broadcast=broadcast,
+            tracer=tracer,
         ),
         build_registry(duration=duration),
         initial_data={f"slot:{index}": 0 for index in range(4)},
@@ -253,16 +257,47 @@ class TestChaosRecoveryScenario:
         assert first.trace_signature() == second.trace_signature()
         assert first.transferred_commits == second.transferred_commits
 
-    def test_state_transfer_invalidates_stale_tentative_executions(self):
-        """Regression: a transaction that executed tentatively *before* state
-        transfer installed an earlier same-class commit must be re-executed —
-        committing its stale workspace diverged the recovered store
-        (rolling_shard_crashes, seed 8) while histories still matched."""
+    def test_rolling_shard_crashes_seed_8_recovers_completely(self):
+        """Regression: this run once diverged a recovered store while the
+        histories still matched."""
         from repro.chaos import run_chaos_scenario
 
         result = run_chaos_scenario("rolling_shard_crashes", seed=8)
         result.raise_if_violated()
         assert result.recovery_ok
+
+    @pytest.mark.parametrize(
+        "broadcast, seed, down_for, lagging",
+        [
+            (BROADCAST_OPTIMISTIC, 2, 0.00575, "N2"),
+            (BROADCAST_CONSERVATIVE, 1, 0.0015, "N1"),
+        ],
+    )
+    def test_state_transfer_invalidates_stale_tentative_executions(
+        self, broadcast, seed, down_for, lagging
+    ):
+        """The recovery CC8: N3 comes back while the lagging live peer still
+        executes a commit the other survivor already made.  Reconcile pushes
+        that commit into the lagging peer; discarding its queued copy starts
+        the next same-class transaction on the pre-transfer store, so that
+        execution must be aborted, or the peer loses an update."""
+        tracer = TransactionTracer()
+        cluster = build_cluster(seed=seed, broadcast=broadcast, tracer=tracer)
+        for index in range(30):
+            site = ("N1", "N2")[index % 2]
+            cluster.kernel.schedule(
+                index * 0.001, lambda site=site: cluster.submit(site, "add", {"slot": 0})
+            )
+        cluster.crash_manager.apply_schedule(
+            CrashSchedule().crash_for("N3", at=0.010, duration=down_for)
+        )
+        cluster.run_until_idle()
+        invalidated = [
+            event.site for event in tracer.events if event.kind == "recovery_invalidation"
+        ]
+        assert invalidated == [lagging]
+        assert cluster.database_divergence() == {}
+        check_recovery_completeness(cluster).raise_if_violated()
 
 
 class TestFailureDetectorResetNotifies:

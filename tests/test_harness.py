@@ -7,21 +7,19 @@ import sys
 import pytest
 
 import repro.harness
-from repro.broadcast.batching import BatchingConfig
 import repro.harness.cells
+import repro.harness.profiling
 import repro.harness.runner
+import repro.observability.wallclock
 from repro.harness import (
     ExperimentResult,
-    HotpathProfile,
-    profile_callback_cost,
-    profile_event_loop,
-    profile_workload,
     ascii_plot,
     format_table,
     run_experiment,
     run_experiments,
     run_standard_workload,
 )
+from repro.harness.profiling import profile_event_loop
 from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC, ClusterConfig
 from repro.workloads import WorkloadSpec
 
@@ -222,41 +220,16 @@ class TestExperiments:
 
 
 class TestProfiling:
-    def test_rates_derive_from_events_and_wall_seconds(self):
-        profile = HotpathProfile(label="x", events=1_000, wall_seconds=0.5)
-        assert profile.events_per_second == pytest.approx(2_000.0)
-        assert profile.microseconds_per_event == pytest.approx(500.0)
-
-    def test_rates_are_zero_for_an_empty_measurement(self):
-        assert HotpathProfile("x", events=10, wall_seconds=0.0).events_per_second == 0.0
-        assert HotpathProfile("x", events=0, wall_seconds=1.0).microseconds_per_event == 0.0
-
-    def test_event_loop_chains_each_fire_once_past_the_budget(self):
-        # The budget is shared: once it runs out, every other chain still
-        # has one tick pending, which fires but does not reschedule.
+    def test_event_loop_dispatches_exactly_the_budget(self):
         assert profile_event_loop(500).events == 500
-        profile = profile_event_loop(500, chains=4)
-        assert profile.events == 500 + 4 - 1
-        assert profile.label == "event-loop floor"
 
-    def test_callback_cost_dispatches_exactly_the_budget(self):
-        profile = profile_callback_cost(1_000)
-        assert profile.events == 1_000
-        assert profile.label == "dispatch + callback"
-
-    def test_workload_event_count_is_a_function_of_the_seed(self):
-        first = profile_workload(updates_per_site=20)
-        second = profile_workload(updates_per_site=20)
-        assert first.events == second.events == 1_051
-        assert first.label == "workload (full stack)"
-
-    def test_workload_label_names_batching_unless_given(self):
-        batching = BatchingConfig(window=0.002, max_batch_size=16)
-        batched = profile_workload(updates_per_site=20, batching=batching)
-        assert batched.label == "workload (batched)"
-        assert batched.events == 680
-        named = profile_workload(updates_per_site=20, label="custom")
-        assert named.label == "custom"
+    def test_floor_reads_the_one_wall_clock(self, monkeypatch):
+        reads = iter(range(1_000))
+        monkeypatch.setattr(
+            repro.observability.wallclock, "WALL_CLOCK", lambda: float(next(reads))
+        )
+        # Two reads one fake second apart bracket the 500 events.
+        assert profile_event_loop(500).microseconds_per_event == 1e6 / 500
 
     def test_exports_resolve_and_omit_the_removed_report_helpers(self):
         for name in repro.harness.__all__:
@@ -284,11 +257,15 @@ class TestProfiling:
             "overload_experiment",
             "geo_divergence_experiment",
             "batching_ablation_experiment",
+            # One host-clock instrument: python -m bench times the host.
+            "profile_callback_cost",
+            "profile_workload",
         }
         assert removed.isdisjoint(repro.harness.__all__)
         for module in (
             repro.harness,
             repro.harness.experiments,
+            repro.harness.profiling,
             repro.harness.reporting,
             repro.harness.runner,
         ):
