@@ -50,7 +50,7 @@ def build_registry() -> ProcedureRegistry:
         ctx.write(key, stock - 1)
         # Order counters live inside the category's own partition: different
         # conflict classes must update disjoint data (paper Section 2.3).
-        ctx.increment(f"cat{params['category']}:orders", 1)
+        ctx.increment(f"cat{params['category']}:orders")
         return 1
 
     @registry.procedure("stock_dashboard", is_query=True, duration=0.004)

@@ -65,9 +65,9 @@ class ModuleSource:
 class LintReport:
     """The result of one engine run."""
 
-    findings: List[Finding] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)
-    files_scanned: int = 0
+    findings: List[Finding] = field(default_factory=list, init=False)
+    errors: List[str] = field(default_factory=list, init=False)
+    files_scanned: int = field(default=0, init=False)
 
 
 def package_root(file_path: Path) -> Optional[Path]:

@@ -17,7 +17,7 @@ insertions are deterministic under the single-threaded kernel.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from ..findings import Finding
 from .base import Rule
@@ -25,7 +25,7 @@ from .base import Rule
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import ModuleSource
 
-DEFAULT_SCOPED_PACKAGES: Tuple[str, ...] = (
+SCOPED_PACKAGES: Tuple[str, ...] = (
     "simulation/",
     "broadcast/",
     "core/",
@@ -118,9 +118,6 @@ def _class_set_attrs(class_node: ast.ClassDef) -> Set[str]:
 class NoUnorderedIterationRule(Rule):
     name = "no-unordered-iteration"
 
-    def __init__(self, scoped_packages: Sequence[str] = DEFAULT_SCOPED_PACKAGES) -> None:
-        self.scoped_packages = tuple(scoped_packages)
-
     # ------------------------------------------------------------- inference
     def _function_symbols(
         self, function: ast.AST, self_attrs: Set[str]
@@ -192,7 +189,7 @@ class NoUnorderedIterationRule(Rule):
                     )
 
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        if not module.in_scope(self.scoped_packages):
+        if not module.in_scope(SCOPED_PACKAGES):
             return
         # Module level: no `self`, locals inferred over the whole module body.
         module_symbols = self._function_symbols(module.tree, set())

@@ -14,7 +14,7 @@ replicas, and the explicit recovery donor path — code may not:
   the transport's (``is_site_up``, on any receiver).
 
 The donor path is a *declared* allowlist of function names
-(:data:`DEFAULT_DONOR_FUNCTIONS`): recovery is the one sanctioned moment a
+(:data:`DONOR_FUNCTIONS`): recovery is the one sanctioned moment a
 site may read a peer's volatile state, and naming the functions keeps that
 surface enumerable and reviewable.
 """
@@ -22,7 +22,7 @@ surface enumerable and reviewable.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Set, Tuple
 
 from ..findings import Finding
 from .base import Rule, dotted_name
@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Layers allowed to see cluster-wide state by design: the transport and
 #: fault injectors *are* the environment, verification/harness code runs
 #: outside the system under test, and the cluster facades compose the sites.
-DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = (
+ALLOWED_MODULES: Tuple[str, ...] = (
     "network/",
     "chaos/",
     "verification/",
@@ -46,7 +46,7 @@ DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = (
 
 #: The declared recovery donor path: the only functions that may read a
 #: peer's volatile state directly (PR 3's catch-up protocol).
-DEFAULT_DONOR_FUNCTIONS: Tuple[str, ...] = (
+DONOR_FUNCTIONS: Tuple[str, ...] = (
     "catch_up_from",
     "rejoin",
     "on_recover",
@@ -74,14 +74,6 @@ _HINT = (
 
 class NoCrossSiteOracleRule(Rule):
     name = "no-cross-site-oracle"
-
-    def __init__(
-        self,
-        allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES,
-        donor_functions: Sequence[str] = DEFAULT_DONOR_FUNCTIONS,
-    ) -> None:
-        self.allowed_modules = tuple(allowed_modules)
-        self.donor_functions = tuple(donor_functions)
 
     # -------------------------------------------------------------- patterns
     def _peer_dereferences(
@@ -146,14 +138,14 @@ class NoCrossSiteOracleRule(Rule):
 
     # --------------------------------------------------------------- driving
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        if module.in_scope(self.allowed_modules):
+        if module.in_scope(ALLOWED_MODULES):
             return
         yield from self._registry_dereferences(module)
         yield from self._oracle_calls(module)
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name in self.donor_functions:
+            if node.name in DONOR_FUNCTIONS:
                 continue
             peer_names: Set[str] = set()
             args = node.args

@@ -12,7 +12,7 @@ including the wrapper.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 from ..findings import Finding
 from .base import Rule, dotted_name, import_aliases
@@ -20,7 +20,7 @@ from .base import Rule, dotted_name, import_aliases
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import ModuleSource
 
-DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = ("simulation/randomness.py",)
+ALLOWED_MODULES: Tuple[str, ...] = ("simulation/randomness.py",)
 
 _HINT = (
     'pull a named stream from the kernel: kernel.random.stream("component") '
@@ -31,14 +31,11 @@ _HINT = (
 class SeededRandomnessRule(Rule):
     name = "seeded-randomness-only"
 
-    def __init__(self, allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES) -> None:
-        self.allowed_modules = tuple(allowed_modules)
-
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         aliases = import_aliases(module.tree, "random")
         if not aliases:
             return
-        allowed = module.in_scope(self.allowed_modules)
+        allowed = module.in_scope(ALLOWED_MODULES)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -13,7 +13,7 @@ the ``is None`` side, a conditional expression, or an ``and`` short-circuit.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Set, Tuple
 
 from ..findings import Finding
 from .base import Rule, dotted_name
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine import ModuleSource
 
 #: The module that defines the tracer itself calls through ``self`` freely.
-DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = ("observability/trace.py",)
+ALLOWED_MODULES: Tuple[str, ...] = ("observability/trace.py",)
 
 _HINT = (
     "wrap the call in `if <receiver> is not None:` (tracing is off by "
@@ -82,9 +82,6 @@ def _terminates(body: List[ast.stmt]) -> bool:
 
 class TracerGuardRule(Rule):
     name = "tracer-guard"
-
-    def __init__(self, allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES) -> None:
-        self.allowed_modules = tuple(allowed_modules)
 
     # ---------------------------------------------------------------- checks
     def _check_expr(
@@ -165,6 +162,6 @@ class TracerGuardRule(Rule):
             yield from self._check_expr(module, statement, guarded)
 
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        if module.in_scope(self.allowed_modules):
+        if module.in_scope(ALLOWED_MODULES):
             return
         yield from self._check_block(module, module.tree.body, set())

@@ -12,7 +12,7 @@ reads it through there.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Tuple
 
 from ..findings import Finding
 from .base import Rule, dotted_name, import_aliases
@@ -36,17 +36,14 @@ _TIME_CALLS = (
 _DATETIME_CALLS = ("now", "utcnow", "today")
 
 #: The module where wall-clock reads are the declared, documented boundary.
-DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = ("observability/wallclock.py",)
+ALLOWED_MODULES: Tuple[str, ...] = ("observability/wallclock.py",)
 
 
 class NoWallclockRule(Rule):
     name = "no-wallclock"
 
-    def __init__(self, allowed_modules: Sequence[str] = DEFAULT_ALLOWED_MODULES) -> None:
-        self.allowed_modules = tuple(allowed_modules)
-
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        if module.in_scope(self.allowed_modules):
+        if module.in_scope(ALLOWED_MODULES):
             return
         time_aliases = import_aliases(module.tree, "time")
         datetime_aliases = import_aliases(module.tree, "datetime")

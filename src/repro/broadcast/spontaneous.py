@@ -10,10 +10,10 @@ the order-agreement statistics computed from per-site receive sequences.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 from ..errors import BroadcastError
-from ..network.message import DeliveryRecord, Envelope
+from ..network.message import DeliveryRecord
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
 from ..types import MessageId, SiteId
@@ -32,8 +32,8 @@ class ProbeMessage(NamedTuple):
 class PeriodicMulticastSource:
     """Makes one site multicast a probe message every ``interval`` seconds.
 
-    A small random phase offset (a fraction of the interval) desynchronises
-    the senders, as happens naturally on real hosts.
+    A random phase offset within the first interval desynchronises the
+    senders, as happens naturally on real hosts.
     """
 
     def __init__(
@@ -44,7 +44,6 @@ class PeriodicMulticastSource:
         *,
         interval: float,
         message_count: int,
-        phase_fraction: float = 1.0,
     ) -> None:
         if interval < 0.0:
             raise BroadcastError("probe interval cannot be negative")
@@ -57,7 +56,7 @@ class PeriodicMulticastSource:
         self.message_count = message_count
         self._sent = 0
         stream = kernel.random.stream(f"spontaneous.phase.{site_id}")
-        self._phase = stream.uniform(0.0, max(interval, 1e-6)) * phase_fraction
+        self._phase = stream.uniform(0.0, max(interval, 1e-6))
 
     def start(self) -> None:
         """Schedule the first probe."""
@@ -95,13 +94,11 @@ class OrderAgreementReport(NamedTuple):
         return 100.0 * self.same_position_fraction
 
 
-def receive_sequences(
-    delivery_log: Iterable[DeliveryRecord], *, kind: Optional[str] = PROBE_KIND
-) -> Dict[SiteId, List[MessageId]]:
-    """Group a transport delivery log into per-site receive sequences."""
+def receive_sequences(delivery_log: Iterable[DeliveryRecord]) -> Dict[SiteId, List[MessageId]]:
+    """Group a delivery log's probe records into per-site receive sequences."""
     sequences: Dict[SiteId, List[MessageId]] = {}
     for record in delivery_log:
-        if kind is not None and record.kind != kind:
+        if record.kind != PROBE_KIND:
             continue
         sequences.setdefault(record.receiver, []).append(record.envelope_id)
     return sequences

@@ -336,7 +336,7 @@ class ChaosOrchestrator:
                     label=f"chaos:{self.plan.name}:auto-restore-links",
                 )
         elif event.action == ACTION_HEAL:
-            self._heal(sites if event.targets else None, description)
+            self._heal()
         elif event.action == ACTION_SLOW:
             self._apply_spike(event.extra_delay)
             self._record(ACTION_SLOW, f"+{event.extra_delay}s", ())
@@ -386,24 +386,13 @@ class ChaosOrchestrator:
         if released:
             self._record(ACTION_RECOVER, "auto-recover", tuple(released))
 
-    def _heal(self, sites: Optional[Sequence[SiteId]], description: str) -> None:
-        """Explicit heal: cancels any still-open partition and link windows."""
-        partitions = self.binding.transport.partitions
-        if sites is None:
-            self._partition_windows.cancel_all()
-            self._link_windows.cancel_all()
-        else:
-            self._partition_windows.cancel(sites)
-            affected = [
-                link
-                for link in partitions.severed_links()
-                if link[0] in sites or link[1] in sites
-            ]
-            self._link_windows.cancel(affected)
-        # The controller's heal also restores severed links touching the
-        # healed sites (all of them with sites=None).
-        partitions.heal(sites, at_time=self.binding.kernel.now())
-        self._record(ACTION_HEAL, description or "all", tuple(sites or ()))
+    def _heal(self) -> None:
+        """Explicit heal: cancels every still-open partition and link window."""
+        self._partition_windows.cancel_all()
+        self._link_windows.cancel_all()
+        # The controller's heal also restores every severed link.
+        self.binding.transport.partitions.heal(at_time=self.binding.kernel.now())
+        self._record(ACTION_HEAL, "all", ())
 
     def _auto_heal(self, window: _Window) -> None:
         """End one partition window: heal only sites with no other open window."""

@@ -274,24 +274,9 @@ class FaultPlan:
             receivers=coerced_receivers,
         )
 
-    def heal(
-        self, *, at: float, targets: Optional[Iterable[TargetLike]] = None
-    ) -> "FaultPlan":
-        """Heal partitions at ``at`` (all of them, or only the targets').
-
-        ``targets=None`` heals everything; an explicitly *empty* target list
-        is rejected so that a computed site list that happens to be empty
-        cannot silently wipe every active partition.
-        """
-        if targets is None:
-            return self._add(at, ACTION_HEAL, ())
-        coerced = tuple(_coerce_target(target) for target in targets)
-        if not coerced:
-            raise ChaosError(
-                "heal() got an empty target list; pass targets=None to heal "
-                "all partitions"
-            )
-        return self._add(at, ACTION_HEAL, coerced)
+    def heal(self, *, at: float) -> "FaultPlan":
+        """Heal every partition and severed link at ``at``."""
+        return self._add(at, ACTION_HEAL, ())
 
     def latency_spike(
         self, extra_delay: float, *, at: float, duration: float

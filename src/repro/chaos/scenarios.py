@@ -380,7 +380,7 @@ def wan_false_suspicion(seed: int = 1, **sizing) -> ChaosRunResult:
     """
     sizing.setdefault(
         "topology",
-        GeoTopology.striped(
+        GeoTopology(
             ("eu", "us"),
             intra=LinkProfile(base=0.0004, jitter=0.0001),
             cross=LinkProfile(base=0.002, jitter=0.0003),
@@ -438,37 +438,38 @@ def asymmetric_partition_suspicion(seed: int = 1, **sizing) -> ChaosRunResult:
 #: Fault kinds the fuzz plan draws from, with their relative weights.
 FUZZ_FAULT_KINDS: Tuple[str, ...] = ("crash", "partition_oneway", "latency_spike")
 FUZZ_FAULT_WEIGHTS: Tuple[float, ...] = (3.0, 2.0, 2.0)
+#: Virtual seconds the fuzz's open-loop stream keeps offering work.
+FUZZ_HORIZON = 0.12
+#: Faults one fuzz plan draws.
+FUZZ_EVENTS = 5
+#: Share of the fuzz's arrivals that are queries.
+FUZZ_QUERY_FRACTION = 0.05
+#: The fuzz's admission valve, armed on every shard.
+FUZZ_ADMISSION = AdmissionConfig(high_watermark=40, low_watermark=20)
 
 
-def build_fuzz_plan(
-    cluster: ShardedCluster,
-    *,
-    horizon: float,
-    events: int,
-) -> FaultPlan:
+def build_fuzz_plan(cluster: ShardedCluster) -> FaultPlan:
     """Draw a random fault soup from the cluster's seeded fuzz stream.
 
     Every draw — kind, start time, duration, victims, spike size — comes
     from the ``"random-fuzz.plan"`` stream of the cluster's master seed, so
     the plan (and hence the injected trace) is a pure function of the seed.
-    Faults start inside ``[0.1, 0.55] * horizon`` and last ``[0.1, 0.3] *
-    horizon``, so they always land on live traffic and always cease before
-    the arrival stream runs dry (the liveness assertions need a fault-free
-    tail).  Crashes pick a seeded site of a seeded shard (which may well be
-    a coordinator — then the fuzz also exercises failover, or a whole shard
-    if windows stack); one-way partitions sever a directed link between two
-    distinct seeded sites; latency spikes inflate every delay by a seeded
-    2–8 ms.
+    :data:`FUZZ_EVENTS` faults start inside ``[0.1, 0.55] * FUZZ_HORIZON`` and
+    last ``[0.1, 0.3] * FUZZ_HORIZON``, so they always land on live traffic
+    and always cease before the arrival stream runs dry (the liveness
+    assertions need a fault-free tail).  Crashes pick a seeded site of a
+    seeded shard (which may well be a coordinator — then the fuzz also
+    exercises failover, or a whole shard if windows stack); one-way
+    partitions sever a directed link between two distinct seeded sites;
+    latency spikes inflate every delay by a seeded 2–8 ms.
     """
-    if events < 1:
-        raise ChaosError("a fuzz plan needs at least one fault event")
     stream = cluster.kernel.random.stream("random-fuzz.plan")
     plan = FaultPlan("random-fuzz")
     sites = sorted(cluster.site_ids())
     shard_ids = sorted(cluster.shard_ids())
-    for _ in range(events):
-        at = stream.uniform(0.10 * horizon, 0.55 * horizon)
-        duration = stream.uniform(0.10 * horizon, 0.30 * horizon)
+    for _ in range(FUZZ_EVENTS):
+        at = stream.uniform(0.10 * FUZZ_HORIZON, 0.55 * FUZZ_HORIZON)
+        duration = stream.uniform(0.10 * FUZZ_HORIZON, 0.30 * FUZZ_HORIZON)
         kind = stream.weighted_choice(FUZZ_FAULT_KINDS, FUZZ_FAULT_WEIGHTS)
         if kind == "crash":
             plan.crash(random_site(stream.choice(shard_ids)), at=at, duration=duration)
@@ -489,7 +490,6 @@ def execute_fuzz_run(
     *,
     scenario: str,
     seed: int,
-    settle_time: Optional[float] = None,
 ) -> ChaosRunResult:
     """Open-loop counterpart of :func:`execute_chaos_run`.
 
@@ -502,9 +502,7 @@ def execute_fuzz_run(
     verification stack.
     """
     open_plan = OpenLoopTrafficEngine(spec).apply(cluster)
-    result = _run_plan(
-        cluster, plan, scenario=scenario, seed=seed, settle_time=settle_time
-    )
+    result = _run_plan(cluster, plan, scenario=scenario, seed=seed, settle_time=None)
     return result._replace(
         offered_updates=open_plan.update_count,
         shed_updates=sum(derive_metrics(cluster).sheds_by_cause.values()),
@@ -514,39 +512,31 @@ def execute_fuzz_run(
 def random_fuzz(
     seed: int = 1,
     *,
-    horizon: float = 0.12,
     rate: float = 1500.0,
-    events: int = 5,
-    query_fraction: float = 0.05,
-    admission: Optional[AdmissionConfig] = None,
+    admission: AdmissionConfig = FUZZ_ADMISSION,
     **sizing,
 ) -> ChaosRunResult:
     """Seed-driven fault soup over a live open-loop run (endurance scenario).
 
-    ``events`` faults — crashes, one-way partitions, latency spikes, all
-    drawn from the seed — land while a Poisson open-loop stream of ``rate``
-    arrivals/second keeps offering work for ``horizon`` virtual seconds
-    through the admission valve (watermarks arm by default; pass
-    ``admission`` to tune them).  The endurance suite
-    (``tests/test_endurance_fuzz.py``) runs this across a seed sweep and
-    additionally asserts that the same seed reproduces the same fault trace.
+    :data:`FUZZ_EVENTS` faults — crashes, one-way partitions, latency
+    spikes, all drawn from the seed — land while a Poisson open-loop stream
+    of ``rate`` arrivals/second keeps offering work for
+    :data:`FUZZ_HORIZON` virtual seconds through the ``admission`` valve.
+    The endurance suite (``tests/test_endurance_fuzz.py``) runs this across
+    a seed sweep and additionally asserts that the same seed reproduces the
+    same fault trace.
     """
-    if admission is None:
-        admission = AdmissionConfig(high_watermark=40, low_watermark=20)
     cluster, shard_spec = build_chaos_cluster(seed, admission=admission, **sizing)
     spec = OpenLoopSpec(
         arrivals=PoissonArrivals(rate=rate),
-        horizon=horizon,
+        horizon=FUZZ_HORIZON,
         class_count=shard_spec.class_count,
         objects_per_class=shard_spec.objects_per_class,
-        query_fraction=query_fraction,
+        query_fraction=FUZZ_QUERY_FRACTION,
         query_span=shard_spec.query_span,
-        operations_per_update=shard_spec.operations_per_update,
         update_duration=shard_spec.update_duration,
-        query_duration=shard_spec.query_duration,
-        initial_value=shard_spec.initial_value,
     )
-    plan = build_fuzz_plan(cluster, horizon=horizon, events=events)
+    plan = build_fuzz_plan(cluster)
     return execute_fuzz_run(cluster, spec, plan, scenario="random_fuzz", seed=seed)
 
 

@@ -417,9 +417,9 @@ class ReplicatedDatabase:
         """Advance the simulation (see :meth:`SimulationKernel.run`)."""
         return self.kernel.run(until=until, max_events=max_events)
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
+    def run_until_idle(self) -> int:
         """Run until no scheduled events remain."""
-        return self.kernel.run_until_idle(max_events=max_events)
+        return self.kernel.run_until_idle()
 
     @property
     def now(self) -> float:

@@ -45,13 +45,13 @@ class OTPScheduler:
         engine: ExecutionEngine,
         *,
         commit_callback: CommitCallback,
-        metrics: Optional[MetricsCollector] = None,
+        metrics: MetricsCollector,
         tracer: Optional[object] = None,
     ) -> None:
         self.kernel = kernel
         self.engine = engine
         self._commit_callback = commit_callback
-        self.metrics = metrics or MetricsCollector("otp-scheduler")
+        self.metrics = metrics
         #: Optional :class:`~repro.observability.trace.TransactionTracer`.
         self.tracer = tracer
         self._queues: Dict[ConflictClassId, ClassQueue] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from ..errors import DatabaseError, UnknownObjectError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -49,15 +49,13 @@ class VersionChain:
 
     __slots__ = ("key", "_created_indices", "_values", "_writers", "_commit_times")
 
-    def __init__(self, key: ObjectKey, versions: Iterable[ObjectVersion] = ()) -> None:
+    def __init__(self, key: ObjectKey) -> None:
         self.key = key
         #: Sorted, so ``visible_at`` can bisect (``bisect(key=)`` is 3.10+).
         self._created_indices: List[int] = []
         self._values: List[ObjectValue] = []
         self._writers: List[TransactionId] = []
         self._commit_times: List[float] = []
-        for version in versions:
-            self.append(version)
 
     def _record(self, position: int) -> ObjectVersion:
         return ObjectVersion(
@@ -129,18 +127,16 @@ class VersionChain:
         self._writers.append(created_by)
         self._commit_times.append(created_at)
 
-    def prune_before(self, min_index: int, keep_at_least: int = 1) -> int:
-        """Drop versions older than ``min_index``; keep at least ``keep_at_least``.
+    def prune_before(self, min_index: int) -> int:
+        """Drop versions older than ``min_index``.
 
         Returns the number of versions removed.  Garbage collection never
         removes the last remaining version of an object.
         """
-        if keep_at_least < 1:
-            raise DatabaseError("keep_at_least must be >= 1")
         indices = self._created_indices
         # The indices are sorted, so the versions older than ``min_index``
         # are a prefix.
-        removed = min(bisect_left(indices, min_index), len(indices) - keep_at_least)
+        removed = min(bisect_left(indices, min_index), len(indices) - 1)
         if removed <= 0:
             return 0
         for column in (indices, self._values, self._writers, self._commit_times):

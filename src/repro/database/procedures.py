@@ -73,12 +73,12 @@ class TransactionContext:
             raise DatabaseError("queries must not update data")
         self.workspace[key] = value
 
-    def increment(self, key: ObjectKey, delta: Union[int, float] = 1) -> ObjectValue:
-        """Read-modify-write convenience: add ``delta`` to a numeric object."""
+    def increment(self, key: ObjectKey) -> ObjectValue:
+        """Read-modify-write convenience: add one to a numeric object."""
         current = self.read_or_default(key, 0)
         if not isinstance(current, (int, float)):
             raise DatabaseError(f"cannot increment non-numeric object {key!r}")
-        updated = current + delta
+        updated = current + 1
         self.write(key, updated)
         return updated
 

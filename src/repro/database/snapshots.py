@@ -125,13 +125,17 @@ class SnapshotManager:
             )
         return QuerySnapshot(query_index=query_index, store=self._store)
 
-    def garbage_collect(self, *, keep_last: int = 8) -> int:
-        """Prune versions older than ``last_processed_index - keep_last``.
+    #: How many definitive indices below the last processed one a snapshot
+    #: may still read after :meth:`garbage_collect`.
+    GC_KEEP_LAST = 8
+
+    def garbage_collect(self) -> int:
+        """Prune versions older than ``last_processed_index - GC_KEEP_LAST``.
 
         Returns the number of versions removed.  At least one version per
         object is always retained.
         """
-        horizon = self._last_processed_index - keep_last
+        horizon = self._last_processed_index - self.GC_KEEP_LAST
         if horizon <= MultiVersionStore.INITIAL_INDEX:
             return 0
         return self._store.prune(horizon)

@@ -9,7 +9,7 @@ time, or simply discarded on abort; the discard is the whole undo.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import UnknownObjectError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -110,24 +110,23 @@ class MultiVersionStore:
         chain.add(value, created_index, created_by, created_at)
 
     # ------------------------------------------------------------ maintenance
-    def prune(self, min_index: int, *, keep_at_least: int = 1) -> int:
+    def prune(self, min_index: int) -> int:
         """Garbage-collect versions older than ``min_index`` on every chain."""
         removed = 0
         for chain in self._chains.values():
-            removed += chain.prune_before(min_index, keep_at_least=keep_at_least)
+            removed += chain.prune_before(min_index)
         self.stats.versions_pruned += removed
         return removed
 
     # ---------------------------------------------------------------- export
-    def dump_latest(self, keys: Optional[Iterable[ObjectKey]] = None) -> Dict[ObjectKey, ObjectValue]:
-        """Return ``{key: latest value}`` for ``keys`` (default: every key).
+    def dump_latest(self) -> Dict[ObjectKey, ObjectValue]:
+        """Return ``{key: latest value}`` for every key.
 
         Used by the verification layer to compare replica contents and by
         examples to display the database state.
         """
-        selected = list(keys) if keys is not None else self.keys()
         result: Dict[ObjectKey, ObjectValue] = {}
-        for key in selected:
+        for key in self.keys():
             chain = self._chain(key)
             if len(chain):
                 result[key] = chain.read_latest()

@@ -489,7 +489,7 @@ def geo_cell(spec: RunSpec) -> Row:
     """
     params = spec.params()
     cross_ms = params["cross_base_ms"]
-    topology = GeoTopology.striped(
+    topology = GeoTopology(
         tuple(params["regions"]),
         intra=DEFAULT_INTRA_PROFILE,
         cross=LinkProfile(

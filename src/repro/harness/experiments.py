@@ -406,7 +406,7 @@ def run_experiment(
 class ExperimentSuiteResult:
     """All experiment results keyed by experiment id, in selection order."""
 
-    results: Dict[str, ExperimentResult] = field(default_factory=dict)
+    results: Dict[str, ExperimentResult] = field(default_factory=dict, init=False)
 
     def to_markdown(self) -> str:
         """Render every result as a Markdown document body."""

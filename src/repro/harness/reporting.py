@@ -29,11 +29,14 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+#: Columns and rows of an :func:`ascii_plot`.
+PLOT_WIDTH = 60
+PLOT_HEIGHT = 15
+
+
 def ascii_plot(
     points: Sequence[Tuple[float, float]],
     *,
-    width: int = 60,
-    height: int = 15,
     x_label: str = "x",
     y_label: str = "y",
 ) -> str:
@@ -50,11 +53,11 @@ def ascii_plot(
     y_min, y_max = min(ys), max(ys)
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
-    grid = [[" " for _ in range(width)] for _ in range(height)]
+    grid = [[" " for _ in range(PLOT_WIDTH)] for _ in range(PLOT_HEIGHT)]
     for x, y in points:
-        column = int(round((x - x_min) / x_span * (width - 1)))
-        row = int(round((y - y_min) / y_span * (height - 1)))
-        grid[height - 1 - row][column] = "*"
+        column = int(round((x - x_min) / x_span * (PLOT_WIDTH - 1)))
+        row = int(round((y - y_min) / y_span * (PLOT_HEIGHT - 1)))
+        grid[PLOT_HEIGHT - 1 - row][column] = "*"
     lines = ["".join(row) for row in grid]
     header = f"{y_label}: {y_min:.2f} .. {y_max:.2f}   {x_label}: {x_min:.3f} .. {x_max:.3f}"
     return header + "\n" + "\n".join(lines)

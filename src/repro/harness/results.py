@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .reporting import format_table
 
@@ -21,9 +21,9 @@ class ExperimentResult:
     name: str
     description: str
     parameters: Dict[str, object] = field(default_factory=dict)
-    columns: List[str] = field(default_factory=list)
-    rows: List[Dict[str, object]] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    columns: List[str] = field(default_factory=list, init=False)
+    rows: List[Dict[str, object]] = field(default_factory=list, init=False)
+    notes: List[str] = field(default_factory=list, init=False)
 
     def add_row(self, **values: object) -> None:
         """Append a row, extending the column list with any new keys.

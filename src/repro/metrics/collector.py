@@ -75,9 +75,9 @@ class MetricsCollector:
         self.gauges: Dict[str, Gauge] = {}
 
     # -------------------------------------------------------------- counters
-    def increment(self, name: str, amount: int = 1) -> None:
-        """Increment the counter called ``name``."""
-        self.counts[name] += amount
+    def increment(self, name: str) -> None:
+        """Increment the counter called ``name`` by one."""
+        self.counts[name] += 1
 
     def count(self, name: str) -> int:
         """Return the current value of the counter (0 if never incremented)."""

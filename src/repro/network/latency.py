@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import re
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from ..errors import NetworkError
 from ..simulation.randomness import RandomStream
@@ -81,45 +81,38 @@ class UniformLatency(LatencyModel):
         return stream.uniform(self.minimum, self.maximum)
 
 
+#: Constant wire + protocol-stack delay shared by every receiver (seconds).
+LAN_PROPAGATION = 0.0004
+#: Mean and twice the standard deviation of the sender-side delay (MAC
+#: contention, kernel scheduling on the sending host), in seconds.  It is
+#: shared by all receivers of a message, so it delays the message but cannot
+#: reorder it differently at different sites.
+LAN_TRANSMISSION_JITTER = 0.0002
+
+
 class LanMulticastLatency(LatencyModel):
     """Shared-medium LAN model used for the Figure 1 reproduction.
 
-    Parameters (all in seconds)
-    ---------------------------
-    propagation:
-        Constant wire + protocol-stack delay shared by every receiver.
-    transmission_jitter:
-        Standard deviation of the sender-side delay (MAC contention, kernel
-        scheduling on the sending host) — shared by all receivers of a
-        message, so it delays the message but cannot reorder it differently
-        at different sites.
-    receiver_jitter_mean:
-        Mean of the exponential per-receiver processing jitter.  This is the
-        component that produces disagreement between sites; the default of
-        120 microseconds reproduces the shape of the paper's Figure 1 (about
-        99 % spontaneous order at a 4 ms inter-broadcast interval, dropping
-        into the 80s as the interval approaches zero).
+    Every message pays :data:`LAN_PROPAGATION` plus a truncated-normal
+    sender-side delay around :data:`LAN_TRANSMISSION_JITTER`, shared by all
+    its receivers, and then an exponential per-receiver processing jitter of
+    mean ``receiver_jitter_mean`` (seconds).  That jitter is the component
+    that produces disagreement between sites; the default of 120
+    microseconds reproduces the shape of the paper's Figure 1 (about 99 %
+    spontaneous order at a 4 ms inter-broadcast interval, dropping into the
+    80s as the interval approaches zero).
     """
 
-    __slots__ = ("propagation", "transmission_jitter", "receiver_jitter_mean")
+    __slots__ = ("receiver_jitter_mean",)
 
-    def __init__(
-        self,
-        propagation: float = 0.0004,
-        transmission_jitter: float = 0.0002,
-        receiver_jitter_mean: float = 0.00012,
-    ) -> None:
-        if not propagation >= 0.0:
-            raise NetworkError("propagation delay cannot be negative")
-        if not transmission_jitter >= 0.0 or not receiver_jitter_mean >= 0.0:
-            raise NetworkError("jitter parameters cannot be negative")
-        self.propagation = propagation
-        self.transmission_jitter = transmission_jitter
+    def __init__(self, receiver_jitter_mean: float = 0.00012) -> None:
+        if not receiver_jitter_mean >= 0.0:
+            raise NetworkError("receiver jitter cannot be negative")
         self.receiver_jitter_mean = receiver_jitter_mean
 
     def shared_delay(self, stream: RandomStream) -> float:
-        return self.propagation + stream.truncated_normal(
-            self.transmission_jitter, self.transmission_jitter / 2.0, 0.0
+        return LAN_PROPAGATION + stream.truncated_normal(
+            LAN_TRANSMISSION_JITTER, LAN_TRANSMISSION_JITTER / 2.0
         )
 
     def receiver_delay(self, sender: SiteId, receiver: SiteId, stream: RandomStream) -> float:
@@ -159,80 +152,46 @@ class GeoTopology:
     """A region-aware link map: which site lives where, what each link costs.
 
     Every site is assigned to a named region (a datacenter); the delay of a
-    message depends on the *link* it crosses — intra-region links use the
-    ``intra`` profile, cross-region links the ``cross`` profile, and
-    individual region pairs can be overridden (``overrides``) to model
-    non-uniform WAN meshes (e.g. eu↔us cheaper than eu↔ap).  Overrides are
-    looked up directed first, then undirected, so an asymmetric route can be
-    modelled with two directed entries.
+    message depends on the *link* it crosses: intra-region links use the
+    ``intra`` profile, cross-region links the ``cross`` profile.
 
-    Sites can be mapped explicitly (``regions={"N1": "eu", ...}``) or striped
-    round-robin over the region list with :meth:`striped`, which derives the
-    region from the site id's numeric suffix — prefix-agnostic, so one
+    Sites are striped round-robin over ``regions`` by their id's numeric
+    suffix: site ``N<k>`` (any prefix) lands in
+    ``regions[(k - 1) % len(regions)]``, e.g. with ``("eu", "us", "ap")``:
+    N1→eu, N2→us, N3→ap, N4→eu...  The prefix does not matter, so one
     topology covers flat clusters (``N3``) and sharded ones (``S2:N3``).
     """
 
     def __init__(
         self,
-        regions: Mapping[SiteId, str],
-        *,
-        intra: LinkProfile = DEFAULT_INTRA_PROFILE,
-        cross: LinkProfile = DEFAULT_CROSS_PROFILE,
-        overrides: Optional[Mapping[Tuple[str, str], LinkProfile]] = None,
-        stripes: Optional[Sequence[str]] = None,
-    ) -> None:
-        self._regions: Dict[SiteId, str] = dict(regions)
-        self._intra = intra
-        self._cross = cross
-        self._overrides: Dict[Tuple[str, str], LinkProfile] = dict(overrides or {})
-        self._stripes: Optional[Tuple[str, ...]] = tuple(stripes) if stripes else None
-        if not self._regions and not self._stripes:
-            raise NetworkError("a geo topology needs site regions or stripes")
-
-    @classmethod
-    def striped(
-        cls,
         regions: Sequence[str],
         *,
         intra: LinkProfile = DEFAULT_INTRA_PROFILE,
         cross: LinkProfile = DEFAULT_CROSS_PROFILE,
-        overrides: Optional[Mapping[Tuple[str, str], LinkProfile]] = None,
-    ) -> "GeoTopology":
-        """Assign sites round-robin over ``regions`` by their numeric index.
-
-        Site ``N<k>`` (any prefix) lands in ``regions[(k - 1) % len(regions)]``
-        — e.g. with ``("eu", "us", "ap")``: N1→eu, N2→us, N3→ap, N4→eu...
-        """
+    ) -> None:
         if not regions:
-            raise NetworkError("striped() needs at least one region")
-        return cls({}, intra=intra, cross=cross, overrides=overrides, stripes=regions)
+            raise NetworkError("a geo topology needs at least one region")
+        self._regions: Tuple[str, ...] = tuple(regions)
+        self._intra = intra
+        self._cross = cross
 
     # --------------------------------------------------------------- queries
     def region_of(self, site: SiteId) -> str:
         """The region hosting ``site``."""
-        if site in self._regions:
-            return self._regions[site]
-        if self._stripes is not None:
-            match = _SITE_INDEX_RE.search(site)
-            if match is not None:
-                index = int(match.group(1))
-                return self._stripes[(index - 1) % len(self._stripes)]
-        raise NetworkError(f"site {site!r} is assigned to no region")
+        match = _SITE_INDEX_RE.search(site)
+        if match is None:
+            raise NetworkError(f"site {site!r} is assigned to no region")
+        return self._regions[(int(match.group(1)) - 1) % len(self._regions)]
 
     def profile(self, sender: SiteId, receiver: SiteId) -> LinkProfile:
         """The latency profile of the link ``sender -> receiver``."""
-        origin = self.region_of(sender)
-        target = self.region_of(receiver)
-        override = self._overrides.get((origin, target))
-        if override is None:
-            override = self._overrides.get((target, origin))
-        if override is not None:
-            return override
-        return self._intra if origin == target else self._cross
+        if self.region_of(sender) == self.region_of(receiver):
+            return self._intra
+        return self._cross
 
     def link_profiles(self) -> Tuple[LinkProfile, ...]:
         """Every distinct profile the topology can produce."""
-        return (self._intra, self._cross, *self._overrides.values())
+        return (self._intra, self._cross)
 
     def one_way_spread(self) -> float:
         """Spread between the cheapest and the dearest link's base delay.

@@ -168,7 +168,3 @@ class PartitionController:
     def history(self) -> List[Tuple[float, str, HistorySites]]:
         """Chronological list of (time, operation, sites) partition changes."""
         return list(self._history)
-
-    def severed_links(self) -> List[Link]:
-        """Return the currently severed directed links (sorted)."""
-        return sorted(self._severed)

@@ -36,12 +36,11 @@ class TransportStats:
         "envelopes_delivered",
         "envelopes_buffered",
         "retransmissions",
-        "bytes_estimate",
     )
 
     def __init__(self) -> None:
         self.multicasts_sent = self.envelopes_delivered = 0
-        self.envelopes_buffered = self.bytes_estimate = 0
+        self.envelopes_buffered = 0
         #: Always 0: channels lose nothing.  Kept for the benchmark's
         #: ``network.retransmissions`` column until that column is retired.
         self.retransmissions = 0
@@ -102,7 +101,6 @@ class NetworkTransport:
         *,
         record_deliveries: bool = False,
         medium_frame_time: float = 0.0,
-        payload_size_estimator: Optional[Callable[[Envelope], int]] = None,
     ) -> None:
         if medium_frame_time < 0.0:
             raise NetworkError("medium frame time cannot be negative")
@@ -116,7 +114,6 @@ class NetworkTransport:
         self._record_deliveries = record_deliveries
         self._sites: Dict[SiteId, _SiteEndpoint] = {}
         self._latency_stream: RandomStream = kernel.random.stream("network.latency")
-        self._payload_size_estimator = payload_size_estimator
         #: Resolved multicast receivers by (destinations, sender, include_sender).
         self._receivers: Dict[tuple, Tuple[SiteId, ...]] = {}
 
@@ -194,8 +191,6 @@ class NetworkTransport:
             sent_at=self.kernel.now(),
         )
         self.stats.multicasts_sent += 1
-        if self._payload_size_estimator is not None:
-            self.stats.bytes_estimate += self._payload_size_estimator(envelope)
         stream = self._latency_stream
         shared = self.latency_model.shared_delay(stream)
         if self.medium_frame_time > 0.0:

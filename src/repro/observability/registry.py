@@ -22,7 +22,7 @@ the paper cares about:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from ..broadcast.spontaneous import tentative_vs_definitive_mismatch
 from ..metrics.collector import MetricsCollector
@@ -191,10 +191,9 @@ def divergence_by_site(cluster: Any) -> Dict[SiteId, float]:
     return divergence
 
 
-def derive_metrics(cluster: Any, registry: Optional[MetricsRegistry] = None) -> DerivedMetrics:
+def derive_metrics(cluster: Any) -> DerivedMetrics:
     """Compute :class:`DerivedMetrics` for a flat or sharded cluster."""
-    if registry is None:
-        registry = build_registry(cluster)
+    registry = build_registry(cluster)
     divergence = dict(sorted(divergence_by_site(cluster).items()))
     return DerivedMetrics(
         opt_to_divergence_rate=mean(list(divergence.values())),

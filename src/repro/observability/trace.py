@@ -28,7 +28,7 @@ Perfetto): sites become processes, transactions become tracks.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import SimulationError
 from ..types import SiteId, TransactionId
@@ -234,16 +234,9 @@ class TransactionTracer:
         return len(keys)
 
     # ----------------------------------------------------------- inspection
-    def spans_of(
-        self, transaction_id: TransactionId, name: Optional[str] = None
-    ) -> List[TraceSpan]:
-        """All spans of one transaction (optionally filtered by name)."""
-        return [
-            span
-            for span in self.spans
-            if span.transaction_id == transaction_id
-            and (name is None or span.name == name)
-        ]
+    def spans_of(self, transaction_id: TransactionId) -> List[TraceSpan]:
+        """All spans of one transaction."""
+        return [span for span in self.spans if span.transaction_id == transaction_id]
 
     def events_of(self, transaction_id: TransactionId) -> List[TraceEvent]:
         """All events of one transaction, in recording order."""

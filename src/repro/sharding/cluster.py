@@ -13,7 +13,7 @@ shard; multi-class queries are fanned out and merged by the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.cluster import ReplicatedDatabase
 from ..core.config import ShardingConfig
@@ -23,16 +23,7 @@ from ..errors import ShardingError
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
 from ..types import ObjectKey, ObjectValue, ShardId, SiteId, TransactionId
-from .router import (
-    QueryClassesFn,
-    RoutedUpdate,
-    ShardedQueryExecution,
-    SubqueryParametersFn,
-    TransactionRouter,
-    merge_sum,
-    partitioned_query_classes,
-    partitioned_subquery_parameters,
-)
+from .router import RoutedUpdate, ShardedQueryExecution, TransactionRouter
 from .shardmap import ShardMap
 
 
@@ -66,9 +57,6 @@ class ShardedCluster:
         conflict_map: ConflictClassMap,
         shard_map: Optional[ShardMap] = None,
         initial_data: Optional[Dict[ObjectKey, ObjectValue]] = None,
-        query_classes: QueryClassesFn = partitioned_query_classes,
-        subquery_parameters: SubqueryParametersFn = partitioned_subquery_parameters,
-        query_merge: Callable[[Sequence[Any]], Any] = merge_sum,
     ) -> None:
         self.config = config
         self.registry = registry
@@ -96,12 +84,7 @@ class ShardedCluster:
                 kernel=self.kernel,
                 transport=self.transport,
             )
-        self.router = TransactionRouter(
-            self,
-            query_classes=query_classes,
-            subquery_parameters=subquery_parameters,
-            merge=query_merge,
-        )
+        self.router = TransactionRouter(self)
 
     # -------------------------------------------------------------- assembly
     def _validate_shard_map(self) -> None:
@@ -211,22 +194,19 @@ class ShardedCluster:
         procedure_name: str,
         parameters: Optional[Dict[str, Any]] = None,
         *,
-        site_index: Optional[int] = None,
         on_complete: Optional[Callable[[ShardedQueryExecution], None]] = None,
     ) -> ShardedQueryExecution:
         """Fan a multi-class query out over the shards it touches."""
-        return self.router.route_query(
-            procedure_name, parameters, site_index=site_index, on_complete=on_complete
-        )
+        return self.router.route_query(procedure_name, parameters, on_complete=on_complete)
 
     # ------------------------------------------------------------ simulation
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Advance the shared simulation kernel."""
         return self.kernel.run(until=until, max_events=max_events)
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
+    def run_until_idle(self) -> int:
         """Run until no scheduled events remain in any shard."""
-        return self.kernel.run_until_idle(max_events=max_events)
+        return self.kernel.run_until_idle()
 
     def stop_failure_detectors(self) -> None:
         """Stop every shard's heartbeat detectors (no-op in oracle mode)."""

@@ -30,13 +30,6 @@ from .shardmap import ShardMap
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .cluster import ShardedCluster
 
-#: Maps ``(procedure_name, parameters)`` to the conflict classes the query
-#: reads, and back to per-shard parameters for the fan-out sub-queries.
-QueryClassesFn = Callable[[str, Dict[str, Any]], List[ConflictClassId]]
-SubqueryParametersFn = Callable[
-    [str, Dict[str, Any], Sequence[ConflictClassId]], Dict[str, Any]
-]
-
 
 def partitioned_query_classes(
     procedure_name: str, parameters: Dict[str, Any]
@@ -62,7 +55,7 @@ def partitioned_subquery_parameters(
 
 
 def merge_sum(results: Sequence[Any]) -> Any:
-    """Default merge for fan-out queries: sum the partial results."""
+    """The merge of fan-out queries: sum the partial results."""
     return sum(results)
 
 
@@ -161,14 +154,13 @@ class TransactionRouter:
     ----------
     cluster:
         The :class:`~repro.sharding.cluster.ShardedCluster` to route into.
-    query_classes / subquery_parameters:
-        Workload-specific hooks describing which conflict classes a query
-        reads and how to restrict its parameters to a subset of classes.
-        They default to the standard partitioned workload's convention
-        (a ``class_indexes`` parameter).
-    merge:
-        Combines the per-shard partial results into the merged result
-        (defaults to summation, matching the standard scan queries).
+
+    A query's conflict classes and its per-shard parameters follow the
+    standard partitioned workload's convention, a ``class_indexes``
+    parameter (:func:`partitioned_query_classes`,
+    :func:`partitioned_subquery_parameters`), and the per-shard partial
+    results are summed (:func:`merge_sum`), matching the standard scan
+    queries.
 
     Contract
     --------
@@ -189,20 +181,10 @@ class TransactionRouter:
       (:mod:`repro.verification.sharded`).
     """
 
-    def __init__(
-        self,
-        cluster: "ShardedCluster",
-        *,
-        query_classes: QueryClassesFn = partitioned_query_classes,
-        subquery_parameters: SubqueryParametersFn = partitioned_subquery_parameters,
-        merge: Callable[[Sequence[Any]], Any] = merge_sum,
-    ) -> None:
+    def __init__(self, cluster: "ShardedCluster") -> None:
         self.cluster = cluster
         self.shard_map: ShardMap = cluster.shard_map
         self.registry: ProcedureRegistry = cluster.registry
-        self.query_classes = query_classes
-        self.subquery_parameters = subquery_parameters
-        self.merge = merge
         self.routed_updates: List[RoutedUpdate] = []
         self.sharded_queries: List[ShardedQueryExecution] = []
         self._site_cursor: Dict[ShardId, int] = {}
@@ -293,7 +275,6 @@ class TransactionRouter:
         procedure_name: str,
         parameters: Optional[Dict[str, Any]] = None,
         *,
-        site_index: Optional[int] = None,
         on_complete: Optional[Callable[[ShardedQueryExecution], None]] = None,
     ) -> ShardedQueryExecution:
         """Fan a multi-class query out to every shard it touches.
@@ -310,7 +291,7 @@ class TransactionRouter:
                 f"procedure {procedure_name!r} is an update transaction; "
                 "use route_update instead"
             )
-        classes = self.query_classes(procedure_name, parameters)
+        classes = partitioned_query_classes(procedure_name, parameters)
         if not classes:
             raise ShardingError(f"query {procedure_name!r} reads no conflict classes")
         by_shard = self.shard_map.split_by_shard(classes)
@@ -327,7 +308,7 @@ class TransactionRouter:
             remaining["count"] -= 1
             if remaining["count"] > 0:
                 return
-            sharded.merged_result = self.merge(
+            sharded.merged_result = merge_sum(
                 [subquery.execution.result for subquery in sharded.subqueries]
             )
             sharded.completed_at = self.cluster.kernel.now()
@@ -336,7 +317,7 @@ class TransactionRouter:
 
         for shard_id in sorted(by_shard):
             shard_classes = by_shard[shard_id]
-            sub_parameters = self.subquery_parameters(
+            sub_parameters = partitioned_subquery_parameters(
                 procedure_name, parameters, shard_classes
             )
             entry = ShardSubQuery(
@@ -347,16 +328,13 @@ class TransactionRouter:
                 execution=None,
             )
             sharded.subqueries.append(entry)
-            self._dispatch_subquery(
-                sharded, entry, site_index, subquery_finished
-            )
+            self._dispatch_subquery(sharded, entry, subquery_finished)
         return sharded
 
     def _dispatch_subquery(
         self,
         sharded: ShardedQueryExecution,
         entry: ShardSubQuery,
-        site_index: Optional[int],
         subquery_finished: Callable[[QueryExecution], None],
         *,
         _attempts: int = 0,
@@ -369,7 +347,7 @@ class TransactionRouter:
         library would do on a connection error.  When the shard has no live
         replica at all, the dispatch is deferred and retried.
         """
-        site_id = self._pick_site(entry.shard_id, site_index)
+        site_id = self._pick_site(entry.shard_id, None)
         if site_id is None:
             if _attempts >= self.RETRY_LIMIT:
                 raise ShardingError(
@@ -381,11 +359,7 @@ class TransactionRouter:
             self.cluster.kernel.schedule(
                 self.RETRY_INTERVAL,
                 lambda: self._dispatch_subquery(
-                    sharded,
-                    entry,
-                    site_index,
-                    subquery_finished,
-                    _attempts=_attempts + 1,
+                    sharded, entry, subquery_finished, _attempts=_attempts + 1
                 ),
                 label=f"router-retry-subquery:{entry.shard_id}",
             )
@@ -394,9 +368,7 @@ class TransactionRouter:
         def finished(execution: QueryExecution) -> None:
             if execution.aborted:
                 self.retried_subqueries += 1
-                self._dispatch_subquery(
-                    sharded, entry, site_index, subquery_finished
-                )
+                self._dispatch_subquery(sharded, entry, subquery_finished)
                 return
             subquery_finished(execution)
 

@@ -7,8 +7,6 @@ makes every experiment deterministic and repeatable.
 
 from __future__ import annotations
 
-import math
-
 from ..errors import ClockError
 
 
@@ -19,11 +17,8 @@ class VirtualClock:
     :meth:`now` and never advance it themselves.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        # A NaN start fails both comparisons, so it is rejected too.
-        if not 0.0 <= start < math.inf:
-            raise ClockError(f"clock must start at a finite time >= 0, not {start!r}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         """Return the current virtual time in seconds."""

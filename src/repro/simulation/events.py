@@ -10,8 +10,8 @@ structural invariants pinned in ``benchmarks/test_bench_kernel_hotpath.py``:
 * :class:`Event` is a hand-rolled ``__slots__`` class (not a dataclass):
   slot storage roughly halves the per-event memory and removes the
   ``__dict__`` lookup from every attribute access in the run loop.
-* The heap holds ``(time, priority, sequence, event)`` tuples, so every
-  sift compares floats and ints in C and never calls back into Python.
+* The heap holds ``(time, sequence, event)`` tuples, so every sift
+  compares floats and ints in C and never calls back into Python.
   The sequence number is unique, so a comparison never reaches the event.
 * :meth:`EventQueue.pop_due` pops the next live event *and* applies the
   ``until`` horizon in one heap traversal, replacing the previous
@@ -34,28 +34,21 @@ EventCallback = Callable[[], None]
 class Event:
     """A scheduled callback (the handle returned by :meth:`EventQueue.push`).
 
-    Events fire in ``(time, priority, sequence)`` order.  The sequence
-    number breaks ties deterministically in insertion order, which keeps
-    simulations reproducible even when many events share a timestamp.
+    Events fire in ``(time, sequence)`` order.  The sequence number breaks
+    ties deterministically in insertion order, which keeps simulations
+    reproducible even when many events share a timestamp.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "label", "cancelled", "in_queue")
+    __slots__ = ("time", "sequence", "callback", "label", "cancelled", "in_queue")
 
     def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: EventCallback,
-        label: str = "",
-        cancelled: bool = False,
+        self, time: float, sequence: int, callback: EventCallback, label: str = ""
     ) -> None:
         self.time = time
-        self.priority = priority
         self.sequence = sequence
         self.callback = callback
         self.label = label
-        self.cancelled = cancelled
+        self.cancelled = False
         #: Whether the event still sits in its queue's heap.  Cleared when
         #: the event is popped (fired), so a later ``cancel`` of a handle
         #: the holder kept around cannot corrupt the live-event count.
@@ -67,7 +60,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time!r}, prio={self.priority}, seq={self.sequence}, label={self.label!r}{state})"
+        return f"Event(t={self.time!r}, seq={self.sequence}, label={self.label!r}{state})"
 
 
 class EventQueue:
@@ -78,24 +71,17 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
-    def push(
-        self,
-        time: float,
-        callback: EventCallback,
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    def push(self, time: float, callback: EventCallback, *, label: str = "") -> Event:
         """Schedule ``callback`` at ``time`` and return the event handle."""
         if not callable(callback):
             raise SimulationError("event callback must be callable")
         sequence = next(self._counter)
-        event = Event(time, priority, sequence, callback, label)
-        heappush(self._heap, (time, priority, sequence, event))
+        event = Event(time, sequence, callback, label)
+        heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
@@ -115,7 +101,7 @@ class EventQueue:
         heap = self._heap
         # repro: hot-path (heap traversal under the kernel dispatch loop)
         while heap:
-            event = heap[0][3]
+            event = heap[0][2]
             if event.cancelled:
                 heappop(heap)
                 event.in_queue = False
@@ -131,8 +117,8 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next live event without removing it."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)[3].in_queue = False
+        while heap and heap[0][2].cancelled:
+            heappop(heap)[2].in_queue = False
         if not heap:
             return None
         return heap[0][0]

@@ -19,6 +19,9 @@ from .clock import VirtualClock
 from .events import Event, EventCallback, EventQueue
 from .randomness import RandomSource
 
+#: The most events one :meth:`SimulationKernel.run_until_idle` executes.
+IDLE_EVENT_LIMIT = 10_000_000
+
 
 class SimulationKernel:
     """Single-threaded deterministic discrete-event scheduler.
@@ -27,12 +30,10 @@ class SimulationKernel:
     ----------
     seed:
         Master seed for all random streams pulled from :attr:`random`.
-    start_time:
-        Initial virtual time (seconds).
     """
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self.clock = VirtualClock(start_time)
+    def __init__(self, seed: int = 0) -> None:
+        self.clock = VirtualClock()
         self.random = RandomSource(seed)
         self._queue = EventQueue()
         self._running = False
@@ -53,14 +54,7 @@ class SimulationKernel:
         return self.clock._now
 
     # ------------------------------------------------------------ scheduling
-    def schedule(
-        self,
-        delay: float,
-        callback: EventCallback,
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    def schedule(self, delay: float, callback: EventCallback, *, label: str = "") -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Negative and NaN delays are rejected (a NaN timestamp would silently
@@ -70,24 +64,15 @@ class SimulationKernel:
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule an event {delay!r}s from now")
-        return self._queue.push(
-            self.clock._now + delay, callback, priority=priority, label=label
-        )
+        return self._queue.push(self.clock._now + delay, callback, label=label)
 
-    def schedule_at(
-        self,
-        timestamp: float,
-        callback: EventCallback,
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
+    def schedule_at(self, timestamp: float, callback: EventCallback, *, label: str = "") -> Event:
         """Schedule ``callback`` at the absolute virtual time ``timestamp``."""
         if not timestamp >= self.now():
             raise SimulationError(
                 f"cannot schedule at {timestamp!r}, which is not now ({self.now()!r}) or later"
             )
-        return self._queue.push(timestamp, callback, priority=priority, label=label)
+        return self._queue.push(timestamp, callback, label=label)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""
@@ -148,9 +133,9 @@ class SimulationKernel:
                 self.clock.advance_to(until)
         return executed
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
-        """Run until no events remain (bounded by ``max_events``)."""
-        return self.run(max_events=max_events)
+    def run_until_idle(self) -> int:
+        """Run until no events remain (bounded by :data:`IDLE_EVENT_LIMIT`)."""
+        return self.run(max_events=IDLE_EVENT_LIMIT)
 
     def stop(self) -> None:
         """Request the current :meth:`run` call to stop after this event."""

@@ -33,9 +33,9 @@ class RandomStream:
             return 0.0
         return self._rng.expovariate(1.0 / mean)
 
-    def truncated_normal(self, mean: float, stddev: float, minimum: float = 0.0) -> float:
-        """Draw from a normal distribution truncated below at ``minimum``."""
-        return max(minimum, self._rng.gauss(mean, stddev))
+    def truncated_normal(self, mean: float, stddev: float) -> float:
+        """Draw from a normal distribution truncated below at zero."""
+        return max(0.0, self._rng.gauss(mean, stddev))
 
     def randint(self, low: int, high: int) -> int:
         """Draw an integer uniformly from ``[low, high]`` inclusive."""

@@ -24,10 +24,11 @@ verified:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Sequence
+from typing import Any, Dict, List, NamedTuple
 
 from ..database.procedures import TransactionContext
 from ..errors import VerificationError
+from ..sharding.router import merge_sum
 from ..types import ShardId
 from .liveness import (
     LivenessReport,
@@ -95,29 +96,21 @@ def check_sharded_one_copy_serializability(cluster) -> ShardedVerificationReport
     return report
 
 
-def check_cross_shard_query_consistency(
-    cluster,
-    queries: Sequence[Any] = None,
-    *,
-    merge: Callable[[Sequence[Any]], Any] = None,
-) -> ShardedVerificationReport:
+def check_cross_shard_query_consistency(cluster) -> ShardedVerificationReport:
     """Check the snapshot consistency of fanned-out multi-shard queries.
 
-    For every completed :class:`ShardedQueryExecution` (defaults to all
-    queries routed through ``cluster.router``):
+    For every completed :class:`ShardedQueryExecution` routed through
+    ``cluster.router``:
 
     * each sub-query's recorded result must equal re-evaluating the stored
       procedure against the final multi-version store of the site it ran on,
       bounded by the sub-query's snapshot index — i.e. the snapshot was a
       stable committed prefix of the shard's definitive order;
-    * the recorded merged result must equal the merge of the sub-results.
+    * the recorded merged result must equal the merge (:func:`merge_sum`) of
+      the sub-results.
     """
     report = ShardedVerificationReport(ok=True)
-    if queries is None:
-        queries = cluster.router.sharded_queries
-    if merge is None:
-        merge = cluster.router.merge
-    for sharded_query in queries:
+    for sharded_query in cluster.router.sharded_queries:
         if not sharded_query.is_complete:
             report.ok = False
             report.violations.append(
@@ -145,7 +138,7 @@ def check_cross_shard_query_consistency(
                     f"snapshot at index {execution.query_index} (replay gives "
                     f"{replayed!r}); the snapshot was not a stable committed prefix"
                 )
-        if sharded_query.merged_result != merge(sub_results):
+        if sharded_query.merged_result != merge_sum(sub_results):
             report.ok = False
             report.violations.append(
                 f"query {sharded_query.query_id}: merged result "

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, NamedTuple
 from ..errors import WorkloadError
 from ..simulation.randomness import RandomStream
 from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
-from .specs import WorkloadSpec
+from .specs import OPERATIONS_PER_UPDATE, WorkloadSpec
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -86,11 +86,7 @@ class OpenLoopSpec:
     objects_per_class: int = 20
     query_fraction: float = 0.0
     query_span: int = 2
-    class_skew: float = 0.0
-    operations_per_update: int = 2
     update_duration: float = 0.002
-    query_duration: float = 0.002
-    initial_value: int = 100
 
     def __post_init__(self) -> None:
         _require_positive("horizon", self.horizon)
@@ -104,10 +100,6 @@ class OpenLoopSpec:
             )
         if self.query_span < 1:
             raise WorkloadError("query_span must be at least 1")
-        if not self.class_skew >= 0.0:
-            raise WorkloadError(f"class_skew must be >= 0, not {self.class_skew!r}")
-        if self.operations_per_update < 1:
-            raise WorkloadError("operations_per_update must be at least 1")
 
     @property
     def effective_query_span(self) -> int:
@@ -125,11 +117,7 @@ class OpenLoopSpec:
             class_count=self.class_count,
             objects_per_class=self.objects_per_class,
             query_span=self.effective_query_span,
-            class_skew=self.class_skew,
-            operations_per_update=self.operations_per_update,
             update_duration=self.update_duration,
-            query_duration=self.query_duration,
-            initial_value=self.initial_value,
         )
 
 
@@ -184,28 +172,28 @@ class OpenLoopTrafficEngine:
     failover, admission control), and a
     :class:`~repro.sharding.cluster.ShardedCluster` receives updates through
     its shard-resolving ``offer_update`` and queries through the fan-out
-    router.  The plan is derived from the cluster's master seed and this
-    engine's ``seed_salt``, so equal seeds yield identical offer schedules.
+    router.  The plan is derived from the cluster's master seed (the
+    ``open-loop.*`` streams), so equal seeds yield identical offer schedules.
+    Each arrival picks its first class uniformly.
     """
 
-    def __init__(self, spec: OpenLoopSpec, *, seed_salt: str = "open-loop") -> None:
+    def __init__(self, spec: OpenLoopSpec) -> None:
         self.spec = spec
-        self.seed_salt = seed_salt
 
     # ------------------------------------------------------------------- api
-    def build_plan(self, cluster: Any, *, start_time: float = 0.0) -> OpenLoopPlan:
+    def build_plan(self, cluster: Any) -> OpenLoopPlan:
         """Derive the full offer schedule without scheduling anything."""
         spec = self.spec
-        arrival_stream = cluster.kernel.random.stream(f"{self.seed_salt}.arrivals")
-        param_stream = cluster.kernel.random.stream(f"{self.seed_salt}.params")
-        site_stream = cluster.kernel.random.stream(f"{self.seed_salt}.sites")
+        arrival_stream = cluster.kernel.random.stream("open-loop.arrivals")
+        param_stream = cluster.kernel.random.stream("open-loop.params")
+        site_stream = cluster.kernel.random.stream("open-loop.sites")
         plan = OpenLoopPlan()
         for offset in spec.arrivals.arrival_times(arrival_stream, spec.horizon):
             site_index = site_stream.randint(0, 2**16 - 1)
             is_query = spec.query_fraction > 0.0 and param_stream.chance(
                 spec.query_fraction
             )
-            first_class = param_stream.zipf_index(spec.class_count, spec.class_skew)
+            first_class = param_stream.randint(0, spec.class_count - 1)
             if is_query:
                 span = spec.effective_query_span
                 class_indexes = sorted(
@@ -214,7 +202,7 @@ class OpenLoopTrafficEngine:
                 parameters: Dict[str, Any] = {"class_indexes": class_indexes}
                 procedure = READ_CLASSES_QUERY
             else:
-                object_count = min(spec.operations_per_update, spec.objects_per_class)
+                object_count = min(OPERATIONS_PER_UPDATE, spec.objects_per_class)
                 object_indexes = param_stream.sample(
                     range(spec.objects_per_class), object_count
                 )
@@ -228,16 +216,16 @@ class OpenLoopTrafficEngine:
                 OpenLoopOperation(
                     procedure_name=procedure,
                     parameters=parameters,
-                    scheduled_at=start_time + offset,
+                    scheduled_at=offset,
                     site_index=site_index,
                     is_query=is_query,
                 )
             )
         return plan
 
-    def apply(self, cluster: Any, *, start_time: float = 0.0) -> OpenLoopPlan:
+    def apply(self, cluster: Any) -> OpenLoopPlan:
         """Build the plan and schedule every offer on the cluster's kernel."""
-        plan = self.build_plan(cluster, start_time=start_time)
+        plan = self.build_plan(cluster)
         now = cluster.kernel.now()
         sharded = hasattr(cluster, "shards")
         for operation in plan.operations:

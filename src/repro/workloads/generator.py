@@ -13,7 +13,7 @@ from ..errors import WorkloadError
 from ..simulation.randomness import RandomStream
 from ..types import SiteId
 from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
-from .specs import WorkloadSpec
+from .specs import OPERATIONS_PER_UPDATE, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from ..core.cluster import ReplicatedDatabase
@@ -57,19 +57,18 @@ class WorkloadPlan:
 class WorkloadGenerator:
     """Generates and schedules the standard partitioned workload."""
 
-    def __init__(self, spec: WorkloadSpec, *, seed_salt: str = "workload") -> None:
+    def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
-        self.seed_salt = seed_salt
 
     # ------------------------------------------------------------------- api
-    def apply(self, cluster: "ReplicatedDatabase", *, start_time: float = 0.0) -> WorkloadPlan:
+    def apply(self, cluster: "ReplicatedDatabase") -> WorkloadPlan:
         """Schedule the whole workload on ``cluster`` and return the plan.
 
         The plan is derived deterministically from the cluster's master seed
-        and this generator's ``seed_salt``; two clusters built with the same
-        seed receive an identical operation stream.
+        (the ``workload.*`` streams); two clusters built with the same seed
+        receive an identical operation stream.
         """
-        plan = self._build_plan(cluster, start_time=start_time)
+        plan = self._build_plan(cluster)
         now = cluster.kernel.now()
         for operation in plan.operations:
             if operation.scheduled_at < now:
@@ -93,33 +92,24 @@ class WorkloadGenerator:
             operation.site_id, operation.procedure_name, dict(operation.parameters)
         )
 
-    def _build_plan(self, cluster: "ReplicatedDatabase", *, start_time: float) -> WorkloadPlan:
-        spec = self.spec
+    def _build_plan(self, cluster: "ReplicatedDatabase") -> WorkloadPlan:
         plan = WorkloadPlan()
         for site_id in cluster.site_ids():
-            update_stream = cluster.kernel.random.stream(
-                f"{self.seed_salt}.updates.{site_id}"
-            )
-            query_stream = cluster.kernel.random.stream(
-                f"{self.seed_salt}.queries.{site_id}"
-            )
-            plan.operations.extend(
-                self._site_updates(site_id, update_stream, start_time)
-            )
-            plan.operations.extend(self._site_queries(site_id, query_stream, start_time))
+            update_stream = cluster.kernel.random.stream(f"workload.updates.{site_id}")
+            query_stream = cluster.kernel.random.stream(f"workload.queries.{site_id}")
+            plan.operations.extend(self._site_updates(site_id, update_stream))
+            plan.operations.extend(self._site_queries(site_id, query_stream))
         plan.operations.sort(key=lambda operation: operation.scheduled_at)
         return plan
 
-    def _site_updates(
-        self, site_id: SiteId, stream: RandomStream, start_time: float
-    ) -> List[GeneratedOperation]:
+    def _site_updates(self, site_id: SiteId, stream: RandomStream) -> List[GeneratedOperation]:
         spec = self.spec
         operations: List[GeneratedOperation] = []
-        submit_at = start_time
+        submit_at = 0.0
         for _ in range(spec.updates_per_site):
             submit_at += stream.exponential(spec.update_interval)
             class_index = stream.zipf_index(spec.class_count, spec.class_skew)
-            object_count = min(spec.operations_per_update, spec.objects_per_class)
+            object_count = min(OPERATIONS_PER_UPDATE, spec.objects_per_class)
             object_indexes = stream.sample(range(spec.objects_per_class), object_count)
             operations.append(
                 GeneratedOperation(
@@ -136,12 +126,10 @@ class WorkloadGenerator:
             )
         return operations
 
-    def _site_queries(
-        self, site_id: SiteId, stream: RandomStream, start_time: float
-    ) -> List[GeneratedOperation]:
+    def _site_queries(self, site_id: SiteId, stream: RandomStream) -> List[GeneratedOperation]:
         spec = self.spec
         operations: List[GeneratedOperation] = []
-        submit_at = start_time
+        submit_at = 0.0
         for _ in range(spec.queries_per_site):
             submit_at += stream.exponential(spec.query_interval)
             span = spec.effective_query_span

@@ -6,7 +6,7 @@ from typing import Dict, List
 
 from ..database.procedures import ProcedureRegistry, StoredProcedure, TransactionContext
 from ..types import ObjectKey, ObjectValue
-from .specs import WorkloadSpec, partition_class_id, partition_key
+from .specs import INITIAL_VALUE, WorkloadSpec, partition_class_id, partition_key
 
 #: Names of the generated procedures.
 UPDATE_PROCEDURE = "partition_update"
@@ -19,15 +19,15 @@ def build_initial_data(spec: WorkloadSpec) -> Dict[ObjectKey, ObjectValue]:
     data: Dict[ObjectKey, ObjectValue] = {}
     for class_index in range(spec.class_count):
         for object_index in range(spec.objects_per_class):
-            data[partition_key(class_index, object_index)] = spec.initial_value
+            data[partition_key(class_index, object_index)] = INITIAL_VALUE
     return data
 
 
 def build_partitioned_registry(spec: WorkloadSpec) -> ProcedureRegistry:
     """Build the stored procedures of the standard partitioned workload.
 
-    * ``partition_update`` — read-modify-write ``operations_per_update``
-      objects of one partition (one conflict class per partition).
+    * ``partition_update`` — read-modify-write the given objects of one
+      partition (one conflict class per partition).
     * ``partition_scan`` — read every object of a set of partitions (query).
     * ``database_sum`` — read every object of the database (query).
 

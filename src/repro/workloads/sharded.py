@@ -12,12 +12,12 @@ fanning out queries is exactly what the subsystem under test does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from ..errors import WorkloadError
 from .generator import GeneratedOperation, WorkloadPlan
 from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
-from .specs import WorkloadSpec
+from .specs import OPERATIONS_PER_UPDATE, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from ..sharding.cluster import ShardedCluster
@@ -35,8 +35,6 @@ class ShardedWorkloadSpec:
     classes_per_shard:
         Conflict classes owned by each shard; total classes =
         ``shard_count * classes_per_shard``.
-    objects_per_class:
-        Objects in each class's partition.
     updates_per_shard:
         Update transactions routed to each shard — the fixed per-shard load
         of the scale-out benchmarks.
@@ -53,39 +51,34 @@ class ShardedWorkloadSpec:
         ``classes_per_shard`` necessarily crosses shard boundaries.
     class_skew:
         Zipf skew of the class choice within a shard (0 = uniform).
-    operations_per_update / update_duration / query_duration / initial_value:
+    update_duration:
         As in :class:`~repro.workloads.specs.WorkloadSpec`.
     """
 
+    #: Objects in each class's partition.
+    objects_per_class: ClassVar[int] = 10
+
     shard_count: int = 2
     classes_per_shard: int = 2
-    objects_per_class: int = 10
     updates_per_shard: int = 40
     update_interval: float = 0.004
     queries: int = 0
     query_interval: float = 0.010
     query_span: int = 2
     class_skew: float = 0.0
-    operations_per_update: int = 2
     update_duration: float = 0.002
-    query_duration: float = 0.002
-    initial_value: int = 100
 
     def __post_init__(self) -> None:
         if self.shard_count < 1:
             raise WorkloadError("shard_count must be at least 1")
         if self.classes_per_shard < 1:
             raise WorkloadError("classes_per_shard must be at least 1")
-        if self.objects_per_class < 1:
-            raise WorkloadError("objects_per_class must be at least 1")
         if self.updates_per_shard < 0 or self.queries < 0:
             raise WorkloadError("operation counts cannot be negative")
         if self.update_interval < 0.0 or self.query_interval < 0.0:
             raise WorkloadError("intervals cannot be negative")
         if self.query_span < 1:
             raise WorkloadError("query_span must be at least 1")
-        if self.operations_per_update < 1:
-            raise WorkloadError("operations_per_update must be at least 1")
         if not self.class_skew >= 0.0:
             raise WorkloadError(f"class_skew must be >= 0, not {self.class_skew!r}")
 
@@ -117,10 +110,7 @@ class ShardedWorkloadSpec:
             query_interval=self.query_interval,
             query_span=self.effective_query_span,
             class_skew=self.class_skew,
-            operations_per_update=self.operations_per_update,
             update_duration=self.update_duration,
-            query_duration=self.query_duration,
-            initial_value=self.initial_value,
         )
 
 
@@ -146,11 +136,10 @@ def build_shard_map(spec: ShardedWorkloadSpec, shard_ids=None) -> "ShardMap":
 class ShardedWorkloadGenerator:
     """Schedules the sharded workload through a cluster's router."""
 
-    def __init__(self, spec: ShardedWorkloadSpec, *, seed_salt: str = "sharded-workload") -> None:
+    def __init__(self, spec: ShardedWorkloadSpec) -> None:
         self.spec = spec
-        self.seed_salt = seed_salt
 
-    def apply(self, cluster: "ShardedCluster", *, start_time: float = 0.0) -> WorkloadPlan:
+    def apply(self, cluster: "ShardedCluster") -> WorkloadPlan:
         """Schedule the whole workload on ``cluster`` and return the plan.
 
         Per shard, one update stream with its own random stream (so the
@@ -167,14 +156,14 @@ class ShardedWorkloadGenerator:
                 f"{len(shard_ids)}"
             )
         for shard_index, shard_id in enumerate(shard_ids):
-            stream = cluster.kernel.random.stream(f"{self.seed_salt}.updates.{shard_id}")
+            stream = cluster.kernel.random.stream(f"sharded-workload.updates.{shard_id}")
             shard_sites = cluster.shard(shard_id).site_ids()
-            submit_at = start_time
+            submit_at = 0.0
             for _ in range(spec.updates_per_shard):
                 submit_at += stream.exponential(spec.update_interval)
                 local_class = stream.zipf_index(spec.classes_per_shard, spec.class_skew)
                 class_index = shard_index * spec.classes_per_shard + local_class
-                object_count = min(spec.operations_per_update, spec.objects_per_class)
+                object_count = min(OPERATIONS_PER_UPDATE, spec.objects_per_class)
                 object_indexes = stream.sample(range(spec.objects_per_class), object_count)
                 site_index = stream.randint(0, len(shard_sites) - 1)
                 plan.operations.append(
@@ -192,8 +181,8 @@ class ShardedWorkloadGenerator:
                     )
                 )
 
-        query_stream = cluster.kernel.random.stream(f"{self.seed_salt}.queries")
-        submit_at = start_time
+        query_stream = cluster.kernel.random.stream("sharded-workload.queries")
+        submit_at = 0.0
         for _ in range(spec.queries):
             submit_at += query_stream.exponential(spec.query_interval)
             span = spec.effective_query_span

@@ -9,14 +9,20 @@ functions of ``(spec, cluster config, seed)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from ..errors import WorkloadError
 
 #: Prefix used for the keys of partition ``k``: ``part<k>:obj<i>``.
 PARTITION_KEY_PREFIX = "part"
+
+#: Objects one update transaction reads and writes (fewer when a partition
+#: has fewer objects).
+OPERATIONS_PER_UPDATE = 2
+
+#: Initial value of every object.
+INITIAL_VALUE = 100
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -59,13 +65,12 @@ class WorkloadSpec:
     class_skew:
         Zipf skew of the conflict-class choice (0 = uniform).  Higher skew
         means a hotter class, i.e. a higher conflict rate.
-    operations_per_update:
-        Number of objects read-modify-written by one update transaction.
     update_duration / query_duration:
         Mean simulated execution times (seconds) of the generated stored
         procedures.
-    initial_value:
-        Initial value of every object.
+
+    Every update reads and writes :data:`OPERATIONS_PER_UPDATE` objects of
+    its partition, and every object starts at :data:`INITIAL_VALUE`.
     """
 
     class_count: int = 6
@@ -76,10 +81,8 @@ class WorkloadSpec:
     query_interval: float = 0.010
     query_span: int = 2
     class_skew: float = 0.0
-    operations_per_update: int = 2
     update_duration: float = 0.002
     query_duration: float = 0.002
-    initial_value: int = 100
 
     def __post_init__(self) -> None:
         if self.class_count < 1:
@@ -92,8 +95,6 @@ class WorkloadSpec:
             raise WorkloadError("intervals cannot be negative")
         if not 1 <= self.query_span:
             raise WorkloadError("query_span must be at least 1")
-        if self.operations_per_update < 1:
-            raise WorkloadError("operations_per_update must be at least 1")
         if not self.class_skew >= 0.0:
             raise WorkloadError(f"class_skew must be >= 0, not {self.class_skew!r}")
 

@@ -6,9 +6,10 @@ reduction (:meth:`repro.database.ConflictGraph.add_history`); the all-pairs
 forms live here so a property test can state "same nodes, same reachability,
 same verdict" against something a reader can check by eye.
 
-The readers of a conflict graph's nodes and edges, and of a version chain's
-columns as records, live here too: only tests ask for them, so ``src/``
-keeps the structures and these functions read them.
+The readers of a conflict graph's nodes and edges, of a version chain's
+columns as records, and of a partition controller's severed links live
+here too: only tests ask for them, so ``src/`` keeps the structures and
+these functions read them.
 """
 
 import heapq
@@ -66,6 +67,11 @@ def chain_versions(chain):
     """Every version of a :class:`~repro.database.VersionChain` as a record,
     oldest first."""
     return [chain._record(position) for position in range(len(chain))]
+
+
+def severed_links(controller):
+    """The directed links a :class:`~repro.network.PartitionController` has severed, sorted."""
+    return sorted(controller._severed)
 
 
 def all_pairs_conflict_graph(*site_commits):

@@ -59,7 +59,10 @@ class TestReceiveSequences:
 
     def test_kind_filter(self):
         transport = run_probe(interval=0.002, site_count=2, per_site=5)
-        assert receive_sequences(transport.delivery_log, kind="other") == {}
+        probes = list(transport.delivery_log)
+        others = [record._replace(kind="other") for record in probes]
+        assert receive_sequences(others) == {}
+        assert receive_sequences(probes + others) == receive_sequences(probes)
 
 
 class TestOrderAgreement:

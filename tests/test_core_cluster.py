@@ -294,7 +294,7 @@ PROTOCOL_SENTINELS = {
     "batching": BatchingConfig(window=0.002),
     "medium_frame_time": 0.0003,
     "tracer": TransactionTracer(),
-    "topology": GeoTopology.striped(("eu", "us")),
+    "topology": GeoTopology(("eu", "us")),
     "failure_detection": FailureDetectionConfig(),
     "admission": AdmissionConfig(high_watermark=8, low_watermark=4),
 }

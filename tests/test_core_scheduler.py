@@ -21,6 +21,7 @@ from repro.database import (
     TransactionRequest,
 )
 from repro.errors import SchedulerError
+from repro.metrics import MetricsCollector
 from repro.simulation import SimulationKernel
 
 
@@ -44,7 +45,10 @@ class SchedulerHarness:
         self.engine = ExecutionEngine(self.kernel, self.store, self.registry, "N1")
         self.committed = []
         self.scheduler = OTPScheduler(
-            self.kernel, self.engine, commit_callback=self.committed.append
+            self.kernel,
+            self.engine,
+            commit_callback=self.committed.append,
+            metrics=MetricsCollector("otp-scheduler"),
         )
         self._counter = 0
 

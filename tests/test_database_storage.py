@@ -49,37 +49,21 @@ class TestVersionChain:
         chain = VersionChain(key="x")
         for index in range(5):
             chain.append(ObjectVersion("x", index, created_index=index, created_by=f"T{index}"))
-        removed = chain.prune_before(100, keep_at_least=1)
+        removed = chain.prune_before(100)
         assert removed == 4
         assert len(chain) == 1
         assert chain.visible_at(INF).value == 4
-
-    def test_constructor_rejects_versions_out_of_index_order(self):
-        # Trusted, these answered visible_at(4) with "a" and latest() with "b".
-        versions = [
-            ObjectVersion("x", "a", created_index=1, created_by="T1"),
-            ObjectVersion("x", "c", created_index=5, created_by="T5"),
-            ObjectVersion("x", "b", created_index=3, created_by="T3"),
-        ]
-        with pytest.raises(DatabaseError):
-            VersionChain("x", versions)
-
-    def test_constructor_rejects_a_version_of_another_key(self):
-        with pytest.raises(DatabaseError):
-            VersionChain("x", [ObjectVersion("y", 1, created_index=0, created_by="T0")])
 
     @pytest.mark.parametrize("earlier", [(), (0,)])
     def test_nan_index_rejected(self, earlier):
         # NaN compares false both ways, so a ``<`` check let it through and
         # broke the bisection of every later read.
-        chain = VersionChain("x", [ObjectVersion("x", 0, index, "T0") for index in earlier])
+        chain = VersionChain("x")
+        for index in earlier:
+            chain.append(ObjectVersion("x", 0, index, "T0"))
         with pytest.raises(DatabaseError):
             chain.append(ObjectVersion("x", 1, created_index=float("nan"), created_by="T1"))
         assert len(chain) == len(earlier)
-
-    def test_prune_invalid_keep_rejected(self):
-        with pytest.raises(DatabaseError):
-            VersionChain(key="x").prune_before(1, keep_at_least=0)
 
     def test_visible_at_matches_a_linear_scan_through_every_mutator(self):
         def scan(chain, max_index):
@@ -94,15 +78,15 @@ class TestVersionChain:
                 # Records are built on request: equal in all five fields.
                 assert chain.visible_at(doubled / 2) == scan(chain, doubled / 2)
 
-        initial = [ObjectVersion("x", "loaded", created_index=-1, created_by="__initial__")]
-        chain = VersionChain(key="x", versions=initial)
+        chain = VersionChain(key="x")
+        chain.append(ObjectVersion("x", "loaded", created_index=-1, created_by="__initial__"))
         check(chain)
         # Equal indices: the later-installed version is the visible one.
         for index in (0, 2, 2, 3, 5, 5, 5, 8):
             chain.append(ObjectVersion("x", len(chain), created_index=index, created_by=f"T{len(chain)}"))
             check(chain)
         assert chain.visible_at(5).created_by == "T7"
-        assert chain.prune_before(3, keep_at_least=2) == 4
+        assert chain.prune_before(3) == 4
         check(chain)
         assert chain.visible_at(2.5) is None
 
@@ -120,9 +104,9 @@ class _ListChain:
                 visible = version
         return visible
 
-    def prune_before(self, min_index, keep_at_least):
+    def prune_before(self, min_index):
         older = sum(1 for version in self.versions if version.created_index < min_index)
-        removed = max(0, min(older, len(self.versions) - keep_at_least))
+        removed = max(0, min(older, len(self.versions) - 1))
         del self.versions[:removed]
         return removed
 
@@ -148,7 +132,7 @@ _VALUES = st.one_of(
 _STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("install"), st.sampled_from("ab"), st.integers(0, 3), _VALUES),
-        st.tuples(st.just("prune"), st.integers(-1, 12), st.integers(1, 3)),
+        st.tuples(st.just("prune"), st.integers(-1, 12)),
     ),
     max_size=25,
 )
@@ -160,14 +144,15 @@ class TestColumnLayout:
     @given(initial=_VALUES, steps=_STEPS)
     @example(
         initial=[[0]],
-        steps=[("install", "a", 0, [[1]]), ("install", "a", 0, {"x": [2]}), ("prune", 0, 1)],
+        steps=[("install", "a", 0, [[1]]), ("install", "a", 0, {"x": [2]}), ("prune", 0)],
     )
     @settings(max_examples=150, deadline=None)
     def test_chain_and_store_match_a_list_of_records(self, initial, steps):
         store = MultiVersionStore()
         store.load("a", initial)
         first = ObjectVersion("a", copy.deepcopy(initial), -1, "__initial__")
-        chains = {"a": VersionChain("a", [first]), "b": VersionChain("b")}
+        chains = {"a": VersionChain("a"), "b": VersionChain("b")}
+        chains["a"].append(first)
         references = {"a": _ListChain(), "b": _ListChain()}
         references["a"].versions.append(first)
         last_index = {"a": 0, "b": 0}
@@ -184,10 +169,10 @@ class TestColumnLayout:
                     ObjectVersion(key, copy.deepcopy(value), index, writer, at)
                 )
             else:
-                _, min_index, keep = step
-                expected = [references[key].prune_before(min_index, keep) for key in "ab"]
-                assert [chains[key].prune_before(min_index, keep) for key in "ab"] == expected
-                assert store.prune(min_index, keep_at_least=keep) == sum(expected)
+                _, min_index = step
+                expected = [references[key].prune_before(min_index) for key in "ab"]
+                assert [chains[key].prune_before(min_index) for key in "ab"] == expected
+                assert store.prune(min_index) == sum(expected)
             self._check(store, chains, references, max(last_index.values()))
 
     @staticmethod
@@ -283,7 +268,6 @@ class TestMultiVersionStore:
         store = self.build_store()
         store.install("a", 5, created_index=0, created_by="T0")
         assert store.dump_latest() == {"a": 5, "b": 2}
-        assert store.dump_latest(keys=["b"]) == {"b": 2}
 
     def test_prune_removes_old_versions(self):
         store = MultiVersionStore()
@@ -392,7 +376,7 @@ class TestSnapshotManager:
         for index in range(20):
             store.install("x", index, created_index=index, created_by=f"T{index}")
             manager.advance(index)
-        removed = manager.garbage_collect(keep_last=2)
+        removed = manager.garbage_collect()
         assert removed > 0
         assert store.read_latest("x") == 19
         # Recent snapshots still work.

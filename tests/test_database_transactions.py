@@ -170,8 +170,8 @@ class TestTransactionContext:
 
     def test_increment(self):
         context = TransactionContext(self.build_store())
-        assert context.increment("acct:2", 5) == 55
-        assert context.workspace == {"acct:2": 55}
+        assert context.increment("acct:2") == 51
+        assert context.workspace == {"acct:2": 51}
 
     def test_increment_non_numeric_rejected(self):
         store = self.build_store()
@@ -196,7 +196,7 @@ class TestTransactionContext:
         store = self.build_store()
         context = TransactionContext(store)
         context.write("acct:1", 0)
-        context.increment("acct:2", 10)
+        context.increment("acct:2")
         assert store.read_latest("acct:1") == 100
         assert store.read_latest("acct:2") == 50
         assert store.version_count("acct:1") == store.version_count("acct:2") == 1

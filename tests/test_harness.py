@@ -33,7 +33,7 @@ class TestReporting:
         assert "2.500" in lines[2]
 
     def test_ascii_plot_contains_points(self):
-        plot = ascii_plot([(0.0, 0.0), (1.0, 1.0)], width=10, height=5)
+        plot = ascii_plot([(0.0, 0.0), (1.0, 1.0)])
         assert plot.count("*") == 2
 
     def test_ascii_plot_empty(self):

@@ -95,7 +95,7 @@ RARELY_BUILT = [
     ConstantLatency,
     UniformLatency,
     LanMulticastLatency,
-    lambda: GeoLatency(GeoTopology({"N1": "eu"})),
+    lambda: GeoLatency(GeoTopology(("eu",))),
     TransportStats,
     lambda: _SiteEndpoint("N1", print),
     lambda: TraceSpan("execute", "N1", "T1", start=0.0, attempt=1, attrs={}),
@@ -147,14 +147,17 @@ def test_a_container_passed_explicitly_is_kept():
     # A version chain owns its columns: it keeps the versions' fields, not
     # the caller's list, and builds records equal in all five fields.
     versions = [ObjectVersion("x", 1, created_index=0, created_by="T1")]
-    chain = VersionChain("x", versions)
+    chain = VersionChain("x")
+    chain.append(versions[0])
     assert chain_versions(chain) == versions
     assert chain.visible_at(0.5) == versions[0]
 
 
 def test_a_version_chain_keeps_its_versions_in_columns_set_by_init():
     version = ObjectVersion("x", [1], created_index=0, created_by="T1", created_at=0.5)
-    for chain in (VersionChain("x"), VersionChain("x", [version])):
+    empty, chain = VersionChain("x"), VersionChain("x")
+    chain.append(version)
+    for chain in (empty, chain):
         columns = [getattr(chain, name) for name in VersionChain.__slots__ if name != "key"]
         assert len(columns) == 4
         assert all(type(column) is list and len(column) == len(chain) for column in columns)

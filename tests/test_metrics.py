@@ -107,8 +107,8 @@ class TestCollector:
     def test_counter_increment(self):
         metrics = MetricsCollector("test")
         metrics.increment("x")
-        metrics.increment("x", 4)
-        assert metrics.count("x") == 5
+        metrics.increment("x")
+        assert metrics.count("x") == 2
 
     def test_latency_recorder_summary(self):
         recorder = LatencyRecorder("lat")
@@ -120,10 +120,10 @@ class TestCollector:
     def test_collector_counters(self):
         metrics = MetricsCollector("test")
         metrics.increment("commits")
-        metrics.increment("commits", 2)
-        assert metrics.count("commits") == 3
+        metrics.increment("commits")
+        assert metrics.count("commits") == 2
         assert metrics.count("unknown") == 0
-        assert metrics.counters() == {"commits": 3}
+        assert metrics.counters() == {"commits": 2}
 
     def test_collector_latencies(self):
         metrics = MetricsCollector("test")

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.network.latency import (
+    LAN_PROPAGATION,
+    LAN_TRANSMISSION_JITTER,
     ConstantLatency,
     LanMulticastLatency,
     UniformLatency,
@@ -70,12 +72,15 @@ class TestUniformLatency:
 
 class TestLanMulticastLatency:
     def test_shared_delay_at_least_propagation(self, stream):
-        model = LanMulticastLatency(propagation=0.0004)
-        assert all(model.shared_delay(stream) >= 0.0004 for _ in range(100))
+        model = LanMulticastLatency()
+        assert all(model.shared_delay(stream) >= LAN_PROPAGATION for _ in range(100))
 
-    def test_zero_transmission_jitter_gives_exact_propagation(self, stream):
-        model = LanMulticastLatency(propagation=0.0004, transmission_jitter=0.0)
-        assert {model.shared_delay(stream) for _ in range(20)} == {0.0004}
+    def test_shared_delay_is_propagation_plus_truncated_sender_jitter(self):
+        model = LanMulticastLatency()
+        stream, twin = RandomSource(3).stream("lan"), RandomSource(3).stream("lan")
+        for _ in range(50):
+            jitter = twin.truncated_normal(LAN_TRANSMISSION_JITTER, LAN_TRANSMISSION_JITTER / 2)
+            assert model.shared_delay(stream) == LAN_PROPAGATION + jitter
 
     def test_receiver_delay_nonnegative(self, stream):
         model = LanMulticastLatency()
@@ -88,16 +93,11 @@ class TestLanMulticastLatency:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(NetworkError):
-            LanMulticastLatency(propagation=-1.0)
-        with pytest.raises(NetworkError):
             LanMulticastLatency(receiver_jitter_mean=-0.1)
 
-    @pytest.mark.parametrize(
-        "name", ["propagation", "transmission_jitter", "receiver_jitter_mean"]
-    )
-    def test_nan_parameters_rejected(self, name):
+    def test_nan_parameters_rejected(self):
         with pytest.raises(NetworkError):
-            LanMulticastLatency(**{name: NAN})
+            LanMulticastLatency(receiver_jitter_mean=NAN)
 
 
 class TestGeoTopology:
@@ -105,7 +105,7 @@ class TestGeoTopology:
         from repro.network.latency import GeoTopology, LinkProfile
 
         return GeoTopology(
-            {"N1": "eu", "N2": "eu", "N3": "us"},
+            ("eu", "eu", "us"),
             intra=LinkProfile(base=0.0005, jitter=0.0001),
             cross=LinkProfile(base=0.010, jitter=0.001),
         )
@@ -119,40 +119,10 @@ class TestGeoTopology:
         assert topology.profile("N1", "N3").base == 0.010
         assert topology.profile("N3", "N1").base == 0.010
 
-    def test_region_pair_override_wins(self):
-        from repro.network.latency import GeoTopology, LinkProfile
-
-        topology = GeoTopology(
-            {"N1": "eu", "N2": "us", "N3": "ap"},
-            intra=LinkProfile(base=0.0005),
-            cross=LinkProfile(base=0.010),
-            overrides={("eu", "us"): LinkProfile(base=0.040)},
-        )
-        # The override applies in both directions unless a directed one
-        # exists for the opposite ordering; other pairs keep the default.
-        assert topology.profile("N1", "N2").base == 0.040
-        assert topology.profile("N2", "N1").base == 0.040
-        assert topology.profile("N1", "N3").base == 0.010
-
-    def test_directed_override_beats_undirected(self):
-        from repro.network.latency import GeoTopology, LinkProfile
-
-        topology = GeoTopology(
-            {"N1": "eu", "N2": "us"},
-            intra=LinkProfile(base=0.0005),
-            cross=LinkProfile(base=0.010),
-            overrides={
-                ("eu", "us"): LinkProfile(base=0.030),
-                ("us", "eu"): LinkProfile(base=0.070),
-            },
-        )
-        assert topology.profile("N1", "N2").base == 0.030
-        assert topology.profile("N2", "N1").base == 0.070
-
     def test_striped_assignment_round_robins_by_site_index(self):
         from repro.network.latency import GeoTopology, LinkProfile
 
-        topology = GeoTopology.striped(
+        topology = GeoTopology(
             ("eu", "us"),
             intra=LinkProfile(base=0.0005),
             cross=LinkProfile(base=0.010),
@@ -168,34 +138,11 @@ class TestGeoTopology:
         with pytest.raises(NetworkError):
             topology.region_of("garbage")
 
-    def test_explicit_region_beats_the_stripes(self):
-        from repro.network.latency import GeoTopology
-
-        topology = GeoTopology({"N1": "ap"}, stripes=("eu", "us"))
-        assert topology.region_of("N1") == "ap"
-        assert topology.region_of("N2") == "us"
-        assert topology.region_of("N3") == "eu"
-
-    def test_topology_needs_regions_or_stripes(self):
+    def test_topology_needs_a_region(self):
         from repro.network.latency import GeoTopology
 
         with pytest.raises(NetworkError):
-            GeoTopology({})
-        with pytest.raises(NetworkError):
-            GeoTopology.striped(())
-
-    def test_link_profiles_include_the_overrides(self):
-        from repro.network.latency import GeoTopology, LinkProfile
-
-        intra, cross, special = LinkProfile(0.001), LinkProfile(0.01), LinkProfile(0.05)
-        topology = GeoTopology(
-            {"N1": "eu", "N2": "us"},
-            intra=intra,
-            cross=cross,
-            overrides={("eu", "us"): special},
-        )
-        assert topology.link_profiles() == (intra, cross, special)
-        assert topology.one_way_spread() == pytest.approx(0.049)
+            GeoTopology(())
 
     def test_one_way_spread(self):
         topology = self.build()
@@ -223,7 +170,7 @@ class TestGeoLatency:
         from repro.network.latency import GeoLatency, GeoTopology, LinkProfile
 
         topology = GeoTopology(
-            {"N1": "eu", "N2": "eu", "N3": "us"},
+            ("eu", "eu", "us"),
             intra=LinkProfile(base=0.0005, jitter=0.0),
             cross=LinkProfile(base=0.020, jitter=0.0),
         )
@@ -236,7 +183,7 @@ class TestGeoLatency:
         from repro.network.latency import GeoLatency, GeoTopology, LinkProfile
 
         topology = GeoTopology(
-            {"N1": "eu", "N2": "us"},
+            ("eu", "us"),
             intra=LinkProfile(base=0.0005),
             cross=LinkProfile(base=0.020),
         )
@@ -248,7 +195,7 @@ class TestGeoLatency:
         from repro.network.latency import GeoLatency, GeoTopology, LinkProfile
 
         topology = GeoTopology(
-            {"N1": "eu", "N2": "us"},
+            ("eu", "us"),
             intra=LinkProfile(base=0.0005, jitter=0.0001),
             cross=LinkProfile(base=0.020, jitter=0.002),
         )

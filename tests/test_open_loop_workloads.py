@@ -19,6 +19,7 @@ from repro.workloads import (
     build_initial_data,
     build_partitioned_registry,
 )
+from repro.workloads.specs import OPERATIONS_PER_UPDATE
 
 
 def stream(seed=11, salt="arrivals-test"):
@@ -73,9 +74,6 @@ class TestOpenLoopSpec:
             {"objects_per_class": 0},
             {"query_fraction": 1.5},
             {"query_span": 0},
-            {"class_skew": -1.0},
-            {"class_skew": float("nan")},
-            {"operations_per_update": 0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -138,14 +136,6 @@ class TestOpenLoopPlan:
         fraction = plan.query_count / len(plan.operations)
         assert fraction == pytest.approx(0.3, abs=0.1)
 
-    def test_skew_concentrates_updates_on_the_first_class(self):
-        spec = open_spec(class_skew=2.0)
-        plan = OpenLoopTrafficEngine(spec).build_plan(build_flat_cluster(spec, seed=5))
-        counts = [0] * spec.class_count
-        for operation in plan.operations:
-            counts[operation.parameters["class_index"]] += 1
-        assert counts[0] > sum(counts[1:])
-
     def test_queries_read_consecutive_classes_wrapping(self):
         spec = open_spec(query_fraction=1.0, query_span=3)
         plan = OpenLoopTrafficEngine(spec).build_plan(build_flat_cluster(spec, seed=5))
@@ -157,22 +147,13 @@ class TestOpenLoopPlan:
         assert all(op.parameters["class_indexes"] in windows for op in plan.operations)
 
     def test_update_objects_are_distinct_sorted_and_in_range(self):
-        spec = open_spec(objects_per_class=5, operations_per_update=3)
+        spec = open_spec(objects_per_class=5)
         plan = OpenLoopTrafficEngine(spec).build_plan(build_flat_cluster(spec, seed=5))
         for operation in plan.operations:
             objects = operation.parameters["object_indexes"]
             assert objects == sorted(set(objects))
-            assert len(objects) == 3 and 0 <= objects[0] and objects[-1] < 5
-
-    def test_start_time_shifts_every_offer(self):
-        spec = open_spec()
-        engine = OpenLoopTrafficEngine(spec)
-        base = engine.build_plan(build_flat_cluster(spec, seed=5))
-        shifted = engine.build_plan(build_flat_cluster(spec, seed=5), start_time=1.0)
-        assert len(base.operations) == len(shifted.operations) > 0
-        for early, late in zip(base.operations, shifted.operations):
-            assert late.scheduled_at == pytest.approx(early.scheduled_at + 1.0)
-            assert late.parameters == early.parameters
+            assert len(objects) == OPERATIONS_PER_UPDATE
+            assert 0 <= objects[0] and objects[-1] < 5
 
     def test_last_arrival_lies_inside_the_horizon(self):
         spec = open_spec()

@@ -24,6 +24,7 @@ from repro.database import (
     Transaction,
     TransactionRequest,
 )
+from repro.metrics import MetricsCollector
 from repro.simulation import SimulationKernel
 from repro.verification import check_one_copy_serializability
 from repro.database.history import CommittedTransaction, SiteHistory
@@ -60,7 +61,10 @@ class PaperSite:
         self.engine = ExecutionEngine(self.kernel, self.store, registry, site_id)
         self.commits = []
         self.scheduler = OTPScheduler(
-            self.kernel, self.engine, commit_callback=self._commit
+            self.kernel,
+            self.engine,
+            commit_callback=self._commit,
+            metrics=MetricsCollector("otp-scheduler"),
         )
         self.history = SiteHistory(site_id)
         self.transactions = {}

@@ -17,13 +17,13 @@ def registry_with_shared_counter():
 
     @registry.procedure("bump_a", conflict_class="C_a", duration=0.001)
     def bump_a(ctx, params):
-        ctx.increment("a:value", 1)
-        ctx.increment("shared:counter", 1)
+        ctx.increment("a:value")
+        ctx.increment("shared:counter")
 
     @registry.procedure("bump_b", conflict_class="C_b", duration=0.001)
     def bump_b(ctx, params):
-        ctx.increment("b:value", 1)
-        ctx.increment("shared:counter", 1)
+        ctx.increment("b:value")
+        ctx.increment("shared:counter")
 
     return registry
 
@@ -48,7 +48,7 @@ def test_well_partitioned_workload_is_unaffected():
 
     @registry.procedure("bump_a", conflict_class="C_a", duration=0.001)
     def bump_a(ctx, params):
-        ctx.increment("a:value", 1)
+        ctx.increment("a:value")
 
     conflict_map = ConflictClassMap()
     conflict_map.define("C_a", key_prefixes=("a:",))

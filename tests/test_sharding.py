@@ -88,12 +88,10 @@ class TestShardedWorkloadSpec:
         [
             {"shard_count": 0},
             {"classes_per_shard": 0},
-            {"objects_per_class": 0},
             {"updates_per_shard": -1},
             {"queries": -1},
             {"update_interval": -0.1},
             {"query_span": 0},
-            {"operations_per_update": 0},
             {"class_skew": -0.5},
             {"class_skew": float("nan")},
         ],
@@ -103,10 +101,10 @@ class TestShardedWorkloadSpec:
             ShardedWorkloadSpec(**kwargs)
 
     def test_base_spec_mirrors_database_shape(self):
-        spec = ShardedWorkloadSpec(shard_count=3, classes_per_shard=2, objects_per_class=7)
+        spec = ShardedWorkloadSpec(shard_count=3, classes_per_shard=2)
         base = spec.base_spec()
         assert base.class_count == 6
-        assert base.objects_per_class == 7
+        assert base.objects_per_class == ShardedWorkloadSpec.objects_per_class == 10
 
 
 def build_sharded_cluster(spec, *, seed=5, broadcast=None):
@@ -160,7 +158,7 @@ class TestTransactionRouter:
         assert cluster.router._pick_site("S2", 0) is None is shard.open_site_from(0)
 
     def test_query_fans_out_to_every_touched_shard(self):
-        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2, objects_per_class=5)
+        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2)
         cluster = build_sharded_cluster(spec)
         query = cluster.submit_query(
             READ_CLASSES_QUERY, {"class_indexes": [1, 2]}
@@ -168,16 +166,16 @@ class TestTransactionRouter:
         cluster.run_until_idle()
         assert query.is_complete
         assert sorted(query.shard_ids) == ["S1", "S2"]
-        # 2 classes x 5 objects x initial value 100.
-        assert query.merged_result == 2 * 5 * 100
+        # 2 classes x 10 objects x initial value 100.
+        assert query.merged_result == 2 * 10 * 100
 
     def test_single_shard_query_has_one_subquery(self):
-        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2, objects_per_class=4)
+        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2)
         cluster = build_sharded_cluster(spec)
         query = cluster.submit_query(READ_CLASSES_QUERY, {"class_indexes": [0, 1]})
         cluster.run_until_idle()
         assert [sub.shard_id for sub in query.subqueries] == ["S1"]
-        assert query.merged_result == 2 * 4 * 100
+        assert query.merged_result == 2 * 10 * 100
 
     def test_router_rejects_mismatched_procedure_kinds(self):
         spec = ShardedWorkloadSpec(shard_count=2)
@@ -202,12 +200,12 @@ class TestTransactionRouter:
 
 class TestShardedCluster:
     def test_initial_data_is_partitioned_by_shard(self):
-        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=1, objects_per_class=3)
+        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=1)
         cluster = build_sharded_cluster(spec)
         s1_contents = cluster.shard("S1").replica("S1:N1").database_contents()
         s2_contents = cluster.shard("S2").replica("S2:N1").database_contents()
-        assert set(s1_contents) == {"part0:obj0", "part0:obj1", "part0:obj2"}
-        assert set(s2_contents) == {"part1:obj0", "part1:obj1", "part1:obj2"}
+        assert set(s1_contents) == {f"part0:obj{index}" for index in range(10)}
+        assert set(s2_contents) == {f"part1:obj{index}" for index in range(10)}
 
     def test_unowned_initial_key_rejected(self):
         spec = ShardedWorkloadSpec(shard_count=2)

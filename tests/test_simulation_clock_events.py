@@ -1,6 +1,8 @@
 """Unit tests for the virtual clock and the event queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClockError, SimulationError
 from repro.simulation.clock import (
@@ -16,20 +18,9 @@ class TestVirtualClock:
     def test_starts_at_zero_by_default(self):
         assert VirtualClock().now() == 0.0
 
-    def test_starts_at_given_time(self):
-        assert VirtualClock(5.0).now() == 5.0
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ClockError):
-            VirtualClock(-1.0)
-
-    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
-    def test_rejects_nan_and_infinite_start(self, start):
-        with pytest.raises(ClockError):
-            VirtualClock(start)
-
     def test_cannot_advance_to_nan(self):
-        clock = VirtualClock(1.0)
+        clock = VirtualClock()
+        clock.advance_to(1.0)
         with pytest.raises(ClockError):
             clock.advance_to(float("nan"))
         assert clock.now() == 1.0
@@ -40,12 +31,14 @@ class TestVirtualClock:
         assert clock.now() == 2.5
 
     def test_advance_to_same_time_is_allowed(self):
-        clock = VirtualClock(1.0)
+        clock = VirtualClock()
+        clock.advance_to(1.0)
         clock.advance_to(1.0)
         assert clock.now() == 1.0
 
     def test_cannot_move_backwards(self):
-        clock = VirtualClock(3.0)
+        clock = VirtualClock()
+        clock.advance_to(3.0)
         with pytest.raises(ClockError):
             clock.advance_to(2.0)
 
@@ -63,10 +56,21 @@ class TestUnitHelpers:
         assert milliseconds(0.0) == 0.0
 
     def test_clock_times_are_floats(self):
-        clock = VirtualClock(2)
+        clock = VirtualClock()
         assert type(clock.now()) is float
         clock.advance_to(3)
         assert type(clock.now()) is float
+
+
+#: Push / cancel / ``pop_due`` steps over four instants, so most times tie.
+QUEUE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("pop_due"), st.sampled_from([None, 0.0, 0.5, 1.0, 2.0])),
+    ),
+    max_size=40,
+)
 
 
 class TestEventQueue:
@@ -86,12 +90,6 @@ class TestEventQueue:
         queue.push(1.0, lambda: None, label="b")
         assert queue.pop().label == "a"
         assert queue.pop().label == "b"
-
-    def test_priority_orders_before_sequence(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=1, label="low")
-        queue.push(1.0, lambda: None, priority=0, label="high")
-        assert queue.pop().label == "high"
 
     def test_len_counts_live_events(self):
         queue = EventQueue()
@@ -153,15 +151,31 @@ class TestEventQueue:
         queue.push(1.0, lambda: None)
         assert queue
 
-    def test_time_ties_fall_back_to_priority_then_insertion(self):
+    @given(steps=QUEUE_STEPS)
+    @settings(max_examples=200, deadline=None)
+    def test_live_events_pop_in_time_then_insertion_order(self, steps):
+        # Reference: the live events as (time, insertion) in a sorted list.
         queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=1, label="p1-first")
-        queue.push(1.0, lambda: None, priority=0, label="p0-first")
-        queue.push(0.5, lambda: None, priority=9, label="earliest")
-        queue.push(1.0, lambda: None, priority=1, label="p1-second")
-        queue.push(1.0, lambda: None, priority=0, label="p0-second")
-        labels = [queue.pop().label for _ in range(5)]
-        assert labels == ["earliest", "p0-first", "p0-second", "p1-first", "p1-second"]
+        pushed, live = [], []
+        for action, value in steps:
+            if action == "push":
+                live.append((value, len(pushed), queue.push(value, lambda: None)))
+                pushed.append(live[-1][2])
+            elif action == "cancel" and pushed:
+                # Any handle: live, already fired or already cancelled.
+                event = pushed[value % len(pushed)]
+                queue.cancel(event)
+                live = [entry for entry in live if entry[2] is not event]
+            elif action == "pop_due":
+                due = min(live, default=None)
+                if due is not None and (value is None or due[0] <= value):
+                    live.remove(due)
+                    assert queue.pop_due(value) is due[2]
+                else:
+                    assert queue.pop_due(value) is None
+            assert len(queue) == len(live)
+        assert [queue.pop() for _ in live] == [entry[2] for entry in sorted(live)]
+        assert queue.pop() is None and len(queue) == 0
 
     def test_pop_due_skips_cancelled_heads_and_respects_horizon(self):
         queue = EventQueue()

@@ -1,9 +1,12 @@
 """Unit tests for the simulation kernel and timers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulation import PeriodicTimer, SimulationKernel
+from repro.simulation import kernel as kernel_module
 
 
 class TestScheduling:
@@ -63,12 +66,6 @@ class TestScheduling:
         kernel.run_until_idle()
         assert times == [0.001, 0.002, 0.003, 0.004, 0.005]
 
-    def test_nan_start_time_rejected(self):
-        # A NaN clock makes every event time NaN: the heap then runs events
-        # in insertion order, with now() NaN throughout.
-        with pytest.raises(SimulationError):
-            SimulationKernel(start_time=float("nan"))
-
     def test_schedule_at_nan_rejected(self):
         kernel = SimulationKernel()
         with pytest.raises(SimulationError):
@@ -99,6 +96,28 @@ class TestScheduling:
         assert seen == []
 
 
+class TestTieOrder:
+    @given(
+        plan=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.001, 0.002]), st.booleans()), max_size=30
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_callbacks_fire_in_time_then_schedule_order(self, plan):
+        kernel = SimulationKernel()
+        fired = []
+        handles = [
+            kernel.schedule(delay, lambda index=index: fired.append(index))
+            for index, (delay, _) in enumerate(plan)
+        ]
+        for handle, (_, cancelled) in zip(handles, plan):
+            if cancelled:
+                kernel.cancel(handle)
+        kernel.run_until_idle()
+        live = [(delay, index) for index, (delay, cancelled) in enumerate(plan) if not cancelled]
+        assert fired == [index for _, index in sorted(live)]
+
+
 class TestRunControl:
     def test_run_until_time_stops_and_advances_clock(self):
         kernel = SimulationKernel()
@@ -118,6 +137,19 @@ class TestRunControl:
             kernel.schedule(index * 0.1 + 0.1, lambda index=index: seen.append(index))
         kernel.run(max_events=3)
         assert seen == [0, 1, 2]
+
+    def test_run_until_idle_stops_at_the_event_limit(self, monkeypatch):
+        # A callback that always reschedules itself never lets the kernel
+        # idle; run_until_idle still returns after IDLE_EVENT_LIMIT events.
+        monkeypatch.setattr(kernel_module, "IDLE_EVENT_LIMIT", 25)
+        kernel = SimulationKernel()
+
+        def again():
+            kernel.schedule(0.001, again)
+
+        kernel.schedule(0.0, again)
+        assert kernel.run_until_idle() == 25
+        assert kernel.pending_events == 1
 
     def test_stop_from_callback(self):
         kernel = SimulationKernel()

@@ -92,17 +92,14 @@ class TestDistributions:
         stream = RandomSource(1).stream("r")
         assert all(0.0 <= stream.random() < 1.0 for _ in range(200))
 
-    def test_truncated_normal_with_zero_spread_is_the_mean_or_minimum(self):
+    def test_truncated_normal_with_zero_spread_is_the_mean_or_zero(self):
         stream = RandomSource(1).stream("n0")
         assert stream.truncated_normal(0.3, 0.0) == 0.3
         assert stream.truncated_normal(-0.3, 0.0) == 0.0
-        assert stream.truncated_normal(0.3, 0.0, minimum=0.5) == 0.5
 
-    def test_truncated_normal_respects_minimum(self):
+    def test_truncated_normal_is_never_negative(self):
         stream = RandomSource(1).stream("n")
-        assert all(
-            stream.truncated_normal(0.0, 1.0, minimum=0.5) >= 0.5 for _ in range(200)
-        )
+        assert all(stream.truncated_normal(0.0, 1.0) >= 0.0 for _ in range(200))
 
     def test_chance_extremes(self):
         stream = RandomSource(1).stream("c")

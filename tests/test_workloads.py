@@ -18,6 +18,7 @@ from repro.workloads import (
     partition_class_id,
     partition_key,
 )
+from repro.workloads.specs import INITIAL_VALUE, OPERATIONS_PER_UPDATE
 
 
 class TestWorkloadSpec:
@@ -38,7 +39,6 @@ class TestWorkloadSpec:
             {"updates_per_site": -1},
             {"update_interval": -0.1},
             {"query_span": 0},
-            {"operations_per_update": 0},
             {"class_skew": -1.0},
             {"class_skew": float("nan")},
         ],
@@ -78,18 +78,12 @@ class TestWorkloadSpec:
             query_interval=0.0,
             query_span=1,
             class_skew=0.0,
-            operations_per_update=1,
             update_duration=0.0,
             query_duration=0.0,
         )
         assert spec.total_updates(8) == 0
         assert spec.effective_query_span == 1
 
-    def test_operations_per_update_may_exceed_partition_size(self):
-        # The generator clamps the per-update object count to the partition
-        # size, so a spec asking for more operations than objects is valid.
-        spec = WorkloadSpec(objects_per_class=2, operations_per_update=10)
-        assert spec.operations_per_update == 10
 
 
 class TestZipfClassSkew:
@@ -157,10 +151,10 @@ class TestZipfClassSkew:
 
 class TestGeneratedProcedures:
     def test_initial_data_covers_all_partitions(self):
-        spec = WorkloadSpec(class_count=3, objects_per_class=5, initial_value=42)
+        spec = WorkloadSpec(class_count=3, objects_per_class=5)
         data = build_initial_data(spec)
         assert len(data) == 15
-        assert data[partition_key(2, 4)] == 42
+        assert data[partition_key(2, 4)] == INITIAL_VALUE == 100
 
     def test_registry_contains_expected_procedures(self):
         registry = build_partitioned_registry(WorkloadSpec())
@@ -269,6 +263,14 @@ class TestWorkloadGenerator:
                 class_counts.get(operation.parameters["class_index"], 0) + 1
             )
         assert class_counts.get(0, 0) > class_counts.get(5, 0)
+
+    def test_updates_clamp_to_a_partition_smaller_than_an_update(self):
+        # The generator clamps the per-update object count to the partition.
+        spec = WorkloadSpec(class_count=2, objects_per_class=1, updates_per_site=4)
+        assert OPERATIONS_PER_UPDATE > spec.objects_per_class
+        plan = WorkloadGenerator(spec).apply(self.build_cluster(spec))
+        assert plan.update_count == 12
+        assert all(op.parameters["object_indexes"] == [0] for op in plan.operations)
 
     def test_query_parameters_reference_valid_classes(self):
         spec = WorkloadSpec(queries_per_site=5, class_count=3, query_span=2)
