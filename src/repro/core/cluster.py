@@ -194,13 +194,7 @@ class ReplicatedDatabase:
         else:
             for site_id in site_ids:
                 detector = FailureDetector(
-                    self.kernel,
-                    self.transport,
-                    site_id,
-                    heartbeat_interval=detection.heartbeat_interval,
-                    initial_timeout=detection.initial_timeout,
-                    timeout_increment=detection.timeout_increment,
-                    group=site_ids,
+                    self.kernel, self.transport, site_id, detection, group=site_ids
                 )
                 self._dispatchers[site_id].register_kind(
                     HEARTBEAT_KIND, detector.on_envelope

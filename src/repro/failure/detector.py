@@ -12,13 +12,16 @@ which elects the coordinator from their suspicions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
 from ..simulation.timers import PeriodicTimer
 from ..types import SiteId
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from .suspicion import FailureDetectionConfig
 
 #: Callback invoked with ``(peer, suspected)`` on every suspicion change.
 SuspicionListener = Callable[[SiteId, bool], None]
@@ -39,12 +42,9 @@ class FailureDetector:
 
     Parameters
     ----------
-    heartbeat_interval:
-        How often this site multicasts heartbeats.
-    initial_timeout:
-        Initial suspicion timeout; adapted upward on false suspicion.
-    timeout_increment:
-        Added to a peer's timeout each time it was wrongly suspected.
+    config:
+        The heartbeat interval, initial suspicion timeout and timeout
+        increment (see :class:`~repro.failure.suspicion.FailureDetectionConfig`).
     group:
         The membership this detector monitors and heartbeats.  ``None``
         (default) means every site registered with the transport; a sharded
@@ -57,18 +57,15 @@ class FailureDetector:
         kernel: SimulationKernel,
         transport: NetworkTransport,
         site_id: SiteId,
+        config: "FailureDetectionConfig",
         *,
-        heartbeat_interval: float = 0.010,
-        initial_timeout: float = 0.050,
-        timeout_increment: float = 0.020,
         group: Optional[Iterable[SiteId]] = None,
     ) -> None:
         self.kernel = kernel
         self.transport = transport
         self.site_id = site_id
-        self.heartbeat_interval = heartbeat_interval
-        self.initial_timeout = initial_timeout
-        self.timeout_increment = timeout_increment
+        self.initial_timeout = config.initial_timeout
+        self.timeout_increment = config.timeout_increment
         self._group: Optional[Tuple[SiteId, ...]] = (
             tuple(sorted(group)) if group is not None else None
         )
@@ -80,7 +77,7 @@ class FailureDetector:
         self._listeners: List[SuspicionListener] = []
         self._timer = PeriodicTimer(
             kernel,
-            heartbeat_interval,
+            config.heartbeat_interval,
             self._on_tick,
             label=f"fd-tick:{site_id}",
             start_immediately=True,

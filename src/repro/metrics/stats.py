@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, NamedTuple, Sequence
+from collections import abc
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Summary(NamedTuple):
@@ -31,7 +32,11 @@ def percentile(values: Sequence[float], fraction: float) -> float:
         return 0.0
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"percentile fraction must be in [0, 1], got {fraction!r}")
-    ordered = sorted(values)
+    return _ranked(sorted(values), fraction)
+
+
+def _ranked(ordered: Sequence[float], fraction: float) -> float:
+    """The ``fraction`` percentile of the non-empty, sorted ``ordered``."""
     if len(ordered) == 1:
         return ordered[0]
     rank = fraction * (len(ordered) - 1)
@@ -60,18 +65,19 @@ def stddev(values: Sequence[float]) -> float:
 
 
 def summarize(values: Iterable[float]) -> Summary:
-    """Compute a :class:`Summary` of ``values``."""
-    sample: List[float] = list(values)
+    """Compute a :class:`Summary` of ``values``, sorting them once."""
+    sample = values if isinstance(values, abc.Sequence) else list(values)
     if not sample:
         return Summary.empty()
+    ordered = sorted(sample)
     return Summary(
         count=len(sample),
         mean=mean(sample),
         stddev=stddev(sample),
         minimum=min(sample),
         maximum=max(sample),
-        p50=percentile(sample, 0.50),
-        p90=percentile(sample, 0.90),
-        p95=percentile(sample, 0.95),
-        p99=percentile(sample, 0.99),
+        p50=_ranked(ordered, 0.50),
+        p90=_ranked(ordered, 0.90),
+        p95=_ranked(ordered, 0.95),
+        p99=_ranked(ordered, 0.99),
     )

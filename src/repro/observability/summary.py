@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from ..metrics.stats import mean, summarize
+from ..metrics.stats import mean, percentile
 from ..verification.sharded import ClusterVerificationReport, check_cluster
 from .registry import MetricsRegistry, build_registry, divergence_by_site
 
@@ -82,12 +82,12 @@ def _load(groups: List[Any], registry: MetricsRegistry, **labels: str) -> Dict[s
         max(group.committed_counts().values(), default=0) for group in groups
     )
     duration = (max(commit_times) - min(submit_times)) if commit_times else 0.0
-    latency = summarize(registry.latency_samples("client_commit_latency", **labels))
+    latency = registry.latency_samples("client_commit_latency", **labels)
     return dict(
         committed=committed,
         throughput_tps=committed / duration if duration > 0 else 0.0,
-        mean_client_latency=latency.mean,
-        p90_client_latency=latency.p90,
+        mean_client_latency=mean(latency),
+        p90_client_latency=percentile(latency, 0.90),
         mean_ordering_delay=mean(registry.latency_samples("ordering_delay", **labels)),
         reorder_aborts=registry.counter_total("reorder_aborts", **labels),
         queries_completed=registry.counter_total("queries_completed", **labels),

@@ -68,7 +68,7 @@ class SimulationKernel:
 
     def schedule_at(self, timestamp: float, callback: EventCallback, *, label: str = "") -> Event:
         """Schedule ``callback`` at the absolute virtual time ``timestamp``."""
-        if not timestamp >= self.now():
+        if not timestamp >= self.clock._now:
             raise SimulationError(
                 f"cannot schedule at {timestamp!r}, which is not now ({self.now()!r}) or later"
             )

@@ -5,10 +5,10 @@ site's stream draws a think time after the previous submission, so the
 offered load implicitly tracks what the system completes.  Production
 traffic does not wait — requests arrive whenever users make them — so this
 module provides *open-loop* traffic: a seed-driven arrival process lays out
-submission times over a horizon, and the engine schedules one offer per
-arrival on the simulation kernel regardless of completions.  Offered load
-past the saturation knee therefore builds real backlog, which is exactly
-the regime admission control (:mod:`repro.core.admission`) exists for.
+submission times over a horizon, and the engine offers one operation per
+arrival regardless of completions.  Offered load past the saturation knee
+therefore builds real backlog, which is exactly the regime admission
+control (:mod:`repro.core.admission`) exists for.
 
 Arrivals
 --------
@@ -20,22 +20,23 @@ two clusters with equal seeds receive identical arrival schedules in any
 The engine
 ----------
 :class:`OpenLoopTrafficEngine` turns an :class:`OpenLoopSpec` into a
-deterministic :class:`OpenLoopPlan` and schedules its operations through a
-cluster facade's admission-aware entry points (``offer_update`` /
-``offer_query`` on a flat :class:`~repro.core.cluster.ReplicatedDatabase`,
-``offer_update`` + routed queries on a
-:class:`~repro.sharding.cluster.ShardedCluster`).
+deterministic :class:`OpenLoopPlan` and offers its operations, one pending
+at a time, through a cluster facade's admission-aware entry points
+(``offer_update`` / ``offer_query`` on a flat
+:class:`~repro.core.cluster.ReplicatedDatabase`, ``offer_update`` + routed
+queries on a :class:`~repro.sharding.cluster.ShardedCluster`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple
+from typing import Any, Dict, List, NamedTuple
 
 from ..errors import WorkloadError
 from ..simulation.randomness import RandomStream
-from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
-from .specs import OPERATIONS_PER_UPDATE, WorkloadSpec
+from .generator import OperationRow, WorkloadPlan, pump
+from .specs import WorkloadSpec
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -124,43 +125,35 @@ class OpenLoopSpec:
 class OpenLoopOperation(NamedTuple):
     """One planned open-loop offer (kept for reproducibility checks)."""
 
+    site_index: int
     procedure_name: str
     parameters: Dict[str, Any]
     scheduled_at: float
-    site_index: int
     is_query: bool
 
 
-class OpenLoopPlan:
-    """The full offer schedule plus live admission outcome counters.
+class OpenLoopPlan(WorkloadPlan):
+    """The offer schedule as columns, plus live admission outcome counters.
 
-    The operation list is fixed once built; the counters fill in as the
-    simulation executes the offers (an offer returning ``None`` was shed by
-    admission control).
+    ``sites[i]`` is the offer's seeded preferred site index, so the site
+    table is the identity.  The columns are fixed once built; the counters
+    fill in as the simulation executes the offers (an offer returning
+    ``None`` was shed by admission control).
     """
 
+    record_type = OpenLoopOperation
+
     __slots__ = (
-        "operations",
         "admitted_updates",
         "admitted_queries",
         "refused_updates",
         "refused_queries",
     )
 
-    def __init__(self) -> None:
-        self.operations: List[OpenLoopOperation] = []
+    def __init__(self, spec: OpenLoopSpec) -> None:
+        super().__init__(spec, range(2**16))
         self.admitted_updates = self.admitted_queries = 0
         self.refused_updates = self.refused_queries = 0
-
-    @property
-    def update_count(self) -> int:
-        """Number of planned update offers."""
-        return sum(1 for operation in self.operations if not operation.is_query)
-
-    @property
-    def query_count(self) -> int:
-        """Number of planned query offers."""
-        return sum(1 for operation in self.operations if operation.is_query)
 
 
 class OpenLoopTrafficEngine:
@@ -187,95 +180,46 @@ class OpenLoopTrafficEngine:
         arrival_stream = cluster.kernel.random.stream("open-loop.arrivals")
         param_stream = cluster.kernel.random.stream("open-loop.params")
         site_stream = cluster.kernel.random.stream("open-loop.sites")
-        plan = OpenLoopPlan()
-        for offset in spec.arrivals.arrival_times(arrival_stream, spec.horizon):
-            site_index = site_stream.randint(0, 2**16 - 1)
+        plan = OpenLoopPlan(spec)
+        # Copied into an array, the list of arrival times is freed before the
+        # other columns grow.
+        for offset in array("d", spec.arrivals.arrival_times(arrival_stream, spec.horizon)):
+            site_index = site_stream.randint(0, len(plan.site_ids) - 1)
             is_query = spec.query_fraction > 0.0 and param_stream.chance(
                 spec.query_fraction
             )
             first_class = param_stream.randint(0, spec.class_count - 1)
-            if is_query:
-                span = spec.effective_query_span
-                class_indexes = sorted(
-                    (first_class + step) % spec.class_count for step in range(span)
-                )
-                parameters: Dict[str, Any] = {"class_indexes": class_indexes}
-                procedure = READ_CLASSES_QUERY
-            else:
-                object_count = min(OPERATIONS_PER_UPDATE, spec.objects_per_class)
-                object_indexes = param_stream.sample(
-                    range(spec.objects_per_class), object_count
-                )
-                parameters = {
-                    "class_index": first_class,
-                    "object_indexes": sorted(object_indexes),
-                    "amount": 1,
-                }
-                procedure = UPDATE_PROCEDURE
-            plan.operations.append(
-                OpenLoopOperation(
-                    procedure_name=procedure,
-                    parameters=parameters,
-                    scheduled_at=offset,
-                    site_index=site_index,
-                    is_query=is_query,
-                )
+            objects = () if is_query else sorted(
+                param_stream.sample(range(spec.objects_per_class), plan.stride)
             )
+            plan._add(offset, site_index, first_class, objects)
         return plan
 
     def apply(self, cluster: Any) -> OpenLoopPlan:
-        """Build the plan and schedule every offer on the cluster's kernel."""
+        """Build the plan and submit it through :func:`~repro.workloads.generator.pump`."""
         plan = self.build_plan(cluster)
-        now = cluster.kernel.now()
         sharded = hasattr(cluster, "shards")
-        for operation in plan.operations:
-            if operation.scheduled_at < now:
-                raise WorkloadError(
-                    f"offer scheduled at {operation.scheduled_at} lies in the past"
-                )
-            cluster.kernel.schedule_at(
-                operation.scheduled_at,
-                self._make_offer(cluster, plan, operation, sharded),
-                label=f"open-loop:{operation.procedure_name}",
-            )
-        return plan
 
-    # -------------------------------------------------------------- internal
-    def _make_offer(
-        self,
-        cluster: Any,
-        plan: OpenLoopPlan,
-        operation: OpenLoopOperation,
-        sharded: bool,
-    ) -> Callable[[], None]:
-        def fire() -> None:
-            if operation.is_query:
+        def offer(row: OperationRow) -> None:
+            site_index, procedure, parameters, _, is_query = row
+            if is_query:
                 if sharded:
                     # The router fans the query out and defers dark-shard
                     # sub-queries itself; the offer is always accepted.
-                    cluster.submit_query(
-                        operation.procedure_name, dict(operation.parameters)
-                    )
+                    cluster.submit_query(procedure, parameters)
                     plan.admitted_queries += 1
                     return
-                execution = cluster.offer_query(
-                    operation.procedure_name,
-                    dict(operation.parameters),
-                    site_index=operation.site_index,
-                )
+                execution = cluster.offer_query(procedure, parameters, site_index=site_index)
                 if execution is None:
                     plan.refused_queries += 1
                 else:
                     plan.admitted_queries += 1
                 return
-            admitted = cluster.offer_update(
-                operation.procedure_name,
-                dict(operation.parameters),
-                site_index=operation.site_index,
-            )
+            admitted = cluster.offer_update(procedure, parameters, site_index=site_index)
             if admitted is None:
                 plan.refused_updates += 1
             else:
                 plan.admitted_updates += 1
 
-        return fire
+        pump(cluster.kernel, plan, "open-loop", offer)
+        return plan

@@ -12,12 +12,12 @@ fanning out queries is exactly what the subsystem under test does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, List
 
 from ..errors import WorkloadError
-from .generator import GeneratedOperation, WorkloadPlan
-from .procedures import READ_CLASSES_QUERY, UPDATE_PROCEDURE
-from .specs import OPERATIONS_PER_UPDATE, WorkloadSpec
+from ..types import SiteId
+from .generator import OperationRow, WorkloadPlan, pump
+from .specs import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from ..sharding.cluster import ShardedCluster
@@ -133,6 +133,31 @@ def build_shard_map(spec: ShardedWorkloadSpec, shard_ids=None) -> "ShardMap":
     return ShardMap.contiguous(class_ids, shard_ids)
 
 
+class _ShardedPlan(WorkloadPlan):
+    """A sharded plan: ``site_ids`` lists every shard's sites, then the router.
+
+    An update's parameters also name ``site_index``, its site's position
+    within its shard, which starts at ``first_sites[shard]`` in ``site_ids``.
+    """
+
+    __slots__ = ("classes_per_shard", "first_sites")
+
+    def __init__(self, spec: ShardedWorkloadSpec, shard_sites: List[List[SiteId]]) -> None:
+        super().__init__(spec, [site for sites in shard_sites for site in sites] + ["router"])
+        self.classes_per_shard = spec.classes_per_shard
+        self.first_sites = [0]
+        for sites in shard_sites:
+            self.first_sites.append(self.first_sites[-1] + len(sites))
+
+    def _row(self, index: int) -> OperationRow:
+        row = super()._row(index)
+        _, _, parameters, _, is_query = row
+        if not is_query:
+            shard = self.classes[index] // self.classes_per_shard
+            parameters["site_index"] = self.sites[index] - self.first_sites[shard]
+        return row
+
+
 class ShardedWorkloadGenerator:
     """Schedules the sharded workload through a cluster's router."""
 
@@ -148,74 +173,41 @@ class ShardedWorkloadGenerator:
         stream spanning classes (and hence shards) uniformly.
         """
         spec = self.spec
-        plan = WorkloadPlan()
         shard_ids = cluster.config.shard_ids()
         if len(shard_ids) != spec.shard_count:
             raise WorkloadError(
                 f"spec describes {spec.shard_count} shards but the cluster has "
                 f"{len(shard_ids)}"
             )
+        plan = _ShardedPlan(spec, [cluster.shard(shard_id).site_ids() for shard_id in shard_ids])
         for shard_index, shard_id in enumerate(shard_ids):
             stream = cluster.kernel.random.stream(f"sharded-workload.updates.{shard_id}")
-            shard_sites = cluster.shard(shard_id).site_ids()
+            first_site = plan.first_sites[shard_index]
+            site_count = plan.first_sites[shard_index + 1] - first_site
             submit_at = 0.0
             for _ in range(spec.updates_per_shard):
                 submit_at += stream.exponential(spec.update_interval)
                 local_class = stream.zipf_index(spec.classes_per_shard, spec.class_skew)
                 class_index = shard_index * spec.classes_per_shard + local_class
-                object_count = min(OPERATIONS_PER_UPDATE, spec.objects_per_class)
-                object_indexes = stream.sample(range(spec.objects_per_class), object_count)
-                site_index = stream.randint(0, len(shard_sites) - 1)
-                plan.operations.append(
-                    GeneratedOperation(
-                        site_id=shard_sites[site_index],
-                        procedure_name=UPDATE_PROCEDURE,
-                        parameters={
-                            "class_index": class_index,
-                            "object_indexes": sorted(object_indexes),
-                            "amount": 1,
-                            "site_index": site_index,
-                        },
-                        scheduled_at=submit_at,
-                        is_query=False,
-                    )
-                )
+                objects = stream.sample(range(spec.objects_per_class), plan.stride)
+                site = first_site + stream.randint(0, site_count - 1)
+                plan._add(submit_at, site, class_index, sorted(objects))
 
         query_stream = cluster.kernel.random.stream("sharded-workload.queries")
+        router = len(plan.site_ids) - 1
         submit_at = 0.0
         for _ in range(spec.queries):
             submit_at += query_stream.exponential(spec.query_interval)
-            span = spec.effective_query_span
-            first_class = query_stream.randint(0, spec.class_count - 1)
-            class_indexes = sorted(
-                (first_class + offset) % spec.class_count for offset in range(span)
-            )
-            plan.operations.append(
-                GeneratedOperation(
-                    site_id="router",
-                    procedure_name=READ_CLASSES_QUERY,
-                    parameters={"class_indexes": class_indexes},
-                    scheduled_at=submit_at,
-                    is_query=True,
-                )
-            )
+            plan._add(submit_at, router, query_stream.randint(0, spec.class_count - 1), ())
+        plan._sort()
 
-        plan.operations.sort(key=lambda operation: operation.scheduled_at)
-        for operation in plan.operations:
-            cluster.kernel.schedule_at(
-                operation.scheduled_at,
-                self._make_submit_callback(cluster, operation),
-                label=f"sharded-workload:{operation.procedure_name}",
-            )
+        def submit(row: OperationRow) -> None:
+            _, procedure, parameters, _, is_query = row
+            if is_query:
+                cluster.submit_query(procedure, parameters)
+                return
+            site_index = parameters.pop("site_index")
+            cluster.submit_update(procedure, parameters, site_index=site_index)
+
+        pump(cluster.kernel, plan, "sharded-workload", submit)
         return plan
-
-    def _make_submit_callback(self, cluster: "ShardedCluster", operation: GeneratedOperation):
-        if operation.is_query:
-            return lambda: cluster.submit_query(
-                operation.procedure_name, dict(operation.parameters)
-            )
-        parameters = dict(operation.parameters)
-        site_index = parameters.pop("site_index", None)
-        return lambda: cluster.submit_update(
-            operation.procedure_name, parameters, site_index=site_index
-        )

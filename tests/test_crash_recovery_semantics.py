@@ -17,7 +17,7 @@ import pytest
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
 from repro.core.replica import SiteCrashedError
-from repro.failure import CrashSchedule, FailureDetector
+from repro.failure import CrashSchedule, FailureDetectionConfig, FailureDetector
 from repro.network import ConstantLatency, NetworkTransport
 from repro.observability import TransactionTracer
 from repro.simulation import SimulationKernel
@@ -311,7 +311,7 @@ class TestFailureDetectorResetNotifies:
         for site in ("N1", "N2"):
             dispatchers[site] = SiteDispatcher(transport, site)
         for site in ("N1", "N2"):
-            detector = FailureDetector(kernel, transport, site)
+            detector = FailureDetector(kernel, transport, site, FailureDetectionConfig())
             dispatchers[site].register_kind(
                 "failure-detector.heartbeat", detector.on_envelope
             )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.failure import CrashManager, CrashSchedule, FailureDetector
+from repro.failure import CrashManager, CrashSchedule, FailureDetectionConfig, FailureDetector
 from repro.network import ConstantLatency, NetworkTransport
 from repro.network.dispatcher import SiteDispatcher
 from repro.simulation import SimulationKernel
@@ -139,11 +139,11 @@ class TestCrashManager:
 
 
 class TestFailureDetector:
-    def build_detectors(self, site_count=3, **kwargs):
+    def build_detectors(self, site_count=3):
         kernel, transport, dispatchers = build_cluster(site_count=site_count)
         detectors = {}
         for site, dispatcher in dispatchers.items():
-            detector = FailureDetector(kernel, transport, site, **kwargs)
+            detector = FailureDetector(kernel, transport, site, FailureDetectionConfig())
             dispatcher.register_kind(
                 "failure-detector.heartbeat", detector.on_envelope
             )
@@ -300,7 +300,7 @@ class TestFailureDetector:
         for group_sites in groups.values():
             for site in group_sites:
                 detector = FailureDetector(
-                    kernel, transport, site, group=group_sites
+                    kernel, transport, site, FailureDetectionConfig(), group=group_sites
                 )
                 dispatchers[site].register_kind(
                     "failure-detector.heartbeat", detector.on_envelope

@@ -1,45 +1,24 @@
-"""Deterministic budgets for the run phase's per-commit calls and memory.
+"""Deterministic budgets for the per-commit calls and memory of a workload.
 
-The number of calls a simulation makes is fixed by its seed: it repeats
-exactly across runs and ``PYTHONHASHSEED`` values and involves no wall
-clock, so it gates exactly where a timing could only trend.  The test runs
-two small flat clusters under :mod:`cProfile` and counts, per commit, two
-kinds of calls:
+Two small flat clusters share one 8-class workload: ``budget`` (4 sites
+run to idle, the commit path) and ``message`` (one shard of the
+benchmark's ``failover_recovery``: 3 sites with heartbeat detectors, run
+past the last submission, detectors stopped, then drained).  Each window
+opens after the cluster is built and before the workload is applied, so
+it holds the plan, its submissions and the run.
 
-* calls whose frame lies in the ``repro`` package, and
-* calls of *generated constructors*: the ``__init__`` of a dataclass and
-  the ``__new__`` of a named tuple are compiled from a string, so their
-  frames carry the file name ``<string>`` and no ``repro`` path.
-
-The counts come from ``cProfile.Profile.getstats()``, which has one entry
-per code object.  ``pstats`` keys its rows by (file, line, name), every
-generated constructor shares one key, and ``Profile.snapshot_stats``
-overwrites rows with an equal key instead of adding them up, so a
-``pstats`` sum would undercount them by a varying amount.  Each count, and
-their sum, fails the test when it exceeds its measured value by more than
-5 %.  The sum is gated on its own because turning a generated constructor
-into a written-out one moves a call from one count to the other: the sum
-says whether the work changed.
-
-The two clusters share one 8-class workload:
-
-* ``budget``: 4 sites run to idle, without failure detectors — the
-  commit path;
-* ``message``: one shard of the benchmark's ``failover_recovery`` — 3
-  sites with heartbeat detectors, run past the last submission, detectors
-  stopped, then drained — the message path.
-
-The same two clusters, run without the profiler, also gate what the run
-phase *keeps*: ``sys.getallocatedblocks()`` after ``gc.collect()``, before
-and after the run, per commit, with the same 5 % tolerance.
+Per commit, the test counts from ``cProfile.Profile.getstats()`` (one
+entry per code object; a ``pstats`` sum would merge every generated
+constructor under one key) the calls whose frame lies in ``repro``, the
+calls of generated constructors (a dataclass ``__init__`` or named-tuple
+``__new__``, file ``<string>``) and their sum; and, unprofiled, the
+``sys.getallocatedblocks()`` the window keeps after ``gc.collect()``.
+Each fails above its measured value by more than 5 %.
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
-CPython 3.11, under ``PYTHONHASHSEED`` 0 and 1 alike: 446.2 ``repro`` and
-13.1 generated-constructor calls per commit on ``budget`` (459.3 together),
-356.5 and 11.6 on ``message`` (368.1); 17.5 and 15.3 retained blocks per
-commit (``PYTHONHASHSEED`` moves the second decimal only).  A change that
-adds per-commit work must raise the measured value and say why; one that
-removes work should lower it.  CHANGES.md keeps the history of the values.
+CPython 3.11, ``PYTHONHASHSEED`` 0 and 1 alike: ``budget`` 455.3 ``repro``
+and 13.1 generated calls, 30.7 retained blocks; ``message`` 364.7 and
+11.6, 25.5 blocks.  CHANGES.md keeps the history of the values.
 """
 
 from __future__ import annotations
@@ -64,13 +43,13 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (446.2, 13.1),
-    "message": (356.5, 11.6),
+    "budget": (455.3, 13.1),
+    "message": (364.7, 11.6),
 }
 #: Measured retained ``sys.getallocatedblocks()`` per commit.
 MEASURED_BLOCKS_PER_COMMIT = {
-    "budget": 17.5,
-    "message": 15.3,
+    "budget": 30.7,
+    "message": 25.5,
 }
 TOLERANCE = 1.05
 
@@ -87,29 +66,34 @@ _SPEC = WorkloadSpec(
 )
 
 
-def _build(config: ClusterConfig) -> tuple:
-    cluster = ReplicatedDatabase(
+def _build(config: ClusterConfig) -> ReplicatedDatabase:
+    return ReplicatedDatabase(
         config,
         build_partitioned_registry(_SPEC),
         conflict_map=build_conflict_map(_SPEC),
         initial_data=build_initial_data(_SPEC),
     )
-    return cluster, WorkloadGenerator(_SPEC).apply(cluster)
 
 
 def budget_cluster(seed: int) -> tuple:
-    """4 sites, no detectors: ``(cluster, run phase)``."""
-    cluster, _ = _build(ClusterConfig(site_count=4, seed=seed))
-    return cluster, cluster.run_until_idle
+    """4 sites, no detectors: ``(cluster, apply and run)``."""
+    cluster = _build(ClusterConfig(site_count=4, seed=seed))
+
+    def run() -> None:
+        WorkloadGenerator(_SPEC).apply(cluster)
+        cluster.run_until_idle()
+
+    return cluster, run
 
 
 def message_cluster(seed: int) -> tuple:
     """One shard of ``failover_recovery``: 3 sites with heartbeat detectors."""
-    cluster, plan = _build(
+    cluster = _build(
         ClusterConfig(site_count=3, seed=seed, failure_detection=FailureDetectionConfig())
     )
 
     def run() -> None:
+        plan = WorkloadGenerator(_SPEC).apply(cluster)
         # Detectors tick forever: run past the last submission, stop them, drain.
         cluster.run(until=plan.last_submission_time() + 0.1)
         cluster.stop_failure_detectors()
@@ -122,7 +106,7 @@ CLUSTERS = {"budget": budget_cluster, "message": message_cluster}
 
 
 def calls_per_commit(name: str, seed: int = 11) -> tuple:
-    """Run the named cluster under cProfile.
+    """Apply and run the named cluster under cProfile.
 
     Returns ``(repro calls per commit, generated-constructor calls per
     commit, commits)``.
@@ -146,9 +130,9 @@ def calls_per_commit(name: str, seed: int = 11) -> tuple:
 
 
 def retained_blocks_per_commit(name: str, seed: int = 11) -> tuple:
-    """Run the named cluster unprofiled.
+    """Apply and run the named cluster unprofiled.
 
-    Returns ``(allocated blocks the run phase retains per commit, commits)``.
+    Returns ``(allocated blocks the window retains per commit, commits)``.
     """
     cluster, run = CLUSTERS[name](seed)
     gc.collect()
@@ -193,7 +177,7 @@ def test_run_phase_retained_blocks_per_commit_stay_within_budget(name, commits):
     assert committed == commits
     measured = MEASURED_BLOCKS_PER_COMMIT[name]
     assert blocks <= measured * TOLERANCE, (
-        f"the run phase retains {blocks:.1f} allocated blocks per commit, over "
+        f"the window retains {blocks:.1f} allocated blocks per commit, over "
         f"the budget of {measured} x {TOLERANCE}"
     )
 

@@ -39,6 +39,7 @@ from repro.database.procedures import StoredProcedure
 from repro.database.snapshots import QuerySnapshot
 from repro.failure.crash import CrashEvent
 from repro.failure.detector import HEARTBEAT_KIND, FailureDetector, Heartbeat
+from repro.failure.suspicion import FailureDetectionConfig
 from repro.metrics.stats import Summary
 from repro.network import ConstantLatency, NetworkTransport
 from repro.network.dispatcher import SiteDispatcher
@@ -229,7 +230,9 @@ def test_optimistic_control_handlers_refuse_plain_tuples(kind, record):
 def test_heartbeat_and_lazy_write_set_receivers_refuse_plain_tuples():
     kernel = SimulationKernel(seed=0)
     transport = NetworkTransport(kernel, ConstantLatency(0.001))
-    detector = FailureDetector(kernel, transport, "N1", group=["N1", "N2"])
+    detector = FailureDetector(
+        kernel, transport, "N1", FailureDetectionConfig(), group=["N1", "N2"]
+    )
     lazy = ReplicatedDatabase(
         ClusterConfig(site_count=2, broadcast=BROADCAST_LAZY), ProcedureRegistry()
     ).replica("N1")

@@ -57,7 +57,7 @@ from repro.workloads import (
     build_initial_data,
     build_partitioned_registry,
 )
-from repro.workloads.arrivals import OpenLoopPlan
+from repro.workloads.arrivals import OpenLoopPlan, OpenLoopSpec, PoissonArrivals
 from repro.workloads.generator import WorkloadPlan
 
 from oracles import chain_versions
@@ -104,8 +104,8 @@ RARELY_BUILT = [
     lambda: BroadcastPropertyReport(ok=True),
     RecoveryReport,
     lambda: ShardedVerificationReport(ok=True),
-    OpenLoopPlan,
-    WorkloadPlan,
+    lambda: OpenLoopPlan(OpenLoopSpec(arrivals=PoissonArrivals(rate=100.0), horizon=0.1)),
+    lambda: WorkloadPlan(WorkloadSpec(), ["N1"]),
 ]
 RARELY_BUILT_IDS = [type(build()).__name__ for build in RARELY_BUILT]
 

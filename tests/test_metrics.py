@@ -102,6 +102,23 @@ class TestStats:
         assert summary.p95 <= summary.p99 + 1e-9
         assert summary.count == len(values)
 
+    @given(
+        st.lists(
+            st.floats(min_value=-1e100, max_value=1e100, allow_subnormal=True),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @example([5e-324, 0.0, -5e-324, 5e-324])
+    @settings(max_examples=80, deadline=None)
+    def test_summary_percentiles_equal_percentile(self, values):
+        # summarize sorts once; each percentile sorts its own copy.
+        for summary in (summarize(values), summarize(array("d", values))):
+            assert summary.p50 == percentile(values, 0.50)
+            assert summary.p90 == percentile(values, 0.90)
+            assert summary.p95 == percentile(values, 0.95)
+            assert summary.p99 == percentile(values, 0.99)
+
 
 class TestCollector:
     def test_counter_increment(self):

@@ -289,15 +289,6 @@ ALLOWLIST = {
     "repro.failure.suspicion:FailureDetectionConfig.quorum=": (
         "deployment setting: the suspicion quorum scales with the group size"
     ),
-    "repro.failure.detector:FailureDetector(heartbeat_interval=)": (
-        "deployment setting: copied from FailureDetectionConfig"
-    ),
-    "repro.failure.detector:FailureDetector(initial_timeout=)": (
-        "deployment setting: copied from FailureDetectionConfig"
-    ),
-    "repro.failure.detector:FailureDetector(timeout_increment=)": (
-        "deployment setting: copied from FailureDetectionConfig"
-    ),
     "repro.harness.parallel:SweepExecutor(clock=)": (
         "test seam: the sweep tests substitute a fake clock"
     ),

@@ -182,6 +182,7 @@ class TestEngineAgainstFlatCluster:
         cluster.run_until_idle()
         with pytest.raises(WorkloadError, match="lies in the past"):
             OpenLoopTrafficEngine(spec).apply(cluster)
+        assert cluster.kernel.pending_events == 0
 
 
 class TestEngineAgainstShardedCluster:
