@@ -112,9 +112,9 @@ class ExecutionEngine:
         context = TransactionContext(self.store)
         result = procedure.body(context, transaction.request.parameters)
         # The context ends with this attempt, so the transaction adopts its
-        # workspace and read set instead of copying them.
+        # workspace and reads instead of copying them.
         transaction.workspace = context.workspace
-        transaction.read_set = context.read_set
+        transaction.reads = context.reads
 
         duration = procedure.sample_duration(
             transaction.request.parameters, self._duration_stream

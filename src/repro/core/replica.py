@@ -358,7 +358,8 @@ class ReplicaManager:
                     "assumption of the concurrency-control model (paper Section 2.3)."
                 ) from error
         self.snapshot_manager.advance(transaction.global_index)
-        read_keys = tuple(sorted(transaction.read_set))
+        reads = transaction.reads
+        read_keys = tuple(sorted(reads))
         if read_keys == write_keys:
             # A read-modify-write of its own keys: one tuple serves both.
             read_keys = write_keys
@@ -371,7 +372,8 @@ class ReplicaManager:
                 write_keys=write_keys,
                 read_keys=read_keys,
                 message_id=self._message_ids.pop(transaction.transaction_id, None),
-            )
+            ),
+            map(reads.__getitem__, read_keys),
         )
         self.metrics.counts["commits"] += 1
         if self.tracer is not None:
@@ -430,7 +432,7 @@ class ReplicaManager:
         self._executing[conflict_class] -= 1
         if not self._executing[conflict_class]:
             for committed in self._held.pop(conflict_class, ()):
-                self.history.record_commit(committed)
+                self.history.record_commit(committed, ())
         self._propagate(write_set)
 
     def on_lazy_writes(self, envelope: Envelope) -> bool:
@@ -469,7 +471,7 @@ class ReplicaManager:
         if self._executing.get(write_set.conflict_class):
             self._held.setdefault(write_set.conflict_class, []).append(committed)
         else:
-            self.history.record_commit(committed)
+            self.history.record_commit(committed, ())
         return True
 
     def _wins(self, key: ObjectKey, write_set: LazyWriteSet) -> bool:
@@ -617,7 +619,9 @@ class ReplicaManager:
                     created_by=version.created_by,
                     created_at=version.created_at,
                 )
-            self.history.record_commit(committed)
+            # This site installs the donor's writes without executing the
+            # transaction, so it records no reads of its own.
+            self.history.record_commit(committed._replace(read_keys=()), ())
             self.snapshot_manager.advance(committed.global_index)
             self.broadcast.note_transfer_covered(committed.message_id)
             touched_classes.add(committed.conflict_class)

@@ -2,12 +2,7 @@
 transactions, conflict classes, snapshots, recovery and histories."""
 
 from .conflict import ClassQueue, ConflictClass, ConflictClassMap
-from .history import (
-    CommittedTransaction,
-    ConflictGraph,
-    SiteHistory,
-    transactions_conflict,
-)
+from .history import CommittedTransaction, SiteHistory
 from .objects import ObjectVersion, VersionChain
 from .procedures import (
     ProcedureRegistry,
@@ -31,9 +26,7 @@ __all__ = [
     "ConflictClass",
     "ConflictClassMap",
     "CommittedTransaction",
-    "ConflictGraph",
     "SiteHistory",
-    "transactions_conflict",
     "ObjectVersion",
     "VersionChain",
     "ProcedureRegistry",

@@ -1,15 +1,18 @@
-"""Histories, conflict graphs and serializability (paper Section 2.2).
+"""Per-site commit histories (paper Section 2.2).
 
-A history is a partial order over committed transactions that orders all
-conflicting transactions.  A history is serializable when it is conflict
-equivalent to some serial history, i.e. when its conflict graph is acyclic.
-The per-site history recorded here is consumed by the verification layer to
-check 1-copy-serializability across sites (Theorem 4.2).
+A site's history lists the update transactions it committed, in local
+commit order, with the definitive index each one committed at, the keys it
+wrote and the keys it read.  Beside the records, one column holds the
+evidence the 1-copy-serializability check replays: for every read key, the
+``created_index`` of the version that read returned
+(:func:`repro.verification.onecopy.check_one_copy_serializability`,
+Theorem 4.2).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from array import array
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import VerificationError
 from ..types import ConflictClassId, ObjectKey, SiteId, TransactionId
@@ -21,6 +24,9 @@ class CommittedTransaction(NamedTuple):
     ``message_id`` is the atomic-broadcast message that carried the request;
     state transfer uses it to tell a recovering site's broadcast endpoint
     which messages are already covered and must not be delivered again.
+    ``read_keys`` are the keys this site's execution read from the store;
+    a commit the site installed without executing it (a lazy remote write
+    set, a state-transferred commit) has none.
     """
 
     transaction_id: TransactionId
@@ -39,16 +45,27 @@ class SiteHistory:
         self.site_id = site_id
         self._commits: List[CommittedTransaction] = []
         self._by_id: Dict[TransactionId, CommittedTransaction] = {}
+        #: The version index each read returned: every commit's ``read_keys``
+        #: in turn, in local commit order.
+        self.read_versions = array("q")
 
     # --------------------------------------------------------------- recording
-    def record_commit(self, committed: CommittedTransaction) -> None:
-        """Append a committed transaction to the history."""
+    def record_commit(
+        self, committed: CommittedTransaction, read_versions: Iterable[int]
+    ) -> None:
+        """Append a committed transaction to the history.
+
+        ``read_versions`` holds, in ``committed.read_keys`` order, the
+        ``created_index`` of the version each read returned
+        (``MultiVersionStore.INITIAL_INDEX`` for an initial or absent object).
+        """
         if committed.transaction_id in self._by_id:
             raise VerificationError(
                 f"{committed.transaction_id} committed twice at site {self.site_id}"
             )
         self._commits.append(committed)
         self._by_id[committed.transaction_id] = committed
+        self.read_versions.extend(read_versions)
 
     # ---------------------------------------------------------------- queries
     def committed_transactions(self) -> List[CommittedTransaction]:
@@ -58,17 +75,6 @@ class SiteHistory:
     def transaction_ids(self) -> List[TransactionId]:
         """Return committed transaction ids in local commit order."""
         return [commit.transaction_id for commit in self._commits]
-
-    def commit_orders_by_class(self) -> Dict[ConflictClassId, List[TransactionId]]:
-        """Return every class's commit order, from one pass over the history."""
-        orders: Dict[ConflictClassId, List[TransactionId]] = {}
-        for commit in self._commits:
-            orders.setdefault(commit.conflict_class, []).append(commit.transaction_id)
-        return orders
-
-    def classes(self) -> List[ConflictClassId]:
-        """Return the conflict classes appearing in the history."""
-        return sorted(self.commit_orders_by_class())
 
     def get(self, transaction_id: TransactionId) -> Optional[CommittedTransaction]:
         """Return the record of ``transaction_id`` (or ``None``)."""
@@ -99,134 +105,3 @@ class SiteHistory:
 
     def __contains__(self, transaction_id: TransactionId) -> bool:
         return transaction_id in self._by_id
-
-
-def transactions_conflict(first: CommittedTransaction, second: CommittedTransaction) -> bool:
-    """Return whether two transactions conflict.
-
-    With the paper's coarse concurrency-control model two update transactions
-    conflict exactly when they belong to the same conflict class.  When
-    fine-granularity read/write sets are recorded, overlapping accesses with
-    at least one write also count as conflicts.
-    """
-    if first.conflict_class == second.conflict_class:
-        return True
-    first_writes = set(first.write_keys)
-    second_writes = set(second.write_keys)
-    if first_writes & second_writes:
-        return True
-    if first_writes & set(second.read_keys):
-        return True
-    if second_writes & set(first.read_keys):
-        return True
-    return False
-
-
-class ConflictGraph:
-    """Directed graph with an edge ``T_i -> T_j`` when ``T_i`` is ordered
-    before ``T_j`` and the two transactions conflict.
-
-    :meth:`add_history` adds only the edges to a transaction's *nearest*
-    conflicting predecessors, so the graph holds a reduction of the
-    conflicting-pair relation: every ordered conflicting pair is a path, and
-    reachability and cycles are those of the all-pairs graph.
-    """
-
-    def __init__(self) -> None:
-        self._edges: Dict[TransactionId, Set[TransactionId]] = {}
-        self._nodes: Set[TransactionId] = set()
-
-    # --------------------------------------------------------------- building
-    def add_node(self, transaction_id: TransactionId) -> None:
-        """Add an isolated node."""
-        self._nodes.add(transaction_id)
-
-    def add_edge(self, before: TransactionId, after: TransactionId) -> None:
-        """Add the edge ``before -> after`` (self-loops are ignored)."""
-        if before == after:
-            return
-        self._nodes.add(before)
-        self._nodes.add(after)
-        self._edges.setdefault(before, set()).add(after)
-
-    def add_history(self, commits: Sequence[CommittedTransaction]) -> None:
-        """Order every conflicting pair of ``commits`` (one site, commit order).
-
-        One pass: each transaction gets an edge from its predecessor in its
-        conflict class, from the last writer of every key it reads or
-        writes, and from every reader of a key it writes since that writer.
-        An earlier conflicting transaction reaches it through the class
-        chain or the key's writer chain, so at most one edge per commit, one
-        per written key and two per read key stand in for the quadratic set
-        of pairs.
-        """
-        last_of_class: Dict[ConflictClassId, TransactionId] = {}
-        last_writer: Dict[ObjectKey, TransactionId] = {}
-        readers_since_write: Dict[ObjectKey, List[TransactionId]] = {}
-        for commit in commits:
-            current = commit.transaction_id
-            self.add_node(current)
-            previous = last_of_class.get(commit.conflict_class)
-            if previous is not None:
-                self.add_edge(previous, current)
-            last_of_class[commit.conflict_class] = current
-            for key in commit.read_keys:
-                if key in last_writer:
-                    self.add_edge(last_writer[key], current)
-                readers_since_write.setdefault(key, []).append(current)
-            for key in commit.write_keys:
-                if key in last_writer:
-                    self.add_edge(last_writer[key], current)
-                # A transaction that also read ``key`` pops itself here;
-                # ``add_edge`` drops the self-loop.
-                for reader in readers_since_write.pop(key, ()):
-                    self.add_edge(reader, current)
-                last_writer[key] = current
-
-    # ---------------------------------------------------------------- queries
-    def edge_count(self) -> int:
-        """Return the number of distinct edges."""
-        return sum(len(afters) for afters in self._edges.values())
-
-    def find_cycle(self) -> Optional[List[TransactionId]]:
-        """Return one cycle as a list of nodes, or ``None`` when acyclic."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: Dict[TransactionId, int] = {node: WHITE for node in self._nodes}
-        parent: Dict[TransactionId, Optional[TransactionId]] = {}
-
-        def visit(start: TransactionId) -> Optional[List[TransactionId]]:
-            stack: List[Tuple[TransactionId, Iterable[TransactionId]]] = [
-                (start, iter(sorted(self._edges.get(start, set()))))
-            ]
-            colour[start] = GREY
-            parent[start] = None
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if colour.get(child, WHITE) == GREY:
-                        cycle = [child, node]
-                        current = parent.get(node)
-                        while current is not None and current != child:
-                            cycle.append(current)
-                            current = parent.get(current)
-                        cycle.append(child)
-                        cycle.reverse()
-                        return cycle
-                    if colour.get(child, WHITE) == WHITE:
-                        colour[child] = GREY
-                        parent[child] = node
-                        stack.append((child, iter(sorted(self._edges.get(child, set())))))
-                        advanced = True
-                        break
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-            return None
-
-        for node in sorted(self._nodes):
-            if colour[node] == WHITE:
-                cycle = visit(node)
-                if cycle:
-                    return cycle
-        return None

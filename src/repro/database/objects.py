@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left, bisect_right
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..errors import DatabaseError, UnknownObjectError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -80,12 +80,15 @@ class VersionChain:
         position = bisect_right(self._created_indices, max_index)
         return self._writers[position - 1] if position else None
 
-    def read_latest(self) -> ObjectValue:
-        """Return a deep copy of the latest value (an immutable scalar as is)."""
+    def read_latest(self) -> Tuple[ObjectValue, int]:
+        """Return a deep copy of the latest value (an immutable scalar as is)
+        and the index that created it."""
         if not self._values:
             raise UnknownObjectError(f"object {self.key!r} has no committed version")
         value = self._values[-1]
-        return value if type(value) in _UNCOPIED_TYPES else copy.deepcopy(value)
+        if type(value) not in _UNCOPIED_TYPES:
+            value = copy.deepcopy(value)
+        return value, self._created_indices[-1]
 
     def read_at(self, max_index: float) -> ObjectValue:
         """Return a deep copy of the value visible at ``max_index`` (an

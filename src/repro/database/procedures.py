@@ -43,17 +43,23 @@ class TransactionContext:
         self._snapshot_index = snapshot_index
         self._read_only = read_only
         self.workspace: Dict[ObjectKey, ObjectValue] = {}
-        self.read_set: set = set()
+        #: ``{key: created_index}`` of the committed version each read of the
+        #: latest state returned (``INITIAL_INDEX`` when the object is absent).
+        self.reads: Dict[ObjectKey, int] = {}
 
     # ----------------------------------------------------------------- reads
     def read(self, key: ObjectKey) -> ObjectValue:
         """Read ``key``: own writes first, then the (snapshot) committed state."""
-        self.read_set.add(key)
         if key in self.workspace:
             return self.workspace[key]
         if self._snapshot_index is not None:
             return self._store.read_version(key, self._snapshot_index)
-        return self._store.read_latest(key)
+        try:
+            value, self.reads[key] = self._store.read_latest(key)
+        except UnknownObjectError:
+            self.reads[key] = MultiVersionStore.INITIAL_INDEX
+            raise
+        return value
 
     def read_or_default(self, key: ObjectKey, default: ObjectValue = None) -> ObjectValue:
         """Read ``key`` or return ``default`` when it does not exist."""

@@ -9,7 +9,7 @@ time, or simply discarded on abort; the discard is the whole undo.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import UnknownObjectError
 from ..types import ObjectKey, ObjectValue, TransactionId
@@ -58,8 +58,9 @@ class MultiVersionStore:
         """Return all object keys (sorted for determinism)."""
         return sorted(self._chains)
 
-    def read_latest(self, key: ObjectKey) -> ObjectValue:
-        """Return a copy of the latest committed value of ``key``."""
+    def read_latest(self, key: ObjectKey) -> Tuple[ObjectValue, int]:
+        """Return a copy of the latest committed value of ``key`` and the
+        ``created_index`` of its version."""
         self.stats.reads += 1
         return self._chain(key).read_latest()
 
@@ -129,7 +130,7 @@ class MultiVersionStore:
         for key in self.keys():
             chain = self._chain(key)
             if len(chain):
-                result[key] = chain.read_latest()
+                result[key] = chain.read_latest()[0]
         return result
 
     # -------------------------------------------------------------- internal

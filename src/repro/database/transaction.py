@@ -89,7 +89,7 @@ class Transaction:
         "global_index",
         "executing",
         "workspace",
-        "read_set",
+        "reads",
         "result",
         "reorder_aborts",
         "execution_attempts",
@@ -119,8 +119,9 @@ class Transaction:
         self.executing = False
         #: Buffered writes of the current execution attempt.
         self.workspace: Dict[ObjectKey, ObjectValue] = {}
-        #: Keys read by the current execution attempt.
-        self.read_set: set = set()
+        #: ``{key: created_index}`` of the versions the current execution
+        #: attempt read (see ``TransactionContext.reads``).
+        self.reads: Dict[ObjectKey, int] = {}
         #: Return value of the stored procedure (set when execution completes).
         self.result: Any = None
         #: How many times the transaction was aborted and rescheduled (CC8).
@@ -179,7 +180,7 @@ class Transaction:
         self.execution_state = ExecutionState.ACTIVE
         self.execution_attempts += 1
         self.workspace = {}
-        self.read_set = set()
+        self.reads = {}
         if self.first_execution_started_at is None:
             self.first_execution_started_at = at_time
         self.last_execution_started_at = at_time
@@ -209,7 +210,7 @@ class Transaction:
         self.outcome = TransactionOutcome.UNDECIDED
         self.reorder_aborts += 1
         self.workspace = {}
-        self.read_set = set()
+        self.reads = {}
         self.result = None
         self.executed_at = None
 

@@ -60,8 +60,19 @@ def stddev(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     sample_mean = mean(values)
-    variance = sum((value - sample_mean) ** 2 for value in values) / len(values)
-    return math.sqrt(variance)
+    try:
+        variance = sum((value - sample_mean) ** 2 for value in values) / len(values)
+    except OverflowError:  # a deviation above about 1.34e154 squared
+        variance = math.inf
+    if variance != math.inf:
+        return math.sqrt(variance)
+    # A square or their sum overflowed: scale every deviation by the largest
+    # one (an infinite one is the answer).
+    largest = max(abs(value - sample_mean) for value in values)
+    if largest == math.inf:
+        return largest
+    scaled = sum(((value - sample_mean) / largest) ** 2 for value in values)
+    return largest * math.sqrt(scaled / len(values))
 
 
 def summarize(values: Iterable[float]) -> Summary:

@@ -2,47 +2,49 @@
 
 The correctness criterion of the paper: despite the existence of multiple
 copies, the system behaves like one logical copy and only allows
-serializable executions.  Operationally we check, over the per-site commit
-histories produced by a simulation run:
+serializable executions.  A replicated history is 1-copy-serializable when
+it has the same reads-from relation and the same final writes as a serial
+history over one copy (Bernstein, Hadzilacos and Goodman, 1987, ch. 8).
+By Lemma 4.1 and Theorem 4.2 that serial history is the definitive order,
+the order of the transactions' ``global_index``, so the check replays it
+once over every site's history, in linear time and without a graph:
 
-1. every site committed the same set of update transactions
-   (the "1-copy" part — all copies performed the same work);
-2. conflicting transactions committed in the same relative order at every
-   site (conflict equivalence of the local histories);
-3. the union of the local histories has an acyclic conflict graph
-   (serializability of the single logical history);
-4. optionally, that the per-class commit orders follow the definitive total
-   order established by the atomic broadcast (Lemma 4.1).
+1. every site committed the same set of update transactions;
+2. each transaction committed at the same ``global_index`` at every site;
+3. each site commits every conflict class, and writes every key, in
+   increasing index;
+4. every read returned the version of the last writer of its key before the
+   reader in index order, or ``MultiVersionStore.INITIAL_INDEX`` when there
+   is none (the evidence is ``SiteHistory.read_versions``).
+
+Rules 2 and 3 make every site's final writes those of the definitive order;
+rule 4 gives every site its reads-from relation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Tuple
 
-from ..database.history import ConflictGraph, SiteHistory
+from ..database.history import CommittedTransaction, SiteHistory
+from ..database.storage import MultiVersionStore
 from ..errors import VerificationError
-from ..types import SiteId, TransactionId
+from ..types import ConflictClassId, ObjectKey, SiteId, TransactionId
 
 
 class OneCopyReport:
     """Result of a 1-copy-serializability check."""
 
-    __slots__ = (
-        "ok",
-        "violations",
-        "sites_checked",
-        "transactions_checked",
-        "classes_checked",
-        "conflict_edges",
-    )
+    __slots__ = ("ok", "violations", "sites_checked", "transactions_checked")
 
     def __init__(self, ok: bool, sites_checked: int = 0) -> None:
         self.ok = ok
         self.violations: List[str] = []
         self.sites_checked = sites_checked
-        self.transactions_checked = self.classes_checked = 0
-        #: Edges of the union conflict graph the serializability check walked.
-        self.conflict_edges = 0
+        self.transactions_checked = 0
+
+    def _violate(self, violation: str) -> None:
+        self.ok = False
+        self.violations.append(violation)
 
     def raise_if_violated(self) -> None:
         """Raise :class:`VerificationError` when the check failed."""
@@ -52,91 +54,114 @@ class OneCopyReport:
             )
 
 
-def check_one_copy_serializability(
-    histories: Dict[SiteId, SiteHistory],
-    *,
-    definitive_order: Optional[Sequence[TransactionId]] = None,
-) -> OneCopyReport:
-    """Check 1-copy-serializability of the per-site histories.
-
-    ``definitive_order`` — when given (the TO-delivery order of the broadcast)
-    — additionally checks Lemma 4.1: per conflict class, every site commits in
-    exactly the definitive order.
-    """
+def check_one_copy_serializability(histories: Dict[SiteId, SiteHistory]) -> OneCopyReport:
+    """Check 1-copy-serializability of the per-site histories."""
     report = OneCopyReport(ok=True, sites_checked=len(histories))
     if not histories:
         return report
-
     site_ids = sorted(histories)
     reference_site = site_ids[0]
-    reference = histories[reference_site]
-
-    # 1. Same transaction set everywhere.
-    reference_set = set(reference.transaction_ids())
-    report.transactions_checked = len(reference_set)
-    for site_id in site_ids[1:]:
-        other_set = set(histories[site_id].transaction_ids())
-        missing = reference_set - other_set
-        extra = other_set - reference_set
-        if missing:
-            report.ok = False
-            report.violations.append(
-                f"site {site_id} is missing {len(missing)} transactions committed at "
-                f"{reference_site} (e.g. {sorted(missing)[:3]})"
-            )
-        if extra:
-            report.ok = False
-            report.violations.append(
-                f"site {site_id} committed {len(extra)} transactions unknown to "
-                f"{reference_site} (e.g. {sorted(extra)[:3]})"
-            )
-
-    # 2. Identical per-class commit order at every site.
-    class_orders = {
-        site_id: history.commit_orders_by_class() for site_id, history in histories.items()
+    index_of = {
+        commit.transaction_id: commit.global_index
+        for commit in histories[reference_site].committed_transactions()
     }
-    classes = set()
-    for orders in class_orders.values():
-        classes.update(orders)
-    report.classes_checked = len(classes)
-    for conflict_class in sorted(classes):
-        reference_order = class_orders[reference_site].get(conflict_class, [])
-        reference_members = set(reference_order)
-        for site_id in site_ids[1:]:
-            other_order = class_orders[site_id].get(conflict_class, [])
-            other_members = set(other_order)
-            common = [t for t in reference_order if t in other_members]
-            other_common = [t for t in other_order if t in reference_members]
-            if common != other_common:
-                report.ok = False
-                report.violations.append(
-                    f"class {conflict_class}: commit order differs between "
-                    f"{reference_site} and {site_id}"
-                )
-
-    # 3. Serializability of the union history.
-    union_graph = ConflictGraph()
-    for history in histories.values():
-        union_graph.add_history(history.committed_transactions())
-    report.conflict_edges = union_graph.edge_count()
-    cycle = union_graph.find_cycle()
-    if cycle is not None:
-        report.ok = False
-        report.violations.append(f"union conflict graph has a cycle: {cycle}")
-
-    # 4. Per-class orders follow the definitive total order (Lemma 4.1).
-    if definitive_order is not None:
-        definitive_positions = {
-            transaction_id: position for position, transaction_id in enumerate(definitive_order)
-        }
-        for site_id, orders in class_orders.items():
-            for conflict_class, order in sorted(orders.items()):
-                known = [t for t in order if t in definitive_positions]
-                positions = [definitive_positions[t] for t in known]
-                if positions != sorted(positions):
-                    report.ok = False
-                    report.violations.append(
-                        f"site {site_id}, class {conflict_class}: commit order does not "
-                        "follow the definitive total order"
-                    )
+    report.transactions_checked = len(index_of)
+    for site_id in site_ids:
+        _replay_site(report, site_id, histories[site_id], reference_site, index_of)
     return report
+
+
+def _replay_site(
+    report: OneCopyReport,
+    site_id: SiteId,
+    history: SiteHistory,
+    reference_site: SiteId,
+    index_of: Dict[TransactionId, int],
+) -> None:
+    """Check one site's history against rules 1-4 of the module docstring."""
+    # Local commit order: the reference site's transactions at its indices,
+    # classes and key writes in increasing index.  Each commit's reads start
+    # at ``offset`` in the site's read-version column.
+    commits = history.committed_transactions()
+    extra: List[TransactionId] = []
+    last_of_class: Dict[ConflictClassId, CommittedTransaction] = {}
+    last_write: Dict[ObjectKey, CommittedTransaction] = {}
+    in_index_order: List[Tuple[int, int, CommittedTransaction]] = []
+    offset = 0
+    for commit in commits:
+        transaction_id, index = commit.transaction_id, commit.global_index
+        expected = index_of.get(transaction_id)
+        if expected is None:
+            extra.append(transaction_id)
+        elif index != expected:
+            report._violate(
+                f"{transaction_id} committed at index {expected} at {reference_site} "
+                f"but at index {index} at {site_id}"
+            )
+        previous = last_of_class.get(commit.conflict_class)
+        if previous is not None and previous.global_index >= index:
+            report._violate(
+                f"site {site_id} commits class {commit.conflict_class} out of index "
+                f"order: {transaction_id} (index {index}) after "
+                f"{previous.transaction_id} (index {previous.global_index})"
+            )
+        last_of_class[commit.conflict_class] = commit
+        for key in commit.write_keys:
+            previous = last_write.get(key)
+            if previous is not None and previous.global_index >= index:
+                report._violate(
+                    f"site {site_id} writes {key!r} out of index order: "
+                    f"{transaction_id} (index {index}) after "
+                    f"{previous.transaction_id} (index {previous.global_index})"
+                )
+            last_write[key] = commit
+        in_index_order.append((index, offset, commit))
+        offset += len(commit.read_keys)
+    if extra:
+        report._violate(
+            f"site {site_id} committed {len(extra)} transactions unknown to "
+            f"{reference_site} (e.g. {sorted(extra)[:3]})"
+        )
+    if len(commits) - len(extra) != len(index_of):
+        missing = sorted(set(index_of) - set(history.transaction_ids()))
+        report._violate(
+            f"site {site_id} is missing {len(missing)} transactions committed at "
+            f"{reference_site} (e.g. {missing[:3]})"
+        )
+    versions = history.read_versions
+    if offset != len(versions):
+        report._violate(
+            f"site {site_id} recorded {len(versions)} read versions for "
+            f"{offset} read keys"
+        )
+        return
+
+    # The definitive order: every read returns the last write before it.
+    in_index_order.sort()
+    last_writer: Dict[ObjectKey, int] = {}
+    previous_index = previous_id = None
+    for index, offset, commit in in_index_order:
+        transaction_id = commit.transaction_id
+        if index == previous_index:
+            report._violate(
+                f"site {site_id} commits {previous_id} and {transaction_id} at "
+                f"the same index {index}"
+            )
+        previous_index, previous_id = index, transaction_id
+        for position, key in enumerate(commit.read_keys, offset):
+            seen = versions[position]
+            last = last_writer.get(key, MultiVersionStore.INITIAL_INDEX)
+            if seen < last:
+                report._violate(
+                    f"site {site_id}: {transaction_id} (index {index}) read {key!r} "
+                    f"at version {seen}, but its last writer before it is at index "
+                    f"{last} (stale read)"
+                )
+            elif seen > last:
+                report._violate(
+                    f"site {site_id}: {transaction_id} (index {index}) read {key!r} "
+                    f"at version {seen}, later than its last writer before it at "
+                    f"index {last}"
+                )
+        for key in commit.write_keys:
+            last_writer[key] = index

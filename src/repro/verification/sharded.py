@@ -6,12 +6,12 @@ conflict classes over independent broadcast groups shapes what must be
 verified:
 
 1. **Per-group one-copy serializability** — every shard is a fully
-   replicated database in its own right, so the seed's
-   :func:`~repro.verification.onecopy.check_one_copy_serializability` check
-   must hold within each shard (including Lemma 4.1 against the shard's own
-   definitive total order).  Because no update transaction spans shards, the
-   union of the per-shard serial histories is itself serializable: any
-   interleaving of transactions from different shards is conflict-free.
+   replicated database in its own right, so
+   :func:`~repro.verification.onecopy.check_one_copy_serializability` must
+   hold within each shard: its sites replay the shard's own definitive order
+   (Lemma 4.1).  Because no update transaction spans shards, the union of the
+   per-shard serial histories is itself serializable: any interleaving of
+   transactions from different shards is conflict-free.
 
 2. **Cross-shard query snapshot consistency** — a fanned-out query reads one
    multi-version snapshot per shard.  For the merge to be consistent, every
@@ -63,8 +63,8 @@ class ShardedVerificationReport:
 def check_sharded_one_copy_serializability(cluster) -> ShardedVerificationReport:
     """Check 1-copy-serializability independently within every replica group.
 
-    Each group of ``cluster.replica_groups()`` is checked against *its own*
-    definitive total order (Lemma 4.1), together with the five
+    Each group of ``cluster.replica_groups()`` replays *its own* definitive
+    total order (Lemma 4.1), together with the five
     atomic-broadcast properties of its own broadcast group — with shards
     sharing one transport, this additionally proves that no shard's group
     delivered another shard's messages (Global Agreement would fail on the
@@ -73,17 +73,7 @@ def check_sharded_one_copy_serializability(cluster) -> ShardedVerificationReport
     report = ShardedVerificationReport(ok=True)
     for shard_id, shard in cluster.replica_groups().items():
         endpoints = {site: shard.broadcast_endpoint(site) for site in shard.site_ids()}
-        # The group's definitive total order is its coordinator's TO-delivery
-        # log; map message ids to transaction ids through that endpoint.
-        coordinator_endpoint = endpoints[shard.coordinator_site()]
-        order = []
-        for message_id in coordinator_endpoint.to_delivery_log:
-            record = coordinator_endpoint.message(message_id)
-            if record is not None and hasattr(record.payload, "transaction_id"):
-                order.append(record.payload.transaction_id)
-        one_copy = check_one_copy_serializability(
-            shard.histories(), definitive_order=order
-        )
+        one_copy = check_one_copy_serializability(shard.histories())
         broadcast = check_broadcast_properties(endpoints)
         report.per_shard_one_copy[shard_id] = one_copy
         report.per_shard_broadcast[shard_id] = broadcast

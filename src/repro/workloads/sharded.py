@@ -12,10 +12,9 @@ fanning out queries is exactly what the subsystem under test does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, List
+from typing import TYPE_CHECKING, ClassVar
 
 from ..errors import WorkloadError
-from ..types import SiteId
 from .generator import OperationRow, WorkloadPlan, pump
 from .specs import WorkloadSpec
 
@@ -133,31 +132,6 @@ def build_shard_map(spec: ShardedWorkloadSpec, shard_ids=None) -> "ShardMap":
     return ShardMap.contiguous(class_ids, shard_ids)
 
 
-class _ShardedPlan(WorkloadPlan):
-    """A sharded plan: ``site_ids`` lists every shard's sites, then the router.
-
-    An update's parameters also name ``site_index``, its site's position
-    within its shard, which starts at ``first_sites[shard]`` in ``site_ids``.
-    """
-
-    __slots__ = ("classes_per_shard", "first_sites")
-
-    def __init__(self, spec: ShardedWorkloadSpec, shard_sites: List[List[SiteId]]) -> None:
-        super().__init__(spec, [site for sites in shard_sites for site in sites] + ["router"])
-        self.classes_per_shard = spec.classes_per_shard
-        self.first_sites = [0]
-        for sites in shard_sites:
-            self.first_sites.append(self.first_sites[-1] + len(sites))
-
-    def _row(self, index: int) -> OperationRow:
-        row = super()._row(index)
-        _, _, parameters, _, is_query = row
-        if not is_query:
-            shard = self.classes[index] // self.classes_per_shard
-            parameters["site_index"] = self.sites[index] - self.first_sites[shard]
-        return row
-
-
 class ShardedWorkloadGenerator:
     """Schedules the sharded workload through a cluster's router."""
 
@@ -179,11 +153,17 @@ class ShardedWorkloadGenerator:
                 f"spec describes {spec.shard_count} shards but the cluster has "
                 f"{len(shard_ids)}"
             )
-        plan = _ShardedPlan(spec, [cluster.shard(shard_id).site_ids() for shard_id in shard_ids])
+        shard_sites = [cluster.shard(shard_id).site_ids() for shard_id in shard_ids]
+        # Every shard's sites, then the router that submits the queries.
+        plan = WorkloadPlan(spec, [site for sites in shard_sites for site in sites] + ["router"])
+        # An update goes to its site's position within the site's shard.
+        home_index = {
+            site: position for sites in shard_sites for position, site in enumerate(sites)
+        }
+        first_site = 0
         for shard_index, shard_id in enumerate(shard_ids):
             stream = cluster.kernel.random.stream(f"sharded-workload.updates.{shard_id}")
-            first_site = plan.first_sites[shard_index]
-            site_count = plan.first_sites[shard_index + 1] - first_site
+            site_count = len(shard_sites[shard_index])
             submit_at = 0.0
             for _ in range(spec.updates_per_shard):
                 submit_at += stream.exponential(spec.update_interval)
@@ -192,6 +172,7 @@ class ShardedWorkloadGenerator:
                 objects = stream.sample(range(spec.objects_per_class), plan.stride)
                 site = first_site + stream.randint(0, site_count - 1)
                 plan._add(submit_at, site, class_index, sorted(objects))
+            first_site += site_count
 
         query_stream = cluster.kernel.random.stream("sharded-workload.queries")
         router = len(plan.site_ids) - 1
@@ -202,12 +183,11 @@ class ShardedWorkloadGenerator:
         plan._sort()
 
         def submit(row: OperationRow) -> None:
-            _, procedure, parameters, _, is_query = row
+            site, procedure, parameters, _, is_query = row
             if is_query:
                 cluster.submit_query(procedure, parameters)
                 return
-            site_index = parameters.pop("site_index")
-            cluster.submit_update(procedure, parameters, site_index=site_index)
+            cluster.submit_update(procedure, parameters, site_index=home_index[site])
 
         pump(cluster.kernel, plan, "sharded-workload", submit)
         return plan

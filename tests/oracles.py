@@ -1,53 +1,55 @@
 """Reference implementations the tests compare the fast checkers against.
 
 These are the quadratic, every-conflicting-pair constructions the paper's
-definitions spell out (Section 2.2).  ``src/`` carries only the linear-time
-reduction (:meth:`repro.database.ConflictGraph.add_history`); the all-pairs
-forms live here so a property test can state "same nodes, same reachability,
-same verdict" against something a reader can check by eye.
+definitions spell out (Section 2.2): which committed transactions conflict,
+the conflict graph with one edge per ordered conflicting pair, and the 1SR
+verdict read off that graph.  ``src/`` checks 1-copy-serializability by one
+linear replay of the definitive order against the version each read saw
+(:func:`repro.verification.check_one_copy_serializability`); these forms
+live here so a property test can state "whatever the definition rejects, the
+replay rejects" against something a reader can check by eye.  A graph is a
+plain ``{node: set of successors}`` dict.
 
-The readers of a conflict graph's nodes and edges, of a version chain's
-columns as records, and of a partition controller's severed links live
-here too: only tests ask for them, so ``src/`` keeps the structures and
-these functions read them.
+The readers of a version chain's columns as records and of a partition
+controller's severed links live here too: only tests ask for them, so
+``src/`` keeps the structures and these functions read them.
 """
 
 import heapq
 
-from repro.database import ConflictGraph, transactions_conflict
 from repro.errors import VerificationError
 
 
-def nodes(graph):
-    """Every node of a :class:`~repro.database.ConflictGraph`."""
-    return set(graph._nodes)
+def transactions_conflict(first, second):
+    """Whether two committed transactions conflict.
+
+    With the paper's coarse concurrency-control model two update
+    transactions conflict exactly when they belong to the same conflict
+    class.  Overlapping recorded accesses with at least one write also
+    count as conflicts.
+    """
+    if first.conflict_class == second.conflict_class:
+        return True
+    first_writes = set(first.write_keys)
+    second_writes = set(second.write_keys)
+    return bool(
+        first_writes & second_writes
+        or first_writes & set(second.read_keys)
+        or second_writes & set(first.read_keys)
+    )
 
 
 def edges(graph):
     """Every edge as a ``(before, after)`` pair, sorted."""
     return [
-        (before, after)
-        for before, afters in sorted(graph._edges.items())
-        for after in sorted(afters)
+        (before, after) for before, afters in sorted(graph.items()) for after in sorted(afters)
     ]
-
-
-def successors(graph, transaction_id):
-    """The direct successors of ``transaction_id``."""
-    return set(graph._edges.get(transaction_id, ()))
-
-
-def is_acyclic(graph):
-    return graph.find_cycle() is None
 
 
 def topological_order(graph):
     """The smallest-id-first topological order (raises on a cycle)."""
-    cycle = graph.find_cycle()
-    if cycle:
-        raise VerificationError(f"conflict graph is cyclic: {cycle}")
-    in_degree = {node: 0 for node in graph._nodes}
-    for afters in graph._edges.values():
+    in_degree = {node: 0 for node in graph}
+    for afters in graph.values():
         for after in afters:
             in_degree[after] += 1
     ready = [node for node, degree in in_degree.items() if degree == 0]
@@ -56,10 +58,14 @@ def topological_order(graph):
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for successor in graph._edges.get(node, ()):
+        for successor in graph[node]:
             in_degree[successor] -= 1
             if in_degree[successor] == 0:
                 heapq.heappush(ready, successor)
+    if len(order) != len(graph):
+        raise VerificationError(
+            f"conflict graph is cyclic: {sorted(set(graph) - set(order))} lie on or behind a cycle"
+        )
     return order
 
 
@@ -80,13 +86,14 @@ def all_pairs_conflict_graph(*site_commits):
     Each argument is one site's commits in local commit order; the result is
     the union graph over all of them.
     """
-    graph = ConflictGraph()
+    graph = {}
     for commits in site_commits:
         for position, earlier in enumerate(commits):
-            graph.add_node(earlier.transaction_id)
+            graph.setdefault(earlier.transaction_id, set())
             for later in commits[position + 1:]:
                 if transactions_conflict(earlier, later):
-                    graph.add_edge(earlier.transaction_id, later.transaction_id)
+                    graph[earlier.transaction_id].add(later.transaction_id)
+                    graph.setdefault(later.transaction_id, set())
     return graph
 
 
@@ -107,28 +114,21 @@ def histories_conflict_equivalent(first, second):
     return True
 
 
-def transitive_closure(graph):
-    """``{node: set of nodes reachable from it}`` by depth-first search."""
-    closure = {}
-    for start in nodes(graph):
-        reached = set()
-        frontier = [start]
-        while frontier:
-            for successor in successors(graph, frontier.pop()):
-                if successor not in reached:
-                    reached.add(successor)
-                    frontier.append(successor)
-        closure[start] = reached
-    return closure
+def is_acyclic(graph):
+    """Whether no node reaches itself."""
+    try:
+        topological_order(graph)
+    except VerificationError:
+        return False
+    return True
 
 
 def one_copy_serializable(*site_commits):
     """The 1SR verdict straight from the definitions: every site committed
-    the same transactions and no transaction precedes itself in the union of
-    the all-pairs graphs.  (Sites that order a same-class pair differently
-    form a two-cycle there, so the per-class order check is implied.)"""
+    the same transactions and the union of the all-pairs graphs is acyclic.
+    (Sites that order a same-class pair differently form a two-cycle there,
+    so the per-class order check is implied.)"""
     id_sets = [{commit.transaction_id for commit in commits} for commits in site_commits]
     if any(ids != id_sets[0] for ids in id_sets):
         return False
-    closure = transitive_closure(all_pairs_conflict_graph(*site_commits))
-    return not any(node in reached for node, reached in closure.items())
+    return is_acyclic(all_pairs_conflict_graph(*site_commits))

@@ -145,8 +145,9 @@ class TestLazyReplication:
     def test_a_stale_read_that_every_site_orders_alike_is_rejected(self):
         # N2's increment reads before N1's arrives and commits after it, so
         # both sites install N1's write first and one increment is lost.  N2
-        # records N1's write behind its own (which never saw it), so the
-        # histories disagree.
+        # records N1's write behind its own (which never saw it), so it
+        # commits the class and writes the key out of index order, and its
+        # increment read the initial version although N1's write comes first.
         lazy = ReplicatedDatabase(
             ClusterConfig(
                 site_count=2,
@@ -166,7 +167,14 @@ class TestLazyReplication:
         assert histories["N2"].transaction_ids() == ["T:N2:2", "T:N1:1"]
         report = check_cluster(lazy)
         assert not report.ok
-        assert any("commit order differs" in v for v in report.violations)
+        assert report.violations == [
+            "shard global: site N2 commits class C0 out of index order: "
+            "T:N1:1 (index 0) after T:N2:2 (index 1)",
+            "shard global: site N2 writes 'slot:0' out of index order: "
+            "T:N1:1 (index 0) after T:N2:2 (index 1)",
+            "shard global: site N2: T:N2:2 (index 1) read 'slot:0' at version -1, "
+            "but its last writer before it is at index 0 (stale read)",
+        ]
 
     def test_an_older_write_set_loses_and_the_store_cannot_donate_it(self):
         # N1's write set reaches N2 only after N2's newer increment committed.

@@ -181,18 +181,7 @@ class TestCorrectnessUnderLoad:
     @pytest.mark.parametrize("broadcast", [BROADCAST_OPTIMISTIC, BROADCAST_CONSERVATIVE])
     def test_one_copy_serializability_holds(self, broadcast):
         cluster = self.run_loaded_cluster(broadcast)
-        report = check_one_copy_serializability(
-            cluster.histories(),
-            definitive_order=[
-                cluster.broadcast_endpoint(cluster.coordinator_site())
-                .message(message_id)
-                .payload.transaction_id
-                for message_id in cluster.broadcast_endpoint(
-                    cluster.coordinator_site()
-                ).to_delivery_log
-            ],
-        )
-        report.raise_if_violated()
+        check_one_copy_serializability(cluster.histories()).raise_if_violated()
 
     def test_broadcast_properties_hold(self):
         cluster = self.run_loaded_cluster(BROADCAST_OPTIMISTIC)

@@ -59,11 +59,11 @@ class TestExecutionEngine:
         assert completed == [transaction]
         assert transaction.is_executed
         assert transaction.workspace == {"x": 11}
-        assert transaction.read_set == {"x"}
+        assert transaction.reads == {"x": MultiVersionStore.INITIAL_INDEX}
         assert transaction.result == 11
         assert transaction.executed_at == pytest.approx(0.01)
         # The store itself is untouched until commit.
-        assert store.read_latest("x") == 10
+        assert store.read_latest("x")[0] == 10
 
     def test_cancel_in_flight_execution(self):
         kernel, store, registry, engine = build_engine(duration=0.05)

@@ -221,7 +221,7 @@ class TestCorrectnessCheckModule:
         seen = []
 
         def probe(ctx, params):
-            seen.append((params["label"], dict(ctx.workspace), set(ctx.read_set)))
+            seen.append((params["label"], dict(ctx.workspace), dict(ctx.reads)))
             ctx.write(f"out:{params['label']}", ctx.read("obj:0") + 1)
 
         harness.registry.register(
@@ -242,18 +242,18 @@ class TestCorrectnessCheckModule:
         harness.opt_deliver(t1)
         harness.opt_deliver(t3)
         harness.kernel.run_until_idle()  # T1 executes fully -> [e,p]
-        first_workspace, first_reads = t1.workspace, t1.read_set
-        assert first_workspace == {"out:T1": 1} and first_reads == {"obj:0"}
+        first_workspace, first_reads = t1.workspace, t1.reads
+        assert first_workspace == {"out:T1": 1} and first_reads == {"obj:0": -1}
         harness.to_deliver(t3, index=0)  # CC8: T1 is aborted behind T3
         assert t1.reorder_aborts == 1
-        assert t1.workspace == {} and t1.read_set == set()
+        assert t1.workspace == {} and t1.reads == {}
         harness.to_deliver(t1, index=1)
         harness.kernel.run_until_idle()
         assert harness.committed_ids() == ["T3", "T1"]
-        assert seen == [("T1", {}, set()), ("T3", {}, set()), ("T1", {}, set())]
-        assert t1.workspace == {"out:T1": 1} and t1.read_set == {"obj:0"}
+        assert seen == [("T1", {}, {}), ("T3", {}, {}), ("T1", {}, {})]
+        assert t1.workspace == {"out:T1": 1} and t1.reads == {"obj:0": -1}
         assert t1.workspace is not first_workspace
-        assert t1.read_set is not first_reads
+        assert t1.reads is not first_reads
 
     def test_executing_pending_head_is_cancelled_on_reorder(self):
         """Section 3.2 scenario at N': T6 executing when T5 is TO-delivered first."""

@@ -17,6 +17,7 @@ import pytest
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
 from repro.core.config import BROADCAST_CONSERVATIVE, BROADCAST_OPTIMISTIC
 from repro.core.replica import SiteCrashedError
+from repro.core.scheduler import OTPScheduler
 from repro.failure import CrashSchedule, FailureDetectionConfig, FailureDetector
 from repro.network import ConstantLatency, NetworkTransport
 from repro.observability import TransactionTracer
@@ -79,7 +80,7 @@ class TestVolatileStateLoss:
         assert replica.scheduler.pending_transactions() == []
         assert not replica.engine.is_submitted(txn_id)
         assert not replica.is_open
-        assert replica.store.read_latest("slot:0") == 0  # workspace died with it
+        assert replica.store.read_latest("slot:0")[0] == 0  # workspace died with it
         assert replica.metrics.count("crashes") == 1
         assert replica.metrics.count("inflight_lost_in_crash") >= 1
         with pytest.raises(SiteCrashedError):
@@ -102,7 +103,7 @@ class TestVolatileStateLoss:
         assert cluster.replica("N1").committed_count() == 1
         assert replica.committed_count() == 0
         assert replica.scheduler.pending_transactions() == []
-        assert replica.store.read_latest("slot:0") == 0
+        assert replica.store.read_latest("slot:0")[0] == 0
 
         cluster.crash_manager.recover_now("N3")
         cluster.run_until_idle()
@@ -110,7 +111,7 @@ class TestVolatileStateLoss:
         # The commit arrived via state transfer, not via a surviving queue.
         assert replica.metrics.count("state_transfer_commits") == 1
         assert replica.committed_count() == 1
-        assert replica.store.read_latest("slot:0") == 1
+        assert replica.store.read_latest("slot:0")[0] == 1
         assert replica.is_open
         assert cluster.database_divergence() == {}
         check_recovery_completeness(cluster).raise_if_violated()
@@ -266,6 +267,22 @@ class TestChaosRecoveryScenario:
         result.raise_if_violated()
         assert result.recovery_ok
 
+    @staticmethod
+    def run_stale_execution_scenario(broadcast, seed, down_for, tracer=None):
+        """30 increments of ``slot:0`` from N1 and N2 while N3 crashes and
+        recovers mid-load."""
+        cluster = build_cluster(seed=seed, broadcast=broadcast, tracer=tracer)
+        for index in range(30):
+            site = ("N1", "N2")[index % 2]
+            cluster.kernel.schedule(
+                index * 0.001, lambda site=site: cluster.submit(site, "add", {"slot": 0})
+            )
+        cluster.crash_manager.apply_schedule(
+            CrashSchedule().crash_for("N3", at=0.010, duration=down_for)
+        )
+        cluster.run_until_idle()
+        return cluster
+
     @pytest.mark.parametrize(
         "broadcast, seed, down_for, lagging",
         [
@@ -282,22 +299,42 @@ class TestChaosRecoveryScenario:
         the next same-class transaction on the pre-transfer store, so that
         execution must be aborted, or the peer loses an update."""
         tracer = TransactionTracer()
-        cluster = build_cluster(seed=seed, broadcast=broadcast, tracer=tracer)
-        for index in range(30):
-            site = ("N1", "N2")[index % 2]
-            cluster.kernel.schedule(
-                index * 0.001, lambda site=site: cluster.submit(site, "add", {"slot": 0})
-            )
-        cluster.crash_manager.apply_schedule(
-            CrashSchedule().crash_for("N3", at=0.010, duration=down_for)
-        )
-        cluster.run_until_idle()
+        cluster = self.run_stale_execution_scenario(broadcast, seed, down_for, tracer)
         invalidated = [
             event.site for event in tracer.events if event.kind == "recovery_invalidation"
         ]
         assert invalidated == [lagging]
         assert cluster.database_divergence() == {}
         check_recovery_completeness(cluster).raise_if_violated()
+        check_one_copy_serializability(cluster.histories()).raise_if_violated()
+
+    @pytest.mark.parametrize(
+        "broadcast, seed, down_for, violation",
+        [
+            (
+                BROADCAST_OPTIMISTIC, 2, 0.00575,
+                "site N2: T:N2:4 (index 3) read 'slot:0' at version 1, "
+                "but its last writer before it is at index 2 (stale read)",
+            ),
+            (
+                BROADCAST_CONSERVATIVE, 1, 0.0015,
+                "site N1: T:N1:3 (index 2) read 'slot:0' at version 0, "
+                "but its last writer before it is at index 1 (stale read)",
+            ),
+        ],
+    )
+    def test_without_the_invalidation_the_1sr_check_names_the_lost_update(
+        self, monkeypatch, broadcast, seed, down_for, violation
+    ):
+        """Skip the recovery CC8: the lagging peer commits an increment that
+        read the pre-transfer version, and the replay alone rejects it."""
+        monkeypatch.setattr(
+            OTPScheduler, "invalidate_class_executions", lambda self, conflict_class: None
+        )
+        cluster = self.run_stale_execution_scenario(broadcast, seed, down_for)
+        assert cluster.database_divergence() != {}
+        report = check_one_copy_serializability(cluster.histories())
+        assert report.violations == [violation]
 
 
 class TestFailureDetectorResetNotifies:

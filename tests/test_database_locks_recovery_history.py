@@ -1,4 +1,4 @@
-"""Tests for redo recovery and history/conflict graphs."""
+"""Tests for redo recovery, site histories and the conflict reference."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,25 +6,19 @@ from hypothesis import strategies as st
 
 from repro.database import (
     CommittedTransaction,
-    ConflictGraph,
     MultiVersionStore,
     ObjectVersion,
     RedoLog,
     SiteHistory,
-    transactions_conflict,
 )
 from repro.errors import DatabaseError, VerificationError
-from repro.verification import check_one_copy_serializability
 
 from oracles import (
     all_pairs_conflict_graph,
     edges,
     is_acyclic,
-    nodes,
-    one_copy_serializable,
-    successors,
     topological_order,
-    transitive_closure,
+    transactions_conflict,
 )
 
 
@@ -49,7 +43,8 @@ def durable_site(commits):
                 global_index=index,
                 committed_at=committed_at,
                 write_keys=tuple(sorted(writes)),
-            )
+            ),
+            (),
         )
     return RedoLog(store, history), store, history
 
@@ -191,24 +186,29 @@ def committed(txn_id, conflict_class, index, writes=(), reads=()):
     )
 
 
-class TestHistoryAndConflictGraph:
+class TestSiteHistory:
     def test_record_and_query_history(self):
         history = SiteHistory("N1")
-        history.record_commit(committed("T1", "Cx", 0))
-        history.record_commit(committed("T2", "Cy", 1))
-        history.record_commit(committed("T3", "Cx", 2))
+        history.record_commit(committed("T1", "Cx", 0, writes=["x"], reads=["x"]), [-1])
+        history.record_commit(committed("T2", "Cy", 1), ())
+        history.record_commit(committed("T3", "Cx", 2, reads=["x", "y"]), [0, -1])
         assert history.transaction_ids() == ["T1", "T2", "T3"]
-        assert history.commit_orders_by_class() == {"Cx": ["T1", "T3"], "Cy": ["T2"]}
-        assert history.classes() == ["Cx", "Cy"]
         assert "T2" in history
         assert history.get("T2").global_index == 1
         assert len(history) == 3
+        # One column, every commit's read keys in turn.
+        assert list(history.read_versions) == [-1, 0, -1]
 
     def test_double_commit_rejected(self):
         history = SiteHistory("N1")
-        history.record_commit(committed("T1", "Cx", 0))
-        with pytest.raises(VerificationError):
-            history.record_commit(committed("T1", "Cx", 1))
+        history.record_commit(committed("T1", "Cx", 0), ())
+        with pytest.raises(VerificationError, match="T1 committed twice at site N1"):
+            history.record_commit(committed("T1", "Cx", 1), ())
+        assert history.transaction_ids() == ["T1"]
+
+
+class TestConflictReference:
+    """The all-pairs reference the 1SR replay is compared against."""
 
     def test_same_class_transactions_conflict(self):
         assert transactions_conflict(committed("T1", "Cx", 0), committed("T2", "Cx", 1))
@@ -223,163 +223,30 @@ class TestHistoryAndConflictGraph:
             committed("T1", "Cx", 0, writes=["k"]), committed("T2", "Cy", 1, reads=["k"])
         )
 
-    def test_acyclic_graph_is_serializable(self):
-        commits = [committed("T1", "Cx", 0), committed("T2", "Cx", 1), committed("T3", "Cy", 2)]
-        graph = ConflictGraph()
-        graph.add_history(commits)
-        assert is_acyclic(graph)
+    def test_read_read_overlap_does_not_conflict(self):
+        assert not transactions_conflict(
+            committed("T1", "Cx", 0, reads=["k"]), committed("T2", "Cy", 1, reads=["k"])
+        )
 
-    def test_cycle_detection(self):
-        graph = ConflictGraph()
-        graph.add_edge("T1", "T2")
-        graph.add_edge("T2", "T3")
-        graph.add_edge("T3", "T1")
-        cycle = graph.find_cycle()
-        assert cycle is not None
-        assert not is_acyclic(graph)
-
-    def test_topological_order_respects_edges(self):
-        graph = ConflictGraph()
-        graph.add_edge("T1", "T2")
-        graph.add_edge("T2", "T3")
-        graph.add_node("T0")
-        order = topological_order(graph)
-        assert order.index("T1") < order.index("T2") < order.index("T3")
-        assert "T0" in order
-
-    def test_topological_order_rejects_cycles(self):
-        graph = ConflictGraph()
-        graph.add_edge("T1", "T2")
-        graph.add_edge("T2", "T1")
-        with pytest.raises(VerificationError):
-            topological_order(graph)
-
-    def test_self_loops_ignored(self):
-        graph = ConflictGraph()
-        graph.add_edge("T1", "T1")
-        assert is_acyclic(graph)
-
-    def test_add_history_builds_edges_for_conflicting_pairs_only(self):
+    def test_all_pairs_graph_has_an_edge_per_ordered_conflicting_pair(self):
         commits = [
             committed("T1", "Cx", 0),
             committed("T2", "Cy", 1),
             committed("T3", "Cx", 2),
+            committed("T4", "Cz", 3, reads=["k"]),
+            committed("T5", "Cy", 4, writes=["k"]),
         ]
-        graph = ConflictGraph()
-        graph.add_history(commits)
-        assert ("T1", "T3") in edges(graph)
-        assert ("T1", "T2") not in edges(graph)
-        assert successors(graph, "T1") == {"T3"}
+        graph = all_pairs_conflict_graph(commits)
+        assert edges(graph) == [("T1", "T3"), ("T2", "T5"), ("T4", "T5")]
+        assert topological_order(graph) == ["T1", "T2", "T3", "T4", "T5"]
 
-    @given(
-        class_of=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_any_single_site_sequential_history_is_serializable(self, class_of):
-        """Property: a totally ordered (sequential) history is always serializable."""
-        commits = [
-            committed(f"T{index}", f"C{class_index}", index)
-            for index, class_index in enumerate(class_of)
-        ]
-        graph = ConflictGraph()
-        graph.add_history(commits)
-        assert is_acyclic(graph)
+    def test_sites_ordering_a_conflicting_pair_differently_form_a_cycle(self):
+        first, second = committed("T1", "Cx", 0), committed("T2", "Cx", 1)
+        graph = all_pairs_conflict_graph([first, second], [second, first])
+        assert not is_acyclic(graph)
+        with pytest.raises(VerificationError, match="cyclic"):
+            topological_order(graph)
 
-
-KEYS = ("a", "b", "c", "d")
-key_sets = st.lists(st.sampled_from(KEYS), max_size=2, unique=True)
-
-
-@st.composite
-def multi_site_histories(draw):
-    """One to three sites' commit orders over the same few transactions.
-
-    Every site starts from the same order; a few random swaps and the odd
-    dropped commit per site make a good share of the draws non-serializable.
-    """
-    count = draw(st.integers(min_value=1, max_value=8))
-    base = [
-        committed(
-            f"T{index}",
-            f"C{draw(st.integers(min_value=0, max_value=3))}",
-            index,
-            writes=draw(key_sets),
-            reads=draw(key_sets),
-        )
-        for index in range(count)
-    ]
-    position = st.integers(min_value=0, max_value=count - 1)
-    sites = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        commits = list(base)
-        for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            first, second = draw(position), draw(position)
-            commits[first], commits[second] = commits[second], commits[first]
-        if draw(st.integers(min_value=0, max_value=5)) == 0:
-            del commits[draw(position)]
-        sites.append(commits)
-    return sites
-
-
-class TestReducedConflictGraph:
-    """``add_history`` keeps a reduction of the all-pairs graph, not the graph."""
-
-    @given(sites=multi_site_histories())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_same_reachability_and_verdict_as_the_all_pairs_oracle(self, sites):
-        reduced = ConflictGraph()
-        for commits in sites:
-            reduced.add_history(commits)
-        oracle = all_pairs_conflict_graph(*sites)
-
-        assert nodes(reduced) == nodes(oracle)
-        assert set(edges(reduced)) <= set(edges(oracle))
-        assert transitive_closure(reduced) == transitive_closure(oracle)
-        assert is_acyclic(reduced) == is_acyclic(oracle)
-
-        histories = {}
-        for number, commits in enumerate(sites):
-            histories[f"N{number}"] = history = SiteHistory(f"N{number}")
-            for commit in commits:
-                history.record_commit(commit)
-        report = check_one_copy_serializability(histories)
-        assert report.ok == one_copy_serializable(*sites)
-        assert report.conflict_edges == reduced.edge_count()
-
-    def test_edges_grow_with_commits_and_key_accesses_not_with_pairs(self):
-        count = 4000
-        commits = [
-            committed(
-                f"T{index:04d}",
-                f"C{index % 8}",
-                index,
-                writes=[f"k{index * 7 % 50}", f"k{(index * 13 + 1) % 50}"],
-            )
-            for index in range(count)
-        ]
-        graph = ConflictGraph()
-        graph.add_history(commits)
-        assert nodes(graph) == {commit.transaction_id for commit in commits}
-        # At most one class predecessor and one last writer per written key.
-        assert graph.edge_count() <= 3 * count
-        assert topological_order(graph) == [commit.transaction_id for commit in commits]
-
-    def test_keyless_history_is_one_chain_per_class(self):
-        count, classes = 200, 5
-        graph = ConflictGraph()
-        graph.add_history(
-            [committed(f"T{index}", f"C{index % classes}", index) for index in range(count)]
-        )
-        assert graph.edge_count() == count - classes
-        assert successors(graph, "T0") == {f"T{classes}"}
-
-    def test_read_and_write_of_one_key_orders_before_the_next_writer(self):
-        graph = ConflictGraph()
-        graph.add_history(
-            [
-                committed("T1", "Cx", 0, writes=["k"], reads=["k"]),
-                committed("T2", "Cy", 1, writes=["k"]),
-                committed("T3", "Cz", 2, reads=["k"]),
-            ]
-        )
-        assert edges(graph) == [("T1", "T2"), ("T2", "T3")]
+    def test_topological_order_keeps_isolated_nodes(self):
+        graph = {"T0": set(), "T1": {"T2"}, "T2": {"T3"}, "T3": set()}
+        assert topological_order(graph) == ["T0", "T1", "T2", "T3"]

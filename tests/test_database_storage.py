@@ -186,7 +186,7 @@ class TestColumnLayout:
             assert chain.visible_at(INF) == store.version_at(key, INF) == newest
             if newest is not None:
                 latest[key] = newest.value
-                assert store.read_latest(key) == newest.value
+                assert store.read_latest(key) == (newest.value, newest.created_index)
             for doubled in range(-4, 2 * top_index + 4):
                 at = doubled / 2
                 visible = reference.visible_at(at)
@@ -211,7 +211,7 @@ class TestMultiVersionStore:
 
     def test_load_and_read_latest(self):
         store = self.build_store()
-        assert store.read_latest("a") == 1
+        assert store.read_latest("a") == (1, MultiVersionStore.INITIAL_INDEX)
         assert store.exists("b")
         assert not store.exists("missing")
 
@@ -224,7 +224,7 @@ class TestMultiVersionStore:
         store = self.build_store()
         store.install("a", 10, created_index=0, created_by="T0")
         store.install("a", 20, created_index=3, created_by="T3")
-        assert store.read_latest("a") == 20
+        assert store.read_latest("a") == (20, 3)
         assert store.read_version("a", 0.5) == 10
         assert store.read_version("a", 2.9) == 10
         assert store.read_version("a", 3.5) == 20
@@ -239,28 +239,28 @@ class TestMultiVersionStore:
     def test_values_are_copied_on_read(self):
         store = MultiVersionStore()
         store.load("doc", {"items": [1, 2]})
-        value = store.read_latest("doc")
+        value, _ = store.read_latest("doc")
         value["items"].append(3)
-        assert store.read_latest("doc") == {"items": [1, 2]}
+        assert store.read_latest("doc")[0] == {"items": [1, 2]}
 
     def test_mutating_a_returned_list_or_dict_leaves_the_store_alone(self):
         store = MultiVersionStore()
         store.load("doc", {"tags": ["a"]})
         store.install("seq", [1, 2], created_index=0, created_by="T0")
-        document = store.read_latest("doc")
+        document, _ = store.read_latest("doc")
         document["tags"].append("b")
         document["new"] = 1
         sequence = store.read_version("seq", 0.5)
         sequence.append(3)
-        assert store.read_latest("doc") == {"tags": ["a"]}
-        assert store.read_latest("seq") == [1, 2]
+        assert store.read_latest("doc")[0] == {"tags": ["a"]}
+        assert store.read_latest("seq") == ([1, 2], 0)
         assert store.dump_latest() == {"doc": {"tags": ["a"]}, "seq": [1, 2]}
 
     @pytest.mark.parametrize("value", [7, 2**70, 1.5, "text", True, None])
     def test_scalars_come_back_unchanged(self, value):
         store = MultiVersionStore()
         store.load("k", value)
-        copied = store.read_latest("k")
+        copied, _ = store.read_latest("k")
         assert copied is value
         assert type(copied) is type(value)
 
@@ -276,7 +276,7 @@ class TestMultiVersionStore:
             store.install("k", index, created_index=index, created_by=f"T{index}")
         removed = store.prune(8)
         assert removed > 0
-        assert store.read_latest("k") == 9
+        assert store.read_latest("k") == (9, 9)
 
     def test_stats_track_reads_and_writes(self):
         store = self.build_store()
@@ -378,7 +378,7 @@ class TestSnapshotManager:
             manager.advance(index)
         removed = manager.garbage_collect()
         assert removed > 0
-        assert store.read_latest("x") == 19
+        assert store.read_latest("x") == (19, 19)
         # Recent snapshots still work.
         assert manager.snapshot(query_index=18.5).read("x") == 18
 

@@ -124,10 +124,10 @@ class TestTransactionStates:
         transaction = make_transaction()
         transaction.mark_opt_delivered(0.5)
         transaction.begin_execution(1.0)
-        transaction.read_set = {"x", "y"}
+        transaction.reads = {"x": -1, "y": 0}
         transaction.complete_execution(2.0, result=None)
         transaction.abort_for_reordering()
-        assert transaction.read_set == set()
+        assert transaction.reads == {}
         assert transaction.executed_at is None
         assert not transaction.is_executed
 
@@ -158,11 +158,28 @@ class TestTransactionContext:
         context.write("acct:1", 120)
         assert context.read("acct:1") == 120
 
-    def test_reads_record_read_set(self):
-        context = TransactionContext(self.build_store())
+    def test_reads_record_the_version_each_read_returned(self):
+        store = self.build_store()
+        store.install("acct:2", 60, created_index=4, created_by="T4")
+        context = TransactionContext(store)
         context.read("acct:1")
+        context.read("acct:2")
         context.read_or_default("missing", default=0)
-        assert context.read_set == {"acct:1", "missing"}
+        assert context.reads == {
+            "acct:1": MultiVersionStore.INITIAL_INDEX,
+            "acct:2": 4,
+            "missing": MultiVersionStore.INITIAL_INDEX,
+        }
+
+    def test_reads_of_own_writes_and_snapshots_record_no_version(self):
+        store = self.build_store()
+        context = TransactionContext(store)
+        context.write("acct:1", 120)
+        assert context.read("acct:1") == 120
+        assert context.reads == {}
+        snapshot = TransactionContext(store, snapshot_index=0.5, read_only=True)
+        assert snapshot.read("acct:2") == 50
+        assert snapshot.reads == {}
 
     def test_read_or_default(self):
         context = TransactionContext(self.build_store())
@@ -197,8 +214,8 @@ class TestTransactionContext:
         context = TransactionContext(store)
         context.write("acct:1", 0)
         context.increment("acct:2")
-        assert store.read_latest("acct:1") == 100
-        assert store.read_latest("acct:2") == 50
+        assert store.read_latest("acct:1")[0] == 100
+        assert store.read_latest("acct:2")[0] == 50
         assert store.version_count("acct:1") == store.version_count("acct:2") == 1
         assert TransactionContext(store).read("acct:1") == 100
 

@@ -1,5 +1,6 @@
 """Tests for metric collection and summary statistics."""
 
+import math
 from array import array
 
 import pytest
@@ -65,6 +66,12 @@ class TestStats:
         # n, not n - 1: the sample estimator would give sqrt(2) here.
         assert stddev([1.0, 3.0]) == pytest.approx(1.0)
 
+    def test_stddev_of_deviations_whose_square_overflows(self):
+        assert stddev([0.0, 2.68e154]) == pytest.approx(1.34e154)
+        assert stddev([-1e308, 1e308]) == pytest.approx(1e308)
+        # The sum itself overflows: the mean and the deviation are infinite.
+        assert stddev([1e308, 1e308, 2e154]) == math.inf
+
     def test_percentile_of_equal_subnormals_is_that_value(self):
         tiny = 5e-324
         assert percentile([tiny, tiny], 0.5) == tiny
@@ -104,12 +111,13 @@ class TestStats:
 
     @given(
         st.lists(
-            st.floats(min_value=-1e100, max_value=1e100, allow_subnormal=True),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
             min_size=1,
             max_size=60,
         )
     )
     @example([5e-324, 0.0, -5e-324, 5e-324])
+    @example([0.0, 2.68e154])
     @settings(max_examples=80, deadline=None)
     def test_summary_percentiles_equal_percentile(self, values):
         # summarize sorts once; each percentile sorts its own copy.

@@ -249,10 +249,6 @@ ALLOWLIST = {
         "test double of LatencyModel: wide per-receiver reordering for the "
         "transport property and the latency-model tests"
     ),
-    "repro.database.history:transactions_conflict": (
-        "building block of tests/oracles.py, the reference checker the "
-        "linear verifier is compared against"
-    ),
     "repro.harness.cells:failing_probe_cell": (
         "fault cell the SweepExecutor crash tests name by cell path; a "
         "worker process cannot import it from tests/"

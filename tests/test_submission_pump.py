@@ -105,17 +105,25 @@ def test_submissions_fire_at_the_planned_times_in_plan_order(workload):
     plan = apply(cluster)
     cluster.run_until_idle()
     operations = plan.operations
+    # A sharded cluster's sites by their position within their shard.
+    home_index = {} if cluster.router is None else {
+        site: position
+        for group in cluster.replica_groups().values()
+        for position, site in enumerate(group.site_ids())
+    }
     assert len(fired) == len(operations) == plan.update_count + plan.query_count
     for (at, args, kwargs), operation in zip(fired, operations):
         assert at == operation.scheduled_at
         *site, procedure, parameters = args
         assert site == ([operation.site_id] if site else [])
         assert procedure == operation.procedure_name
-        # A sharded update's record names its site index among its parameters,
-        # an open-loop record beside them.
+        # An open-loop record names its site index; a sharded update goes to
+        # its site's position within that site's shard.
         expected = dict(operation.parameters)
         if hasattr(operation, "site_index"):
             expected["site_index"] = operation.site_index
+        elif operation.site_id in home_index:
+            expected["site_index"] = home_index[operation.site_id]
         assert {**parameters, **kwargs} == expected
     assert [at for at, _, _ in fired] == list(plan.times) == sorted(plan.times)
 

@@ -1,7 +1,10 @@
 """Tests for the 1-copy-serializability and broadcast property checkers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.database import MultiVersionStore
 from repro.database.history import CommittedTransaction, SiteHistory
 from repro.errors import VerificationError
 from repro import ClusterConfig, ReplicatedDatabase
@@ -16,29 +19,52 @@ from repro.workloads import (
 from repro.verification.properties import check_broadcast_properties
 from repro.broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage
 
-from oracles import histories_conflict_equivalent
+from oracles import histories_conflict_equivalent, one_copy_serializable
+
+INITIAL = MultiVersionStore.INITIAL_INDEX
 
 
-def committed(txn_id, conflict_class, index, writes=()):
+def committed(txn_id, conflict_class, index, writes=(), reads=()):
     return CommittedTransaction(
         transaction_id=txn_id,
         conflict_class=conflict_class,
         global_index=index,
         committed_at=float(index),
         write_keys=tuple(writes),
+        read_keys=tuple(reads),
     )
 
 
-def history_from(site_id, commits):
-    history = SiteHistory(site_id)
+def local_versions(commits):
+    """Per commit, the version each of its reads returns when a site commits
+    ``commits`` in the order given: the last write of the key before it."""
+    last_write = {}
+    versions = []
     for commit in commits:
-        history.record_commit(commit)
+        versions.append([last_write.get(key, INITIAL) for key in commit.read_keys])
+        for key in commit.write_keys:
+            last_write[key] = commit.global_index
+    return versions
+
+
+def history_from(site_id, commits, read_versions=None):
+    """A site that committed ``commits`` in the order given; its reads return
+    ``read_versions`` (one list per commit), by default :func:`local_versions`."""
+    history = SiteHistory(site_id)
+    if read_versions is None:
+        read_versions = local_versions(commits)
+    for commit, versions in zip(commits, read_versions):
+        history.record_commit(commit, versions)
     return history
 
 
 class TestOneCopyChecker:
     def test_identical_histories_pass(self):
-        commits = [committed("T1", "Cx", 0), committed("T2", "Cx", 1), committed("T3", "Cy", 2)]
+        commits = [
+            committed("T1", "Cx", 0, writes=["x"], reads=["x"]),
+            committed("T2", "Cx", 1, writes=["x"], reads=["x"]),
+            committed("T3", "Cy", 2, reads=["x", "y"]),
+        ]
         histories = {
             "N1": history_from("N1", commits),
             "N2": history_from("N2", commits),
@@ -48,8 +74,7 @@ class TestOneCopyChecker:
         report.raise_if_violated()
         assert report.sites_checked == 2
         assert report.transactions_checked == 3
-        # T1 -> T2 in class Cx; T3 is alone in Cy.
-        assert report.conflict_edges == 1
+        assert list(histories["N1"].read_versions) == [INITIAL, 0, 1, INITIAL]
 
     def test_missing_transaction_detected(self):
         histories = {
@@ -57,19 +82,94 @@ class TestOneCopyChecker:
             "N2": history_from("N2", [committed("T1", "Cx", 0)]),
         }
         report = check_one_copy_serializability(histories)
-        assert not report.ok
-        assert any("missing" in violation for violation in report.violations)
+        assert report.violations == [
+            "site N2 is missing 1 transactions committed at N1 (e.g. ['T2'])"
+        ]
         with pytest.raises(VerificationError):
             report.raise_if_violated()
+
+    def test_extra_transaction_detected(self):
+        histories = {
+            "N1": history_from("N1", [committed("T1", "Cx", 0)]),
+            "N2": history_from("N2", [committed("T1", "Cx", 0), committed("T9", "Cy", 1)]),
+        }
+        assert check_one_copy_serializability(histories).violations == [
+            "site N2 committed 1 transactions unknown to N1 (e.g. ['T9'])"
+        ]
+
+    def test_index_disagreeing_between_sites_detected(self):
+        histories = {
+            "N1": history_from("N1", [committed("T1", "Cx", 0), committed("T2", "Cy", 1)]),
+            "N2": history_from("N2", [committed("T1", "Cx", 2), committed("T2", "Cy", 1)]),
+        }
+        assert check_one_copy_serializability(histories).violations == [
+            "T1 committed at index 0 at N1 but at index 2 at N2"
+        ]
 
     def test_divergent_class_order_detected(self):
         histories = {
             "N1": history_from("N1", [committed("T1", "Cx", 0), committed("T2", "Cx", 1)]),
             "N2": history_from("N2", [committed("T2", "Cx", 1), committed("T1", "Cx", 0)]),
         }
-        report = check_one_copy_serializability(histories)
-        assert not report.ok
-        assert any("commit order differs" in violation for violation in report.violations)
+        assert check_one_copy_serializability(histories).violations == [
+            "site N2 commits class Cx out of index order: T1 (index 0) after T2 (index 1)"
+        ]
+
+    def test_key_written_out_of_index_order_detected(self):
+        # Two classes write a key no class owns, in opposite orders at N2.
+        first = committed("T1", "Cx", 0, writes=["shared"])
+        second = committed("T2", "Cy", 1, writes=["shared"])
+        histories = {
+            "N1": history_from("N1", [first, second]),
+            "N2": history_from("N2", [second, first]),
+        }
+        assert check_one_copy_serializability(histories).violations == [
+            "site N2 writes 'shared' out of index order: T1 (index 0) after T2 (index 1)"
+        ]
+
+    def test_stale_read_detected(self):
+        # T2 read x as it was before T1's write: a lost update.
+        commits = [
+            committed("T1", "Cx", 0, writes=["x"], reads=["x"]),
+            committed("T2", "Cx", 1, writes=["x"], reads=["x"]),
+        ]
+        histories = {
+            "N1": history_from("N1", commits),
+            "N2": history_from("N2", commits, read_versions=[[INITIAL], [INITIAL]]),
+        }
+        assert check_one_copy_serializability(histories).violations == [
+            "site N2: T2 (index 1) read 'x' at version -1, but its last writer "
+            "before it is at index 0 (stale read)"
+        ]
+
+    def test_read_from_a_later_index_detected(self):
+        # T1 read the version T2 wrote after it in the definitive order.
+        commits = [
+            committed("T1", "Cx", 0, reads=["y"]),
+            committed("T2", "Cy", 1, writes=["y"]),
+        ]
+        histories = {
+            "N1": history_from("N1", commits),
+            "N2": history_from("N2", commits, read_versions=[[1], []]),
+        }
+        assert check_one_copy_serializability(histories).violations == [
+            "site N2: T1 (index 0) read 'y' at version 1, later than its last "
+            "writer before it at index -1"
+        ]
+
+    def test_two_transactions_at_one_index_detected(self):
+        commits = [committed("T1", "Cx", 4), committed("T2", "Cy", 4)]
+        histories = {"N1": history_from("N1", commits)}
+        assert check_one_copy_serializability(histories).violations == [
+            "site N1 commits T1 and T2 at the same index 4"
+        ]
+
+    def test_every_read_key_needs_its_version(self):
+        history = SiteHistory("N1")
+        history.record_commit(committed("T1", "Cx", 0, reads=["x", "y"]), [INITIAL])
+        assert check_one_copy_serializability({"N1": history}).violations == [
+            "site N1 recorded 1 read versions for 2 read keys"
+        ]
 
     def test_non_conflicting_reordering_across_sites_is_allowed(self):
         histories = {
@@ -82,7 +182,7 @@ class TestOneCopyChecker:
         histories = {
             "N1": history_from("N1", [committed("T2", "Cx", 1), committed("T1", "Cx", 0)]),
         }
-        report = check_one_copy_serializability(histories, definitive_order=["T1", "T2"])
+        report = check_one_copy_serializability(histories)
         assert not report.ok
 
     def test_empty_histories_pass(self):
@@ -95,6 +195,75 @@ class TestOneCopyChecker:
         assert histories_conflict_equivalent(first, same_conflicts)
         assert not histories_conflict_equivalent(first, flipped)
         assert not histories_conflict_equivalent(first, first[:2])
+
+
+#: Each class owns its keys; ``u1`` and ``u2`` belong to no class.
+OWNED_KEYS = {"Cx": ("x1", "x2"), "Cy": ("y1", "y2"), "Cz": ("z1",)}
+ALL_KEYS = ("u1", "u2") + tuple(key for keys in OWNED_KEYS.values() for key in keys)
+
+
+@st.composite
+def definitive_histories(draw):
+    """Transactions at indices 0..n-1 in the definitive order: each writes
+    up to two of its class's keys or the unowned ones (possibly none) and
+    reads up to two keys of any class."""
+    commits = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        conflict_class = draw(st.sampled_from(sorted(OWNED_KEYS)))
+        writable = OWNED_KEYS[conflict_class] + ("u1", "u2")
+        commits.append(
+            committed(
+                f"T{index}",
+                conflict_class,
+                index,
+                writes=sorted(draw(st.sets(st.sampled_from(writable), max_size=2))),
+                reads=sorted(draw(st.sets(st.sampled_from(ALL_KEYS), max_size=2))),
+            )
+        )
+    return commits
+
+
+@st.composite
+def replicated_histories(draw):
+    """One to three sites, each committing the definitive order with a few
+    random swaps and now and then a dropped commit; every read returns the
+    version that site's own order gives it, so a swap shows as a stale read
+    or a read from a later index."""
+    base = draw(definitive_histories())
+    position = st.integers(min_value=0, max_value=len(base) - 1)
+    sites = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        commits = list(base)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            first, second = draw(position), draw(position)
+            commits[first], commits[second] = commits[second], commits[first]
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            del commits[draw(position)]
+        sites.append(commits)
+    return sites
+
+
+class TestReplayAgainstTheDefinition:
+    @given(sites=replicated_histories())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_the_replay_rejects_whatever_the_all_pairs_definition_rejects(self, sites):
+        histories = {
+            f"N{number}": history_from(f"N{number}", commits)
+            for number, commits in enumerate(sites)
+        }
+        report = check_one_copy_serializability(histories)
+        if not one_copy_serializable(*sites):
+            assert not report.ok
+
+    @given(commits=definitive_histories(), site_count=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_the_replay_accepts_every_history_serial_in_index_order(self, commits, site_count):
+        histories = {
+            f"N{number}": history_from(f"N{number}", commits) for number in range(site_count)
+        }
+        report = check_one_copy_serializability(histories)
+        assert report.ok, report.violations
+        assert one_copy_serializable(*[commits] * site_count)
 
 
 class FakeEndpoint(AtomicBroadcastEndpoint):
@@ -169,7 +338,7 @@ class TestBroadcastPropertyChecker:
 
 
 class TestCheckClusterOnFlatRuns:
-    """A flat cluster is the one-group case: Lemma 4.1 is checked there too."""
+    """A flat cluster is the one-group case of ``check_cluster``."""
 
     def run_flat_cluster(self):
         spec = WorkloadSpec(class_count=2, updates_per_site=8)
@@ -191,28 +360,36 @@ class TestCheckClusterOnFlatRuns:
         assert report.queries.queries_checked == 0
 
     def test_commit_order_contradicting_the_definitive_order_is_caught(self):
-        """Regression: flat runs were verified without ``definitive_order=``.
-
-        Swap the same two same-class transactions in *every* site's history:
-        the sites still agree with each other and the conflict graph stays
-        acyclic, so only the comparison against the coordinator's
-        TO-delivery log (Lemma 4.1) can notice.
-        """
+        """Swap the same two same-class transactions in *every* site's
+        history: the sites still agree with each other, and a conflict graph
+        over their commit orders stays acyclic, but each site now commits the
+        class against the definitive order (Lemma 4.1)."""
         cluster = self.run_flat_cluster()
         histories = cluster.histories()
-        victim_class, order = sorted(histories["N1"].commit_orders_by_class().items())[0]
-        first, second = order[:2]
+        commits = histories["N1"].committed_transactions()
+        victim_class = commits[0].conflict_class
+        first, second = [c.transaction_id for c in commits if c.conflict_class == victim_class][:2]
         for history in histories.values():
             ids = history.transaction_ids()
             i, j = ids.index(first), ids.index(second)
             history._commits[i], history._commits[j] = history._commits[j], history._commits[i]
-        assert check_one_copy_serializability(histories).ok  # what flat runs used to check
+        assert not check_one_copy_serializability(histories).ok
         report = check_cluster(cluster)
         assert not report.ok
         assert any(
-            f"class {victim_class}: commit order does not follow the definitive total order"
-            in violation
+            f"commits class {victim_class} out of index order: {first}" in violation
             for violation in report.violations
         )
         with pytest.raises(VerificationError):
             report.raise_if_violated()
+
+    def test_every_read_of_a_run_is_recorded_with_the_version_it_returned(self):
+        """The replay's evidence: one version per read key, in commit order."""
+        cluster = self.run_flat_cluster()
+        for history in cluster.histories().values():
+            commits = history.committed_transactions()
+            read_keys = sum(len(commit.read_keys) for commit in commits)
+            assert read_keys >= len(commits) > 0
+            assert len(history.read_versions) == read_keys
+            # Later commits read what earlier ones wrote.
+            assert max(history.read_versions) >= 0

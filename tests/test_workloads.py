@@ -182,7 +182,7 @@ class TestGeneratedProcedures:
         [key] = second.workspace
         assert key == partition_key(1, 2)
         assert any(written is key for written in first.workspace)
-        assert any(read is key for read in scan.read_set)
+        assert any(read is key for read in scan.reads)
 
     @pytest.mark.parametrize(
         "params",
