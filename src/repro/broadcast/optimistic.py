@@ -178,10 +178,14 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         #: The next tentative (receipt) position; a received record keeps
         #: its own in ``BroadcastMessage.local_position``.
         self._next_local_position = 0
-        self._positions: Dict[int, MessageId] = {}
+        #: The definitive order: the message at each position, ``None``
+        #: where no confirmation arrived yet.
+        self._positions: List[Optional[MessageId]] = []
         #: Messages this endpoint ordered or saw ordered, kept only once it
-        #: coordinates: until then it would equal ``set(_positions.values())``,
-        #: from which ``_coordinator_handle`` seeds it.
+        #: coordinates: until then it would equal the ids in ``_positions``,
+        #: from which ``_coordinator_handle`` seeds it.  A flag on the message
+        #: record could not replace it: a confirmation can arrive before the
+        #: data, when there is no record to flag yet.
         self._ordered_messages: Optional[Set[MessageId]] = None
         self._next_position_to_assign = 0
         self._next_position_to_deliver = 0
@@ -322,7 +326,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             for record in self._copy_donor_order(donor, committed_through):
                 self._receive_locally(record)
             if self._ordered_messages is not None:
-                self._ordered_messages.update(self._positions.values())
+                self._ordered_messages.update(self._ordered_ids())
         # A recovered site promoted straight back into the coordinator role
         # (whole-group outage) must order whatever it just copied.
         self._order_unconfirmed()
@@ -341,9 +345,14 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         """
         fresh: List[BroadcastMessage] = []
         donor_position_of: Dict[MessageId, int] = {}
-        for position, message_id in donor._positions.items():
+        positions = self._positions
+        positions.extend([None] * (len(donor._positions) - len(positions)))
+        for position, message_id in enumerate(donor._positions):
+            if message_id is None:
+                continue
             donor_position_of[message_id] = position
-            self._positions.setdefault(position, message_id)
+            if positions[position] is None:
+                positions[position] = message_id
             if position <= committed_through:
                 self.transfer_covered.add(message_id)
         for message_id, donor_record in donor._messages.items():
@@ -412,7 +421,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     def _coordinator_handle(self, message_id: MessageId) -> None:
         ordered = self._ordered_messages
         if ordered is None:
-            ordered = self._ordered_messages = set(self._positions.values())
+            ordered = self._ordered_messages = set(self._ordered_ids())
         if message_id in ordered or message_id in self._pending_confirmations:
             return
         position = self._next_position_to_assign
@@ -499,15 +508,23 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             return True
         if not isinstance(content, OptimisticOrder):
             return False
-        if content.position in self._positions:
+        positions, position = self._positions, content.position
+        missing = position + 1 - len(positions)
+        if missing > 0:
+            positions.extend([None] * missing)
+        elif positions[position] is not None:
             return True
-        self._positions[content.position] = content.message_id
+        positions[position] = content.message_id
         if self._ordered_messages is not None:
             self._ordered_messages.add(content.message_id)
-        if content.position >= self._next_position_to_assign:
-            self._next_position_to_assign = content.position + 1
+        if position >= self._next_position_to_assign:
+            self._next_position_to_assign = position + 1
         self._try_to_deliver()
         return True
+
+    def _ordered_ids(self) -> List[MessageId]:
+        """The message ids in ``_positions``."""
+        return [message_id for message_id in self._positions if message_id is not None]
 
     def _on_fill(self, fill: OptimisticFill) -> None:
         """Apply a coordinator gap fill: the position becomes a no-op."""
@@ -525,7 +542,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 self._deliver_noop(position)
                 self._next_position_to_deliver += 1
                 continue
-            message_id = self._positions.get(position)
+            positions = self._positions
+            message_id = positions[position] if position < len(positions) else None
             if message_id is None:
                 return
             if message_id in self.transfer_covered:

@@ -211,7 +211,7 @@ class ReplicatedDatabase:
     def _position_uncommitted_everywhere(self, position: int) -> bool:
         """Whether no replica's durable history records ``position``."""
         return not any(
-            position in replica.history.global_indices()
+            position in replica.history.indices
             for replica in self.replicas.values()
         )
 

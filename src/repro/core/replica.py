@@ -219,7 +219,8 @@ class ReplicaManager:
     ) -> QueryExecution:
         """Execute a read-only query locally over a consistent snapshot (Section 5)."""
         self._ensure_open()
-        parameters = dict(parameters or {})
+        # The query runs on this call's stack and keeps no parameters: no copy.
+        parameters = parameters or {}
         procedure = self.registry.get(procedure_name)
         if not procedure.is_query:
             raise ReplicationError(
@@ -333,7 +334,7 @@ class ReplicaManager:
             )
         now = self.kernel.now()
         workspace = transaction.workspace
-        write_keys = tuple(sorted(workspace))
+        write_keys = sorted(workspace)
         for key in write_keys:
             owning_class = self.conflict_map.class_of_key(key)
             if owning_class is not None and owning_class != transaction.conflict_class:
@@ -359,20 +360,15 @@ class ReplicaManager:
                 ) from error
         self.snapshot_manager.advance(transaction.global_index)
         reads = transaction.reads
-        read_keys = tuple(sorted(reads))
-        if read_keys == write_keys:
-            # A read-modify-write of its own keys: one tuple serves both.
-            read_keys = write_keys
-        self.history.record_commit(
-            CommittedTransaction(
-                transaction_id=transaction.transaction_id,
-                conflict_class=transaction.conflict_class,
-                global_index=transaction.global_index,
-                committed_at=now,
-                write_keys=write_keys,
-                read_keys=read_keys,
-                message_id=self._message_ids.pop(transaction.transaction_id, None),
-            ),
+        read_keys = sorted(reads)
+        self.history.append(
+            transaction.transaction_id,
+            transaction.conflict_class,
+            transaction.global_index,
+            now,
+            write_keys,
+            read_keys,
+            self._message_ids.pop(transaction.transaction_id, None),
             map(reads.__getitem__, read_keys),
         )
         self.metrics.counts["commits"] += 1

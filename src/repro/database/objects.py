@@ -12,6 +12,7 @@ with index ``<= i``.
 from __future__ import annotations
 
 import copy
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -42,9 +43,10 @@ class VersionChain:
     """All committed versions of one object, ordered by creation index.
 
     The versions are four parallel columns, one entry per version: creation
-    index, value, creating transaction and commit time.  Reads bisect the
-    index column and copy the value; only the accessors that return an
-    :class:`ObjectVersion` build one.
+    index, value, creating transaction and commit time (doubles).  Reads
+    bisect the index column and copy the value; only the accessors that
+    return an :class:`ObjectVersion` build one.  The index column stays a
+    list: a bisect over an array would box an int on every probe.
     """
 
     __slots__ = ("key", "_created_indices", "_values", "_writers", "_commit_times")
@@ -55,7 +57,7 @@ class VersionChain:
         self._created_indices: List[int] = []
         self._values: List[ObjectValue] = []
         self._writers: List[TransactionId] = []
-        self._commit_times: List[float] = []
+        self._commit_times = array("d")
 
     def _record(self, position: int) -> ObjectVersion:
         return ObjectVersion(

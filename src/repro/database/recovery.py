@@ -26,10 +26,10 @@ what a site can donate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import DatabaseError
-from ..types import ObjectKey
+from ..types import ObjectKey, TransactionId
 from .history import CommittedTransaction, SiteHistory
 from .objects import ObjectVersion
 from .storage import MultiVersionStore
@@ -57,39 +57,40 @@ class RedoLog:
         """
         records = []
         for committed in self._history.commits_in_index_range(index, up_to):
+            transaction_id, created_index = committed.transaction_id, committed.global_index
             versions = []
             for key in committed.write_keys:
-                version = self.version_of(committed, key)
-                if version is None:
+                if not self._holds(transaction_id, created_index, key):
                     raise DatabaseError(
-                        f"no version of {key!r} created by {committed.transaction_id} "
-                        f"at index {committed.global_index}: the store cannot donate it"
+                        f"no version of {key!r} created by {transaction_id} "
+                        f"at index {created_index}: the store cannot donate it"
                     )
-                versions.append(version)
+                versions.append(self._store.version_at(key, created_index))
             records.append((committed, versions))
         return records
 
-    def holds(self, committed: CommittedTransaction, key: ObjectKey) -> bool:
-        """Whether the store holds the version of ``key`` that ``committed``
-        created: the one visible at its index, if ``committed`` created it.
+    def _holds(self, transaction_id: TransactionId, created_index: int, key: ObjectKey) -> bool:
+        """Whether the store holds the version of ``key`` that
+        ``transaction_id`` created at ``created_index``: the one visible at
+        that index, if ``transaction_id`` created it.
 
         Asks the chain for the writer at that index, building no record.
         """
-        writer = self._store.writer_at(key, committed.global_index)
-        return writer == committed.transaction_id
+        return self._store.writer_at(key, created_index) == transaction_id
 
-    def version_of(
-        self, committed: CommittedTransaction, key: ObjectKey
-    ) -> Optional[ObjectVersion]:
-        """The version of ``key`` that ``committed`` created (``None`` when
-        the store no longer holds it; see :meth:`holds`)."""
-        if not self.holds(committed, key):
-            return None
-        return self._store.version_at(key, committed.global_index)
+    def missing_versions(self) -> List[Tuple[TransactionId, ObjectKey, int]]:
+        """``(transaction, key, index)`` of every committed write whose
+        version the store no longer holds, read from the history's columns."""
+        history = self._history
+        return [
+            (transaction_id, key, created_index)
+            for transaction_id, created_index, (write_keys, _) in zip(
+                history.ids, history.indices, map(history.key_row, range(len(history)))
+            )
+            for key in write_keys
+            if not self._holds(transaction_id, created_index, key)
+        ]
 
     def __len__(self) -> int:
         """The number of committed writes recorded (not commits)."""
-        return sum(
-            len(committed.write_keys)
-            for committed in self._history.committed_transactions()
-        )
+        return self._history.write_count()

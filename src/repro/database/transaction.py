@@ -171,7 +171,11 @@ class Transaction:
         self.delivery_state = DeliveryState.COMMITTABLE
 
     def begin_execution(self, at_time: float) -> None:
-        """Record the start of an execution attempt (S4, CC12, E3/CC4)."""
+        """Record the start of an execution attempt (S4, CC12, E3/CC4).
+
+        The execution engine then installs the attempt's own workspace and
+        reads (those of its ``TransactionContext``).
+        """
         if self.is_committed:
             raise TransactionError(f"cannot execute committed {self.transaction_id}")
         if self.executing:
@@ -179,8 +183,6 @@ class Transaction:
         self.executing = True
         self.execution_state = ExecutionState.ACTIVE
         self.execution_attempts += 1
-        self.workspace = {}
-        self.reads = {}
         if self.first_execution_started_at is None:
             self.first_execution_started_at = at_time
         self.last_execution_started_at = at_time

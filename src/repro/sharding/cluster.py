@@ -183,7 +183,8 @@ class ShardedCluster:
         every other shard keeps admitting (per-shard backpressure).
         Returns the transaction id when admitted, ``None`` when shed.
         """
-        parameters = dict(parameters or {})
+        # The replica copies the dict it keeps; nothing before it mutates it.
+        parameters = parameters or {}
         _, shard_id = self.router.owner_of_update(procedure_name, parameters)
         return self.shard(shard_id).offer_update(
             procedure_name, parameters, site_index=site_index

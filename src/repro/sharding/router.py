@@ -92,19 +92,17 @@ class ShardSubQuery:
     because its shard has no live replica).
     """
 
-    __slots__ = ("shard_id", "site_id", "classes", "parameters", "execution")
+    __slots__ = ("shard_id", "site_id", "parameters", "execution")
 
     def __init__(
         self,
         shard_id: ShardId,
         site_id: SiteId,
-        classes: List[ConflictClassId],
         parameters: Dict[str, Any],
         execution: Optional[QueryExecution],
     ) -> None:
         self.shard_id = shard_id
         self.site_id = site_id
-        self.classes = classes
         self.parameters = parameters
         self.execution = execution
 
@@ -235,7 +233,8 @@ class TransactionRouter:
         submission is deferred and retried until a replica recovers —
         ``None`` is returned for a deferred submission.
         """
-        parameters = dict(parameters or {})
+        # The replica copies the dict it keeps; nothing before it mutates it.
+        parameters = parameters or {}
         conflict_class, shard_id = self.owner_of_update(procedure_name, parameters)
         site_id = self._pick_site(shard_id, site_index)
         if site_id is None:
@@ -284,7 +283,7 @@ class TransactionRouter:
         last sub-query finishes.  A query touching a single shard degenerates
         to one local snapshot query with no merge overhead beyond a callback.
         """
-        parameters = dict(parameters or {})
+        parameters = parameters or {}
         procedure = self.registry.get(procedure_name)
         if not procedure.is_query:
             raise ShardingError(
@@ -317,14 +316,12 @@ class TransactionRouter:
 
         for shard_id in sorted(by_shard):
             shard_classes = by_shard[shard_id]
-            sub_parameters = partitioned_subquery_parameters(
-                procedure_name, parameters, shard_classes
-            )
             entry = ShardSubQuery(
                 shard_id=shard_id,
                 site_id="",
-                classes=list(shard_classes),
-                parameters=dict(sub_parameters),
+                parameters=partitioned_subquery_parameters(
+                    procedure_name, parameters, shard_classes
+                ),
                 execution=None,
             )
             sharded.subqueries.append(entry)

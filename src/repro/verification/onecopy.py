@@ -23,9 +23,10 @@ rule 4 gives every site its reads-from relation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from array import array
+from typing import Dict, List
 
-from ..database.history import CommittedTransaction, SiteHistory
+from ..database.history import SiteHistory
 from ..database.storage import MultiVersionStore
 from ..errors import VerificationError
 from ..types import ConflictClassId, ObjectKey, SiteId, TransactionId
@@ -34,13 +35,11 @@ from ..types import ConflictClassId, ObjectKey, SiteId, TransactionId
 class OneCopyReport:
     """Result of a 1-copy-serializability check."""
 
-    __slots__ = ("ok", "violations", "sites_checked", "transactions_checked")
+    __slots__ = ("ok", "violations")
 
-    def __init__(self, ok: bool, sites_checked: int = 0) -> None:
+    def __init__(self, ok: bool) -> None:
         self.ok = ok
         self.violations: List[str] = []
-        self.sites_checked = sites_checked
-        self.transactions_checked = 0
 
     def _violate(self, violation: str) -> None:
         self.ok = False
@@ -55,17 +54,16 @@ class OneCopyReport:
 
 
 def check_one_copy_serializability(histories: Dict[SiteId, SiteHistory]) -> OneCopyReport:
-    """Check 1-copy-serializability of the per-site histories."""
-    report = OneCopyReport(ok=True, sites_checked=len(histories))
+    """Check 1-copy-serializability of the per-site histories.
+
+    The replay reads the histories' columns and builds no record per commit.
+    """
+    report = OneCopyReport(ok=True)
     if not histories:
         return report
     site_ids = sorted(histories)
     reference_site = site_ids[0]
-    index_of = {
-        commit.transaction_id: commit.global_index
-        for commit in histories[reference_site].committed_transactions()
-    }
-    report.transactions_checked = len(index_of)
+    index_of = histories[reference_site].index_of
     for site_id in site_ids:
         _replay_site(report, site_id, histories[site_id], reference_site, index_of)
     return report
@@ -80,16 +78,17 @@ def _replay_site(
 ) -> None:
     """Check one site's history against rules 1-4 of the module docstring."""
     # Local commit order: the reference site's transactions at its indices,
-    # classes and key writes in increasing index.  Each commit's reads start
-    # at ``offset`` in the site's read-version column.
-    commits = history.committed_transactions()
+    # classes and key writes in increasing index.  Row ``r``'s reads start at
+    # ``read_starts[r]`` in the site's read-version column.
+    ids, classes, indices = history.ids, history.classes, history.indices
     extra: List[TransactionId] = []
-    last_of_class: Dict[ConflictClassId, CommittedTransaction] = {}
-    last_write: Dict[ObjectKey, CommittedTransaction] = {}
-    in_index_order: List[Tuple[int, int, CommittedTransaction]] = []
+    last_of_class: Dict[ConflictClassId, int] = {}
+    last_write: Dict[ObjectKey, int] = {}
+    read_starts = array("q")
     offset = 0
-    for commit in commits:
-        transaction_id, index = commit.transaction_id, commit.global_index
+    key_rows = map(history.key_row, range(len(ids)))
+    rows = enumerate(zip(ids, classes, indices, key_rows))
+    for row, (transaction_id, conflict_class, index, (write_keys, read_keys)) in rows:
         expected = index_of.get(transaction_id)
         if expected is None:
             extra.append(transaction_id)
@@ -98,32 +97,32 @@ def _replay_site(
                 f"{transaction_id} committed at index {expected} at {reference_site} "
                 f"but at index {index} at {site_id}"
             )
-        previous = last_of_class.get(commit.conflict_class)
-        if previous is not None and previous.global_index >= index:
+        previous = last_of_class.get(conflict_class)
+        if previous is not None and indices[previous] >= index:
             report._violate(
-                f"site {site_id} commits class {commit.conflict_class} out of index "
+                f"site {site_id} commits class {conflict_class} out of index "
                 f"order: {transaction_id} (index {index}) after "
-                f"{previous.transaction_id} (index {previous.global_index})"
+                f"{ids[previous]} (index {indices[previous]})"
             )
-        last_of_class[commit.conflict_class] = commit
-        for key in commit.write_keys:
+        last_of_class[conflict_class] = row
+        for key in write_keys:
             previous = last_write.get(key)
-            if previous is not None and previous.global_index >= index:
+            if previous is not None and indices[previous] >= index:
                 report._violate(
                     f"site {site_id} writes {key!r} out of index order: "
                     f"{transaction_id} (index {index}) after "
-                    f"{previous.transaction_id} (index {previous.global_index})"
+                    f"{ids[previous]} (index {indices[previous]})"
                 )
-            last_write[key] = commit
-        in_index_order.append((index, offset, commit))
-        offset += len(commit.read_keys)
+            last_write[key] = row
+        read_starts.append(offset)
+        offset += len(read_keys)
     if extra:
         report._violate(
             f"site {site_id} committed {len(extra)} transactions unknown to "
             f"{reference_site} (e.g. {sorted(extra)[:3]})"
         )
-    if len(commits) - len(extra) != len(index_of):
-        missing = sorted(set(index_of) - set(history.transaction_ids()))
+    if len(ids) - len(extra) != len(index_of):
+        missing = sorted(set(index_of) - set(ids))
         report._violate(
             f"site {site_id} is missing {len(missing)} transactions committed at "
             f"{reference_site} (e.g. {missing[:3]})"
@@ -137,31 +136,31 @@ def _replay_site(
         return
 
     # The definitive order: every read returns the last write before it.
-    in_index_order.sort()
     last_writer: Dict[ObjectKey, int] = {}
-    previous_index = previous_id = None
-    for index, offset, commit in in_index_order:
-        transaction_id = commit.transaction_id
+    previous_index = previous_row = None
+    for row in sorted(range(len(ids)), key=indices.__getitem__):
+        index = indices[row]
         if index == previous_index:
             report._violate(
-                f"site {site_id} commits {previous_id} and {transaction_id} at "
+                f"site {site_id} commits {ids[previous_row]} and {ids[row]} at "
                 f"the same index {index}"
             )
-        previous_index, previous_id = index, transaction_id
-        for position, key in enumerate(commit.read_keys, offset):
+        previous_index, previous_row = index, row
+        write_keys, read_keys = history.key_row(row)
+        for position, key in enumerate(read_keys, read_starts[row]):
             seen = versions[position]
             last = last_writer.get(key, MultiVersionStore.INITIAL_INDEX)
             if seen < last:
                 report._violate(
-                    f"site {site_id}: {transaction_id} (index {index}) read {key!r} "
+                    f"site {site_id}: {ids[row]} (index {index}) read {key!r} "
                     f"at version {seen}, but its last writer before it is at index "
                     f"{last} (stale read)"
                 )
             elif seen > last:
                 report._violate(
-                    f"site {site_id}: {transaction_id} (index {index}) read {key!r} "
+                    f"site {site_id}: {ids[row]} (index {index}) read {key!r} "
                     f"at version {seen}, later than its last writer before it at "
                     f"index {last}"
                 )
-        for key in commit.write_keys:
+        for key in write_keys:
             last_writer[key] = index

@@ -93,12 +93,7 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
                 f"({replica.commit_frontier}) lags {reference_site} "
                 f"({reference.commit_frontier})"
             )
-        missing = [
-            (committed.transaction_id, key, committed.global_index)
-            for committed in replica.history.committed_transactions()
-            for key in committed.write_keys
-            if not replica.redo_log.holds(committed, key)
-        ]
+        missing = replica.redo_log.missing_versions()
         if missing:
             report._violate(
                 f"{label}: store of {site_id} lacks {len(missing)} committed "

