@@ -2,15 +2,16 @@
 
 Every claim this reproduction makes — same-seed chaos reproducibility,
 batching-oblivious crash semantics, trace-signature equality, suspicion-only
-failover — rests on invariants that used to be enforced only by convention:
-randomness flows through :class:`repro.simulation.randomness.RandomStream`,
-no wall clock reaches simulation logic, tracer calls stay behind
-``tracer is not None`` guards, and a site never reads a peer's volatile
+failover — rests on invariants.  Most of them a run checks by itself: an
+unseeded draw, a wall-clock read or an unguarded tracer call fails tier-1
+(the planted defects of ``tools/mutants.py`` show it).  Three it does not:
+iteration over a ``set`` that the hash seed happens to order the same way,
+allocation in the kernel's hot loops, and a site reading a peer's volatile
 state except through the transport or the declared recovery donor path.
 
-This package machine-checks those conventions.  It is a small, dependency-free
-AST lint engine (:mod:`.engine`) with a rule pack (:mod:`.rules`) encoding the
-codebase's load-bearing invariants.  The CLI lives in ``tools/lint.py``::
+This package machine-checks those three.  It is a small, dependency-free AST
+lint engine (:mod:`.engine`) with one rule each (:mod:`.rules`).  The CLI
+lives in ``tools/lint.py``::
 
     python -m tools.lint src/repro
 

@@ -146,10 +146,6 @@ class SiteHistory:
             self.message_ids[row],
         )
 
-    def committed_transactions(self) -> List[CommittedTransaction]:
-        """Return all committed transactions in local commit order."""
-        return [self._record(row) for row in range(len(self.ids))]
-
     def transaction_ids(self) -> List[TransactionId]:
         """Return committed transaction ids in local commit order."""
         return list(self.ids)

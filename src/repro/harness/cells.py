@@ -546,8 +546,8 @@ def chaos_cell(spec: RunSpec) -> Row:
 def seed_probe_cell(spec: RunSpec) -> Row:
     """Echo the spec's identity plus a draw from its derived seed.
 
-    The draw goes through the seeded-randomness boundary
-    (:class:`~repro.simulation.randomness.RandomSource`), so two processes —
+    The draw comes from the spec's seed through
+    :class:`~repro.simulation.randomness.RandomSource`, so two processes —
     or two ``PYTHONHASHSEED`` universes — executing the same spec must
     produce identical rows.
     """

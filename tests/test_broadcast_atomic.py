@@ -191,6 +191,21 @@ class TestOptimisticAtomicBroadcast:
             for message_id in more:
                 assert message_id in endpoint.to_delivery_log
 
+    def test_a_message_covered_by_state_transfer_is_stepped_over(self):
+        # A live site caught up from a recovered peer (on_recover's last
+        # step) can learn of a commit before the message's data reaches it.
+        # The data then arrives as a stale copy that is never Opt-delivered,
+        # so delivery must step over the position, not wait for it.
+        kernel, transport, endpoints = build_group("optimistic", site_count=3)
+        covered = endpoints["N1"].broadcast({"n": 0})
+        endpoints["N3"].note_transfer_covered(covered)
+        kernel.run(until=0.5)
+        later = endpoints["N1"].broadcast({"n": 1})
+        kernel.run(until=1.0)
+        assert endpoints["N2"].to_delivery_log == [covered, later]
+        assert endpoints["N3"].opt_delivery_log == [later]
+        assert endpoints["N3"].to_delivery_log == [later]
+
 
 class TestVotingMode:
     def test_voting_mode_reaches_same_definitive_order(self):

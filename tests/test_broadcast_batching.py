@@ -18,6 +18,8 @@ from repro.errors import BroadcastError
 from repro.failure import CrashSchedule
 from repro.verification import check_broadcast_properties, check_one_copy_serializability
 
+from oracles import committed_transactions
+
 
 def build_registry():
     registry = ProcedureRegistry()
@@ -66,7 +68,7 @@ def commit_fingerprint(cluster, site):
     return [
         requests[committed.transaction_id]
         for committed in sorted(
-            history.committed_transactions(), key=lambda c: c.global_index
+            committed_transactions(history), key=lambda c: c.global_index
         )
     ]
 

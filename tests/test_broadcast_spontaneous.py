@@ -131,14 +131,19 @@ class TestTentativeVsDefinitiveMismatch:
         value = tentative_vs_definitive_mismatch(["a", "x", "b"], ["a", "b", "y"])
         assert value == 0.0
 
+    def test_a_repeated_id_counts_at_its_last_place(self):
+        # A recovered site Opt-delivers "a" again: its last tentative place
+        # (2) is not its definitive one (0), while "b" stays at 1.
+        assert tentative_vs_definitive_mismatch(["a", "b", "a"], ["a", "b"]) == 0.5
+
     def test_long_permuted_orders_match_a_dict_based_reference(self):
         # Long enough that a per-element rescan of either sequence would
         # show up as seconds; some ids appear on one side only.
         shuffler = RandomSource(7).stream("permutation")
         tentative = [f"m{index}" for index in range(5000)] + ["only-tentative"]
         definitive = [f"m{index}" for index in range(5000)] + ["only-definitive"]
-        shuffler.shuffle(tentative)
-        shuffler.shuffle(definitive)
+        shuffler._rng.shuffle(tentative)
+        shuffler._rng.shuffle(definitive)
 
         tentative_rank = {mid: rank for rank, mid in enumerate(tentative)}
         common = [mid for mid in definitive if mid in tentative_rank]

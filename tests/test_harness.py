@@ -10,7 +10,6 @@ import repro.harness
 import repro.harness.cells
 import repro.harness.profiling
 import repro.harness.runner
-import repro.observability.wallclock
 from repro.harness import (
     ExperimentResult,
     ascii_plot,
@@ -223,7 +222,7 @@ class TestProfiling:
     def test_floor_reads_the_one_wall_clock(self, monkeypatch):
         reads = iter(range(1_000))
         monkeypatch.setattr(
-            repro.observability.wallclock, "WALL_CLOCK", lambda: float(next(reads))
+            repro.harness.profiling, "perf_counter", lambda: float(next(reads))
         )
         profile = profile_event_loop(500)
         assert profile.events == 500

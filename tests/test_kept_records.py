@@ -64,7 +64,7 @@ from repro.workloads import (
 from repro.workloads.arrivals import OpenLoopPlan, OpenLoopSpec, PoissonArrivals
 from repro.workloads.generator import WorkloadPlan
 
-from oracles import chain_versions
+from oracles import chain_versions, committed_transactions
 
 REQUEST = TransactionRequest(
     transaction_id="T:N1:1",
@@ -238,10 +238,10 @@ def test_a_site_history_keeps_columns_and_no_commit_records():
     assert len(history._keys) == 800
 
 
-#: sha256 over every site's ``committed_transactions()`` after a flat run of
-#: 100 updates a site, as the history kept them when it held one record per
-#: commit: the records rebuilt from the columns have the same fields in the
-#: same order.
+#: sha256 over every site's commit records (``oracles.committed_transactions``)
+#: after a flat run of 100 updates a site, as the history kept them when it
+#: held one record per commit: the records rebuilt from the columns have the
+#: same fields in the same order.
 RECORD_DIGESTS = {
     11: "e5d636e917791a8e6b06d2c094d616bb0e46fcf798644efef544d40cba89c849",
     12: "e6425fe4f49d22a9218a5be6d805fd8d20099f5ca2816eb8236a2b06a4f7dc02",
@@ -253,7 +253,7 @@ def test_records_rebuilt_from_the_columns_equal_the_kept_records(seed):
     cluster = flat_run(100, seed)
     digest = hashlib.sha256()
     for _, history in sorted(cluster.histories().items()):
-        records = history.committed_transactions()
+        records = committed_transactions(history)
         for record in records:
             digest.update(repr(tuple(record)).encode())
             assert history.get(record.transaction_id) == record

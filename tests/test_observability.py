@@ -13,7 +13,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -352,19 +351,6 @@ def test_exports_resolve_and_omit_the_results_store():
     }
     assert removed.isdisjoint(repro.observability.__all__)
     assert not any(hasattr(repro.observability, name) for name in removed)
-
-
-class TestWallClockBoundary:
-    def test_boundary_reads_the_monotonic_counter(self):
-        from repro.observability import wallclock
-
-        assert wallclock.WALL_CLOCK is time.perf_counter
-
-    def test_successive_reads_never_decrease(self):
-        from repro.observability.wallclock import wall_clock
-
-        reads = [wall_clock() for _ in range(1_000)]
-        assert reads == sorted(reads)
 
 
 def test_importing_repro_loads_neither_sqlite3_nor_subprocess():

@@ -122,13 +122,6 @@ class TestDistributions:
         sample = stream.sample(range(10), 4)
         assert len(sample) == len(set(sample)) == 4
 
-    def test_shuffle_preserves_elements(self):
-        stream = RandomSource(1).stream("sh")
-        items = list(range(20))
-        shuffled = list(items)
-        stream.shuffle(shuffled)
-        assert sorted(shuffled) == items
-
 
 class TestZipf:
     def test_zero_skew_is_roughly_uniform(self):

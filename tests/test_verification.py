@@ -19,7 +19,11 @@ from repro.workloads import (
 from repro.verification.properties import check_broadcast_properties
 from repro.broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage
 
-from oracles import histories_conflict_equivalent, one_copy_serializable
+from oracles import (
+    committed_transactions,
+    histories_conflict_equivalent,
+    one_copy_serializable,
+)
 
 INITIAL = MultiVersionStore.INITIAL_INDEX
 
@@ -372,7 +376,7 @@ class TestCheckClusterOnFlatRuns:
         class against the definitive order (Lemma 4.1)."""
         cluster = self.run_flat_cluster()
         histories = cluster.histories()
-        commits = histories["N1"].committed_transactions()
+        commits = committed_transactions(histories["N1"])
         victim_class = commits[0].conflict_class
         first, second = [c.transaction_id for c in commits if c.conflict_class == victim_class][:2]
         for history in histories.values():
@@ -392,7 +396,7 @@ class TestCheckClusterOnFlatRuns:
         """The replay's evidence: one version per read key, in commit order."""
         cluster = self.run_flat_cluster()
         for history in cluster.histories().values():
-            commits = history.committed_transactions()
+            commits = committed_transactions(history)
             read_keys = sum(len(commit.read_keys) for commit in commits)
             assert read_keys >= len(commits) > 0
             assert len(history.read_versions) == read_keys
