@@ -10,7 +10,6 @@ the order-agreement statistics computed from per-site receive sequences.
 
 from __future__ import annotations
 
-from operator import ne
 from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 from ..errors import BroadcastError
@@ -183,17 +182,10 @@ def tentative_vs_definitive_mismatch(
     if not common:
         return 0.0
     common_members = set(common)
-    restricted = [mid for mid in tentative if mid in common_members]
-    if len(tentative_members) == len(tentative) and len(common_members) == len(common):
-        # No id repeats, so both lists hold the same messages once each: a
-        # message keeps its position exactly where the two lists agree.
-        mismatched: int = sum(map(ne, restricted, common))
-    else:
-        # A recovered site can Opt-deliver a message its crashed incarnation
-        # already had: each id counts at its last place in either list.
-        tentative_position = {mid: index for index, mid in enumerate(restricted)}
-        definitive_position = {mid: index for index, mid in enumerate(common)}
-        mismatched = sum(
-            1 for mid in common if tentative_position[mid] != definitive_position[mid]
-        )
+    tentative_restricted = [mid for mid in tentative if mid in common_members]
+    tentative_position = {mid: index for index, mid in enumerate(tentative_restricted)}
+    definitive_position = {mid: index for index, mid in enumerate(common)}
+    mismatched = sum(
+        1 for mid in common if tentative_position[mid] != definitive_position[mid]
+    )
     return mismatched / len(common)

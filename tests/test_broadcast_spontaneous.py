@@ -1,5 +1,7 @@
 """Tests for the spontaneous-order measurement (paper Figure 1 machinery)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from repro.broadcast.spontaneous import (
 )
 from repro.errors import BroadcastError
 from repro.network import ConstantLatency, LanMulticastLatency, NetworkTransport
-from repro.simulation import RandomSource, SimulationKernel
+from repro.simulation import SimulationKernel
 
 
 def run_probe(interval, site_count=4, per_site=30, seed=0, latency=None, frame_time=0.0):
@@ -139,11 +141,11 @@ class TestTentativeVsDefinitiveMismatch:
     def test_long_permuted_orders_match_a_dict_based_reference(self):
         # Long enough that a per-element rescan of either sequence would
         # show up as seconds; some ids appear on one side only.
-        shuffler = RandomSource(7).stream("permutation")
+        shuffler = random.Random(7)
         tentative = [f"m{index}" for index in range(5000)] + ["only-tentative"]
         definitive = [f"m{index}" for index in range(5000)] + ["only-definitive"]
-        shuffler._rng.shuffle(tentative)
-        shuffler._rng.shuffle(definitive)
+        shuffler.shuffle(tentative)
+        shuffler.shuffle(definitive)
 
         tentative_rank = {mid: rank for rank, mid in enumerate(tentative)}
         common = [mid for mid in definitive if mid in tentative_rank]

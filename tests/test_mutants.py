@@ -108,9 +108,11 @@ def test_run_tier1_plants_in_a_copy_and_leaves_out_the_structural_files(toy_chec
     assert planted == "a = 0\nx = 2\n"
     assert target.read_text(encoding="utf-8") == "a = 0\nx = 1\n"
     assert cwd != mutants.ROOT and not cwd.exists()
-    assert command[1:] == ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"] + [
-        f"--ignore={path}" for path in mutants.STRUCTURAL
-    ]
+    assert command[1:] == [
+        "-m", "pytest", "-x", "-q",
+        "-m", "not chaos and not recovery and not endurance",
+        "-p", "no:cacheprovider",
+    ] + [f"--ignore={path}" for path in mutants.STRUCTURAL]
     assert env["PYTHONHASHSEED"] == "0"
     assert env["PYTHONPATH"] == str(cwd / "src")
 
@@ -144,30 +146,24 @@ def outcomes(monkeypatch):
     return install
 
 
-def test_main_refuses_an_unknown_name(outcomes, capsys):
-    ran = outcomes({})
-    assert mutants.main(["no-such-defect"]) == 2
-    assert ran == []
-    assert "unknown mutant(s): no-such-defect" in capsys.readouterr().out
+def as_the_table_expects(mutant):
+    return "killed by tests/test_x.py::test_y" if mutant.expected == "killed" else "survived"
 
 
-def test_main_runs_only_the_named_entries_and_exits_0_when_each_is_as_expected(
-    outcomes, capsys
-):
-    ran = outcomes(
-        {
-            "unguarded-tracer-replica": "killed by tests/test_x.py::test_y",
-            "duplicate-order-overwrites": "survived",
-        }
-    )
-    assert mutants.main(["duplicate-order-overwrites", "unguarded-tracer-replica"]) == 0
-    assert ran == ["unguarded-tracer-replica", "duplicate-order-overwrites"]
-    assert capsys.readouterr().out.endswith("2 of 2 as expected\n")
+def test_main_runs_every_entry_and_exits_0_when_each_is_as_expected(outcomes, capsys):
+    ran = outcomes({mutant.name: as_the_table_expects(mutant) for mutant in mutants.MUTANTS})
+    assert mutants.main() == 0
+    assert ran == [mutant.name for mutant in mutants.MUTANTS]
+    count = len(mutants.MUTANTS)
+    assert capsys.readouterr().out.endswith(f"{count} of {count} as expected\n")
 
 
 def test_main_exits_1_when_an_outcome_differs_from_the_table(outcomes, capsys):
-    outcomes({"unguarded-tracer-replica": "survived"})
-    assert mutants.main(["unguarded-tracer-replica"]) == 1
+    by_name = {mutant.name: as_the_table_expects(mutant) for mutant in mutants.MUTANTS}
+    by_name["unguarded-tracer-replica"] = "survived"
+    outcomes(by_name)
+    assert mutants.main() == 1
     out = capsys.readouterr().out
-    assert out.startswith("UNEXPECTED unguarded-tracer-replica [tracer-guard] survived")
-    assert out.endswith("0 of 1 as expected\n")
+    assert "UNEXPECTED unguarded-tracer-replica [tracer-guard] survived" in out
+    count = len(mutants.MUTANTS)
+    assert out.endswith(f"{count - 1} of {count} as expected\n")

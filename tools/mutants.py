@@ -2,15 +2,14 @@
 
 Run from the repository root::
 
-    python -m tools.mutants              # every entry of MUTANTS
-    python -m tools.mutants NAME ...     # only the named entries
+    python -m tools.mutants
 
 Each entry of :data:`MUTANTS` plants one defect: it replaces one exact piece
 of source text in one file of ``src/repro``.  For each entry the tool copies
 the checkout to a temporary directory, plants the defect there and runs
-tier-1 (``python -m pytest -x -q``, with ``PYTHONHASHSEED=0``) without the
-:data:`STRUCTURAL` test files, because a check that flags a defect by its
-shape is not a kill.  It prints the test that killed the defect, or
+tier-1 (``python -m pytest -x -q`` with the :data:`TIER1_MARKERS` selection
+and ``PYTHONHASHSEED=0``) without the :data:`STRUCTURAL` test files, because a
+check that flags a defect by its shape is not a kill.  It prints the test that killed the defect, or
 ``survived``, and exits 1 when an outcome differs from what the entry
 expects:
 
@@ -35,13 +34,17 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Tier-1 files left out of every run: the lint and the usage gates, which
 #: judge source shape, not behaviour.
 STRUCTURAL = ("tests/test_analysis_lint.py", "tests/test_module_usage.py")
+
+#: CI's tier-1 selection: the chaos, recovery and endurance suites run in jobs
+#: of their own, so a defect only they catch is not killed by tier-1.
+TIER1_MARKERS = "not chaos and not recovery and not endurance"
 
 
 class Mutant(NamedTuple):
@@ -207,7 +210,8 @@ def run_tier1(mutant: Mutant) -> str:
         target = checkout / "src" / "repro" / mutant.path
         target.write_text(plant(mutant, target.read_text(encoding="utf-8")), encoding="utf-8")
         env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(checkout / "src"))
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-m", TIER1_MARKERS]
+        command += ["-p", "no:cacheprovider"]
         command += [f"--ignore={path}" for path in STRUCTURAL]
         completed = subprocess.run(
             command, cwd=checkout, env=env, capture_output=True, text=True
@@ -226,16 +230,9 @@ def as_expected(mutant: Mutant, outcome: str) -> bool:
     return outcome == "survived"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    known = {mutant.name for mutant in MUTANTS}
-    unknown = sorted(set(names) - known)
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(sorted(known))}")
-        return 2
-    selected = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+def main() -> int:
     unexpected = []
-    for mutant in selected:
+    for mutant in MUTANTS:
         started = time.perf_counter()
         outcome = run_tier1(mutant)
         mark = "ok" if as_expected(mutant, outcome) else "UNEXPECTED"
@@ -247,7 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if mark != "ok":
             unexpected.append(mutant.name)
-    print(f"{len(selected) - len(unexpected)} of {len(selected)} as expected")
+    print(f"{len(MUTANTS) - len(unexpected)} of {len(MUTANTS)} as expected")
     return 1 if unexpected else 0
 
 
