@@ -12,9 +12,7 @@ from .batching import (
 )
 from .interfaces import (
     AtomicBroadcastEndpoint,
-    BroadcastMessage,
     BroadcastStats,
-    DeliveryListener,
     next_broadcast_id,
 )
 from .optimistic import (
@@ -40,9 +38,7 @@ __all__ = [
     "BatchMember",
     "unwrap_endpoint",
     "AtomicBroadcastEndpoint",
-    "BroadcastMessage",
     "BroadcastStats",
-    "DeliveryListener",
     "next_broadcast_id",
     "OptimisticAtomicBroadcast",
     "OPTIMISTIC_DATA_KIND",

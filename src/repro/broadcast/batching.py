@@ -56,7 +56,6 @@ from ..simulation.kernel import SimulationKernel
 from ..types import MessageId, SiteId
 from .interfaces import (
     AtomicBroadcastEndpoint,
-    BroadcastMessage,
     NoOpFill,
     next_broadcast_id,
     noop_fill_id,
@@ -252,34 +251,24 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         self.inner.broadcast(Batch(origin=self.site_id, members=members))
 
     # ----------------------------------------------------- member deliveries
-    def _on_inner_opt(self, batch_message: BroadcastMessage) -> None:
-        batch = batch_message.payload
+    def _on_inner_opt(self, message_id: MessageId, batch: Any) -> None:
         if not isinstance(batch, Batch):
             return
         now = self.kernel.now()
         for member in batch.members:
             if member.message_id in self.transfer_covered:
                 continue
-            record = self._messages.get(member.message_id)
-            if record is None:
-                record = BroadcastMessage(
-                    message_id=member.message_id,
-                    origin=batch.origin,
-                    payload=member.payload,
-                    broadcast_at=member.broadcast_at,
-                )
-                self._messages[member.message_id] = record
-            if record.opt_delivered:
+            row = self._live_row(member.message_id)
+            if row < 0:
+                row = self._add_row(member.message_id, member.payload)
+            elif self.opt_times[row] >= 0.0:
                 continue
-            record.opt_delivered_at = now
-            self._emit_opt_deliver(record)
+            self._emit_opt_deliver(row, member.message_id, now)
 
-    def _on_inner_to(self, batch_message: BroadcastMessage) -> None:
-        inner_position = batch_message.definitive_position
-        if inner_position is None:
-            return
+    def _on_inner_to(
+        self, message_id: MessageId, payload: Any, inner_position: int, delay: float
+    ) -> None:
         now = self.kernel.now()
-        payload = batch_message.payload
         if isinstance(payload, NoOpFill):
             # The coordinator declared the whole batch position dead; the
             # lost members never had outer positions anywhere, so the batch
@@ -287,17 +276,10 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
             outer = self._next_outer_position
             self._next_outer_position += 1
             self._expansions[inner_position] = (outer, 1)
-            record = BroadcastMessage(
-                message_id=noop_fill_id(outer),
-                origin=self.site_id,
-                payload=NoOpFill(position=outer),
-                broadcast_at=now,
-            )
-            record.definitive_position = outer
-            record.opt_delivered_at = now
-            record.to_delivered_at = now
-            self._messages[record.message_id] = record
-            self._emit_to_deliver(record)
+            noop_id = noop_fill_id(outer)
+            row = self._add_row(noop_id, NoOpFill(position=outer))
+            self.opt_times[row] = now
+            self._emit_to_deliver(row, noop_id, outer, now)
             return
         if not isinstance(payload, Batch):
             return
@@ -312,19 +294,17 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
                 # The member's transaction reached this site through state
                 # transfer; its outer position is consumed but not re-delivered.
                 continue
-            record = self._messages.get(member.message_id)
-            if record is None or not record.opt_delivered:
+            row = self._live_row(member.message_id)
+            if row < 0 or self.opt_times[row] < 0.0:
                 # The inner protocol guarantees Opt-before-TO for the batch,
                 # so every member was opt-delivered in _on_inner_opt.
                 raise BroadcastError(
                     f"batch member {member.message_id} reached TO-delivery "
                     "without optimistic delivery"
                 )
-            if record.to_delivered:
+            if self.to_times[row] >= 0.0:
                 continue
-            record.definitive_position = outer
-            record.to_delivered_at = now
-            self._emit_to_deliver(record)
+            self._emit_to_deliver(row, member.message_id, outer, now)
 
     # ------------------------------------------------------- crash recovery
     def crash_reset(self, *, committed_through: int) -> None:
@@ -333,7 +313,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         The coalescing buffer is dropped unsent (*empty flush*): its members
         were never multicast, so their ids simply vanish — the recovery
         protocol re-submits the affected client requests under fresh ids.
-        Member records and the expansion map die with the process; member
+        Member rows and the expansion map die with the process; member
         deliveries beyond the durable outer frontier ``committed_through``
         are struck from the logs and recorded as crash-voided.  The inner
         endpoint is reset to the *batch* frontier: the last inner position
@@ -354,7 +334,6 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
         if self._flush_event is not None:
             self.kernel.cancel(self._flush_event)
             self._flush_event = None
-        self._messages.clear()
         self._expansions.clear()
         self._next_outer_position = 0
         self.inner.crash_reset(committed_through=inner_committed)

@@ -12,7 +12,10 @@ modification.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Set, TypeVar
+from array import array
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple, TypeVar,
+)
 
 from ..types import MessageId, SiteId
 
@@ -54,65 +57,11 @@ class NoOpFill(NamedTuple):
     position: int
 
 
-class BroadcastMessage:
-    """A message handled by an atomic broadcast protocol.
-
-    One instance exists per site and per message; the timestamps record when
-    that particular site opt-delivered and TO-delivered the message, which the
-    benchmarks use to measure the ordering delay that OTP overlaps with
-    transaction execution.  A site keeps one per message for the whole run,
-    so the record has slots and no per-instance ``__dict__``.
-    """
-
-    __slots__ = (
-        "message_id",
-        "origin",
-        "payload",
-        "broadcast_at",
-        "opt_delivered_at",
-        "to_delivered_at",
-        "definitive_position",
-        "local_position",
-    )
-
-    def __init__(
-        self,
-        message_id: MessageId,
-        origin: SiteId,
-        payload: Any,
-        broadcast_at: float = 0.0,
-    ) -> None:
-        self.message_id = message_id
-        self.origin = origin
-        self.payload = payload
-        self.broadcast_at = broadcast_at
-        self.opt_delivered_at: Optional[float] = None
-        self.to_delivered_at: Optional[float] = None
-        self.definitive_position: Optional[int] = None
-        #: This site's tentative (receipt) position; ``None`` until the
-        #: message is received locally (never, for a transfer-covered one).
-        self.local_position: Optional[int] = None
-
-    @property
-    def opt_delivered(self) -> bool:
-        """Whether this site has opt-delivered the message."""
-        return self.opt_delivered_at is not None
-
-    @property
-    def to_delivered(self) -> bool:
-        """Whether this site has TO-delivered the message."""
-        return self.to_delivered_at is not None
-
-    @property
-    def ordering_delay(self) -> Optional[float]:
-        """Time between optimistic and definitive delivery at this site."""
-        if self.opt_delivered_at is None or self.to_delivered_at is None:
-            return None
-        return self.to_delivered_at - self.opt_delivered_at
-
-
-#: Listener invoked on optimistic or definitive delivery of a message.
-DeliveryListener = Callable[[BroadcastMessage], None]
+#: Listener of an Opt-delivery: ``(message_id, payload)``.
+OptListener = Callable[[MessageId, Any], None]
+#: Listener of a TO-delivery: ``(message_id, payload, definitive position,
+#: ordering delay)``, the delay being the time since this site Opt-delivered.
+ToListener = Callable[[MessageId, Any, int, float], None]
 
 
 class BroadcastStats:
@@ -152,10 +101,23 @@ class AtomicBroadcastEndpoint(abc.ABC):
         #: Optional :class:`~repro.observability.trace.TransactionTracer`;
         #: ``None`` (the default) keeps the endpoint trace-free.
         self.tracer: Optional[TransactionTracer] = None
-        self._opt_listeners: List[DeliveryListener] = []
-        self._to_listeners: List[DeliveryListener] = []
-        #: This site's record of every message it currently knows (volatile).
-        self._messages: Dict[MessageId, BroadcastMessage] = {}
+        self._opt_listeners: List[OptListener] = []
+        self._to_listeners: List[ToListener] = []
+        #: Delivery state as columns, one row per message this site learned
+        #: of.  ``row_of`` maps an id to its latest row and forgets nothing,
+        #: so every id in the delivery logs has one; rows below
+        #: ``_first_live_row`` died with an earlier incarnation (a crash
+        #: ends one), and a row is live only while ``row_of`` points at it.
+        #: The payload is the one object every site received.  -1 marks a
+        #: position or time not reached yet.
+        self.row_of: Dict[MessageId, int] = {}
+        self.payloads: List[Any] = []
+        #: This site's tentative (receipt) position.
+        self.local_positions = array("q")
+        self.definitive_positions = array("q")
+        self.opt_times = array("d")
+        self.to_times = array("d")
+        self._first_live_row = 0
         #: Per-site log of delivered messages, in delivery order.  Used by the
         #: property checker (Global/Local Order, Agreement).
         self.opt_delivery_log: List[MessageId] = []
@@ -169,14 +131,38 @@ class AtomicBroadcastEndpoint(abc.ABC):
         #: only; a crashed incarnation is excused).
         self.crash_voided: Set[MessageId] = set()
 
+    # ------------------------------------------------------------------ rows
+    def _add_row(self, message_id: MessageId, payload: Any) -> int:
+        """Start a live row for a message (received, nothing delivered yet)."""
+        row = len(self.payloads)
+        self.row_of[message_id] = row
+        self.payloads.append(payload)
+        self.local_positions.append(-1)
+        self.definitive_positions.append(-1)
+        self.opt_times.append(-1.0)
+        self.to_times.append(-1.0)
+        return row
+
+    def _live_row(self, message_id: MessageId) -> int:
+        """This incarnation's row of ``message_id``, or -1."""
+        row = self.row_of.get(message_id, -1)
+        return row if row >= self._first_live_row else -1
+
+    def _live_rows(self) -> List[Tuple[int, MessageId]]:
+        """This incarnation's ``(row, id)`` pairs, in the order rows were added."""
+        first = self._first_live_row
+        return sorted(
+            (row, message_id) for message_id, row in self.row_of.items() if row >= first
+        )
+
     # ------------------------------------------------------- crash recovery
     def note_transfer_covered(self, message_id: Optional[MessageId]) -> None:
         """Record that ``message_id`` was obtained via state transfer."""
         if message_id is not None:
             self.transfer_covered.add(message_id)
 
-    def _strike_undurable_deliveries(self, committed_through: int) -> Set[MessageId]:
-        """Void every delivery the crash destroyed (shared crash_reset core).
+    def _strike_undurable_deliveries(self, committed_through: int) -> None:
+        """Void every delivery the crash destroyed and end the incarnation.
 
         Opt-delivered-but-unconfirmed messages died with the process, and so
         did TO-deliveries beyond the durable commit frontier
@@ -185,40 +171,33 @@ class AtomicBroadcastEndpoint(abc.ABC):
         ordered, so the undurable suffix is contiguous).  Those entries are
         struck from the log (the new incarnation re-delivers them) and the
         whole set is recorded as crash-voided for the property checker.
-        Call *before* clearing ``_messages``.
+        Every row is dead afterwards.
         """
-        messages = self._messages
+        opt_times, to_times = self.opt_times, self.to_times
         voided = {
             message_id
-            for message_id, record in messages.items()
-            if record.opt_delivered and not record.to_delivered
+            for row, message_id in self._live_rows()
+            if opt_times[row] >= 0.0 and to_times[row] < 0.0
         }
-        while self.to_delivery_log:
-            record = messages.get(self.to_delivery_log[-1])
-            if (
-                record is None
-                or record.definitive_position is None
-                or record.definitive_position <= committed_through
-            ):
+        log = self.to_delivery_log
+        while log:
+            row = self._live_row(log[-1])
+            if row < 0 or self.definitive_positions[row] <= committed_through:
                 break
-            voided.add(self.to_delivery_log.pop())
+            voided.add(log.pop())
         self.crash_voided.update(voided)
-        return voided
+        self._first_live_row = len(self.payloads)
 
     # ------------------------------------------------------------------- api
     @abc.abstractmethod
     def broadcast(self, payload: Any) -> MessageId:
         """TO-broadcast ``payload`` to all sites; returns the message id."""
 
-    def message(self, message_id: MessageId) -> Optional[BroadcastMessage]:
-        """Return this site's record of ``message_id`` (or ``None``)."""
-        return self._messages.get(message_id)
-
-    def add_opt_listener(self, listener: DeliveryListener) -> None:
+    def add_opt_listener(self, listener: OptListener) -> None:
         """Register a callback for Opt-deliver events at this site."""
         self._opt_listeners.append(listener)
 
-    def add_to_listener(self, listener: DeliveryListener) -> None:
+    def add_to_listener(self, listener: ToListener) -> None:
         """Register a callback for TO-deliver events at this site."""
         self._to_listeners.append(listener)
 
@@ -258,14 +237,19 @@ class AtomicBroadcastEndpoint(abc.ABC):
         """Re-register with the broadcast group at the current sequence point."""
 
     # -------------------------------------------------------------- emitters
-    def _emit_opt_deliver(self, message: BroadcastMessage) -> None:
+    def _emit_opt_deliver(self, row: int, message_id: MessageId, now: float) -> None:
+        self.opt_times[row] = now
         self.stats.opt_deliveries += 1
-        self.opt_delivery_log.append(message.message_id)
+        self.opt_delivery_log.append(message_id)
+        payload = self.payloads[row]
         for listener in self._opt_listeners:
-            listener(message)
+            listener(message_id, payload)
 
-    def _emit_to_deliver(self, message: BroadcastMessage) -> None:
+    def _emit_to_deliver(self, row: int, message_id: MessageId, position: int, now: float) -> None:
+        self.definitive_positions[row] = position
+        self.to_times[row] = now
         self.stats.to_deliveries += 1
-        self.to_delivery_log.append(message.message_id)
+        self.to_delivery_log.append(message_id)
+        payload, delay = self.payloads[row], now - self.opt_times[row]
         for listener in self._to_listeners:
-            listener(message)
+            listener(message_id, payload, position, delay)

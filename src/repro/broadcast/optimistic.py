@@ -44,7 +44,7 @@ for the paper's consensus fallback (a modelling assumption, see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import BroadcastError
 from ..network.dispatcher import SiteDispatcher
@@ -54,7 +54,6 @@ from ..simulation.kernel import SimulationKernel
 from ..types import MessageId, SiteId
 from .interfaces import (
     AtomicBroadcastEndpoint,
-    BroadcastMessage,
     NoOpFill,
     next_broadcast_id,
     noop_fill_id,
@@ -74,9 +73,7 @@ class OptimisticData(NamedTuple):
     """Data message disseminated to all sites (carries the payload)."""
 
     message_id: MessageId
-    origin: SiteId
     payload: Any
-    broadcast_at: float
 
 
 class OptimisticOrder(NamedTuple):
@@ -175,17 +172,17 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         dispatcher.register_kind(OPTIMISTIC_ORDER_KIND, self._on_order)
         dispatcher.register_kind(OPTIMISTIC_ANNOUNCE_KIND, self._on_announce_envelope)
         dispatcher.register_kind(OPTIMISTIC_SOLICIT_KIND, self._on_solicit_envelope)
-        #: The next tentative (receipt) position; a received record keeps
-        #: its own in ``BroadcastMessage.local_position``.
+        #: The next tentative (receipt) position; a received row keeps its
+        #: own in ``local_positions``.
         self._next_local_position = 0
         #: The definitive order: the message at each position, ``None``
         #: where no confirmation arrived yet.
         self._positions: List[Optional[MessageId]] = []
         #: Messages this endpoint ordered or saw ordered, kept only once it
         #: coordinates: until then it would equal the ids in ``_positions``,
-        #: from which ``_coordinator_handle`` seeds it.  A flag on the message
-        #: record could not replace it: a confirmation can arrive before the
-        #: data, when there is no record to flag yet.
+        #: from which ``_coordinator_handle`` seeds it.  A flag on the message's
+        #: row could not replace it: a confirmation can arrive before the
+        #: data, when there is no row to flag yet.
         self._ordered_messages: Optional[Set[MessageId]] = None
         self._next_position_to_assign = 0
         self._next_position_to_deliver = 0
@@ -213,12 +210,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         """TO-broadcast ``payload`` to all sites (paper primitive)."""
         message_id = next_broadcast_id(self.kernel, self.site_id)
         self.stats.broadcasts += 1
-        data = OptimisticData(
-            message_id=message_id,
-            origin=self.site_id,
-            payload=payload,
-            broadcast_at=self.kernel.now(),
-        )
+        data = OptimisticData(message_id=message_id, payload=payload)
         if self.tracer is not None:
             self.tracer.record(
                 self.kernel.now(),
@@ -245,10 +237,11 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     def _order_unconfirmed(self) -> None:
         """As coordinator, order everything received but never seen confirmed."""
         if self.is_coordinator:
+            local_positions = self.local_positions
             received = sorted(
-                (record.local_position, record.message_id)
-                for record in self._messages.values()
-                if record.local_position is not None
+                (local_positions[row], message_id)
+                for row, message_id in self._live_rows()
+                if local_positions[row] >= 0
             )
             for _, message_id in received:
                 self._coordinator_handle(message_id)
@@ -274,7 +267,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         """Destroy this endpoint's volatile state (the site crashed).
 
         Everything the communication manager held in memory is lost: message
-        records, tentative positions, the definitive-order map, delivery
+        rows, tentative positions, the definitive-order map, delivery
         pointers and pending confirmations.  ``committed_through`` is the
         site's durable commit frontier; TO-deliveries beyond it were handed
         to a transaction manager whose state died with the process, so they
@@ -288,7 +281,6 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self.opt_delivery_log = [
                 message_id for message_id in self.opt_delivery_log if message_id in delivered
             ]
-        self._messages.clear()
         self._next_local_position = 0
         self._positions.clear()
         self._ordered_messages = None
@@ -306,7 +298,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         ``committed_through`` is this site's commit frontier *after* state
         transfer; delivery resumes at the next position.  When a live
         ``donor`` endpoint is given, its view of the definitive order and its
-        undelivered message records are copied: positions at or below the
+        undelivered messages are copied: positions at or below the
         frontier are marked transfer-covered (their transactions arrived via
         the redo log), everything beyond is received into the fresh
         incarnation — and, when delivering on receipt, opt-delivered so the
@@ -323,8 +315,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 self._next_position_to_assign, donor._next_position_to_assign
             )
             self._noop_positions.update(donor._noop_positions)
-            for record in self._copy_donor_order(donor, committed_through):
-                self._receive_locally(record)
+            for row, message_id in self._copy_donor_order(donor, committed_through):
+                self._receive_locally(row, message_id)
             if self._ordered_messages is not None:
                 self._ordered_messages.update(self._ordered_ids())
         # A recovered site promoted straight back into the coordinator role
@@ -334,16 +326,16 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
 
     def _copy_donor_order(
         self, donor: "OptimisticAtomicBroadcast", committed_through: int
-    ) -> List[BroadcastMessage]:
+    ) -> List[Tuple[int, MessageId]]:
         """Copy a donor endpoint's ordering knowledge (rejoin core).
 
         Adopts the donor's position map, marks every message at or below the
         post-transfer frontier ``committed_through`` as transfer-covered
         (its transaction arrived via the redo log), and returns fresh local
-        records for the donor's messages beyond the frontier that this
-        incarnation does not know yet.
+        ``(row, id)`` pairs for the donor's messages beyond the frontier that
+        this incarnation does not know yet.
         """
-        fresh: List[BroadcastMessage] = []
+        fresh: List[Tuple[int, MessageId]] = []
         donor_position_of: Dict[MessageId, int] = {}
         positions = self._positions
         positions.extend([None] * (len(donor._positions) - len(positions)))
@@ -355,23 +347,16 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 positions[position] = message_id
             if position <= committed_through:
                 self.transfer_covered.add(message_id)
-        for message_id, donor_record in donor._messages.items():
+        for donor_row, message_id in donor._live_rows():
             position = donor_position_of.get(message_id)
-            if position is None and donor_record.definitive_position is not None:
-                position = donor_record.definitive_position
+            if position is None and donor.definitive_positions[donor_row] >= 0:
+                position = donor.definitive_positions[donor_row]
             if position is not None and position <= committed_through:
                 self.transfer_covered.add(message_id)
                 continue
-            if message_id in self._messages or message_id in self.transfer_covered:
+            if self._live_row(message_id) >= 0 or message_id in self.transfer_covered:
                 continue
-            record = BroadcastMessage(
-                message_id=message_id,
-                origin=donor_record.origin,
-                payload=donor_record.payload,
-                broadcast_at=donor_record.broadcast_at,
-            )
-            self._messages[message_id] = record
-            fresh.append(record)
+            fresh.append((self._add_row(message_id, donor.payloads[donor_row]), message_id))
         return fresh
 
     # ----------------------------------------------------- data dissemination
@@ -380,42 +365,31 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if not isinstance(content, OptimisticData):
             return False
         message_id = content.message_id
-        record = self._messages.get(message_id)
-        if record is None:
-            record = BroadcastMessage(
-                message_id=message_id,
-                origin=content.origin,
-                payload=content.payload,
-                broadcast_at=content.broadcast_at,
-            )
-            self._messages[message_id] = record
-        else:
-            record.payload = content.payload
-            record.origin = content.origin
-            record.broadcast_at = content.broadcast_at
+        row = self.row_of.get(message_id, -1)
+        if row < self._first_live_row:
+            row = self._add_row(message_id, content.payload)
         if message_id in self.transfer_covered:
             # A stale copy of a message whose transaction already reached this
             # site through state transfer: keep the payload (for solicits) but
             # never deliver it again.
             self._try_to_deliver()
             return True
-        if record.local_position is None:
-            self._receive_locally(record)
+        if self.local_positions[row] < 0:
+            self._receive_locally(row, message_id)
         if self.is_coordinator:
             self._coordinator_handle(message_id)
         self._try_to_deliver()
         return True
 
-    def _receive_locally(self, record: BroadcastMessage) -> None:
-        """Assign ``record`` the next tentative position; Opt-deliver on receipt."""
+    def _receive_locally(self, row: int, message_id: MessageId) -> None:
+        """Assign ``row`` the next tentative position; Opt-deliver on receipt."""
         local_position = self._next_local_position
         self._next_local_position += 1
-        record.local_position = local_position
+        self.local_positions[row] = local_position
         if self.opt_deliver_on_receipt:
-            record.opt_delivered_at = self.kernel.now()
-            self._emit_opt_deliver(record)
+            self._emit_opt_deliver(row, message_id, self.kernel.now())
         if self.ordering_mode == "voting":
-            self._announce(record.message_id, local_position)
+            self._announce(message_id, local_position)
 
     # --------------------------------------------------------- coordination
     def _coordinator_handle(self, message_id: MessageId) -> None:
@@ -430,10 +404,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._release_confirmation(message_id, position)
             return
         pending = _PendingConfirmation(message_id=message_id, position=position)
-        record = self._messages.get(message_id)
-        local_position = record.local_position if record is not None else None
+        row = self._live_row(message_id)
+        local_position = self.local_positions[row] if row >= 0 else -1
         pending.announced_positions[self.site_id] = (
-            position if local_position is None else local_position
+            local_position if local_position >= 0 else position
         )
         self._pending_confirmations[message_id] = pending
         self.kernel.schedule(
@@ -551,9 +525,9 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 # transfer; skip the position without re-delivering.
                 self._next_position_to_deliver += 1
                 continue
-            record = self._messages.get(message_id)
-            if record is None or record.opt_delivered_at is None:
-                if record is None or self.opt_deliver_on_receipt:
+            row = self.row_of.get(message_id, -1)
+            if row < self._first_live_row or self.opt_times[row] < 0.0:
+                if row < self._first_live_row or self.opt_deliver_on_receipt:
                     # Local Order property: a site must Opt-deliver a message
                     # before TO-delivering it.  Wait until the data arrives —
                     # and probe the group if it never does (a crashed
@@ -561,32 +535,22 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                     self._schedule_gap_probe(position, message_id)
                     return
                 # Conservative delivery: Opt-deliver immediately before TO.
-                record.opt_delivered_at = self.kernel.now()
-                self._emit_opt_deliver(record)
-            if record.to_delivered_at is not None:
+                self._emit_opt_deliver(row, message_id, self.kernel.now())
+            if self.to_times[row] >= 0.0:
                 self._next_position_to_deliver += 1
                 continue
-            record.definitive_position = position
-            record.to_delivered_at = self.kernel.now()
-            local_position = record.local_position
-            if local_position is not None and local_position != position:
+            local_position = self.local_positions[row]
+            if local_position >= 0 and local_position != position:
                 self.stats.out_of_order_to_deliveries += 1
-            self._emit_to_deliver(record)
+            self._emit_to_deliver(row, message_id, position, self.kernel.now())
             self._next_position_to_deliver += 1
 
     def _deliver_noop(self, position: int) -> None:
         """TO-deliver the no-op filling a dead position."""
-        record = BroadcastMessage(
-            message_id=noop_fill_id(position),
-            origin=self.site_id,
-            payload=NoOpFill(position=position),
-            broadcast_at=self.kernel.now(),
-        )
-        record.definitive_position = position
-        record.opt_delivered_at = self.kernel.now()
-        record.to_delivered_at = self.kernel.now()
-        self._messages[record.message_id] = record
-        self._emit_to_deliver(record)
+        now, message_id = self.kernel.now(), noop_fill_id(position)
+        row = self._add_row(message_id, NoOpFill(position=position))
+        self.opt_times[row] = now
+        self._emit_to_deliver(row, message_id, position, now)
 
     # ------------------------------------------------------------ gap repair
     def _schedule_gap_probe(self, position: int, message_id: MessageId) -> None:
@@ -604,8 +568,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._gap_probe_position = None
         if self._next_position_to_deliver != position:
             return  # delivery progressed past the suspected gap
-        record = self._messages.get(message_id)
-        if record is not None and record.local_position is not None:
+        row = self._live_row(message_id)
+        if row >= 0 and self.local_positions[row] >= 0:
             return  # the data arrived; the normal path delivers it
         if not self.transport.is_site_up(self.site_id):
             # The site is down; if the stall persists after recovery, the
@@ -628,18 +592,13 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         solicit = envelope.payload
         if not isinstance(solicit, DataSolicit):
             return False
-        record = self._messages.get(solicit.message_id)
-        if record is not None and record.payload is not None:
+        row = self._live_row(solicit.message_id)
+        if row >= 0 and self.payloads[row] is not None:
             # We still hold the data: re-disseminate it for the requester.
             self.stats.control_messages += 1
             self.transport.multicast(
                 self.site_id,
-                OptimisticData(
-                    message_id=solicit.message_id,
-                    origin=record.origin,
-                    payload=record.payload,
-                    broadcast_at=record.broadcast_at,
-                ),
+                OptimisticData(message_id=solicit.message_id, payload=self.payloads[row]),
                 kind=OPTIMISTIC_DATA_KIND,
                 destinations=self.group,
             )
@@ -669,8 +628,8 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             return
         if position < self._next_position_to_deliver:
             return
-        record = self._messages.get(message_id)
-        if record is not None and record.payload is not None:
+        row = self._live_row(message_id)
+        if row >= 0 and self.payloads[row] is not None:
             return  # somebody answered the solicit
         if self.fill_safe is not None and not self.fill_safe(position):
             # Some site committed this position durably; when it recovers it

@@ -10,7 +10,8 @@ the order-agreement statistics computed from per-site receive sequences.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Sequence
+from array import array
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence
 
 from ..errors import BroadcastError
 from ..network.message import DeliveryRecord
@@ -169,23 +170,40 @@ def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreem
 
 
 def tentative_vs_definitive_mismatch(
-    tentative: Sequence[MessageId], definitive: Sequence[MessageId]
+    tentative: Sequence[MessageId],
+    definitive: Sequence[MessageId],
+    row_of: Mapping[MessageId, int],
 ) -> float:
     """Fraction of messages whose tentative position differs from the definitive one.
 
     Used to quantify how often a site's Opt-delivery order disagrees with the
     TO-delivery order — the event that may force the OTP scheduler to abort
-    and reorder conflicting transactions.
+    and reorder conflicting transactions.  Both sequences are restricted to
+    the messages they share; a message seen twice counts at its last place.
+    ``row_of`` gives every message of either sequence its own row (the
+    ``row_of`` of a site's
+    :class:`~repro.broadcast.interfaces.AtomicBroadcastEndpoint`), so the
+    count keeps a few typed entries per row and no set or dict.
     """
-    tentative_members = set(tentative)
-    common = [mid for mid in definitive if mid in tentative_members]
-    if not common:
+    size = max(row_of.values(), default=-1) + 1
+    # Bit 1: the row's message is in ``tentative``; bit 2: in ``definitive``.
+    seen = bytearray(size)
+    for bit, sequence in ((1, tentative), (2, definitive)):
+        for mid in sequence:
+            seen[row_of[mid]] |= bit
+    # Each shared message's last place in each sequence restricted to them.
+    places = []
+    for sequence in (tentative, definitive):
+        place, shared = array("q", bytes(8 * size)), 0
+        for row in map(row_of.__getitem__, sequence):
+            if seen[row] == 3:
+                place[row] = shared
+                shared += 1
+        places.append(place)
+    if not shared:
         return 0.0
-    common_members = set(common)
-    tentative_restricted = [mid for mid in tentative if mid in common_members]
-    tentative_position = {mid: index for index, mid in enumerate(tentative_restricted)}
-    definitive_position = {mid: index for index, mid in enumerate(common)}
-    mismatched = sum(
-        1 for mid in common if tentative_position[mid] != definitive_position[mid]
-    )
-    return mismatched / len(common)
+    tentative_place, definitive_place = places
+    return sum(
+        seen[row] == 3 and tentative_place[row] != definitive_place[row]
+        for row in map(row_of.__getitem__, definitive)
+    ) / shared

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from ..broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage, NoOpFill
+from ..broadcast.interfaces import AtomicBroadcastEndpoint, NoOpFill
 from ..database.conflict import ConflictClassMap
 from ..database.history import CommittedTransaction, SiteHistory
 from ..database.procedures import ProcedureRegistry, StoredProcedure
@@ -245,8 +245,7 @@ class ReplicaManager:
         return execution
 
     # ------------------------------------------------------ broadcast events
-    def _on_opt_deliver(self, message: BroadcastMessage) -> None:
-        request = message.payload
+    def _on_opt_deliver(self, message_id: MessageId, request: Any) -> None:
         if not isinstance(request, TransactionRequest):
             return
         transaction_id = request.transaction_id
@@ -261,7 +260,7 @@ class ReplicaManager:
             # processed (origin re-submitted after recovering): ignore it.
             self.metrics.counts["stale_deliveries_ignored"] += 1
             return
-        self._message_ids.setdefault(transaction_id, message.message_id)
+        self._message_ids.setdefault(transaction_id, message_id)
         transaction = Transaction(request=request, site_id=self.site_id)
         self.metrics.counts["messages_opt_delivered"] += 1
         if self.tracer is not None:
@@ -270,27 +269,24 @@ class ReplicaManager:
                 "opt_deliver",
                 self.site_id,
                 transaction_id,
-                message_id=message.message_id,
+                message_id=message_id,
             )
         self.scheduler.on_opt_deliver(transaction)
 
-    def _on_to_deliver(self, message: BroadcastMessage) -> None:
-        payload = message.payload
-        if message.definitive_position is None:
-            raise ReplicationError(
-                f"TO-delivered message {message.message_id} carries no definitive position"
-            )
+    def _on_to_deliver(
+        self, message_id: MessageId, payload: Any, position: int, ordering_delay: float
+    ) -> None:
         if isinstance(payload, NoOpFill):
             # A dead position filled by the coordinator after a whole-group
             # crash: nothing to execute, but the snapshot frontier must pass.
-            self.snapshot_manager.advance(message.definitive_position)
+            self.snapshot_manager.advance(position)
             self.metrics.counts["noop_positions_filled"] += 1
             if self.tracer is not None:
                 self.tracer.record(
                     self.kernel.now(),
                     "noop_fill",
                     self.site_id,
-                    position=message.definitive_position,
+                    position=position,
                 )
             return
         if not isinstance(payload, TransactionRequest):
@@ -300,30 +296,26 @@ class ReplicaManager:
             # Definitive confirmation of a duplicate (or of a copy covered by
             # state transfer): the position holds no new work, but the
             # snapshot frontier must still pass over it.
-            self.snapshot_manager.advance(message.definitive_position)
+            self.snapshot_manager.advance(position)
             self.metrics.counts["duplicate_orders_ignored"] += 1
             return
         transaction = self.scheduler.transaction(transaction_id)
         if transaction is not None and transaction.global_index is not None:
             # Second copy ordered while the first already holds a position.
-            self.snapshot_manager.advance(message.definitive_position)
+            self.snapshot_manager.advance(position)
             self.metrics.counts["duplicate_orders_ignored"] += 1
             return
         self.metrics.counts["messages_to_delivered"] += 1
-        opt_delivered_at = message.opt_delivered_at
-        if opt_delivered_at is not None and message.to_delivered_at is not None:
-            self.metrics.samples["ordering_delay"].append(
-                message.to_delivered_at - opt_delivered_at
-            )
+        self.metrics.samples["ordering_delay"].append(ordering_delay)
         if self.tracer is not None:
             self.tracer.record(
                 self.kernel.now(),
                 "to_deliver",
                 self.site_id,
                 transaction_id,
-                position=message.definitive_position,
+                position=position,
             )
-        self.scheduler.on_to_deliver(transaction_id, message.definitive_position)
+        self.scheduler.on_to_deliver(transaction_id, position)
 
     # ----------------------------------------------------------------- commit
     def _on_commit(self, transaction: Transaction) -> None:

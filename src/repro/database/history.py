@@ -47,8 +47,9 @@ class SiteHistory:
 
     Row ``r`` is the ``r``-th commit: ``ids[r]``, ``classes[r]``,
     ``indices[r]`` (its ``global_index``), ``committed_at[r]`` and
-    ``message_ids[r]``.  Its write keys and read keys sit in one flat key
-    list (:meth:`key_row`); a read set equal to the write set is stored
+    ``message_ids[r]``.  Its write keys and read keys sit in one flat list,
+    ``keys``, at the offsets ``key_starts``, ``write_ends`` and ``read_ends``
+    give (:meth:`key_row`); a read set equal to the write set is stored
     once.  ``read_versions`` holds, for every row's read keys in turn, the
     version index each read returned.
     """
@@ -63,14 +64,14 @@ class SiteHistory:
         #: The ``global_index`` of each committed transaction.
         self.index_of: Dict[TransactionId, int] = {}
         self.read_versions = array("q")
-        self._keys: List[ObjectKey] = []
-        #: Per row: where its write keys start and end in ``_keys``, and
+        self.keys: List[ObjectKey] = []
+        #: Per row: where its write keys start and end in ``keys``, and
         #: where its read keys end.  Its read keys follow its write keys,
         #: unless the read end lies before the write end: then they are the
         #: write keys.
-        self._starts = array("q")
-        self._write_ends = array("q")
-        self._read_ends = array("q")
+        self.key_starts = array("q")
+        self.write_ends = array("q")
+        self.read_ends = array("q")
 
     # --------------------------------------------------------------- recording
     def append(
@@ -102,16 +103,16 @@ class SiteHistory:
         self.committed_at.append(committed_at)
         self.message_ids.append(message_id)
         self.index_of[transaction_id] = global_index
-        keys = self._keys
+        keys = self.keys
         start = len(keys)
         keys.extend(write_keys)
-        self._starts.append(start)
-        self._write_ends.append(len(keys))
+        self.key_starts.append(start)
+        self.write_ends.append(len(keys))
         if read_keys and read_keys == write_keys:
-            self._read_ends.append(start)
+            self.read_ends.append(start)
         else:
             keys.extend(read_keys)
-            self._read_ends.append(len(keys))
+            self.read_ends.append(len(keys))
         self.read_versions.extend(read_versions)
 
     def record_commit(
@@ -123,15 +124,15 @@ class SiteHistory:
     # ---------------------------------------------------------------- queries
     def key_row(self, row: int) -> Tuple[List[ObjectKey], List[ObjectKey]]:
         """The keys row ``row`` wrote and the keys it read, in key order."""
-        write_end, read_end = self._write_ends[row], self._read_ends[row]
-        write_keys = self._keys[self._starts[row]:write_end]
+        write_end, read_end = self.write_ends[row], self.read_ends[row]
+        write_keys = self.keys[self.key_starts[row]:write_end]
         if read_end < write_end:
             return write_keys, write_keys
-        return write_keys, self._keys[write_end:read_end]
+        return write_keys, self.keys[write_end:read_end]
 
     def write_count(self) -> int:
         """The number of committed writes recorded (not commits)."""
-        return sum(self._write_ends) - sum(self._starts)
+        return sum(self.write_ends) - sum(self.key_starts)
 
     def _record(self, row: int) -> CommittedTransaction:
         """Build the record of row ``row``."""

@@ -24,6 +24,7 @@ crash); they run no simulation.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Dict, Tuple
 
 from ..broadcast.batching import BatchingConfig
@@ -192,8 +193,13 @@ def figure1_cell(spec: RunSpec) -> Row:
     # and measure the fraction of messages every other site received at a
     # different position — the work CC8 would have to repair.
     definitive = sequences.get(sites[0], [])
+    # One row per probe message, shared by every site's count.
+    row_of = {
+        mid: row
+        for row, mid in enumerate(dict.fromkeys(chain.from_iterable(sequences.values())))
+    }
     divergences = [
-        tentative_vs_definitive_mismatch(sequences.get(site, []), definitive)
+        tentative_vs_definitive_mismatch(sequences.get(site, []), definitive, row_of)
         for site in sites[1:]
     ]
     return dict(

@@ -7,7 +7,7 @@ from collections import defaultdict
 from functools import partial
 from typing import DefaultDict, Dict, MutableSequence, Optional
 
-from .stats import Summary, summarize
+from .stats import summarize
 
 
 class LatencyRecorder:
@@ -20,10 +20,6 @@ class LatencyRecorder:
     def record(self, value: float) -> None:
         """Add one sample."""
         self.samples.append(value)
-
-    def summary(self) -> Summary:
-        """Return summary statistics over all samples."""
-        return summarize(self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
 from collections import abc
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Iterator, List, NamedTuple, Sequence
 
 
 class Summary(NamedTuple):
@@ -50,12 +53,12 @@ def _ranked(ordered: Sequence[float], fraction: float) -> float:
     return min(max(low * (1.0 - weight) + high * weight, low), high)
 
 
-def mean(values: Sequence[float]) -> float:
+def mean(values: Collection[float]) -> float:
     """Arithmetic mean (0.0 for an empty sample)."""
     return sum(values) / len(values) if values else 0.0
 
 
-def stddev(values: Sequence[float]) -> float:
+def stddev(values: Collection[float]) -> float:
     """Population standard deviation (0.0 for fewer than two values)."""
     if len(values) < 2:
         return 0.0
@@ -77,10 +80,33 @@ def stddev(values: Sequence[float]) -> float:
 
 def summarize(values: Iterable[float]) -> Summary:
     """Compute a :class:`Summary` of ``values``, sorting them once."""
-    sample = values if isinstance(values, abc.Sequence) else list(values)
+    return summarize_runs([values if isinstance(values, abc.Sequence) else list(values)])
+
+
+class _Concatenated:
+    """Runs of values read one after another in place, without a copy."""
+
+    def __init__(self, runs: List[Sequence[float]]) -> None:
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return sum(map(len, self.runs))
+
+    def __iter__(self) -> Iterator[float]:
+        return chain.from_iterable(self.runs)
+
+
+def summarize_runs(runs: Iterable[Sequence[float]]) -> Summary:
+    """:func:`summarize` of the runs one after another, kept as doubles.
+
+    The runs are read in place, and each is sorted into an ``array('d')`` on
+    its own before the sorted runs are merged, so at most one run at a time
+    is boxed into a list of floats (32 bytes a value, against 8).
+    """
+    sample = _Concatenated(list(runs))
     if not sample:
         return Summary.empty()
-    ordered = sorted(sample)
+    ordered = array("d", heapq.merge(*[array("d", sorted(run)) for run in sample.runs]))
     return Summary(
         count=len(sample),
         mean=mean(sample),

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from ..broadcast.spontaneous import tentative_vs_definitive_mismatch
 from ..metrics.collector import MetricsCollector
-from ..metrics.stats import Summary, mean, summarize
+from ..metrics.stats import Summary, mean, summarize_runs
 from ..types import SiteId
 
 #: Counter names grouped under one abort cause (derived metric).
@@ -94,7 +94,9 @@ class MetricsRegistry:
 
     def latency_breakdown(self, name: str, **labels: str) -> Summary:
         """p50/p95/p99 summary of one latency instrument across collectors."""
-        return summarize(self.latency_samples(name, **labels))
+        return summarize_runs(
+            entry.collector.latency(name).samples for entry in self._matching(labels)
+        )
 
     # ---------------------------------------------------------------- gauges
     def gauge_high_water(self, name: str, **labels: str) -> float:
@@ -186,7 +188,7 @@ def divergence_by_site(cluster: Any) -> Dict[SiteId, float]:
         for site_id in group.site_ids():
             endpoint = group.broadcast_endpoint(site_id)
             divergence[site_id] = tentative_vs_definitive_mismatch(
-                endpoint.opt_delivery_log, endpoint.to_delivery_log
+                endpoint.opt_delivery_log, endpoint.to_delivery_log, endpoint.row_of
             )
     return divergence
 

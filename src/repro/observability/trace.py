@@ -332,11 +332,6 @@ class TransactionTracer:
                 stream.write(payload)
         return len(trace)
 
-    # ------------------------------------------------------------- analysis
-    def divergence_events(self) -> List[TraceEvent]:
-        """Events marking a repaired opt/TO divergence (CC8 reorder aborts)."""
-        return [event for event in self.events if event.kind == "reorder_abort"]
-
     def __len__(self) -> int:
         return len(self.events) + len(self.spans)
 

@@ -79,16 +79,18 @@ def _replay_site(
     """Check one site's history against rules 1-4 of the module docstring."""
     # Local commit order: the reference site's transactions at its indices,
     # classes and key writes in increasing index.  Row ``r``'s reads start at
-    # ``read_starts[r]`` in the site's read-version column.
+    # ``read_starts[r]`` in the site's read-version column.  Keys are read
+    # from the flat key column by offset.
     ids, classes, indices = history.ids, history.classes, history.indices
+    keys, starts = history.keys, history.key_starts
+    write_ends, read_ends = history.write_ends, history.read_ends
     extra: List[TransactionId] = []
     last_of_class: Dict[ConflictClassId, int] = {}
     last_write: Dict[ObjectKey, int] = {}
     read_starts = array("q")
     offset = 0
-    key_rows = map(history.key_row, range(len(ids)))
-    rows = enumerate(zip(ids, classes, indices, key_rows))
-    for row, (transaction_id, conflict_class, index, (write_keys, read_keys)) in rows:
+    rows = enumerate(zip(ids, classes, indices, starts, write_ends, read_ends))
+    for row, (transaction_id, conflict_class, index, start, write_end, read_end) in rows:
         expected = index_of.get(transaction_id)
         if expected is None:
             extra.append(transaction_id)
@@ -105,7 +107,7 @@ def _replay_site(
                 f"{ids[previous]} (index {indices[previous]})"
             )
         last_of_class[conflict_class] = row
-        for key in write_keys:
+        for key in keys[start:write_end]:
             previous = last_write.get(key)
             if previous is not None and indices[previous] >= index:
                 report._violate(
@@ -115,7 +117,8 @@ def _replay_site(
                 )
             last_write[key] = row
         read_starts.append(offset)
-        offset += len(read_keys)
+        # A read end before the write end means the reads are the writes.
+        offset += write_end - start if read_end < write_end else read_end - write_end
     if extra:
         report._violate(
             f"site {site_id} committed {len(extra)} transactions unknown to "
@@ -137,6 +140,7 @@ def _replay_site(
 
     # The definitive order: every read returns the last write before it.
     last_writer: Dict[ObjectKey, int] = {}
+    initial = MultiVersionStore.INITIAL_INDEX
     previous_index = previous_row = None
     for row in sorted(range(len(ids)), key=indices.__getitem__):
         index = indices[row]
@@ -146,10 +150,14 @@ def _replay_site(
                 f"the same index {index}"
             )
         previous_index, previous_row = index, row
-        write_keys, read_keys = history.key_row(row)
-        for position, key in enumerate(read_keys, read_starts[row]):
+        start, write_end, read_end = starts[row], write_ends[row], read_ends[row]
+        if read_end < write_end:
+            read_from, read_to = start, write_end
+        else:
+            read_from, read_to = write_end, read_end
+        for position, key in enumerate(keys[read_from:read_to], read_starts[row]):
             seen = versions[position]
-            last = last_writer.get(key, MultiVersionStore.INITIAL_INDEX)
+            last = last_writer.get(key, initial)
             if seen < last:
                 report._violate(
                     f"site {site_id}: {ids[row]} (index {index}) read {key!r} "
@@ -162,5 +170,5 @@ def _replay_site(
                     f"at version {seen}, later than its last writer before it at "
                     f"index {last}"
                 )
-        for key in write_keys:
+        for key in keys[start:write_end]:
             last_writer[key] = index

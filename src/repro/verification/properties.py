@@ -22,7 +22,8 @@ from the reference message set.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from itertools import chain, zip_longest
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, is_noop_fill_id
 from ..errors import VerificationError
@@ -56,8 +57,8 @@ def check_broadcast_properties(
     ``expected_broadcasts`` — the identifiers returned by ``broadcast()``
     calls; when omitted, the union of all TO-delivery logs is used as the
     reference set (sufficient for Global Agreement / Order but weaker for
-    Termination).  Besides the reference set, the check holds one site's
-    delivered sets at a time.
+    Termination).  Besides the reference set, the check holds one flag
+    byte per row of one site at a time.
     """
     report = BroadcastPropertyReport(ok=True)
     if not endpoints:
@@ -65,13 +66,12 @@ def check_broadcast_properties(
     site_ids = sorted(endpoints)
 
     if expected_broadcasts is None:
-        reference_set: Set[MessageId] = set()
-        for endpoint in endpoints.values():
-            reference_set.update(endpoint.to_delivery_log)
-    else:
-        reference_set = set(expected_broadcasts)
-    reference_set.difference_update(
-        [message_id for message_id in reference_set if is_noop_fill_id(message_id)]
+        expected_broadcasts = chain.from_iterable(
+            endpoint.to_delivery_log for endpoint in endpoints.values()
+        )
+    # A dict as the set: its table takes a quarter of a set's.
+    reference_set = dict.fromkeys(
+        message_id for message_id in expected_broadcasts if not is_noop_fill_id(message_id)
     )
 
     # Termination, Agreement and Local Order, site by site.  Messages some
@@ -86,17 +86,17 @@ def check_broadcast_properties(
 
     # Global Order: the TO-delivery sequences agree (restricted to messages
     # delivered everywhere, which matters if a run was cut short).
-    def delivered_everywhere(site_id: SiteId) -> List[MessageId]:
-        return [
+    def delivered_everywhere(site_id: SiteId) -> Iterator[MessageId]:
+        return (
             message_id
             for message_id in endpoints[site_id].to_delivery_log
             if message_id in reference_set and message_id not in undelivered_somewhere
-        ]
+        )
 
     reference_site = site_ids[0]
-    reference_order = delivered_everywhere(reference_site)
     for site_id in site_ids[1:]:
-        if delivered_everywhere(site_id) != reference_order:
+        pairs = zip_longest(delivered_everywhere(reference_site), delivered_everywhere(site_id))
+        if any(first != second for first, second in pairs):
             report.ok = False
             report.violations.append(
                 f"Global Order: TO-delivery order differs between {reference_site} "
@@ -108,67 +108,87 @@ def check_broadcast_properties(
     return report
 
 
+#: Flags of a row in ``_check_site``: its message is in the Opt log / TO log.
+_OPT, _TO = 1, 2
+
+
 def _check_site(
     report: BroadcastPropertyReport,
     site_id: SiteId,
     endpoint: AtomicBroadcastEndpoint,
-    reference_set: Set[MessageId],
+    reference_set: Dict[MessageId, None],
     undelivered_somewhere: Set[MessageId],
     local_order: List[str],
 ) -> None:
     """Termination and Agreement at one site, its Local Order violations
     into ``local_order``, and what it never TO-delivered into
-    ``undelivered_somewhere``."""
+    ``undelivered_somewhere``.
+
+    Every logged id has a row in ``endpoint.row_of``, so one flag byte per
+    row says which logs hold it; the row's time columns are the Local Order
+    evidence.
+    """
+    row_of = endpoint.row_of
+    flags = bytearray(len(endpoint.payloads))
+    for flag, log in ((_OPT, endpoint.opt_delivery_log), (_TO, endpoint.to_delivery_log)):
+        for message_id in log:
+            flags[row_of[message_id]] |= flag
     # Messages a recovered site obtained through state transfer count as
     # delivered.
-    covered = getattr(endpoint, "transfer_covered", set())
-    voided = getattr(endpoint, "crash_voided", set())
-    opt_set = set(endpoint.opt_delivery_log)
-    to_set = set(endpoint.to_delivery_log)
-    missing_opt = reference_set - opt_set - covered
-    undelivered = reference_set - to_set
-    undelivered_somewhere |= undelivered
-    missing_to = undelivered - covered
-    if missing_opt:
-        report.ok = False
-        report.violations.append(
-            f"Termination/Agreement: site {site_id} never Opt-delivered "
-            f"{len(missing_opt)} messages (e.g. {sorted(missing_opt)[:3]})"
-        )
-    if missing_to:
-        report.ok = False
-        report.violations.append(
-            f"Termination/Agreement: site {site_id} never TO-delivered "
-            f"{len(missing_to)} messages (e.g. {sorted(missing_to)[:3]})"
-        )
+    covered = endpoint.transfer_covered
+    missing_opt: List[MessageId] = []
+    missing_to: List[MessageId] = []
+    for message_id in reference_set:
+        row = row_of.get(message_id)
+        flag = 0 if row is None else flags[row]
+        if not flag & _TO:
+            undelivered_somewhere.add(message_id)
+            if message_id not in covered:
+                missing_to.append(message_id)
+        if not flag & _OPT and message_id not in covered:
+            missing_opt.append(message_id)
+    _violate(report, f"Termination/Agreement: site {site_id} never Opt-delivered", missing_opt)
+    _violate(report, f"Termination/Agreement: site {site_id} never TO-delivered", missing_to)
     # Local Agreement: opt-delivered implies eventually TO-delivered —
     # unless the site crashed in between (the delivery was voided with
     # the incarnation) or the transaction arrived via state transfer.
-    never_confirmed = opt_set - to_set - covered - voided
-    if never_confirmed:
-        report.ok = False
-        report.violations.append(
-            f"Local Agreement: site {site_id} Opt-delivered but never TO-delivered "
-            f"{len(never_confirmed)} messages (e.g. {sorted(never_confirmed)[:3]})"
-        )
+    voided = endpoint.crash_voided
+    never_confirmed = {
+        message_id
+        for message_id in endpoint.opt_delivery_log
+        if not flags[row_of[message_id]] & _TO
+        and message_id not in covered
+        and message_id not in voided
+    }
+    _violate(
+        report, f"Local Agreement: site {site_id} Opt-delivered but never TO-delivered",
+        never_confirmed,
+    )
 
     # Local Order: Opt-deliver happens before TO-deliver.
     for message_id in endpoint.to_delivery_log:
-        if is_noop_fill_id(message_id):
-            continue  # gap fills carry no payload and skip Opt-delivery
-        if message_id not in opt_set:
+        # Gap fills carry no payload and skip Opt-delivery.
+        if not flags[row_of[message_id]] & _OPT and not is_noop_fill_id(message_id):
             local_order.append(
                 f"Local Order: site {site_id} TO-delivered {message_id} without "
                 "Opt-delivering it"
             )
-            continue
-        record = endpoint.message(message_id)
-        if record is not None and record.opt_delivered_at is not None:
-            if (
-                record.to_delivered_at is not None
-                and record.to_delivered_at < record.opt_delivered_at
-            ):
-                local_order.append(
-                    f"Local Order: site {site_id} TO-delivered {message_id} before "
-                    "Opt-delivering it"
-                )
+    opt_times, to_times = endpoint.opt_times, endpoint.to_times
+    for message_id, row in row_of.items():
+        to_time = to_times[row]
+        if to_time >= 0.0 and not 0.0 <= opt_times[row] <= to_time:
+            local_order.append(
+                f"Local Order: site {site_id} TO-delivered {message_id} before "
+                "Opt-delivering it"
+            )
+
+
+def _violate(
+    report: BroadcastPropertyReport, violation: str, message_ids: Collection[MessageId]
+) -> None:
+    """Report ``violation`` of ``message_ids``, if any, naming the first three."""
+    if message_ids:
+        report.ok = False
+        report.violations.append(
+            f"{violation} {len(message_ids)} messages (e.g. {sorted(message_ids)[:3]})"
+        )

@@ -115,28 +115,39 @@ class TestOrderAgreement:
         assert report.pairwise_agreement_fraction == 1.0
 
 
+def mismatch(tentative, definitive):
+    """The mismatch, each message given its own row."""
+    row_of = {mid: row for row, mid in enumerate(dict.fromkeys([*tentative, *definitive]))}
+    return tentative_vs_definitive_mismatch(tentative, definitive, row_of)
+
+
 class TestTentativeVsDefinitiveMismatch:
     def test_identical_orders_have_zero_mismatch(self):
-        assert tentative_vs_definitive_mismatch(["a", "b"], ["a", "b"]) == 0.0
+        assert mismatch(["a", "b"], ["a", "b"]) == 0.0
 
     def test_full_reversal_has_full_mismatch(self):
-        assert tentative_vs_definitive_mismatch(["a", "b"], ["b", "a"]) == 1.0
+        assert mismatch(["a", "b"], ["b", "a"]) == 1.0
 
     def test_partial_mismatch(self):
-        value = tentative_vs_definitive_mismatch(["a", "b", "c"], ["b", "a", "c"])
+        value = mismatch(["a", "b", "c"], ["b", "a", "c"])
         assert value == pytest.approx(2.0 / 3.0)
 
     def test_empty_sequences(self):
-        assert tentative_vs_definitive_mismatch([], []) == 0.0
+        assert mismatch([], []) == 0.0
 
     def test_only_common_messages_count(self):
-        value = tentative_vs_definitive_mismatch(["a", "x", "b"], ["a", "b", "y"])
+        value = mismatch(["a", "x", "b"], ["a", "b", "y"])
         assert value == 0.0
+
+    def test_rows_need_not_be_dense(self):
+        # A site's rows skip the numbers of rows that a crash left behind.
+        assert tentative_vs_definitive_mismatch(["a", "b"], ["b", "a"], {"a": 7, "b": 3}) == 1.0
+        assert tentative_vs_definitive_mismatch(["a", "b"], ["a", "b"], {"b": 9, "a": 0}) == 0.0
 
     def test_a_repeated_id_counts_at_its_last_place(self):
         # A recovered site Opt-delivers "a" again: its last tentative place
         # (2) is not its definitive one (0), while "b" stays at 1.
-        assert tentative_vs_definitive_mismatch(["a", "b", "a"], ["a", "b"]) == 0.5
+        assert mismatch(["a", "b", "a"], ["a", "b"]) == 0.5
 
     def test_long_permuted_orders_match_a_dict_based_reference(self):
         # Long enough that a per-element rescan of either sequence would
@@ -156,4 +167,4 @@ class TestTentativeVsDefinitiveMismatch:
         ) / len(common)
 
         assert len(common) == 5000
-        assert tentative_vs_definitive_mismatch(tentative, definitive) == expected
+        assert mismatch(tentative, definitive) == expected

@@ -72,7 +72,7 @@ RECORDS = [
     ),
     (
         OptimisticData,
-        {"message_id": "m:N1:1", "origin": "N1", "payload": "p", "broadcast_at": 0.5},
+        {"message_id": "m:N1:1", "payload": "p"},
         {},
     ),
     (OptimisticOrder, {"message_id": "m:N1:1", "position": 3}, {}),
@@ -178,7 +178,7 @@ def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
     endpoint = OptimisticAtomicBroadcast(
         kernel, transport, dispatcher, "N1", coordinator_site="N2"
     )
-    data = OptimisticData(message_id="m:N1:1", origin="N1", payload="p", broadcast_at=0.0)
+    data = OptimisticData(message_id="m:N1:1", payload="p")
     order = OptimisticOrder(message_id="m:N1:1", position=0)
     sends = [
         (OPTIMISTIC_DATA_KIND, tuple(data)),

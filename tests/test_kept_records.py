@@ -1,7 +1,8 @@
 """Every mutable record outside configuration carries no ``__dict__``.
 
-Every site keeps one broadcast record per message and one submission record
-per request for the whole run; the query engine and the router keep one
+Every site keeps its broadcast delivery state as columns (no record per
+message) and the origin one submission record per request for the whole
+run; the query engine and the router keep one
 record per query and per routed update, and the metrics keep every latency
 sample.  The mutable records are classes with ``__slots__``, the frozen
 request is a named tuple, and the samples are ``array('d')`` doubles, so a
@@ -23,7 +24,7 @@ from array import array
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
-from repro.broadcast.interfaces import BroadcastMessage, BroadcastStats
+from repro.broadcast.interfaces import BroadcastStats
 from repro.broadcast.optimistic import (
     OPTIMISTIC_DATA_KIND,
     OptimisticAtomicBroadcast,
@@ -45,13 +46,13 @@ from repro.network import ConstantLatency, NetworkTransport
 from repro.network.dispatcher import SiteDispatcher
 from repro.network.latency import GeoLatency, GeoTopology, LanMulticastLatency, UniformLatency
 from repro.network.transport import TransportStats, _SiteEndpoint
-from repro.observability.registry import DerivedMetrics
+from repro.observability.registry import DerivedMetrics, derive_metrics
 from repro.observability.trace import TraceSpan
 from repro.sharding.router import RoutedUpdate, ShardedQueryExecution, ShardSubQuery
 from repro.simulation import SimulationKernel
 from repro.verification.liveness import LivenessReport
 from repro.verification.onecopy import OneCopyReport
-from repro.verification.properties import BroadcastPropertyReport
+from repro.verification.properties import BroadcastPropertyReport, check_broadcast_properties
 from repro.verification.recovery import RecoveryReport
 from repro.verification.sharded import ShardedVerificationReport
 from repro.workloads import (
@@ -75,7 +76,6 @@ REQUEST = TransactionRequest(
 )
 
 KEPT = [
-    BroadcastMessage(message_id="m:N1:1", origin="N1", payload=REQUEST),
     SubmittedRequest(request=REQUEST, submitted_at=0.0),
     QueryExecution(query_id="Q:N1:1", procedure_name="scan", query_index=0.5, started_at=0.0),
     RoutedUpdate(
@@ -218,6 +218,36 @@ def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
         assert per_message_sets == (["_ordered_messages"] if site_id == coordinator else [])
 
 
+def test_a_flat_run_keeps_delivery_state_in_columns_and_no_per_message_objects():
+    cluster = flat_run(400)
+    messages = 1600
+    endpoints = [cluster.broadcast_endpoint(site_id) for site_id in cluster.site_ids()]
+    reference = endpoints[0]
+    for endpoint in endpoints:
+        per_message = sorted(
+            name
+            for name, value in vars(endpoint).items()
+            if isinstance(value, (list, dict, set, array)) and len(value) >= messages
+        )
+        assert set(per_message) - {"_ordered_messages"} == {
+            "row_of", "payloads", "local_positions", "definitive_positions",
+            "opt_times", "to_times", "opt_delivery_log", "to_delivery_log", "_positions",
+        }
+        columns = (endpoint.local_positions, endpoint.definitive_positions,
+                   endpoint.opt_times, endpoint.to_times)
+        assert [(column.typecode, len(column)) for column in columns] == [
+            ("q", messages), ("q", messages), ("d", messages), ("d", messages)]
+        assert len(endpoint.row_of) == len(endpoint.payloads) == messages
+        # Beside numbers, a row holds only what every site received: the
+        # payload object itself and the id the logs hold too.
+        for message_id, row in endpoint.row_of.items():
+            assert endpoint.payloads[row] is reference.payloads[reference.row_of[message_id]]
+        assert all(
+            message_id is other
+            for message_id, other in zip(endpoint.to_delivery_log, reference.to_delivery_log)
+        )
+
+
 def test_a_site_history_keeps_columns_and_no_commit_records():
     cluster = flat_run(100)
     history = cluster.replica("N1").history
@@ -235,7 +265,7 @@ def test_a_site_history_keeps_columns_and_no_commit_records():
         history.indices, history.committed_at, history.read_versions)] == [
         ("q", 400), ("d", 400), ("q", 800)]
     # Every update here reads the keys it writes: one key entry serves both.
-    assert len(history._keys) == 800
+    assert len(history.keys) == 800
 
 
 #: sha256 over every site's commit records (``oracles.committed_transactions``)
@@ -268,7 +298,7 @@ def test_records_rebuilt_from_the_columns_equal_the_kept_records(seed):
 #: out dicts differently (before 3.11 an entry keyed by a string takes 24
 #: bytes, not 16), so there the bound is this interpreter's own value at
 #: that horizon, and only the 20x run is gated.
-MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 675.9
+MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 580.2
 MEASURED_ON = (3, 11)
 RETAINED_TOLERANCE = 1.05
 
@@ -311,6 +341,51 @@ def test_a_flat_run_retains_a_bounded_number_of_bytes_per_site_commit(
         f"{retained:.1f} traced bytes retained per site-commit, over the bound "
         f"of {measured:.1f} x {RETAINED_TOLERANCE}"
     )
+
+
+#: Traced peak bytes per site-message of deriving the report's metrics and
+#: of checking the broadcast properties after a flat run of 400 updates a
+#: site, measured on CPython 3.11 with ``PYTHONPATH=src python
+#: tests/test_kept_records.py``.  Both read the delivery columns and logs in
+#: place: neither builds a set, list or dict per site and message.
+MEASURED_PEAK_BYTES_PER_SITE_MESSAGE = {
+    "derive_metrics": 17.7,
+    "check_broadcast_properties": 12.4,
+}
+
+
+def after_run_peaks_per_site_message(updates_per_site):
+    cluster = flat_run(updates_per_site)
+    endpoints = {site_id: cluster.broadcast_endpoint(site_id) for site_id in cluster.site_ids()}
+    site_messages = sum(len(endpoint.to_delivery_log) for endpoint in endpoints.values())
+    assert site_messages == 16 * updates_per_site
+    phases = {
+        "derive_metrics": lambda: derive_metrics(cluster),
+        "check_broadcast_properties": lambda: check_broadcast_properties(endpoints),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, phase in phases.items():
+            gc.collect()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            phase()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / site_messages
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def test_report_and_verify_peaks_stay_within_their_bytes_per_site_message():
+    if sys.version_info[:2] != MEASURED_ON:
+        pytest.skip(f"the byte count is measured on CPython {MEASURED_ON}")
+    for name, peak in after_run_peaks_per_site_message(400).items():
+        bound = MEASURED_PEAK_BYTES_PER_SITE_MESSAGE[name]
+        assert peak <= bound * RETAINED_TOLERANCE, (
+            f"{name} peaks at {peak:.1f} traced bytes per site-message, over the "
+            f"bound of {bound} x {RETAINED_TOLERANCE}"
+        )
 
 
 def test_latency_samples_are_a_double_array():
@@ -361,11 +436,11 @@ def test_a_promoted_coordinator_orders_unconfirmed_messages_in_receipt_order():
     )
     received = ["m:N3:2", "m:N3:10", "m:N3:1"]
     for message_id in received:
-        data = OptimisticData(message_id=message_id, origin="N3", payload=None, broadcast_at=0.0)
+        data = OptimisticData(message_id=message_id, payload=None)
         transport.multicast("N1", data, destinations=["N1"], kind=OPTIMISTIC_DATA_KIND)
         kernel.run_until_idle()
     assert endpoint.opt_delivery_log == received
-    assert [endpoint.message(m).local_position for m in received] == [0, 1, 2]
+    assert [endpoint.local_positions[endpoint.row_of[m]] for m in received] == [0, 1, 2]
     assert endpoint.to_delivery_log == []
     endpoint.set_coordinator("N1")
     kernel.run_until_idle()
@@ -375,3 +450,5 @@ def test_a_promoted_coordinator_orders_unconfirmed_messages_in_receipt_order():
 if __name__ == "__main__":
     print(f"{retained_bytes_per_site_commit(400):.1f} traced bytes retained per "
           "site-commit at 400 updates a site")
+    for phase, peak in after_run_peaks_per_site_message(400).items():
+        print(f"{phase}: {peak:.1f} traced peak bytes per site-message")

@@ -17,6 +17,7 @@ from repro.metrics import (
     stddev,
     summarize,
 )
+from repro.metrics.stats import summarize_runs
 
 
 class TestStats:
@@ -127,6 +128,25 @@ class TestStats:
             assert summary.p95 == percentile(values, 0.95)
             assert summary.p99 == percentile(values, 0.99)
 
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=True),
+                max_size=40,
+            ),
+            max_size=5,
+        )
+    )
+    @example([[0.1, 0.2, 0.3], [0.3], [], [0.1]])
+    @settings(max_examples=80, deadline=None)
+    def test_summarizing_runs_equals_summarizing_them_one_after_another(self, runs):
+        # The mean and deviation sum in the same order, so they are equal, not
+        # just close.
+        joined = [value for run in runs for value in run]
+        summary = summarize_runs(array("d", run) for run in runs)
+        assert summary == summarize(joined)
+        assert [type(field) for field in summary] == [type(field) for field in summarize(joined)]
+
 
 class TestCollector:
     def test_counter_increment(self):
@@ -140,7 +160,7 @@ class TestCollector:
         for value in (0.1, 0.2, 0.3):
             recorder.record(value)
         assert len(recorder) == 3
-        assert recorder.summary().mean == pytest.approx(0.2)
+        assert summarize(recorder.samples).mean == pytest.approx(0.2)
 
     def test_collector_counters(self):
         metrics = MetricsCollector("test")
@@ -154,8 +174,8 @@ class TestCollector:
         metrics = MetricsCollector("test")
         metrics.record_latency("commit", 0.5)
         metrics.record_latency("commit", 1.5)
-        assert metrics.latency("commit").summary().mean == pytest.approx(1.0)
-        assert metrics.latency("missing").summary().count == 0
+        assert summarize(metrics.latency("commit").samples).mean == pytest.approx(1.0)
+        assert summarize(metrics.latency("missing").samples).count == 0
 
     def test_snapshot_contains_both(self):
         metrics = MetricsCollector("test")

@@ -261,6 +261,10 @@ ALLOWLIST = {
         "the version GC that bounded store state needs (ROADMAP item 5); "
         "no run calls it until the verifier stops reading every version"
     ),
+    "repro.workloads.generator:WorkloadPlan.operations": (
+        "the record view of a plan's columns that the workload tests compare "
+        "plans by (plans became columns under ROADMAP item 5)"
+    ),
     "repro.observability.trace:TransactionTracer.signature": (
         "trace export kept until the causal-span work (ROADMAP item 3) "
         "lands or is dropped"
@@ -620,9 +624,9 @@ def test_a_stale_allowlist_entry_fails():
 
 
 # --------------------------------------------------------------- methods
-#: A method's name written where markdown shows code: ``.name``, ``name=``
-#: or a quoted ``"name"``.
-TEXT_USE = re.compile(r"\.(\w+)|\b(\w+)=|[\"'](\w+)[\"']")
+#: A method named in prose with its class: ``Class.method``, or the end of a
+#: ``repro.…`` path.  A bare ``.name`` in prose may be any object's.
+TEXT_USE = re.compile(r"\b(?:repro(?:\.\w+)*\.)?([A-Z]\w*\.\w+)")
 
 
 def names_used(node):
@@ -646,11 +650,9 @@ def names_used(node):
     return used
 
 
-def names_in_text(text):
-    return Counter(
-        next(group for group in match.groups() if group)
-        for match in TEXT_USE.finditer(text)
-    )
+def methods_in_text(text):
+    """How often ``text`` names each ``Class.method``."""
+    return Counter(match.group(1) for match in TEXT_USE.finditer(text))
 
 
 class MethodUses:
@@ -658,7 +660,9 @@ class MethodUses:
 
     This is a name scan, not a resolution: a method counts as used when its
     name is used (see :func:`names_used`) anywhere in ``src/`` outside its
-    own ``def``, in a consumer file, or in ``docs/*.md`` or ``README.md``.
+    own ``def``, in a consumer file or in a ``>>>`` example of ``docs/*.md``
+    or ``README.md``, or when their prose names it with its class (see
+    :func:`methods_in_text`).
     A shared name can hide a dead method, but a method really reached by
     attribute, keyword or ``getattr`` is never flagged.
     """
@@ -667,6 +671,8 @@ class MethodUses:
         #: ``"module:Class.name"`` -> its ``def``, per public method.
         self.methods = {}
         self.used = Counter()
+        #: ``"Class.name"`` -> how often the docs name it.
+        self.documented = Counter()
         for module, source in modules.items():
             tree = ast.parse(source)
             self.used += names_used(tree)
@@ -679,7 +685,7 @@ class MethodUses:
         for source in consumers:
             self.used += names_used(ast.parse(source))
         for text in texts:
-            self.used += names_in_text(text)
+            self.documented += methods_in_text(text)
 
     @classmethod
     def from_repo(cls):
@@ -693,13 +699,17 @@ class MethodUses:
             for path in sorted((REPO_ROOT / directory).rglob("*.py"))
         ]
         pages = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
-        return cls(modules, consumers, [path.read_text() for path in pages])
+        texts = [path.read_text() for path in pages]
+        # A page's ``>>>`` examples are code the docs checker runs.
+        consumers += [doc_example_source(text) for text in texts]
+        return cls(modules, consumers, texts)
 
     def unused_methods(self):
         return sorted(
             key
             for key, node in self.methods.items()
             if self.used[node.name] <= names_used(node)[node.name]
+            and not self.documented[key.split(":", 1)[1]]
         )
 
 
@@ -741,14 +751,34 @@ def test_a_method_only_a_test_reaches_is_flagged():
         ("by_attribute", "service.by_attribute()\n", ""),
         ("by_keyword", "configure(by_keyword=1)\n", ""),
         ("by_getattr", "getattr(service, 'by_getattr')()\n", ""),
-        ("in_docs", "", "Read `service.in_docs` for the value.\n"),
+        ("in_docs", "", "Read `Service.in_docs` for the value.\n"),
+        ("in_docs", "", "See `repro.pkg.mod.Service.in_docs`.\n"),
+        ("in_docs", doc_example_source(">>> service.in_docs\n"), ""),
     ],
+    ids=["attribute", "keyword", "getattr", "docs_class", "docs_path", "docs_example"],
 )
 def test_an_attribute_keyword_getattr_or_docs_use_counts(method, consumer, text):
     uses = MethodUses({"repro.pkg.mod": SERVICE}, consumers=[consumer], texts=[text])
     flagged = uses.unused_methods()
     assert f"repro.pkg.mod:Service.{method}" not in flagged
     assert len(flagged) == 4 and "repro.pkg.mod:Service.only_tested" in flagged
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Read `service.in_docs` for the value.\n",
+        "Like `random.in_docs()`, it keeps nothing.\n",
+        "Pass `in_docs=True`, or look up `'in_docs'`.\n",
+        "See `Other.in_docs`.\n",
+    ],
+    ids=["instance", "other_module", "keyword_or_string", "other_class"],
+)
+def test_prose_alone_keeps_no_method_alive(text):
+    # Only a mention with the method's own class, or a ``repro.`` path to
+    # it, counts; a bare name in prose may be anything's.
+    uses = MethodUses({"repro.pkg.mod": SERVICE}, texts=[text])
+    assert "repro.pkg.mod:Service.in_docs" in uses.unused_methods()
 
 
 def test_a_use_inside_its_own_def_does_not_count():
@@ -858,10 +888,40 @@ def local_dicts(function):
     return found
 
 
+def is_dotted_name(node):
+    """Whether ``node`` is a name or an attribute chain on one (``time.perf_counter``)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name)
+
+
 def same_literal(value, default):
-    """Whether ``value`` is written as the literal or name ``default`` is."""
-    literal = (ast.Constant, ast.Name, ast.UnaryOp, ast.Tuple)
-    return isinstance(default, literal) and ast.dump(value) == ast.dump(default)
+    """Whether ``value`` is written as the literal or (dotted) name ``default`` is."""
+    literal = isinstance(default, (ast.Constant, ast.UnaryOp, ast.Tuple)) or is_dotted_name(
+        default
+    )
+    return literal and ast.dump(value) == ast.dump(default)
+
+
+@pytest.mark.parametrize(
+    "value, default, same",
+    [
+        ("3", "3", True),
+        ("-1", "-1", True),
+        ("(1, 2)", "(1, 2)", True),
+        ("perf_counter", "perf_counter", True),
+        ("time.perf_counter", "time.perf_counter", True),
+        ("repro.types.LIMIT", "repro.types.LIMIT", True),
+        ("time.monotonic", "time.perf_counter", False),
+        ("perf_counter", "time.perf_counter", False),
+        ("make().clock", "make().clock", False),
+        ("[1]", "[1]", False),
+    ],
+)
+def test_a_default_is_the_same_literal_only_when_written_alike(value, default, same):
+    # A call or a list is not a literal: two written alike may differ.
+    value, default = (ast.parse(source, mode="eval").body for source in (value, default))
+    assert same_literal(value, default) is same
 
 
 class Scope:

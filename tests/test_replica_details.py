@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro.metrics import summarize
 
 
 def simple_registry():
@@ -33,7 +34,7 @@ class TestReplicaInternals:
         cluster.submit("N2", "set_value", {"value": 7})
         cluster.run_until_idle()
         # Non-coordinator sites observe a strictly positive Opt->TO delay.
-        summary = cluster.replica("N3").metrics.latency("ordering_delay").summary()
+        summary = summarize(cluster.replica("N3").metrics.latency("ordering_delay").samples)
         assert summary.count == 1
         assert summary.mean > 0.0
 

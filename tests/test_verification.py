@@ -17,7 +17,7 @@ from repro.workloads import (
     build_partitioned_registry,
 )
 from repro.verification.properties import check_broadcast_properties
-from repro.broadcast.interfaces import AtomicBroadcastEndpoint, BroadcastMessage
+from repro.broadcast.interfaces import AtomicBroadcastEndpoint
 
 from oracles import (
     committed_transactions,
@@ -66,8 +66,8 @@ def swap_rows(history, i, j):
     """Swap two commits in a site's local commit order, all but the read
     versions (those stay where the site recorded them)."""
     for column in (history.ids, history.classes, history.indices, history.committed_at,
-                   history.message_ids, history._starts, history._write_ends,
-                   history._read_ends):
+                   history.message_ids, history.key_starts, history.write_ends,
+                   history.read_ends):
         column[i], column[j] = column[j], column[i]
 
 
@@ -285,19 +285,18 @@ class FakeEndpoint(AtomicBroadcastEndpoint):
 
     def script(self, opt_order, to_order):
         for position, message_id in enumerate(opt_order):
-            message = BroadcastMessage(message_id=message_id, origin="N1", payload=None)
-            message.opt_delivered_at = float(position)
-            self._messages[message_id] = message
-            self._emit_opt_deliver(message)
+            self._emit_opt_deliver(self.row(message_id), message_id, float(position))
         for position, message_id in enumerate(to_order):
-            message = self._messages.setdefault(
-                message_id, BroadcastMessage(message_id=message_id, origin="N1", payload=None)
-            )
-            message.to_delivered_at = 100.0 + position
-            self._emit_to_deliver(message)
+            self._emit_to_deliver(self.row(message_id), message_id, position, 100.0 + position)
+
+    def row(self, message_id):
+        row = self._live_row(message_id)
+        if row < 0:
+            row = self._add_row(message_id, None)
+        return row
 
 
-# The property checker reads only the delivery logs and message records, so
+# The property checker reads only the delivery logs and delivery columns, so
 # the fake leaves the coordinator/recovery surface unimplemented.
 FakeEndpoint.__abstractmethods__ = frozenset()
 
@@ -336,6 +335,18 @@ class TestBroadcastPropertyChecker:
         report = check_broadcast_properties({"N1": endpoint})
         assert not report.ok
         assert any("Local Order" in violation for violation in report.violations)
+
+    @pytest.mark.parametrize("opt_time", [-1.0, 150.0], ids=["never", "after_to"])
+    def test_a_row_opt_delivered_late_or_never_breaks_local_order(self, opt_time):
+        # Both logs agree; only the row's time columns say the Opt-delivery
+        # of m2 did not come first.
+        endpoint = FakeEndpoint("N1")
+        endpoint.script(["m1", "m2"], ["m1", "m2"])
+        endpoint.opt_times[endpoint.row_of["m2"]] = opt_time
+        report = check_broadcast_properties({"N1": endpoint})
+        assert report.violations == [
+            "Local Order: site N1 TO-delivered m2 before Opt-delivering it"
+        ]
 
     def test_divergent_tentative_orders_are_allowed(self):
         first, second = FakeEndpoint("N1"), FakeEndpoint("N2")

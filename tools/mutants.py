@@ -170,6 +170,25 @@ MUTANTS = (
         "the transfer_covered skip in _try_to_deliver",
         "killed",
     ),
+    # ----------------------------- Local Order evidence in the delivery columns
+    Mutant(
+        "to-time-into-opt-column",
+        "broadcast/interfaces.py",
+        "        self.to_times[row] = now\n",
+        "        self.to_times[row] = self.opt_times[row] = now\n",
+        "a TO-delivery leaves the row's Opt-delivery time as it was",
+        "killed",
+    ),
+    Mutant(
+        "conservative-opt-unrecorded",
+        "broadcast/optimistic.py",
+        "                self._emit_opt_deliver(row, message_id, self.kernel.now())\n"
+        "            if self.to_times[row] >= 0.0:",
+        "                self._emit_opt_deliver(row, message_id, -1.0)\n"
+        "            if self.to_times[row] >= 0.0:",
+        "conservative delivery records its Opt-delivery time before TO-delivering",
+        "killed",
+    ),
     Mutant(
         "duplicate-order-overwrites",
         "broadcast/optimistic.py",
