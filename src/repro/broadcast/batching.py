@@ -265,9 +265,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
                 continue
             self._emit_opt_deliver(row, member.message_id, now)
 
-    def _on_inner_to(
-        self, message_id: MessageId, payload: Any, inner_position: int, delay: float
-    ) -> None:
+    def _on_inner_to(self, payload: Any, inner_position: int, delay: float) -> None:
         now = self.kernel.now()
         if isinstance(payload, NoOpFill):
             # The coordinator declared the whole batch position dead; the

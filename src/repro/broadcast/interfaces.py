@@ -57,11 +57,15 @@ class NoOpFill(NamedTuple):
     position: int
 
 
+#: A block of unset positions and times for an endpoint's number columns.
+_UNSET_POSITIONS = array("q", [-1]) * 64
+_UNSET_TIMES = array("d", [-1.0]) * 64
+
 #: Listener of an Opt-delivery: ``(message_id, payload)``.
 OptListener = Callable[[MessageId, Any], None]
-#: Listener of a TO-delivery: ``(message_id, payload, definitive position,
-#: ordering delay)``, the delay being the time since this site Opt-delivered.
-ToListener = Callable[[MessageId, Any, int, float], None]
+#: Listener of a TO-delivery: ``(payload, definitive position, ordering
+#: delay)``, the delay being the time since this site Opt-delivered.
+ToListener = Callable[[Any, int, float], None]
 
 
 class BroadcastStats:
@@ -137,10 +141,12 @@ class AtomicBroadcastEndpoint(abc.ABC):
         row = len(self.payloads)
         self.row_of[message_id] = row
         self.payloads.append(payload)
-        self.local_positions.append(-1)
-        self.definitive_positions.append(-1)
-        self.opt_times.append(-1.0)
-        self.to_times.append(-1.0)
+        if row == len(self.opt_times):
+            # The number columns grow by a block of unset rows at a time.
+            self.local_positions.extend(_UNSET_POSITIONS)
+            self.definitive_positions.extend(_UNSET_POSITIONS)
+            self.opt_times.extend(_UNSET_TIMES)
+            self.to_times.extend(_UNSET_TIMES)
         return row
 
     def _live_row(self, message_id: MessageId) -> int:
@@ -252,4 +258,4 @@ class AtomicBroadcastEndpoint(abc.ABC):
         self.to_delivery_log.append(message_id)
         payload, delay = self.payloads[row], now - self.opt_times[row]
         for listener in self._to_listeners:
-            listener(message_id, payload, position, delay)
+            listener(payload, position, delay)

@@ -273,9 +273,7 @@ class ReplicaManager:
             )
         self.scheduler.on_opt_deliver(transaction)
 
-    def _on_to_deliver(
-        self, message_id: MessageId, payload: Any, position: int, ordering_delay: float
-    ) -> None:
+    def _on_to_deliver(self, payload: Any, position: int, ordering_delay: float) -> None:
         if isinstance(payload, NoOpFill):
             # A dead position filled by the coordinator after a whole-group
             # crash: nothing to execute, but the snapshot frontier must pass.

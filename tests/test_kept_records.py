@@ -235,8 +235,9 @@ def test_a_flat_run_keeps_delivery_state_in_columns_and_no_per_message_objects()
         }
         columns = (endpoint.local_positions, endpoint.definitive_positions,
                    endpoint.opt_times, endpoint.to_times)
-        assert [(column.typecode, len(column)) for column in columns] == [
-            ("q", messages), ("q", messages), ("d", messages), ("d", messages)]
+        # The number columns grow a block of rows at a time.
+        assert [column.typecode for column in columns] == ["q", "q", "d", "d"]
+        assert all(len(column) >= messages for column in columns)
         assert len(endpoint.row_of) == len(endpoint.payloads) == messages
         # Beside numbers, a row holds only what every site received: the
         # payload object itself and the id the logs hold too.
@@ -298,7 +299,7 @@ def test_records_rebuilt_from_the_columns_equal_the_kept_records(seed):
 #: out dicts differently (before 3.11 an entry keyed by a string takes 24
 #: bytes, not 16), so there the bound is this interpreter's own value at
 #: that horizon, and only the 20x run is gated.
-MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 580.2
+MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 581.5
 MEASURED_ON = (3, 11)
 RETAINED_TOLERANCE = 1.05
 
