@@ -10,7 +10,7 @@ transactions are executing.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from ..database.procedures import ProcedureRegistry, StoredProcedure, TransactionContext
 from ..database.storage import MultiVersionStore
@@ -143,11 +143,13 @@ class QueryExecution:
     """Bookkeeping of one locally executed read-only query.
 
     A site keeps one per query for the whole run, so the record has slots
-    and no per-instance ``__dict__``.
+    and no per-instance ``__dict__``, and it names the query by the site's
+    serial number rather than by a string of its own (:attr:`query_id`).
     """
 
     __slots__ = (
-        "query_id",
+        "serial",
+        "site_id",
         "procedure_name",
         "query_index",
         "started_at",
@@ -157,9 +159,15 @@ class QueryExecution:
     )
 
     def __init__(
-        self, query_id: str, procedure_name: str, query_index: float, started_at: float
+        self,
+        serial: int,
+        site_id: SiteId,
+        procedure_name: str,
+        query_index: float,
+        started_at: float,
     ) -> None:
-        self.query_id = query_id
+        self.serial = serial
+        self.site_id = site_id
         self.procedure_name = procedure_name
         self.query_index = query_index
         self.started_at = started_at
@@ -169,6 +177,11 @@ class QueryExecution:
         #: died with the process and the client receives an error instead of
         #: a result.
         self.aborted_at: Optional[float] = None
+
+    @property
+    def query_id(self) -> str:
+        """The query's name in reports, ``Q:<site>:<serial>``."""
+        return f"Q:{self.site_id}:{self.serial}"
 
     @property
     def aborted(self) -> bool:
@@ -199,8 +212,7 @@ class QueryEngine:
         self.site_id = site_id
         self._duration_stream = kernel.random.stream(f"query.duration.{site_id}")
         self._query_counter = 0
-        self.completed: List[QueryExecution] = []
-        self._pending: Dict[str, "_PendingQuery"] = {}
+        self._pending: Dict[int, "_PendingQuery"] = {}
 
     def submit(
         self,
@@ -216,7 +228,8 @@ class QueryEngine:
             )
         self._query_counter += 1
         execution = QueryExecution(
-            query_id=f"Q:{self.site_id}:{self._query_counter}",
+            serial=self._query_counter,
+            site_id=self.site_id,
             procedure_name=procedure.name,
             query_index=query_index,
             started_at=self.kernel.now(),
@@ -228,16 +241,15 @@ class QueryEngine:
         duration = procedure.sample_duration(parameters, self._duration_stream)
 
         def finish() -> None:
-            self._pending.pop(execution.query_id, None)
+            self._pending.pop(execution.serial, None)
             execution.completed_at = self.kernel.now()
             execution.result = result
-            self.completed.append(execution)
             on_complete(execution)
 
         event = self.kernel.schedule(
             duration, finish, label="query-complete"
         )
-        self._pending[execution.query_id] = _PendingQuery(
+        self._pending[execution.serial] = _PendingQuery(
             execution=execution, event=event, on_complete=on_complete
         )
         return execution

@@ -34,10 +34,6 @@ class ConflictClass(NamedTuple):
     key_prefixes: Tuple[str, ...] = ()
     description: str = ""
 
-    def owns_key(self, key: ObjectKey) -> bool:
-        """Return whether ``key`` belongs to this class's partition."""
-        return any(key.startswith(prefix) for prefix in self.key_prefixes)
-
 
 class ConflictClassMap:
     """Registry of conflict classes and of the key partition they own."""
@@ -47,6 +43,11 @@ class ConflictClassMap:
         #: ``class_of_key`` answers, resolved once per key and dropped
         #: whenever a class is defined (a key may gain an owner).
         self._owner_of_key: Dict[ObjectKey, Optional[ConflictClassId]] = {}
+        #: Every defined key prefix's class, and the distinct prefix lengths
+        #: in ascending order: a key's first resolution probes the prefix
+        #: index once per length instead of testing every class.
+        self._class_of_prefix: Dict[str, ConflictClassId] = {}
+        self._prefix_lengths: Tuple[int, ...] = ()
 
     def define(
         self,
@@ -79,6 +80,8 @@ class ConflictClassMap:
             description=description,
         )
         self._classes[class_id] = conflict_class
+        self._class_of_prefix.update(dict.fromkeys(prefixes, class_id))
+        self._prefix_lengths = tuple(sorted({len(prefix) for prefix in self._class_of_prefix}))
         self._owner_of_key.clear()
         return conflict_class
 
@@ -98,13 +101,14 @@ class ConflictClassMap:
         owners = self._owner_of_key
         if key in owners:
             return owners[key]
-        # Partitions are disjoint (``define`` rejects overlaps), so the first
-        # owner found is the only one.
-        owner = next(
-            (class_id for class_id, conflict_class in self._classes.items()
-             if conflict_class.owns_key(key)),
-            None,
-        )
+        # Partitions are disjoint (``define`` rejects overlaps), so at most
+        # one prefix of ``key`` is defined.
+        class_of_prefix = self._class_of_prefix
+        owner = None
+        for length in self._prefix_lengths:
+            owner = class_of_prefix.get(key[:length])
+            if owner is not None:
+                break
         owners[key] = owner
         return owner
 

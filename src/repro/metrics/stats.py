@@ -6,8 +6,19 @@ import heapq
 import math
 from array import array
 from collections import abc
-from itertools import chain
-from typing import Collection, Iterable, Iterator, List, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 
 class Summary(NamedTuple):
@@ -29,25 +40,33 @@ class Summary(NamedTuple):
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+#: The percentiles a :class:`Summary` reports, in field order.
+_PERCENTILES = (0.50, 0.90, 0.95, 0.99)
+
+
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Return the ``fraction`` percentile (0..1) using linear interpolation."""
     if not values:
         return 0.0
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"percentile fraction must be in [0, 1], got {fraction!r}")
-    return _ranked(sorted(values), fraction)
+    return _ranked(sorted(values), len(values), fraction)
 
 
-def _ranked(ordered: Sequence[float], fraction: float) -> float:
-    """The ``fraction`` percentile of the non-empty, sorted ``ordered``."""
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = fraction * (len(ordered) - 1)
-    lower = int(math.floor(rank))
-    upper = int(math.ceil(rank))
+def _bounds(count: int, fraction: float) -> Tuple[int, int]:
+    """The two ranks the ``fraction`` percentile of ``count`` values lies between."""
+    rank = fraction * (count - 1)
+    return int(math.floor(rank)), int(math.ceil(rank))
+
+
+def _ranked(
+    ordered: Union[Sequence[float], Mapping[int, float]], count: int, fraction: float
+) -> float:
+    """The ``fraction`` percentile of ``count`` sorted values, ``ordered[rank]``."""
+    lower, upper = _bounds(count, fraction)
     if lower == upper:
         return ordered[lower]
-    weight = rank - lower
+    weight = fraction * (count - 1) - lower
     low, high = ordered[lower], ordered[upper]
     # Rounding (e.g. a subnormal halved to 0.0) must not leave [low, high].
     return min(max(low * (1.0 - weight) + high * weight, low), high)
@@ -100,21 +119,30 @@ def summarize_runs(runs: Iterable[Sequence[float]]) -> Summary:
     """:func:`summarize` of the runs one after another, kept as doubles.
 
     The runs are read in place, and each is sorted into an ``array('d')`` on
-    its own before the sorted runs are merged, so at most one run at a time
-    is boxed into a list of floats (32 bytes a value, against 8).
+    its own, so at most one run at a time is boxed into a list of floats (32
+    bytes a value, against 8).  The percentiles are read off the merge of the
+    sorted runs as it streams past: only the values at their ranks are kept.
     """
     sample = _Concatenated(list(runs))
-    if not sample:
+    count = len(sample)
+    if not count:
         return Summary.empty()
-    ordered = array("d", heapq.merge(*[array("d", sorted(run)) for run in sample.runs]))
+    ranks = {rank for fraction in _PERCENTILES for rank in _bounds(count, fraction)}
+    merged = heapq.merge(*[array("d", sorted(run)) for run in sample.runs])
+    ordered: Dict[int, float] = {
+        rank: value
+        for rank, value in enumerate(islice(merged, max(ranks) + 1))
+        if rank in ranks
+    }
+    p50, p90, p95, p99 = (_ranked(ordered, count, fraction) for fraction in _PERCENTILES)
     return Summary(
-        count=len(sample),
+        count=count,
         mean=mean(sample),
         stddev=stddev(sample),
         minimum=min(sample),
         maximum=max(sample),
-        p50=_ranked(ordered, 0.50),
-        p90=_ranked(ordered, 0.90),
-        p95=_ranked(ordered, 0.95),
-        p99=_ranked(ordered, 0.99),
+        p50=p50,
+        p90=p90,
+        p95=p95,
+        p99=p99,
     )

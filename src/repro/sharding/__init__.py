@@ -28,7 +28,7 @@ from .router import (
     TransactionRouter,
     merge_sum,
     partitioned_query_classes,
-    partitioned_subquery_parameters,
+    partitioned_subquery_window,
 )
 from .shardmap import ShardMap
 
@@ -41,5 +41,5 @@ __all__ = [
     "ShardedQueryExecution",
     "merge_sum",
     "partitioned_query_classes",
-    "partitioned_subquery_parameters",
+    "partitioned_subquery_window",
 ]

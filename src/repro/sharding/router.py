@@ -18,7 +18,8 @@ violate.  The verification layer re-checks this property explicitly
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.execution import QueryExecution
 from ..database.procedures import ProcedureRegistry
@@ -43,15 +44,14 @@ def partitioned_query_classes(
     return [partition_class_id(int(index)) for index in parameters["class_indexes"]]
 
 
-def partitioned_subquery_parameters(
-    procedure_name: str,
-    parameters: Dict[str, Any],
-    classes: Sequence[ConflictClassId],
-) -> Dict[str, Any]:
-    """Restrict a standard-workload query's parameters to ``classes``."""
-    sub = dict(parameters)
-    sub["class_indexes"] = sorted(int(class_id[1:]) for class_id in classes)
-    return sub
+def partitioned_subquery_window(classes: Sequence[ConflictClassId]) -> Tuple[int, ...]:
+    """A leg's ``class_indexes``: the sorted indexes of its shard's ``classes``."""
+    return tuple(sorted(int(class_id[1:]) for class_id in classes))
+
+
+#: The parameters besides ``class_indexes`` of a query that has none (every
+#: standard query): one read-only mapping every such leg shares.
+NO_OTHER_PARAMETERS: Mapping[str, Any] = MappingProxyType({})
 
 
 def merge_sum(results: Sequence[Any]) -> Any:
@@ -60,11 +60,7 @@ def merge_sum(results: Sequence[Any]) -> Any:
 
 
 class RoutedUpdate:
-    """Routing record of one update transaction.
-
-    The router keeps one per update for the whole run, as it does the query
-    records below, so each has slots and no per-instance ``__dict__``.
-    """
+    """Routing record of one update transaction, returned to its client."""
 
     __slots__ = ("transaction_id", "conflict_class", "shard_id", "site_id", "routed_at")
 
@@ -86,32 +82,51 @@ class RoutedUpdate:
 class ShardSubQuery:
     """One per-shard leg of a fanned-out multi-class query.
 
-    ``site_id``/``execution`` describe the *latest* dispatch: a sub-query
-    aborted by a replica crash is retried at another live replica, replacing
-    both fields (``execution`` is ``None`` only while a dispatch is deferred
-    because its shard has no live replica).
+    The router keeps every leg for the whole run, so a leg keeps no
+    parameter dict: ``window`` is its shard's sorted class indexes, one
+    object the router shares among every leg over the same classes, and
+    ``other_parameters`` the query's remaining parameters, one mapping its
+    legs share.  ``execution`` is the *latest* dispatch: a sub-query aborted
+    by a replica crash is retried at another live replica, replacing it
+    (``None`` only while a dispatch is deferred because its shard has no live
+    replica).
     """
 
-    __slots__ = ("shard_id", "site_id", "parameters", "execution")
+    __slots__ = ("shard_id", "window", "other_parameters", "execution")
 
     def __init__(
         self,
         shard_id: ShardId,
-        site_id: SiteId,
-        parameters: Dict[str, Any],
+        window: Tuple[int, ...],
+        other_parameters: Mapping[str, Any],
         execution: Optional[QueryExecution],
     ) -> None:
         self.shard_id = shard_id
-        self.site_id = site_id
-        self.parameters = parameters
+        self.window = window
+        self.other_parameters = other_parameters
         self.execution = execution
+
+    @property
+    def site_id(self) -> SiteId:
+        """The replica of the latest dispatch (``""`` before the first)."""
+        return "" if self.execution is None else self.execution.site_id
+
+    @property
+    def parameters(self) -> Dict[str, Any]:
+        """The leg's procedure parameters, built on each call."""
+        parameters = dict(self.other_parameters)
+        parameters["class_indexes"] = self.window
+        return parameters
 
 
 class ShardedQueryExecution:
-    """Bookkeeping of one multi-shard query and its snapshot merge."""
+    """Bookkeeping of one multi-shard query and its snapshot merge.
+
+    ``subqueries`` is the tuple of its legs, one per shard in shard order.
+    """
 
     __slots__ = (
-        "query_id",
+        "serial",
         "procedure_name",
         "submitted_at",
         "subqueries",
@@ -119,13 +134,18 @@ class ShardedQueryExecution:
         "completed_at",
     )
 
-    def __init__(self, query_id: str, procedure_name: str, submitted_at: float) -> None:
-        self.query_id = query_id
+    def __init__(self, serial: int, procedure_name: str, submitted_at: float) -> None:
+        self.serial = serial
         self.procedure_name = procedure_name
         self.submitted_at = submitted_at
-        self.subqueries: List[ShardSubQuery] = []
+        self.subqueries: Tuple[ShardSubQuery, ...] = ()
         self.merged_result: Any = None
         self.completed_at: Optional[float] = None
+
+    @property
+    def query_id(self) -> str:
+        """The query's name in reports, ``SQ:<serial>``."""
+        return f"SQ:{self.serial}"
 
     @property
     def is_complete(self) -> bool:
@@ -156,7 +176,7 @@ class TransactionRouter:
     A query's conflict classes and its per-shard parameters follow the
     standard partitioned workload's convention, a ``class_indexes``
     parameter (:func:`partitioned_query_classes`,
-    :func:`partitioned_subquery_parameters`), and the per-shard partial
+    :func:`partitioned_subquery_window`), and the per-shard partial
     results are summed (:func:`merge_sum`), matching the standard scan
     queries.
 
@@ -183,8 +203,9 @@ class TransactionRouter:
         self.cluster = cluster
         self.shard_map: ShardMap = cluster.shard_map
         self.registry: ProcedureRegistry = cluster.registry
-        self.routed_updates: List[RoutedUpdate] = []
         self.sharded_queries: List[ShardedQueryExecution] = []
+        #: Every leg's class window, interned: one tuple per distinct window.
+        self._windows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self._site_cursor: Dict[ShardId, int] = {}
         self._query_counter = 0
         #: Client-side retry bookkeeping: submissions deferred because the
@@ -258,15 +279,13 @@ class TransactionRouter:
         transaction_id = self.cluster.shard(shard_id).submit(
             site_id, procedure_name, parameters
         )
-        routed = RoutedUpdate(
+        return RoutedUpdate(
             transaction_id=transaction_id,
             conflict_class=conflict_class,
             shard_id=shard_id,
             site_id=site_id,
             routed_at=self.cluster.kernel.now(),
         )
-        self.routed_updates.append(routed)
-        return routed
 
     # --------------------------------------------------------------- queries
     def route_query(
@@ -296,11 +315,26 @@ class TransactionRouter:
         by_shard = self.shard_map.split_by_shard(classes)
         self._query_counter += 1
         sharded = ShardedQueryExecution(
-            query_id=f"SQ:{self._query_counter}",
+            serial=self._query_counter,
             procedure_name=procedure_name,
             submitted_at=self.cluster.kernel.now(),
         )
         self.sharded_queries.append(sharded)
+        # ``parameters`` holds ``class_indexes`` (partitioned_query_classes
+        # read it); anything beside it is kept once, for every leg.
+        other_parameters: Mapping[str, Any] = NO_OTHER_PARAMETERS
+        if len(parameters) > 1:
+            other_parameters = dict(parameters)
+            del other_parameters["class_indexes"]
+        sharded.subqueries = tuple(
+            ShardSubQuery(
+                shard_id=shard_id,
+                window=self._interned_window(by_shard[shard_id]),
+                other_parameters=other_parameters,
+                execution=None,
+            )
+            for shard_id in sorted(by_shard)
+        )
         remaining = {"count": len(by_shard)}
 
         def subquery_finished(_execution: QueryExecution) -> None:
@@ -314,17 +348,7 @@ class TransactionRouter:
             if on_complete is not None:
                 on_complete(sharded)
 
-        for shard_id in sorted(by_shard):
-            shard_classes = by_shard[shard_id]
-            entry = ShardSubQuery(
-                shard_id=shard_id,
-                site_id="",
-                parameters=partitioned_subquery_parameters(
-                    procedure_name, parameters, shard_classes
-                ),
-                execution=None,
-            )
-            sharded.subqueries.append(entry)
+        for entry in sharded.subqueries:
             self._dispatch_subquery(sharded, entry, subquery_finished)
         return sharded
 
@@ -369,7 +393,6 @@ class TransactionRouter:
                 return
             subquery_finished(execution)
 
-        entry.site_id = site_id
         entry.execution = (
             self.cluster.shard(entry.shard_id)
             .replica(site_id)
@@ -377,6 +400,11 @@ class TransactionRouter:
         )
 
     # -------------------------------------------------------------- internal
+    def _interned_window(self, classes: Sequence[ConflictClassId]) -> Tuple[int, ...]:
+        """The window of ``classes``: the one tuple every leg over them shares."""
+        window = partitioned_subquery_window(classes)
+        return self._windows.setdefault(window, window)
+
     def _pick_site(self, shard_id: ShardId, site_index: Optional[int]) -> Optional[SiteId]:
         """Choose a live replica of ``shard_id`` (or ``None`` if all are down).
 

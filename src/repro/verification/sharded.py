@@ -109,16 +109,17 @@ def check_cross_shard_query_consistency(cluster) -> ShardedVerificationReport:
             )
             continue
         report.queries_checked += 1
+        procedure = cluster.registry.get(sharded_query.procedure_name)
         sub_results: List[Any] = []
         for subquery in sharded_query.subqueries:
             report.subqueries_checked += 1
             execution = subquery.execution
             sub_results.append(execution.result)
-            replica = cluster.shard(subquery.shard_id).replica(subquery.site_id)
-            procedure = cluster.registry.get(sharded_query.procedure_name)
+            replica = cluster.shard(subquery.shard_id).replica(execution.site_id)
             context = TransactionContext(
                 replica.store, snapshot_index=execution.query_index, read_only=True
             )
+            # The leg's parameters are rebuilt from its own class window.
             replayed = procedure.body(context, subquery.parameters)
             if replayed != execution.result:
                 report.ok = False

@@ -154,9 +154,9 @@ class TestQueryEngine:
         # A concurrent committed write must not be visible to the running query.
         store.install("x", 999, created_index=0, created_by="T0")
         kernel.run_until_idle()
-        assert results[0].result == 30
+        assert results == [execution]
+        assert execution.result == 30
         assert execution.latency == pytest.approx(0.005)
-        assert engine.completed == [execution]
 
     def test_update_procedure_rejected(self):
         kernel, store, registry, engine = self.build()

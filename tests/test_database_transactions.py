@@ -383,7 +383,7 @@ class TestConflictClassMap:
         def scan(key):
             owners = [
                 class_id for class_id in mapping.class_ids()
-                if mapping.get(class_id).owns_key(key)
+                if any(key.startswith(prefix) for prefix in mapping.get(class_id).key_prefixes)
             ]
             assert len(owners) <= 1
             return owners[0] if owners else None

@@ -2,15 +2,19 @@
 
 Every site keeps its broadcast delivery state as columns (no record per
 message) and the origin one submission record per request for the whole
-run; the query engine and the router keep one
-record per query and per routed update, and the metrics keep every latency
-sample.  The mutable records are classes with ``__slots__``, the frozen
-request is a named tuple, and the samples are ``array('d')`` doubles, so a
-kept record costs its fields and nothing more.
+run; a site keeps one record per query it executed, the router one per
+routed query and one per leg, and the metrics keep every latency sample.
+A leg keeps no parameter dict: its class window is a tuple the router
+interns, one per distinct class set, and queries and legs are named by int
+serials, not strings.  The mutable records are classes with ``__slots__``,
+the frozen request is a named tuple, and the samples are ``array('d')``
+doubles, so a kept record costs its fields and nothing more.  The router
+keeps nothing per routed update.
 
-The rarely built mutable records — stats counters, the per-site
-transaction, plans with live counters, reports built incrementally, latency
-models — are slotted classes with a written-out ``__init__`` too, so
+The mutable records that are rarely built or not kept — stats counters,
+the routing record an update's client gets back, the per-site transaction,
+plans with live counters, reports built incrementally, latency models —
+are slotted classes with a written-out ``__init__`` too, so
 importing ``repro`` generates no methods for them.  A field that was a
 dataclass ``default_factory`` gets a fresh container per instance.
 """
@@ -23,7 +27,7 @@ from array import array
 
 import pytest
 
-from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase
+from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase, ShardingConfig
 from repro.broadcast.interfaces import BroadcastStats
 from repro.broadcast.optimistic import (
     OPTIMISTIC_DATA_KIND,
@@ -48,7 +52,13 @@ from repro.network.latency import GeoLatency, GeoTopology, LanMulticastLatency, 
 from repro.network.transport import TransportStats, _SiteEndpoint
 from repro.observability.registry import DerivedMetrics, derive_metrics
 from repro.observability.trace import TraceSpan
-from repro.sharding.router import RoutedUpdate, ShardedQueryExecution, ShardSubQuery
+from repro.sharding.cluster import ShardedCluster
+from repro.sharding.router import (
+    NO_OTHER_PARAMETERS,
+    RoutedUpdate,
+    ShardedQueryExecution,
+    ShardSubQuery,
+)
 from repro.simulation import SimulationKernel
 from repro.verification.liveness import LivenessReport
 from repro.verification.onecopy import OneCopyReport
@@ -56,13 +66,20 @@ from repro.verification.properties import BroadcastPropertyReport, check_broadca
 from repro.verification.recovery import RecoveryReport
 from repro.verification.sharded import ShardedVerificationReport
 from repro.workloads import (
+    ShardedWorkloadSpec,
     WorkloadGenerator,
     WorkloadSpec,
     build_conflict_map,
     build_initial_data,
     build_partitioned_registry,
+    build_shard_map,
 )
-from repro.workloads.arrivals import OpenLoopPlan, OpenLoopSpec, PoissonArrivals
+from repro.workloads.arrivals import (
+    OpenLoopPlan,
+    OpenLoopSpec,
+    OpenLoopTrafficEngine,
+    PoissonArrivals,
+)
 from repro.workloads.generator import WorkloadPlan
 
 from oracles import chain_versions, committed_transactions
@@ -77,18 +94,22 @@ REQUEST = TransactionRequest(
 
 KEPT = [
     SubmittedRequest(request=REQUEST, submitted_at=0.0),
-    QueryExecution(query_id="Q:N1:1", procedure_name="scan", query_index=0.5, started_at=0.0),
-    RoutedUpdate(
-        transaction_id="T:N1:1", conflict_class="C0", shard_id="S0", site_id="N1", routed_at=0.0
+    QueryExecution(
+        serial=1, site_id="N1", procedure_name="scan", query_index=0.5, started_at=0.0
     ),
-    ShardSubQuery(shard_id="S0", site_id="N1", parameters={}, execution=None),
-    ShardedQueryExecution(query_id="SQ:1", procedure_name="scan", submitted_at=0.0),
+    ShardSubQuery(
+        shard_id="S0", window=(0, 1), other_parameters=NO_OTHER_PARAMETERS, execution=None
+    ),
+    ShardedQueryExecution(serial=1, procedure_name="scan", submitted_at=0.0),
     REQUEST,
 ]
 
 
-#: Builders of the rarely built mutable records.
+#: Builders of the mutable records that are rarely built or not kept.
 RARELY_BUILT = [
+    lambda: RoutedUpdate(
+        transaction_id="T:N1:1", conflict_class="C0", shard_id="S0", site_id="N1", routed_at=0.0
+    ),
     BroadcastStats,
     lambda: _PendingConfirmation("m:N1:1", 0),
     lambda: SpikedLatency(ConstantLatency(0.001), 0.002),
@@ -350,7 +371,7 @@ def test_a_flat_run_retains_a_bounded_number_of_bytes_per_site_commit(
 #: tests/test_kept_records.py``.  Both read the delivery columns and logs in
 #: place: neither builds a set, list or dict per site and message.
 MEASURED_PEAK_BYTES_PER_SITE_MESSAGE = {
-    "derive_metrics": 17.7,
+    "derive_metrics": 17.1,
     "check_broadcast_properties": 12.4,
 }
 
@@ -387,6 +408,92 @@ def test_report_and_verify_peaks_stay_within_their_bytes_per_site_message():
             f"{name} peaks at {peak:.1f} traced bytes per site-message, over the "
             f"bound of {bound} x {RETAINED_TOLERANCE}"
         )
+
+
+def sharded_open_loop_cluster(horizon, query_fraction, seed=11):
+    """The benchmark's sharded_open_loop cell at ``horizon``: 4 shards x 3
+    sites, 8 classes, Poisson offers at 5000 op/s, queries over 3 classes."""
+    spec = OpenLoopSpec(
+        arrivals=PoissonArrivals(rate=5000.0),
+        horizon=horizon,
+        class_count=8,
+        objects_per_class=20,
+        query_fraction=query_fraction,
+        query_span=3,
+        update_duration=0.002,
+    )
+    base = spec.base_spec()
+    config = ShardingConfig(shard_count=4, sites_per_shard=3, seed=seed)
+    cluster = ShardedCluster(
+        config,
+        build_partitioned_registry(base),
+        conflict_map=build_conflict_map(base),
+        shard_map=build_shard_map(
+            ShardedWorkloadSpec(shard_count=4, classes_per_shard=2), config.shard_ids()
+        ),
+        initial_data=build_initial_data(base),
+    )
+    return cluster, OpenLoopTrafficEngine(spec)
+
+
+def test_routed_query_legs_share_their_class_windows_and_keep_no_dict():
+    cluster, traffic = sharded_open_loop_cluster(0.1, query_fraction=0.3)
+    traffic.apply(cluster)
+    cluster.run_until_idle()
+    legs = [leg for query in cluster.router.sharded_queries for leg in query.subqueries]
+    assert len(legs) > 2 * len({leg.window for leg in legs}) > 0
+    by_window = {}
+    for leg in legs:
+        by_window.setdefault(leg.window, set()).add(id(leg.window))
+        assert type(leg.window) is tuple and list(leg.window) == sorted(leg.window)
+        # A standard query has no parameters beside its classes: every leg
+        # shares the one empty mapping.
+        assert leg.other_parameters is NO_OTHER_PARAMETERS
+        assert not any(isinstance(getattr(leg, name), dict) for name in ShardSubQuery.__slots__)
+        assert leg.parameters == {"class_indexes": leg.window}
+        assert isinstance(leg.execution.serial, int)
+    # One window object per distinct class set.
+    assert all(len(ids) == 1 for ids in by_window.values())
+    for query in cluster.router.sharded_queries:
+        assert type(query.subqueries) is tuple and isinstance(query.serial, int)
+
+
+#: Traced bytes a query-only sharded open-loop run retains per routed query
+#: (two legs each here), from before ``apply`` to after the run: the plan's
+#: columns, the router's query and leg records, each leg's execution record
+#: at its site, their results, times and latency samples.  Measured on
+#: CPython 3.11 with ``PYTHONPATH=src python tests/test_kept_records.py``;
+#: keeping a parameter dict, a sorted class list and a string id per leg,
+#: and a string id per query, it was 1 512.8.
+MEASURED_RETAINED_BYTES_PER_ROUTED_QUERY = 756.4
+
+
+def retained_bytes_per_routed_query(horizon):
+    cluster, traffic = sharded_open_loop_cluster(horizon, query_fraction=1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traffic.apply(cluster)
+        cluster.run_until_idle()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    queries = cluster.router.sharded_queries
+    assert len(queries) > 100 and all(query.is_complete for query in queries)
+    return retained / len(queries)
+
+
+def test_a_routed_query_retains_a_bounded_number_of_bytes():
+    if sys.version_info[:2] != MEASURED_ON:
+        pytest.skip(f"the byte count is measured on CPython {MEASURED_ON}")
+    retained = retained_bytes_per_routed_query(0.2)
+    bound = MEASURED_RETAINED_BYTES_PER_ROUTED_QUERY
+    assert retained <= bound * RETAINED_TOLERANCE, (
+        f"{retained:.1f} traced bytes retained per routed query, over the bound "
+        f"of {bound:.1f} x {RETAINED_TOLERANCE}"
+    )
 
 
 def test_latency_samples_are_a_double_array():
@@ -453,3 +560,5 @@ if __name__ == "__main__":
           "site-commit at 400 updates a site")
     for phase, peak in after_run_peaks_per_site_message(400).items():
         print(f"{phase}: {peak:.1f} traced peak bytes per site-message")
+    print(f"{retained_bytes_per_routed_query(0.2):.1f} traced bytes retained per "
+          "routed query in a 0.2 s query-only sharded open-loop run")

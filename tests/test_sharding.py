@@ -177,6 +177,25 @@ class TestTransactionRouter:
         assert [sub.shard_id for sub in query.subqueries] == ["S1"]
         assert query.merged_result == 2 * 10 * 100
 
+    def test_legs_keep_a_query_s_other_parameters_once_and_their_own_window(self):
+        spec = ShardedWorkloadSpec(shard_count=2, classes_per_shard=2)
+        cluster = build_sharded_cluster(spec)
+        parameters = {"class_indexes": [3, 0, 2], "tag": "audit"}
+        query = cluster.submit_query(READ_CLASSES_QUERY, parameters)
+        cluster.run_until_idle()
+        first, second = query.subqueries
+        assert first.other_parameters is second.other_parameters
+        assert first.other_parameters == {"tag": "audit"}
+        assert [leg.parameters for leg in query.subqueries] == [
+            {"tag": "audit", "class_indexes": (0,)},
+            {"tag": "audit", "class_indexes": (2, 3)},
+        ]
+        # Each read builds a fresh dict; the caller's dict is left as it was.
+        assert first.parameters is not first.parameters
+        assert parameters == {"class_indexes": [3, 0, 2], "tag": "audit"}
+        assert query.merged_result == 3 * 10 * 100
+        assert check_cluster(cluster).ok
+
     def test_router_rejects_mismatched_procedure_kinds(self):
         spec = ShardedWorkloadSpec(shard_count=2)
         cluster = build_sharded_cluster(spec)
@@ -238,11 +257,17 @@ class TestShardedCluster:
         ShardedWorkloadGenerator(spec).apply(cluster)
         cluster.run_until_idle()
         for shard_id, shard in cluster.shards.items():
-            own_transactions = {
-                routed.transaction_id
-                for routed in cluster.router.routed_updates
-                if routed.shard_id == shard_id
+            submitted = {
+                transaction_id: record.request.conflict_class
+                for site_id in shard.site_ids()
+                for transaction_id, record in shard.replica(site_id).submitted.items()
             }
+            # The router sent the shard only updates of classes it owns.
+            assert submitted
+            assert {cluster.shard_map.shard_of_class(c) for c in submitted.values()} == {
+                shard_id
+            }
+            own_transactions = set(submitted)
             for site_id in shard.site_ids():
                 history = shard.replica(site_id).history
                 assert set(history.transaction_ids()) == own_transactions

@@ -189,6 +189,15 @@ MUTANTS = (
         "conservative delivery records its Opt-delivery time before TO-delivering",
         "killed",
     ),
+    # ------------------------------------------- routed-query snapshot replay
+    Mutant(
+        "replay-first-leg-window",
+        "verification/sharded.py",
+        "            replayed = procedure.body(context, subquery.parameters)",
+        "            replayed = procedure.body(context, sharded_query.subqueries[0].parameters)",
+        "the consistency replay rebuilds each leg's parameters from its own class window",
+        "killed",
+    ),
     Mutant(
         "duplicate-order-overwrites",
         "broadcast/optimistic.py",
