@@ -13,7 +13,8 @@ from .batching import (
 from .interfaces import (
     AtomicBroadcastEndpoint,
     BroadcastStats,
-    next_broadcast_id,
+    BROADCAST_IDS,
+    message_name,
 )
 from .optimistic import (
     OPTIMISTIC_ANNOUNCE_KIND,
@@ -39,7 +40,8 @@ __all__ = [
     "unwrap_endpoint",
     "AtomicBroadcastEndpoint",
     "BroadcastStats",
-    "next_broadcast_id",
+    "BROADCAST_IDS",
+    "message_name",
     "OptimisticAtomicBroadcast",
     "OPTIMISTIC_DATA_KIND",
     "OPTIMISTIC_ORDER_KIND",

@@ -57,7 +57,7 @@ from ..types import MessageId, SiteId
 from .interfaces import (
     AtomicBroadcastEndpoint,
     NoOpFill,
-    next_broadcast_id,
+    BROADCAST_IDS,
     noop_fill_id,
 )
 from .optimistic import OptimisticAtomicBroadcast
@@ -151,7 +151,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
     def broadcast(self, payload: Any) -> MessageId:
         """Buffer ``payload``; it is TO-broadcast with the next batch flush."""
         member = BatchMember(
-            message_id=next_broadcast_id(self.kernel, self.site_id),
+            message_id=self.kernel.draw_id(BROADCAST_IDS, self.site_id),
             payload=payload,
             broadcast_at=self.kernel.now(),
         )
@@ -297,7 +297,7 @@ class BatchingEndpoint(AtomicBroadcastEndpoint):
                 # The inner protocol guarantees Opt-before-TO for the batch,
                 # so every member was opt-delivered in _on_inner_opt.
                 raise BroadcastError(
-                    f"batch member {member.message_id} reached TO-delivery "
+                    f"batch member {self.name(member.message_id)} reached TO-delivery "
                     "without optimistic delivery"
                 )
             if self.to_times[row] >= 0.0:

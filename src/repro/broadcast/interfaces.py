@@ -14,9 +14,11 @@ from __future__ import annotations
 import abc
 from array import array
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple, TypeVar,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
+    TypeVar,
 )
 
+from ..simulation.kernel import cover_serial, serial_rows
 from ..types import MessageId, SiteId
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -25,23 +27,28 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 _Endpoint = TypeVar("_Endpoint", bound="AtomicBroadcastEndpoint")
 
-#: Prefix of synthetic message ids used to fill dead positions (gap fills).
-NOOP_FILL_PREFIX = "noop:"
-
-
-def next_broadcast_id(kernel: "SimulationKernel", origin: SiteId) -> MessageId:
-    """Return a broadcast message identifier, unique within ``kernel``."""
-    return f"m:{origin}:{next(kernel.serials['broadcast'])}"
+#: The kernel's id family of broadcast message ids: the sending site draws
+#: one with ``kernel.draw_id(BROADCAST_IDS, origin)``.
+BROADCAST_IDS = "broadcast"
 
 
 def noop_fill_id(position: int) -> MessageId:
-    """Synthetic message id of the no-op filling definitive ``position``."""
-    return f"{NOOP_FILL_PREFIX}{position}"
+    """Synthetic message id of the no-op filling definitive ``position``:
+    negative, so it is no serial."""
+    return -1 - position
 
 
 def is_noop_fill_id(message_id: MessageId) -> bool:
     """Whether ``message_id`` names a gap-fill no-op rather than a payload."""
-    return message_id.startswith(NOOP_FILL_PREFIX)
+    return message_id < 0
+
+
+def message_name(kernel: "SimulationKernel", message_id: MessageId) -> str:
+    """The printed name of ``message_id``: ``m:<origin>:<serial>``, or
+    ``noop:<position>`` for a gap fill."""
+    if message_id < 0:
+        return f"noop:{-1 - message_id}"
+    return f"m:{kernel.origin_of(BROADCAST_IDS, message_id)}:{message_id}"
 
 
 class NoOpFill(NamedTuple):
@@ -98,6 +105,8 @@ class AtomicBroadcastEndpoint(abc.ABC):
     #: definitive position is recorded in *some* site's durable redo log (that
     #: site will push the commit when it recovers), making a no-op fill unsafe.
     fill_safe: Optional[Callable[[int], bool]]
+    #: The kernel that drew the message ids (set by each endpoint class).
+    kernel: "SimulationKernel"
 
     def __init__(self, site_id: SiteId) -> None:
         self.site_id = site_id
@@ -108,13 +117,15 @@ class AtomicBroadcastEndpoint(abc.ABC):
         self._opt_listeners: List[OptListener] = []
         self._to_listeners: List[ToListener] = []
         #: Delivery state as columns, one row per message this site learned
-        #: of.  ``row_of`` maps an id to its latest row and forgets nothing,
-        #: so every id in the delivery logs has one; rows below
+        #: of.  ``row_of[serial]`` is a message's latest row (-1 for none),
+        #: and a gap fill's is in ``noop_row_of``; neither forgets a row, so
+        #: every id in the delivery logs has one (:meth:`row`).  Rows below
         #: ``_first_live_row`` died with an earlier incarnation (a crash
-        #: ends one), and a row is live only while ``row_of`` points at it.
+        #: ends one), and a row is live only while its id points at it.
         #: The payload is the one object every site received.  -1 marks a
         #: position or time not reached yet.
-        self.row_of: Dict[MessageId, int] = {}
+        self.row_of = serial_rows()
+        self.noop_row_of: Dict[MessageId, int] = {}
         self.payloads: List[Any] = []
         #: This site's tentative (receipt) position.
         self.local_positions = array("q")
@@ -122,10 +133,10 @@ class AtomicBroadcastEndpoint(abc.ABC):
         self.opt_times = array("d")
         self.to_times = array("d")
         self._first_live_row = 0
-        #: Per-site log of delivered messages, in delivery order.  Used by the
-        #: property checker (Global/Local Order, Agreement).
-        self.opt_delivery_log: List[MessageId] = []
-        self.to_delivery_log: List[MessageId] = []
+        #: Per-site log of delivered message ids, in delivery order.  Used
+        #: by the property checker (Global/Local Order, Agreement).
+        self.opt_delivery_log = array("q")
+        self.to_delivery_log = array("q")
         #: Messages this site obtained through state transfer instead of
         #: delivery (a recovered site rejoins past them).  The property
         #: checker counts them as delivered.
@@ -139,7 +150,13 @@ class AtomicBroadcastEndpoint(abc.ABC):
     def _add_row(self, message_id: MessageId, payload: Any) -> int:
         """Start a live row for a message (received, nothing delivered yet)."""
         row = len(self.payloads)
-        self.row_of[message_id] = row
+        if message_id < 0:
+            self.noop_row_of[message_id] = row
+        else:
+            row_of = self.row_of
+            if message_id >= len(row_of):
+                cover_serial(row_of, message_id)
+            row_of[message_id] = row
         self.payloads.append(payload)
         if row == len(self.opt_times):
             # The number columns grow by a block of unset rows at a time.
@@ -149,17 +166,46 @@ class AtomicBroadcastEndpoint(abc.ABC):
             self.to_times.extend(_UNSET_TIMES)
         return row
 
+    def row(self, message_id: MessageId) -> int:
+        """The latest row of ``message_id``, in any incarnation, or -1."""
+        if message_id < 0:
+            return self.noop_row_of.get(message_id, -1)
+        try:
+            return self.row_of[message_id]
+        except IndexError:
+            return -1
+
+    def rows_of(self, message_ids: Iterable[MessageId]) -> "array[int]":
+        """The latest row of each of ``message_ids``, all of which have one
+        (every id in the delivery logs does)."""
+        row_of, noop_row_of = self.row_of, self.noop_row_of
+        return array(
+            "i", (row_of[mid] if mid >= 0 else noop_row_of[mid] for mid in message_ids)
+        )
+
     def _live_row(self, message_id: MessageId) -> int:
         """This incarnation's row of ``message_id``, or -1."""
-        row = self.row_of.get(message_id, -1)
+        # :meth:`row`, inline: batch members take this path on every delivery.
+        if message_id < 0:
+            row = self.noop_row_of.get(message_id, -1)
+        else:
+            try:
+                row = self.row_of[message_id]
+            except IndexError:
+                row = -1
         return row if row >= self._first_live_row else -1
 
     def _live_rows(self) -> List[Tuple[int, MessageId]]:
         """This incarnation's ``(row, id)`` pairs, in the order rows were added."""
         first = self._first_live_row
-        return sorted(
-            (row, message_id) for message_id, row in self.row_of.items() if row >= first
-        )
+        pairs = [(row, serial) for serial, row in enumerate(self.row_of) if row >= first]
+        pairs += [(row, noop) for noop, row in self.noop_row_of.items() if row >= first]
+        pairs.sort()
+        return pairs
+
+    def name(self, message_id: MessageId) -> str:
+        """The printed name of ``message_id`` (see :func:`message_name`)."""
+        return message_name(self.kernel, message_id)
 
     # ------------------------------------------------------- crash recovery
     def note_transfer_covered(self, message_id: Optional[MessageId]) -> None:

@@ -44,18 +44,19 @@ for the paper's consensus fallback (a modelling assumption, see
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import BroadcastError
 from ..network.dispatcher import SiteDispatcher
 from ..network.message import Envelope
 from ..network.transport import NetworkTransport
-from ..simulation.kernel import SimulationKernel
+from ..simulation.kernel import SimulationKernel, flag_serial, serial_flags
 from ..types import MessageId, SiteId
 from .interfaces import (
     AtomicBroadcastEndpoint,
     NoOpFill,
-    next_broadcast_id,
+    BROADCAST_IDS,
     noop_fill_id,
 )
 
@@ -67,6 +68,9 @@ OPTIMISTIC_SOLICIT_KIND = "optabcast.solicit"
 
 #: Supported ordering modes.
 ORDERING_MODES = ("sequencer", "voting")
+
+#: A block of positions whose message is not known yet (0 is no serial).
+_UNKNOWN_MESSAGES = array("q", [0]) * 64
 
 
 class OptimisticData(NamedTuple):
@@ -175,15 +179,17 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         #: The next tentative (receipt) position; a received row keeps its
         #: own in ``local_positions``.
         self._next_local_position = 0
-        #: The definitive order: the message at each position, ``None``
-        #: where no confirmation arrived yet.
-        self._positions: List[Optional[MessageId]] = []
-        #: Messages this endpoint ordered or saw ordered, kept only once it
-        #: coordinates: until then it would equal the ids in ``_positions``,
-        #: from which ``_coordinator_handle`` seeds it.  A flag on the message's
-        #: row could not replace it: a confirmation can arrive before the
-        #: data, when there is no row to flag yet.
-        self._ordered_messages: Optional[Set[MessageId]] = None
+        #: The definitive order: the message at each position, 0 (no
+        #: serial) where no confirmation arrived yet.  It grows a block of
+        #: unknown positions at a time.
+        self._positions = array("q")
+        #: One byte per message serial, set for each message this endpoint
+        #: ordered or saw ordered; kept only once it coordinates: until then
+        #: it would equal the ids in ``_positions``, from which
+        #: ``_coordinator_handle`` seeds it.  A flag on the message's row
+        #: could not replace it: a confirmation can arrive before the data,
+        #: when there is no row to flag yet.
+        self._ordered_messages: Optional[bytearray] = None
         self._next_position_to_assign = 0
         self._next_position_to_deliver = 0
         self._pending_confirmations: Dict[MessageId, _PendingConfirmation] = {}
@@ -208,7 +214,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     # ------------------------------------------------------------------- api
     def broadcast(self, payload: Any) -> MessageId:
         """TO-broadcast ``payload`` to all sites (paper primitive)."""
-        message_id = next_broadcast_id(self.kernel, self.site_id)
+        message_id = self.kernel.draw_id(BROADCAST_IDS, self.site_id)
         self.stats.broadcasts += 1
         data = OptimisticData(message_id=message_id, payload=payload)
         if self.tracer is not None:
@@ -278,11 +284,11 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if not self.opt_deliver_on_receipt:
             # Opt- and TO-delivery coincide, so the opt log mirrors the TO log.
             delivered = set(self.to_delivery_log)
-            self.opt_delivery_log = [
-                message_id for message_id in self.opt_delivery_log if message_id in delivered
-            ]
+            self.opt_delivery_log = array(
+                "q", (mid for mid in self.opt_delivery_log if mid in delivered)
+            )
         self._next_local_position = 0
-        self._positions.clear()
+        del self._positions[:]
         self._ordered_messages = None
         self._pending_confirmations.clear()
         self._noop_positions.clear()
@@ -317,8 +323,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
             self._noop_positions.update(donor._noop_positions)
             for row, message_id in self._copy_donor_order(donor, committed_through):
                 self._receive_locally(row, message_id)
-            if self._ordered_messages is not None:
-                self._ordered_messages.update(self._ordered_ids())
+            ordered = self._ordered_messages
+            if ordered is not None:
+                for message_id in self._ordered_ids():
+                    flag_serial(ordered, message_id)
         # A recovered site promoted straight back into the coordinator role
         # (whole-group outage) must order whatever it just copied.
         self._order_unconfirmed()
@@ -338,12 +346,13 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         fresh: List[Tuple[int, MessageId]] = []
         donor_position_of: Dict[MessageId, int] = {}
         positions = self._positions
-        positions.extend([None] * (len(donor._positions) - len(positions)))
+        while len(positions) < len(donor._positions):
+            positions.extend(_UNKNOWN_MESSAGES)
         for position, message_id in enumerate(donor._positions):
-            if message_id is None:
+            if not message_id:
                 continue
             donor_position_of[message_id] = position
-            if positions[position] is None:
+            if not positions[position]:
                 positions[position] = message_id
             if position <= committed_through:
                 self.transfer_covered.add(message_id)
@@ -365,7 +374,10 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if not isinstance(content, OptimisticData):
             return False
         message_id = content.message_id
-        row = self.row_of.get(message_id, -1)
+        try:
+            row = self.row_of[message_id]
+        except IndexError:
+            row = -1
         if row < self._first_live_row:
             row = self._add_row(message_id, content.payload)
         if message_id in self.transfer_covered:
@@ -395,8 +407,12 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
     def _coordinator_handle(self, message_id: MessageId) -> None:
         ordered = self._ordered_messages
         if ordered is None:
-            ordered = self._ordered_messages = set(self._ordered_ids())
-        if message_id in ordered or message_id in self._pending_confirmations:
+            ordered = self._ordered_messages = serial_flags()
+            for ordered_id in self._ordered_ids():
+                flag_serial(ordered, ordered_id)
+        if (
+            message_id < len(ordered) and ordered[message_id]
+        ) or message_id in self._pending_confirmations:
             return
         position = self._next_position_to_assign
         self._next_position_to_assign += 1
@@ -413,13 +429,17 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         self.kernel.schedule(
             self.voting_timeout,
             lambda: self._voting_timeout(message_id),
-            label=f"optabcast-voting-timeout:{message_id}",
+            label=f"optabcast-voting-timeout:{self.name(message_id)}",
         )
         self._maybe_release(pending)
 
     def _release_confirmation(self, message_id: MessageId, position: int) -> None:
-        # Every release follows a ``_coordinator_handle``, which seeded the set.
-        self._ordered_messages.add(message_id)  # type: ignore[union-attr]
+        # Every release follows a ``_coordinator_handle``, which seeded the column.
+        ordered: bytearray = self._ordered_messages  # type: ignore[assignment]
+        if message_id < len(ordered):
+            ordered[message_id] = 1
+        else:
+            flag_serial(ordered, message_id)
         self.stats.control_messages += 1
         self.transport.multicast(
             self.site_id,
@@ -483,14 +503,17 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
         if not isinstance(content, OptimisticOrder):
             return False
         positions, position = self._positions, content.position
-        missing = position + 1 - len(positions)
-        if missing > 0:
-            positions.extend([None] * missing)
-        elif positions[position] is not None:
+        if position >= len(positions):
+            while position >= len(positions):
+                positions.extend(_UNKNOWN_MESSAGES)
+        elif positions[position]:
             return True
         positions[position] = content.message_id
-        if self._ordered_messages is not None:
-            self._ordered_messages.add(content.message_id)
+        ordered = self._ordered_messages
+        message_id = content.message_id
+        # The coordinator flagged its own orders when it released them.
+        if ordered is not None and (message_id >= len(ordered) or not ordered[message_id]):
+            flag_serial(ordered, message_id)
         if position >= self._next_position_to_assign:
             self._next_position_to_assign = position + 1
         self._try_to_deliver()
@@ -498,7 +521,7 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
 
     def _ordered_ids(self) -> List[MessageId]:
         """The message ids in ``_positions``."""
-        return [message_id for message_id in self._positions if message_id is not None]
+        return [message_id for message_id in self._positions if message_id]
 
     def _on_fill(self, fill: OptimisticFill) -> None:
         """Apply a coordinator gap fill: the position becomes a no-op."""
@@ -517,15 +540,18 @@ class OptimisticAtomicBroadcast(AtomicBroadcastEndpoint):
                 self._next_position_to_deliver += 1
                 continue
             positions = self._positions
-            message_id = positions[position] if position < len(positions) else None
-            if message_id is None:
+            message_id = positions[position] if position < len(positions) else 0
+            if not message_id:
                 return
             if message_id in self.transfer_covered:
                 # The transaction behind this position arrived via state
                 # transfer; skip the position without re-delivering.
                 self._next_position_to_deliver += 1
                 continue
-            row = self.row_of.get(message_id, -1)
+            try:
+                row = self.row_of[message_id]
+            except IndexError:
+                row = -1
             if row < self._first_live_row or self.opt_times[row] < 0.0:
                 if row < self._first_live_row or self.opt_deliver_on_receipt:
                     # Local Order property: a site must Opt-deliver a message

@@ -11,13 +11,13 @@ the order-agreement statistics computed from per-site receive sequences.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 from ..errors import BroadcastError
 from ..network.message import DeliveryRecord
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
-from ..types import MessageId, SiteId
+from ..types import EnvelopeId, SiteId
 
 #: Envelope kind used by the spontaneous-order probe traffic.
 PROBE_KIND = "spontaneous.probe"
@@ -95,9 +95,9 @@ class OrderAgreementReport(NamedTuple):
         return 100.0 * self.same_position_fraction
 
 
-def receive_sequences(delivery_log: Iterable[DeliveryRecord]) -> Dict[SiteId, List[MessageId]]:
+def receive_sequences(delivery_log: Iterable[DeliveryRecord]) -> Dict[SiteId, List[EnvelopeId]]:
     """Group a delivery log's probe records into per-site receive sequences."""
-    sequences: Dict[SiteId, List[MessageId]] = {}
+    sequences: Dict[SiteId, List[EnvelopeId]] = {}
     for record in delivery_log:
         if record.kind != PROBE_KIND:
             continue
@@ -105,7 +105,7 @@ def receive_sequences(delivery_log: Iterable[DeliveryRecord]) -> Dict[SiteId, Li
     return sequences
 
 
-def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreementReport:
+def order_agreement(sequences: Dict[SiteId, Sequence[EnvelopeId]]) -> OrderAgreementReport:
     """Compute order-agreement statistics across per-site receive sequences.
 
     Only messages received by every site are considered (in a failure-free
@@ -122,7 +122,7 @@ def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreem
             mismatches_by_site={},
         )
     common = set.intersection(*(set(seq) for seq in sequences.values()))
-    restricted: Dict[SiteId, List[MessageId]] = {
+    restricted: Dict[SiteId, List[EnvelopeId]] = {
         site: [mid for mid in seq if mid in common] for site, seq in sequences.items()
     }
     sites = sorted(restricted)
@@ -136,7 +136,7 @@ def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreem
         )
     reference_site = sites[0]
     reference = restricted[reference_site]
-    positions: Dict[SiteId, Dict[MessageId, int]] = {
+    positions: Dict[SiteId, Dict[EnvelopeId, int]] = {
         site: {mid: index for index, mid in enumerate(seq)}
         for site, seq in restricted.items()
     }
@@ -170,32 +170,29 @@ def order_agreement(sequences: Dict[SiteId, Sequence[MessageId]]) -> OrderAgreem
 
 
 def tentative_vs_definitive_mismatch(
-    tentative: Sequence[MessageId],
-    definitive: Sequence[MessageId],
-    row_of: Mapping[MessageId, int],
+    tentative: Sequence[int], definitive: Sequence[int], size: int
 ) -> float:
     """Fraction of messages whose tentative position differs from the definitive one.
 
     Used to quantify how often a site's Opt-delivery order disagrees with the
     TO-delivery order — the event that may force the OTP scheduler to abort
-    and reorder conflicting transactions.  Both sequences are restricted to
-    the messages they share; a message seen twice counts at its last place.
-    ``row_of`` gives every message of either sequence its own row (the
-    ``row_of`` of a site's
-    :class:`~repro.broadcast.interfaces.AtomicBroadcastEndpoint`), so the
-    count keeps a few typed entries per row and no set or dict.
+    and reorder conflicting transactions.  Each message is given as its
+    row, below ``size``, one per message (a site's
+    :class:`~repro.broadcast.interfaces.AtomicBroadcastEndpoint` maps its
+    logs to rows with ``rows_of``), so the count keeps a few typed entries
+    per row and no set or dict.  Both sequences are restricted to the
+    messages they share; a message seen twice counts at its last place.
     """
-    size = max(row_of.values(), default=-1) + 1
     # Bit 1: the row's message is in ``tentative``; bit 2: in ``definitive``.
     seen = bytearray(size)
     for bit, sequence in ((1, tentative), (2, definitive)):
-        for mid in sequence:
-            seen[row_of[mid]] |= bit
+        for row in sequence:
+            seen[row] |= bit
     # Each shared message's last place in each sequence restricted to them.
     places = []
     for sequence in (tentative, definitive):
-        place, shared = array("q", bytes(8 * size)), 0
-        for row in map(row_of.__getitem__, sequence):
+        place, shared = array("i", bytes(4 * size)), 0
+        for row in sequence:
             if seen[row] == 3:
                 place[row] = shared
                 shared += 1
@@ -205,5 +202,5 @@ def tentative_vs_definitive_mismatch(
     tentative_place, definitive_place = places
     return sum(
         seen[row] == 3 and tentative_place[row] != definitive_place[row]
-        for row in map(row_of.__getitem__, definitive)
+        for row in definitive
     ) / shared

@@ -100,6 +100,8 @@ class ReplicatedDatabase:
         )
         self.crash_manager = CrashManager(self.kernel, self.transport)
         self.crash_manager.tracer = config.tracer
+        if config.tracer is not None:
+            config.tracer.kernel = self.kernel
         self.replicas: Dict[SiteId, ReplicaManager] = {}
         self._dispatchers: Dict[SiteId, SiteDispatcher] = {}
         self._broadcasts: Dict[SiteId, AtomicBroadcastEndpoint] = {}

@@ -14,7 +14,7 @@ from typing import Callable, Dict, NamedTuple, Optional
 
 from ..database.procedures import ProcedureRegistry, StoredProcedure, TransactionContext
 from ..database.storage import MultiVersionStore
-from ..database.transaction import Transaction
+from ..database.transaction import Transaction, transaction_name
 from ..errors import SchedulerError
 from ..simulation.events import Event
 from ..simulation.kernel import SimulationKernel
@@ -65,7 +65,8 @@ class ExecutionEngine:
         """Start executing ``transaction``; ``on_complete`` fires when done."""
         if self.is_submitted(transaction.transaction_id):
             raise SchedulerError(
-                f"{transaction.transaction_id} is already executing at {self.site_id}"
+                f"{transaction_name(self.kernel, transaction.transaction_id)} is already "
+                f"executing at {self.site_id}"
             )
         self._start(transaction, on_complete)
 

@@ -14,6 +14,7 @@ others, which apply it last-writer-wins.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, NoOpFill
@@ -25,8 +26,9 @@ from ..database.snapshots import SnapshotManager
 from ..database.storage import MultiVersionStore
 from ..database.transaction import (
     Transaction,
+    TRANSACTION_IDS,
     TransactionRequest,
-    next_transaction_id,
+    transaction_name,
 )
 from ..errors import DatabaseError, ReplicationError
 from ..metrics.collector import MetricsCollector
@@ -114,7 +116,7 @@ class ReplicaManager:
         if initial_data:
             self.store.load_many(initial_data)
         self.snapshot_manager = SnapshotManager(self.store)
-        self.history = SiteHistory(site_id)
+        self.history = SiteHistory(site_id, partial(transaction_name, kernel))
         #: Read-only redo view: the store and the history are the redo log.
         self.redo_log = RedoLog(self.store, self.history)
         self.engine = ExecutionEngine(kernel, self.store, registry, site_id)
@@ -182,7 +184,7 @@ class ReplicaManager:
             raise ReplicationError(
                 f"procedure {procedure_name!r} is a query; use submit_query instead"
             )
-        transaction_id = next_transaction_id(self.kernel, self.site_id)
+        transaction_id = self.kernel.draw_id(TRANSACTION_IDS, self.site_id)
         now = self.kernel.now()
         request = TransactionRequest(
             transaction_id=transaction_id,
@@ -320,7 +322,8 @@ class ReplicaManager:
         """Install a committed transaction's effects (called by the scheduler)."""
         if transaction.global_index is None:
             raise ReplicationError(
-                f"{transaction.transaction_id} committed without a definitive index"
+                f"{self.history.name_of(transaction.transaction_id)} committed without a "
+                "definitive index"
             )
         now = self.kernel.now()
         workspace = transaction.workspace
@@ -329,7 +332,8 @@ class ReplicaManager:
             owning_class = self.conflict_map.class_of_key(key)
             if owning_class is not None and owning_class != transaction.conflict_class:
                 raise ReplicationError(
-                    f"{transaction.transaction_id} (class {transaction.conflict_class}) "
+                    f"{self.history.name_of(transaction.transaction_id)} "
+                    f"(class {transaction.conflict_class}) "
                     f"wrote {key!r}, which belongs to conflict class {owning_class}; "
                     "transactions may only update their own partition (paper Section 2.3)"
                 )
@@ -343,7 +347,8 @@ class ReplicaManager:
                 )
             except DatabaseError as error:
                 raise ReplicationError(
-                    f"cannot install write of {key!r} by {transaction.transaction_id}: "
+                    f"cannot install write of {key!r} by "
+                    f"{self.history.name_of(transaction.transaction_id)}: "
                     f"{error}. This usually means the object is updated by transactions "
                     "of different conflict classes, which violates the disjoint-partition "
                     "assumption of the concurrency-control model (paper Section 2.3)."
@@ -560,7 +565,10 @@ class ReplicaManager:
                 self.site_id,
                 commit_frontier=self.commit_frontier,
             )
-        for transaction_id, submitted in sorted(self.submitted.items()):
+        # In the order of the ids' names, as when the ids were strings.
+        for transaction_id, submitted in sorted(
+            self.submitted.items(), key=lambda item: self.history.name_of(item[0])
+        ):
             if submitted.committed_at is not None:
                 continue
             if transaction_id in self.history:

@@ -24,6 +24,7 @@ from ..database.transaction import (
     DeliveryState,
     ExecutionState,
     Transaction,
+    transaction_name,
 )
 from ..errors import SchedulerError
 from ..metrics.collector import MetricsCollector
@@ -57,6 +58,9 @@ class OTPScheduler:
         self._queues: Dict[ConflictClassId, ClassQueue] = {}
         self._by_id: Dict[TransactionId, Transaction] = {}
 
+    def _name(self, transaction_id: TransactionId) -> str:
+        return transaction_name(self.kernel, transaction_id)
+
     # -------------------------------------------------------------- queues
     def queue_for(self, conflict_class: ConflictClassId) -> ClassQueue:
         """Return (creating if necessary) the class queue of ``conflict_class``."""
@@ -87,7 +91,8 @@ class OTPScheduler:
         """
         if transaction.transaction_id in self._by_id:
             raise SchedulerError(
-                f"{transaction.transaction_id} was opt-delivered twice to the scheduler"
+                f"{self._name(transaction.transaction_id)} was opt-delivered twice to "
+                "the scheduler"
             )
         self._by_id[transaction.transaction_id] = transaction
         queue = self.queue_for(transaction.conflict_class)
@@ -119,8 +124,8 @@ class OTPScheduler:
         queue = self.queue_for(transaction.conflict_class)
         if queue.first() is not transaction:
             raise SchedulerError(
-                f"{transaction.transaction_id} finished executing but is not at the "
-                f"head of queue {transaction.conflict_class}"
+                f"{self._name(transaction.transaction_id)} finished executing but is "
+                f"not at the head of queue {transaction.conflict_class}"
             )
         self.metrics.counts["executions_completed"] += 1
         if self.tracer is not None:
@@ -153,11 +158,13 @@ class OTPScheduler:
         transaction = self._by_id.get(transaction_id)                  # CC1
         if transaction is None:
             raise SchedulerError(
-                f"TO-delivered transaction {transaction_id} was never opt-delivered "
-                "(violates the Local Order property)"
+                f"TO-delivered transaction {self._name(transaction_id)} was never "
+                "opt-delivered (violates the Local Order property)"
             )
         if transaction.is_committed:
-            raise SchedulerError(f"{transaction_id} was TO-delivered after committing")
+            raise SchedulerError(
+                f"{self._name(transaction_id)} was TO-delivered after committing"
+            )
         transaction.global_index = global_index
         self.metrics.counts["transactions_to_delivered"] += 1
         queue = self.queue_for(transaction.conflict_class)
@@ -165,7 +172,8 @@ class OTPScheduler:
         if transaction.execution_state is ExecutionState.EXECUTED:     # CC2
             if queue.first() is not transaction:
                 raise SchedulerError(
-                    f"{transaction_id} is executed but not at the head of its queue"
+                    f"{self._name(transaction_id)} is executed but not at the head of "
+                    "its queue"
                 )
             transaction.mark_committable(self.kernel.now())
             self._commit(transaction, queue)                           # CC3-CC4
@@ -351,9 +359,11 @@ class OTPScheduler:
             for position, entry in enumerate(queue):
                 if position > 0 and entry.execution_state is ExecutionState.EXECUTED:
                     raise SchedulerError(
-                        f"non-head transaction {entry.transaction_id} is marked executed"
+                        f"non-head transaction {self._name(entry.transaction_id)} is "
+                        "marked executed"
                     )
                 if position > 0 and entry.executing:
                     raise SchedulerError(
-                        f"non-head transaction {entry.transaction_id} is executing"
+                        f"non-head transaction {self._name(entry.transaction_id)} is "
+                        "executing"
                     )

@@ -18,7 +18,8 @@ from .transaction import (
     Transaction,
     TransactionOutcome,
     TransactionRequest,
-    next_transaction_id,
+    TRANSACTION_IDS,
+    transaction_name,
 )
 
 __all__ = [
@@ -42,5 +43,6 @@ __all__ = [
     "Transaction",
     "TransactionOutcome",
     "TransactionRequest",
-    "next_transaction_id",
+    "TRANSACTION_IDS",
+    "transaction_name",
 ]

@@ -150,7 +150,8 @@ class ClassQueue:
             return self._entries.index(transaction)
         except ValueError:
             raise ConflictClassError(
-                f"{transaction.transaction_id} is not queued in class {self.class_id}"
+                f"transaction {transaction.transaction_id} is not queued in class "
+                f"{self.class_id}"
             ) from None
 
     def find(self, transaction_id: TransactionId) -> Optional[Transaction]:
@@ -165,12 +166,12 @@ class ClassQueue:
         """Append a newly Opt-delivered transaction (S1)."""
         if transaction.conflict_class != self.class_id:
             raise ConflictClassError(
-                f"{transaction.transaction_id} belongs to class "
+                f"transaction {transaction.transaction_id} belongs to class "
                 f"{transaction.conflict_class!r}, not {self.class_id!r}"
             )
         if transaction in self._entries:
             raise ConflictClassError(
-                f"{transaction.transaction_id} is already queued in {self.class_id}"
+                f"transaction {transaction.transaction_id} is already queued in {self.class_id}"
             )
         self._entries.append(transaction)
         self.total_appended += 1
@@ -180,7 +181,7 @@ class ClassQueue:
         if not self._entries or self._entries[0] is not transaction:
             raise ConflictClassError(
                 f"only the first transaction of {self.class_id} can be removed; "
-                f"got {transaction.transaction_id}"
+                f"got transaction {transaction.transaction_id}"
             )
         self._entries.pop(0)
         self.total_committed += 1

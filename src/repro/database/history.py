@@ -10,15 +10,17 @@ Theorem 4.2).
 
 A site keeps its history for the whole run, so the history is columns, one
 entry per commit (a *row*), and :class:`CommittedTransaction` records are
-built only on request.
+built only on request.  Transactions are found by their int serial through
+one more column, indexed by serial: the row of each.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..errors import VerificationError
+from ..simulation.kernel import cover_serial, serial_rows
 from ..types import ConflictClassId, MessageId, ObjectKey, SiteId, TransactionId
 
 
@@ -39,7 +41,7 @@ class CommittedTransaction(NamedTuple):
     committed_at: float
     write_keys: Tuple[ObjectKey, ...] = ()
     read_keys: Tuple[ObjectKey, ...] = ()
-    message_id: Optional[str] = None
+    message_id: Optional[MessageId] = None
 
 
 class SiteHistory:
@@ -47,22 +49,28 @@ class SiteHistory:
 
     Row ``r`` is the ``r``-th commit: ``ids[r]``, ``classes[r]``,
     ``indices[r]`` (its ``global_index``), ``committed_at[r]`` and
-    ``message_ids[r]``.  Its write keys and read keys sit in one flat list,
-    ``keys``, at the offsets ``key_starts``, ``write_ends`` and ``read_ends``
-    give (:meth:`key_row`); a read set equal to the write set is stored
-    once.  ``read_versions`` holds, for every row's read keys in turn, the
-    version index each read returned.
+    ``message_ids[r]`` (0 for none).  Its write keys and read keys sit in
+    one flat list, ``keys``, at the offsets ``key_starts``, ``write_ends``
+    and ``read_ends`` give (:meth:`key_row`); a read set equal to the write
+    set is stored once.  ``read_versions`` holds, for every row's read keys
+    in turn, the version index each read returned.  ``row_of[serial]`` is
+    the row of transaction ``serial``, -1 for none (:meth:`row`); ids are
+    serials, never negative.
+
+    ``name_of`` prints a transaction id (the replica passes
+    :func:`~repro.database.transaction.transaction_name`); only
+    :meth:`transaction_ids` and violation texts call it.
     """
 
-    def __init__(self, site_id: SiteId) -> None:
+    def __init__(self, site_id: SiteId, name_of: Callable[[TransactionId], str]) -> None:
         self.site_id = site_id
-        self.ids: List[TransactionId] = []
+        self.name_of = name_of
+        self.ids = array("q")
         self.classes: List[ConflictClassId] = []
         self.indices = array("q")
         self.committed_at = array("d")
-        self.message_ids: List[Optional[MessageId]] = []
-        #: The ``global_index`` of each committed transaction.
-        self.index_of: Dict[TransactionId, int] = {}
+        self.message_ids = array("q")
+        self.row_of = serial_rows()
         self.read_versions = array("q")
         self.keys: List[ObjectKey] = []
         #: Per row: where its write keys start and end in ``keys``, and
@@ -93,16 +101,20 @@ class SiteHistory:
         object).  ``write_keys`` and ``read_keys`` are sequences of one type,
         so that equal sets compare equal and are stored once.
         """
-        if transaction_id in self.index_of:
-            raise VerificationError(
-                f"{transaction_id} committed twice at site {self.site_id}"
-            )
+        row_of = self.row_of
+        try:
+            if row_of[transaction_id] >= 0:
+                raise VerificationError(
+                    f"{self.name_of(transaction_id)} committed twice at site {self.site_id}"
+                )
+        except IndexError:
+            cover_serial(row_of, transaction_id)
+        row_of[transaction_id] = len(self.classes)
         self.ids.append(transaction_id)
         self.classes.append(conflict_class)
         self.indices.append(global_index)
         self.committed_at.append(committed_at)
-        self.message_ids.append(message_id)
-        self.index_of[transaction_id] = global_index
+        self.message_ids.append(message_id or 0)
         keys = self.keys
         start = len(keys)
         keys.extend(write_keys)
@@ -144,18 +156,24 @@ class SiteHistory:
             self.committed_at[row],
             tuple(write_keys),
             tuple(read_keys),
-            self.message_ids[row],
+            self.message_ids[row] or None,
         )
 
-    def transaction_ids(self) -> List[TransactionId]:
-        """Return committed transaction ids in local commit order."""
-        return list(self.ids)
+    def transaction_ids(self) -> List[str]:
+        """Return the names of the committed transactions in local commit order."""
+        return [self.name_of(transaction_id) for transaction_id in self.ids]
+
+    def row(self, transaction_id: TransactionId) -> int:
+        """The row of ``transaction_id``, or -1 if it did not commit here."""
+        try:
+            return self.row_of[transaction_id]
+        except IndexError:
+            return -1
 
     def get(self, transaction_id: TransactionId) -> Optional[CommittedTransaction]:
         """Return the record of ``transaction_id`` (or ``None``)."""
-        if transaction_id not in self.index_of:
-            return None
-        return self._record(self.ids.index(transaction_id))
+        row = self.row(transaction_id)
+        return None if row < 0 else self._record(row)
 
     def global_indices(self) -> Set[int]:
         """Return the set of definitive indices committed at this site."""
@@ -180,4 +198,7 @@ class SiteHistory:
         return len(self.ids)
 
     def __contains__(self, transaction_id: TransactionId) -> bool:
-        return transaction_id in self.index_of
+        try:
+            return self.row_of[transaction_id] >= 0
+        except IndexError:
+            return False

@@ -62,7 +62,8 @@ class RedoLog:
             for key in committed.write_keys:
                 if not self._holds(transaction_id, created_index, key):
                     raise DatabaseError(
-                        f"no version of {key!r} created by {transaction_id} "
+                        f"no version of {key!r} created by "
+                        f"{self._history.name_of(transaction_id)} "
                         f"at index {created_index}: the store cannot donate it"
                     )
                 versions.append(self._store.version_at(key, created_index))

@@ -24,9 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.kernel import SimulationKernel
 
 
-def next_transaction_id(kernel: "SimulationKernel", origin: SiteId) -> TransactionId:
-    """Return a transaction identifier, unique within ``kernel``."""
-    return f"T:{origin}:{next(kernel.serials['transaction'])}"
+#: The kernel's id family of transaction ids: the origin site draws one with
+#: ``kernel.draw_id(TRANSACTION_IDS, origin)``.
+TRANSACTION_IDS = "transaction"
+
+
+def transaction_name(kernel: "SimulationKernel", transaction_id: TransactionId) -> str:
+    """The printed name of ``transaction_id``: ``T:<origin>:<serial>``."""
+    return f"T:{kernel.origin_of(TRANSACTION_IDS, transaction_id)}:{transaction_id}"
 
 
 class ExecutionState(enum.Enum):
@@ -157,7 +162,7 @@ class Transaction:
         """Record the Opt-delivery of the transaction's message (S2)."""
         if self.opt_delivered_at is not None:
             raise TransactionError(
-                f"{self.transaction_id} was already opt-delivered at this site"
+                f"transaction {self.transaction_id} was already opt-delivered at this site"
             )
         self.opt_delivered_at = at_time
         self.execution_state = ExecutionState.ACTIVE
@@ -166,7 +171,7 @@ class Transaction:
     def mark_committable(self, at_time: float) -> None:
         """Record the TO-delivery of the transaction's message (CC6)."""
         if self.is_committed:
-            raise TransactionError(f"{self.transaction_id} already committed")
+            raise TransactionError(f"transaction {self.transaction_id} already committed")
         self.to_delivered_at = at_time
         self.delivery_state = DeliveryState.COMMITTABLE
 
@@ -177,9 +182,9 @@ class Transaction:
         reads (those of its ``TransactionContext``).
         """
         if self.is_committed:
-            raise TransactionError(f"cannot execute committed {self.transaction_id}")
+            raise TransactionError(f"cannot execute committed transaction {self.transaction_id}")
         if self.executing:
-            raise TransactionError(f"{self.transaction_id} is already executing")
+            raise TransactionError(f"transaction {self.transaction_id} is already executing")
         self.executing = True
         self.execution_state = ExecutionState.ACTIVE
         self.execution_attempts += 1
@@ -191,7 +196,7 @@ class Transaction:
         """Record the completion of the current execution attempt (E5)."""
         if not self.executing:
             raise TransactionError(
-                f"{self.transaction_id} completed execution without having started"
+                f"transaction {self.transaction_id} completed execution without having started"
             )
         self.executing = False
         self.execution_state = ExecutionState.EXECUTED
@@ -206,7 +211,7 @@ class Transaction:
         equivalent of undoing its modifications.
         """
         if self.is_committed:
-            raise TransactionError(f"cannot abort committed {self.transaction_id}")
+            raise TransactionError(f"cannot abort committed transaction {self.transaction_id}")
         self.executing = False
         self.execution_state = ExecutionState.ACTIVE
         self.outcome = TransactionOutcome.UNDECIDED
@@ -219,14 +224,14 @@ class Transaction:
     def mark_committed(self, at_time: float) -> None:
         """Record the commit of the transaction at this site (E2, CC3)."""
         if self.is_committed:
-            raise TransactionError(f"{self.transaction_id} committed twice")
+            raise TransactionError(f"transaction {self.transaction_id} committed twice")
         if self.delivery_state is not DeliveryState.COMMITTABLE:
             raise TransactionError(
-                f"{self.transaction_id} cannot commit before being TO-delivered"
+                f"transaction {self.transaction_id} cannot commit before being TO-delivered"
             )
         if self.execution_state is not ExecutionState.EXECUTED:
             raise TransactionError(
-                f"{self.transaction_id} cannot commit before finishing execution"
+                f"transaction {self.transaction_id} cannot commit before finishing execution"
             )
         self.outcome = TransactionOutcome.COMMITTED
         self.committed_at = at_time

@@ -198,8 +198,11 @@ def figure1_cell(spec: RunSpec) -> Row:
         mid: row
         for row, mid in enumerate(dict.fromkeys(chain.from_iterable(sequences.values())))
     }
+    definitive_rows = [row_of[mid] for mid in definitive]
     divergences = [
-        tentative_vs_definitive_mismatch(sequences.get(site, []), definitive, row_of)
+        tentative_vs_definitive_mismatch(
+            [row_of[mid] for mid in sequences.get(site, [])], definitive_rows, len(row_of)
+        )
         for site in sites[1:]
     ]
     return dict(

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from ..types import MessageId, SiteId
+from ..types import EnvelopeId, SiteId
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..simulation.kernel import SimulationKernel
 
 
-def next_envelope_id(kernel: "SimulationKernel", sender: SiteId) -> MessageId:
+def next_envelope_id(kernel: "SimulationKernel", sender: SiteId) -> EnvelopeId:
     """Return an envelope identifier for ``sender``, unique within ``kernel``."""
     return f"{sender}#{next(kernel.serials['envelope'])}"
 
@@ -41,7 +41,7 @@ class Envelope(NamedTuple):
         Virtual time at which the message entered the network.
     """
 
-    envelope_id: MessageId
+    envelope_id: EnvelopeId
     sender: SiteId
     payload: Any
     kind: str = "data"
@@ -55,7 +55,7 @@ class DeliveryRecord(NamedTuple):
     can reconstruct per-site receive sequences.
     """
 
-    envelope_id: MessageId
+    envelope_id: EnvelopeId
     sender: SiteId
     receiver: SiteId
     sent_at: float

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..errors import NetworkError, UnknownSiteError
 from ..simulation.kernel import SimulationKernel
 from ..simulation.randomness import RandomStream
-from ..types import MessageId, SiteId
+from ..types import EnvelopeId, SiteId
 from .latency import LanMulticastLatency, LatencyModel
 from .message import DeliveryRecord, Envelope, next_envelope_id
 from .partitions import PartitionController
@@ -162,7 +162,7 @@ class NetworkTransport:
         kind: str = "data",
         destinations: Optional[Iterable[SiteId]] = None,
         include_sender: bool = True,
-    ) -> MessageId:
+    ) -> EnvelopeId:
         """Multicast ``payload`` from ``sender`` to ``destinations``.
 
         Without explicit destinations the envelope goes to every registered

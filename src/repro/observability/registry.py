@@ -188,7 +188,9 @@ def divergence_by_site(cluster: Any) -> Dict[SiteId, float]:
         for site_id in group.site_ids():
             endpoint = group.broadcast_endpoint(site_id)
             divergence[site_id] = tentative_vs_definitive_mismatch(
-                endpoint.opt_delivery_log, endpoint.to_delivery_log, endpoint.row_of
+                endpoint.rows_of(endpoint.opt_delivery_log),
+                endpoint.rows_of(endpoint.to_delivery_log),
+                len(endpoint.payloads),
             )
     return divergence
 

@@ -22,16 +22,24 @@ Everything recorded is a pure function of the simulation seed, so a trace is
 same-seed reproducible even across chaos runs (asserted by
 ``tests/test_observability.py``).  Traces export as JSONL (one event or span
 per line) and as the Chrome trace-event format (``chrome://tracing`` /
-Perfetto): sites become processes, transactions become tracks.
+Perfetto): sites become processes, transactions become tracks.  The tracer
+records transaction and message ids as the int serials they are; once a
+cluster facade has set :attr:`TransactionTracer.kernel`, the exports print
+their names (``T:N1:7``, ``m:N1:9``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
+from ..broadcast.interfaces import message_name
+from ..database.transaction import transaction_name
 from ..errors import SimulationError
 from ..types import SiteId, TransactionId
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..simulation.kernel import SimulationKernel
 
 
 class TraceError(SimulationError):
@@ -130,6 +138,8 @@ class TransactionTracer:
     """
 
     def __init__(self) -> None:
+        #: The kernel that drew the recorded ids, for naming them in exports.
+        self.kernel: Optional[SimulationKernel] = None
         self.events: List[TraceEvent] = []
         self.spans: List[TraceSpan] = []
         self._open: Dict[Tuple[str, SiteId, TransactionId], TraceSpan] = {}
@@ -271,15 +281,25 @@ class TransactionTracer:
         return tuple(rows)
 
     # --------------------------------------------------------------- export
+    def _named(self, payload: Dict[str, Any], key: str) -> Dict[str, Any]:
+        """``payload`` with its transaction id under ``key`` and its message
+        id named, when the tracer knows their kernel."""
+        kernel = self.kernel
+        if kernel is not None:
+            if isinstance(payload.get(key), int):
+                payload[key] = transaction_name(kernel, payload[key])
+            if isinstance(payload.get("message_id"), int):
+                payload["message_id"] = message_name(kernel, payload["message_id"])
+        return payload
+
     def to_jsonl(self) -> str:
         """Serialise events and closed spans as JSON Lines (one per line)."""
-        lines = [json.dumps(event.to_dict(), sort_keys=True) for event in self.events]
-        lines += [
-            json.dumps(span.to_dict(), sort_keys=True)
-            for span in self.spans
-            if span.closed
-        ]
-        return "\n".join(lines)
+        records = [event.to_dict() for event in self.events]
+        records += [span.to_dict() for span in self.spans if span.closed]
+        return "\n".join(
+            json.dumps(self._named(record, "transaction_id"), sort_keys=True)
+            for record in records
+        )
 
     def to_chrome_trace(self) -> List[Dict[str, Any]]:
         """Export as Chrome trace-event objects (``chrome://tracing``).
@@ -302,7 +322,9 @@ class TransactionTracer:
                     "dur": (span.end - span.start) * 1e6,
                     "pid": span.site,
                     "tid": span.transaction_id,
-                    "args": {"outcome": span.outcome, **span.attrs},
+                    "args": self._named(
+                        {"outcome": span.outcome, **span.attrs}, "transaction_id"
+                    ),
                 }
             )
         for event in self.events:
@@ -315,9 +337,11 @@ class TransactionTracer:
                     "ts": event.time * 1e6,
                     "pid": event.site,
                     "tid": event.transaction_id or event.kind,
-                    "args": dict(event.attrs),
+                    "args": self._named(dict(event.attrs), "transaction_id"),
                 }
             )
+        for entry in trace:
+            self._named(entry, "tid")
         trace.sort(key=lambda entry: (entry["ts"], entry["pid"], entry["name"]))
         return trace
 

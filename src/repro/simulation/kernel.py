@@ -10,9 +10,10 @@ callback executed by :meth:`SimulationKernel.run`.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import defaultdict
 from functools import partial
-from typing import Callable, DefaultDict, Iterator, Optional
+from typing import Callable, DefaultDict, Dict, Iterator, List, Optional
 
 from ..errors import SimulationError
 from .clock import VirtualClock
@@ -21,6 +22,38 @@ from .randomness import RandomSource
 
 #: The most events one :meth:`SimulationKernel.run_until_idle` executes.
 IDLE_EVENT_LIMIT = 10_000_000
+
+#: Columns indexed by serial grow by whole blocks of this many entries, so a
+#: run of a few thousand ids grows each a few times.
+_BLOCK = 512
+#: A block of unset (-1) rows.
+_UNSET_ROWS = array("i", [-1]) * _BLOCK
+
+
+def serial_rows() -> "array[int]":
+    """A new column of rows indexed by serial: one block, every row unset."""
+    return array("i", _UNSET_ROWS)
+
+
+def serial_flags() -> bytearray:
+    """A new column of flag bytes indexed by serial: one block, all clear."""
+    return bytearray(_BLOCK)
+
+
+def cover_serial(column: "array[int]", serial: int) -> None:
+    """Grow the serial-indexed ``column`` by blocks of unset (-1) rows until
+    it holds index ``serial``."""
+    missing = serial + 1 - len(column)
+    if missing > 0:
+        column.extend(_UNSET_ROWS * -(-missing // _BLOCK))
+
+
+def flag_serial(column: bytearray, serial: int) -> None:
+    """Set ``column``'s byte of ``serial`` to 1, growing the column by a
+    block or more when it is too short."""
+    if serial >= len(column):
+        column.extend(bytes(max(_BLOCK, serial + 1 - len(column))))
+    column[serial] = 1
 
 
 class SimulationKernel:
@@ -45,6 +78,38 @@ class SimulationKernel:
         self.serials: DefaultDict[str, Iterator[int]] = defaultdict(
             partial(itertools.count, 1)
         )
+        #: The sites that drew ids through :meth:`draw_id`, and per id family
+        #: the index in ``origins`` of the site that drew each serial, one
+        #: byte per serial.  Ids travel as the bare serials; their names
+        #: (``T:<origin>:<serial>``) are built from these when asked for.
+        self.origins: List[str] = []
+        self._origin_index: Dict[str, int] = {}
+        self._serial_origins: DefaultDict[str, bytearray] = defaultdict(bytearray)
+
+    # ------------------------------------------------------------------- ids
+    def draw_id(self, family: str, origin: str) -> int:
+        """Draw the next serial of ``family`` and record that ``origin`` drew it."""
+        serial = next(self.serials[family])
+        index = self._origin_index.get(origin)
+        if index is None:
+            if len(self.origins) > 255:
+                raise SimulationError("more than 256 sites drew ids from one kernel")
+            index = self._origin_index[origin] = len(self.origins)
+            self.origins.append(origin)
+        column = self._serial_origins[family]
+        if serial > len(column):
+            # Serial 0 is never drawn; a later gap holds serials drawn elsewhere.
+            column.extend(bytes(serial - len(column)))
+        column.append(index)
+        return serial
+
+    def origin_of(self, family: str, serial: int) -> str:
+        """The site that drew ``serial`` of ``family`` through :meth:`draw_id`
+        (``"?"`` for a serial this kernel never handed out)."""
+        column = self._serial_origins[family]
+        if not 0 < serial < len(column):
+            return "?"
+        return self.origins[column[serial]]
 
     # ------------------------------------------------------------------ time
     def now(self) -> float:

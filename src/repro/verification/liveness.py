@@ -69,9 +69,10 @@ def _check_replica_group(
         for transaction_id, submitted in replica.submitted.items():
             report.transactions_checked += 1
             if submitted.committed_at is None:
+                name = replica.history.name_of(transaction_id)
                 report._violate(
-                    f"{group}: transaction {transaction_id} submitted at "
-                    f"{site_id} ({submitted.submitted_at:.6f}s) never committed "
+                    f"{group}: transaction {name} submitted at {site_id} "
+                    f"({submitted.submitted_at:.6f}s) never committed "
                     "at its origin site"
                 )
         if not check_queries:

@@ -63,9 +63,9 @@ def check_one_copy_serializability(histories: Dict[SiteId, SiteHistory]) -> OneC
         return report
     site_ids = sorted(histories)
     reference_site = site_ids[0]
-    index_of = histories[reference_site].index_of
+    reference = histories[reference_site]
     for site_id in site_ids:
-        _replay_site(report, site_id, histories[site_id], reference_site, index_of)
+        _replay_site(report, site_id, histories[site_id], reference_site, reference)
     return report
 
 
@@ -74,16 +74,19 @@ def _replay_site(
     site_id: SiteId,
     history: SiteHistory,
     reference_site: SiteId,
-    index_of: Dict[TransactionId, int],
+    reference: SiteHistory,
 ) -> None:
     """Check one site's history against rules 1-4 of the module docstring."""
     # Local commit order: the reference site's transactions at its indices,
     # classes and key writes in increasing index.  Row ``r``'s reads start at
     # ``read_starts[r]`` in the site's read-version column.  Keys are read
-    # from the flat key column by offset.
+    # from the flat key column by offset.  Ids are named only in violations.
     ids, classes, indices = history.ids, history.classes, history.indices
     keys, starts = history.keys, history.key_starts
     write_ends, read_ends = history.write_ends, history.read_ends
+    name = history.name_of
+    reference_rows, reference_indices = reference.row_of, reference.indices
+    known = len(reference_rows)
     extra: List[TransactionId] = []
     last_of_class: Dict[ConflictClassId, int] = {}
     last_write: Dict[ObjectKey, int] = {}
@@ -91,20 +94,21 @@ def _replay_site(
     offset = 0
     rows = enumerate(zip(ids, classes, indices, starts, write_ends, read_ends))
     for row, (transaction_id, conflict_class, index, start, write_end, read_end) in rows:
-        expected = index_of.get(transaction_id)
-        if expected is None:
+        reference_row = reference_rows[transaction_id] if transaction_id < known else -1
+        if reference_row < 0:
             extra.append(transaction_id)
-        elif index != expected:
+        elif index != reference_indices[reference_row]:
             report._violate(
-                f"{transaction_id} committed at index {expected} at {reference_site} "
+                f"{name(transaction_id)} committed at index "
+                f"{reference_indices[reference_row]} at {reference_site} "
                 f"but at index {index} at {site_id}"
             )
         previous = last_of_class.get(conflict_class)
         if previous is not None and indices[previous] >= index:
             report._violate(
                 f"site {site_id} commits class {conflict_class} out of index "
-                f"order: {transaction_id} (index {index}) after "
-                f"{ids[previous]} (index {indices[previous]})"
+                f"order: {name(transaction_id)} (index {index}) after "
+                f"{name(ids[previous])} (index {indices[previous]})"
             )
         last_of_class[conflict_class] = row
         for key in keys[start:write_end]:
@@ -112,8 +116,8 @@ def _replay_site(
             if previous is not None and indices[previous] >= index:
                 report._violate(
                     f"site {site_id} writes {key!r} out of index order: "
-                    f"{transaction_id} (index {index}) after "
-                    f"{ids[previous]} (index {indices[previous]})"
+                    f"{name(transaction_id)} (index {index}) after "
+                    f"{name(ids[previous])} (index {indices[previous]})"
                 )
             last_write[key] = row
         read_starts.append(offset)
@@ -122,13 +126,13 @@ def _replay_site(
     if extra:
         report._violate(
             f"site {site_id} committed {len(extra)} transactions unknown to "
-            f"{reference_site} (e.g. {sorted(extra)[:3]})"
+            f"{reference_site} (e.g. {[name(t) for t in sorted(extra)[:3]]})"
         )
-    if len(ids) - len(extra) != len(index_of):
-        missing = sorted(set(index_of) - set(ids))
+    if len(ids) - len(extra) != len(reference):
+        missing = [t for t in reference.ids if t not in history]
         report._violate(
             f"site {site_id} is missing {len(missing)} transactions committed at "
-            f"{reference_site} (e.g. {missing[:3]})"
+            f"{reference_site} (e.g. {[name(t) for t in sorted(missing)[:3]]})"
         )
     versions = history.read_versions
     if offset != len(versions):
@@ -146,8 +150,8 @@ def _replay_site(
         index = indices[row]
         if index == previous_index:
             report._violate(
-                f"site {site_id} commits {ids[previous_row]} and {ids[row]} at "
-                f"the same index {index}"
+                f"site {site_id} commits {name(ids[previous_row])} and "
+                f"{name(ids[row])} at the same index {index}"
             )
         previous_index, previous_row = index, row
         start, write_end, read_end = starts[row], write_ends[row], read_ends[row]
@@ -160,13 +164,13 @@ def _replay_site(
             last = last_writer.get(key, initial)
             if seen < last:
                 report._violate(
-                    f"site {site_id}: {ids[row]} (index {index}) read {key!r} "
+                    f"site {site_id}: {name(ids[row])} (index {index}) read {key!r} "
                     f"at version {seen}, but its last writer before it is at index "
                     f"{last} (stale read)"
                 )
             elif seen > last:
                 report._violate(
-                    f"site {site_id}: {ids[row]} (index {index}) read {key!r} "
+                    f"site {site_id}: {name(ids[row])} (index {index}) read {key!r} "
                     f"at version {seen}, later than its last writer before it at "
                     f"index {last}"
                 )

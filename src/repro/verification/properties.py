@@ -16,17 +16,18 @@ honour: ``transfer_covered`` (messages whose transactions reached the site
 through redo-log state transfer instead of delivery — they count as
 delivered) and ``crash_voided`` (deliveries destroyed by a crash of the site
 — the crashed incarnation is excused from Local Agreement).  Synthetic
-gap-fill no-ops (``noop:<position>``) are protocol-internal and are excluded
-from the reference message set.
+gap-fill no-ops (negative ids, named ``noop:<position>``) are
+protocol-internal and are excluded from the reference message set.
 """
 
 from __future__ import annotations
 
 from itertools import chain, zip_longest
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, is_noop_fill_id
 from ..errors import VerificationError
+from ..simulation.kernel import flag_serial
 from ..types import MessageId, SiteId
 
 
@@ -57,8 +58,9 @@ def check_broadcast_properties(
     ``expected_broadcasts`` — the identifiers returned by ``broadcast()``
     calls; when omitted, the union of all TO-delivery logs is used as the
     reference set (sufficient for Global Agreement / Order but weaker for
-    Termination).  Besides the reference set, the check holds one flag
-    byte per row of one site at a time.
+    Termination).  The check holds one byte per message serial (whether the
+    message is in the reference set, and whether some site never
+    TO-delivered it) and one flag byte per row of one site at a time.
     """
     report = BroadcastPropertyReport(ok=True)
     if not endpoints:
@@ -69,28 +71,26 @@ def check_broadcast_properties(
         expected_broadcasts = chain.from_iterable(
             endpoint.to_delivery_log for endpoint in endpoints.values()
         )
-    # A dict as the set: its table takes a quarter of a set's.
-    reference_set = dict.fromkeys(
-        message_id for message_id in expected_broadcasts if not is_noop_fill_id(message_id)
-    )
+    reference = bytearray()
+    for message_id in expected_broadcasts:
+        if not is_noop_fill_id(message_id):
+            flag_serial(reference, message_id)
 
     # Termination, Agreement and Local Order, site by site.  Messages some
     # site never TO-delivered leave the Global Order comparison.
-    undelivered_somewhere: Set[MessageId] = set()
     local_order: List[str] = []
     for site_id in site_ids:
-        _check_site(
-            report, site_id, endpoints[site_id], reference_set,
-            undelivered_somewhere, local_order,
-        )
+        _check_site(report, site_id, endpoints[site_id], reference, local_order)
 
     # Global Order: the TO-delivery sequences agree (restricted to messages
     # delivered everywhere, which matters if a run was cut short).
+    size = len(reference)
+
     def delivered_everywhere(site_id: SiteId) -> Iterator[MessageId]:
         return (
             message_id
             for message_id in endpoints[site_id].to_delivery_log
-            if message_id in reference_set and message_id not in undelivered_somewhere
+            if 0 <= message_id < size and reference[message_id] == _EXPECTED
         )
 
     reference_site = site_ids[0]
@@ -108,6 +108,9 @@ def check_broadcast_properties(
     return report
 
 
+#: Flags of a message serial in the reference column: the message is in the
+#: reference set (``flag_serial`` sets 1) / some site never TO-delivered it.
+_EXPECTED, _UNDELIVERED = 1, 2
 #: Flags of a row in ``_check_site``: its message is in the Opt log / TO log.
 _OPT, _TO = 1, 2
 
@@ -116,39 +119,47 @@ def _check_site(
     report: BroadcastPropertyReport,
     site_id: SiteId,
     endpoint: AtomicBroadcastEndpoint,
-    reference_set: Dict[MessageId, None],
-    undelivered_somewhere: Set[MessageId],
+    reference: bytearray,
     local_order: List[str],
 ) -> None:
     """Termination and Agreement at one site, its Local Order violations
-    into ``local_order``, and what it never TO-delivered into
-    ``undelivered_somewhere``.
+    into ``local_order``, and what it never TO-delivered into the
+    ``reference`` column's ``_UNDELIVERED`` flags.
 
-    Every logged id has a row in ``endpoint.row_of``, so one flag byte per
-    row says which logs hold it; the row's time columns are the Local Order
-    evidence.
+    Every logged id has a row (``endpoint.row_of`` by serial, or
+    ``endpoint.noop_row_of`` for a gap fill), so one flag byte per row says
+    which logs hold it; the row's time columns are the Local Order evidence.
+    Ids are named only in violations.
     """
-    row_of = endpoint.row_of
+    row_of, noop_row_of = endpoint.row_of, endpoint.noop_row_of
+    known = len(row_of)
     flags = bytearray(len(endpoint.payloads))
     for flag, log in ((_OPT, endpoint.opt_delivery_log), (_TO, endpoint.to_delivery_log)):
         for message_id in log:
-            flags[row_of[message_id]] |= flag
+            flags[row_of[message_id] if message_id >= 0 else noop_row_of[message_id]] |= flag
     # Messages a recovered site obtained through state transfer count as
     # delivered.
     covered = endpoint.transfer_covered
     missing_opt: List[MessageId] = []
     missing_to: List[MessageId] = []
-    for message_id in reference_set:
-        row = row_of.get(message_id)
-        flag = 0 if row is None else flags[row]
+    for message_id, mark in enumerate(reference):
+        if not mark:
+            continue
+        row = row_of[message_id] if message_id < known else -1
+        flag = 0 if row < 0 else flags[row]
         if not flag & _TO:
-            undelivered_somewhere.add(message_id)
+            reference[message_id] |= _UNDELIVERED
             if message_id not in covered:
                 missing_to.append(message_id)
         if not flag & _OPT and message_id not in covered:
             missing_opt.append(message_id)
-    _violate(report, f"Termination/Agreement: site {site_id} never Opt-delivered", missing_opt)
-    _violate(report, f"Termination/Agreement: site {site_id} never TO-delivered", missing_to)
+    name = endpoint.name
+    _violate(
+        report, f"Termination/Agreement: site {site_id} never Opt-delivered", missing_opt, name
+    )
+    _violate(
+        report, f"Termination/Agreement: site {site_id} never TO-delivered", missing_to, name
+    )
     # Local Agreement: opt-delivered implies eventually TO-delivered —
     # unless the site crashed in between (the delivery was voided with
     # the incarnation) or the transaction arrived via state transfer.
@@ -156,39 +167,47 @@ def _check_site(
     never_confirmed = {
         message_id
         for message_id in endpoint.opt_delivery_log
-        if not flags[row_of[message_id]] & _TO
+        if not flags[row_of[message_id] if message_id >= 0 else noop_row_of[message_id]] & _TO
         and message_id not in covered
         and message_id not in voided
     }
     _violate(
         report, f"Local Agreement: site {site_id} Opt-delivered but never TO-delivered",
-        never_confirmed,
+        never_confirmed, name,
     )
 
     # Local Order: Opt-deliver happens before TO-deliver.
     for message_id in endpoint.to_delivery_log:
         # Gap fills carry no payload and skip Opt-delivery.
-        if not flags[row_of[message_id]] & _OPT and not is_noop_fill_id(message_id):
+        if not is_noop_fill_id(message_id) and not flags[row_of[message_id]] & _OPT:
             local_order.append(
-                f"Local Order: site {site_id} TO-delivered {message_id} without "
+                f"Local Order: site {site_id} TO-delivered {name(message_id)} without "
                 "Opt-delivering it"
             )
     opt_times, to_times = endpoint.opt_times, endpoint.to_times
-    for message_id, row in row_of.items():
+    latest_rows = chain(
+        ((serial, row) for serial, row in enumerate(row_of) if row >= 0),
+        noop_row_of.items(),
+    )
+    for message_id, row in latest_rows:
         to_time = to_times[row]
         if to_time >= 0.0 and not 0.0 <= opt_times[row] <= to_time:
             local_order.append(
-                f"Local Order: site {site_id} TO-delivered {message_id} before "
+                f"Local Order: site {site_id} TO-delivered {name(message_id)} before "
                 "Opt-delivering it"
             )
 
 
 def _violate(
-    report: BroadcastPropertyReport, violation: str, message_ids: Collection[MessageId]
+    report: BroadcastPropertyReport,
+    violation: str,
+    message_ids: Collection[MessageId],
+    name: Callable[[MessageId], str],
 ) -> None:
     """Report ``violation`` of ``message_ids``, if any, naming the first three."""
     if message_ids:
         report.ok = False
+        examples = [name(message_id) for message_id in sorted(message_ids)[:3]]
         report.violations.append(
-            f"{violation} {len(message_ids)} messages (e.g. {sorted(message_ids)[:3]})"
+            f"{violation} {len(message_ids)} messages (e.g. {examples})"
         )

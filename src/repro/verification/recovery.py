@@ -65,7 +65,7 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
     )
     reference = replicas[reference_site]
     reference_contents = reference.database_contents()
-    reference_transactions = set(reference.history.transaction_ids())
+    reference_history = reference.history
     for site_id, replica in sorted(replicas.items()):
         report.sites_checked += 1
         crashes = group.crash_manager.crash_count(site_id)
@@ -79,13 +79,19 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
                 f"{label}: store of {site_id} differs from {reference_site} "
                 "after recovery"
             )
-        own_transactions = set(replica.history.transaction_ids())
-        if own_transactions != reference_transactions:
-            missing = sorted(reference_transactions - own_transactions)[:3]
-            extra = sorted(own_transactions - reference_transactions)[:3]
+        history = replica.history
+        # Ids are unique in a history, so equal sizes and no id without a
+        # reference row mean equal sets.
+        reference_rows = reference_history.row_of
+        known = len(reference_rows)
+        extra = [t for t in history.ids if t >= known or reference_rows[t] < 0]
+        if extra or len(history) != len(reference_history):
+            missing = [t for t in reference_history.ids if t not in history]
+            name = history.name_of
             report._violate(
-                f"{label}: history of {site_id} does not match "
-                f"{reference_site} (missing e.g. {missing}, extra e.g. {extra})"
+                f"{label}: history of {site_id} does not match {reference_site} "
+                f"(missing e.g. {[name(t) for t in sorted(missing)[:3]]}, "
+                f"extra e.g. {[name(t) for t in sorted(extra)[:3]]})"
             )
         if replica.commit_frontier != reference.commit_frontier:
             report._violate(
@@ -95,9 +101,10 @@ def _check_group(report: RecoveryReport, group, label: str) -> None:
             )
         missing = replica.redo_log.missing_versions()
         if missing:
+            examples = [(history.name_of(t), key, index) for t, key, index in missing[:3]]
             report._violate(
                 f"{label}: store of {site_id} lacks {len(missing)} committed "
-                f"versions (e.g. (transaction, key, index) {missing[:3]}) — it "
+                f"versions (e.g. (transaction, key, index) {examples}) — it "
                 "could not serve as a state-transfer donor"
             )
         if group.crash_manager.is_up(site_id):

@@ -65,7 +65,7 @@ def broadcast_burst(kernel, endpoints, per_site=10, spacing=0.001):
 
 def delivery_times(endpoint, message_id):
     """``(Opt time, TO time)`` of ``message_id`` in the endpoint's columns."""
-    row = endpoint.row_of[message_id]
+    row = endpoint.row(message_id)
     return endpoint.opt_times[row], endpoint.to_times[row]
 
 
@@ -164,7 +164,9 @@ class TestOptimisticAtomicBroadcast:
             site = endpoints["N4"]
             fractions.append(
                 tentative_vs_definitive_mismatch(
-                    site.opt_delivery_log, site.to_delivery_log, site.row_of
+                    site.rows_of(site.opt_delivery_log),
+                    site.rows_of(site.to_delivery_log),
+                    len(site.payloads),
                 )
             )
         assert fractions[0] < fractions[1]
@@ -213,9 +215,38 @@ class TestOptimisticAtomicBroadcast:
         kernel.run(until=0.5)
         later = endpoints["N1"].broadcast({"n": 1})
         kernel.run(until=1.0)
-        assert endpoints["N2"].to_delivery_log == [covered, later]
-        assert endpoints["N3"].opt_delivery_log == [later]
-        assert endpoints["N3"].to_delivery_log == [later]
+        assert endpoints["N2"].to_delivery_log.tolist() == [covered, later]
+        assert endpoints["N3"].opt_delivery_log.tolist() == [later]
+        assert endpoints["N3"].to_delivery_log.tolist() == [later]
+
+
+    def test_a_crash_keeps_the_latest_row_of_each_id(self):
+        # Rows are never forgotten: after a crash an id still finds its old
+        # row, which is dead; the rejoined incarnation gives a re-received
+        # id a new row, and the id then finds that one.
+        kernel, transport, endpoints = build_group("optimistic", site_count=3)
+        sent = [endpoints["N1"].broadcast({"n": index}) for index in range(3)]
+        kernel.run_until_idle()
+        site = endpoints["N3"]
+        ordered = site.to_delivery_log.tolist()
+        assert sorted(ordered) == sent
+        old_rows = [site.row(message_id) for message_id in ordered]
+        assert sorted(old_rows) == [0, 1, 2]
+        # Position 0 is durable; the deliveries of positions 1 and 2 die.
+        site.crash_reset(committed_through=0)
+        assert [site.row(message_id) for message_id in ordered] == old_rows
+        assert [site._live_row(message_id) for message_id in ordered] == [-1, -1, -1]
+        assert site.to_delivery_log.tolist() == ordered[:1]
+        assert site.crash_voided == set(ordered[1:])
+        site.rejoin(endpoints["N1"], committed_through=0)
+        kernel.run_until_idle()
+        new_rows = [site.row(message_id) for message_id in ordered]
+        assert new_rows[0] == old_rows[0] and sorted(new_rows[1:]) == [3, 4]
+        for old, new in zip(old_rows[1:], new_rows[1:]):
+            assert site.payloads[new] is site.payloads[old]
+        assert site.to_delivery_log.tolist() == ordered
+        assert site.rows_of(site.to_delivery_log).tolist() == new_rows
+        assert check_broadcast_properties(endpoints, expected_broadcasts=sent).ok
 
 
 class TestVotingMode:
@@ -270,15 +301,19 @@ class TestPropertyBased:
         assert report.ok, report.violations
 
 
-def origin_ranks(message_ids):
-    """Rewrite ``m:<origin>:<n>`` ids as ``(origin, rank among the origin's ids)``.
+def origin_ranks(endpoint):
+    """Rewrite the ids of ``endpoint``'s TO log, named ``m:<origin>:<n>``, as
+    ``(origin, rank among the origin's ids)``.
 
-    Message ids are drawn from a process-global counter, so two runs in one
-    process never share ids; the per-origin rank is what identifies a message.
+    Message ids are drawn from a kernel-wide counter, so two runs under
+    different settings do not share ids; the per-origin rank is what
+    identifies a message.
     """
     parsed = [
         (origin, int(counter))
-        for _, origin, counter in (message_id.split(":") for message_id in message_ids)
+        for _, origin, counter in (
+            endpoint.name(message_id).split(":") for message_id in endpoint.to_delivery_log
+        )
     ]
     seen, rank = defaultdict(int), {}
     for origin, counter in sorted(set(parsed)):
@@ -321,7 +356,7 @@ class TestDeliveryModesOrderIdentically:
             fast = optimistic.broadcast_endpoint(site)
             slow = conservative.broadcast_endpoint(site)
             assert len(fast.to_delivery_log) == 4 * self.SPEC.updates_per_site
-            assert origin_ranks(fast.to_delivery_log) == origin_ranks(slow.to_delivery_log)
+            assert origin_ranks(fast) == origin_ranks(slow)
             assert slow.opt_delivery_log == slow.to_delivery_log
             assert (
                 optimistic.replica(site).database_contents()

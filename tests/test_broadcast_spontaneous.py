@@ -115,10 +115,15 @@ class TestOrderAgreement:
         assert report.pairwise_agreement_fraction == 1.0
 
 
-def mismatch(tentative, definitive):
-    """The mismatch, each message given its own row."""
-    row_of = {mid: row for row, mid in enumerate(dict.fromkeys([*tentative, *definitive]))}
-    return tentative_vs_definitive_mismatch(tentative, definitive, row_of)
+def mismatch(tentative, definitive, row_of=None):
+    """The mismatch, each message given its own row unless ``row_of`` says."""
+    if row_of is None:
+        row_of = {mid: row for row, mid in enumerate(dict.fromkeys([*tentative, *definitive]))}
+    return tentative_vs_definitive_mismatch(
+        [row_of[mid] for mid in tentative],
+        [row_of[mid] for mid in definitive],
+        max(row_of.values(), default=-1) + 1,
+    )
 
 
 class TestTentativeVsDefinitiveMismatch:
@@ -141,8 +146,8 @@ class TestTentativeVsDefinitiveMismatch:
 
     def test_rows_need_not_be_dense(self):
         # A site's rows skip the numbers of rows that a crash left behind.
-        assert tentative_vs_definitive_mismatch(["a", "b"], ["b", "a"], {"a": 7, "b": 3}) == 1.0
-        assert tentative_vs_definitive_mismatch(["a", "b"], ["a", "b"], {"b": 9, "a": 0}) == 0.0
+        assert mismatch(["a", "b"], ["b", "a"], {"a": 7, "b": 3}) == 1.0
+        assert mismatch(["a", "b"], ["a", "b"], {"b": 9, "a": 0}) == 0.0
 
     def test_a_repeated_id_counts_at_its_last_place(self):
         # A recovered site Opt-delivers "a" again: its last tentative place

@@ -37,7 +37,7 @@ def build_engine(duration=0.01):
     return kernel, store, registry, engine
 
 
-def make_transaction(txn_id="T1", procedure="add", key="x", conflict_class="C"):
+def make_transaction(txn_id=1, procedure="add", key="x", conflict_class="C"):
     request = TransactionRequest(
         transaction_id=txn_id,
         procedure_name=procedure,
@@ -71,16 +71,16 @@ class TestExecutionEngine:
         completed = []
         engine.submit(transaction, completed.append)
         kernel.run(until=0.01)
-        assert engine.is_submitted("T1")
+        assert engine.is_submitted(1)
         assert engine.cancel(transaction)
         kernel.run_until_idle()
         assert completed == []
         assert engine.executions_cancelled == 1
-        assert not engine.is_submitted("T1")
+        assert not engine.is_submitted(1)
 
     def test_cancel_unknown_transaction_returns_false(self):
         kernel, store, registry, engine = build_engine()
-        assert not engine.cancel(make_transaction("T9"))
+        assert not engine.cancel(make_transaction(9))
 
     def test_double_submit_rejected(self):
         kernel, store, registry, engine = build_engine(duration=0.05)
@@ -94,7 +94,7 @@ class TestExecutionEngine:
         # how many others are running (the paper's system model).
         kernel, store, registry, engine = build_engine(duration=0.01)
         transactions = [
-            make_transaction(f"T{index}", key="xy"[index % 2]) for index in range(4)
+            make_transaction(index, key="xy"[index % 2]) for index in range(4)
         ]
         for transaction in transactions:
             engine.submit(transaction, lambda txn: None)
@@ -106,8 +106,8 @@ class TestExecutionEngine:
 
     def test_cancel_one_of_two_running_executions(self):
         kernel, store, registry, engine = build_engine(duration=0.01)
-        first = make_transaction("T1")
-        second = make_transaction("T2", key="y")
+        first = make_transaction(1)
+        second = make_transaction(2, key="y")
         completed = []
         engine.submit(first, completed.append)
         engine.submit(second, completed.append)
@@ -120,11 +120,11 @@ class TestExecutionEngine:
         kernel, store, registry, engine = build_engine(duration=0.01)
         completed = []
         for index in range(3):
-            engine.submit(make_transaction(f"T{index}"), completed.append)
+            engine.submit(make_transaction(index), completed.append)
         assert engine.crash_reset() == 3
         kernel.run_until_idle()
         assert completed == []
-        assert not any(engine.is_submitted(f"T{index}") for index in range(3))
+        assert not any(engine.is_submitted(index) for index in range(3))
         assert engine.executions_cancelled == 3
 
 
@@ -152,7 +152,7 @@ class TestQueryEngine:
         results = []
         execution = engine.submit(registry.get("sum"), {}, query_index=-0.5, on_complete=results.append)
         # A concurrent committed write must not be visible to the running query.
-        store.install("x", 999, created_index=0, created_by="T0")
+        store.install("x", 999, created_index=0, created_by=0)
         kernel.run_until_idle()
         assert results == [execution]
         assert execution.result == 30

@@ -79,15 +79,15 @@ class SchedulerHarness:
 class TestSerializationModule:
     def test_first_transaction_in_queue_starts_executing(self):
         harness = SchedulerHarness()
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         harness.opt_deliver(transaction)
         assert transaction.executing
         assert harness.scheduler.queue_for("Cx").first() is transaction
 
     def test_second_transaction_of_same_class_waits(self):
         harness = SchedulerHarness()
-        first = harness.transaction("T1")
-        second = harness.transaction("T2")
+        first = harness.transaction(1)
+        second = harness.transaction(2)
         harness.opt_deliver(first)
         harness.opt_deliver(second)
         assert first.executing
@@ -95,15 +95,15 @@ class TestSerializationModule:
 
     def test_transactions_of_different_classes_execute_concurrently(self):
         harness = SchedulerHarness()
-        first = harness.transaction("T1", conflict_class="Cx")
-        second = harness.transaction("T2", conflict_class="Cy")
+        first = harness.transaction(1, conflict_class="Cx")
+        second = harness.transaction(2, conflict_class="Cy")
         harness.opt_deliver(first)
         harness.opt_deliver(second)
         assert first.executing and second.executing
 
     def test_duplicate_opt_delivery_rejected(self):
         harness = SchedulerHarness()
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         harness.opt_deliver(transaction)
         with pytest.raises(SchedulerError):
             harness.opt_deliver(transaction)
@@ -112,17 +112,17 @@ class TestSerializationModule:
         # Records compare by identity, so the id index is what keeps a site
         # at one record per transaction.
         harness = SchedulerHarness()
-        original = harness.transaction("T1")
+        original = harness.transaction(1)
         harness.opt_deliver(original)
         with pytest.raises(SchedulerError):
-            harness.opt_deliver(harness.transaction("T1"))
+            harness.opt_deliver(harness.transaction(1))
         assert list(harness.scheduler.queue_for("Cx")) == [original]
 
 
 class TestExecutionModule:
     def test_executed_but_pending_transaction_waits_for_to_delivery(self):
         harness = SchedulerHarness(duration=0.01)
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         harness.opt_deliver(transaction)
         harness.kernel.run_until_idle()
         assert transaction.execution_state is ExecutionState.EXECUTED
@@ -131,24 +131,24 @@ class TestExecutionModule:
 
     def test_executed_and_committable_transaction_commits(self):
         harness = SchedulerHarness(duration=0.01)
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         harness.opt_deliver(transaction)
         harness.to_deliver(transaction, index=0)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == ["T1"]
+        assert harness.committed_ids() == [1]
         assert transaction.is_committed
         assert transaction.global_index == 0
 
     def test_commit_starts_next_transaction_in_queue(self):
         harness = SchedulerHarness(duration=0.01)
-        first = harness.transaction("T1")
-        second = harness.transaction("T2")
+        first = harness.transaction(1)
+        second = harness.transaction(2)
         harness.opt_deliver(first)
         harness.opt_deliver(second)
         harness.to_deliver(first, index=0)
         harness.to_deliver(second, index=1)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == ["T1", "T2"]
+        assert harness.committed_ids() == [1, 2]
         # The second transaction only started executing after the first
         # committed (sequential execution within a class).
         assert second.first_execution_started_at >= first.committed_at
@@ -157,7 +157,7 @@ class TestExecutionModule:
 class TestCorrectnessCheckModule:
     def test_to_delivery_of_executed_head_commits_immediately(self):
         harness = SchedulerHarness(duration=0.005)
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         harness.opt_deliver(transaction)
         harness.kernel.run_until_idle()  # fully executed, still pending
         harness.to_deliver(transaction, index=0)
@@ -165,7 +165,7 @@ class TestCorrectnessCheckModule:
 
     def test_to_delivery_before_opt_delivery_is_rejected(self):
         harness = SchedulerHarness()
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         with pytest.raises(SchedulerError):
             harness.scheduler.on_to_deliver(transaction.transaction_id, 0)
 
@@ -176,20 +176,20 @@ class TestCorrectnessCheckModule:
         without aborting T1 (which is committable and still executing).
         """
         harness = SchedulerHarness(duration=0.050)
-        t1, t2, t3 = (harness.transaction(f"T{i}") for i in (1, 2, 3))
+        t1, t2, t3 = (harness.transaction(i) for i in (1, 2, 3))
         for transaction in (t1, t2, t3):
             harness.opt_deliver(transaction)
         harness.to_deliver(t1, index=0)   # T1 becomes [a,c], still executing
         assert t1.executing
         harness.to_deliver(t3, index=1)   # T3 TO-delivered before T2
         queue = harness.scheduler.queue_for("Cx")
-        assert [entry.transaction_id for entry in queue] == ["T1", "T3", "T2"]
+        assert [entry.transaction_id for entry in queue] == [1, 3, 2]
         assert t1.reorder_aborts == 0
         assert t1.executing  # not disturbed
         harness.kernel.run_until_idle()
         harness.to_deliver(t2, index=2)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == ["T1", "T3", "T2"]
+        assert harness.committed_ids() == [1, 3, 2]
 
     def test_paper_example_two_pending_executed_head_is_aborted(self):
         """Section 3.3, second example: CQ = T1[e,p], T2[a,p], T3[a,p].
@@ -198,21 +198,21 @@ class TestCorrectnessCheckModule:
         the head and executes, and T1 is re-executed later.
         """
         harness = SchedulerHarness(duration=0.010)
-        t1, t2, t3 = (harness.transaction(f"T{i}") for i in (1, 2, 3))
+        t1, t2, t3 = (harness.transaction(i) for i in (1, 2, 3))
         for transaction in (t1, t2, t3):
             harness.opt_deliver(transaction)
         harness.kernel.run_until_idle()  # T1 executes fully -> [e,p]
         assert t1.execution_state is ExecutionState.EXECUTED
         harness.to_deliver(t3, index=0)
         queue = harness.scheduler.queue_for("Cx")
-        assert [entry.transaction_id for entry in queue] == ["T3", "T1", "T2"]
+        assert [entry.transaction_id for entry in queue] == [3, 1, 2]
         assert t1.reorder_aborts == 1
         assert t1.execution_state is ExecutionState.ACTIVE
         assert t3.executing
         harness.to_deliver(t1, index=1)
         harness.to_deliver(t2, index=2)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == ["T3", "T1", "T2"]
+        assert harness.committed_ids() == [3, 1, 2]
         assert t1.execution_attempts == 2
 
     def test_rerun_after_reorder_abort_starts_from_an_empty_workspace(self):
@@ -238,28 +238,28 @@ class TestCorrectnessCheckModule:
             )
             return Transaction(request=request, site_id="N1")
 
-        t1, t3 = transaction("T1"), transaction("T3")
+        t1, t3 = transaction(1), transaction(3)
         harness.opt_deliver(t1)
         harness.opt_deliver(t3)
         harness.kernel.run_until_idle()  # T1 executes fully -> [e,p]
         first_workspace, first_reads = t1.workspace, t1.reads
-        assert first_workspace == {"out:T1": 1} and first_reads == {"obj:0": -1}
+        assert first_workspace == {"out:1": 1} and first_reads == {"obj:0": -1}
         harness.to_deliver(t3, index=0)  # CC8: T1 is aborted behind T3
         assert t1.reorder_aborts == 1
         assert t1.workspace == {} and t1.reads == {}
         harness.to_deliver(t1, index=1)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == ["T3", "T1"]
-        assert seen == [("T1", {}, {}), ("T3", {}, {}), ("T1", {}, {})]
-        assert t1.workspace == {"out:T1": 1} and t1.reads == {"obj:0": -1}
+        assert harness.committed_ids() == [3, 1]
+        assert seen == [(1, {}, {}), (3, {}, {}), (1, {}, {})]
+        assert t1.workspace == {"out:1": 1} and t1.reads == {"obj:0": -1}
         assert t1.workspace is not first_workspace
         assert t1.reads is not first_reads
 
     def test_executing_pending_head_is_cancelled_on_reorder(self):
         """Section 3.2 scenario at N': T6 executing when T5 is TO-delivered first."""
         harness = SchedulerHarness(duration=0.050)
-        t6 = harness.transaction("T6")
-        t5 = harness.transaction("T5")
+        t6 = harness.transaction(6)
+        t5 = harness.transaction(5)
         harness.opt_deliver(t6)  # tentative order: T6 before T5
         harness.opt_deliver(t5)
         harness.kernel.run(until=0.010)
@@ -270,13 +270,13 @@ class TestCorrectnessCheckModule:
         assert t5.executing
         harness.to_deliver(t6, index=1)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == ["T5", "T6"]
+        assert harness.committed_ids() == [5, 6]
 
     def test_mismatch_between_non_conflicting_transactions_costs_nothing(self):
         """Section 3.2: T2/T3 swapped at N' but in different classes -> no aborts."""
         harness = SchedulerHarness(duration=0.010)
-        t2 = harness.transaction("T2", conflict_class="Cx")
-        t3 = harness.transaction("T3", conflict_class="Cy")
+        t2 = harness.transaction(2, conflict_class="Cx")
+        t3 = harness.transaction(3, conflict_class="Cy")
         # Tentative order: T3 before T2 (opposite of definitive order).
         harness.opt_deliver(t3)
         harness.opt_deliver(t2)
@@ -285,20 +285,20 @@ class TestCorrectnessCheckModule:
         harness.kernel.run_until_idle()
         assert t2.reorder_aborts == 0
         assert t3.reorder_aborts == 0
-        assert set(harness.committed_ids()) == {"T2", "T3"}
+        assert set(harness.committed_ids()) == {2, 3}
 
     def test_to_delivery_after_commit_rejected(self):
         harness = SchedulerHarness(duration=0.001)
-        transaction = harness.transaction("T1")
+        transaction = harness.transaction(1)
         harness.opt_deliver(transaction)
         harness.to_deliver(transaction, index=0)
         harness.kernel.run_until_idle()
         with pytest.raises(SchedulerError):
-            harness.scheduler.on_to_deliver("T1", 5)
+            harness.scheduler.on_to_deliver(1, 5)
 
     def test_check_invariants_passes_in_normal_operation(self):
         harness = SchedulerHarness(duration=0.010)
-        transactions = [harness.transaction(f"T{i}") for i in range(5)]
+        transactions = [harness.transaction(i) for i in range(5)]
         for transaction in transactions:
             harness.opt_deliver(transaction)
         for index, transaction in enumerate(reversed(transactions)):
@@ -313,26 +313,26 @@ class TestTheorems:
         """Theorem 4.1: every TO-delivered transaction eventually commits,
         even when the definitive order is the reverse of the tentative one."""
         harness = SchedulerHarness(duration=0.004)
-        transactions = [harness.transaction(f"T{i}") for i in range(8)]
+        transactions = [harness.transaction(i) for i in range(8)]
         for transaction in transactions:
             harness.opt_deliver(transaction)
         # Definitive order is the exact reverse of the tentative order.
         for index, transaction in enumerate(reversed(transactions)):
             harness.to_deliver(transaction, index=index)
         harness.kernel.run_until_idle()
-        assert set(harness.committed_ids()) == {f"T{i}" for i in range(8)}
+        assert set(harness.committed_ids()) == {i for i in range(8)}
 
     def test_conflicting_transactions_commit_in_definitive_order(self):
         """Lemma 4.1: same-class transactions commit in TO-delivery order."""
         harness = SchedulerHarness(duration=0.003)
-        transactions = [harness.transaction(f"T{i}") for i in range(6)]
+        transactions = [harness.transaction(i) for i in range(6)]
         for transaction in transactions:
             harness.opt_deliver(transaction)
         definitive = [3, 0, 5, 1, 4, 2]
         for position, transaction_index in enumerate(definitive):
             harness.to_deliver(transactions[transaction_index], index=position)
         harness.kernel.run_until_idle()
-        assert harness.committed_ids() == [f"T{i}" for i in definitive]
+        assert harness.committed_ids() == [i for i in definitive]
 
     @given(
         count=st.integers(min_value=1, max_value=7),
@@ -350,7 +350,7 @@ class TestTheorems:
         rng = random.Random(order_seed)
         harness = SchedulerHarness(duration=0.002, seed=order_seed)
         transactions = [
-            harness.transaction(f"T{i}", conflict_class=f"C{rng.randrange(class_count)}")
+            harness.transaction(i, conflict_class=f"C{rng.randrange(class_count)}")
             for i in range(count)
         ]
         for transaction in transactions:

@@ -15,7 +15,8 @@ from repro.database import (
     TransactionContext,
     TransactionOutcome,
     TransactionRequest,
-    next_transaction_id,
+    TRANSACTION_IDS,
+    transaction_name,
 )
 from repro.database.storage import MultiVersionStore
 from repro.errors import (
@@ -143,8 +144,9 @@ class TestTransactionStates:
 
     def test_transaction_ids_are_unique(self):
         kernel = SimulationKernel()
-        ids = {next_transaction_id(kernel, "N1") for _ in range(200)}
+        ids = {kernel.draw_id(TRANSACTION_IDS, "N1") for _ in range(200)}
         assert len(ids) == 200
+        assert transaction_name(kernel, 200) == "T:N1:200"
 
 
 class TestTransactionContext:

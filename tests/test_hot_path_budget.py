@@ -16,9 +16,9 @@ calls of generated constructors (a dataclass ``__init__`` or named-tuple
 Each fails above its measured value by more than 5 %.
 
 Measured with ``PYTHONPATH=src python tests/test_hot_path_budget.py`` on
-CPython 3.11, ``PYTHONHASHSEED`` 0 and 1 alike: ``budget`` 454.3 ``repro``
-and 9.1 generated calls, 11.5 retained blocks; ``message`` 363.7 and 8.6,
-11.5 blocks.  CHANGES.md keeps the history of the values.
+CPython 3.11, ``PYTHONHASHSEED`` 0 and 1 alike: ``budget`` 444.3 ``repro``
+and 9.1 generated calls, 9.5 retained blocks; ``message`` 350.9 and 8.6,
+9.5 blocks.  CHANGES.md keeps the history of the values.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ from repro.workloads import (
 
 #: Measured ``(repro calls, generated-constructor calls)`` per commit.
 MEASURED_PER_COMMIT = {
-    "budget": (454.3, 9.1),
-    "message": (363.7, 8.6),
+    "budget": (444.3, 9.1),
+    "message": (350.9, 8.6),
 }
 #: Measured retained ``sys.getallocatedblocks()`` per commit.
 MEASURED_BLOCKS_PER_COMMIT = {
-    "budget": 11.5,
-    "message": 11.5,
+    "budget": 9.5,
+    "message": 9.5,
 }
 TOLERANCE = 1.05
 

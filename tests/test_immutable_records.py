@@ -33,7 +33,7 @@ from repro.chaos.plan import FaultEvent, FaultTarget
 from repro.chaos.scenarios import ChaosRunResult
 from repro.core.execution import _PendingQuery, _RunningExecution
 from repro.core.replica import LAZY_WRITES_KIND, LazyWriteSet
-from repro.database import CommittedTransaction, ObjectVersion
+from repro.database import TRANSACTION_IDS, CommittedTransaction, ObjectVersion
 from repro.database.conflict import ConflictClass
 from repro.database.procedures import StoredProcedure
 from repro.database.snapshots import QuerySnapshot
@@ -72,27 +72,27 @@ RECORDS = [
     ),
     (
         OptimisticData,
-        {"message_id": "m:N1:1", "payload": "p"},
+        {"message_id": 1, "payload": "p"},
         {},
     ),
-    (OptimisticOrder, {"message_id": "m:N1:1", "position": 3}, {}),
+    (OptimisticOrder, {"message_id": 1, "position": 3}, {}),
     (
         ObjectVersion,
-        {"key": "x", "value": 1, "created_index": 0, "created_by": "T1"},
+        {"key": "x", "value": 1, "created_index": 0, "created_by": 1},
         {"created_at": 0.0},
     ),
     (
         CommittedTransaction,
-        {"transaction_id": "T1", "conflict_class": "C0", "global_index": 0, "committed_at": 0.1},
+        {"transaction_id": 1, "conflict_class": "C0", "global_index": 0, "committed_at": 0.1},
         {"write_keys": (), "read_keys": (), "message_id": None},
     ),
     (NoOpFill, {"position": 3}, {}),
     (BatchMember, _required(BatchMember), {}),
     (Batch, {"origin": "N1", "members": ()}, {}),
     (LazyWriteSet, _required(LazyWriteSet), {}),
-    (OptimisticAnnounce, {"message_id": "m:N1:1", "site_id": "N2", "local_position": 0}, {}),
-    (DataSolicit, {"message_id": "m:N1:1", "position": 0, "requester": "N2"}, {}),
-    (OptimisticFill, {"position": 0, "message_id": "m:N1:1"}, {}),
+    (OptimisticAnnounce, {"message_id": 1, "site_id": "N2", "local_position": 0}, {}),
+    (DataSolicit, {"message_id": 1, "position": 0, "requester": "N2"}, {}),
+    (OptimisticFill, {"position": 0, "message_id": 1}, {}),
     (ProbeMessage, {"origin": "N1", "sequence": 1}, {}),
     (OrderAgreementReport, _required(OrderAgreementReport), {}),
     (InjectedFault, _required(InjectedFault), {}),
@@ -178,8 +178,8 @@ def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
     endpoint = OptimisticAtomicBroadcast(
         kernel, transport, dispatcher, "N1", coordinator_site="N2"
     )
-    data = OptimisticData(message_id="m:N1:1", payload="p")
-    order = OptimisticOrder(message_id="m:N1:1", position=0)
+    data = OptimisticData(message_id=1, payload="p")
+    order = OptimisticOrder(message_id=1, position=0)
     sends = [
         (OPTIMISTIC_DATA_KIND, tuple(data)),
         (OPTIMISTIC_DATA_KIND, data),
@@ -188,15 +188,15 @@ def test_optimistic_endpoint_accepts_its_records_but_not_plain_tuples():
     for kind, content in sends:
         transport.multicast("N1", content, destinations=["N1"], kind=kind)
     kernel.run_until_idle()
-    assert endpoint.opt_delivery_log == ["m:N1:1"]
-    assert endpoint.to_delivery_log == []
+    assert endpoint.opt_delivery_log.tolist() == [1]
+    assert endpoint.to_delivery_log.tolist() == []
     # The two plain tuples were refused by the endpoint's handlers.
     assert [envelope.payload for envelope in dispatcher.unhandled] == [
         tuple(data), tuple(order)
     ]
     transport.multicast("N1", order, destinations=["N1"], kind=OPTIMISTIC_ORDER_KIND)
     kernel.run_until_idle()
-    assert endpoint.to_delivery_log == ["m:N1:1"]
+    assert endpoint.to_delivery_log.tolist() == [1]
 
 
 def _endpoint():
@@ -213,9 +213,9 @@ def _endpoint():
 @pytest.mark.parametrize(
     "kind, record",
     [
-        (OPTIMISTIC_ANNOUNCE_KIND, OptimisticAnnounce("m:N1:1", "N2", 0)),
-        (OPTIMISTIC_ORDER_KIND, OptimisticFill(position=0, message_id="m:N1:1")),
-        (OPTIMISTIC_SOLICIT_KIND, DataSolicit("m:N1:1", position=0, requester="N2")),
+        (OPTIMISTIC_ANNOUNCE_KIND, OptimisticAnnounce(1, "N2", 0)),
+        (OPTIMISTIC_ORDER_KIND, OptimisticFill(position=0, message_id=1)),
+        (OPTIMISTIC_SOLICIT_KIND, DataSolicit(1, position=0, requester="N2")),
     ],
     ids=["OptimisticAnnounce", "OptimisticFill", "DataSolicit"],
 )
@@ -237,7 +237,9 @@ def test_heartbeat_and_lazy_write_set_receivers_refuse_plain_tuples():
         ClusterConfig(site_count=2, broadcast=BROADCAST_LAZY), ProcedureRegistry()
     ).replica("N1")
     heartbeat = Heartbeat(origin="N2", sequence=1)
-    write_set = LazyWriteSet("T:N2:1", "C0", "N2", 0.0, 0.001, (("x", 1),))
+    write_set = LazyWriteSet(
+        lazy.kernel.draw_id(TRANSACTION_IDS, "N2"), "C0", "N2", 0.0, 0.001, (("x", 1),)
+    )
     for receive, kind, record in [
         (detector.on_envelope, HEARTBEAT_KIND, heartbeat),
         (lazy.on_lazy_writes, LAZY_WRITES_KIND, write_set),
@@ -251,13 +253,13 @@ def test_heartbeat_and_lazy_write_set_receivers_refuse_plain_tuples():
 def test_batching_endpoint_refuses_a_plain_tuple_batch():
     kernel, _, _, inner = _endpoint()
     endpoint = BatchingEndpoint(kernel, inner, BatchingConfig())
-    batch = Batch(origin="N1", members=(BatchMember("m:N1:1", "p", 0.0),))
+    batch = Batch(origin="N1", members=(BatchMember(1, "p", 0.0),))
     inner.broadcast(tuple(batch))
     kernel.run_until_idle()
-    assert endpoint.opt_delivery_log == []
+    assert endpoint.opt_delivery_log.tolist() == []
     inner.broadcast(batch)
     kernel.run_until_idle()
-    assert endpoint.opt_delivery_log == ["m:N1:1"]
+    assert endpoint.opt_delivery_log.tolist() == [1]
 
 
 def test_a_replica_refuses_a_plain_tuple_noop_fill():

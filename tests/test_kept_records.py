@@ -6,9 +6,13 @@ run; a site keeps one record per query it executed, the router one per
 routed query and one per leg, and the metrics keep every latency sample.
 A leg keeps no parameter dict: its class window is a tuple the router
 interns, one per distinct class set, and queries and legs are named by int
-serials, not strings.  The mutable records are classes with ``__slots__``,
-the frozen request is a named tuple, and the samples are ``array('d')``
-doubles, so a kept record costs its fields and nothing more.  The router
+serials, not strings.  Transactions and messages are int serials too: a
+site finds a transaction's history row and a message's delivery row
+through an ``array`` indexed by serial, and the coordinator's ordered flags
+are a ``bytearray`` by serial, so no dict or set is kept per commit and no
+version keeps a boxed index.  The mutable records are classes with
+``__slots__``, the frozen request is a named tuple, and the samples are
+``array('d')`` doubles, so a kept record costs its fields and nothing more.  The router
 keeps nothing per routed update.
 
 The mutable records that are rarely built or not kept — stats counters,
@@ -28,7 +32,7 @@ from array import array
 import pytest
 
 from repro import ClusterConfig, ProcedureRegistry, ReplicatedDatabase, ShardingConfig
-from repro.broadcast.interfaces import BroadcastStats
+from repro.broadcast.interfaces import BroadcastStats, message_name
 from repro.broadcast.optimistic import (
     OPTIMISTIC_DATA_KIND,
     OptimisticAtomicBroadcast,
@@ -85,7 +89,7 @@ from repro.workloads.generator import WorkloadPlan
 from oracles import chain_versions, committed_transactions
 
 REQUEST = TransactionRequest(
-    transaction_id="T:N1:1",
+    transaction_id=1,
     procedure_name="add",
     parameters={"slot": 0},
     conflict_class="C0",
@@ -108,10 +112,10 @@ KEPT = [
 #: Builders of the mutable records that are rarely built or not kept.
 RARELY_BUILT = [
     lambda: RoutedUpdate(
-        transaction_id="T:N1:1", conflict_class="C0", shard_id="S0", site_id="N1", routed_at=0.0
+        transaction_id=1, conflict_class="C0", shard_id="S0", site_id="N1", routed_at=0.0
     ),
     BroadcastStats,
-    lambda: _PendingConfirmation("m:N1:1", 0),
+    lambda: _PendingConfirmation(1, 0),
     lambda: SpikedLatency(ConstantLatency(0.001), 0.002),
     lambda: VersionChain("x"),
     StoreStats,
@@ -186,8 +190,10 @@ def test_a_version_chain_keeps_its_versions_in_columns_set_by_init():
         columns = [getattr(chain, name) for name in VersionChain.__slots__ if name != "key"]
         assert len(columns) == 4
         assert all(len(column) == len(chain) for column in columns)
-        # Commit times are doubles; the bisected index column stays a list.
-        assert [type(column) for column in columns] == [list, list, list, array]
+        # Creation indices and commit times are typed; values and writers
+        # are objects.
+        assert [type(column) for column in columns] == [array, list, list, array]
+        assert chain._created_indices.typecode == "q"
         assert chain._commit_times.typecode == "d"
     # The one record it was given is not kept: it is rebuilt on request.
     rebuilt = chain.visible_at(0.0)
@@ -219,7 +225,7 @@ def flat_run(updates_per_site, seed=11):
     return cluster
 
 
-def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
+def test_a_flat_run_keeps_no_version_records_and_no_id_keyed_dict_or_set():
     cluster = flat_run(400)
     commits = max(cluster.committed_counts().values())
     assert commits == 1600
@@ -229,14 +235,27 @@ def test_a_flat_run_keeps_no_version_records_and_no_follower_ordered_set():
     coordinator = cluster.coordinator_site()
     for site_id in cluster.site_ids():
         endpoint = cluster.broadcast_endpoint(site_id)
-        per_message_sets = [
-            name
-            for name, value in vars(endpoint).items()
-            if isinstance(value, (set, frozenset)) and len(value) >= commits
-        ]
-        # Only the coordinator remembers what it ordered; a follower's
-        # position map already says it.
-        assert per_message_sets == (["_ordered_messages"] if site_id == coordinator else [])
+        history = cluster.replica(site_id).history
+        # Ids are int serials, and what is found by id is a column indexed
+        # by serial: no dict or set holds an entry per commit.
+        for record in (endpoint, history):
+            assert not [
+                name
+                for name, value in vars(record).items()
+                if isinstance(value, (dict, set, frozenset)) and len(value) >= commits
+            ]
+        assert [(type(column), column.typecode) for column in (
+            endpoint.row_of, history.row_of, history.ids)] == [
+            (array, "i"), (array, "i"), (array, "q")]
+        # Only the coordinator flags what it ordered, one byte per serial; a
+        # follower's position map already says it.
+        ordered = endpoint._ordered_messages
+        if site_id == coordinator:
+            assert type(ordered) is bytearray and sum(ordered) == commits
+        else:
+            assert ordered is None
+    chains = cluster.replica("N1").store._chains.values()
+    assert chains and all(type(chain._created_indices) is array for chain in chains)
 
 
 def test_a_flat_run_keeps_delivery_state_in_columns_and_no_per_message_objects():
@@ -255,19 +274,20 @@ def test_a_flat_run_keeps_delivery_state_in_columns_and_no_per_message_objects()
             "opt_times", "to_times", "opt_delivery_log", "to_delivery_log", "_positions",
         }
         columns = (endpoint.local_positions, endpoint.definitive_positions,
-                   endpoint.opt_times, endpoint.to_times)
-        # The number columns grow a block of rows at a time.
-        assert [column.typecode for column in columns] == ["q", "q", "d", "d"]
+                   endpoint.opt_times, endpoint.to_times, endpoint.opt_delivery_log,
+                   endpoint.to_delivery_log, endpoint._positions)
+        # The number columns grow a block of rows at a time; the logs and
+        # the position map hold message serials.
+        assert [column.typecode for column in columns] == ["q", "q", "d", "d", "q", "q", "q"]
         assert all(len(column) >= messages for column in columns)
-        assert len(endpoint.row_of) == len(endpoint.payloads) == messages
+        rows = [row for row in endpoint.row_of if row >= 0]
+        assert sorted(rows) == list(range(len(endpoint.payloads))) and len(rows) == messages
         # Beside numbers, a row holds only what every site received: the
-        # payload object itself and the id the logs hold too.
-        for message_id, row in endpoint.row_of.items():
-            assert endpoint.payloads[row] is reference.payloads[reference.row_of[message_id]]
-        assert all(
-            message_id is other
-            for message_id, other in zip(endpoint.to_delivery_log, reference.to_delivery_log)
-        )
+        # payload object itself.
+        for message_id, row in enumerate(endpoint.row_of):
+            if row >= 0:
+                assert endpoint.payloads[row] is reference.payloads[reference.row(message_id)]
+        assert endpoint.to_delivery_log == reference.to_delivery_log
 
 
 def test_a_site_history_keeps_columns_and_no_commit_records():
@@ -281,19 +301,20 @@ def test_a_site_history_keeps_columns_and_no_commit_records():
     ]
     assert len(kept) >= 400
     assert not any(isinstance(value, CommittedTransaction) for value in kept)
-    assert [type(column) for column in (history.ids, history.classes, history.message_ids)] == [
-        list, list, list]
+    assert type(history.classes) is list
     assert [(column.typecode, len(column)) for column in (
-        history.indices, history.committed_at, history.read_versions)] == [
-        ("q", 400), ("d", 400), ("q", 800)]
+        history.ids, history.message_ids, history.indices, history.committed_at,
+        history.read_versions)] == [("q", 400), ("q", 400), ("q", 400), ("d", 400), ("q", 800)]
+    # One row entry per transaction serial, -1 for those not committed here.
+    assert sorted(row for row in history.row_of if row >= 0) == list(range(400))
     # Every update here reads the keys it writes: one key entry serves both.
     assert len(history.keys) == 800
 
 
 #: sha256 over every site's commit records (``oracles.committed_transactions``)
 #: after a flat run of 100 updates a site, as the history kept them when it
-#: held one record per commit: the records rebuilt from the columns have the
-#: same fields in the same order.
+#: held one record per commit and ids were strings: the records rebuilt from
+#: the columns, their ids named, have the same fields in the same order.
 RECORD_DIGESTS = {
     11: "e5d636e917791a8e6b06d2c094d616bb0e46fcf798644efef544d40cba89c849",
     12: "e6425fe4f49d22a9218a5be6d805fd8d20099f5ca2816eb8236a2b06a4f7dc02",
@@ -307,7 +328,11 @@ def test_records_rebuilt_from_the_columns_equal_the_kept_records(seed):
     for _, history in sorted(cluster.histories().items()):
         records = committed_transactions(history)
         for record in records:
-            digest.update(repr(tuple(record)).encode())
+            named = record._replace(
+                transaction_id=history.name_of(record.transaction_id),
+                message_id=message_name(cluster.kernel, record.message_id),
+            )
+            digest.update(repr(tuple(named)).encode())
             assert history.get(record.transaction_id) == record
         by_index = sorted(records, key=lambda record: record.global_index)
         assert history.commits_in_index_range(-1, by_index[-1].global_index) == by_index
@@ -316,11 +341,11 @@ def test_records_rebuilt_from_the_columns_equal_the_kept_records(seed):
 
 #: Traced bytes a flat run of 400 updates a site retains per site-commit,
 #: from before ``apply`` to after the run, measured on CPython 3.11 with
-#: ``PYTHONPATH=src python tests/test_kept_records.py``.  Other versions lay
-#: out dicts differently (before 3.11 an entry keyed by a string takes 24
-#: bytes, not 16), so there the bound is this interpreter's own value at
-#: that horizon, and only the 20x run is gated.
-MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 581.5
+#: ``PYTHONPATH=src python tests/test_kept_records.py``; with string ids,
+#: dicts keyed by them and boxed indexes it was 581.5.  Other versions lay
+#: out objects differently, so there the bound is this interpreter's own
+#: value at that horizon, and only the 20x run is gated.
+MEASURED_RETAINED_BYTES_PER_SITE_COMMIT = 435.9
 MEASURED_ON = (3, 11)
 RETAINED_TOLERANCE = 1.05
 
@@ -372,7 +397,7 @@ def test_a_flat_run_retains_a_bounded_number_of_bytes_per_site_commit(
 #: place: neither builds a set, list or dict per site and message.
 MEASURED_PEAK_BYTES_PER_SITE_MESSAGE = {
     "derive_metrics": 17.1,
-    "check_broadcast_properties": 12.4,
+    "check_broadcast_properties": 1.0,
 }
 
 
@@ -542,17 +567,17 @@ def test_a_promoted_coordinator_orders_unconfirmed_messages_in_receipt_order():
     endpoint = OptimisticAtomicBroadcast(
         kernel, transport, SiteDispatcher(transport, "N1"), "N1", coordinator_site="N2"
     )
-    received = ["m:N3:2", "m:N3:10", "m:N3:1"]
+    received = [2, 10, 1]
     for message_id in received:
         data = OptimisticData(message_id=message_id, payload=None)
         transport.multicast("N1", data, destinations=["N1"], kind=OPTIMISTIC_DATA_KIND)
         kernel.run_until_idle()
-    assert endpoint.opt_delivery_log == received
-    assert [endpoint.local_positions[endpoint.row_of[m]] for m in received] == [0, 1, 2]
-    assert endpoint.to_delivery_log == []
+    assert endpoint.opt_delivery_log.tolist() == received
+    assert [endpoint.local_positions[endpoint.row(m)] for m in received] == [0, 1, 2]
+    assert endpoint.to_delivery_log.tolist() == []
     endpoint.set_coordinator("N1")
     kernel.run_until_idle()
-    assert endpoint.to_delivery_log == received
+    assert endpoint.to_delivery_log.tolist() == received
 
 
 if __name__ == "__main__":

@@ -173,6 +173,12 @@ class TestTracedClusterRun:
         assert len(lines) == len(tracer.events) + len(tracer.spans)
         parsed = [json.loads(line) for line in lines]
         assert {entry["type"] for entry in parsed} == {"event", "span"}
+        # The tracer keeps int ids; the export prints their names.
+        assert all(isinstance(event.transaction_id, (int, type(None))) for event in tracer.events)
+        names = {entry["transaction_id"] for entry in parsed if "transaction_id" in entry}
+        assert names and all(name.startswith("T:N") for name in names)
+        messages = {entry["message_id"] for entry in parsed if "message_id" in entry}
+        assert messages and all(name.startswith("m:N") for name in messages)
 
     def test_chrome_trace_export_shape(self, tmp_path):
         tracer = TransactionTracer()
@@ -183,6 +189,8 @@ class TestTracedClusterRun:
         entries = json.loads(path.read_text())
         assert len(entries) == count
         assert {entry["ph"] for entry in entries} <= {"X", "i"}
+        spans = [entry for entry in entries if entry["ph"] == "X"]
+        assert spans and all(entry["tid"].startswith("T:N") for entry in spans)
         stamps = [entry["ts"] for entry in entries]
         assert stamps == sorted(stamps)
         assert all(entry["ts"] >= 0 for entry in entries)

@@ -10,7 +10,8 @@ with conflict classes T1,T2 in Cx, T3,T4 in Cy and T5,T6 in Cz.  At N the
 orders match; at N' the T2/T3 swap is harmless (different classes) while the
 T6/T5 swap is a real conflict: T6 must be undone and re-executed after T5.
 This test drives two independent OTP schedulers directly with exactly those
-delivery sequences and checks the paper's conclusions.
+delivery sequences and checks the paper's conclusions.  Transaction ``Ti``
+has the int id ``i``.
 """
 
 import pytest
@@ -30,15 +31,15 @@ from repro.verification import check_one_copy_serializability
 from repro.database.history import CommittedTransaction, SiteHistory
 
 CLASS_OF = {
-    "T1": "Cx",
-    "T2": "Cx",
-    "T3": "Cy",
-    "T4": "Cy",
-    "T5": "Cz",
-    "T6": "Cz",
+    1: "Cx",
+    2: "Cx",
+    3: "Cy",
+    4: "Cy",
+    5: "Cz",
+    6: "Cz",
 }
 
-DEFINITIVE_ORDER = ["T1", "T2", "T3", "T4", "T5", "T6"]
+DEFINITIVE_ORDER = [1, 2, 3, 4, 5, 6]
 
 
 class PaperSite:
@@ -66,7 +67,7 @@ class PaperSite:
             commit_callback=self._commit,
             metrics=MetricsCollector("otp-scheduler"),
         )
-        self.history = SiteHistory(site_id)
+        self.history = SiteHistory(site_id, "T{}".format)
         self.transactions = {}
 
     def _commit(self, transaction):
@@ -116,9 +117,9 @@ def run_scenario(duration=0.010, settle_between=False):
     site_n = PaperSite("N", duration=duration)
     site_n_prime = PaperSite("N'", duration=duration)
 
-    for txn_id in ["T1", "T2", "T3", "T4", "T5", "T6"]:
+    for txn_id in [1, 2, 3, 4, 5, 6]:
         site_n.opt_deliver(txn_id)
-    for txn_id in ["T1", "T3", "T2", "T4", "T6", "T5"]:
+    for txn_id in [1, 3, 2, 4, 6, 5]:
         site_n_prime.opt_deliver(txn_id)
 
     if settle_between:
@@ -137,14 +138,14 @@ class TestPaperScenario:
     def test_initial_queue_contents_match_the_paper(self):
         site_n = PaperSite("N")
         site_n_prime = PaperSite("N'")
-        for txn_id in ["T1", "T2", "T3", "T4", "T5", "T6"]:
+        for txn_id in [1, 2, 3, 4, 5, 6]:
             site_n.opt_deliver(txn_id)
-        for txn_id in ["T1", "T3", "T2", "T4", "T6", "T5"]:
+        for txn_id in [1, 3, 2, 4, 6, 5]:
             site_n_prime.opt_deliver(txn_id)
-        assert site_n.queue_ids("Cx") == ["T1", "T2"]
-        assert site_n.queue_ids("Cy") == ["T3", "T4"]
-        assert site_n.queue_ids("Cz") == ["T5", "T6"]
-        assert site_n_prime.queue_ids("Cz") == ["T6", "T5"]
+        assert site_n.queue_ids("Cx") == [1, 2]
+        assert site_n.queue_ids("Cy") == [3, 4]
+        assert site_n.queue_ids("Cz") == [5, 6]
+        assert site_n_prime.queue_ids("Cz") == [6, 5]
 
     def test_site_with_matching_tentative_order_never_aborts(self):
         site_n, _ = run_scenario()
@@ -157,12 +158,12 @@ class TestPaperScenario:
             for txn_id, transaction in site_n_prime.transactions.items()
             if transaction.reorder_aborts > 0
         }
-        assert aborted == {"T6"}
+        assert aborted == {6}
 
     def test_non_conflicting_mismatch_t2_t3_costs_nothing(self):
         _, site_n_prime = run_scenario()
-        assert site_n_prime.transactions["T2"].reorder_aborts == 0
-        assert site_n_prime.transactions["T3"].reorder_aborts == 0
+        assert site_n_prime.transactions[2].reorder_aborts == 0
+        assert site_n_prime.transactions[3].reorder_aborts == 0
 
     def test_conflicting_transactions_commit_in_definitive_order_at_both_sites(self):
         site_n, site_n_prime = run_scenario()
@@ -188,8 +189,8 @@ class TestPaperScenario:
         """Same scenario but executions complete before any TO-delivery, so the
         mis-ordered T6 at N' is already fully executed when it must be undone."""
         site_n, site_n_prime = run_scenario(duration=0.001, settle_between=True)
-        assert site_n_prime.transactions["T6"].reorder_aborts == 1
-        assert site_n_prime.transactions["T6"].execution_attempts == 2
+        assert site_n_prime.transactions[6].reorder_aborts == 1
+        assert site_n_prime.transactions[6].execution_attempts == 2
         report = check_one_copy_serializability(
             {"N": site_n.history, "N'": site_n_prime.history}
         )

@@ -270,7 +270,7 @@ class TestShardedCluster:
             own_transactions = set(submitted)
             for site_id in shard.site_ids():
                 history = shard.replica(site_id).history
-                assert set(history.transaction_ids()) == own_transactions
+                assert set(history.ids) == own_transactions
 
     def test_end_to_end_sharded_run_verifies(self):
         spec = ShardedWorkloadSpec(

@@ -54,7 +54,7 @@ def local_versions(commits):
 def history_from(site_id, commits, read_versions=None):
     """A site that committed ``commits`` in the order given; its reads return
     ``read_versions`` (one list per commit), by default :func:`local_versions`."""
-    history = SiteHistory(site_id)
+    history = SiteHistory(site_id, "T{}".format)
     if read_versions is None:
         read_versions = local_versions(commits)
     for commit, versions in zip(commits, read_versions):
@@ -69,14 +69,15 @@ def swap_rows(history, i, j):
                    history.message_ids, history.key_starts, history.write_ends,
                    history.read_ends):
         column[i], column[j] = column[j], column[i]
+    history.row_of[history.ids[i]], history.row_of[history.ids[j]] = i, j
 
 
 class TestOneCopyChecker:
     def test_identical_histories_pass(self):
         commits = [
-            committed("T1", "Cx", 0, writes=["x"], reads=["x"]),
-            committed("T2", "Cx", 1, writes=["x"], reads=["x"]),
-            committed("T3", "Cy", 2, reads=["x", "y"]),
+            committed(1, "Cx", 0, writes=["x"], reads=["x"]),
+            committed(2, "Cx", 1, writes=["x"], reads=["x"]),
+            committed(3, "Cy", 2, reads=["x", "y"]),
         ]
         histories = {
             "N1": history_from("N1", commits),
@@ -89,8 +90,8 @@ class TestOneCopyChecker:
 
     def test_missing_transaction_detected(self):
         histories = {
-            "N1": history_from("N1", [committed("T1", "Cx", 0), committed("T2", "Cx", 1)]),
-            "N2": history_from("N2", [committed("T1", "Cx", 0)]),
+            "N1": history_from("N1", [committed(1, "Cx", 0), committed(2, "Cx", 1)]),
+            "N2": history_from("N2", [committed(1, "Cx", 0)]),
         }
         report = check_one_copy_serializability(histories)
         assert report.violations == [
@@ -101,8 +102,8 @@ class TestOneCopyChecker:
 
     def test_extra_transaction_detected(self):
         histories = {
-            "N1": history_from("N1", [committed("T1", "Cx", 0)]),
-            "N2": history_from("N2", [committed("T1", "Cx", 0), committed("T9", "Cy", 1)]),
+            "N1": history_from("N1", [committed(1, "Cx", 0)]),
+            "N2": history_from("N2", [committed(1, "Cx", 0), committed(9, "Cy", 1)]),
         }
         assert check_one_copy_serializability(histories).violations == [
             "site N2 committed 1 transactions unknown to N1 (e.g. ['T9'])"
@@ -110,8 +111,8 @@ class TestOneCopyChecker:
 
     def test_index_disagreeing_between_sites_detected(self):
         histories = {
-            "N1": history_from("N1", [committed("T1", "Cx", 0), committed("T2", "Cy", 1)]),
-            "N2": history_from("N2", [committed("T1", "Cx", 2), committed("T2", "Cy", 1)]),
+            "N1": history_from("N1", [committed(1, "Cx", 0), committed(2, "Cy", 1)]),
+            "N2": history_from("N2", [committed(1, "Cx", 2), committed(2, "Cy", 1)]),
         }
         assert check_one_copy_serializability(histories).violations == [
             "T1 committed at index 0 at N1 but at index 2 at N2"
@@ -119,8 +120,8 @@ class TestOneCopyChecker:
 
     def test_divergent_class_order_detected(self):
         histories = {
-            "N1": history_from("N1", [committed("T1", "Cx", 0), committed("T2", "Cx", 1)]),
-            "N2": history_from("N2", [committed("T2", "Cx", 1), committed("T1", "Cx", 0)]),
+            "N1": history_from("N1", [committed(1, "Cx", 0), committed(2, "Cx", 1)]),
+            "N2": history_from("N2", [committed(2, "Cx", 1), committed(1, "Cx", 0)]),
         }
         assert check_one_copy_serializability(histories).violations == [
             "site N2 commits class Cx out of index order: T1 (index 0) after T2 (index 1)"
@@ -128,8 +129,8 @@ class TestOneCopyChecker:
 
     def test_key_written_out_of_index_order_detected(self):
         # Two classes write a key no class owns, in opposite orders at N2.
-        first = committed("T1", "Cx", 0, writes=["shared"])
-        second = committed("T2", "Cy", 1, writes=["shared"])
+        first = committed(1, "Cx", 0, writes=["shared"])
+        second = committed(2, "Cy", 1, writes=["shared"])
         histories = {
             "N1": history_from("N1", [first, second]),
             "N2": history_from("N2", [second, first]),
@@ -141,8 +142,8 @@ class TestOneCopyChecker:
     def test_stale_read_detected(self):
         # T2 read x as it was before T1's write: a lost update.
         commits = [
-            committed("T1", "Cx", 0, writes=["x"], reads=["x"]),
-            committed("T2", "Cx", 1, writes=["x"], reads=["x"]),
+            committed(1, "Cx", 0, writes=["x"], reads=["x"]),
+            committed(2, "Cx", 1, writes=["x"], reads=["x"]),
         ]
         histories = {
             "N1": history_from("N1", commits),
@@ -156,8 +157,8 @@ class TestOneCopyChecker:
     def test_read_from_a_later_index_detected(self):
         # T1 read the version T2 wrote after it in the definitive order.
         commits = [
-            committed("T1", "Cx", 0, reads=["y"]),
-            committed("T2", "Cy", 1, writes=["y"]),
+            committed(1, "Cx", 0, reads=["y"]),
+            committed(2, "Cy", 1, writes=["y"]),
         ]
         histories = {
             "N1": history_from("N1", commits),
@@ -169,29 +170,29 @@ class TestOneCopyChecker:
         ]
 
     def test_two_transactions_at_one_index_detected(self):
-        commits = [committed("T1", "Cx", 4), committed("T2", "Cy", 4)]
+        commits = [committed(1, "Cx", 4), committed(2, "Cy", 4)]
         histories = {"N1": history_from("N1", commits)}
         assert check_one_copy_serializability(histories).violations == [
             "site N1 commits T1 and T2 at the same index 4"
         ]
 
     def test_every_read_key_needs_its_version(self):
-        history = SiteHistory("N1")
-        history.record_commit(committed("T1", "Cx", 0, reads=["x", "y"]), [INITIAL])
+        history = SiteHistory("N1", "T{}".format)
+        history.record_commit(committed(1, "Cx", 0, reads=["x", "y"]), [INITIAL])
         assert check_one_copy_serializability({"N1": history}).violations == [
             "site N1 recorded 1 read versions for 2 read keys"
         ]
 
     def test_non_conflicting_reordering_across_sites_is_allowed(self):
         histories = {
-            "N1": history_from("N1", [committed("T1", "Cx", 0), committed("T2", "Cy", 1)]),
-            "N2": history_from("N2", [committed("T2", "Cy", 1), committed("T1", "Cx", 0)]),
+            "N1": history_from("N1", [committed(1, "Cx", 0), committed(2, "Cy", 1)]),
+            "N2": history_from("N2", [committed(2, "Cy", 1), committed(1, "Cx", 0)]),
         }
         assert check_one_copy_serializability(histories).ok
 
     def test_definitive_order_violation_detected(self):
         histories = {
-            "N1": history_from("N1", [committed("T2", "Cx", 1), committed("T1", "Cx", 0)]),
+            "N1": history_from("N1", [committed(2, "Cx", 1), committed(1, "Cx", 0)]),
         }
         report = check_one_copy_serializability(histories)
         assert not report.ok
@@ -200,9 +201,9 @@ class TestOneCopyChecker:
         assert check_one_copy_serializability({}).ok
 
     def test_conflict_equivalence(self):
-        first = [committed("T1", "Cx", 0), committed("T2", "Cy", 1), committed("T3", "Cx", 2)]
-        same_conflicts = [committed("T2", "Cy", 1), committed("T1", "Cx", 0), committed("T3", "Cx", 2)]
-        flipped = [committed("T3", "Cx", 2), committed("T2", "Cy", 1), committed("T1", "Cx", 0)]
+        first = [committed(1, "Cx", 0), committed(2, "Cy", 1), committed(3, "Cx", 2)]
+        same_conflicts = [committed(2, "Cy", 1), committed(1, "Cx", 0), committed(3, "Cx", 2)]
+        flipped = [committed(3, "Cx", 2), committed(2, "Cy", 1), committed(1, "Cx", 0)]
         assert histories_conflict_equivalent(first, same_conflicts)
         assert not histories_conflict_equivalent(first, flipped)
         assert not histories_conflict_equivalent(first, first[:2])
@@ -224,7 +225,7 @@ def definitive_histories(draw):
         writable = OWNED_KEYS[conflict_class] + ("u1", "u2")
         commits.append(
             committed(
-                f"T{index}",
+                index,
                 conflict_class,
                 index,
                 writes=sorted(draw(st.sets(st.sampled_from(writable), max_size=2))),
@@ -278,18 +279,24 @@ class TestReplayAgainstTheDefinition:
 
 
 class FakeEndpoint(AtomicBroadcastEndpoint):
-    """Scriptable endpoint used to exercise the property checker."""
+    """Scriptable endpoint used to exercise the property checker; message
+    ``i`` is named ``m<i>``."""
 
     def broadcast(self, payload):  # pragma: no cover - not used
         raise NotImplementedError
 
+    def name(self, message_id):
+        return f"m{message_id}"
+
     def script(self, opt_order, to_order):
         for position, message_id in enumerate(opt_order):
-            self._emit_opt_deliver(self.row(message_id), message_id, float(position))
+            self._emit_opt_deliver(self.row_for(message_id), message_id, float(position))
         for position, message_id in enumerate(to_order):
-            self._emit_to_deliver(self.row(message_id), message_id, position, 100.0 + position)
+            self._emit_to_deliver(
+                self.row_for(message_id), message_id, position, 100.0 + position
+            )
 
-    def row(self, message_id):
+    def row_for(self, message_id):
         row = self._live_row(message_id)
         if row < 0:
             row = self._add_row(message_id, None)
@@ -306,32 +313,32 @@ class TestBroadcastPropertyChecker:
         endpoints = {}
         for site in ("N1", "N2"):
             endpoint = FakeEndpoint(site)
-            endpoint.script(["m1", "m2", "m3"], ["m1", "m2", "m3"])
+            endpoint.script([1, 2, 3], [1, 2, 3])
             endpoints[site] = endpoint
-        report = check_broadcast_properties(endpoints, expected_broadcasts=["m1", "m2", "m3"])
+        report = check_broadcast_properties(endpoints, expected_broadcasts=[1, 2, 3])
         assert report.ok
 
     def test_divergent_to_order_detected(self):
         first, second = FakeEndpoint("N1"), FakeEndpoint("N2")
-        first.script(["m1", "m2"], ["m1", "m2"])
-        second.script(["m1", "m2"], ["m2", "m1"])
+        first.script([1, 2], [1, 2])
+        second.script([1, 2], [2, 1])
         report = check_broadcast_properties({"N1": first, "N2": second})
         assert not report.ok
         assert any("Global Order" in violation for violation in report.violations)
 
     def test_missing_to_delivery_detected(self):
         first, second = FakeEndpoint("N1"), FakeEndpoint("N2")
-        first.script(["m1", "m2"], ["m1", "m2"])
-        second.script(["m1", "m2"], ["m1"])
+        first.script([1, 2], [1, 2])
+        second.script([1, 2], [1])
         report = check_broadcast_properties(
-            {"N1": first, "N2": second}, expected_broadcasts=["m1", "m2"]
+            {"N1": first, "N2": second}, expected_broadcasts=[1, 2]
         )
         assert not report.ok
         assert any("Local Agreement" in v or "Termination" in v for v in report.violations)
 
     def test_to_delivery_without_opt_delivery_detected(self):
         endpoint = FakeEndpoint("N1")
-        endpoint.script(["m1"], ["m1", "m2"])
+        endpoint.script([1], [1, 2])
         report = check_broadcast_properties({"N1": endpoint})
         assert not report.ok
         assert any("Local Order" in violation for violation in report.violations)
@@ -341,8 +348,8 @@ class TestBroadcastPropertyChecker:
         # Both logs agree; only the row's time columns say the Opt-delivery
         # of m2 did not come first.
         endpoint = FakeEndpoint("N1")
-        endpoint.script(["m1", "m2"], ["m1", "m2"])
-        endpoint.opt_times[endpoint.row_of["m2"]] = opt_time
+        endpoint.script([1, 2], [1, 2])
+        endpoint.opt_times[endpoint.row(2)] = opt_time
         report = check_broadcast_properties({"N1": endpoint})
         assert report.violations == [
             "Local Order: site N1 TO-delivered m2 before Opt-delivering it"
@@ -350,8 +357,8 @@ class TestBroadcastPropertyChecker:
 
     def test_divergent_tentative_orders_are_allowed(self):
         first, second = FakeEndpoint("N1"), FakeEndpoint("N2")
-        first.script(["m1", "m2"], ["m1", "m2"])
-        second.script(["m2", "m1"], ["m1", "m2"])
+        first.script([1, 2], [1, 2])
+        second.script([2, 1], [1, 2])
         assert check_broadcast_properties({"N1": first, "N2": second}).ok
 
     def test_empty_endpoints_pass(self):
@@ -391,13 +398,13 @@ class TestCheckClusterOnFlatRuns:
         victim_class = commits[0].conflict_class
         first, second = [c.transaction_id for c in commits if c.conflict_class == victim_class][:2]
         for history in histories.values():
-            ids = history.transaction_ids()
-            swap_rows(history, ids.index(first), ids.index(second))
+            swap_rows(history, history.row(first), history.row(second))
         assert not check_one_copy_serializability(histories).ok
         report = check_cluster(cluster)
         assert not report.ok
         assert any(
-            f"commits class {victim_class} out of index order: {first}" in violation
+            f"commits class {victim_class} out of index order: "
+            f"{histories['N1'].name_of(first)}" in violation
             for violation in report.violations
         )
         with pytest.raises(VerificationError):

@@ -170,6 +170,15 @@ MUTANTS = (
         "the transfer_covered skip in _try_to_deliver",
         "killed",
     ),
+    # --------------------------------------------- serial-indexed row columns
+    Mutant(
+        "unseen-serial-reads-row-0",
+        "simulation/kernel.py",
+        '_UNSET_ROWS = array("i", [-1]) * _BLOCK',
+        '_UNSET_ROWS = array("i", [0]) * _BLOCK',
+        "a serial-indexed row column reads -1 for an id it never recorded",
+        "killed",
+    ),
     # ----------------------------- Local Order evidence in the delivery columns
     Mutant(
         "to-time-into-opt-column",
@@ -201,7 +210,7 @@ MUTANTS = (
     Mutant(
         "duplicate-order-overwrites",
         "broadcast/optimistic.py",
-        "        elif positions[position] is not None:\n"
+        "        elif positions[position]:\n"
         "            return True\n",
         "",
         "the first OptimisticOrder for a position wins",
