@@ -22,12 +22,12 @@ protocol-internal and are excluded from the reference message set.
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
+from itertools import chain, compress, count, zip_longest
 from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional
 
 from ..broadcast.interfaces import AtomicBroadcastEndpoint, is_noop_fill_id
 from ..errors import VerificationError
-from ..simulation.kernel import flag_serial
+from ..simulation.kernel import flag_serial, serial_flags
 from ..types import MessageId, SiteId
 
 
@@ -71,9 +71,13 @@ def check_broadcast_properties(
         expected_broadcasts = chain.from_iterable(
             endpoint.to_delivery_log for endpoint in endpoints.values()
         )
-    reference = bytearray()
+    reference = serial_flags()
     for message_id in expected_broadcasts:
-        if not is_noop_fill_id(message_id):
+        if message_id < 0:
+            continue  # a gap fill's id
+        if message_id < len(reference):
+            reference[message_id] = _EXPECTED
+        else:
             flag_serial(reference, message_id)
 
     # Termination, Agreement and Local Order, site by site.  Messages some
@@ -142,9 +146,7 @@ def _check_site(
     covered = endpoint.transfer_covered
     missing_opt: List[MessageId] = []
     missing_to: List[MessageId] = []
-    for message_id, mark in enumerate(reference):
-        if not mark:
-            continue
+    for message_id in compress(count(), reference):
         row = row_of[message_id] if message_id < known else -1
         flag = 0 if row < 0 else flags[row]
         if not flag & _TO:
@@ -179,19 +181,22 @@ def _check_site(
     # Local Order: Opt-deliver happens before TO-deliver.
     for message_id in endpoint.to_delivery_log:
         # Gap fills carry no payload and skip Opt-delivery.
-        if not is_noop_fill_id(message_id) and not flags[row_of[message_id]] & _OPT:
+        if (
+            not flags[row_of[message_id] if message_id >= 0 else noop_row_of[message_id]] & _OPT
+            and not is_noop_fill_id(message_id)
+        ):
             local_order.append(
                 f"Local Order: site {site_id} TO-delivered {name(message_id)} without "
                 "Opt-delivering it"
             )
     opt_times, to_times = endpoint.opt_times, endpoint.to_times
-    latest_rows = chain(
-        ((serial, row) for serial, row in enumerate(row_of) if row >= 0),
-        noop_row_of.items(),
-    )
-    for message_id, row in latest_rows:
+    # The latest row of each id; an id is looked up only for a violation.
+    for row in chain(filter((0).__le__, row_of), noop_row_of.values()):
         to_time = to_times[row]
         if to_time >= 0.0 and not 0.0 <= opt_times[row] <= to_time:
+            message_id = row_of.index(row) if row in row_of else next(
+                noop for noop, noop_row in noop_row_of.items() if noop_row == row
+            )
             local_order.append(
                 f"Local Order: site {site_id} TO-delivered {name(message_id)} before "
                 "Opt-delivering it"
